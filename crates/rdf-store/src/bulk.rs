@@ -3,7 +3,7 @@
 //!
 //! The seed ingest path ([`Store::load_ntriples`]) parses a whole document
 //! into owned [`Term`]s, then interns and inserts one triple at a time into
-//! three `BTreeSet` permutations. This module replaces every phase of that
+//! three sorted permutations. This module replaces every phase of that
 //! pipeline while producing a **byte-identical** store:
 //!
 //! 1. **Chunked parsing** — the document is split on newline-safe chunk
@@ -695,9 +695,11 @@ impl<'s> BulkLoader<'s> {
             crate::layer::Layer::Seg(sl) => sl.bulk_extend(new_run, threads),
         };
         if added > 0 {
-            self.store.dirty = true;
-            self.store.generation += added as u64;
+            self.store.note_bulk_insert(added);
         }
+        // the terms just loaded join the Arc-shared dictionary base, so the
+        // next write transaction's copy starts from an empty tail
+        self.store.interner.freeze_by_move();
         if materialize {
             self.store.materialize_inference();
         }

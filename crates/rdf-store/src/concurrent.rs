@@ -16,13 +16,20 @@
 //! - **Writers** call [`SnapshotStore::begin_write`] (or the
 //!   [`SnapshotStore::with_write`]/[`SnapshotStore::commit`] conveniences).
 //!   A write transaction clones the current `Arc` and mutates it through
-//!   `Arc::make_mut`: the first mutation pays one deep copy of the store
-//!   (the published pointer always co-owns the base version — that copy is
-//!   the price of never blocking a reader), and every further mutation in
-//!   the same transaction works in place on the private version. Batching
-//!   N mutations in one transaction costs one copy, not N. The copy itself
-//!   is a memcpy of dense interned vectors, not a re-index. Publishing is a
-//!   single pointer swap.
+//!   `Arc::make_mut`. Because the published pointer always co-owns the base
+//!   version, the first mutation clones the [`Store`] — but a store is built
+//!   to be cloned: each triple index is a vector of `Arc`-shared chunks of
+//!   at most 1024 triples (see [`crate::index`]), the term dictionary is an
+//!   `Arc`-shared frozen base plus the tail of terms added since the last
+//!   bulk load or checkpoint, and a segment-backed layer is a list of
+//!   `Arc<Segment>` plus its overlay. The clone therefore copies pointers —
+//!   a few thousand for half a million triples — and each insert or remove
+//!   then copies the one chunk per permutation it lands in. Further
+//!   mutations in the same transaction work in place on chunks that are
+//!   already private. A transaction costs O(|delta|) chunk copies whatever
+//!   the store's size, readers still never block, and publishing is a
+//!   single pointer swap. The superseded generation is freed the same way:
+//!   dropping it releases the chunks no newer generation shares.
 //! - **A writer panic publishes nothing.** The transaction's working copy
 //!   is dropped during unwind and readers keep resolving against the last
 //!   published generation. The internal writer mutex recovers from poison
@@ -187,9 +194,10 @@ pub struct WriteTxn<'a> {
 
 impl WriteTxn<'_> {
     /// Mutable access to the private working copy. Copy-on-write: the
-    /// first call pays the one deep clone (the published pointer still
-    /// shares the base `Arc`); later calls in the same transaction mutate
-    /// the now-unique copy in place.
+    /// first call clones the store's chunk and segment pointers (the
+    /// published pointer still shares the base `Arc`), sharing every chunk
+    /// with the published generation until a mutation touches it; later
+    /// calls in the same transaction return the now-unique copy directly.
     pub fn store_mut(&mut self) -> &mut Store {
         Arc::make_mut(&mut self.working)
     }
@@ -320,6 +328,48 @@ mod tests {
         });
         assert_eq!(held.len(), 2);
         assert_eq!(shared.snapshot().len(), 3);
+    }
+
+    #[test]
+    fn write_txn_shares_all_but_the_touched_chunks() {
+        use crate::layer::Layer;
+        // enough triples for dozens of chunks per permutation, loaded the
+        // way a server loads them
+        let mut text = String::new();
+        for i in 0..20_000 {
+            text.push_str(&format!(
+                "<http://e/s{i}> <http://e/p{}> <http://e/o{}> .\n",
+                i % 7,
+                i % 1013
+            ));
+        }
+        let mut store = Store::new();
+        store.bulk_load_ntriples(&text, crate::LoadOptions::default()).unwrap();
+        let shared = SnapshotStore::new(store);
+        let held = shared.snapshot();
+        let held_triples: Vec<_> = held.iter_explicit().collect();
+        shared.with_write(|s| {
+            assert!(s.insert(&triple(999_999)));
+            s.refresh_inference();
+        });
+        let next = shared.snapshot();
+        let (Layer::Mem(old), Layer::Mem(new)) = (&held.explicit, &next.explicit) else {
+            panic!("an in-memory store has in-memory layers");
+        };
+        for (perm, (same, all)) in new.chunks_shared_with(old).into_iter().enumerate() {
+            assert!(all >= 19, "permutation {perm}: only {all} chunks");
+            assert!(all - same <= 3, "permutation {perm}: {} of {all} chunks copied", all - same);
+        }
+        // the dictionary base is shared too: the transaction copied only the
+        // terms it interned
+        assert_eq!(next.interner.frozen_len(), held.interner.frozen_len());
+        assert_eq!(held.interner.frozen_len(), held.term_count());
+        // and the held snapshot still reads its own generation
+        assert_eq!(held.len(), 20_000);
+        assert_eq!(next.len(), 20_001);
+        assert!(held.lookup(&triple(999_999).subject).is_none());
+        assert!(held.iter_explicit().eq(held_triples.iter().copied()));
+        assert_eq!(next.closure_stats().incremental, 1);
     }
 
     #[test]

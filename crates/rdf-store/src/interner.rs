@@ -311,13 +311,48 @@ impl Interner {
     /// this interner share the whole current dictionary behind one `Arc`.
     /// The checkpoint fold calls this: after a checkpoint every term is on
     /// disk, and the next write transaction should pay only for the terms
-    /// *it* adds. No-op when the tail is already empty.
+    /// *it* adds. When the base cannot take the tail by move (see
+    /// [`freeze_by_move`](Interner::freeze_by_move)) the dictionary is
+    /// rebuilt, at O(dictionary) cost. No-op when the tail is empty.
     pub(crate) fn freeze(&mut self) {
-        if self.terms.is_empty() {
-            return;
+        if !self.freeze_by_move() {
+            let all: Vec<Term> = self.iter().map(|(_, t)| t.clone()).collect();
+            *self = Interner::from_frozen(all);
         }
-        let all: Vec<Term> = self.iter().map(|(_, t)| t.clone()).collect();
-        *self = Interner::from_frozen(all);
+    }
+
+    /// [`freeze`](Interner::freeze) restricted to the cases that copy no
+    /// term: the tail *becomes* the base when the base is empty (a store
+    /// loaded from scratch), or is appended to an eager base no other
+    /// interner shares. Returns `false`, leaving the tail where it is, when
+    /// the base is shared with another generation or holds undecoded chunks
+    /// — the bulk loader calls this after every load and must never pay for
+    /// the dictionary it loaded into.
+    pub(crate) fn freeze_by_move(&mut self) -> bool {
+        if self.terms.is_empty() {
+            return true;
+        }
+        if self.base.len() == 0 {
+            self.base = std::sync::Arc::new(FrozenTerms {
+                repr: FrozenRepr::Eager(std::mem::take(&mut self.terms)),
+                ids: std::mem::take(&mut self.ids),
+            });
+            return true;
+        }
+        let Some(base) = std::sync::Arc::get_mut(&mut self.base) else {
+            return false;
+        };
+        let FrozenRepr::Eager(frozen) = &mut base.repr else {
+            return false;
+        };
+        frozen.append(&mut self.terms);
+        for (h, slot) in self.ids.drain() {
+            match slot {
+                Slot::One(id) => bucket_insert(&mut base.ids, h, id),
+                Slot::Many(ids) => ids.into_iter().for_each(|id| bucket_insert(&mut base.ids, h, id)),
+            }
+        }
+        true
     }
 
     fn term_at(&self, idx: usize) -> &Term {
@@ -502,6 +537,45 @@ mod tests {
             let distinct_ids: std::collections::HashSet<_> = ids.iter().collect();
             assert_eq!(distinct_terms.len(), distinct_ids.len(), "case {case}");
         }
+    }
+
+    /// Freezing by move keeps every id, copies no term, and declines exactly
+    /// when it would have to copy the base.
+    #[test]
+    fn freeze_by_move_keeps_ids_and_declines_on_a_shared_base() {
+        let mut rng = StdRng::seed_from_u64(0xf2ee);
+        let terms: Vec<Term> = (0..200).map(|_| arb_term(&mut rng)).collect();
+        let mut i = Interner::new();
+        let ids: Vec<TermId> = terms[..100].iter().map(|t| i.get_or_intern(t)).collect();
+        let first_ptr = i.term(ids[0]) as *const Term;
+        // empty base: the tail becomes the base, nothing is copied
+        assert!(i.freeze_by_move());
+        assert_eq!(i.frozen_len(), i.len());
+        assert_eq!(i.term(ids[0]) as *const Term, first_ptr, "terms must move, not clone");
+        // unshared eager base: the new tail is appended in place
+        let more: Vec<TermId> = terms[100..150].iter().map(|t| i.get_or_intern(t)).collect();
+        assert!(i.freeze_by_move());
+        assert_eq!(i.frozen_len(), i.len());
+        for (t, id) in terms[..150].iter().zip(ids.iter().chain(&more)) {
+            assert_eq!(i.lookup(t), Some(*id));
+            assert_eq!(i.term(*id), t);
+            assert_eq!(i.get_or_intern(t), *id, "re-intern must not grow");
+        }
+        // a clone shares the base: neither side may extend it in place
+        let mut fork = i.clone();
+        for t in &terms[150..] {
+            fork.get_or_intern(t);
+        }
+        let frozen_before = fork.frozen_len();
+        assert!(fork.len() > frozen_before, "the fork must have a tail to freeze");
+        assert!(!fork.freeze_by_move());
+        assert_eq!(fork.frozen_len(), frozen_before);
+        assert_eq!(i.len(), frozen_before, "the original must not see the fork's terms");
+        // the full freeze rebuilds instead, with the same ids
+        let want: Vec<Term> = fork.iter().map(|(_, t)| t.clone()).collect();
+        fork.freeze();
+        assert_eq!(fork.frozen_len(), fork.len());
+        assert!(fork.iter().map(|(_, t)| t).eq(want.iter()));
     }
 
     /// Property: an interner rebuilt with its whole content in the frozen

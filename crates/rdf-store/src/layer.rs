@@ -11,7 +11,7 @@
 //! structural sharing that makes copy-on-write write transactions O(overlay)
 //! instead of O(store).
 
-use crate::index::{IdTriple, Perm, TripleIndex};
+use crate::index::{IdTriple, Perm, RunRange, TripleIndex};
 use crate::interner::TermId;
 use crate::segment::Segment;
 use std::collections::BTreeSet;
@@ -108,7 +108,7 @@ impl SegLayer {
             srcs.push((scan, head));
         }
         let mut adds = self.adds.scan_perm(perm, lo, MAX3);
-        let add_head = adds.next().copied();
+        let add_head = adds.next();
         PermRange {
             srcs,
             adds,
@@ -122,12 +122,12 @@ impl SegLayer {
 
 /// K-way merge of per-segment permuted runs plus the overlay add-run, minus
 /// tombstones — ascending in the permutation's element order, like a single
-/// BTree range scan. Sources are disjoint by the layer invariants; equal
+/// in-memory range scan. Sources are disjoint by the layer invariants; equal
 /// heads are still advanced together, so a violated invariant degrades to
 /// dedup rather than duplicates.
 pub(crate) struct PermRange<'a> {
     srcs: Vec<(crate::segment::SegScan<'a>, Option<IdTriple>)>,
-    adds: std::collections::btree_set::Range<'a, IdTriple>,
+    adds: RunRange<'a>,
     add_head: Option<IdTriple>,
     dels: Option<&'a BTreeSet<IdTriple>>,
     perm: Perm,
@@ -152,7 +152,7 @@ impl Iterator for PermRange<'_> {
                 return None;
             }
             if self.add_head == Some(t) {
-                self.add_head = self.adds.next().copied();
+                self.add_head = self.adds.next();
             }
             for (scan, head) in &mut self.srcs {
                 if *head == Some(t) {
@@ -169,11 +169,11 @@ impl Iterator for PermRange<'_> {
     }
 }
 
-/// One permutation scan over either backend. The in-memory arm is a plain
-/// BTree range (static dispatch on the hot paths); the segment arm merges
-/// compressed runs.
+/// One permutation scan over either backend. The in-memory arm walks the
+/// index's chunk slices (static dispatch on the hot paths); the segment arm
+/// merges compressed runs.
 pub(crate) enum PermIter<'a> {
-    Mem(std::collections::btree_set::Range<'a, IdTriple>),
+    Mem(RunRange<'a>),
     Seg(PermRange<'a>),
 }
 
@@ -183,7 +183,7 @@ impl Iterator for PermIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<IdTriple> {
         match self {
-            PermIter::Mem(r) => r.next().copied(),
+            PermIter::Mem(r) => r.next(),
             PermIter::Seg(r) => r.next(),
         }
     }
@@ -272,7 +272,7 @@ impl Layer {
     /// checkpoint encoding and closure computation stream every block once).
     pub(crate) fn perm_iter(&self, perm: Perm) -> PermIter<'_> {
         match self {
-            Layer::Mem(idx) => PermIter::Mem(idx.scan_perm(perm, MIN3, MAX3)),
+            Layer::Mem(idx) => PermIter::Mem(idx.iter_perm(perm)),
             Layer::Seg(sl) => PermIter::Seg(sl.perm_range(perm, MIN3, MAX3, false)),
         }
     }
@@ -351,9 +351,9 @@ mod tests {
     }
 
     fn seg_from_index(idx: &TripleIndex, path: &Path) -> Arc<Segment> {
-        let mut spo = idx.perm_set(Perm::Spo).iter().copied();
-        let mut pos = idx.perm_set(Perm::Pos).iter().copied();
-        let mut osp = idx.perm_set(Perm::Osp).iter().copied();
+        let mut spo = idx.iter_perm(Perm::Spo);
+        let mut pos = idx.iter_perm(Perm::Pos);
+        let mut osp = idx.iter_perm(Perm::Osp);
         crate::segment::write_segment(
             path,
             idx.len() as u64,

@@ -52,4 +52,4 @@ pub use persist::{
 };
 pub use segment::Segment;
 pub use stats::{resident_bytes, StoreStats};
-pub use store::{CountKey, Pattern, SegmentStats, Store};
+pub use store::{ClosureStats, CountKey, Pattern, SegmentStats, Store};

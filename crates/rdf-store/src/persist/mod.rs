@@ -544,9 +544,9 @@ impl Journal {
             }
             if !sl.adds.is_empty() {
                 let name = format!("seg.{next}.{}.seg", sl.segs.len());
-                let mut spo = sl.adds.perm_set(Perm::Spo).iter().copied();
-                let mut pos = sl.adds.perm_set(Perm::Pos).iter().copied();
-                let mut osp = sl.adds.perm_set(Perm::Osp).iter().copied();
+                let mut spo = sl.adds.iter_perm(Perm::Spo);
+                let mut pos = sl.adds.iter_perm(Perm::Pos);
+                let mut osp = sl.adds.iter_perm(Perm::Osp);
                 let (bytes, seg) = self.write_seg_file(
                     &name,
                     sl.adds.len() as u64,
@@ -933,11 +933,11 @@ impl PersistentStore {
     /// empty, reads go through the freshly persisted mmap segments, and the
     /// next reopen is byte-identical to continuing in-process.
     pub fn checkpoint_fold(&mut self) -> Result<u64, PersistError> {
-        // Pay for the RDFS closure now so the generation persists it
-        // (`inf.<g>.seg`) — a checkpoint of a dirty store would otherwise
+        // Bring the RDFS closure up to date now so the generation persists
+        // it (`inf.<g>.seg`) — a checkpoint of a dirty store would otherwise
         // force every restart to rematerialize the closure from scratch.
         if self.store.is_dirty() {
-            self.store.materialize_inference();
+            self.store.refresh_inference();
         }
         let (store, journal) = (&self.store, &self.journal);
         let (generation, folded) = journal.checkpoint_with_fold(|| store)?;

@@ -593,6 +593,7 @@ impl Iterator for SegScan<'_> {
 mod tests {
     use super::*;
     use crate::index::TripleIndex;
+    use crate::layer::MAX3;
     use rdfa_prng::StdRng;
 
     fn tmpfile(tag: &str) -> PathBuf {
@@ -607,9 +608,9 @@ mod tests {
     }
 
     fn write_from_index(path: &Path, idx: &TripleIndex) -> u64 {
-        let mut spo = idx.perm_set(Perm::Spo).iter().copied();
-        let mut pos = idx.perm_set(Perm::Pos).iter().copied();
-        let mut osp = idx.perm_set(Perm::Osp).iter().copied();
+        let mut spo = idx.iter_perm(Perm::Spo);
+        let mut pos = idx.iter_perm(Perm::Pos);
+        let mut osp = idx.iter_perm(Perm::Osp);
         write_segment(
             path,
             idx.len() as u64,
@@ -646,10 +647,10 @@ mod tests {
             let seg = Segment::open(&path).unwrap();
             assert_eq!(seg.len(), idx.len() as u64, "case {case}");
             for perm in Perm::ALL {
-                let want: Vec<IdTriple> = idx.perm_set(perm).iter().copied().collect();
+                let want: Vec<IdTriple> = idx.iter_perm(perm).collect();
                 let got: Vec<IdTriple> = seg.iter_perm(perm).collect();
                 assert_eq!(got, want, "case {case} perm {perm:?}");
-                // random start keys: scan_from agrees with the BTree range
+                // random start keys: scan_from agrees with the index's range
                 for _ in 0..8 {
                     let lo = [
                         TermId(rng.gen_range(0..space)),
@@ -657,7 +658,7 @@ mod tests {
                         TermId(rng.gen_range(0..space)),
                     ];
                     let want: Vec<IdTriple> =
-                        idx.perm_set(perm).range(lo..).take(50).copied().collect();
+                        idx.scan_perm(perm, lo, MAX3).take(50).collect();
                     let got: Vec<IdTriple> = seg.scan_from(perm, lo, true).take(50).collect();
                     assert_eq!(got, want, "case {case} perm {perm:?} lo {lo:?}");
                 }

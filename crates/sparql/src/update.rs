@@ -39,7 +39,9 @@ pub struct UpdateStats {
 }
 
 /// Parse and execute an update request against a store. The RDFS closure is
-/// re-materialized once at the end.
+/// refreshed once at the end, at a cost proportional to the triples the
+/// request changed ([`Store::refresh_inference`]); operations inside one
+/// request see the closure as it was when the request began.
 pub fn execute_update(store: &mut Store, text: &str) -> Result<UpdateStats, SparqlError> {
     execute_update_recording(store, text).map(|(stats, _)| stats)
 }
@@ -58,7 +60,7 @@ pub fn execute_update_recording(
     for op in &ops {
         apply(store, op, &mut stats, &mut changes)?;
     }
-    store.materialize_inference();
+    store.refresh_inference();
     Ok((stats, changes))
 }
 

@@ -13,7 +13,7 @@
 //! | `/v1/facets?class=…&budget_ms=…` | GET | facet markers for a class extension | JSON, possibly stale (see below) |
 //! | `/void` | GET | — | the dataset's VoID description (N-Triples) |
 //! | `/health` | GET | — | `ok` |
-//! | `/healthz` | GET | — | JSON: snapshot generation, in-flight count, shed counter, WAL lag, triple count |
+//! | `/healthz` | GET | — | JSON: snapshot generation, in-flight count, shed counter, WAL lag, triple count, how many commits refreshed the RDFS closure incrementally vs by a full pass |
 //!
 //! Content negotiation on `/v1/query`: `Accept: text/csv` → SPARQL CSV
 //! results, `Accept: text/plain` → an aligned text table, anything else →
@@ -394,6 +394,10 @@ impl Server {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let _ = stream.set_nonblocking(false);
+                            // responses are written whole; holding the last
+                            // partial segment back for the peer's (delayed)
+                            // ACK would only add its 40 ms to the exchange
+                            let _ = stream.set_nodelay(true);
                             let _ = stream.set_read_timeout(Some(read_timeout));
                             let _ = stream.set_write_timeout(Some(write_timeout));
                             match tx.try_send(stream) {
@@ -516,6 +520,10 @@ fn serve_connection(stream: TcpStream, ctx: &Arc<Ctx>) {
     }
 }
 
+/// How long an idle connection sleeps in one read before it looks at the
+/// clock and at [`Ctx::draining`] again.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
@@ -549,6 +557,22 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Hang up on a connection whose request line did not arrive in time: one
+/// that never sent a request at all is told so first (`408`), an idle
+/// keep-alive connection is closed silently.
+fn close_timed_out(reader: &mut BufReader<TcpStream>, served: usize) -> std::io::Result<bool> {
+    if served == 0 {
+        write_response_raw(
+            reader.get_mut(),
+            "408 Request Timeout",
+            "application/json",
+            &[],
+            &json_error(408, "timed out reading the request"),
+        )?;
+    }
+    Ok(false)
+}
+
 /// Read, dispatch, and answer one request. Returns whether the connection
 /// stays open for another.
 fn handle_request(
@@ -558,31 +582,42 @@ fn handle_request(
     last: bool,
 ) -> std::io::Result<bool> {
     let config = &ctx.config;
-    // Re-arm the read timeout every request: between keep-alive requests
-    // the idle budget applies, and a query's DisconnectWatcher may have
-    // shortened SO_RCVTIMEO on the shared socket in the meantime.
+    // Wait for the request's first byte in short slices: between keep-alive
+    // requests the idle budget applies, and a server that starts draining
+    // closes idle connections at the next slice instead of waiting the
+    // budget out. Re-arming the read timeout every slice also undoes a
+    // query's DisconnectWatcher having shortened SO_RCVTIMEO on the shared
+    // socket in the meantime.
     let idle = if served == 0 { config.read_timeout } else { config.keep_alive_timeout };
-    let _ = reader.get_ref().set_read_timeout(Some(idle));
-    let mut request_line = String::new();
-    match reader.read_line(&mut request_line) {
-        Ok(0) => return Ok(false), // client closed between requests
-        Ok(_) => {}
-        Err(e) if is_timeout(&e) => {
-            if served == 0 {
-                // never sent a request at all: say so before hanging up
-                write_response_raw(
-                    reader.get_mut(),
-                    "408 Request Timeout",
-                    "application/json",
-                    &[],
-                    &json_error(408, "timed out reading the request"),
-                )?;
+    let waiting_since = Instant::now();
+    loop {
+        let left = idle.saturating_sub(waiting_since.elapsed());
+        let slice = left.min(IDLE_POLL).max(Duration::from_millis(1));
+        let _ = reader.get_ref().set_read_timeout(Some(slice));
+        match reader.fill_buf() {
+            Ok([]) => return Ok(false), // client closed between requests
+            Ok(_) => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => {
+                if served > 0 && ctx.draining.load(Ordering::Relaxed) {
+                    return Ok(false);
+                }
+                if left <= slice {
+                    return close_timed_out(reader, served);
+                }
             }
-            return Ok(false); // idle keep-alive expiry: close silently
+            Err(e) => return Err(e),
         }
-        Err(e) => return Err(e),
     }
     let _ = reader.get_ref().set_read_timeout(Some(config.read_timeout));
+    let mut request_line = String::new();
+    match reader.read_line(&mut request_line) {
+        Ok(0) => return Ok(false),
+        Ok(_) => {}
+        // a request line that started and stalled
+        Err(e) if is_timeout(&e) => return close_timed_out(reader, served),
+        Err(e) => return Err(e),
+    }
     let mut parts = request_line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/") => {
@@ -707,8 +742,11 @@ fn handle_request(
             let in_flight = ctx.in_flight.load(Ordering::Relaxed);
             let shed = ctx.shed.load(Ordering::Relaxed);
             let seg = snap.segment_stats();
+            let closure = snap.closure_stats();
             let memory = format!(
-                "\"segments\":{},\"segment_bytes\":{},\"resident_bytes\":{}",
+                "\"closure_incremental\":{},\"closure_full\":{},\"segments\":{},\"segment_bytes\":{},\"resident_bytes\":{}",
+                closure.incremental,
+                closure.full,
                 seg.segments,
                 seg.segment_bytes,
                 rdfa_store::resident_bytes()
@@ -1027,8 +1065,7 @@ fn stream_solutions(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    wire.stream.write_all(head.as_bytes())?;
-    let mut out = ChunkedWriter::new(wire.stream, wire.chunk_bytes);
+    let mut out = ChunkedWriter::new(wire.stream, wire.chunk_bytes, head);
     match format {
         StreamFormat::Json => sols.write_json(&mut out)?,
         StreamFormat::Csv => sols.write_csv(&mut out)?,
@@ -1038,50 +1075,75 @@ fn stream_solutions(
 
 /// An [`std::io::Write`] framing bytes as HTTP/1.1 chunked
 /// transfer-encoding, buffering roughly `chunk_bytes` per socket write so
-/// row-at-a-time serializers don't pay a syscall per row. A slow reader
-/// makes `write_all` trip the socket's write timeout, which aborts the
-/// response (and the connection) instead of blocking the worker
+/// row-at-a-time serializers don't pay a syscall per row. Every frame — size
+/// line, data, trailing CRLF — leaves in one `write_all`, and the response
+/// head rides in front of the first, so a small answer is a single segment.
+/// A slow reader makes `write_all` trip the socket's write timeout, which
+/// aborts the response (and the connection) instead of blocking the worker
 /// indefinitely. [`ChunkedWriter::finish`] emits the terminating chunk.
 struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
+    /// The response head until the first socket write has carried it.
+    head: Vec<u8>,
+    /// [`ChunkedWriter::SIZE_ROOM`] bytes for the size line to be written
+    /// into, then the pending chunk's data.
     buf: Vec<u8>,
     chunk_bytes: usize,
 }
 
 impl<'a> ChunkedWriter<'a> {
-    fn new(stream: &'a mut TcpStream, chunk_bytes: usize) -> Self {
+    /// Room for the size line: up to eight hex digits (a chunk is at most
+    /// 4 MiB plus one serializer write) and its CRLF.
+    const SIZE_ROOM: usize = 10;
+
+    fn new(stream: &'a mut TcpStream, chunk_bytes: usize, head: String) -> Self {
         let chunk_bytes = chunk_bytes.clamp(512, 4 << 20);
-        ChunkedWriter { stream, buf: Vec::with_capacity(chunk_bytes + 64), chunk_bytes }
+        let mut buf = Vec::with_capacity(Self::SIZE_ROOM + chunk_bytes + 64);
+        buf.resize(Self::SIZE_ROOM, 0);
+        ChunkedWriter { stream, head: head.into_bytes(), buf, chunk_bytes }
     }
 
-    fn emit(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+    /// Frame the pending data (if any) where it lies, append `tail`, and
+    /// write it all at once — behind the head the first time.
+    fn emit(&mut self, tail: &[u8]) -> std::io::Result<()> {
+        let pending = self.buf.len() - Self::SIZE_ROOM;
+        let mut start = Self::SIZE_ROOM;
+        if pending > 0 {
+            let size = format!("{pending:x}\r\n");
+            start = start.checked_sub(size.len()).ok_or_else(|| {
+                std::io::Error::other(format!("a {pending}-byte chunk has no valid size line"))
+            })?;
+            self.buf[start..Self::SIZE_ROOM].copy_from_slice(size.as_bytes());
+            self.buf.extend_from_slice(b"\r\n");
         }
-        write!(self.stream, "{:x}\r\n", self.buf.len())?;
-        self.stream.write_all(&self.buf)?;
-        self.stream.write_all(b"\r\n")?;
-        self.buf.clear();
-        Ok(())
+        self.buf.extend_from_slice(tail);
+        let written = if self.head.is_empty() {
+            self.stream.write_all(&self.buf[start..])
+        } else {
+            let mut first = std::mem::take(&mut self.head);
+            first.extend_from_slice(&self.buf[start..]);
+            self.stream.write_all(&first)
+        };
+        self.buf.truncate(Self::SIZE_ROOM);
+        written
     }
 
     fn finish(mut self) -> std::io::Result<()> {
-        self.emit()?;
-        self.stream.write_all(b"0\r\n\r\n")
+        self.emit(b"0\r\n\r\n")
     }
 }
 
 impl std::io::Write for ChunkedWriter<'_> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
         self.buf.extend_from_slice(data);
-        if self.buf.len() >= self.chunk_bytes {
-            self.emit()?;
+        if self.buf.len() - Self::SIZE_ROOM >= self.chunk_bytes {
+            self.emit(b"")?;
         }
         Ok(data.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.emit()?;
+        self.emit(b"")?;
         self.stream.flush()
     }
 }
@@ -1575,17 +1637,30 @@ fn write_response_headed(
         wire.keep_alive = false;
     }
     let conn = if wire.keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
+    write_whole(wire.stream, status, ctype, conn, extra, payload)
+}
+
+/// Head and payload leave in one `write_all`: two would put the payload in
+/// a second segment for the client's delayed ACK of the first to hold up.
+fn write_whole(
+    stream: &mut TcpStream,
+    status: &str,
+    ctype: &str,
+    conn: &str,
+    extra: &[String],
+    payload: &str,
+) -> std::io::Result<()> {
+    let mut out = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: {conn}\r\n",
         payload.len()
     );
     for h in extra {
-        head.push_str(h);
-        head.push_str("\r\n");
+        out.push_str(h);
+        out.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    wire.stream.write_all(head.as_bytes())?;
-    wire.stream.write_all(payload.as_bytes())
+    out.push_str("\r\n");
+    out.push_str(payload);
+    stream.write_all(out.as_bytes())
 }
 
 /// Response writer for paths that have no [`Wire`]: the acceptor's
@@ -1598,17 +1673,7 @@ fn write_response_raw(
     extra: &[String],
     payload: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        payload.len()
-    );
-    for h in extra {
-        head.push_str(h);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())
+    write_whole(stream, status, ctype, "close", extra, payload)
 }
 
 /// `{"error":{"code":…,"message":"…"}}`
@@ -2203,6 +2268,35 @@ mod tests {
     }
 
     #[test]
+    fn healthz_counts_the_route_each_commit_took() {
+        let server = Server::start(demo_store(), 0).unwrap();
+        let resp = get(server.addr(), "/healthz", "*/*");
+        assert!(resp.contains("\"closure_incremental\":0,\"closure_full\":0"), "{resp}");
+        // a data-only update is applied incrementally …
+        post(
+            server.addr(),
+            "/v1/update",
+            "PREFIX ex: <http://example.org/> INSERT DATA { ex:l9 a ex:Laptop . }",
+        );
+        let resp = get(server.addr(), "/healthz", "*/*");
+        assert!(resp.contains("\"closure_incremental\":1,\"closure_full\":0"), "{resp}");
+        // … one that changes the schema falls off the fast path, visibly
+        post(
+            server.addr(),
+            "/v1/update",
+            "PREFIX ex: <http://example.org/> PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> \
+             INSERT DATA { ex:Laptop rdfs:subClassOf ex:Product . }",
+        );
+        let resp = get(server.addr(), "/healthz", "*/*");
+        assert!(resp.contains("\"closure_incremental\":1,\"closure_full\":1"), "{resp}");
+        let q = percent_encode(
+            "PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Product . } ORDER BY ?x",
+        );
+        let resp = get(server.addr(), &format!("/v1/query?query={q}"), "text/csv");
+        assert_eq!(body_of(&resp).matches("http://example.org/l").count(), 3, "{resp}");
+    }
+
+    #[test]
     fn durable_server_persists_updates_across_restart() {
         use rdfa_store::PersistConfig;
         let dir = std::env::temp_dir()
@@ -2473,6 +2567,53 @@ mod tests {
         let mut rest = String::new();
         stream.read_to_string(&mut rest).unwrap();
         assert!(rest.is_empty(), "expected silent close, got: {rest}");
+    }
+
+    #[test]
+    fn stop_does_not_wait_out_an_idle_keep_alive_connection() {
+        // default config: a 5 s keep-alive budget the shutdown must not sit through
+        let server = Server::start(demo_store(), 0).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let (head, _) = read_one_response(&mut stream);
+        assert!(head.contains("Connection: keep-alive"), "{head}");
+        // the client keeps the socket open and says nothing more
+        let t0 = Instant::now();
+        server.stop();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(500), "stop() took {took:?}");
+        // and the idle connection was closed, silently
+        let mut rest = String::new();
+        stream.read_to_string(&mut rest).unwrap();
+        assert!(rest.is_empty(), "expected silent close, got: {rest}");
+    }
+
+    #[test]
+    fn responses_leave_in_one_segment_on_a_nodelay_socket() {
+        // a client that leaves delayed ACK on must not wait ~40 ms for the
+        // second half of a split response: 20 warm exchanges stay far below
+        // one delayed-ACK timer each
+        let server = Server::start(demo_store(), 0).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let q = percent_encode("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1");
+        let requests = [
+            "GET /health HTTP/1.1\r\nHost: x\r\n\r\n".to_owned(),
+            format!("GET /v1/query?query={q} HTTP/1.1\r\nHost: x\r\n\r\n"),
+        ];
+        for request in &requests {
+            stream.write_all(request.as_bytes()).unwrap();
+            read_one_response(&mut stream); // warm the connection
+            let t0 = Instant::now();
+            for _ in 0..20 {
+                stream.write_all(request.as_bytes()).unwrap();
+                let (head, _) = read_one_response(&mut stream);
+                assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            }
+            let per_exchange = t0.elapsed() / 20;
+            assert!(per_exchange < Duration::from_millis(20), "{request}: {per_exchange:?}");
+        }
     }
 
     #[test]
