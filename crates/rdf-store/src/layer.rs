@@ -13,12 +13,17 @@
 
 use crate::index::{IdTriple, Perm, RunRange, TripleIndex};
 use crate::interner::TermId;
-use crate::segment::Segment;
+use crate::segment::{SegScan, Segment};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 pub(crate) const MIN3: IdTriple = [TermId(0); 3];
 pub(crate) const MAX3: IdTriple = [TermId(u32::MAX); 3];
+
+/// Most segments one layer stacks. Checkpoints compact a stack that would
+/// grow past it, which bounds every scan's merge width, reclaims
+/// tombstones, and lets [`PermRange`] hold its per-segment cursors inline.
+pub(crate) const MAX_SEGS: usize = 6;
 
 /// Immutable segment base + mutable overlay.
 ///
@@ -100,17 +105,13 @@ impl SegLayer {
     }
 
     /// Merged scan of one permutation over `lo..=hi`.
-    fn perm_range(&self, perm: Perm, lo: IdTriple, hi: IdTriple, cached: bool) -> PermRange<'_> {
-        let mut srcs = Vec::with_capacity(self.segs.len());
-        for seg in &self.segs {
-            let mut scan = seg.scan_from(perm, lo, cached);
-            let head = scan.next();
-            srcs.push((scan, head));
-        }
+    fn perm_range(&self, perm: Perm, lo: IdTriple, hi: IdTriple) -> PermRange<'_> {
+        let srcs = std::array::from_fn(|i| self.segs.get(i).map(|seg| seg.scan_from(perm, lo)));
         let mut adds = self.adds.scan_perm(perm, lo, MAX3);
         let add_head = adds.next();
         PermRange {
             srcs,
+            live: self.segs.len(),
             adds,
             add_head,
             dels: (!self.dels.is_empty()).then_some(&self.dels),
@@ -126,7 +127,10 @@ impl SegLayer {
 /// heads are still advanced together, so a violated invariant degrades to
 /// dedup rather than duplicates.
 pub(crate) struct PermRange<'a> {
-    srcs: Vec<(crate::segment::SegScan<'a>, Option<IdTriple>)>,
+    /// One cursor per segment, inline: a probe allocates nothing here.
+    srcs: [Option<SegScan<'a>>; MAX_SEGS],
+    /// Segments in the layer: `srcs[live..]` is `None`.
+    live: usize,
     adds: RunRange<'a>,
     add_head: Option<IdTriple>,
     dels: Option<&'a BTreeSet<IdTriple>>,
@@ -140,11 +144,9 @@ impl Iterator for PermRange<'_> {
     fn next(&mut self) -> Option<IdTriple> {
         loop {
             let mut best = self.add_head;
-            for (_, head) in &self.srcs {
-                if let Some(h) = head {
-                    if best.is_none_or(|b| *h < b) {
-                        best = Some(*h);
-                    }
+            for h in self.srcs[..self.live].iter().flatten().filter_map(SegScan::head) {
+                if best.is_none_or(|b| h < b) {
+                    best = Some(h);
                 }
             }
             let t = best?;
@@ -154,9 +156,9 @@ impl Iterator for PermRange<'_> {
             if self.add_head == Some(t) {
                 self.add_head = self.adds.next();
             }
-            for (scan, head) in &mut self.srcs {
-                if *head == Some(t) {
-                    *head = scan.next();
+            for scan in self.srcs[..self.live].iter_mut().flatten() {
+                if scan.head() == Some(t) {
+                    scan.advance();
                 }
             }
             if let Some(dels) = self.dels {
@@ -171,7 +173,10 @@ impl Iterator for PermRange<'_> {
 
 /// One permutation scan over either backend. The in-memory arm walks the
 /// index's chunk slices (static dispatch on the hot paths); the segment arm
-/// merges compressed runs.
+/// merges compressed runs — with its per-segment cursors inline, which is
+/// what makes the variant large: boxing it would put back the per-probe
+/// allocation the inline cursors exist to avoid.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum PermIter<'a> {
     Mem(RunRange<'a>),
     Seg(PermRange<'a>),
@@ -209,6 +214,7 @@ impl Layer {
 
     /// A segment-backed layer with an empty overlay.
     pub(crate) fn from_segments(segs: Vec<Arc<Segment>>) -> Layer {
+        assert!(segs.len() <= MAX_SEGS, "a layer stacks at most {MAX_SEGS} segments");
         let seg_total = segs.iter().map(|s| s.len() as usize).sum();
         Layer::Seg(SegLayer { segs, seg_total, adds: TripleIndex::new(), dels: BTreeSet::new() })
     }
@@ -264,16 +270,15 @@ impl Layer {
         };
         match self {
             Layer::Mem(idx) => PermIter::Mem(idx.scan_perm(perm, lo, hi)),
-            Layer::Seg(sl) => PermIter::Seg(sl.perm_range(perm, lo, hi, true)),
+            Layer::Seg(sl) => PermIter::Seg(sl.perm_range(perm, lo, hi)),
         }
     }
 
-    /// Full scan of one permutation (segment arm bypasses the block cache —
-    /// checkpoint encoding and closure computation stream every block once).
+    /// Full scan of one permutation.
     pub(crate) fn perm_iter(&self, perm: Perm) -> PermIter<'_> {
         match self {
             Layer::Mem(idx) => PermIter::Mem(idx.iter_perm(perm)),
-            Layer::Seg(sl) => PermIter::Seg(sl.perm_range(perm, MIN3, MAX3, false)),
+            Layer::Seg(sl) => PermIter::Seg(sl.perm_range(perm, MIN3, MAX3)),
         }
     }
 
@@ -368,30 +373,79 @@ mod tests {
         [TermId(s), TermId(p), TermId(o)]
     }
 
+    /// Patterns whose scans start or end where a seek changes course: for
+    /// each restart (hence each block boundary) of each permutation of
+    /// `part`, the element there (at a block boundary also its neighbours)
+    /// fully bound and with its first two components bound, the second as is
+    /// and ± 1; block-first elements also with only the first bound, ± 1.
+    fn boundary_patterns(part: &TripleIndex) -> Vec<[Option<TermId>; 3]> {
+        let mut out = Vec::new();
+        for (perm, slots) in [(Perm::Spo, [0, 1, 2]), (Perm::Pos, [1, 2, 0]), (Perm::Osp, [2, 0, 1])] {
+            let run: Vec<IdTriple> = part.iter_perm(perm).collect();
+            for at in (0..run.len()).step_by(crate::segment::RESTART_INTERVAL) {
+                let block_start = at % crate::segment::BLOCK_TRIPLES == 0;
+                let around = if block_start { at.saturating_sub(1)..=at + 1 } else { at..=at };
+                for i in around {
+                    let here = run[i.min(run.len() - 1)];
+                    let [a, b, _] = here;
+                    for second in [b.0.wrapping_sub(1), b.0, b.0.wrapping_add(1)] {
+                        let mut pat = [None; 3];
+                        pat[slots[0]] = Some(a);
+                        pat[slots[1]] = Some(TermId(second));
+                        out.push(pat);
+                    }
+                    if block_start && i == at {
+                        for first in [a.0.wrapping_sub(1), a.0, a.0.wrapping_add(1)] {
+                            let mut pat = [None; 3];
+                            pat[slots[0]] = Some(TermId(first));
+                            out.push(pat);
+                        }
+                    }
+                    out.push(perm.to_spo(here).map(Some));
+                }
+            }
+        }
+        out
+    }
+
     /// Property: a segment-backed layer under random interleaved mutations
     /// answers every accessor identically — and in identical order — to a
-    /// plain in-memory index receiving the same operations.
+    /// plain in-memory index receiving the same operations. Most cases keep
+    /// each segment inside one block; every twelfth stacks segments of ≥ 20
+    /// blocks with a ragged last one and also asks every pattern that
+    /// starts or ends at a restart or block boundary.
     #[test]
     fn seg_layer_is_observationally_identical_to_mem() {
         for case in 0u64..48 {
             let mut rng = StdRng::seed_from_u64(0x1a7e_0000 + case);
+            let large = case % 12 == 11;
+            // ids per position: 30·10·30 triples fit one block, 300·10·300
+            // leave room for three 20-block segments
+            let (so, per_seg) = if large { (300u32, 20 * 1024 + 1..21 * 1024) } else { (30, 0..400usize) };
+            let rand_t = |rng: &mut StdRng| {
+                t(rng.gen_range(0..so), rng.gen_range(0..10), rng.gen_range(0..so))
+            };
             // base content, split across 1..=3 segments
             let nsegs = rng.gen_range(1..=3usize);
             let mut oracle = TripleIndex::new();
             let mut segs = Vec::new();
             let mut paths = Vec::new();
+            let mut patterns = Vec::new();
             for _ in 0..nsegs {
                 let mut part = TripleIndex::new();
-                for _ in 0..rng.gen_range(0..400) {
-                    let trip = t(
-                        rng.gen_range(0..30),
-                        rng.gen_range(0..10),
-                        rng.gen_range(0..30),
-                    );
+                let n = rng.gen_range(per_seg.clone());
+                let mut draws = 0;
+                while draws < n || (large && part.len() < n) {
+                    draws += 1;
+                    let trip = rand_t(&mut rng);
                     if !oracle.contains(trip) {
                         oracle.insert(trip);
                         part.insert(trip);
                     }
+                }
+                if large {
+                    assert!(part.len() > 20 * 1024 && !part.len().is_multiple_of(1024), "case {case}");
+                    patterns.extend(boundary_patterns(&part));
                 }
                 let path = tmpfile("obs");
                 segs.push(seg_from_index(&part, &path));
@@ -399,12 +453,9 @@ mod tests {
             }
             let mut layer = Layer::from_segments(segs);
             // interleaved mutations hitting base, overlay, and absent triples
-            for _ in 0..rng.gen_range(0..200) {
-                let trip = t(
-                    rng.gen_range(0..30),
-                    rng.gen_range(0..10),
-                    rng.gen_range(0..30),
-                );
+            let ops = if large { 2000 } else { rng.gen_range(0..200) };
+            for _ in 0..ops {
+                let trip = rand_t(&mut rng);
                 if rng.gen_bool(0.6) {
                     assert_eq!(layer.insert(trip), oracle.insert(trip), "case {case} insert {trip:?}");
                 } else {
@@ -416,9 +467,9 @@ mod tests {
             let got: Vec<IdTriple> = layer.iter().collect();
             assert_eq!(got, want, "case {case} full iter");
             // every matching pattern, in order
-            let part = |rng: &mut StdRng| rng.gen_bool(0.5).then(|| TermId(rng.gen_range(0..30)));
-            for _ in 0..20 {
-                let (s, p, o) = (part(&mut rng), part(&mut rng), part(&mut rng));
+            let part = |rng: &mut StdRng| rng.gen_bool(0.5).then(|| TermId(rng.gen_range(0..so)));
+            patterns.extend((0..20).map(|_| [part(&mut rng), part(&mut rng), part(&mut rng)]));
+            for [s, p, o] in patterns {
                 let want: Vec<IdTriple> = oracle.matching(s, p, o).collect();
                 let got: Vec<IdTriple> = layer.matching(s, p, o).collect();
                 assert_eq!(got, want, "case {case} pattern ({s:?},{p:?},{o:?})");
@@ -427,7 +478,7 @@ mod tests {
             for pv in 0..10u32 {
                 let p = TermId(pv);
                 assert!(layer.pairs_for_p(p).eq(oracle.pairs_for_p(p)), "case {case} pairs {pv}");
-                for ov in 0..30u32 {
+                for ov in 0..so {
                     let o = TermId(ov);
                     assert!(
                         layer.subjects_for_po(p, o).eq(oracle.subjects_for_po(p, o)),
@@ -435,7 +486,7 @@ mod tests {
                     );
                 }
             }
-            for sv in 0..30u32 {
+            for sv in 0..so {
                 for pv in 0..10u32 {
                     assert!(
                         layer

@@ -352,6 +352,13 @@ pub(crate) fn open_store(dir: &Path, generation: u64) -> Result<Store, PersistEr
         )));
     }
     let interner = crate::interner::Interner::from_chunks(parts);
+    if m.segs.len() > crate::layer::MAX_SEGS {
+        return Err(corrupt(format!(
+            "{} segments listed, a layer stacks at most {}",
+            m.segs.len(),
+            crate::layer::MAX_SEGS
+        )));
+    }
     let mut segs = Vec::with_capacity(m.segs.len());
     for name in &m.segs {
         segs.push(Arc::new(Segment::open(&dir.join(name))?));

@@ -56,7 +56,7 @@ pub use wal::WalTruncation;
 
 use crate::bulk::{BlockReader, BulkLoader, LoadOptions, LoadStats};
 use crate::index::Perm;
-use crate::layer::Layer;
+use crate::layer::{Layer, MAX_SEGS};
 use crate::segment::Segment;
 use crate::store::Store;
 use rdfa_model::{ntriples, turtle, Graph, NtriplesError, Triple};
@@ -486,9 +486,6 @@ impl Journal {
         prev_gen: u64,
         crash: &CrashInjector,
     ) -> Result<(Store, manifest::Manifest, CheckpointStats), PersistError> {
-        /// Base-segment stacks longer than this are compacted instead of
-        /// grown — bounds per-scan merge width and reclaims tombstones.
-        const MAX_SEGS: usize = 6;
         let mut stats = CheckpointStats { generation: next, ..Default::default() };
 
         // (a) term-dictionary chunks: reuse the previous manifest's
@@ -1266,6 +1263,70 @@ mod tests {
         drop(p);
         let p = PersistentStore::open(&dir, seg_config()).unwrap();
         assert_eq!(p.len(), 301);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store checkpointed by the previous format (version-1 segments: no
+    /// restart points) opens and answers as before, keeps sharing those
+    /// files while they are unchanged, and writes restart-point segments
+    /// from its next delta or compaction on — there is no migration step.
+    #[test]
+    fn v1_segments_open_and_fold_into_restart_segments() {
+        use crate::segment::{write_segment_with, BLOCK_TRIPLES, RESTART_INTERVAL};
+        let intervals = |p: &PersistentStore| -> Vec<usize> {
+            let explicit = p.store().explicit.as_seg().expect("segment-backed");
+            explicit.segs.iter().map(|s| s.restart_interval()).collect()
+        };
+        let holds = |p: &PersistentStore, i: usize| {
+            let t = triple(i);
+            match (p.lookup(&t.subject), p.lookup(&t.predicate), p.lookup(&t.object)) {
+                (Some(s), Some(pr), Some(o)) => p.contains([s, pr, o]),
+                _ => false,
+            }
+        };
+        let dir = tmpdir("seg-v1");
+        {
+            let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+            for i in 0..2500 {
+                p.insert(&triple(i)).unwrap();
+            }
+            p.materialize_inference();
+            p.checkpoint_fold().unwrap();
+        }
+        // rewrite every segment file in the version-1 layout, in place
+        for entry in fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "seg") {
+                let seg = Segment::open(&path).unwrap();
+                let mut runs = Perm::ALL.map(|perm| seg.iter_perm(perm));
+                let [spo, pos, osp] = &mut runs;
+                let tmp = path.with_extension("v1");
+                write_segment_with(&tmp, seg.len(), [spo, pos, osp], BLOCK_TRIPLES, &CrashInjector::off())
+                    .unwrap();
+                fs::rename(&tmp, &path).unwrap();
+            }
+        }
+        let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+        assert_eq!(intervals(&p), [BLOCK_TRIPLES]);
+        assert_eq!(p.len(), 2500);
+        assert!((0..2500).all(|i| holds(&p, i)) && !holds(&p, 2500));
+
+        // a delta is written beside the shared v1 base, with restart points
+        p.insert(&triple(2500)).unwrap();
+        p.materialize_inference();
+        p.checkpoint_fold().unwrap();
+        assert_eq!(intervals(&p), [BLOCK_TRIPLES, RESTART_INTERVAL]);
+
+        // a tombstone compacts the stack: the v1 file is folded away
+        assert!(p.remove(&triple(7)).unwrap());
+        p.materialize_inference();
+        p.checkpoint_fold().unwrap();
+        assert_eq!(intervals(&p), [RESTART_INTERVAL]);
+        drop(p);
+        let p = PersistentStore::open(&dir, seg_config()).unwrap();
+        assert_eq!(intervals(&p), [RESTART_INTERVAL]);
+        assert_eq!(p.len(), 2500);
+        assert!((0..=2500).all(|i| holds(&p, i) == (i != 7)));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -73,15 +73,17 @@ pub struct SegmentStats {
     pub segments: usize,
     /// Total bytes of those segment files.
     pub segment_bytes: u64,
-    /// Triples resident in the segment base (decoded on demand).
+    /// Triples in the segment base (read in place from the mapping).
     pub seg_triples: usize,
     /// In-memory overlay: triples added since the segments were written.
     pub overlay_adds: usize,
     /// In-memory overlay: segment triples tombstoned since.
     pub overlay_dels: usize,
-    /// Decoded-block cache hits/misses across all segments.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
+    /// Compressed blocks across all segments (three runs each).
+    pub blocks: usize,
+    /// Blocks a read has entered — and CRC-checked — since the segments
+    /// were opened; each block counts once however often it is read.
+    pub blocks_verified: usize,
 }
 
 impl SegmentStats {
@@ -90,9 +92,8 @@ impl SegmentStats {
         for seg in &sl.segs {
             self.segment_bytes += seg.file_bytes();
             self.seg_triples += seg.len() as usize;
-            let (h, m) = seg.cache_counters();
-            self.cache_hits += h;
-            self.cache_misses += m;
+            self.blocks += seg.blocks();
+            self.blocks_verified += seg.blocks_verified();
         }
         let (adds, dels) = sl.overlay_len();
         self.overlay_adds += adds;

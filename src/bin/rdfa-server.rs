@@ -19,8 +19,9 @@
 //! mmap-able index segments instead of monolithic snapshots: restart maps
 //! the segments back instead of replaying them, unchanged segments are
 //! shared between generations, and `/healthz` reports `segments`,
-//! `segment_bytes`, and `resident_bytes`. Either format recovers a
-//! directory written by the other.
+//! `segment_bytes`, `segment_blocks`, `segment_blocks_verified` (blocks
+//! reads have touched since open), and `resident_bytes`. Either format
+//! recovers a directory written by the other.
 //!
 //! `--facet-cache N` sizes the generation-keyed marker cache behind
 //! `GET /v1/facets` (N cached marker sets; 0 disables caching; default 128).

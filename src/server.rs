@@ -744,11 +744,13 @@ fn handle_request(
             let seg = snap.segment_stats();
             let closure = snap.closure_stats();
             let memory = format!(
-                "\"closure_incremental\":{},\"closure_full\":{},\"segments\":{},\"segment_bytes\":{},\"resident_bytes\":{}",
+                "\"closure_incremental\":{},\"closure_full\":{},\"segments\":{},\"segment_bytes\":{},\"segment_blocks\":{},\"segment_blocks_verified\":{},\"resident_bytes\":{}",
                 closure.incremental,
                 closure.full,
                 seg.segments,
                 seg.segment_bytes,
+                seg.blocks,
+                seg.blocks_verified,
                 rdfa_store::resident_bytes()
             );
             let payload = match ctx.shared.journal() {
