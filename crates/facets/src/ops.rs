@@ -21,17 +21,6 @@ use crate::FacetError;
 use rdfa_model::Value;
 use rdfa_store::{CountKey, ExtSet, Store, TermId};
 
-/// A posting run this many times larger than the extension makes per-element
-/// seeks cheaper than one scan (mirrors the store kernel's heuristic).
-const SEEK_FACTOR: usize = 32;
-
-/// Decide seek-vs-scan for an operator touching `p` with an `ext_len`-sized
-/// extension, by probing the run length only up to the break-even point.
-fn prefer_seek(store: &Store, p: TermId, ext_len: usize) -> bool {
-    let budget = ext_len.saturating_mul(SEEK_FACTOR).saturating_add(1);
-    store.predicate_len_capped(p, budget) >= budget
-}
-
 /// A clone of `ext` densified to a bitmap when worthwhile — scans test
 /// membership once per posting-run edge, so the O(1) probe pays for itself.
 fn densified(store: &Store, ext: &ExtSet) -> ExtSet {
@@ -59,7 +48,7 @@ pub fn restrict_value_set(
     step: PathStep,
     vset: &ExtSet,
 ) -> ExtSet {
-    if prefer_seek(store, step.prop, ext.len()) {
+    if store.prefer_seek(ext.len(), step.prop, None) {
         // seek each element's own edges; output stays in extension order
         let vdense = densified(store, vset);
         ExtSet::from_sorted_iter(ext.iter().filter(|&e| {
@@ -98,7 +87,7 @@ pub fn restrict_class(store: &Store, ext: &ExtSet, c: TermId) -> ExtSet {
 
 /// `Joins(E, p)` — values linked to elements of `E` by `p` (§5.3.1).
 pub fn joins(store: &Store, ext: &ExtSet, step: PathStep) -> ExtSet {
-    if prefer_seek(store, step.prop, ext.len()) {
+    if store.prefer_seek(ext.len(), step.prop, None) {
         let mut out: Vec<TermId> = Vec::new();
         for e in ext.iter() {
             if step.inverse {

@@ -33,8 +33,11 @@ pub enum CountKey {
     Object,
 }
 
-/// A posting run at least this many times larger than the extension makes
-/// per-element seeks cheaper than a full scan.
+/// A posting run at least this many times longer than the number of seeks
+/// into it makes per-element seeks cheaper than one scan of the run. The
+/// one crossover behind every seek-vs-scan choice: facet kernels (extension
+/// elements against a predicate's run) and the SPARQL index join (input rows
+/// against a pattern's run) all decide through [`Store::prefer_seek`].
 const SEEK_FACTOR: usize = 32;
 
 /// Sort id occurrences and run-length encode them into `(id, count)` pairs,
@@ -564,10 +567,14 @@ impl Store {
         ExtSet::from_sorted_iter(self.subjects_for_po(self.wk.rdf_type, class))
     }
 
-    /// Number of entailed `p`-triples, counting at most `cap` (cheap
-    /// selectivity probe for the seek-vs-scan decision in [`Store::edge_counts`]).
-    pub fn predicate_len_capped(&self, p: TermId, cap: usize) -> usize {
-        self.predicate_pairs(p).take(cap).count()
+    /// True when `seeks` per-element seeks into the entailed `(?, p, o)` run
+    /// (`o = None`: all of `p`'s edges) beat one scan of it: the run is at
+    /// least `SEEK_FACTOR` (32)× longer than `seeks`. The run is counted only up
+    /// to that break-even point, so rejecting a long run costs at most
+    /// `SEEK_FACTOR · seeks` index steps.
+    pub fn prefer_seek(&self, seeks: usize, p: TermId, o: Option<TermId>) -> bool {
+        let budget = seeks.saturating_mul(SEEK_FACTOR).saturating_add(1);
+        self.count_matching(None, Some(p), o, budget) >= budget
     }
 
     // ---- the counting kernel ---------------------------------------------
@@ -585,9 +592,10 @@ impl Store {
     /// - `key = Subject`, `within = None` → per-subject value counts
     ///   (used by the feature operators).
     ///
-    /// Strategy is adaptive: when the extension is small relative to the
-    /// predicate's posting run, it seeks per extension element; otherwise it
-    /// scans the run once, testing membership against the (densified) set.
+    /// Strategy is adaptive ([`Store::prefer_seek`]): when the extension is
+    /// small relative to the predicate's posting run, it seeks per extension
+    /// element; otherwise it scans the run once, testing membership against
+    /// the (densified) set.
     pub fn edge_counts(
         &self,
         p: TermId,
@@ -596,7 +604,7 @@ impl Store {
     ) -> Vec<(TermId, usize)> {
         match (key, within) {
             (CountKey::Object, Some(ext)) => {
-                if self.prefer_seek(p, ext) {
+                if self.prefer_seek(ext.len(), p, None) {
                     // seek: objects of each extension element, then aggregate
                     let mut occurrences: Vec<TermId> = Vec::new();
                     for e in ext.iter() {
@@ -620,7 +628,7 @@ impl Store {
                 }
             }
             (CountKey::Subject, Some(ext)) => {
-                let occurrences: Vec<TermId> = if self.prefer_seek(p, ext) {
+                let occurrences: Vec<TermId> = if self.prefer_seek(ext.len(), p, None) {
                     let mut subs = Vec::new();
                     for e in ext.iter() {
                         subs.extend(self.subjects_for_po(p, e));
@@ -648,13 +656,6 @@ impl Store {
                 sort_and_count(self.predicate_pairs(p).map(|(_, s)| s).collect())
             }
         }
-    }
-
-    /// True when per-element seeks beat a full posting-run scan: the run is
-    /// (at least) [`SEEK_FACTOR`]× larger than the extension.
-    fn prefer_seek(&self, p: TermId, ext: &ExtSet) -> bool {
-        let budget = ext.len().saturating_mul(SEEK_FACTOR).saturating_add(1);
-        self.predicate_len_capped(p, budget) >= budget
     }
 
     // ---- schema helpers (used by the faceted-search model, §5.3) ----------

@@ -19,6 +19,15 @@
 //! first-seen order and representative row) is byte-identical to the
 //! sequential path at every thread count.
 //!
+//! An index-join step reads its pattern one of two ways. By default it
+//! probes the store once per input row (index-nested-loop). When the step's
+//! subject is a variable bound in the input, its predicate is a constant and
+//! the input is large next to the pattern's posting run
+//! ([`Store::prefer_seek`]), it instead scans that run once into a
+//! subject-indexed [`ScanSide`] and looks each row's subject up in it. The
+//! side yields what the probe would, in the same order, so the choice never
+//! shows in the output.
+//!
 //! Queries using constructs outside this fragment (sub-selects, `MINUS`,
 //! non-IRI property paths) return `None` from [`compile_select`] and fall
 //! back to the term-space [`crate::eval::Evaluator`].
@@ -32,7 +41,7 @@ use crate::results::Solutions;
 use crate::SparqlError;
 use rdfa_exec::{run_morsels, Interrupt, Trip, DEFAULT_MORSEL_ROWS};
 use rdfa_model::{Term, Value};
-use rdfa_store::{Store, TermId};
+use rdfa_store::{IdTriple, Store, TermId};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -45,6 +54,12 @@ fn batch_row_cost(width: usize) -> u64 {
 
 /// Output rows between cooperative budget flushes inside a morsel worker.
 const WORKER_PROBE_INTERVAL: usize = 512;
+
+/// Fewest bound-subject rows for which a join step considers scanning its
+/// pattern instead of probing per row: below one morsel the probes cost
+/// under a millisecond, and the side's fixed costs (the capped run count,
+/// the offsets array over the run's subject id span) would not pay back.
+const SCAN_MIN_PROBES: usize = DEFAULT_MORSEL_ROWS;
 
 // ---- plan structure --------------------------------------------------------
 
@@ -66,6 +81,9 @@ pub(crate) enum CPred {
     Var(usize),
     Missing,
 }
+
+/// One index-join step: subject, predicate, object, operator id.
+type JoinStep<'a> = (&'a CSlot, &'a CPred, &'a CSlot, usize);
 
 /// One operator of the physical plan. `Input` is the leaf that consumes
 /// whatever batch the parent feeds in (the seed row at the root, the outer
@@ -130,6 +148,9 @@ pub struct OpStats {
     pub rows_out: u64,
     /// Times the operator ran.
     pub invocations: u64,
+    /// Join steps: triples read into a built [`ScanSide`] across all
+    /// invocations (0 = every invocation probed the index per row).
+    pub scanned: u64,
 }
 
 /// Per-execution statistics reported by a prepared query.
@@ -161,7 +182,11 @@ pub(crate) fn describe_plan(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> V
             s.push_str(&format!(" est={est}"));
         }
         if let Some(st) = stats {
-            s.push_str(&format!(" rows={}", st.operators[op].rows_out));
+            let st = &st.operators[op];
+            s.push_str(&format!(" rows={}", st.rows_out));
+            if st.kind == "join" {
+                s.push_str(&format!(" scanned={}", st.scanned));
+            }
         }
         s
     }
@@ -834,6 +859,7 @@ pub(crate) fn execute_plan(
         arena: TermArena::new(),
         op_rows: vec![0; plan.ops.len()],
         op_calls: vec![0; plan.ops.len()],
+        op_scanned: vec![0; plan.ops.len()],
         threads_used: 1,
         parallel_groupby: false,
         morsels: 0,
@@ -861,6 +887,7 @@ pub(crate) fn execute_plan(
                 estimate: m.estimate,
                 rows_out: ex.op_rows[i],
                 invocations: ex.op_calls[i],
+                scanned: ex.op_scanned[i],
             })
             .collect(),
         rows_out: solutions.rows().len(),
@@ -881,6 +908,7 @@ struct Executor<'s> {
     arena: TermArena,
     op_rows: Vec<u64>,
     op_calls: Vec<u64>,
+    op_scanned: Vec<u64>,
     threads_used: usize,
     parallel_groupby: bool,
     morsels: usize,
@@ -931,7 +959,7 @@ impl Executor<'_> {
                 // collapse the maximal join chain ending here so the morsel
                 // runtime can drive all of it per morsel without a barrier
                 // between steps
-                let mut steps: Vec<(&CSlot, &CPred, &CSlot, usize)> = Vec::new();
+                let mut steps: Vec<JoinStep<'_>> = Vec::new();
                 let mut cur = node;
                 while let Node::Join { input: child, s, p, o, op } = cur {
                     steps.push((s, p, o, *op));
@@ -978,30 +1006,53 @@ impl Executor<'_> {
         }
     }
 
-    /// Execute a maximal chain of index joins over `input`. When the input
-    /// clears the morsel work floor, the *whole* chain runs per morsel on
-    /// the shared scheduler — no allocation or barrier between steps — and
-    /// the per-morsel outputs concatenate in morsel order, which reproduces
-    /// the sequential scan byte-for-byte (index joins emit matches in
-    /// store-iteration order). Below the floor the chain runs inline.
+    /// Execute a maximal chain of index joins over `input`, cut into runs
+    /// that each begin at a step able to read a built [`ScanSide`]: that
+    /// step's seek-vs-scan decision needs its whole input, which exists only
+    /// between runs — so every thread count decides the same way.
     fn exec_join_chain(
         &mut self,
         input: &Batch,
-        steps: &[(&CSlot, &CPred, &CSlot, usize)],
+        steps: &[JoinStep<'_>],
     ) -> Result<Batch, SparqlError> {
+        let mut out: Option<Batch> = None;
+        let mut lo = 0;
+        while lo < steps.len() {
+            let hi = (lo + 1..steps.len()).find(|&i| may_scan(steps[i])).unwrap_or(steps.len());
+            out = Some(self.exec_join_run(out.as_ref().unwrap_or(input), &steps[lo..hi])?);
+            lo = hi;
+        }
+        Ok(out.expect("join chains are non-empty"))
+    }
+
+    /// Execute one run of index joins over `input`, the first step reading
+    /// a built side when [`Executor::scan_side`] builds one. When the input
+    /// clears the morsel work floor, the *whole* run executes per morsel on
+    /// the shared scheduler — no allocation or barrier between steps, the
+    /// side shared read-only — and the per-morsel outputs concatenate in
+    /// morsel order, which reproduces the sequential scan byte-for-byte
+    /// (index joins emit matches in store-iteration order). Below the floor
+    /// the run executes inline.
+    fn exec_join_run(
+        &mut self,
+        input: &Batch,
+        steps: &[JoinStep<'_>],
+    ) -> Result<Batch, SparqlError> {
+        let side = self.scan_side(input, steps[0])?;
+        if let Some(side) = &side {
+            self.op_scanned[steps[0].3] += side.len() as u64;
+        }
         let n_morsels = input.len().div_ceil(DEFAULT_MORSEL_ROWS).max(1);
         let workers = self.options.policy.morsel_workers(n_morsels);
         if workers <= 1 {
             let mut prev: Option<Batch> = None;
-            for &(s, p, o, op) in steps {
-                let out = match &prev {
-                    None => self.exec_join(input, s, p, o)?,
-                    Some(b) => self.exec_join(b, s, p, o)?,
-                };
+            for (i, &(s, p, o, op)) in steps.iter().enumerate() {
+                let side = if i == 0 { side.as_ref() } else { None };
+                let out = self.exec_join(prev.as_ref().unwrap_or(input), s, p, o, side)?;
                 self.note(op, out.len());
                 prev = Some(out);
             }
-            return Ok(prev.expect("join chains are non-empty"));
+            return Ok(prev.expect("join runs are non-empty"));
         }
         let store = self.store;
         let rows = input.len();
@@ -1013,7 +1064,7 @@ impl Executor<'_> {
             |_: &mut (), m: usize| {
                 let lo = m * DEFAULT_MORSEL_ROWS;
                 let hi = ((m + 1) * DEFAULT_MORSEL_ROWS).min(rows);
-                chain_worker(store, input, steps, lo, hi, &intr)
+                chain_worker(store, input, steps, side.as_ref(), lo, hi, &intr)
             },
         );
         self.threads_used = self.threads_used.max(workers);
@@ -1036,12 +1087,44 @@ impl Executor<'_> {
                 *t += *c;
             }
         }
-        // one invocation per step per chain, independent of the worker count
+        // one invocation per step per run, independent of the worker count
         for (&(_, _, _, op), &t) in steps.iter().zip(&totals) {
             self.op_rows[op] += t;
             self.op_calls[op] += 1;
         }
         Ok(out)
+    }
+
+    /// The built side for one join step over `input`, or `None` to probe per
+    /// row: the step must qualify ([`may_scan`]), at least
+    /// [`SCAN_MIN_PROBES`] rows must bind its subject to a store term, and
+    /// one scan of the pattern's run must beat that many probes
+    /// ([`Store::prefer_seek`]). The build honours the deadline and the
+    /// cancel flag and charges its bytes to the memory budget.
+    fn scan_side(
+        &mut self,
+        input: &Batch,
+        step: JoinStep<'_>,
+    ) -> Result<Option<ScanSide>, SparqlError> {
+        let (CSlot::Var(slot), CPred::Const(p)) = (step.0, step.1) else {
+            return Ok(None);
+        };
+        let o = match step.2 {
+            CSlot::Const(id) => Some(*id),
+            CSlot::Var(_) => None,
+            CSlot::Missing => return Ok(None),
+        };
+        let probes = input.column(*slot).iter().filter(|&&v| as_store(v).is_some()).count();
+        if probes < SCAN_MIN_PROBES || self.store.prefer_seek(probes, *p, o) {
+            return Ok(None);
+        }
+        let intr = self.guard.interrupt();
+        let side = ScanSide::build(self.store, *p, o, &intr);
+        self.guard.absorb(&intr)?;
+        match side {
+            Ok(side) => Ok(Some(side)),
+            Err(_) => unreachable!("absorb surfaces the recorded trip"),
+        }
     }
 
     /// One index-join step over the whole input, inline on the caller's
@@ -1053,12 +1136,14 @@ impl Executor<'_> {
         s: &CSlot,
         p: &CPred,
         o: &CSlot,
+        side: Option<&ScanSide>,
     ) -> Result<Batch, SparqlError> {
         let mut out = Batch::new(input.width());
         let intr = self.guard.interrupt();
         let mut budget = BudgetBlock::new(&intr, batch_row_cost(input.width()));
-        let res = join_rows(self.store, input, 0, input.len(), s, p, o, &mut out, &mut budget)
-            .and_then(|()| budget.flush());
+        let res =
+            join_rows(self.store, input, 0, input.len(), (s, p, o), side, &mut out, &mut budget)
+                .and_then(|()| budget.flush());
         self.guard.absorb(&intr)?;
         match res {
             Ok(()) => Ok(out),
@@ -1606,13 +1691,15 @@ impl<'a> BudgetBlock<'a> {
     }
 }
 
-/// One morsel of a join chain: run every step over `input[lo..hi)`, then
-/// feed each step's local output to the next. Returns the chain's final
-/// batch for this morsel plus per-step row counts (for operator stats).
+/// One morsel of a join run: run every step over `input[lo..hi)`, the first
+/// reading `side` when one was built, then feed each step's local output to
+/// the next. Returns the run's final batch for this morsel plus per-step row
+/// counts (for operator stats).
 fn chain_worker(
     store: &Store,
     input: &Batch,
-    steps: &[(&CSlot, &CPred, &CSlot, usize)],
+    steps: &[JoinStep<'_>],
+    side: Option<&ScanSide>,
     lo: usize,
     hi: usize,
     intr: &Interrupt,
@@ -1623,33 +1710,136 @@ fn chain_worker(
         let mut out = Batch::new(input.width());
         let mut budget = BudgetBlock::new(intr, batch_row_cost(input.width()));
         match &prev {
-            None => join_rows(store, input, lo, hi, s, p, o, &mut out, &mut budget)?,
-            Some(b) => join_rows(store, b, 0, b.len(), s, p, o, &mut out, &mut budget)?,
+            None => join_rows(store, input, lo, hi, (s, p, o), side, &mut out, &mut budget)?,
+            Some(b) => join_rows(store, b, 0, b.len(), (s, p, o), None, &mut out, &mut budget)?,
         }
         budget.flush()?;
         counts[si] = out.len() as u64;
         prev = Some(out);
     }
-    Ok((prev.expect("join chains are non-empty"), counts))
+    Ok((prev.expect("join runs are non-empty"), counts))
+}
+
+/// True when a join step can read a built [`ScanSide`]: a variable subject,
+/// a constant predicate and an object that can match.
+fn may_scan((s, p, o, _): JoinStep<'_>) -> bool {
+    matches!((s, p, o), (CSlot::Var(_), CPred::Const(_), CSlot::Const(_) | CSlot::Var(_)))
+}
+
+/// One join step's pattern `(?, p, o)` read in a single scan and laid out
+/// by subject (compressed sparse row): subject `base + i` owns
+/// `objects[offsets[i]..offsets[i + 1]]`.
+///
+/// The scan yields the explicit layer's run, then the inferred layer's, each
+/// in POS order; the layout is a stable counting sort by subject, so each
+/// subject's slice holds its explicit objects ascending, then its inferred
+/// ones ascending — exactly what `Store::matching(Some(s), Some(p), o)`
+/// yields, in the same order. A join reading the side therefore emits the
+/// probe path's batch row for row.
+struct ScanSide {
+    base: u32,
+    offsets: Vec<u32>,
+    objects: Vec<TermId>,
+}
+
+impl ScanSide {
+    /// Scan `(?, p, o)` once into a side. Probes `intr` before the scan and
+    /// once per [`DEFAULT_MORSEL_ROWS`] triples (like a morsel), charging
+    /// the scratch pairs as they grow and the offsets and objects before
+    /// they are allocated.
+    fn build(store: &Store, p: TermId, o: Option<TermId>, intr: &Interrupt) -> Result<Self, Trip> {
+        const PAIR_BYTES: u64 = std::mem::size_of::<(u32, TermId)>() as u64;
+        const ID_BYTES: u64 = std::mem::size_of::<u32>() as u64;
+        intr.probe()?;
+        let mut pairs: Vec<(u32, TermId)> = Vec::new();
+        for [s, _, obj] in store.matching(None, Some(p), o) {
+            pairs.push((s.0, obj));
+            if pairs.len().is_multiple_of(DEFAULT_MORSEL_ROWS) {
+                intr.checkpoint(0, DEFAULT_MORSEL_ROWS as u64 * PAIR_BYTES)?;
+            }
+        }
+        let n = pairs.len();
+        let base = pairs.iter().map(|&(s, _)| s).min().unwrap_or(0);
+        let span = pairs.iter().map(|&(s, _)| (s - base) as usize + 1).max().unwrap_or(0);
+        let tail = (n % DEFAULT_MORSEL_ROWS) as u64 * PAIR_BYTES;
+        intr.checkpoint(0, tail + (span as u64 + 1 + n as u64) * ID_BYTES)?;
+        // counts land one slot right, so the prefix sum yields slice starts
+        let mut offsets = vec![0u32; span + 1];
+        for &(s, _) in &pairs {
+            offsets[(s - base) as usize + 1] += 1;
+        }
+        for i in 1..=span {
+            offsets[i] += offsets[i - 1];
+        }
+        // scatter in scan order, advancing each subject's start as its cursor
+        // (so it ends on the next subject's start), then shift back
+        let mut objects = vec![TermId(0); n];
+        for &(s, obj) in &pairs {
+            let at = &mut offsets[(s - base) as usize];
+            objects[*at as usize] = obj;
+            *at += 1;
+        }
+        offsets.copy_within(0..span, 1);
+        offsets[0] = 0;
+        Ok(ScanSide { base, offsets, objects })
+    }
+
+    /// The objects of `s`'s matching triples, in probe order.
+    fn objects(&self, s: TermId) -> &[TermId] {
+        let i = s.0.wrapping_sub(self.base) as usize;
+        match (self.offsets.get(i), self.offsets.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => &self.objects[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Triples read into the side.
+    fn len(&self) -> usize {
+        self.objects.len()
+    }
 }
 
 /// The index-nested-loop inner loop over `input[lo..hi)`, shared by the
-/// inline step executor and morsel workers. Matches append in
-/// store-iteration order, so concatenating per-morsel outputs reproduces
-/// the full sequential scan byte-for-byte.
+/// inline step executor and morsel workers. Each row's matches come from
+/// `side` when one was built and the row binds the subject to a store term,
+/// else from one index probe; either way they append in store-iteration
+/// order, so concatenating per-morsel outputs reproduces the full
+/// sequential scan byte-for-byte.
 #[allow(clippy::too_many_arguments)]
 fn join_rows(
     store: &Store,
     input: &Batch,
     lo: usize,
     hi: usize,
-    s: &CSlot,
-    p: &CPred,
-    o: &CSlot,
+    (s, p, o): (&CSlot, &CPred, &CSlot),
+    side: Option<&ScanSide>,
     out: &mut Batch,
     budget: &mut BudgetBlock<'_>,
 ) -> Result<(), Trip> {
     let mut overrides: Vec<(usize, EId)> = Vec::with_capacity(3);
+    let mut emit = |r: usize,
+                    sa: &RAnchor,
+                    oa: &RAnchor,
+                    p_slot: Option<usize>,
+                    [sv, pv, ov]: IdTriple|
+     -> Result<(), Trip> {
+        // repeated-variable consistency (?x p ?x)
+        if same_free(sa, oa) && sv != ov {
+            return Ok(());
+        }
+        overrides.clear();
+        if !anchor_bind(sa, sv, &mut overrides) || !anchor_bind(oa, ov, &mut overrides) {
+            return Ok(());
+        }
+        if let Some(ps) = p_slot {
+            // the predicate binding wins on slot collisions, matching
+            // the term-space evaluator's overwrite order
+            overrides.push((ps, pack_store(pv)));
+        }
+        budget.add_row()?;
+        out.push_row_from(input, r, &overrides);
+        Ok(())
+    };
     for r in lo..hi {
         let sa = match resolve_slot(s, input, r) {
             Some(a) => a,
@@ -1673,22 +1863,19 @@ fn join_rows(
                 }
             }
         };
-        for [sv, pv, ov] in store.matching(sa.id(), p_fixed, oa.id()) {
-            // repeated-variable consistency (?x p ?x)
-            if same_free(&sa, &oa) && sv != ov {
-                continue;
+        match (side, &sa, p_fixed) {
+            (Some(side), RAnchor::BoundV(sv), Some(pv)) => {
+                // a bound object keeps only its own match (`anchor_bind`),
+                // which is all a probe with the object fixed would yield
+                for &ov in side.objects(*sv) {
+                    emit(r, &sa, &oa, p_slot, [*sv, pv, ov])?;
+                }
             }
-            overrides.clear();
-            if !anchor_bind(&sa, sv, &mut overrides) || !anchor_bind(&oa, ov, &mut overrides) {
-                continue;
+            _ => {
+                for t in store.matching(sa.id(), p_fixed, oa.id()) {
+                    emit(r, &sa, &oa, p_slot, t)?;
+                }
             }
-            if let Some(ps) = p_slot {
-                // the predicate binding wins on slot collisions, matching
-                // the term-space evaluator's overwrite order
-                overrides.push((ps, pack_store(pv)));
-            }
-            budget.add_row()?;
-            out.push_row_from(input, r, &overrides);
         }
     }
     Ok(())
@@ -1815,4 +2002,108 @@ fn morsel_group(
         }
     }
     groups
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdfa_exec::{CancelFlag, TripKind};
+
+    /// Deterministic xorshift stream, `0..n`.
+    fn rng(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut x = seed;
+        move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        }
+    }
+
+    /// A predicate `p` with explicit edges, inferred ones (via a
+    /// subproperty `q`), self-loops, and subjects spread over the id space.
+    fn store_with_layers() -> (Store, Vec<TermId>, TermId) {
+        let mut store = Store::new();
+        let p = store.intern_iri("http://e/p");
+        let q = store.intern_iri("http://e/q");
+        let sub = store.well_known().rdfs_subpropertyof;
+        store.insert_ids([q, sub, p]);
+        let nodes: Vec<TermId> =
+            (0..120).map(|i| store.intern_iri(&format!("http://e/n{i}"))).collect();
+        let mut next = rng(11);
+        for _ in 0..500 {
+            let s = nodes[next(80)];
+            let o = nodes[next(nodes.len())];
+            let pred = if next(2) == 0 { p } else { q };
+            store.insert_ids([s, pred, o]);
+        }
+        for &n in &nodes[..10] {
+            store.insert_ids([n, p, n]);
+        }
+        store.materialize_inference();
+        (store, nodes, p)
+    }
+
+    fn rows(b: &Batch) -> Vec<(Vec<EId>, u32)> {
+        (0..b.len()).map(|r| (b.row(r), b.prov(r))).collect()
+    }
+
+    /// The built side is an internal alternative to the probe, not a switch:
+    /// over one batch it must produce the probe's batch, rows and order.
+    #[test]
+    fn join_rows_with_a_built_side_equals_the_probe() {
+        let (store, nodes, p) = store_with_layers();
+        assert!(store.matching(None, Some(p), None).count() > store.len() / 2);
+        let local = TermArena::new().intern(&store, &Term::integer(42));
+        let mut next = rng(5);
+        let mut pick = || match next(10) {
+            0 => UNBOUND,
+            1 => local,
+            2 => pack_store(p), // a store term outside the subject span
+            _ => pack_store(nodes[next(nodes.len())]),
+        };
+        let mut input = Batch::new(3);
+        for r in 0..2_000u32 {
+            let s = pick();
+            let o = if r % 2 == 0 { UNBOUND } else { pick() };
+            input.push_row(&[s, o, pack_store(nodes[0])], r);
+        }
+        let c = nodes[7];
+        let steps = [
+            (CSlot::Var(0), CSlot::Var(1), None),
+            (CSlot::Var(0), CSlot::Var(0), None),
+            (CSlot::Var(0), CSlot::Const(c), Some(c)),
+            (CSlot::Var(2), CSlot::Var(1), None),
+        ];
+        let intr = Interrupt::unlimited();
+        for (s, o, o_const) in &steps {
+            let join = |side: Option<&ScanSide>| {
+                let mut out = Batch::new(3);
+                let mut budget = BudgetBlock::new(&intr, 16);
+                let step = (s, &CPred::Const(p), o);
+                join_rows(&store, &input, 0, input.len(), step, side, &mut out, &mut budget)
+                    .unwrap();
+                out
+            };
+            let side = ScanSide::build(&store, p, *o_const, &intr).unwrap();
+            assert_eq!(side.len(), store.matching(None, Some(p), *o_const).count());
+            let probed = join(None);
+            assert!(!probed.is_empty(), "{s:?} {o:?}");
+            assert_eq!(rows(&probed), rows(&join(Some(&side))), "{s:?} {o:?}");
+        }
+    }
+
+    #[test]
+    fn side_build_honours_cancel_and_the_memory_budget() {
+        let (store, _, p) = store_with_layers();
+        let cancel = CancelFlag::new();
+        cancel.cancel();
+        let intr = Interrupt::new(Instant::now(), None, Some(cancel), None, None);
+        let trip = ScanSide::build(&store, p, None, &intr).err().expect("cancelled");
+        assert_eq!(trip.kind, TripKind::Cancelled);
+        let intr = Interrupt::new(Instant::now(), None, None, None, Some(64));
+        let trip = ScanSide::build(&store, p, None, &intr).err().expect("over budget");
+        assert_eq!(trip.kind, TripKind::Memory);
+        assert!(intr.bytes_used() > 64);
+    }
 }

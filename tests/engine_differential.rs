@@ -6,10 +6,9 @@
 //! divergence in any operator's semantics shows up as a row-set mismatch.
 
 use rdf_analytics::datagen::{ProductsGenerator, EX};
-use rdf_analytics::sparql::{CancelFlag, Engine, EvalLimits, ExecMode, SparqlError};
-use rdf_analytics::store::{
-    FsyncPolicy, LoadOptions, PersistConfig, PersistentStore, Store,
-};
+use rdf_analytics::model::{vocab, Graph, Term};
+use rdf_analytics::sparql::{CancelFlag, Engine, EvalLimits, ExecMode, LimitKind, SparqlError};
+use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistentStore, Store};
 use rdfa_prng::StdRng;
 
 fn store() -> Store {
@@ -18,11 +17,11 @@ fn store() -> Store {
     s
 }
 
-/// The same products KG rebuilt on compressed mmap index segments: loaded
-/// into a segment-mode durable store, checkpointed into a segment
-/// generation, and reopened from disk — the on-disk half of the
-/// mmap-vs-memory differential tests.
-fn mmap_store(tag: &str) -> (std::path::PathBuf, Store) {
+/// A graph rebuilt on compressed mmap index segments: loaded into a
+/// segment-mode durable store, checkpointed into a segment generation, and
+/// reopened from disk — the on-disk half of the mmap-vs-memory differential
+/// tests.
+fn mmap_store(tag: &str, graph: &Graph) -> (std::path::PathBuf, Store) {
     let dir = std::env::temp_dir()
         .join(format!("rdfa-engine-diff-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -32,7 +31,7 @@ fn mmap_store(tag: &str) -> (std::path::PathBuf, Store) {
         ..PersistConfig::default()
     };
     let mut p = PersistentStore::open(&dir, config()).unwrap();
-    for t in ProductsGenerator::new(120, 42).generate().iter() {
+    for t in graph.iter() {
         p.insert(t).unwrap();
     }
     p.materialize_inference();
@@ -43,11 +42,24 @@ fn mmap_store(tag: &str) -> (std::path::PathBuf, Store) {
     (dir, store)
 }
 
-/// A store big enough that every stage of the corpus queries spans several
-/// 1024-row morsels, so the parallel runtime genuinely engages.
+/// A products KG big enough that every stage of the corpus queries spans
+/// several 1024-row morsels, so the parallel runtime genuinely engages and
+/// join steps read their pattern through a built scan side. On top of the
+/// generator's `subClassOf` schema, `manufacturer` is a subproperty of
+/// `producer` (an entirely inferred predicate), and a small `similarTo` run
+/// holds a self-loop for `?x p ?x`.
+fn big_graph() -> Graph {
+    let mut g = ProductsGenerator::new(6000, 7).generate();
+    let ex = |local: &str| Term::iri(format!("{EX}{local}"));
+    g.add(ex("manufacturer"), Term::iri(vocab::rdfs::SUB_PROPERTY_OF), ex("producer"));
+    g.add(ex("laptop0"), ex("similarTo"), ex("laptop0"));
+    g.add(ex("laptop1"), ex("similarTo"), ex("laptop0"));
+    g
+}
+
 fn big_store() -> Store {
     let mut s = Store::new();
-    ProductsGenerator::new(6000, 7).generate_into(&mut s, LoadOptions::default());
+    s.load_graph(&big_graph());
     s
 }
 
@@ -137,6 +149,19 @@ const CORPUS: &[&str] = &[
     // GROUP BY on a join chain (two hops)
     "SELECT ?cont (COUNT(?x) AS ?n) WHERE { \
        ?x ex:manufacturer ?m . ?m ex:origin ?c . ?c ex:locatedAt ?cont . } GROUP BY ?cont",
+    // a join after OPTIONAL: the subject ?m is unbound in some rows
+    "SELECT ?d ?m ?c WHERE { ?d a ex:HDType . \
+       OPTIONAL { ?d ex:manufacturer ?m . FILTER(?m != ex:Company0) } ?m ex:origin ?c . }",
+    // ?x p ?x after a join
+    "SELECT ?x WHERE { ?x a ex:Laptop . ?x ex:similarTo ?x . }",
+    // a constant-object step after a join
+    "SELECT ?x ?p WHERE { ?x ex:USBPorts 4 . ?x a ex:Laptop . ?x ex:price ?p . }",
+    // a predicate-variable step after a join
+    "SELECT ?x ?q ?v WHERE { ?x ex:USBPorts 4 . ?x ?q ?v . }",
+    // explicit then inferred types of one subject (subClassOf)
+    "SELECT ?x ?d ?k WHERE { ?x ex:USBPorts 4 ; ex:hardDrive ?d . ?d a ?k . }",
+    // an entirely inferred predicate (subPropertyOf), grouped
+    "SELECT ?m (COUNT(?d) AS ?n) WHERE { ?x ex:hardDrive ?d . ?d ex:producer ?m . } GROUP BY ?m",
 ];
 
 #[test]
@@ -156,7 +181,7 @@ fn corpus_queries_agree_across_engines_and_threads() {
 #[test]
 fn corpus_queries_byte_identical_over_mmap_segments() {
     let mem = store();
-    let (dir, seg) = mmap_store("corpus");
+    let (dir, seg) = mmap_store("corpus", &ProductsGenerator::new(120, 42).generate());
     let stats = seg.segment_stats();
     assert!(stats.segments > 0, "the reopened store must actually be segment-backed");
     assert_eq!(mem.len(), seg.len());
@@ -175,6 +200,40 @@ fn corpus_queries_byte_identical_over_mmap_segments() {
         // and over the segments the two engines still agree with each other
         check(&seg, &q, &format!("corpus[{i}] over mmap"));
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The corpus where join steps are large enough to scan their pattern's run
+/// instead of probing per row: the engines agree, and the id-space answers
+/// are byte-identical at 1 and 4 threads, in memory and over mmap segments.
+#[test]
+fn corpus_on_big_store_agrees_in_memory_and_over_mmap() {
+    let graph = big_graph();
+    let mem = big_store();
+    let (dir, seg) = mmap_store("big-corpus", &graph);
+    assert!(seg.segment_stats().segments > 0);
+    let mut scanned = 0;
+    for (i, q) in CORPUS.iter().enumerate() {
+        let q = format!("PREFIX ex: <{EX}> {q}");
+        check(&mem, &q, &format!("big corpus[{i}]"));
+        let reference = run_id_space(&mem, &q, 1);
+        for (store, backend) in [(&mem, "memory"), (&seg, "mmap")] {
+            for threads in [1usize, 4] {
+                let got = run_id_space(store, &q, threads);
+                assert_eq!(reference.vars(), got.vars(), "big corpus[{i}]\n{q}");
+                assert_eq!(
+                    reference.rows(),
+                    got.rows(),
+                    "big corpus[{i}]: {backend} at {threads} thread(s) diverged\n{q}"
+                );
+            }
+        }
+        let prepared = Engine::builder(&mem).build().prepare(&q).unwrap();
+        prepared.execute().unwrap();
+        let stats = prepared.last_stats().unwrap();
+        scanned += stats.operators.iter().filter(|op| op.scanned > 0).count();
+    }
+    assert!(scanned >= 10, "the big store must exercise the scan side: {scanned} steps");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -427,21 +486,65 @@ fn cancellation_stops_the_morsel_runtime_at_every_thread_count() {
 
 /// The prepared-query API reports a plan and per-operator cardinalities for
 /// ID-space corpus queries (the acceptance bar for `explain()`).
+/// On the big store the first step (`price`) probes from the seed row and
+/// the second scans the `manufacturer` run — laptops' and drives' edges —
+/// and the explained plan says which did which.
 #[test]
 fn explain_reports_operator_cardinalities() {
-    let s = store();
     let q = format!(
         "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
            ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
     );
-    let engine = Engine::builder(&s).build();
-    let prepared = engine.prepare(&q).unwrap();
-    assert!(prepared.uses_id_space());
+    for (s, scans) in [(store(), false), (big_store(), true)] {
+        let engine = Engine::builder(&s).build();
+        let prepared = engine.prepare(&q).unwrap();
+        assert!(prepared.uses_id_space());
+        prepared.execute().unwrap();
+        let stats = prepared.last_stats().unwrap();
+        assert!(stats.rows_out > 0);
+        assert!(stats.operators.iter().any(|op| op.rows_out > 0));
+        let text = prepared.explain();
+        assert!(text.contains("physical plan:"), "{text}");
+        assert!(text.contains("rows="), "{text}");
+        assert!(text.contains(" scanned=0"), "the first step probes: {text}");
+        let man = stats.operators.iter().find(|op| op.label.contains("manufacturer")).unwrap();
+        let man_edges = s
+            .matching(None, s.lookup(&Term::iri(format!("{EX}manufacturer"))), None)
+            .count() as u64;
+        if scans {
+            assert_eq!(man.scanned, man_edges, "{text}");
+            assert!(text.contains(&format!(" scanned={man_edges}")), "{text}");
+        } else {
+            assert_eq!(man.scanned, 0, "a small input probes: {text}");
+        }
+    }
+}
+
+/// The scan side's bytes count against `max_memory_bytes`: with the budget
+/// set to exactly what the probe path's rows charge, the side is what
+/// exceeds it, and the query fails with the memory limit.
+#[test]
+fn scan_side_build_is_charged_to_the_memory_budget() {
+    let s = big_store();
+    let q = format!(
+        "PREFIX ex: <{EX}> SELECT (COUNT(*) AS ?n) WHERE {{ \
+           ?x ex:manufacturer ?m ; ex:price ?p . }}"
+    );
+    let prepared = Engine::builder(&s).build().prepare(&q).unwrap();
     prepared.execute().unwrap();
     let stats = prepared.last_stats().unwrap();
-    assert!(stats.rows_out > 0);
-    assert!(stats.operators.iter().any(|op| op.rows_out > 0));
-    let text = prepared.explain();
-    assert!(text.contains("physical plan:"), "{text}");
-    assert!(text.contains("rows="), "{text}");
+    let joins: Vec<_> = stats.operators.iter().filter(|op| op.kind == "join").collect();
+    assert!(joins.iter().any(|op| op.scanned > 0), "{joins:?}");
+    // one EId per frame slot (?x ?m ?p) plus the provenance word per row
+    let row_bytes = 3 * 4 + 4;
+    let probe_bytes: u64 = joins.iter().map(|op| op.rows_out * row_bytes).sum();
+    let err = Engine::builder(&s)
+        .limits(EvalLimits::unlimited().with_max_memory_bytes(probe_bytes))
+        .build()
+        .run(&q)
+        .expect_err("the side's bytes must exceed the budget");
+    assert_eq!(
+        err,
+        SparqlError::ResourceLimit { kind: LimitKind::MemoryBytes, limit: probe_bytes }
+    );
 }
