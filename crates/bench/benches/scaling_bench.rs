@@ -1,6 +1,6 @@
 //! Morsel-runtime scaling curve: scan, join, and GROUP BY kernels at
-//! 1/2/4/8/16 worker threads, on two store configurations — the BENCH_3
-//! small store (where the work-floor heuristic must keep fan-out from
+//! 1/2/4/8/16 worker threads, on two store configurations — a small store
+//! of 7 000 products (where the work-floor heuristic must keep fan-out from
 //! regressing) and a large store (where the curve should actually climb).
 //!
 //! Asserts every thread count returns rows *byte-identical* to the
@@ -145,7 +145,7 @@ fn main() {
     }
 
     let configs = [
-        // the BENCH_3 configuration where fan-out used to lose to 1 thread
+        // the size where a pre-morsel GROUP BY fan-out lost to 1 thread
         bench_config("small_bench3", 7_000, reps, &counts),
         bench_config("large", large_products, reps, &counts),
     ];

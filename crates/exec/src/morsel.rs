@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 /// Work floor: below this many morsels a run stays serial — spawn + merge
-/// overhead beats the fan-out on tiny inputs (the BENCH_3 regression this
-/// floor exists to prevent).
+/// overhead beats the fan-out on tiny inputs (an N-thread GROUP BY once
+/// lost to one thread on ~56 k triples; this floor prevents that).
 pub const MIN_PARALLEL_MORSELS: usize = 4;
 
 /// Which budget a morsel run exhausted.

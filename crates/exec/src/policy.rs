@@ -129,7 +129,7 @@ impl ExecPolicy {
 
     /// Worker count for a morsel run of `n_morsels`: serial below the
     /// [`crate::MIN_PARALLEL_MORSELS`] work floor (tiny inputs lose more to
-    /// spawn + merge than the fan-out saves — the BENCH_3 regression),
+    /// spawn + merge than the fan-out saves),
     /// otherwise one worker per morsel up to the resolved thread count.
     pub fn morsel_workers(&self, n_morsels: usize) -> usize {
         if n_morsels < crate::MIN_PARALLEL_MORSELS {

@@ -1,10 +1,10 @@
 //! The public query interface: build an [`Engine`], [`Engine::prepare`] a
 //! query once, execute it many times.
 //!
-//! A [`PreparedQuery`] carries its parsed form and — for `SELECT` queries in
-//! the batched fragment — a compiled physical plan over the store's interned
-//! ID space ([`crate::plan`]). Repeated [`PreparedQuery::execute`] calls
-//! reuse the plan; [`PreparedQuery::explain`] renders it, and
+//! A [`PreparedQuery`] carries its parsed form and a compiled physical plan
+//! over the store's interned ID space ([`crate::plan`]) — every form the
+//! parser accepts gets one. Repeated [`PreparedQuery::execute`] calls reuse
+//! the plan; [`PreparedQuery::explain`] renders it, and
 //! [`PreparedQuery::last_stats`] reports per-operator cardinalities of the
 //! most recent execution.
 //!
@@ -12,18 +12,60 @@
 //! through one [`ExecPolicy`] ([`EngineBuilder::policy`]); the morsel
 //! runtime in [`crate::plan`] reads it for every parallel region.
 
-use crate::ast::{Query, QueryForm};
-use crate::eval::{EvalOptions, Evaluator, ExecMode};
+use crate::ast::{PathOrVar, PropertyPath, Query, QueryForm, TermPattern, TriplePattern};
+use crate::expr::bound_term;
 use crate::limits::EvalLimits;
 use crate::parser::parse_query;
-use crate::plan::{compile_select, describe_plan, execute_plan, ExecStats, PhysicalPlan};
+use crate::plan::rows::{Frame, Row};
+use crate::plan::{compile, describe_plan, execute_plan, ExecStats, Output, PhysicalPlan};
 use crate::results::QueryResults;
 use crate::views::{match_aggregate_shape, ShapeMatch, ViewCatalog};
 use crate::SparqlError;
 use rdfa_exec::ExecPolicy;
+use rdfa_model::{Graph, Term};
 use rdfa_store::Store;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Evaluation options: join reordering plus resource budgets.
+#[derive(Debug, Clone)]
+pub struct EvalOptions {
+    /// Reorder BGP patterns by estimated selectivity (default true).
+    pub reorder_bgp: bool,
+    /// Cooperative resource limits (default: unlimited).
+    pub limits: EvalLimits,
+    /// Execution policy: worker threads for the morsel runtime, plus
+    /// optional deadline/memory/cancel knobs merged into [`Self::limits`]
+    /// (the tighter value wins) — see [`EvalOptions::effective_limits`].
+    pub policy: ExecPolicy,
+}
+
+impl Default for EvalOptions {
+    fn default() -> Self {
+        EvalOptions { reorder_bgp: true, limits: EvalLimits::unlimited(), policy: ExecPolicy::new() }
+    }
+}
+
+impl EvalOptions {
+    /// The limits actually enforced: [`Self::limits`] with the policy's
+    /// deadline/memory/cancel folded in. Where both specify an axis the
+    /// tighter bound wins; a cancel flag on the limits takes precedence
+    /// (it is already wired to a caller).
+    pub fn effective_limits(&self) -> EvalLimits {
+        let mut l = self.limits.clone();
+        if let Some(d) = self.policy.deadline {
+            l.deadline = Some(l.deadline.map_or(d, |e| e.min(d)));
+        }
+        if let Some(m) = self.policy.max_memory_bytes {
+            l.max_memory_bytes = Some(l.max_memory_bytes.map_or(m, |e| e.min(m)));
+        }
+        if l.cancel.is_none() {
+            l.cancel = self.policy.cancel.clone();
+        }
+        l
+    }
+}
 
 /// A query engine bound to a store.
 pub struct Engine<'s> {
@@ -55,12 +97,6 @@ impl<'s> EngineBuilder<'s> {
     /// Enable or disable selectivity-based BGP reordering (default: on).
     pub fn reorder_bgp(mut self, on: bool) -> Self {
         self.options.reorder_bgp = on;
-        self
-    }
-
-    /// Choose the execution engine for `SELECT` queries (default: ID space).
-    pub fn execution(mut self, mode: ExecMode) -> Self {
-        self.options.execution = mode;
         self
     }
 
@@ -107,18 +143,11 @@ impl<'s> Engine<'s> {
         &self.options
     }
 
-    /// Parse a query and compile it for repeated execution. `SELECT`
-    /// queries inside the batched fragment get a physical plan over the
-    /// interned ID space; everything else (and [`ExecMode::TermSpace`])
-    /// executes on the term-space evaluator.
+    /// Parse a query and compile it, whatever its form, to a physical plan
+    /// over the interned ID space.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery<'s>, SparqlError> {
         let query = parse_query(text)?;
-        let plan = match (&query.form, self.options.execution) {
-            (QueryForm::Select(q), ExecMode::IdSpace) => {
-                compile_select(q, self.store, &self.options)
-            }
-            _ => None,
-        };
+        let plan = compile(&query.form, self.store, &self.options);
         // canonicalize against the viewable fragment only when a catalog is
         // attached: without one the shape would never be consulted
         let shape = match (&self.views, &query.form) {
@@ -144,14 +173,14 @@ impl<'s> Engine<'s> {
     }
 }
 
-/// A parsed (and, where possible, compiled) query bound to a store,
-/// executable any number of times.
+/// A parsed and compiled query bound to a store, executable any number of
+/// times.
 pub struct PreparedQuery<'s> {
     store: &'s Store,
     options: EvalOptions,
     text: String,
     query: Query,
-    plan: Option<PhysicalPlan>,
+    plan: PhysicalPlan,
     stats: RefCell<Option<ExecStats>>,
     views: Option<Arc<dyn ViewCatalog>>,
     /// The query's canonical aggregate shape, when a catalog is attached
@@ -173,15 +202,16 @@ impl<'s> PreparedQuery<'s> {
         &self.text
     }
 
-    /// True when this query runs on the compiled ID-space plan (false for
-    /// non-`SELECT` forms, [`ExecMode::TermSpace`], and fragment fallbacks).
+    /// True when this query runs on the compiled ID-space plan — always,
+    /// since every query form compiles to one. Kept so callers that count
+    /// fallbacks keep compiling (and keep counting zero).
     pub fn uses_id_space(&self) -> bool {
-        self.plan.is_some()
+        true
     }
 
     /// Execute the query. The resource-limit clock starts now.
     pub fn execute(&self) -> Result<QueryResults, SparqlError> {
-        match &self.query.form {
+        let started = match &self.query.form {
             QueryForm::Select(q) => {
                 // a fresh materialized view answers before any evaluation
                 if let (Some(catalog), Some(shape)) = (&self.views, &self.shape) {
@@ -191,70 +221,90 @@ impl<'s> PreparedQuery<'s> {
                         return Ok(QueryResults::Solutions(solutions));
                     }
                 }
-                let started = self.views.as_ref().map(|_| std::time::Instant::now());
-                let result = if let Some(plan) = &self.plan {
-                    let (solutions, stats) = execute_plan(plan, q, self.store, &self.options)?;
-                    *self.stats.borrow_mut() = Some(stats);
-                    Ok(QueryResults::Solutions(solutions))
-                } else {
-                    let ev = Evaluator::with_options(self.store, self.options.clone());
-                    Ok(QueryResults::Solutions(ev.eval_select(q)?))
-                };
-                if let (Some(catalog), Some(t0)) = (&self.views, started) {
-                    *self.view_hit.borrow_mut() = None;
-                    if result.is_ok() {
-                        catalog.observe(self.shape.as_ref(), self.store, t0.elapsed());
-                    }
-                }
-                result
-            }
-            QueryForm::Construct { template, where_ } => {
-                let ev = Evaluator::with_options(self.store, self.options.clone());
-                Ok(QueryResults::Graph(ev.eval_construct(template, where_)?))
-            }
-            QueryForm::Ask(where_) => {
-                let ev = Evaluator::with_options(self.store, self.options.clone());
-                Ok(QueryResults::Boolean(ev.eval_ask(where_)?))
+                *self.view_hit.borrow_mut() = None;
+                self.views.as_ref().map(|_| std::time::Instant::now())
             }
             QueryForm::Describe(resources) => {
-                Ok(QueryResults::Graph(describe(self.store, resources)))
+                return Ok(QueryResults::Graph(describe(self.store, resources)));
             }
+            _ => None,
+        };
+        let (output, stats) = execute_plan(&self.plan, self.store, &self.options)?;
+        *self.stats.borrow_mut() = Some(stats);
+        if let (Some(catalog), Some(t0)) = (&self.views, started) {
+            catalog.observe(self.shape.as_ref(), self.store, t0.elapsed());
         }
+        Ok(match (output, &self.query.form) {
+            (Output::Solutions(solutions), _) => QueryResults::Solutions(solutions),
+            (Output::Rows(rows), QueryForm::Construct { template, .. }) => {
+                QueryResults::Graph(construct(template, self.plan.frame(), &rows, self.store))
+            }
+            (Output::Rows(rows), _) => QueryResults::Boolean(!rows.is_empty()),
+        })
     }
 
-    /// Statistics of the most recent [`PreparedQuery::execute`] on the
-    /// ID-space plan (operator cardinalities, threads used, arena size).
-    /// `None` before the first execution and on term-space fallbacks.
+    /// Statistics of the most recent [`PreparedQuery::execute`] (operator
+    /// cardinalities, threads used, arena size). `None` before the first
+    /// execution, after one a materialized view answered, and for
+    /// `DESCRIBE`.
     pub fn last_stats(&self) -> Option<ExecStats> {
         self.stats.borrow().clone()
     }
 
-    /// Render the plan as text. For compiled queries this is the physical
-    /// operator tree with estimates, and — after an execution — observed
-    /// per-operator cardinalities; otherwise the term-space BGP plan.
+    /// Render the physical plan as text: the operator tree with estimates
+    /// and — after an execution — observed per-operator cardinalities.
     pub fn explain(&self) -> String {
-        let base = if let Some(plan) = &self.plan {
-            let stats = self.stats.borrow();
-            let mut out = String::from("physical plan:\n");
-            for line in describe_plan(plan, stats.as_ref()) {
-                out.push_str("  ");
-                out.push_str(&line);
-                out.push('\n');
-            }
-            out
-        } else {
-            match crate::explain::explain(self.store, &self.text, self.options.clone()) {
-                Ok(plan) => plan.to_text(),
-                Err(e) => format!("explain unavailable: {e}\n"),
-            }
-        };
+        let stats = self.stats.borrow();
+        let mut out = String::from("physical plan:\n");
+        for line in describe_plan(&self.plan, stats.as_ref()) {
+            out.push_str("  ");
+            out.push_str(&line);
+            out.push('\n');
+        }
         // the most recent execution was answered from a materialized view:
         // the plan below was bypassed entirely
         match &*self.view_hit.borrow() {
-            Some(key) => format!("view-hit: {key}\n{base}"),
-            None => base,
+            Some(key) => format!("view-hit: {key}\n{out}"),
+            None => out,
         }
     }
+}
+
+/// Instantiate a CONSTRUCT template once per solution row; a template blank
+/// node is fresh per row (`c1`, `c2`, …) but shared within it.
+fn construct(template: &[TriplePattern], frame: &Frame, rows: &[Row], store: &Store) -> Graph {
+    let var = |row: &Row, v: &str| {
+        frame.index(v).and_then(|i| row[i].as_ref()).map(|b| bound_term(b, store).clone())
+    };
+    let mut graph = Graph::new();
+    let mut counter = 0usize;
+    for row in rows {
+        let mut blank_map: HashMap<String, String> = HashMap::new();
+        let mut instantiate = |tp: &TermPattern| match tp {
+            TermPattern::Var(v) => var(row, v),
+            TermPattern::Term(Term::Blank(label)) => {
+                let name = blank_map.entry(label.clone()).or_insert_with(|| {
+                    counter += 1;
+                    format!("c{counter}")
+                });
+                Some(Term::blank(name.clone()))
+            }
+            TermPattern::Term(t) => Some(t.clone()),
+        };
+        for tp in template {
+            let s = instantiate(&tp.subject);
+            let p = match &tp.predicate {
+                PathOrVar::Var(v) => var(row, v),
+                PathOrVar::Path(PropertyPath::Iri(iri)) => Some(Term::iri(iri.clone())),
+                PathOrVar::Path(_) => None,
+            };
+            let o = instantiate(&tp.object);
+            if let (Some(s), Some(p), Some(o)) = (s, p, o) {
+                graph.add(s, p, o);
+            }
+        }
+    }
+    graph
 }
 
 /// Concise bounded description: outgoing triples of each resource,
@@ -851,31 +901,103 @@ mod tests {
     }
 
     #[test]
-    fn term_space_mode_skips_the_plan() {
+    fn path_query_runs_on_the_plan_and_explains_the_path_step() {
         let s = store();
-        let engine = Engine::builder(&s).execution(ExecMode::TermSpace).build();
-        let prepared = engine
-            .prepare("PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Laptop . }")
-            .unwrap();
-        assert!(!prepared.uses_id_space());
-        assert_eq!(prepared.execute().unwrap().solutions().unwrap().len(), 3);
-        // the fallback explain is the term-space BGP plan
-        assert!(prepared.explain().contains("plan:"));
-    }
-
-    #[test]
-    fn fragment_fallback_still_answers() {
-        let s = store();
-        let engine = Engine::builder(&s).build();
-        // property paths are outside the batched fragment
-        let prepared = engine
+        let prepared = Engine::builder(&s)
+            .build()
             .prepare(
                 r#"PREFIX ex: <http://example.org/>
                    SELECT ?x WHERE { ?x ex:manufacturer/ex:origin ex:USA . }"#,
             )
             .unwrap();
-        assert!(!prepared.uses_id_space());
+        assert!(prepared.uses_id_space());
         assert_eq!(prepared.execute().unwrap().solutions().unwrap().len(), 2);
+        let text = prepared.explain();
+        assert!(text.contains("physical plan:"), "{text}");
+        assert!(text.contains("PathJoin ?x (manufacturer/origin) USA"), "{text}");
+    }
+
+    /// The `IndexJoin` steps of a query's explained plan, in execution order.
+    fn join_order(s: &Store, reorder: bool, q: &str) -> Vec<String> {
+        let prepared = Engine::builder(s).reorder_bgp(reorder).build().prepare(q).unwrap();
+        prepared.explain().lines().filter(|l| l.contains("IndexJoin")).map(str::to_owned).collect()
+    }
+
+    const ORDER_Q: &str = r#"PREFIX ex: <http://example.org/>
+        SELECT ?x WHERE {
+          ?x a ex:Laptop .
+          ?x ex:manufacturer ?m .
+          ?m ex:origin ex:USA .
+          FILTER(?x != ex:l9)
+        }"#;
+
+    #[test]
+    fn selective_pattern_first() {
+        let s = store();
+        let steps = join_order(&s, true, ORDER_Q);
+        assert_eq!(steps.len(), 3);
+        // the origin=USA pattern (1 match) runs first
+        assert!(steps[0].contains("origin USA est=1"), "{steps:?}");
+    }
+
+    #[test]
+    fn naive_order_preserves_source_order() {
+        let s = store();
+        let steps = join_order(&s, false, ORDER_Q);
+        assert_eq!(steps.len(), 3);
+        for (step, pred) in steps.iter().zip(["type Laptop", "manufacturer", "origin"]) {
+            assert!(step.contains(pred), "{steps:?}");
+        }
+    }
+
+    #[test]
+    fn every_query_form_gets_a_plan() {
+        let s = store();
+        let engine = Engine::builder(&s).build();
+        for (q, tail) in [
+            ("ASK WHERE { ?x ex:price 900 . }", "Ask"),
+            ("CONSTRUCT { ?x ex:cheap true } WHERE { ?x ex:price ?p . FILTER(?p < 900) }", "Construct"),
+            ("DESCRIBE ex:l1", "Describe"),
+            ("SELECT ?x WHERE { ?x a ex:Laptop . MINUS { ?x ex:manufacturer ex:DELL . } }", "Minus"),
+            ("SELECT ?t WHERE { { SELECT (COUNT(*) AS ?t) WHERE { ?x a ex:Laptop } } }", "SubSelect(?t)"),
+            ("SELECT ?x WHERE { ?x a ex:Laptop . FILTER EXISTS { ?x ex:usb 4 } }", "Exists"),
+        ] {
+            let prepared = engine.prepare(&format!("PREFIX ex: <http://example.org/> {q}")).unwrap();
+            assert!(prepared.uses_id_space());
+            prepared.execute().unwrap();
+            let text = prepared.explain();
+            assert!(text.starts_with("physical plan:") && text.contains(tail), "{q}\n{text}");
+        }
+    }
+
+    #[test]
+    fn exists_in_order_by_reads_the_projected_row() {
+        let s = store();
+        let r = rows(
+            &s,
+            r#"PREFIX ex: <http://example.org/>
+               SELECT ?x WHERE { ?x a ex:Laptop . }
+               ORDER BY DESC(EXISTS { ?x ex:usb 4 }) ?x"#,
+        );
+        let order: Vec<String> =
+            r.rows().iter().map(|row| row[0].as_ref().unwrap().display_name()).collect();
+        assert_eq!(order, ["l2", "l1", "l3"]);
+    }
+
+    #[test]
+    fn exists_reports_rows_tested_and_matched() {
+        let s = store();
+        let prepared = Engine::builder(&s)
+            .build()
+            .prepare(
+                r#"PREFIX ex: <http://example.org/>
+                   SELECT ?x WHERE { ?x a ex:Laptop . FILTER EXISTS { ?x ex:usb 2 } }"#,
+            )
+            .unwrap();
+        prepared.execute().unwrap();
+        let stats = prepared.last_stats().unwrap();
+        let exists = stats.operators.iter().find(|op| op.kind == "exists").unwrap();
+        assert_eq!((exists.invocations, exists.rows_out), (3, 2));
     }
 
     // ---- resource limits ---------------------------------------------------

@@ -1,29 +1,52 @@
 //! Expression evaluation with SPARQL error semantics: an evaluation error
 //! yields `None`, which makes the enclosing `FILTER` reject the row.
+//!
+//! Expressions have no pattern engine of their own: `EXISTS { … }` is
+//! answered by an [`ExistsEval`] supplied by whoever evaluates the
+//! expression (the physical plan runs a compiled sub-plan seeded with the
+//! row).
 
-use crate::ast::{ArithOp, CompareOp, Expr};
-use crate::eval::{Bound, Frame, Row};
+use crate::ast::{ArithOp, CompareOp, Expr, GroupPattern};
 use crate::limits::LimitGuard;
+use crate::plan::rows::{Bound, Frame, Row};
 use rdfa_model::{Term, Value};
 use rdfa_store::Store;
 use std::cmp::Ordering;
-use std::rc::Rc;
 
-/// Evaluate a (non-aggregate) expression against one row, unlimited.
-pub fn eval_expr(expr: &Expr, row: &Row, frame: &Frame, store: &Store) -> Option<Value> {
-    eval_expr_limited(expr, row, frame, store, &Rc::new(LimitGuard::unlimited()))
+/// Answers `EXISTS { group }` for one row laid out in `frame`: `Some(true)`
+/// when the pattern has a solution compatible with the row, `None` when
+/// the caller cannot evaluate patterns (an expression error).
+pub trait ExistsEval {
+    fn exists(&self, group: &GroupPattern, row: &Row, frame: &Frame) -> Option<bool>;
 }
 
-/// Guarded variant: shares the evaluator's limit guard, so `EXISTS`
-/// sub-evaluations draw from the same budget as the outer query. Once the
-/// guard trips, evaluation returns `None` (an expression error); the
-/// evaluator surfaces the structured error at its next checkpoint.
-pub(crate) fn eval_expr_limited(
+/// For contexts without a pattern engine: every `EXISTS` is an error.
+pub struct NoExists;
+
+impl ExistsEval for NoExists {
+    fn exists(&self, _: &GroupPattern, _: &Row, _: &Frame) -> Option<bool> {
+        None
+    }
+}
+
+/// Evaluate a (non-aggregate, `EXISTS`-free) expression against one row,
+/// unlimited.
+pub fn eval_expr(expr: &Expr, row: &Row, frame: &Frame, store: &Store) -> Option<Value> {
+    eval_expr_limited(expr, row, frame, store, &LimitGuard::unlimited(), &NoExists)
+}
+
+/// Guarded variant: `EXISTS` sub-evaluations draw from the same guard as
+/// the outer query. Once the guard trips, evaluation returns `None` (an
+/// expression error); the caller surfaces the structured error at its next
+/// checkpoint.
+#[doc(hidden)]
+pub fn eval_expr_limited(
     expr: &Expr,
     row: &Row,
     frame: &Frame,
     store: &Store,
-    guard: &Rc<LimitGuard>,
+    guard: &LimitGuard,
+    exists: &dyn ExistsEval,
 ) -> Option<Value> {
     if guard.soft_tripped() {
         return None;
@@ -37,8 +60,8 @@ pub(crate) fn eval_expr_limited(
         Expr::Const(t) => Some(Value::from_term(t)),
         Expr::Or(a, b) => {
             // SPARQL ternary logic: true || error = true
-            let va = eval_expr_limited(a, row, frame, store, guard).and_then(|v| v.effective_boolean());
-            let vb = eval_expr_limited(b, row, frame, store, guard).and_then(|v| v.effective_boolean());
+            let va = eval_expr_limited(a, row, frame, store, guard, exists).and_then(|v| v.effective_boolean());
+            let vb = eval_expr_limited(b, row, frame, store, guard, exists).and_then(|v| v.effective_boolean());
             match (va, vb) {
                 (Some(true), _) | (_, Some(true)) => Some(Value::Bool(true)),
                 (Some(false), Some(false)) => Some(Value::Bool(false)),
@@ -46,8 +69,8 @@ pub(crate) fn eval_expr_limited(
             }
         }
         Expr::And(a, b) => {
-            let va = eval_expr_limited(a, row, frame, store, guard).and_then(|v| v.effective_boolean());
-            let vb = eval_expr_limited(b, row, frame, store, guard).and_then(|v| v.effective_boolean());
+            let va = eval_expr_limited(a, row, frame, store, guard, exists).and_then(|v| v.effective_boolean());
+            let vb = eval_expr_limited(b, row, frame, store, guard, exists).and_then(|v| v.effective_boolean());
             match (va, vb) {
                 (Some(false), _) | (_, Some(false)) => Some(Value::Bool(false)),
                 (Some(true), Some(true)) => Some(Value::Bool(true)),
@@ -55,17 +78,17 @@ pub(crate) fn eval_expr_limited(
             }
         }
         Expr::Not(e) => {
-            let v = eval_expr_limited(e, row, frame, store, guard)?.effective_boolean()?;
+            let v = eval_expr_limited(e, row, frame, store, guard, exists)?.effective_boolean()?;
             Some(Value::Bool(!v))
         }
         Expr::Compare(a, op, b) => {
-            let va = eval_expr_limited(a, row, frame, store, guard)?;
-            let vb = eval_expr_limited(b, row, frame, store, guard)?;
+            let va = eval_expr_limited(a, row, frame, store, guard, exists)?;
+            let vb = eval_expr_limited(b, row, frame, store, guard, exists)?;
             compare(&va, *op, &vb).map(Value::Bool)
         }
         Expr::Arith(a, op, b) => {
-            let va = eval_expr_limited(a, row, frame, store, guard)?;
-            let vb = eval_expr_limited(b, row, frame, store, guard)?;
+            let va = eval_expr_limited(a, row, frame, store, guard, exists)?;
+            let vb = eval_expr_limited(b, row, frame, store, guard, exists)?;
             match op {
                 ArithOp::Add => va.add(&vb),
                 ArithOp::Sub => va.sub(&vb),
@@ -74,14 +97,14 @@ pub(crate) fn eval_expr_limited(
             }
         }
         Expr::Neg(e) => {
-            let v = eval_expr_limited(e, row, frame, store, guard)?;
+            let v = eval_expr_limited(e, row, frame, store, guard, exists)?;
             Value::Int(0).sub(&v)
         }
         Expr::In(e, list, negated) => {
-            let v = eval_expr_limited(e, row, frame, store, guard)?;
+            let v = eval_expr_limited(e, row, frame, store, guard, exists)?;
             let mut found = false;
             for item in list {
-                if let Some(vi) = eval_expr_limited(item, row, frame, store, guard) {
+                if let Some(vi) = eval_expr_limited(item, row, frame, store, guard, exists) {
                     if v.value_eq(&vi) {
                         found = true;
                         break;
@@ -90,12 +113,12 @@ pub(crate) fn eval_expr_limited(
             }
             Some(Value::Bool(found != *negated))
         }
-        Expr::Call(name, args) => eval_call(name, args, row, frame, store, guard),
+        Expr::Call(name, args) => eval_call(name, args, row, frame, store, guard, exists),
         Expr::Exists(group, negated) => {
-            let hit = crate::eval::exists_matches(store, group, frame, row, guard);
+            let hit = exists.exists(group, row, frame)?;
             Some(Value::Bool(hit != *negated))
         }
-        // aggregates are handled by the grouping machinery in eval.rs; seeing
+        // aggregates are handled by the grouping machinery; seeing
         // one here means it appeared in a non-aggregate context
         Expr::Aggregate(..) => None,
     }
@@ -140,7 +163,8 @@ fn eval_call(
     row: &Row,
     frame: &Frame,
     store: &Store,
-    guard: &Rc<LimitGuard>,
+    guard: &LimitGuard,
+    exists: &dyn ExistsEval,
 ) -> Option<Value> {
     // BOUND, IF and COALESCE need lazy/unbound-tolerant handling
     match name {
@@ -152,13 +176,13 @@ fn eval_call(
             return None;
         }
         "IF" => {
-            let cond = eval_expr_limited(args.first()?, row, frame, store, guard)?.effective_boolean()?;
+            let cond = eval_expr_limited(args.first()?, row, frame, store, guard, exists)?.effective_boolean()?;
             let branch = if cond { args.get(1)? } else { args.get(2)? };
-            return eval_expr_limited(branch, row, frame, store, guard);
+            return eval_expr_limited(branch, row, frame, store, guard, exists);
         }
         "COALESCE" => {
             for a in args {
-                if let Some(v) = eval_expr_limited(a, row, frame, store, guard) {
+                if let Some(v) = eval_expr_limited(a, row, frame, store, guard, exists) {
                     return Some(v);
                 }
             }
@@ -169,7 +193,7 @@ fn eval_call(
 
     let v: Vec<Value> = args
         .iter()
-        .map(|a| eval_expr_limited(a, row, frame, store, guard))
+        .map(|a| eval_expr_limited(a, row, frame, store, guard, exists))
         .collect::<Option<Vec<_>>>()?;
 
     match name {

@@ -1,13 +1,15 @@
 //! # rdfa-sparql — a SPARQL 1.1 subset engine
 //!
-//! Parser, algebra, and evaluator for the SPARQL fragment the RDF-Analytics
-//! system needs (§2.4 and Chapter 4 of the paper): `SELECT` (with `DISTINCT`,
+//! Parser, algebra, and one physical-plan executor for the SPARQL fragment
+//! the RDF-Analytics system needs (§2.4 and Chapter 4 of the paper) —
+//! every query form compiles to the same plan ([`plan`]): `SELECT` (with `DISTINCT`,
 //! expression projections, and sub-selects), basic graph patterns, `FILTER`
 //! with the full comparison/arithmetic/boolean operator set and the built-ins
 //! used by derived attributes (`YEAR`, `MONTH`, `DAY`, …), `OPTIONAL`,
 //! `UNION`, `VALUES`, `BIND`, property paths (`/`, `^`, `|`, `+`, `*`, `?`),
 //! `GROUP BY` (variables and expressions), all standard aggregates, `HAVING`,
-//! `ORDER BY`, `LIMIT`/`OFFSET`, and `CONSTRUCT`.
+//! `ORDER BY`, `LIMIT`/`OFFSET`, `MINUS`, `EXISTS`, `CONSTRUCT`, `ASK` and
+//! `DESCRIBE`, plus the update subset ([`update`]).
 //!
 //! ```
 //! use rdfa_store::Store;
@@ -34,8 +36,6 @@
 pub mod ast;
 pub mod batch;
 pub mod engine;
-pub mod eval;
-pub mod explain;
 pub mod expr;
 pub mod limits;
 pub mod parser;
@@ -47,10 +47,8 @@ pub mod update;
 pub mod views;
 
 pub use ast::{Query, QueryForm, SelectQuery};
-pub use engine::{Engine, EngineBuilder, PreparedQuery};
-pub use eval::{EvalOptions, ExecMode};
+pub use engine::{Engine, EngineBuilder, EvalOptions, PreparedQuery};
 pub use rdfa_exec::ExecPolicy;
-pub use explain::{explain, Plan};
 pub use limits::{CancelFlag, EvalLimits, LimitKind};
 pub use parser::parse_query;
 pub use plan::{ExecStats, OpStats};

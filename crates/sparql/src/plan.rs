@@ -28,20 +28,30 @@
 //! side yields what the probe would, in the same order, so the choice never
 //! shows in the output.
 //!
-//! Queries using constructs outside this fragment (sub-selects, `MINUS`,
-//! non-IRI property paths) return `None` from [`compile_select`] and fall
-//! back to the term-space [`crate::eval::Evaluator`].
+//! Every form the parser accepts compiles to this one plan. Sub-selects run
+//! once per execution in their own frame and join like `VALUES`; `MINUS`
+//! anti-joins an inner tree run from an empty seed; a non-IRI property path
+//! is a join step that walks the path from each row's anchors; and every
+//! `EXISTS` is a sub-plan compiled once and run seeded with the row
+//! ([`nested`]). `CONSTRUCT`, `ASK` and update `WHERE` clauses execute the
+//! same tree and hand back its rows.
+
+mod nested;
+pub mod rows;
 
 use crate::ast::*;
 use crate::batch::{as_store, pack_store, Batch, EId, TermArena, UNBOUND};
-use crate::eval::{finalize_rows, Bound, EvalOptions, Evaluator, Frame, Row};
+use crate::engine::EvalOptions;
 use crate::expr::eval_expr_limited;
 use crate::limits::LimitGuard;
 use crate::results::Solutions;
 use crate::SparqlError;
+use nested::ExistsPlan;
 use rdfa_exec::{run_morsels, Interrupt, Trip, DEFAULT_MORSEL_ROWS};
 use rdfa_model::{Term, Value};
 use rdfa_store::{IdTriple, Store, TermId};
+use rows::{collect_vars, finalize_rows, select_items, Bound, Frame, Row, EMPTY_FRAME};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -92,11 +102,52 @@ type JoinStep<'a> = (&'a CSlot, &'a CPred, &'a CSlot, usize);
 pub(crate) enum Node {
     Input,
     Join { input: Box<Node>, s: CSlot, p: CPred, o: CSlot, op: usize },
+    /// A join step whose predicate is a non-IRI property path.
+    PathJoin { input: Box<Node>, s: CSlot, path: PropertyPath, o: CSlot, op: usize },
     Filter { input: Box<Node>, exprs: Vec<Expr>, op: usize },
     Bind { input: Box<Node>, expr: Expr, slot: usize, op: usize },
     Values { input: Box<Node>, slots: Vec<usize>, data: Vec<Vec<Option<Term>>>, op: usize },
     Optional { input: Box<Node>, inner: Box<Node>, op: usize },
     Union { input: Box<Node>, arms: Vec<Node>, op: usize },
+    /// A nested `SELECT`, run once in its own frame and joined on the
+    /// shared variables.
+    SubSelect { input: Box<Node>, plan: Box<SelectPlan>, op: usize },
+    /// `MINUS`: `inner` runs from the seed row in the same frame.
+    Minus { input: Box<Node>, inner: Box<Node>, op: usize },
+}
+
+/// A compiled group pattern and the frame its batches are laid out in.
+#[derive(Debug)]
+pub(crate) struct Scope {
+    pub(crate) root: Node,
+    pub(crate) frame: Frame,
+    /// The `EXISTS` patterns of this scope's expressions, compiled once
+    /// against its frame.
+    pub(crate) exists: Vec<ExistsPlan>,
+}
+
+/// A compiled `SELECT`: its `WHERE` scope plus the projection/aggregation
+/// stage that turns the scope's rows into solutions.
+#[derive(Debug)]
+pub(crate) struct SelectPlan {
+    pub(crate) query: SelectQuery,
+    pub(crate) scope: Scope,
+    /// Operator id of the final projection/aggregation stage.
+    pub(crate) select_op: usize,
+    /// Whether the final stage groups and aggregates.
+    pub(crate) grouped: bool,
+    /// `EXISTS` in `ORDER BY` keys, compiled against the projected frame.
+    pub(crate) order_exists: Vec<ExistsPlan>,
+}
+
+/// What a plan produces.
+#[derive(Debug)]
+pub(crate) enum PlanForm {
+    Select(Box<SelectPlan>),
+    /// `CONSTRUCT`, `ASK` and update `WHERE` clauses: the solution rows.
+    Rows(Scope),
+    /// `DESCRIBE` reads its resources' triples directly.
+    Describe,
 }
 
 /// Static description of one operator (label + compile-time estimate).
@@ -104,32 +155,39 @@ pub(crate) enum Node {
 pub struct OpMeta {
     /// Human-readable operator label, e.g. `IndexJoin ?x <p> ?o`.
     pub label: String,
-    /// Operator kind: `join`, `filter`, `bind`, `values`, `optional`,
-    /// `union`, `select`.
+    /// Operator kind: `join`, `path`, `filter`, `bind`, `values`,
+    /// `optional`, `union`, `subselect`, `minus`, `exists`, `select`,
+    /// `tail` (CONSTRUCT/ASK/update rows), `describe`.
     pub kind: &'static str,
     /// Compile-time cardinality estimate, where one exists (joins).
     pub estimate: Option<f64>,
 }
 
-/// A compiled physical plan for one `SELECT` query.
+/// A compiled physical plan for one query.
 #[derive(Debug)]
 pub struct PhysicalPlan {
-    pub(crate) root: Node,
-    pub(crate) frame: Frame,
-    /// Operator metadata indexed by operator id.
+    pub(crate) form: PlanForm,
+    /// Operator metadata indexed by operator id (every scope's operators).
     pub(crate) ops: Vec<OpMeta>,
-    /// Static nesting depth of the WHERE clause (for the recursion budget).
+    /// Static nesting depth of the deepest group (for the recursion budget).
     pub(crate) depth: u32,
-    /// Operator id of the final projection/aggregation stage.
-    pub(crate) select_op: usize,
-    /// Whether the final stage groups and aggregates.
-    pub(crate) grouped: bool,
+    /// Operator id of the final stage (projection, `Construct`, `Ask`, …).
+    pub(crate) tail_op: usize,
 }
 
 impl PhysicalPlan {
     /// Number of operators in the plan.
     pub fn operator_count(&self) -> usize {
         self.ops.len()
+    }
+
+    /// The frame of the plan's rows (`Rows` plans: the `WHERE` variables).
+    pub(crate) fn frame(&self) -> &Frame {
+        match &self.form {
+            PlanForm::Select(sp) => &sp.scope.frame,
+            PlanForm::Rows(scope) => &scope.frame,
+            PlanForm::Describe => &EMPTY_FRAME,
+        }
     }
 }
 
@@ -200,13 +258,14 @@ pub(crate) fn describe_plan(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> V
         match node {
             Node::Input => {}
             Node::Join { input, op, .. }
+            | Node::PathJoin { input, op, .. }
             | Node::Filter { input, op, .. }
             | Node::Bind { input, op, .. }
             | Node::Values { input, op, .. } => {
                 walk(plan, stats, input, indent, out);
                 out.push(line(plan, stats, *op, indent));
             }
-            Node::Optional { input, inner, op } => {
+            Node::Optional { input, inner, op } | Node::Minus { input, inner, op } => {
                 walk(plan, stats, input, indent, out);
                 out.push(line(plan, stats, *op, indent));
                 walk(plan, stats, inner, indent + 1, out);
@@ -218,11 +277,55 @@ pub(crate) fn describe_plan(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> V
                     walk(plan, stats, arm, indent + 1, out);
                 }
             }
+            Node::SubSelect { input, plan: sp, op } => {
+                walk(plan, stats, input, indent, out);
+                out.push(line(plan, stats, *op, indent));
+                select(plan, stats, sp, indent + 1, out);
+                out.push(line(plan, stats, sp.select_op, indent + 1));
+            }
         }
     }
+    /// A scope's tree, then each of its `EXISTS` sub-plans below it.
+    fn scope(
+        plan: &PhysicalPlan,
+        stats: Option<&ExecStats>,
+        sc: &Scope,
+        indent: usize,
+        out: &mut Vec<String>,
+    ) {
+        walk(plan, stats, &sc.root, indent, out);
+        exists(plan, stats, &sc.exists, indent, out);
+    }
+    fn exists(
+        plan: &PhysicalPlan,
+        stats: Option<&ExecStats>,
+        plans: &[ExistsPlan],
+        indent: usize,
+        out: &mut Vec<String>,
+    ) {
+        for ep in plans {
+            out.push(line(plan, stats, ep.op, indent));
+            scope(plan, stats, &ep.scope, indent + 1, out);
+        }
+    }
+    /// A `SELECT`'s scope, then the `EXISTS` sub-plans of its `ORDER BY`.
+    fn select(
+        plan: &PhysicalPlan,
+        stats: Option<&ExecStats>,
+        sp: &SelectPlan,
+        indent: usize,
+        out: &mut Vec<String>,
+    ) {
+        scope(plan, stats, &sp.scope, indent, out);
+        exists(plan, stats, &sp.order_exists, indent, out);
+    }
     let mut out = Vec::new();
-    walk(plan, stats, &plan.root, 1, &mut out);
-    out.push(line(plan, stats, plan.select_op, 0));
+    match &plan.form {
+        PlanForm::Select(sp) => select(plan, stats, sp, 1, &mut out),
+        PlanForm::Rows(sc) => scope(plan, stats, sc, 1, &mut out),
+        PlanForm::Describe => {}
+    }
+    out.push(line(plan, stats, plan.tail_op, 0));
     if let Some(st) = stats {
         let mut rt = format!("runtime: threads={} morsels={}", st.threads_used, st.morsels);
         if st.parallel_groupby {
@@ -235,60 +338,165 @@ pub(crate) fn describe_plan(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> V
 
 // ---- compilation -----------------------------------------------------------
 
-/// Compile a `SELECT` query to a physical plan, or `None` when it uses a
-/// construct outside the batched fragment (the caller falls back to the
-/// term-space evaluator).
-pub(crate) fn compile_select(
-    q: &SelectQuery,
-    store: &Store,
-    options: &EvalOptions,
-) -> Option<PhysicalPlan> {
-    let mut frame = Frame::default();
-    Evaluator::collect_vars(&q.where_, &mut frame);
-    let mut c = Compiler { store, frame: &frame, reorder: options.reorder_bgp, ops: Vec::new() };
-    let mut bound = vec![false; frame.len()];
-    let mut depth = 0u32;
-    let root = c.compile_group(&q.where_, Node::Input, &mut bound, 1, &mut depth)?;
-    let items = select_items(q, &frame);
-    let has_agg = items.iter().any(|it| it.expr.has_aggregate())
-        || q.having.as_ref().is_some_and(|h| h.has_aggregate());
-    let grouped = !q.group_by.is_empty() || has_agg;
-    let select_op = c.op(
-        if grouped {
-            format!("GroupAggregate(keys={}, items={})", q.group_by.len(), items.len())
-        } else {
-            format!("Project({} items)", items.len())
-        },
-        "select",
-        None,
-    );
-    let ops = c.ops;
-    Some(PhysicalPlan { root, frame, ops, depth, select_op, grouped })
-}
-
-/// The effective projection items (expanding `SELECT *` over the frame).
-fn select_items(q: &SelectQuery, frame: &Frame) -> Vec<SelectItem> {
-    match &q.projection {
-        Projection::Star => frame
-            .names()
-            .iter()
-            .map(|v| SelectItem { expr: Expr::Var(v.clone()), alias: v.clone() })
-            .collect(),
-        Projection::Items(items) => items.clone(),
+/// Compile any parsed query form to a physical plan.
+pub(crate) fn compile(form: &QueryForm, store: &Store, options: &EvalOptions) -> PhysicalPlan {
+    match form {
+        QueryForm::Select(q) => compile_select(q, store, options),
+        QueryForm::Construct { template, where_ } => {
+            compile_where(where_, format!("Construct({} templates)", template.len()), store, options)
+        }
+        QueryForm::Ask(where_) => compile_where(where_, "Ask".to_owned(), store, options),
+        QueryForm::Describe(resources) => {
+            let label = format!("Describe({} resources)", resources.len());
+            let ops = vec![OpMeta { label, kind: "describe", estimate: None }];
+            PhysicalPlan { form: PlanForm::Describe, ops, depth: 0, tail_op: 0 }
+        }
     }
 }
 
+/// Compile a `SELECT` query to a physical plan.
+pub(crate) fn compile_select(q: &SelectQuery, store: &Store, options: &EvalOptions) -> PhysicalPlan {
+    let mut ops = Vec::new();
+    let mut depth = 0;
+    let mut c = Compiler::new(store, &EMPTY_FRAME, options.reorder_bgp, &mut ops, &mut depth);
+    let sp = c.compile_select(q, 0);
+    let tail_op = sp.select_op;
+    PhysicalPlan { form: PlanForm::Select(Box::new(sp)), ops, depth, tail_op }
+}
+
+/// Compile a bare `WHERE` clause (CONSTRUCT, ASK, update) whose rows are the
+/// result; `tail` labels the stage that consumes them.
+pub(crate) fn compile_where(
+    where_: &GroupPattern,
+    tail: String,
+    store: &Store,
+    options: &EvalOptions,
+) -> PhysicalPlan {
+    let mut ops = Vec::new();
+    let mut depth = 0;
+    let mut frame = Frame::default();
+    collect_vars(where_, &mut frame);
+    let mut c = Compiler::new(store, &frame, options.reorder_bgp, &mut ops, &mut depth);
+    let mut bound = vec![false; frame.len()];
+    let root = c.compile_group(where_, Node::Input, &mut bound, 1);
+    let exists = std::mem::take(&mut c.exists);
+    let tail_op = c.op(tail, "tail", None);
+    let scope = Scope { root, frame, exists };
+    PhysicalPlan { form: PlanForm::Rows(scope), ops, depth, tail_op }
+}
+
+/// Compiles the groups of one scope (one frame). Nested scopes — sub-selects
+/// and `EXISTS` patterns — get a child compiler over their own frame that
+/// shares the operator table and the depth high-water mark.
 struct Compiler<'a> {
     store: &'a Store,
     frame: &'a Frame,
     reorder: bool,
-    ops: Vec<OpMeta>,
+    ops: &'a mut Vec<OpMeta>,
+    depth: &'a mut u32,
+    /// This scope's compiled `EXISTS` patterns.
+    exists: Vec<ExistsPlan>,
 }
 
-impl Compiler<'_> {
+impl<'a> Compiler<'a> {
+    fn new(
+        store: &'a Store,
+        frame: &'a Frame,
+        reorder: bool,
+        ops: &'a mut Vec<OpMeta>,
+        depth: &'a mut u32,
+    ) -> Self {
+        Compiler { store, frame, reorder, ops, depth, exists: Vec::new() }
+    }
+
+    /// A compiler for a nested scope over `frame`.
+    fn child<'b>(&'b mut self, frame: &'b Frame) -> Compiler<'b> {
+        Compiler::new(self.store, frame, self.reorder, self.ops, self.depth)
+    }
+
     fn op(&mut self, label: String, kind: &'static str, estimate: Option<f64>) -> usize {
         self.ops.push(OpMeta { label, kind, estimate });
         self.ops.len() - 1
+    }
+
+    /// Compile a `SELECT` whose `WHERE` group sits at nesting `level + 1`.
+    fn compile_select(&mut self, q: &SelectQuery, level: u32) -> SelectPlan {
+        let mut frame = Frame::default();
+        collect_vars(&q.where_, &mut frame);
+        let mut c = self.child(&frame);
+        let mut bound = vec![false; frame.len()];
+        let root = c.compile_group(&q.where_, Node::Input, &mut bound, level + 1);
+        let items = select_items(q, &frame);
+        // projection, grouping and HAVING expressions read the WHERE frame
+        let exprs = items.iter().map(|it| &it.expr).chain(&q.group_by).chain(&q.having);
+        for e in exprs {
+            c.compile_exists(e, level + 1);
+        }
+        let exists = std::mem::take(&mut c.exists);
+        // ORDER BY keys read the projected row
+        let out_frame = Frame::new(items.iter().map(|it| it.alias.clone()).collect());
+        let mut oc = c.child(&out_frame);
+        for spec in &q.order_by {
+            oc.compile_exists(&spec.expr, level + 1);
+        }
+        let order_exists = std::mem::take(&mut oc.exists);
+        let has_agg = items.iter().any(|it| it.expr.has_aggregate())
+            || q.having.as_ref().is_some_and(|h| h.has_aggregate());
+        let grouped = !q.group_by.is_empty() || has_agg;
+        let select_op = c.op(
+            if grouped {
+                format!("GroupAggregate(keys={}, items={})", q.group_by.len(), items.len())
+            } else {
+                format!("Project({} items)", items.len())
+            },
+            "select",
+            None,
+        );
+        let scope = Scope { root, frame, exists };
+        SelectPlan { query: q.clone(), scope, select_op, grouped, order_exists }
+    }
+
+    /// Compile every `EXISTS` pattern in `e` not compiled yet in this scope,
+    /// as a sub-plan over this frame plus the pattern's own variables, its
+    /// group at nesting `level`. The outer variables count as bound: the
+    /// sub-plan runs seeded with the row.
+    fn compile_exists(&mut self, e: &Expr, level: u32) {
+        match e {
+            Expr::Exists(g, _) => {
+                if self.exists.iter().any(|ep| ep.group == *g) {
+                    return;
+                }
+                let mut frame = self.frame.clone();
+                collect_vars(g, &mut frame);
+                let mut bound = vec![false; frame.len()];
+                bound[..self.frame.len()].fill(true);
+                let mut c = self.child(&frame);
+                let root = c.compile_group(g, Node::Input, &mut bound, level);
+                let exists = std::mem::take(&mut c.exists);
+                let op = self.op("Exists".to_owned(), "exists", None);
+                let scope = Scope { root, frame, exists };
+                self.exists.push(ExistsPlan { group: g.clone(), scope, op });
+            }
+            Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(a, _, b) | Expr::Arith(a, _, b) => {
+                self.compile_exists(a, level);
+                self.compile_exists(b, level);
+            }
+            Expr::Not(x) | Expr::Neg(x) | Expr::Aggregate(_, _, Some(x)) => {
+                self.compile_exists(x, level)
+            }
+            Expr::In(x, list, _) => {
+                self.compile_exists(x, level);
+                for item in list {
+                    self.compile_exists(item, level);
+                }
+            }
+            Expr::Call(_, args) => {
+                for a in args {
+                    self.compile_exists(a, level);
+                }
+            }
+            Expr::Var(_) | Expr::Const(_) | Expr::Aggregate(_, _, None) => {}
+        }
     }
 
     fn compile_group(
@@ -297,9 +505,8 @@ impl Compiler<'_> {
         input: Node,
         bound: &mut Vec<bool>,
         level: u32,
-        max_depth: &mut u32,
-    ) -> Option<Node> {
-        *max_depth = (*max_depth).max(level);
+    ) -> Node {
+        *self.depth = (*self.depth).max(level);
         let mut node = input;
         let mut filters: Vec<Expr> = Vec::new();
         let els = &g.elements;
@@ -308,22 +515,21 @@ impl Compiler<'_> {
             match &els[i] {
                 PatternElement::Triple(_) => {
                     let mut bgp: Vec<&TriplePattern> = Vec::new();
-                    while i < els.len() {
-                        if let PatternElement::Triple(t) = &els[i] {
-                            bgp.push(t);
-                            i += 1;
-                        } else {
-                            break;
-                        }
+                    while let Some(PatternElement::Triple(t)) = els.get(i) {
+                        bgp.push(t);
+                        i += 1;
                     }
-                    node = self.compile_bgp(&bgp, node, bound)?;
+                    node = self.compile_bgp(&bgp, node, bound);
                     continue;
                 }
-                PatternElement::Filter(e) => filters.push(e.clone()),
+                PatternElement::Filter(e) => {
+                    // filters run at the group's end, at its nesting level
+                    self.compile_exists(e, level + 1);
+                    filters.push(e.clone());
+                }
                 PatternElement::Optional(g2) => {
                     let mut inner_bound = bound.clone();
-                    let inner =
-                        self.compile_group(g2, Node::Input, &mut inner_bound, level + 1, max_depth)?;
+                    let inner = self.compile_group(g2, Node::Input, &mut inner_bound, level + 1);
                     // after OPTIONAL the inner vars *may* be bound; treating
                     // them as bound only steers later join ordering
                     *bound = inner_bound;
@@ -335,13 +541,7 @@ impl Compiler<'_> {
                     let mut merged = bound.clone();
                     for arm in arms {
                         let mut ab = bound.clone();
-                        arm_nodes.push(self.compile_group(
-                            arm,
-                            Node::Input,
-                            &mut ab,
-                            level + 1,
-                            max_depth,
-                        )?);
+                        arm_nodes.push(self.compile_group(arm, Node::Input, &mut ab, level + 1));
                         for (m, b) in merged.iter_mut().zip(&ab) {
                             *m = *m || *b;
                         }
@@ -351,26 +551,45 @@ impl Compiler<'_> {
                     node = Node::Union { input: Box::new(node), arms: arm_nodes, op };
                 }
                 PatternElement::Group(g2) => {
-                    node = self.compile_group(g2, node, bound, level + 1, max_depth)?;
+                    node = self.compile_group(g2, node, bound, level + 1);
                 }
                 PatternElement::Bind(e, v) => {
-                    let slot = self.frame.index(v)?;
+                    let slot = self.frame.index(v).expect("BIND target is in the frame");
+                    self.compile_exists(e, level + 1);
                     let op = self.op(format!("Bind ?{v}"), "bind", None);
                     bound[slot] = true;
                     node = Node::Bind { input: Box::new(node), expr: e.clone(), slot, op };
                 }
                 PatternElement::Values(vars, data) => {
-                    let slots: Vec<usize> =
-                        vars.iter().map(|v| self.frame.index(v)).collect::<Option<_>>()?;
+                    let slots: Vec<usize> = vars
+                        .iter()
+                        .map(|v| self.frame.index(v).expect("VALUES vars are in the frame"))
+                        .collect();
                     for &s in &slots {
                         bound[s] = true;
                     }
                     let op = self.op(format!("Values({} tuples)", data.len()), "values", None);
                     node = Node::Values { input: Box::new(node), slots, data: data.clone(), op };
                 }
-                // outside the batched fragment: fall back to the term-space
-                // evaluator, which implements these
-                PatternElement::SubSelect(_) | PatternElement::Minus(_) => return None,
+                PatternElement::SubSelect(sub) => {
+                    let plan = Box::new(self.compile_select(sub, level));
+                    let vars = select_items(sub, &plan.scope.frame);
+                    for it in &vars {
+                        if let Some(slot) = self.frame.index(&it.alias) {
+                            bound[slot] = true;
+                        }
+                    }
+                    let names: Vec<String> = vars.iter().map(|it| format!("?{}", it.alias)).collect();
+                    let op = self.op(format!("SubSelect({})", names.join(" ")), "subselect", None);
+                    node = Node::SubSelect { input: Box::new(node), plan, op };
+                }
+                PatternElement::Minus(g2) => {
+                    // bottom-up: the inner group sees none of the outer bindings
+                    let mut inner_bound = vec![false; bound.len()];
+                    let inner = self.compile_group(g2, Node::Input, &mut inner_bound, level + 1);
+                    let op = self.op("Minus".to_owned(), "minus", None);
+                    node = Node::Minus { input: Box::new(node), inner: Box::new(inner), op };
+                }
             }
             i += 1;
         }
@@ -378,20 +597,10 @@ impl Compiler<'_> {
             let op = self.op(format!("Filter({} exprs)", filters.len()), "filter", None);
             node = Node::Filter { input: Box::new(node), exprs: filters, op };
         }
-        Some(node)
+        node
     }
 
-    fn compile_bgp(
-        &mut self,
-        patterns: &[&TriplePattern],
-        input: Node,
-        bound: &mut [bool],
-    ) -> Option<Node> {
-        for tp in patterns {
-            if matches!(&tp.predicate, PathOrVar::Path(p) if !matches!(p, PropertyPath::Iri(_))) {
-                return None; // property paths stay on the term-space engine
-            }
-        }
+    fn compile_bgp(&mut self, patterns: &[&TriplePattern], input: Node, bound: &mut [bool]) -> Node {
         let order = if self.reorder {
             plan_order(self.store, patterns, self.frame, bound)
         } else {
@@ -401,11 +610,11 @@ impl Compiler<'_> {
         for idx in order {
             let tp = patterns[idx];
             let est = estimate_pattern(self.store, tp);
-            let s = self.cslot(&tp.subject, bound)?;
-            let o = self.cslot(&tp.object, bound)?;
+            let s = self.cslot(&tp.subject, bound);
+            let o = self.cslot(&tp.object, bound);
             let p = match &tp.predicate {
                 PathOrVar::Var(v) => {
-                    let slot = self.frame.index(v)?;
+                    let slot = self.frame.index(v).expect("pattern vars are in the frame");
                     bound[slot] = true;
                     CPred::Var(slot)
                 }
@@ -413,31 +622,36 @@ impl Compiler<'_> {
                     Some(id) => CPred::Const(id),
                     None => CPred::Missing,
                 },
-                PathOrVar::Path(_) => unreachable!("checked above"),
+                PathOrVar::Path(path) => {
+                    let op = self.op(format!("PathJoin {}", fmt_pattern(tp)), "path", Some(est));
+                    let input = Box::new(node);
+                    node = Node::PathJoin { input, s, path: path.clone(), o, op };
+                    continue;
+                }
             };
             let op = self.op(format!("IndexJoin {}", fmt_pattern(tp)), "join", Some(est));
             node = Node::Join { input: Box::new(node), s, p, o, op };
         }
-        Some(node)
+        node
     }
 
-    fn cslot(&self, t: &TermPattern, bound: &mut [bool]) -> Option<CSlot> {
-        Some(match t {
+    fn cslot(&self, t: &TermPattern, bound: &mut [bool]) -> CSlot {
+        match t {
             TermPattern::Term(term) => match self.store.lookup(term) {
                 Some(id) => CSlot::Const(id),
                 None => CSlot::Missing,
             },
             TermPattern::Var(v) => {
-                let slot = self.frame.index(v)?;
+                let slot = self.frame.index(v).expect("pattern vars are in the frame");
                 bound[slot] = true;
                 CSlot::Var(slot)
             }
-        })
+        }
     }
 }
 
-/// The same greedy ordering as the term-space planner, driven by the static
-/// may-be-bound variable set instead of a sample row: start from the most
+/// Greedy join ordering driven by the static may-be-bound variable set:
+/// start from the most
 /// selective pattern, then repeatedly pick the cheapest pattern connected
 /// to the bound variables (100× bonus against cartesian products).
 fn plan_order(
@@ -494,8 +708,8 @@ fn plan_order(
     order
 }
 
-/// Static cardinality estimate for one pattern (constants only), shared
-/// with the term-space planner via [`Store::count_matching`].
+/// Static cardinality estimate for one pattern (constants only), a capped
+/// [`Store::count_matching`].
 pub(crate) fn estimate_pattern(store: &Store, tp: &TriplePattern) -> f64 {
     let s = match &tp.subject {
         TermPattern::Term(t) => match store.lookup(t) {
@@ -529,10 +743,20 @@ fn fmt_pattern(tp: &TriplePattern) -> String {
             TermPattern::Term(t) => t.display_name(),
         }
     }
+    fn path(p: &PropertyPath) -> String {
+        match p {
+            PropertyPath::Iri(iri) => Term::iri(iri.clone()).display_name(),
+            PropertyPath::Inverse(x) => format!("^{}", path(x)),
+            PropertyPath::Sequence(a, b) => format!("({}/{})", path(a), path(b)),
+            PropertyPath::Alternative(a, b) => format!("({}|{})", path(a), path(b)),
+            PropertyPath::ZeroOrMore(x) => format!("{}*", path(x)),
+            PropertyPath::OneOrMore(x) => format!("{}+", path(x)),
+            PropertyPath::ZeroOrOne(x) => format!("{}?", path(x)),
+        }
+    }
     let p = match &tp.predicate {
         PathOrVar::Var(v) => format!("?{v}"),
-        PathOrVar::Path(PropertyPath::Iri(iri)) => Term::iri(iri.clone()).display_name(),
-        PathOrVar::Path(_) => "<path>".to_owned(),
+        PathOrVar::Path(p) => path(p),
     };
     format!("{} {} {}", pos(&tp.subject), p, pos(&tp.object))
 }
@@ -548,9 +772,8 @@ struct AggSpec {
 }
 
 /// Collect the distinct aggregate calls of an expression. `Call` and
-/// `EXISTS` arguments are *not* descended into: the term-space engine
-/// treats them as leaves evaluated on the representative row, and the
-/// batched engine mirrors that.
+/// `EXISTS` arguments are *not* descended into: they are leaves evaluated
+/// on the group's representative row, as in the reference evaluator.
 fn collect_agg_specs(e: &Expr, out: &mut Vec<AggSpec>) {
     match e {
         Expr::Aggregate(op, distinct, inner) => {
@@ -575,7 +798,7 @@ fn collect_agg_specs(e: &Expr, out: &mut Vec<AggSpec>) {
 }
 
 /// Streaming accumulator for one aggregate over one group. The update and
-/// finalize rules replicate the term-space `compute_aggregate` exactly,
+/// finalize rules replicate the non-streaming fold exactly,
 /// including its poisoning behaviour (a failing `add` turns the whole
 /// SUM/AVG into an unbound result).
 #[derive(Debug, Clone)]
@@ -741,7 +964,7 @@ impl AggState {
     }
 }
 
-/// The non-streaming aggregate fold of the term-space engine, used to
+/// The non-streaming aggregate fold (also the reference evaluator's), used to
 /// finalize DISTINCT accumulators over their deduplicated value list —
 /// and, via [`crate::views::aggregate_value_list`], by materialized view
 /// tables so their answers replicate engine aggregation exactly.
@@ -842,40 +1065,53 @@ enum SimpleIn {
 
 // ---- execution -------------------------------------------------------------
 
-/// Run a compiled plan. Returns the solutions plus per-operator statistics.
+/// What an executed plan hands back.
+pub(crate) enum Output {
+    Solutions(Solutions),
+    /// The `WHERE` rows of a `Rows` plan, laid out in [`PhysicalPlan::frame`].
+    Rows(Vec<Row>),
+}
+
+/// Run a compiled plan. Returns its output plus per-operator statistics.
 pub(crate) fn execute_plan(
     plan: &PhysicalPlan,
-    q: &SelectQuery,
     store: &Store,
     options: &EvalOptions,
-) -> Result<(Solutions, ExecStats), SparqlError> {
+) -> Result<(Output, ExecStats), SparqlError> {
     let t0 = Instant::now();
     let guard = Rc::new(LimitGuard::new(options.effective_limits()));
-    let mut ex = Executor {
-        store,
-        frame: &plan.frame,
-        options: options.clone(),
-        guard: Rc::clone(&guard),
-        arena: TermArena::new(),
-        op_rows: vec![0; plan.ops.len()],
-        op_calls: vec![0; plan.ops.len()],
-        op_scanned: vec![0; plan.ops.len()],
-        threads_used: 1,
-        parallel_groupby: false,
-        morsels: 0,
+    let frame = plan.frame();
+    let exists = match &plan.form {
+        PlanForm::Select(sp) => &sp.scope.exists[..],
+        PlanForm::Rows(scope) => &scope.exists[..],
+        PlanForm::Describe => &[],
     };
-    // charge the static nesting depth against the recursion budget, like the
-    // per-group scopes of the term-space evaluator; the scopes stay alive
-    // for the whole execution so EXISTS sub-evaluations nest below them
+    let mut ex = Executor::new(store, frame, exists, options, Rc::clone(&guard), plan.ops.len());
+    // charge the static nesting depth of the deepest group (sub-selects and
+    // EXISTS patterns included) against the recursion budget up front
     let mut scopes = Vec::with_capacity(plan.depth as usize);
     for _ in 0..plan.depth {
         scopes.push(guard.enter()?);
     }
-    let out = ex.exec(&plan.root, Batch::seed(plan.frame.len()))?;
-    let solutions = ex.finish_select(plan, q, out)?;
+    let output = match &plan.form {
+        PlanForm::Select(sp) => {
+            let out = ex.exec(&sp.scope.root, Batch::seed(frame.len()))?;
+            Output::Solutions(ex.finish_select(sp, out)?)
+        }
+        PlanForm::Rows(scope) => {
+            let out = ex.exec(&scope.root, Batch::seed(frame.len()))?;
+            Output::Rows((0..out.len()).map(|r| ex.to_row(&out, r)).collect())
+        }
+        PlanForm::Describe => Output::Rows(Vec::new()),
+    };
     drop(scopes);
-    ex.op_rows[plan.select_op] = solutions.rows().len() as u64;
-    ex.op_calls[plan.select_op] = 1;
+    ex.fold_sub_counts();
+    let rows_out = match &output {
+        Output::Solutions(s) => s.rows().len(),
+        Output::Rows(rows) => rows.len(),
+    };
+    ex.op_rows[plan.tail_op] = rows_out as u64;
+    ex.op_calls[plan.tail_op] = 1;
     let stats = ExecStats {
         operators: plan
             .ops
@@ -890,20 +1126,23 @@ pub(crate) fn execute_plan(
                 scanned: ex.op_scanned[i],
             })
             .collect(),
-        rows_out: solutions.rows().len(),
+        rows_out,
         threads_used: ex.threads_used,
         parallel_groupby: ex.parallel_groupby,
         morsels: ex.morsels,
         arena_terms: ex.arena.len(),
         elapsed: t0.elapsed(),
     };
-    Ok((solutions, stats))
+    Ok((output, stats))
 }
 
 struct Executor<'s> {
     store: &'s Store,
+    /// The frame of the scope being executed.
     frame: &'s Frame,
-    options: EvalOptions,
+    /// That scope's compiled `EXISTS` patterns.
+    exists: &'s [ExistsPlan],
+    options: &'s EvalOptions,
     guard: Rc<LimitGuard>,
     arena: TermArena,
     op_rows: Vec<u64>,
@@ -912,6 +1151,9 @@ struct Executor<'s> {
     threads_used: usize,
     parallel_groupby: bool,
     morsels: usize,
+    /// Runs `EXISTS` sub-plans; built on first use and reused for every
+    /// row, its counters folded into these at the end.
+    sub: RefCell<Option<Box<Executor<'s>>>>,
 }
 
 /// Runtime anchor of a join position for one input row.
@@ -946,13 +1188,62 @@ fn anchor_bind(a: &RAnchor, value: TermId, overrides: &mut Vec<(usize, EId)>) ->
     }
 }
 
-impl Executor<'_> {
+impl<'s> Executor<'s> {
+    fn new(
+        store: &'s Store,
+        frame: &'s Frame,
+        exists: &'s [ExistsPlan],
+        options: &'s EvalOptions,
+        guard: Rc<LimitGuard>,
+        n_ops: usize,
+    ) -> Self {
+        Executor {
+            store,
+            frame,
+            exists,
+            options,
+            guard,
+            arena: TermArena::new(),
+            op_rows: vec![0; n_ops],
+            op_calls: vec![0; n_ops],
+            op_scanned: vec![0; n_ops],
+            threads_used: 1,
+            parallel_groupby: false,
+            morsels: 0,
+            sub: RefCell::new(None),
+        }
+    }
+
+    /// Fold the `EXISTS` sub-executors' operator counters into this one's.
+    fn fold_sub_counts(&mut self) {
+        if let Some(mut sub) = self.sub.take() {
+            sub.fold_sub_counts();
+            for (a, b) in self.op_rows.iter_mut().zip(&sub.op_rows) {
+                *a += b;
+            }
+            for (a, b) in self.op_calls.iter_mut().zip(&sub.op_calls) {
+                *a += b;
+            }
+            for (a, b) in self.op_scanned.iter_mut().zip(&sub.op_scanned) {
+                *a += b;
+            }
+            self.threads_used = self.threads_used.max(sub.threads_used);
+            self.parallel_groupby |= sub.parallel_groupby;
+            self.morsels += sub.morsels;
+        }
+    }
+
+    /// Evaluate an expression against one row of the current scope.
+    fn eval(&self, e: &Expr, row: &Row) -> Option<Value> {
+        eval_expr_limited(e, row, self.frame, self.store, &self.guard, self)
+    }
+
     fn note(&mut self, op: usize, rows: usize) {
         self.op_rows[op] += rows as u64;
         self.op_calls[op] += 1;
     }
 
-    fn exec(&mut self, node: &Node, input: Batch) -> Result<Batch, SparqlError> {
+    fn exec(&mut self, node: &'s Node, input: Batch) -> Result<Batch, SparqlError> {
         match node {
             Node::Input => Ok(input),
             Node::Join { .. } => {
@@ -1000,6 +1291,24 @@ impl Executor<'_> {
                     let arm_out = self.exec(arm, base.clone())?;
                     out.append(&arm_out);
                 }
+                self.note(*op, out.len());
+                Ok(out)
+            }
+            Node::PathJoin { input: child, s, path, o, op } => {
+                let b = self.exec(child, input)?;
+                let out = self.exec_path_join(&b, s, path, o)?;
+                self.note(*op, out.len());
+                Ok(out)
+            }
+            Node::SubSelect { input: child, plan, op } => {
+                let b = self.exec(child, input)?;
+                let out = self.exec_subselect(&b, plan)?;
+                self.note(*op, out.len());
+                Ok(out)
+            }
+            Node::Minus { input: child, inner, op } => {
+                let b = self.exec(child, input)?;
+                let out = self.exec_minus(b, inner)?;
                 self.note(*op, out.len());
                 Ok(out)
             }
@@ -1156,9 +1465,7 @@ impl Executor<'_> {
             let keep: Vec<bool> = (0..batch.len())
                 .map(|r| {
                     let row = self.to_row(&batch, r);
-                    eval_expr_limited(e, &row, self.frame, self.store, &self.guard)
-                        .and_then(|v| v.effective_boolean())
-                        .unwrap_or(false)
+                    self.eval(e, &row).and_then(|v| v.effective_boolean()).unwrap_or(false)
                 })
                 .collect();
             batch.retain_rows(&keep);
@@ -1173,16 +1480,12 @@ impl Executor<'_> {
         expr: &Expr,
         slot: usize,
     ) -> Result<Batch, SparqlError> {
-        let ids: Vec<EId> = (0..batch.len())
-            .map(|r| {
-                let row = self.to_row(&batch, r);
-                match eval_expr_limited(expr, &row, self.frame, self.store, &self.guard) {
-                    Some(v) => self.arena.intern(self.store, &v.to_term()),
-                    None => UNBOUND,
-                }
-            })
-            .collect();
-        for (r, id) in ids.into_iter().enumerate() {
+        for r in 0..batch.len() {
+            let row = self.to_row(&batch, r);
+            let id = match self.eval(expr, &row) {
+                Some(v) => self.arena.intern(self.store, &v.to_term()),
+                None => UNBOUND,
+            };
             batch.set(r, slot, id);
         }
         self.guard.surface()?;
@@ -1225,7 +1528,7 @@ impl Executor<'_> {
         Ok(out)
     }
 
-    fn exec_optional(&mut self, input: &Batch, inner: &Node) -> Result<Batch, SparqlError> {
+    fn exec_optional(&mut self, input: &Batch, inner: &'s Node) -> Result<Batch, SparqlError> {
         let mut inner_input = input.clone();
         inner_input.reset_prov();
         let extended = self.exec(inner, inner_input)?;
@@ -1262,20 +1565,22 @@ impl Executor<'_> {
             .collect()
     }
 
-    fn finish_select(
-        &mut self,
-        plan: &PhysicalPlan,
-        q: &SelectQuery,
-        batch: Batch,
-    ) -> Result<Solutions, SparqlError> {
-        let items = select_items(q, &plan.frame);
+    /// Project or aggregate `batch` (rows of `sp`'s scope, which must be the
+    /// current one) into `sp`'s solutions.
+    fn finish_select(&mut self, sp: &'s SelectPlan, batch: Batch) -> Result<Solutions, SparqlError> {
+        let q = &sp.query;
+        let items = select_items(q, self.frame);
         let vars: Vec<String> = items.iter().map(|it| it.alias.clone()).collect();
-        let out_rows = if plan.grouped {
+        let out_rows = if sp.grouped {
             self.grouped_rows(q, &items, &batch)?
         } else {
             self.projected_rows(&items, &batch)?
         };
-        finalize_rows(q, vars, out_rows, self.store, &self.guard)
+        // ORDER BY keys read the projected row: its EXISTS plans answer
+        let where_exists = std::mem::replace(&mut self.exists, &sp.order_exists);
+        let solutions = finalize_rows(q, vars, out_rows, self.store, &self.guard, &*self);
+        self.exists = where_exists;
+        solutions
     }
 
     // ---- plain projection --------------------------------------------------
@@ -1295,8 +1600,8 @@ impl Executor<'_> {
             .collect();
         let all_vars = slots.iter().all(|s| s.is_some());
         // projected term per execution id, memoized: the value round trip
-        // (term -> typed value -> canonical term) matches the term-space
-        // engine's per-cell evaluation, but runs once per distinct id
+        // (term -> typed value -> canonical term) matches per-cell
+        // expression evaluation, but runs once per distinct id
         let mut memo: HashMap<EId, Option<Term>> = HashMap::new();
         let mut out = Vec::with_capacity(batch.len());
         for r in 0..batch.len() {
@@ -1319,8 +1624,7 @@ impl Executor<'_> {
                             t
                         }
                     }
-                    None => eval_expr_limited(&it.expr, &row, self.frame, self.store, &self.guard)
-                        .map(|v| v.to_term()),
+                    None => self.eval(&it.expr, &row).map(|v| v.to_term()),
                 })
                 .collect();
             out.push(cells);
@@ -1477,7 +1781,7 @@ impl Executor<'_> {
 
     /// Canonical execution id of a group-key cell: the id of the term's
     /// value round trip, so e.g. `"07"^^xsd:integer` and `"7"^^xsd:integer`
-    /// land in the same group — exactly like term-space group keys.
+    /// land in the same group — exactly like term-keyed groups.
     fn canon_id(&mut self, id: EId, memo: &mut HashMap<EId, EId>) -> EId {
         if id == UNBOUND {
             return UNBOUND;
@@ -1510,7 +1814,7 @@ impl Executor<'_> {
                 key.push(match k {
                     KeyCol::Canon(col) => col[r],
                     KeyCol::Complex(e) => {
-                        match eval_expr_limited(e, &row, self.frame, self.store, &self.guard) {
+                        match self.eval(e, &row) {
                             Some(v) => self.arena.intern(self.store, &v.to_term()),
                             None => UNBOUND,
                         }
@@ -1545,9 +1849,7 @@ impl Executor<'_> {
                             Some(v)
                         }
                     }
-                    SpecIn::Complex(e) => {
-                        eval_expr_limited(e, &row, self.frame, self.store, &self.guard)
-                    }
+                    SpecIn::Complex(e) => self.eval(e, &row),
                 };
                 if let Some(v) = v {
                     groups[gi].states[si].update(v);
@@ -1559,8 +1861,8 @@ impl Executor<'_> {
 
     /// Evaluate a projection/`HAVING` expression against one finished group:
     /// aggregate leaves substitute the precomputed values, everything else
-    /// mirrors the term-space `eval_agg_expr` (non-aggregate leaves are
-    /// evaluated on the group's representative row).
+    /// evaluates on the group's representative row, as the reference
+    /// evaluator does.
     fn eval_with_aggs(
         &self,
         expr: &Expr,
@@ -1576,7 +1878,7 @@ impl Executor<'_> {
                 agg_vals[idx].clone()
             }
             Expr::Var(_) | Expr::Const(_) | Expr::Call(..) | Expr::Exists(..) => {
-                eval_expr_limited(expr, rep_row, self.frame, self.store, &self.guard)
+                self.eval(expr, rep_row)
             }
             Expr::Or(a, b) => {
                 let va = self
@@ -1833,7 +2135,7 @@ fn join_rows(
         }
         if let Some(ps) = p_slot {
             // the predicate binding wins on slot collisions, matching
-            // the term-space evaluator's overwrite order
+            // the reference evaluator's overwrite order
             overrides.push((ps, pack_store(pv)));
         }
         budget.add_row()?;

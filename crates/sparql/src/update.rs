@@ -7,9 +7,11 @@
 //! of the Rust API.
 
 use crate::ast::{GroupPattern, PathOrVar, PropertyPath, TermPattern, TriplePattern};
-use crate::eval::{Evaluator, Frame};
+use crate::engine::EvalOptions;
 use crate::expr::bound_term;
 use crate::parser::parse_update_ops;
+use crate::plan::rows::{Frame, Row};
+use crate::plan::{compile_where, execute_plan, Output};
 use crate::SparqlError;
 use rdfa_model::{Term, Triple};
 use rdfa_store::{Mutation, Store};
@@ -101,8 +103,8 @@ fn apply(
                     .map(crate::ast::PatternElement::Triple)
                     .collect(),
             };
-            let deletions = instantiate_all(store, patterns, &where_)?;
-            for t in deletions {
+            let (frame, rows) = eval_where(store, &where_)?;
+            for t in instantiate_all(store, patterns, &frame, &rows) {
                 if remove_triple(store, &t) {
                     stats.deleted += 1;
                     changes.push(Mutation::Remove(t));
@@ -110,8 +112,9 @@ fn apply(
             }
         }
         UpdateOp::Modify { delete, insert, where_ } => {
-            let deletions = instantiate_all(store, delete, where_)?;
-            let insertions = instantiate_all(store, insert, where_)?;
+            let (frame, rows) = eval_where(store, where_)?;
+            let deletions = instantiate_all(store, delete, &frame, &rows);
+            let insertions = instantiate_all(store, insert, &frame, &rows);
             for t in deletions {
                 if remove_triple(store, &t) {
                     stats.deleted += 1;
@@ -136,21 +139,20 @@ fn remove_triple(store: &mut Store, t: &Triple) -> bool {
     }
 }
 
-/// Evaluate the WHERE pattern and instantiate the template for each row.
-fn instantiate_all(
-    store: &Store,
-    template: &[TriplePattern],
-    where_: &GroupPattern,
-) -> Result<Vec<Triple>, SparqlError> {
-    if template.is_empty() {
-        return Ok(Vec::new());
+/// Evaluate a WHERE pattern on the physical plan: its frame and rows.
+fn eval_where(store: &Store, where_: &GroupPattern) -> Result<(Frame, Vec<Row>), SparqlError> {
+    let options = EvalOptions::default();
+    let plan = compile_where(where_, "Where".to_owned(), store, &options);
+    match execute_plan(&plan, store, &options)?.0 {
+        Output::Rows(rows) => Ok((plan.frame().clone(), rows)),
+        Output::Solutions(_) => unreachable!("a WHERE plan yields rows"),
     }
-    let mut frame = Frame::default();
-    Evaluator::collect_vars(where_, &mut frame);
-    let ev = Evaluator::new(store);
-    let rows = ev.eval_group(where_, &frame, vec![vec![None; frame.len()]])?;
+}
+
+/// Instantiate the template for each row.
+fn instantiate_all(store: &Store, template: &[TriplePattern], frame: &Frame, rows: &[Row]) -> Vec<Triple> {
     let mut out = Vec::new();
-    for row in &rows {
+    for row in rows {
         for tp in template {
             let resolve = |pat: &TermPattern| -> Option<Term> {
                 match pat {
@@ -176,7 +178,7 @@ fn instantiate_all(
             }
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -320,6 +322,44 @@ mod tests {
         )
         .unwrap();
         assert!(changes.is_empty(), "{changes:?}");
+    }
+
+    #[test]
+    fn modify_where_with_a_path_and_minus_changes_exactly_its_rows() {
+        let mut s = Store::new();
+        s.load_turtle(&format!(
+            r#"@prefix ex: <{EX}> .
+               ex:l1 ex:price 900 ; ex:maker ex:DELL .
+               ex:l2 ex:price 1000 ; ex:maker ex:ACER .
+               ex:l3 ex:price 820 ; ex:maker ex:DELL ; ex:discontinued true .
+               ex:DELL ex:origin ex:USA . ex:ACER ex:origin ex:Taiwan .
+            "#
+        ))
+        .unwrap();
+        let (stats, changes) = execute_update_recording(
+            &mut s,
+            &format!(
+                "PREFIX ex: <{EX}> DELETE {{ ?x ex:price ?p }} INSERT {{ ?x ex:madeIn ?c }} \
+                 WHERE {{ ?x ex:maker/ex:origin ?c ; ex:price ?p . MINUS {{ ?x ex:discontinued true }} }}"
+            ),
+        )
+        .unwrap();
+        let t = |s: &str, p: &str, o: Term| Triple::new(Term::iri(format!("{EX}{s}")), Term::iri(format!("{EX}{p}")), o);
+        let iri = |l: &str| Term::iri(format!("{EX}{l}"));
+        let mut got: Vec<String> = changes.iter().map(|m| format!("{m:?}")).collect();
+        let mut want: Vec<String> = [
+            Mutation::Remove(t("l1", "price", Term::integer(900))),
+            Mutation::Remove(t("l2", "price", Term::integer(1000))),
+            Mutation::Insert(t("l1", "madeIn", iri("USA"))),
+            Mutation::Insert(t("l2", "madeIn", iri("Taiwan"))),
+        ]
+        .iter()
+        .map(|m| format!("{m:?}"))
+        .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+        assert_eq!((stats.deleted, stats.inserted), (2, 2));
     }
 
     #[test]

@@ -45,13 +45,13 @@ use crate::ast::{
     AggregateOp, Expr, PathOrVar, PatternElement, Projection, PropertyPath, SelectItem,
     SelectQuery, TermPattern,
 };
-use crate::eval::finalize_rows;
+use crate::expr::NoExists;
+use crate::plan::rows::finalize_rows;
 use crate::limits::LimitGuard;
 use crate::results::Solutions;
 use crate::SparqlError;
 use rdfa_model::{Term, Value};
 use rdfa_store::Store;
-use std::rc::Rc;
 use std::time::Duration;
 
 /// The canonical shape of a viewable aggregate query. Two queries with
@@ -307,8 +307,7 @@ pub fn finalize_view_rows(
     rows: Vec<Vec<Option<Term>>>,
     store: &Store,
 ) -> Result<Solutions, SparqlError> {
-    let guard = Rc::new(LimitGuard::unlimited());
-    finalize_rows(q, vars, rows, store, &guard)
+    finalize_rows(q, vars, rows, store, &LimitGuard::unlimited(), &NoExists)
 }
 
 /// The projection aliases of a `SELECT` with explicit items (the `vars`

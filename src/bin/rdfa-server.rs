@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! cargo run --bin rdfa-server -- [file.ttl|file.nt] [port] [--persist DIR] [--segments] [--facet-cache N] [--max-in-flight N] [--auto-views] [--view-budget BYTES]
-//! curl 'http://127.0.0.1:3030/sparql?query=SELECT+%3Fs+WHERE+%7B+%3Fs+%3Fp+%3Fo+%7D+LIMIT+3'
-//! curl -X POST --data 'PREFIX ex: <http://e/> INSERT DATA { ex:a ex:p 1 . }' http://127.0.0.1:3030/update
+//! curl 'http://127.0.0.1:3030/v1/query?query=SELECT+%3Fs+WHERE+%7B+%3Fs+%3Fp+%3Fo+%7D+LIMIT+3'
+//! curl -X POST --data 'PREFIX ex: <http://e/> INSERT DATA { ex:a ex:p 1 . }' http://127.0.0.1:3030/v1/update
 //! curl http://127.0.0.1:3030/void
 //! curl http://127.0.0.1:3030/healthz
 //! ```
@@ -196,7 +196,7 @@ fn main() {
         std::process::exit(2);
     });
     eprintln!(
-        "SPARQL endpoint at http://{}/sparql (POST /update, GET /void, GET /healthz, GET /v1/facets) — Ctrl-C or SIGTERM to stop",
+        "SPARQL endpoint at http://{}/v1/query (POST /v1/update, GET /void, GET /healthz, GET /v1/facets) — Ctrl-C or SIGTERM to stop",
         server.addr()
     );
     while !SHUTDOWN.load(Ordering::SeqCst) {

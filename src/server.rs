@@ -9,7 +9,6 @@
 //! | `/v1/query` | POST | the query verbatim | same |
 //! | `/v1/update` | POST | an update request | `{"inserted":n,"deleted":m}` |
 //! | `/v1/explain?query=…` | GET/POST | a `SELECT` (or any) query | the annotated plan (`text/plain`): `est=`, observed `rows=`, morsel/worker counts |
-//! | `/sparql`, `/update` | GET/POST | legacy aliases of the `/v1` routes | same, plus a `Deprecation` header |
 //! | `/v1/facets?class=…&budget_ms=…` | GET | facet markers for a class extension | JSON, possibly stale (see below) |
 //! | `/void` | GET | — | the dataset's VoID description (N-Triples) |
 //! | `/health` | GET | — | `ok` |
@@ -285,14 +284,12 @@ fn admit(ctx: &Ctx) -> Option<Admitted<'_>> {
 /// The shed response: `503` with a JSON error body and a jittered
 /// `Retry-After`, so well-behaved clients back off instead of hammering a
 /// saturated server — and don't all come back on the same second.
-fn write_shed(wire: &mut Wire<'_>, ctx: &Ctx, extra: &[String]) -> std::io::Result<()> {
-    let mut headers = vec![retry_after_header(ctx)];
-    headers.extend(extra.iter().cloned());
+fn write_shed(wire: &mut Wire<'_>, ctx: &Ctx) -> std::io::Result<()> {
     write_response_headed(
         wire,
         "503 Service Unavailable",
         "application/json",
-        &headers,
+        &[retry_after_header(ctx)],
         &json_error(503, "server at capacity: in-flight request budget exhausted"),
     )
 }
@@ -319,7 +316,7 @@ impl Server {
         Server::serve(Arc::new(SharedStore::plain(store)), port, config)
     }
 
-    /// Serve a durable store: `/update` is WAL-logged before it is
+    /// Serve a durable store: `/v1/update` is WAL-logged before it is
     /// acknowledged, `/healthz` reports generation and WAL lag, and
     /// shutdown checkpoints after draining in-flight requests.
     pub fn start_durable(
@@ -781,7 +778,7 @@ fn handle_request(
             // an admission-controlled request that just holds its slot —
             // deterministic saturation for tests and the concurrent bench
             match admit(ctx) {
-                None => write_shed(&mut wire, ctx, &[]),
+                None => write_shed(&mut wire, ctx),
                 Some(_slot) => {
                     let ms = form_value(query_string, "ms")
                         .and_then(|v| v.parse::<u64>().ok())
@@ -792,7 +789,7 @@ fn handle_request(
             }
         }
         ("GET", "/void") => match admit(ctx) {
-            None => write_shed(&mut wire, ctx, &[]),
+            None => write_shed(&mut wire, ctx),
             Some(_slot) => {
                 let snap = ctx.shared.snapshot();
                 let stats = StoreStats::gather(&snap);
@@ -805,33 +802,27 @@ fn handle_request(
                 )
             }
         },
-        ("GET", "/v1/query") | ("POST", "/v1/query") | ("GET", "/sparql") | ("POST", "/sparql") => {
-            // `/sparql` is the pre-v1 alias: same behaviour, plus headers
-            // steering clients to the versioned route
-            let extra = legacy_headers(path, "/sparql", "/v1/query");
-            match admit(ctx) {
-                None => write_shed(&mut wire, ctx, extra),
-                Some(_slot) => {
-                    let query = if method == "POST" {
-                        Some(body)
-                    } else {
-                        form_value(query_string, "query")
-                    };
-                    match query {
-                        Some(q) => serve_query(&mut wire, ctx, &accept, &q, extra),
-                        None => write_response_headed(
-                            &mut wire,
-                            "400 Bad Request",
-                            "application/json",
-                            extra,
-                            &json_error(400, "missing ?query="),
-                        ),
-                    }
+        ("GET", "/v1/query") | ("POST", "/v1/query") => match admit(ctx) {
+            None => write_shed(&mut wire, ctx),
+            Some(_slot) => {
+                let query = if method == "POST" {
+                    Some(body)
+                } else {
+                    form_value(query_string, "query")
+                };
+                match query {
+                    Some(q) => serve_query(&mut wire, ctx, &accept, &q),
+                    None => write_response(
+                        &mut wire,
+                        "400 Bad Request",
+                        "application/json",
+                        &json_error(400, "missing ?query="),
+                    ),
                 }
             }
-        }
+        },
         ("GET", "/v1/explain") | ("POST", "/v1/explain") => match admit(ctx) {
-            None => write_shed(&mut wire, ctx, &[]),
+            None => write_shed(&mut wire, ctx),
             Some(_slot) => {
                 let query = if method == "POST" {
                     Some(body)
@@ -849,15 +840,12 @@ fn handle_request(
                 }
             }
         },
-        ("POST", "/v1/update") | ("POST", "/update") => {
-            let extra = legacy_headers(path, "/update", "/v1/update");
-            match admit(ctx) {
-                None => write_shed(&mut wire, ctx, extra),
-                Some(_slot) => serve_update(&mut wire, ctx, &body, extra),
-            }
-        }
+        ("POST", "/v1/update") => match admit(ctx) {
+            None => write_shed(&mut wire, ctx),
+            Some(_slot) => serve_update(&mut wire, ctx, &body),
+        },
         ("GET", "/v1/facets") => match admit(ctx) {
-            None => write_shed(&mut wire, ctx, &[]),
+            None => write_shed(&mut wire, ctx),
             Some(_slot) => serve_facets(&mut wire, ctx, query_string),
         },
         ("GET", "/v1/facets/stats") => {
@@ -925,7 +913,7 @@ fn handle_request(
             ),
             // materializes views: a work route, so admission applies
             Some(v) => match admit(ctx) {
-                None => write_shed(&mut wire, ctx, &[]),
+                None => write_shed(&mut wire, ctx),
                 Some(_slot) => {
                     let snap = ctx.shared.snapshot();
                     let n = v.force_select(&snap);
@@ -948,27 +936,6 @@ fn handle_request(
     let keep = wire.keep_alive;
     outcome?;
     Ok(keep)
-}
-
-/// Extra response headers for a legacy route alias: a `Deprecation` marker
-/// plus a `Link` to the versioned successor. Empty for the `/v1` routes.
-fn legacy_headers(path: &str, legacy: &'static str, successor: &'static str) -> &'static [String] {
-    use std::sync::OnceLock;
-    static NONE: Vec<String> = Vec::new();
-    static CACHE: OnceLock<Mutex<std::collections::HashMap<&'static str, &'static [String]>>> =
-        OnceLock::new();
-    if path != legacy {
-        return &NONE;
-    }
-    let cache = CACHE.get_or_init(|| Mutex::new(std::collections::HashMap::new()));
-    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-    cache.entry(legacy).or_insert_with(|| {
-        let headers = vec![
-            "Deprecation: true".to_owned(),
-            format!("Link: <{successor}>; rel=\"successor-version\""),
-        ];
-        Box::leak(headers.into_boxed_slice())
-    })
 }
 
 /// Watches a connection while its query evaluates: a detached thread peeks
@@ -1047,7 +1014,6 @@ enum StreamFormat {
 fn stream_solutions(
     wire: &mut Wire<'_>,
     ctype: &str,
-    extra: &[String],
     sols: &rdfa_sparql::Solutions,
     format: StreamFormat,
 ) -> std::io::Result<()> {
@@ -1056,17 +1022,12 @@ fn stream_solutions(
             StreamFormat::Json => sols.to_json(),
             StreamFormat::Csv => sols.to_csv(),
         };
-        return write_response_headed(wire, "200 OK", ctype, extra, &body);
+        return write_response(wire, "200 OK", ctype, &body);
     }
     let conn = if wire.keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nTransfer-Encoding: chunked\r\nConnection: {conn}\r\n"
+    let head = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nTransfer-Encoding: chunked\r\nConnection: {conn}\r\n\r\n"
     );
-    for h in extra {
-        head.push_str(h);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
     let mut out = ChunkedWriter::new(wire.stream, wire.chunk_bytes, head);
     match format {
         StreamFormat::Json => sols.write_json(&mut out)?,
@@ -1162,7 +1123,6 @@ fn serve_query(
     ctx: &Ctx,
     accept: &str,
     query: &str,
-    extra: &[String],
 ) -> std::io::Result<()> {
     let snap = ctx.shared.snapshot();
     let cancel = CancelFlag::new();
@@ -1177,44 +1137,36 @@ fn serve_query(
     match outcome {
         Ok(QueryResults::Solutions(sols)) => {
             if accept.contains("text/csv") {
-                stream_solutions(wire, "text/csv", extra, &sols, StreamFormat::Csv)
+                stream_solutions(wire, "text/csv", &sols, StreamFormat::Csv)
             } else if accept.contains("text/plain") {
                 // the aligned table needs every row for column widths:
                 // inherently a buffered format
-                write_response_headed(wire, "200 OK", "text/plain", extra, &sols.to_table())
+                write_response(wire, "200 OK", "text/plain", &sols.to_table())
             } else {
-                stream_solutions(
-                    wire,
-                    "application/sparql-results+json",
-                    extra,
-                    &sols,
-                    StreamFormat::Json,
-                )
+                stream_solutions(wire, "application/sparql-results+json", &sols, StreamFormat::Json)
             }
         }
-        Ok(QueryResults::Graph(g)) => write_response_headed(
+        Ok(QueryResults::Graph(g)) => write_response(
             wire,
             "200 OK",
             "application/n-triples",
-            extra,
             &rdfa_model::ntriples::serialize(&g),
         ),
-        Ok(QueryResults::Boolean(b)) => write_response_headed(
+        Ok(QueryResults::Boolean(b)) => write_response(
             wire,
             "200 OK",
             "application/sparql-results+json",
-            extra,
             &format!("{{\"head\":{{}},\"boolean\":{b}}}"),
         ),
-        Err(e) => write_query_error_headed(wire, &e, extra),
+        Err(e) => write_query_error(wire, &e),
     }
 }
 
 /// Serve `/v1/explain`: prepare the query, execute it under the server's
 /// limits, and return the annotated plan as `text/plain` — operator
 /// estimates (`est=`), observed cardinalities (`rows=`), and the morsel
-/// runtime summary (worker threads and morsel count) for compiled `SELECT`
-/// queries; the term-space BGP plan otherwise. The execution runs under
+/// runtime summary (worker threads and morsel count) — for every query
+/// form, since every form compiles to a physical plan. The execution runs under
 /// the same cancellation wiring as `/v1/query`, so an abandoned explain
 /// releases its admission slot promptly too.
 fn serve_explain(wire: &mut Wire<'_>, ctx: &Ctx, query: &str) -> std::io::Result<()> {
@@ -1234,7 +1186,7 @@ fn serve_explain(wire: &mut Wire<'_>, ctx: &Ctx, query: &str) -> std::io::Result
     drop(watcher);
     match outcome {
         Ok(text) => write_response(wire, "200 OK", "text/plain", &text),
-        Err(e) => write_query_error_headed(wire, &e, &[]),
+        Err(e) => write_query_error(wire, &e),
     }
 }
 
@@ -1492,7 +1444,6 @@ fn serve_update(
     wire: &mut Wire<'_>,
     ctx: &Ctx,
     body: &str,
-    extra: &[String],
 ) -> std::io::Result<()> {
     let shared = &*ctx.shared;
     let views = ctx.views.as_deref();
@@ -1519,18 +1470,17 @@ fn serve_update(
                     // batch even under concurrent updates
                     let after = txn.commit_with(|| shared.snapshot());
                     maintain_views(views, before.as_deref(), &after, changes.as_deref());
-                    write_response_headed(
+                    write_response(
                         wire,
                         "200 OK",
                         "application/json",
-                        extra,
                         &format!(
                             "{{\"inserted\":{},\"deleted\":{}}}",
                             stats.inserted, stats.deleted
                         ),
                     )
                 }
-                Err(e) => write_query_error_headed(wire, &e, extra), // txn rolls back on drop
+                Err(e) => write_query_error(wire, &e), // txn rolls back on drop
             }
         }
         Some(journal) => {
@@ -1544,11 +1494,10 @@ fn serve_update(
                     {
                         Ok(after) => {
                             maintain_views(views, before.as_deref(), &after, Some(&changes));
-                            write_response_headed(
+                            write_response(
                                 wire,
                                 "200 OK",
                                 "application/json",
-                                extra,
                                 &format!(
                                     "{{\"inserted\":{},\"deleted\":{}}}",
                                     stats.inserted, stats.deleted
@@ -1558,16 +1507,15 @@ fn serve_update(
                         // the WAL append failed before publish: the batch
                         // rolled back in memory too, so the store and the
                         // log still agree
-                        Err(e) => write_response_headed(
+                        Err(e) => write_response(
                             wire,
                             "500 Internal Server Error",
                             "application/json",
-                            extra,
                             &json_error(500, &format!("durability failure: {e}")),
                         ),
                     }
                 }
-                Err(e) => write_query_error_headed(wire, &e, extra),
+                Err(e) => write_query_error(wire, &e),
             }
         }
     }
@@ -1592,27 +1540,11 @@ fn maintain_views(
 /// A query/update error: resource exhaustion is `503` (the request was fine,
 /// the server declined to spend more on it); anything else is the client's
 /// `400`.
-fn write_query_error_headed(
-    wire: &mut Wire<'_>,
-    e: &rdfa_sparql::SparqlError,
-    extra: &[String],
-) -> std::io::Result<()> {
+fn write_query_error(wire: &mut Wire<'_>, e: &rdfa_sparql::SparqlError) -> std::io::Result<()> {
     if e.is_resource_limit() {
-        write_response_headed(
-            wire,
-            "503 Service Unavailable",
-            "application/json",
-            extra,
-            &json_error(503, &e.message()),
-        )
+        write_response(wire, "503 Service Unavailable", "application/json", &json_error(503, &e.message()))
     } else {
-        write_response_headed(
-            wire,
-            "400 Bad Request",
-            "application/json",
-            extra,
-            &json_error(400, &e.message()),
-        )
+        write_response(wire, "400 Bad Request", "application/json", &json_error(400, &e.message()))
     }
 }
 
@@ -1934,7 +1866,7 @@ mod tests {
         let q = percent_encode(
             "PREFIX ex: <http://example.org/> SELECT (COUNT(?x) AS ?n) WHERE { ?x a ex:Laptop . }",
         );
-        let resp = get(server.addr(), &format!("/sparql?query={q}"), "*/*");
+        let resp = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         assert!(resp.contains("sparql-results+json"));
         assert!(resp.contains("\"value\":\"2\""), "{resp}");
@@ -1963,6 +1895,24 @@ mod tests {
     }
 
     #[test]
+    fn explain_route_renders_the_physical_plan_of_nested_and_construct_queries() {
+        let server = Server::start(demo_store(), 0).unwrap();
+        for (q, op) in [
+            (
+                "SELECT ?n WHERE { { SELECT (COUNT(?x) AS ?n) WHERE { ?x a ex:Laptop . } } }",
+                "SubSelect(?n)",
+            ),
+            ("CONSTRUCT { ?x ex:kind ex:Laptop } WHERE { ?x a ex:Laptop . }", "Construct(1 templates)"),
+        ] {
+            let q = percent_encode(&format!("PREFIX ex: <http://example.org/> {q}"));
+            let resp = get(server.addr(), &format!("/v1/explain?query={q}"), "*/*");
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+            assert!(resp.contains("physical plan:") && resp.contains(op), "{resp}");
+            assert!(resp.contains("IndexJoin") && resp.contains("rows="), "{resp}");
+        }
+    }
+
+    #[test]
     fn post_query_with_csv_accept() {
         let server = Server::start(demo_store(), 0).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -1970,7 +1920,7 @@ mod tests {
         stream
             .write_all(
                 format!(
-                    "POST /sparql HTTP/1.1\r\nHost: x\r\nAccept: text/csv\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    "POST /v1/query HTTP/1.1\r\nHost: x\r\nAccept: text/csv\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
                     body.len()
                 )
                 .as_bytes(),
@@ -1987,14 +1937,14 @@ mod tests {
         let server = Server::start(demo_store(), 0).unwrap();
         let resp = post(
             server.addr(),
-            "/update",
+            "/v1/update",
             "PREFIX ex: <http://example.org/> INSERT DATA { ex:l3 a ex:Laptop . }",
         );
         assert!(resp.contains("\"inserted\":1"), "{resp}");
         let q = percent_encode(
             "PREFIX ex: <http://example.org/> SELECT (COUNT(?x) AS ?n) WHERE { ?x a ex:Laptop . }",
         );
-        let resp = get(server.addr(), &format!("/sparql?query={q}"), "*/*");
+        let resp = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
         assert!(resp.contains("\"value\":\"3\""), "{resp}");
     }
 
@@ -2012,7 +1962,7 @@ mod tests {
         assert!(csv.contains("http://example.org/l1"), "{csv}");
         let table = get(server.addr(), &format!("/v1/query?query={q}"), "text/plain");
         assert!(table.contains("text/plain"), "{table}");
-        // POST body is the query verbatim, same as the legacy route
+        // POST body is the query verbatim
         let body = "SELECT ?x WHERE { ?x ?p ?o . }";
         let resp = http(
             server.addr(),
@@ -2038,27 +1988,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_routes_carry_deprecation_header_v1_does_not() {
+    fn legacy_routes_answer_404() {
         let server = Server::start(demo_store(), 0).unwrap();
         let q = percent_encode("SELECT ?x WHERE { ?x ?p ?o . }");
-        let legacy = get(server.addr(), &format!("/sparql?query={q}"), "*/*");
-        assert!(legacy.contains("Deprecation: true"), "{legacy}");
-        assert!(
-            legacy.contains("Link: </v1/query>; rel=\"successor-version\""),
-            "{legacy}"
-        );
-        let v1 = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
-        assert!(!v1.contains("Deprecation"), "{v1}");
+        let gone = get(server.addr(), &format!("/sparql?query={q}"), "*/*");
+        assert!(gone.starts_with("HTTP/1.1 404"), "{gone}");
         let upd = post(server.addr(), "/update", "INSERT DATA { <urn:a> <urn:b> <urn:c> . }");
-        assert!(upd.contains("Deprecation: true"), "{upd}");
-        assert!(
-            upd.contains("Link: </v1/update>; rel=\"successor-version\""),
-            "{upd}"
-        );
-        // errors on legacy routes are marked too
-        let err = get(server.addr(), "/sparql?query=NOT+SPARQL", "*/*");
-        assert!(err.starts_with("HTTP/1.1 400"), "{err}");
-        assert!(err.contains("Deprecation: true"), "{err}");
+        assert!(upd.starts_with("HTTP/1.1 404"), "{upd}");
+        let v1 = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
+        assert!(v1.starts_with("HTTP/1.1 200"), "{v1}");
     }
 
     #[test]
@@ -2072,7 +2010,7 @@ mod tests {
     #[test]
     fn bad_query_is_400_with_json_error_body() {
         let server = Server::start(demo_store(), 0).unwrap();
-        let resp = get(server.addr(), "/sparql?query=NOT+SPARQL", "*/*");
+        let resp = get(server.addr(), "/v1/query?query=NOT+SPARQL", "*/*");
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
         assert!(resp.contains("\"error\""), "{resp}");
         assert!(resp.contains("\"code\":400"), "{resp}");
@@ -2089,7 +2027,7 @@ mod tests {
     fn ask_returns_boolean_json() {
         let server = Server::start(demo_store(), 0).unwrap();
         let q = percent_encode("PREFIX ex: <http://example.org/> ASK WHERE { ?x ex:price 900 . }");
-        let resp = get(server.addr(), &format!("/sparql?query={q}"), "*/*");
+        let resp = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
         assert!(resp.contains("\"boolean\":true"), "{resp}");
     }
 
@@ -2106,7 +2044,7 @@ mod tests {
         let server = Server::start(demo_store(), 0).unwrap();
         let resp = http(
             server.addr(),
-            "POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: 999999999\r\n\r\n",
+            "POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: 999999999\r\n\r\n",
         );
         assert!(resp.starts_with("HTTP/1.1 413"), "{resp}");
         assert!(resp.contains("\"code\":413"), "{resp}");
@@ -2126,7 +2064,7 @@ mod tests {
         let server = Server::start(demo_store(), 0).unwrap();
         let resp = http(
             server.addr(),
-            "POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Length: banana\r\n\r\n",
+            "POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: banana\r\n\r\n",
         );
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
     }
@@ -2183,7 +2121,7 @@ mod tests {
         let q = percent_encode(
             "PREFIX ex: <http://example.org/> SELECT ?x ?y WHERE { ?x ex:partOf+ ?y . }",
         );
-        let resp = get(server.addr(), &format!("/sparql?query={q}"), "*/*");
+        let resp = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
         assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
         assert!(resp.contains("\"error\""), "{resp}");
         assert!(resp.contains("resource limit"), "{resp}");
@@ -2315,7 +2253,7 @@ mod tests {
                 Server::start_durable(pstore, 0, ServerConfig::default()).unwrap();
             let resp = post(
                 server.addr(),
-                "/update",
+                "/v1/update",
                 "PREFIX ex: <http://example.org/> INSERT DATA { ex:l2 a ex:Laptop . }",
             );
             assert!(resp.contains("\"inserted\":1"), "{resp}");
@@ -2337,7 +2275,7 @@ mod tests {
         let q = percent_encode(
             "PREFIX ex: <http://example.org/> SELECT (COUNT(?x) AS ?n) WHERE { ?x a ex:Laptop . }",
         );
-        let resp = get(server.addr(), &format!("/sparql?query={q}"), "*/*");
+        let resp = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
         assert!(resp.contains("\"value\":\"2\""), "{resp}");
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);
@@ -2440,13 +2378,13 @@ mod tests {
                     let body = format!(
                         "PREFIX ex: <http://example.org/> INSERT DATA {{ ex:c{i} a ex:Laptop . }}"
                     );
-                    let resp = post(addr, "/update", &body);
+                    let resp = post(addr, "/v1/update", &body);
                     assert!(resp.contains("\"inserted\":1"), "{resp}");
                 } else {
                     let q = percent_encode(
                         "PREFIX ex: <http://example.org/> SELECT (COUNT(?x) AS ?n) WHERE { ?x a ex:Laptop . }",
                     );
-                    let resp = get(addr, &format!("/sparql?query={q}"), "*/*");
+                    let resp = get(addr, &format!("/v1/query?query={q}"), "*/*");
                     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
                 }
             }));
@@ -2458,7 +2396,7 @@ mod tests {
         let q = percent_encode(
             "PREFIX ex: <http://example.org/> SELECT (COUNT(?x) AS ?n) WHERE { ?x a ex:Laptop . }",
         );
-        let resp = get(addr, &format!("/sparql?query={q}"), "*/*");
+        let resp = get(addr, &format!("/v1/query?query={q}"), "*/*");
         assert!(resp.contains("\"value\":\"6\""), "{resp}");
     }
 
