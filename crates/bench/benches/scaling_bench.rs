@@ -56,6 +56,15 @@ fn kernels() -> Vec<Kernel> {
                  GROUP BY ?m ?u"
             ),
         },
+        Kernel {
+            // Table 6.1's Q8 shape: an expression key and COUNT(DISTINCT)
+            name: "group_by_expr",
+            query: format!(
+                "PREFIX ex: <{EX}> \
+                 SELECT (YEAR(?d) AS ?y) (COUNT(DISTINCT ?x) AS ?n) \
+                 WHERE {{ ?x ex:releaseDate ?d . }} GROUP BY YEAR(?d)"
+            ),
+        },
     ]
 }
 

@@ -244,6 +244,21 @@ impl Expr {
         }
     }
 
+    /// True if the expression contains an `EXISTS` pattern, whose variables
+    /// [`Expr::variables`] does not report.
+    pub fn has_exists(&self) -> bool {
+        match self {
+            Expr::Exists(..) => true,
+            Expr::Var(_) | Expr::Const(_) | Expr::Aggregate(_, _, None) => false,
+            Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(a, _, b) | Expr::Arith(a, _, b) => {
+                a.has_exists() || b.has_exists()
+            }
+            Expr::Not(e) | Expr::Neg(e) | Expr::Aggregate(_, _, Some(e)) => e.has_exists(),
+            Expr::In(e, list, _) => e.has_exists() || list.iter().any(Expr::has_exists),
+            Expr::Call(_, args) => args.iter().any(Expr::has_exists),
+        }
+    }
+
     /// Collect variable names referenced by the expression.
     pub fn variables(&self, out: &mut Vec<String>) {
         match self {

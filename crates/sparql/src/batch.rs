@@ -18,10 +18,60 @@
 
 use rdfa_model::Term;
 use rdfa_store::{Store, TermId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Packed execution id (see module docs for the encoding).
 pub type EId = u32;
+
+/// Multiplicative hasher for maps keyed by execution ids or short runs of
+/// them: one rotate, xor and multiply per word instead of SipHash's rounds.
+/// Ids are dense integers handed out by the interner, not client input, so
+/// hash flooding is not a concern.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+/// The 64-bit golden-ratio constant: odd, with its bits well spread.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // the multiply mixes upward; the table takes bucket bits from the
+        // bottom of the hash, so rotate the best-mixed bits down
+        self.0.rotate_left(26)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(4) {
+            let mut word = [0u8; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u32(u32::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(GOLDEN);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// A hash map keyed by execution ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of execution ids, hashed with [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Sentinel for an unbound slot.
 pub const UNBOUND: EId = u32::MAX;
@@ -259,6 +309,18 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.row(2), vec![7, 8]);
         assert_eq!(b.prov(2), 9);
+    }
+
+    #[test]
+    fn id_map_finds_multi_id_keys_by_slice() {
+        let mut map: IdMap<Vec<EId>, usize> = IdMap::default();
+        for i in 0..1_000u32 {
+            map.insert(vec![i, i.wrapping_mul(7), UNBOUND], i as usize);
+        }
+        for i in 0..1_000u32 {
+            assert_eq!(map.get([i, i.wrapping_mul(7), UNBOUND].as_slice()), Some(&(i as usize)));
+        }
+        assert_eq!(map.get([1, 2, 3].as_slice()), None);
     }
 
     #[test]

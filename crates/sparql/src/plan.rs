@@ -4,9 +4,9 @@
 //! (scan/join → filter → bind/values → optional/union → project/aggregate)
 //! once, ahead of execution. The executor evaluates the tree over columnar
 //! [`Batch`]es of packed execution ids ([`crate::batch`]): joins compare
-//! `u32`s against the store's triple indexes, hash `GROUP BY` keys are
-//! `Vec<u32>`, and terms are materialized only at the [`Solutions`]
-//! boundary.
+//! `u32`s against the store's triple indexes, `GROUP BY` hashes canonical
+//! ids, filters and keys over one variable are evaluated once per distinct
+//! id, and terms are materialized only at the [`Solutions`] boundary.
 //!
 //! Scan/join chains and hash aggregation run on the shared morsel runtime
 //! ([`rdfa_exec`]) when the input clears its work floor: the batch is cut
@@ -40,7 +40,7 @@ mod nested;
 pub mod rows;
 
 use crate::ast::*;
-use crate::batch::{as_store, pack_store, Batch, EId, TermArena, UNBOUND};
+use crate::batch::{as_store, pack_store, Batch, EId, IdMap, IdSet, TermArena, UNBOUND};
 use crate::engine::EvalOptions;
 use crate::expr::eval_expr_limited;
 use crate::limits::LimitGuard;
@@ -52,7 +52,7 @@ use rdfa_model::{Term, Value};
 use rdfa_store::{IdTriple, Store, TermId};
 use rows::{collect_vars, finalize_rows, select_items, Bound, Frame, Row, EMPTY_FRAME};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -801,7 +801,7 @@ fn collect_agg_specs(e: &Expr, out: &mut Vec<AggSpec>) {
 /// finalize rules replicate the non-streaming fold exactly,
 /// including its poisoning behaviour (a failing `add` turns the whole
 /// SUM/AVG into an unbound result).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum AggState {
     Count(i64),
     /// `None` = poisoned by a failed addition.
@@ -812,14 +812,34 @@ enum AggState {
     Sample(Option<Value>),
     Concat(Vec<String>),
     /// DISTINCT aggregates buffer first-occurrence values and replay the
-    /// non-streaming fold at finalize, for exact parity.
+    /// non-streaming fold at finalize, for exact parity. Over an
+    /// expression, occurrences are told apart by the value's term.
     Distinct { op: AggregateOp, seen: HashSet<Term>, values: Vec<Value> },
+    /// DISTINCT over a variable: occurrences are told apart by canonical
+    /// id, which is the same as by the value's term ([`Executor::canon_id`]).
+    /// `ids` keeps first occurrences in order for the parallel merge;
+    /// `values` holds their values, except for `COUNT`, which needs none.
+    DistinctIds { op: AggregateOp, seen: IdSet<EId>, ids: Vec<EId>, values: Vec<Value> },
+}
+
+/// A MIN/MAX step: `v` replaces the incumbent only when it orders strictly
+/// `wins` against it, so ties keep the first-seen value.
+fn keep_if(best: &mut Option<Value>, v: &Value, wins: std::cmp::Ordering) {
+    if best.as_ref().is_none_or(|b| v.compare(b) == Some(wins)) {
+        *best = Some(v.clone());
+    }
 }
 
 impl AggState {
-    fn new(spec: &AggSpec) -> AggState {
+    /// A fresh state for `spec`; `by_id` when its input is a variable.
+    fn new(spec: &AggSpec, by_id: bool) -> AggState {
         if spec.distinct {
-            return AggState::Distinct { op: spec.op, seen: HashSet::new(), values: Vec::new() };
+            let op = spec.op;
+            return if by_id {
+                AggState::DistinctIds { op, seen: IdSet::default(), ids: Vec::new(), values: Vec::new() }
+            } else {
+                AggState::Distinct { op, seen: HashSet::new(), values: Vec::new() }
+            };
         }
         match spec.op {
             AggregateOp::Count => AggState::Count(0),
@@ -832,55 +852,34 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: Value) {
+    fn update(&mut self, v: &Value) {
         match self {
             AggState::Count(n) => *n += 1,
             AggState::Sum(acc) => {
                 if let Some(a) = acc.take() {
-                    *acc = a.add(&v);
+                    *acc = a.add(v);
                 }
             }
             AggState::Avg { acc, n } => {
                 if let Some(a) = acc.take() {
-                    *acc = a.add(&v);
+                    *acc = a.add(v);
                 }
                 *n += 1;
             }
-            AggState::Min(best) => {
-                *best = Some(match best.take() {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Less) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            AggState::Max(best) => {
-                *best = Some(match best.take() {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Greater) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
+            AggState::Min(best) => keep_if(best, v, std::cmp::Ordering::Less),
+            AggState::Max(best) => keep_if(best, v, std::cmp::Ordering::Greater),
             AggState::Sample(s) => {
                 if s.is_none() {
-                    *s = Some(v);
+                    *s = Some(v.clone());
                 }
             }
             AggState::Concat(parts) => parts.push(v.render()),
             AggState::Distinct { seen, values, .. } => {
                 if seen.insert(v.to_term()) {
-                    values.push(v);
+                    values.push(v.clone());
                 }
             }
+            AggState::DistinctIds { .. } => unreachable!("id-keyed DISTINCT is fed by the fold"),
         }
     }
 
@@ -901,34 +900,11 @@ impl AggState {
                 };
                 *an += bn;
             }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(match a.take() {
-                        None => bv,
-                        Some(av) => {
-                            if bv.compare(&av) == Some(std::cmp::Ordering::Less) {
-                                bv
-                            } else {
-                                av
-                            }
-                        }
-                    });
-                }
+            (AggState::Min(a), AggState::Min(Some(b))) => keep_if(a, &b, std::cmp::Ordering::Less),
+            (AggState::Max(a), AggState::Max(Some(b))) => {
+                keep_if(a, &b, std::cmp::Ordering::Greater)
             }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(match a.take() {
-                        None => bv,
-                        Some(av) => {
-                            if bv.compare(&av) == Some(std::cmp::Ordering::Greater) {
-                                bv
-                            } else {
-                                av
-                            }
-                        }
-                    });
-                }
-            }
+            (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
             (AggState::Sample(a), AggState::Sample(b)) => {
                 if a.is_none() {
                     *a = b;
@@ -939,6 +915,20 @@ impl AggState {
                 for v in bv {
                     if seen.insert(v.to_term()) {
                         values.push(v);
+                    }
+                }
+            }
+            (
+                AggState::DistinctIds { seen, ids, values, .. },
+                AggState::DistinctIds { ids: b_ids, values: b_values, .. },
+            ) => {
+                // `b_values` is empty for COUNT, so `v` is then always None
+                let mut b_values = b_values.into_iter();
+                for c in b_ids {
+                    let v = b_values.next();
+                    if seen.insert(c) {
+                        ids.push(c);
+                        values.extend(v);
                     }
                 }
             }
@@ -960,6 +950,10 @@ impl AggState {
             AggState::Min(best) | AggState::Max(best) | AggState::Sample(best) => best,
             AggState::Concat(parts) => Some(Value::Str(parts.join(" "), None)),
             AggState::Distinct { op, values, .. } => aggregate_values(op, values),
+            AggState::DistinctIds { op: AggregateOp::Count, ids, .. } => {
+                Some(Value::Int(ids.len() as i64))
+            }
+            AggState::DistinctIds { op, values, .. } => aggregate_values(op, values),
         }
     }
 }
@@ -989,35 +983,15 @@ pub(crate) fn aggregate_values(op: AggregateOp, values: Vec<Value>) -> Option<Va
             }
             acc.div(&Value::Int(n))
         }
-        AggregateOp::Min => {
+        AggregateOp::Min | AggregateOp::Max => {
+            let wins = if op == AggregateOp::Min {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Greater
+            };
             let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Less) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best
-        }
-        AggregateOp::Max => {
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Greater) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
+            for v in &values {
+                keep_if(&mut best, v, wins);
             }
             best
         }
@@ -1029,38 +1003,162 @@ pub(crate) fn aggregate_values(op: AggregateOp, values: Vec<Value>) -> Option<Va
     }
 }
 
-/// One group under construction: canonical key, first source row (the
-/// representative for non-aggregate expressions), and one state per spec.
+/// One group under construction: its first source row (the representative
+/// for non-aggregate expressions, and the row its key columns are read at)
+/// and one state per spec.
 struct GroupAcc {
-    key: Vec<EId>,
     first_row: usize,
     states: Vec<AggState>,
 }
 
-/// A group-key column, pre-canonicalized for plain variables.
-enum KeyCol {
-    Canon(Vec<EId>),
-    Complex(Expr),
+/// Per-row values of an expression in dictionary form: row `r` holds
+/// `vals[idx[r]]` ([`Executor::eval_column`]).
+struct ValueColumn {
+    idx: Vec<u32>,
+    vals: Vec<Option<Value>>,
 }
 
-/// Where one aggregate draws its per-row input from.
-enum SpecIn {
+impl ValueColumn {
+    fn get(&self, r: usize) -> Option<&Value> {
+        self.vals[self.idx[r] as usize].as_ref()
+    }
+
+    /// Map each entry through `f` once, then lay the results out by row.
+    fn map<T: Clone>(&self, f: impl FnMut(Option<&Value>) -> T) -> Vec<T> {
+        let mapped: Vec<T> = self.vals.iter().map(Option::as_ref).map(f).collect();
+        self.idx.iter().map(|&i| mapped[i as usize].clone()).collect()
+    }
+}
+
+/// Where one aggregate draws its per-row input from. Every input is a
+/// column built before the fold, so the fold never evaluates an expression
+/// or interns a term.
+enum AggIn {
     /// `COUNT(*)`: every row contributes `1`.
-    CountStar,
-    /// A plain variable at this frame slot.
-    Slot(usize),
+    Star,
     /// A variable absent from the frame: never contributes.
     Never,
-    /// An arbitrary expression (sequential path only).
-    Complex(Expr),
+    /// A plain variable at frame slot `col`; for a DISTINCT aggregate,
+    /// `canon` holds the column's canonical ids (else it is empty).
+    Slot { col: usize, canon: Vec<EId> },
+    /// Any other expression.
+    Expr(ValueColumn),
 }
 
-/// The parallel-safe subset of [`SpecIn`].
-#[derive(Clone, Copy)]
-enum SimpleIn {
-    CountStar,
-    Slot(usize),
-    Never,
+/// Fresh per-group states for `specs` fed by `inputs`.
+fn fresh_states(specs: &[AggSpec], inputs: &[AggIn]) -> Vec<AggState> {
+    specs
+        .iter()
+        .zip(inputs)
+        .map(|(spec, input)| AggState::new(spec, matches!(input, AggIn::Slot { .. })))
+        .collect()
+}
+
+/// Group number by canonical key: zero keys are one group and hash
+/// nothing, one key hashes its id, and more keys look up through one reused
+/// buffer that is copied only for a new group.
+enum GroupIndex {
+    Single,
+    One(IdMap<EId, usize>),
+    Many { map: IdMap<Vec<EId>, usize>, buf: Vec<EId> },
+}
+
+impl GroupIndex {
+    fn new(n_keys: usize) -> Self {
+        match n_keys {
+            0 => GroupIndex::Single,
+            1 => GroupIndex::One(IdMap::default()),
+            _ => GroupIndex::Many { map: IdMap::default(), buf: Vec::with_capacity(n_keys) },
+        }
+    }
+
+    /// The group of the key `keys` hold at row `r`; a key not seen before
+    /// gets the number `next`.
+    fn group(&mut self, keys: &[Vec<EId>], r: usize, next: usize) -> usize {
+        match self {
+            GroupIndex::Single => 0,
+            GroupIndex::One(map) => *map.entry(keys[0][r]).or_insert(next),
+            GroupIndex::Many { map, buf } => {
+                buf.clear();
+                buf.extend(keys.iter().map(|col| col[r]));
+                match map.get(buf.as_slice()) {
+                    Some(&g) => g,
+                    None => {
+                        map.insert(buf.clone(), next);
+                        next
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Read-only inputs of the grouping fold, shared by the morsel workers.
+struct FoldCtx<'a> {
+    store: &'a Store,
+    arena: &'a TermArena,
+    batch: &'a Batch,
+    /// Canonical key ids, one column per `GROUP BY` expression.
+    keys: &'a [Vec<EId>],
+    specs: &'a [AggSpec],
+    inputs: &'a [AggIn],
+}
+
+/// Hash-aggregate rows `[lo, hi)` into groups in first-seen order: the
+/// sequential path folds the whole batch, each morsel worker its morsel.
+/// Only precomputed columns are read. `COUNT` of a variable tests the slot
+/// for binding, DISTINCT over a variable dedupes on canonical ids, and any
+/// other use of a variable decodes its value through `memo`, once per
+/// distinct id.
+fn fold_rows(
+    ctx: &FoldCtx<'_>,
+    lo: usize,
+    hi: usize,
+    memo: &mut IdMap<EId, Value>,
+) -> Vec<GroupAcc> {
+    let mut index = GroupIndex::new(ctx.keys.len());
+    let mut groups: Vec<GroupAcc> = Vec::new();
+    for r in lo..hi {
+        let g = index.group(ctx.keys, r, groups.len());
+        if g == groups.len() {
+            groups.push(GroupAcc { first_row: r, states: fresh_states(ctx.specs, ctx.inputs) });
+        }
+        for (state, input) in groups[g].states.iter_mut().zip(ctx.inputs) {
+            match input {
+                AggIn::Never => {}
+                AggIn::Star => state.update(&Value::Int(1)),
+                AggIn::Expr(col) => {
+                    if let Some(v) = col.get(r) {
+                        state.update(v);
+                    }
+                }
+                AggIn::Slot { col, canon } => {
+                    let id = ctx.batch.get(r, *col);
+                    if id == UNBOUND {
+                        continue;
+                    }
+                    match state {
+                        AggState::Count(n) => *n += 1,
+                        AggState::DistinctIds { op, seen, ids, values } => {
+                            if seen.insert(canon[r]) {
+                                ids.push(canon[r]);
+                                if *op != AggregateOp::Count {
+                                    values.push(decode(ctx, memo, id).clone());
+                                }
+                            }
+                        }
+                        _ => state.update(decode(ctx, memo, id)),
+                    }
+                }
+            }
+        }
+    }
+    groups
+}
+
+/// The typed value of execution id `id`, decoded on its first use.
+fn decode<'m>(ctx: &FoldCtx<'_>, memo: &'m mut IdMap<EId, Value>, id: EId) -> &'m Value {
+    memo.entry(id).or_insert_with(|| Value::from_term(ctx.arena.term(ctx.store, id)))
 }
 
 // ---- execution -------------------------------------------------------------
@@ -1460,14 +1558,23 @@ impl<'s> Executor<'s> {
         }
     }
 
+    /// Keep the rows on which every expression is true. A top-level `&&`
+    /// splits into conjuncts, each evaluated as its own column (and so
+    /// memoized when it reads one variable): a row survives `a && b` iff
+    /// both are true, and a conjunct that errs drops it either way. Every
+    /// conjunct still sees every row, as the unsplit `&&` evaluates both
+    /// sides.
     fn exec_filter(&mut self, mut batch: Batch, exprs: &[Expr]) -> Result<Batch, SparqlError> {
         for e in exprs {
-            let keep: Vec<bool> = (0..batch.len())
-                .map(|r| {
-                    let row = self.to_row(&batch, r);
-                    self.eval(e, &row).and_then(|v| v.effective_boolean()).unwrap_or(false)
-                })
-                .collect();
+            let mut keep = vec![true; batch.len()];
+            for c in conjuncts(e) {
+                let pass = self
+                    .eval_column(c, &batch)
+                    .map(|v| v.and_then(Value::effective_boolean) == Some(true));
+                for (k, p) in keep.iter_mut().zip(pass) {
+                    *k &= p;
+                }
+            }
             batch.retain_rows(&keep);
             self.guard.surface()?;
         }
@@ -1550,19 +1657,67 @@ impl<'s> Executor<'s> {
         Ok(out)
     }
 
+    /// The binding of one execution id, as expression evaluation reads it.
+    fn bound(&self, id: EId) -> Option<Bound> {
+        if id == UNBOUND {
+            None
+        } else if let Some(tid) = as_store(id) {
+            Some(Bound::Id(tid))
+        } else {
+            Some(Bound::Term(self.arena.term(self.store, id).clone()))
+        }
+    }
+
     fn to_row(&self, batch: &Batch, r: usize) -> Row {
-        (0..batch.width())
-            .map(|c| {
-                let id = batch.get(r, c);
-                if id == UNBOUND {
-                    None
-                } else if let Some(tid) = as_store(id) {
-                    Some(Bound::Id(tid))
-                } else {
-                    Some(Bound::Term(self.arena.term(self.store, id).clone()))
-                }
-            })
-            .collect()
+        (0..batch.width()).map(|c| self.bound(batch.get(r, c))).collect()
+    }
+
+    /// The frame slot of the one variable `e` reads, when it reads exactly
+    /// one and holds no `EXISTS` (whose pattern reads the whole row but
+    /// whose variables [`Expr::variables`] does not report).
+    fn single_var_slot(&self, e: &Expr) -> Option<usize> {
+        if e.has_exists() {
+            return None;
+        }
+        let mut vars = Vec::new();
+        e.variables(&mut vars);
+        match vars.as_slice() {
+            [v] => self.frame.index(v),
+            _ => None,
+        }
+    }
+
+    /// Evaluate `e` on every row of `batch`. When `e` reads one variable
+    /// and no `EXISTS`, its value depends on that slot's id alone (every
+    /// builtin is deterministic), so it is evaluated once per distinct id;
+    /// the guard is still probed once per row, as per-row evaluation would.
+    /// A value computed after the guard tripped stands in for an error on
+    /// its own row and is never memoized. Anything else is evaluated per
+    /// row.
+    fn eval_column(&self, e: &Expr, batch: &Batch) -> ValueColumn {
+        let n = batch.len();
+        let Some(slot) = self.single_var_slot(e) else {
+            let vals = (0..n).map(|r| self.eval(e, &self.to_row(batch, r))).collect();
+            return ValueColumn { idx: (0..n as u32).collect(), vals };
+        };
+        let mut memo: IdMap<EId, u32> = IdMap::default();
+        let mut row: Row = vec![None; batch.width()];
+        let mut col = ValueColumn { idx: Vec::with_capacity(n), vals: Vec::new() };
+        for &id in batch.column(slot) {
+            if let Some(&i) = memo.get(&id) {
+                self.guard.soft_tripped();
+                col.idx.push(i);
+                continue;
+            }
+            row[slot] = self.bound(id);
+            let i = col.vals.len() as u32;
+            col.vals.push(self.eval(e, &row));
+            if self.guard.surface().is_ok() {
+                memo.insert(id, i);
+            }
+            col.idx.push(i);
+        }
+        col
     }
 
     /// Project or aggregate `batch` (rows of `sp`'s scope, which must be the
@@ -1574,7 +1729,7 @@ impl<'s> Executor<'s> {
         let out_rows = if sp.grouped {
             self.grouped_rows(q, &items, &batch)?
         } else {
-            self.projected_rows(&items, &batch)?
+            self.projected_rows(&items, &batch)
         };
         // ORDER BY keys read the projected row: its EXISTS plans answer
         let where_exists = std::mem::replace(&mut self.exists, &sp.order_exists);
@@ -1585,51 +1740,30 @@ impl<'s> Executor<'s> {
 
     // ---- plain projection --------------------------------------------------
 
-    fn projected_rows(
-        &mut self,
-        items: &[SelectItem],
-        batch: &Batch,
-    ) -> Result<Vec<Vec<Option<Term>>>, SparqlError> {
-        // pre-resolve Var items to slots; anything else evaluates per row
-        let slots: Vec<Option<Option<usize>>> = items
-            .iter()
-            .map(|it| match &it.expr {
-                Expr::Var(v) => Some(self.frame.index(v)),
-                _ => None,
-            })
-            .collect();
-        let all_vars = slots.iter().all(|s| s.is_some());
-        // projected term per execution id, memoized: the value round trip
-        // (term -> typed value -> canonical term) matches per-cell
-        // expression evaluation, but runs once per distinct id
-        let mut memo: HashMap<EId, Option<Term>> = HashMap::new();
-        let mut out = Vec::with_capacity(batch.len());
-        for r in 0..batch.len() {
-            let row: Row = if all_vars { Vec::new() } else { self.to_row(batch, r) };
-            let cells: Vec<Option<Term>> = items
-                .iter()
-                .zip(&slots)
-                .map(|(it, slot)| match slot {
-                    Some(None) => None, // projected var absent from the frame
-                    Some(Some(c)) => {
-                        let id = batch.get(r, *c);
-                        if id == UNBOUND {
-                            None
-                        } else if let Some(t) = memo.get(&id) {
-                            t.clone()
-                        } else {
-                            let term = self.arena.term(self.store, id);
-                            let t = Some(Value::from_term(term).to_term());
-                            memo.insert(id, t.clone());
-                            t
-                        }
-                    }
-                    None => self.eval(&it.expr, &row).map(|v| v.to_term()),
-                })
-                .collect();
-            out.push(cells);
+    /// One output column per item, then one row per input row. A variable
+    /// projects each distinct id's [`Executor::canon_term`], cloned per
+    /// row; any other item is an [`Executor::eval_column`].
+    fn projected_rows(&self, items: &[SelectItem], batch: &Batch) -> Vec<Vec<Option<Term>>> {
+        let n = batch.len();
+        let mut memo: IdMap<EId, Option<Term>> = IdMap::default();
+        let mut cols: Vec<std::vec::IntoIter<Option<Term>>> = Vec::with_capacity(items.len());
+        for it in items {
+            let col: Vec<Option<Term>> = match &it.expr {
+                Expr::Var(v) => match self.frame.index(v) {
+                    Some(c) => batch
+                        .column(c)
+                        .iter()
+                        .map(|&id| memo.entry(id).or_insert_with(|| self.canon_term(id)).clone())
+                        .collect(),
+                    None => vec![None; n], // projected var absent from the frame
+                },
+                e => self.eval_column(e, batch).map(|v| v.map(Value::to_term)),
+            };
+            cols.push(col.into_iter());
         }
-        Ok(out)
+        (0..n)
+            .map(|_| cols.iter_mut().map(|c| c.next().expect("a cell per row")).collect())
+            .collect()
     }
 
     // ---- grouping / aggregation --------------------------------------------
@@ -1649,80 +1783,66 @@ impl<'s> Executor<'s> {
             collect_agg_specs(h, &mut specs);
         }
 
-        // group-key columns: plain variables canonicalize id-to-id; anything
-        // else evaluates per row on the sequential path
-        let mut canon_memo: HashMap<EId, EId> = HashMap::new();
-        let mut key_cols: Vec<KeyCol> = Vec::with_capacity(q.group_by.len());
-        let mut all_var_keys = true;
+        // every key and input becomes a column before the fold: a variable
+        // key as canonical ids, an expression key as the canonical ids of
+        // its values
+        let n = batch.len();
+        let mut canon_memo: IdMap<EId, EId> = IdMap::default();
+        let mut keys: Vec<Vec<EId>> = Vec::with_capacity(q.group_by.len());
         for e in &q.group_by {
-            match e {
-                Expr::Var(v) => {
-                    let col: Vec<EId> = match self.frame.index(v) {
-                        Some(c) => (0..batch.len())
-                            .map(|r| self.canon_id(batch.get(r, c), &mut canon_memo))
-                            .collect(),
-                        None => vec![UNBOUND; batch.len()],
-                    };
-                    key_cols.push(KeyCol::Canon(col));
-                }
+            keys.push(match e {
+                Expr::Var(v) => match self.frame.index(v) {
+                    Some(c) => {
+                        batch.column(c).iter().map(|&id| self.canon_id(id, &mut canon_memo)).collect()
+                    }
+                    None => vec![UNBOUND; n],
+                },
                 _ => {
-                    all_var_keys = false;
-                    key_cols.push(KeyCol::Complex(e.clone()));
+                    let col = self.eval_column(e, batch);
+                    let (store, arena) = (self.store, &mut self.arena);
+                    col.map(|v| v.map_or(UNBOUND, |v| arena.intern(store, &v.to_term())))
                 }
-            }
+            });
+        }
+        let mut inputs: Vec<AggIn> = Vec::with_capacity(specs.len());
+        for s in &specs {
+            inputs.push(match &s.inner {
+                None => AggIn::Star,
+                Some(Expr::Var(v)) => match self.frame.index(v) {
+                    Some(col) => {
+                        let canon = if s.distinct {
+                            let ids = batch.column(col).iter();
+                            ids.map(|&id| self.canon_id(id, &mut canon_memo)).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        AggIn::Slot { col, canon }
+                    }
+                    None => AggIn::Never,
+                },
+                Some(e) => AggIn::Expr(self.eval_column(e, batch)),
+            });
         }
 
-        let mut all_simple_specs = true;
-        let spec_in: Vec<SpecIn> = specs
-            .iter()
-            .map(|s| match &s.inner {
-                None => SpecIn::CountStar,
-                Some(Expr::Var(v)) => match self.frame.index(v) {
-                    Some(c) => SpecIn::Slot(c),
-                    None => SpecIn::Never,
-                },
-                Some(e) => {
-                    all_simple_specs = false;
-                    SpecIn::Complex(e.clone())
-                }
-            })
-            .collect();
-
-        let n_morsels = batch.len().div_ceil(DEFAULT_MORSEL_ROWS).max(1);
-        let workers = if all_var_keys && all_simple_specs {
-            self.options.policy.morsel_workers(n_morsels)
-        } else {
-            1 // complex keys/inputs touch the arena mutably: sequential only
+        // only variable keys and inputs fan out, as ever: a parallel float
+        // SUM/AVG adds partial sums, which match the sequential fold only up
+        // to rounding, so widening the set would change answers
+        let fans_out = q.group_by.iter().all(|e| matches!(e, Expr::Var(_)))
+            && inputs.iter().all(|i| !matches!(i, AggIn::Expr(_)));
+        let n_morsels = n.div_ceil(DEFAULT_MORSEL_ROWS).max(1);
+        let workers = if fans_out { self.options.policy.morsel_workers(n_morsels) } else { 1 };
+        let ctx = FoldCtx {
+            store: self.store,
+            arena: &self.arena,
+            batch,
+            keys: &keys,
+            specs: &specs,
+            inputs: &inputs,
         };
-
         let mut groups: Vec<GroupAcc> = if workers > 1 {
-            let canon: Vec<&[EId]> = key_cols
-                .iter()
-                .map(|k| match k {
-                    KeyCol::Canon(c) => c.as_slice(),
-                    KeyCol::Complex(_) => unreachable!("parallel requires var keys"),
-                })
-                .collect();
-            let simple: Vec<SimpleIn> = spec_in
-                .iter()
-                .map(|s| match s {
-                    SpecIn::CountStar => SimpleIn::CountStar,
-                    SpecIn::Slot(c) => SimpleIn::Slot(*c),
-                    SpecIn::Never => SimpleIn::Never,
-                    SpecIn::Complex(_) => unreachable!("parallel requires var inputs"),
-                })
-                .collect();
             self.threads_used = self.threads_used.max(workers);
             self.parallel_groupby = true;
             self.morsels += n_morsels;
-            let ctx = ParCtx {
-                store: self.store,
-                arena: &self.arena,
-                batch,
-                canon: &canon,
-                specs: &specs,
-                simple: &simple,
-            };
             let intr = self.guard.interrupt();
             match parallel_group(&ctx, workers, n_morsels, &intr) {
                 Ok(groups) => {
@@ -1737,28 +1857,24 @@ impl<'s> Executor<'s> {
                 }
             }
         } else {
-            self.sequential_group(batch, &key_cols, &specs, &spec_in)
+            fold_rows(&ctx, 0, n, &mut IdMap::default())
         };
 
         // an aggregate query with no GROUP BY over zero rows still yields
         // one group (COUNT(*) = 0)
         if groups.is_empty() && q.group_by.is_empty() {
-            groups.push(GroupAcc {
-                key: Vec::new(),
-                first_row: usize::MAX,
-                states: specs.iter().map(AggState::new).collect(),
-            });
+            groups.push(GroupAcc { first_row: usize::MAX, states: fresh_states(&specs, &inputs) });
         }
 
         let mut out_rows = Vec::with_capacity(groups.len());
-        for g in &groups {
+        for g in groups {
             let rep_row: Row = if g.first_row == usize::MAX {
                 Vec::new()
             } else {
                 self.to_row(batch, g.first_row)
             };
             let agg_vals: Vec<Option<Value>> =
-                g.states.iter().map(|s| s.clone().finalize()).collect();
+                g.states.into_iter().map(AggState::finalize).collect();
             if let Some(having) = &q.having {
                 let keep = self
                     .eval_with_aggs(having, &specs, &agg_vals, &rep_row)
@@ -1779,84 +1895,39 @@ impl<'s> Executor<'s> {
         Ok(out_rows)
     }
 
-    /// Canonical execution id of a group-key cell: the id of the term's
-    /// value round trip, so e.g. `"07"^^xsd:integer` and `"7"^^xsd:integer`
-    /// land in the same group — exactly like term-keyed groups.
-    fn canon_id(&mut self, id: EId, memo: &mut HashMap<EId, EId>) -> EId {
+    /// The canonical term of an execution id, as expression evaluation
+    /// would render it: an IRI or blank node is its own term, a literal its
+    /// value's round trip (`"07"^^xsd:integer` → `"7"^^xsd:integer`).
+    fn canon_term(&self, id: EId) -> Option<Term> {
+        if id == UNBOUND {
+            return None;
+        }
+        let term = self.arena.term(self.store, id);
+        Some(match term {
+            Term::Literal(_) => Value::from_term(term).to_term(),
+            _ => term.clone(),
+        })
+    }
+
+    /// The execution id of [`Executor::canon_term`], memoized per id: equal
+    /// values share one, so ids group and dedupe exactly as terms would. An
+    /// IRI or blank node keeps its own id; only a literal is interned.
+    fn canon_id(&mut self, id: EId, memo: &mut IdMap<EId, EId>) -> EId {
         if id == UNBOUND {
             return UNBOUND;
         }
         if let Some(&c) = memo.get(&id) {
             return c;
         }
-        let canon_term = Value::from_term(self.arena.term(self.store, id)).to_term();
-        let c = self.arena.intern(self.store, &canon_term);
+        let term = self.arena.term(self.store, id);
+        let c = if matches!(term, Term::Literal(_)) {
+            let canon = Value::from_term(term).to_term();
+            self.arena.intern(self.store, &canon)
+        } else {
+            id
+        };
         memo.insert(id, c);
         c
-    }
-
-    fn sequential_group(
-        &mut self,
-        batch: &Batch,
-        key_cols: &[KeyCol],
-        specs: &[AggSpec],
-        spec_in: &[SpecIn],
-    ) -> Vec<GroupAcc> {
-        let mut groups: Vec<GroupAcc> = Vec::new();
-        let mut index: HashMap<Vec<EId>, usize> = HashMap::new();
-        let mut val_memo: HashMap<EId, Value> = HashMap::new();
-        let need_row = key_cols.iter().any(|k| matches!(k, KeyCol::Complex(_)))
-            || spec_in.iter().any(|s| matches!(s, SpecIn::Complex(_)));
-        for r in 0..batch.len() {
-            let row: Row = if need_row { self.to_row(batch, r) } else { Vec::new() };
-            let mut key: Vec<EId> = Vec::with_capacity(key_cols.len());
-            for k in key_cols {
-                key.push(match k {
-                    KeyCol::Canon(col) => col[r],
-                    KeyCol::Complex(e) => {
-                        match self.eval(e, &row) {
-                            Some(v) => self.arena.intern(self.store, &v.to_term()),
-                            None => UNBOUND,
-                        }
-                    }
-                });
-            }
-            let gi = match index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push(GroupAcc {
-                        key,
-                        first_row: r,
-                        states: specs.iter().map(AggState::new).collect(),
-                    });
-                    groups.len() - 1
-                }
-            };
-            for (si, input) in spec_in.iter().enumerate() {
-                let v: Option<Value> = match input {
-                    SpecIn::CountStar => Some(Value::Int(1)),
-                    SpecIn::Never => None,
-                    SpecIn::Slot(c) => {
-                        let id = batch.get(r, *c);
-                        if id == UNBOUND {
-                            None
-                        } else if let Some(v) = val_memo.get(&id) {
-                            Some(v.clone())
-                        } else {
-                            let v = Value::from_term(self.arena.term(self.store, id));
-                            val_memo.insert(id, v.clone());
-                            Some(v)
-                        }
-                    }
-                    SpecIn::Complex(e) => self.eval(e, &row),
-                };
-                if let Some(v) = v {
-                    groups[gi].states[si].update(v);
-                }
-            }
-        }
-        groups
     }
 
     /// Evaluate a projection/`HAVING` expression against one finished group:
@@ -1956,6 +2027,18 @@ impl<'s> Executor<'s> {
                 Some(Value::Bool(found != *negated))
             }
         }
+    }
+}
+
+/// The top-level `&&` operands of `e`, left to right.
+fn conjuncts(e: &Expr) -> Vec<&Expr> {
+    match e {
+        Expr::And(a, b) => {
+            let mut out = conjuncts(a);
+            out.extend(conjuncts(b));
+            out
+        }
+        _ => vec![e],
     }
 }
 
@@ -2202,24 +2285,15 @@ fn resolve_slot(c: &CSlot, input: &Batch, r: usize) -> Option<RAnchor> {
 
 // ---- parallel hash aggregation ---------------------------------------------
 
-/// Shared read-only context for aggregation workers.
-struct ParCtx<'a> {
-    store: &'a Store,
-    arena: &'a TermArena,
-    batch: &'a Batch,
-    canon: &'a [&'a [EId]],
-    specs: &'a [AggSpec],
-    simple: &'a [SimpleIn],
-}
-
-/// Hash-aggregate `ctx.batch` on the morsel scheduler: workers fold their
-/// morsels into per-morsel partial maps (reusing a thread-local value memo
-/// across the morsels each worker happens to run), and the partials merge
-/// in morsel order — morsel 0's rows precede morsel 1's, so first-seen
-/// group order and each group's representative row match the sequential
-/// scan exactly. Probes `intr` at every morsel boundary.
+/// Hash-aggregate `ctx.batch` on the morsel scheduler: each worker runs
+/// [`fold_rows`] on its morsels (one value memo per worker, reused across
+/// its morsels), and the partial groups merge in morsel order — morsel 0's
+/// rows precede morsel 1's, so first-seen group order and each group's
+/// representative row match the sequential fold exactly. A partial group
+/// is keyed by the key columns at its first row. Probes `intr` at every
+/// morsel boundary.
 fn parallel_group(
-    ctx: &ParCtx<'_>,
+    ctx: &FoldCtx<'_>,
     workers: usize,
     n_morsels: usize,
     intr: &Interrupt,
@@ -2228,88 +2302,35 @@ fn parallel_group(
     let partials = run_morsels(
         workers,
         n_morsels,
-        |_| HashMap::<EId, Value>::new(),
-        |val_memo, m| {
+        |_| IdMap::<EId, Value>::default(),
+        |memo, m| {
             intr.probe()?;
             let lo = m * DEFAULT_MORSEL_ROWS;
-            let hi = ((m + 1) * DEFAULT_MORSEL_ROWS).min(rows);
-            Ok(morsel_group(ctx, lo, hi, val_memo))
+            let hi = (lo + DEFAULT_MORSEL_ROWS).min(rows);
+            Ok(fold_rows(ctx, lo, hi, memo))
         },
     )?;
+    let mut index = GroupIndex::new(ctx.keys.len());
     let mut groups: Vec<GroupAcc> = Vec::new();
-    let mut index: HashMap<Vec<EId>, usize> = HashMap::new();
-    for partial in partials {
-        for g in partial {
-            match index.get(&g.key) {
-                Some(&i) => {
-                    let dst = &mut groups[i];
-                    for (a, b) in dst.states.iter_mut().zip(g.states) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    index.insert(g.key.clone(), groups.len());
-                    groups.push(g);
-                }
+    for g in partials.into_iter().flatten() {
+        let i = index.group(ctx.keys, g.first_row, groups.len());
+        if i == groups.len() {
+            groups.push(g);
+        } else {
+            for (a, b) in groups[i].states.iter_mut().zip(g.states) {
+                a.merge(b);
             }
         }
     }
     Ok(groups)
 }
 
-/// Sequential hash aggregation over one morsel's rows `[lo, hi)`. No
-/// probing here — the scheduler closure probes at the morsel boundary.
-fn morsel_group(
-    ctx: &ParCtx<'_>,
-    lo: usize,
-    hi: usize,
-    val_memo: &mut HashMap<EId, Value>,
-) -> Vec<GroupAcc> {
-    let mut groups: Vec<GroupAcc> = Vec::new();
-    let mut index: HashMap<Vec<EId>, usize> = HashMap::new();
-    for r in lo..hi {
-        let key: Vec<EId> = ctx.canon.iter().map(|col| col[r]).collect();
-        let gi = match index.get(&key) {
-            Some(&i) => i,
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push(GroupAcc {
-                    key,
-                    first_row: r,
-                    states: ctx.specs.iter().map(AggState::new).collect(),
-                });
-                groups.len() - 1
-            }
-        };
-        for (si, input) in ctx.simple.iter().enumerate() {
-            let v: Option<Value> = match input {
-                SimpleIn::CountStar => Some(Value::Int(1)),
-                SimpleIn::Never => None,
-                SimpleIn::Slot(c) => {
-                    let id = ctx.batch.get(r, *c);
-                    if id == UNBOUND {
-                        None
-                    } else if let Some(v) = val_memo.get(&id) {
-                        Some(v.clone())
-                    } else {
-                        let v = Value::from_term(ctx.arena.term(ctx.store, id));
-                        val_memo.insert(id, v.clone());
-                        Some(v)
-                    }
-                }
-            };
-            if let Some(v) = v {
-                groups[gi].states[si].update(v);
-            }
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::limits::{EvalLimits, LimitKind};
     use rdfa_exec::{CancelFlag, TripKind};
+    use rdfa_model::{vocab::xsd, Literal};
 
     /// Deterministic xorshift stream, `0..n`.
     fn rng(seed: u64) -> impl FnMut(usize) -> usize {
@@ -2392,6 +2413,85 @@ mod tests {
             let probed = join(None);
             assert!(!probed.is_empty(), "{s:?} {o:?}");
             assert_eq!(rows(&probed), rows(&join(Some(&side))), "{s:?} {o:?}");
+        }
+    }
+
+    fn executor<'s>(store: &'s Store, frame: &'s Frame, options: &'s EvalOptions) -> Executor<'s> {
+        let guard = Rc::new(LimitGuard::new(options.effective_limits()));
+        Executor::new(store, frame, &[], options, guard, 0)
+    }
+
+    #[test]
+    fn canon_id_keeps_iris_and_blank_nodes_and_merges_equal_literals() {
+        let mut store = Store::new();
+        let int = |lex: &str| Term::Literal(Literal::typed(lex, xsd::INTEGER));
+        let [iri, blank, seven0, seven, abc, eight0] =
+            [Term::iri("http://e/a"), Term::blank("b"), int("07"), int("7"), int("abc"), int("08")]
+                .map(|t| pack_store(store.intern(&t)));
+        let options = EvalOptions::default();
+        let mut ex = executor(&store, &EMPTY_FRAME, &options);
+        let mut memo = IdMap::default();
+        assert_eq!(ex.canon_id(iri, &mut memo), iri);
+        assert_eq!(ex.canon_id(blank, &mut memo), blank);
+        assert_eq!(ex.canon_id(seven0, &mut memo), seven);
+        assert_eq!(ex.canon_id(seven, &mut memo), seven);
+        assert_eq!(ex.canon_id(abc, &mut memo), abc, "an invalid lexical form is its own value");
+        assert_eq!(ex.canon_id(UNBOUND, &mut memo), UNBOUND);
+        assert_eq!(ex.arena.len(), 0);
+        // a value the store holds only in another lexical form gets one
+        // arena term
+        let eight = ex.canon_id(eight0, &mut memo);
+        assert!(crate::batch::is_local(eight));
+        assert_eq!(ex.arena.term(&store, eight), &Term::integer(8));
+        assert_eq!(ex.canon_id(eight0, &mut memo), eight);
+        assert_eq!(ex.arena.len(), 1);
+    }
+
+    /// A cancel or deadline that trips while a memoized filter or key column
+    /// is built surfaces its own limit kind, though the column evaluates
+    /// only three distinct ids: the guard is probed once per row, as
+    /// per-row evaluation probes it.
+    #[test]
+    fn a_trip_while_building_a_memoized_column_surfaces_its_limit() {
+        let parsed =
+            crate::parser::parse_query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?v } GROUP BY ABS(?v)");
+        let Ok(Query { form: QueryForm::Select(q) }) = parsed else { panic!("parses") };
+        let mut frame = Frame::default();
+        collect_vars(&q.where_, &mut frame);
+        let mut store = Store::new();
+        let vals: Vec<EId> = (0..3).map(|i| pack_store(store.intern(&Term::integer(i)))).collect();
+        let v = frame.index("v").expect("?v is in the frame");
+        let mut batch = Batch::new(frame.len());
+        for r in 0..1_000u32 {
+            let mut row = vec![UNBOUND; frame.len()];
+            row[v] = vals[r as usize % 3];
+            batch.push_row(&row, r);
+        }
+        let filter = Expr::Compare(
+            Box::new(Expr::Var("v".into())),
+            CompareOp::Ge,
+            Box::new(Expr::Const(Term::integer(1))),
+        );
+        let cancel = CancelFlag::new();
+        cancel.cancel();
+        for (limits, kind) in [
+            (EvalLimits::unlimited().with_cancel(cancel), LimitKind::Cancelled),
+            (EvalLimits::unlimited().with_deadline(Duration::ZERO), LimitKind::Deadline),
+        ] {
+            let tripped = |r: Result<(), SparqlError>| {
+                matches!(r, Err(SparqlError::ResourceLimit { kind: k, .. }) if k == kind)
+            };
+            let options = EvalOptions { limits, ..EvalOptions::default() };
+            let ex = executor(&store, &frame, &options);
+            assert_eq!(ex.eval_column(&filter, &batch).vals.len(), 3, "memoized per id");
+            let mut ex = executor(&store, &frame, &options);
+            let res = ex.exec_filter(batch.clone(), std::slice::from_ref(&filter));
+            assert!(tripped(res.map(drop)), "filter: {kind}");
+            // a key column leaves the trip to the final checkpoint
+            let mut ex = executor(&store, &frame, &options);
+            let items = select_items(&q, &frame);
+            ex.grouped_rows(&q, &items, &batch).expect("the fold itself does not check");
+            assert!(tripped(ex.guard.surface()), "GROUP BY key: {kind}");
         }
     }
 

@@ -158,14 +158,25 @@ pub fn finalize_rows(
     }
 
     if !q.order_by.is_empty() {
+        // each row's keys are evaluated once; key evaluation is
+        // deterministic and the sort stable, so the order is the one a
+        // comparator evaluating keys on every comparison would give
         let out_frame = Frame::new(vars.clone());
-        out_rows.sort_by(|a, b| {
-            for spec in &q.order_by {
-                let row_a: Row = a.iter().map(|t| t.clone().map(Bound::Term)).collect();
-                let row_b: Row = b.iter().map(|t| t.clone().map(Bound::Term)).collect();
-                let va = eval_expr_limited(&spec.expr, &row_a, &out_frame, store, guard, exists);
-                let vb = eval_expr_limited(&spec.expr, &row_b, &out_frame, store, guard, exists);
-                let ord = order_values(&va, &vb);
+        let mut keyed: Vec<_> = out_rows
+            .into_iter()
+            .map(|r| {
+                let row: Row = r.iter().map(|t| t.clone().map(Bound::Term)).collect();
+                let keys: Vec<Option<Value>> = q
+                    .order_by
+                    .iter()
+                    .map(|spec| eval_expr_limited(&spec.expr, &row, &out_frame, store, guard, exists))
+                    .collect();
+                (keys, r)
+            })
+            .collect();
+        keyed.sort_by(|(a, _), (b, _)| {
+            for ((va, vb), spec) in a.iter().zip(b).zip(&q.order_by) {
+                let ord = order_values(va, vb);
                 let ord = if spec.descending { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -173,6 +184,7 @@ pub fn finalize_rows(
             }
             std::cmp::Ordering::Equal
         });
+        out_rows = keyed.into_iter().map(|(_, r)| r).collect();
     }
 
     let offset = q.offset.unwrap_or(0);

@@ -9,7 +9,7 @@
 //! row-set mismatch.
 
 use rdf_analytics::datagen::{ProductsGenerator, EX};
-use rdf_analytics::model::{vocab, Graph, Term};
+use rdf_analytics::model::{vocab, Graph, Literal, Term};
 use rdf_analytics::sparql::{
     execute_update_recording, CancelFlag, Engine, EvalLimits, EvalOptions, LimitKind,
     QueryResults, SparqlError,
@@ -53,13 +53,30 @@ fn mmap_store(tag: &str, graph: &Graph) -> (std::path::PathBuf, Store) {
 /// join steps read their pattern through a built scan side. On top of the
 /// generator's `subClassOf` schema, `manufacturer` is a subproperty of
 /// `producer` (an entirely inferred predicate), and a small `similarTo` run
-/// holds a self-loop for `?x p ?x`.
+/// holds a self-loop for `?x p ?x`. A few laptops carry an `ex:code` whose
+/// lexical forms collide by value (`"7"`, `"07"`, `"+7"`) or are invalid for
+/// their datatype, so grouping, DISTINCT and filters must compare values,
+/// not ids.
 fn big_graph() -> Graph {
     let mut g = ProductsGenerator::new(6000, 7).generate();
     let ex = |local: &str| Term::iri(format!("{EX}{local}"));
     g.add(ex("manufacturer"), Term::iri(vocab::rdfs::SUB_PROPERTY_OF), ex("producer"));
     g.add(ex("laptop0"), ex("similarTo"), ex("laptop0"));
     g.add(ex("laptop1"), ex("similarTo"), ex("laptop0"));
+    let codes = [
+        ("7", vocab::xsd::INTEGER),
+        ("07", vocab::xsd::INTEGER),
+        ("+7", vocab::xsd::INTEGER),
+        ("7.0", vocab::xsd::DECIMAL),
+        ("abc", vocab::xsd::INTEGER),
+        ("2020-02-30", vocab::xsd::DATE),
+    ];
+    for (i, (lexical, datatype)) in codes.iter().enumerate() {
+        for laptop in [i, i + 6, i + 12] {
+            let code = Term::Literal(Literal::typed(*lexical, *datatype));
+            g.add(ex(&format!("laptop{laptop}")), ex("code"), code);
+        }
+    }
     g
 }
 
@@ -203,6 +220,26 @@ const CORPUS: &[&str] = &[
      WHERE { ?x ex:manufacturer/ex:origin ?c ; ex:price ?p . FILTER(?p < 500) }",
     "ASK WHERE { ?x ex:similarTo ?x . }",
     "ASK WHERE { ?x ex:USBPorts 4 ; ex:price ?p . FILTER(?p > 2990) }",
+    // Table 6.1's Q8 shape: an expression key memoized per distinct date
+    "SELECT (YEAR(?d) AS ?y) (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x ex:releaseDate ?d . } \
+     GROUP BY YEAR(?d)",
+    // keys and DISTINCT over literals equal by value but not by lexical form
+    "SELECT ?c (COUNT(?x) AS ?n) (COUNT(DISTINCT ?x) AS ?dn) WHERE { ?x ex:code ?c . } GROUP BY ?c",
+    "SELECT (COUNT(DISTINCT ?c) AS ?n) (SUM(DISTINCT ?c) AS ?s) WHERE { ?x ex:code ?c . }",
+    // conjuncts memoized per id, over invalid lexical forms too
+    "SELECT ?x ?c WHERE { ?x ex:code ?c . FILTER(?c >= 5 && ?c < 8) }",
+    // COUNT(?m) tests binding: ?m is mostly unbound
+    "SELECT ?u (COUNT(?m) AS ?nm) (COUNT(*) AS ?all) WHERE { ?x ex:USBPorts ?u . \
+       OPTIONAL { ?x ex:code ?m . } } GROUP BY ?u",
+    // a key over two variables is evaluated per row
+    "SELECT (CONCAT(STR(?m), STR(?u)) AS ?k) (COUNT(?x) AS ?n) WHERE { \
+       ?x ex:manufacturer ?m ; ex:USBPorts ?u . } GROUP BY CONCAT(STR(?m), STR(?u))",
+    // ?u is the only visible variable, but the EXISTS reads ?x: split off
+    // as a conjunct, and inside one expression that must not be memoized
+    "SELECT ?x ?u WHERE { ?x ex:USBPorts ?u . FILTER(?u >= 2 && EXISTS { ?x ex:code ?c }) }",
+    "SELECT ?x ?u WHERE { ?x ex:USBPorts ?u . FILTER(?u >= 4 || EXISTS { ?x ex:code ?c }) }",
+    // ORDER BY two keys, one an expression, over every priced product
+    "SELECT ?x ?p WHERE { ?x ex:price ?p . } ORDER BY DESC(FLOOR(?p / 100)) ?x",
 ];
 
 #[test]
@@ -451,6 +488,13 @@ fn multi_morsel_queries() -> Vec<String> {
         format!(
             "PREFIX ex: <{EX}> SELECT (COUNT(?x) AS ?n) (SUM(?p) AS ?s) WHERE {{ \
                ?x a ex:Laptop ; ex:price ?p . FILTER(?p > 700) }}"
+        ),
+        // Table 6.1's Q1: one group, counted without decoding
+        format!("PREFIX ex: <{EX}> SELECT (COUNT(?x) AS ?n) WHERE {{ ?x a ex:Laptop . }}"),
+        // Table 6.1's Q8: an expression key and COUNT(DISTINCT)
+        format!(
+            "PREFIX ex: <{EX}> SELECT (YEAR(?d) AS ?y) (COUNT(DISTINCT ?x) AS ?n) WHERE {{ \
+               ?x ex:releaseDate ?d . }} GROUP BY YEAR(?d)"
         ),
     ]
 }
