@@ -13,7 +13,7 @@
 //! Run with `cargo bench --bench facet_bench`.
 
 use rdfa_datagen::{ProductsGenerator, EX};
-use rdfa_facets::{markers, ExecPolicy, FacetCache, FacetOptions};
+use rdfa_facets::{markers, FacetCache, FacetOptions};
 use rdfa_store::Store;
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
     let ext_ref = store.instances(laptop);
     let ext = store.instances_set(laptop);
     assert_eq!(ext.to_btree_set(), ext_ref);
-    let opts = FacetOptions::with_policy(ExecPolicy::new().with_threads(threads));
+    let opts = FacetOptions::with_threads(threads);
 
     // correctness gate: the merge-join/parallel path must reproduce the
     // seed implementation byte-identically

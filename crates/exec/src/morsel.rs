@@ -1,4 +1,4 @@
-//! The work-stealing morsel scheduler and its cooperative interrupts.
+//! The work-stealing morsel scheduler.
 //!
 //! A *morsel* is a fixed-size slice of work (by convention
 //! [`DEFAULT_MORSEL_ROWS`] rows of a columnar batch). Workers pull morsel
@@ -13,11 +13,9 @@
 //! yields byte-identical output at 1, 2, or 64 threads — only which worker
 //! ran which morsel varies.
 
-use crate::policy::CancelFlag;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Rows per morsel. One size everywhere: small enough that a morsel
 /// boundary (the probe point for deadlines and cancellation) arrives every
@@ -30,185 +28,17 @@ pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 /// lost to one thread on ~56 k triples; this floor prevents that).
 pub const MIN_PARALLEL_MORSELS: usize = 4;
 
-/// Which budget a morsel run exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TripKind {
-    /// The wall-clock deadline passed.
-    Deadline,
-    /// The [`CancelFlag`] was raised from outside.
-    Cancelled,
-    /// The shared row budget ran out.
-    Rows,
-    /// The shared memory budget ran out.
-    Memory,
-}
-
-/// A recorded budget trip: what ran out, and the configured ceiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Trip {
-    pub kind: TripKind,
-    pub limit: u64,
-}
-
-/// `Send + Sync` interrupt sources for a parallel region: deadline, cancel
-/// flag, and shared row/byte budgets. Workers call [`Interrupt::probe`] at
-/// morsel boundaries and [`Interrupt::charge`] for what each morsel
-/// produced; the first trip raises a stop flag every worker observes on its
-/// next dispatch, and the owner reads the verdict back with
-/// [`Interrupt::trip`] after the join.
-///
-/// Budgets are *consumption counters* against a ceiling (not remaining
-/// balances), so the owner can reconcile exactly what the region spent into
-/// its own accounting afterwards via [`Interrupt::rows_used`] /
-/// [`Interrupt::bytes_used`].
-#[derive(Debug)]
-pub struct Interrupt {
-    start: Instant,
-    deadline: Option<Duration>,
-    cancel: Option<CancelFlag>,
-    row_budget: Option<u64>,
-    byte_budget: Option<u64>,
-    rows_used: AtomicU64,
-    bytes_used: AtomicU64,
-    stop: AtomicBool,
-    trip: Mutex<Option<Trip>>,
-}
-
-impl Interrupt {
-    /// An interrupt bundle measuring its deadline from `start` (pass the
-    /// owning guard's start so a region deep in a query doesn't get a fresh
-    /// clock) with whatever budget axes apply. `None` axes never trip.
-    pub fn new(
-        start: Instant,
-        deadline: Option<Duration>,
-        cancel: Option<CancelFlag>,
-        row_budget: Option<u64>,
-        byte_budget: Option<u64>,
-    ) -> Self {
-        Interrupt {
-            start,
-            deadline,
-            cancel,
-            row_budget,
-            byte_budget,
-            rows_used: AtomicU64::new(0),
-            bytes_used: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            trip: Mutex::new(None),
-        }
-    }
-
-    /// An interrupt that never trips.
-    pub fn unlimited() -> Self {
-        Self::new(Instant::now(), None, None, None, None)
-    }
-
-    /// Probe the deadline and the cancel flag — call once per morsel. On a
-    /// trip the stop flag is raised so sibling workers bail at their next
-    /// dispatch.
-    pub fn probe(&self) -> Result<(), Trip> {
-        if self.stop.load(Ordering::Relaxed) {
-            // a sibling already tripped; surface the recorded verdict
-            if let Some(t) = *self.trip.lock().expect("trip lock") {
-                return Err(t);
-            }
-            return Ok(());
-        }
-        if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            return Err(self.record(TripKind::Cancelled, 0));
-        }
-        if let Some(d) = self.deadline {
-            if self.start.elapsed() > d {
-                return Err(self.record(TripKind::Deadline, d.as_millis() as u64));
-            }
-        }
-        Ok(())
-    }
-
-    /// Charge `rows` rows and `bytes` estimated bytes against the shared
-    /// budgets — call once per morsel with what the morsel produced.
-    pub fn charge(&self, rows: u64, bytes: u64) -> Result<(), Trip> {
-        let r = self.rows_used.fetch_add(rows, Ordering::Relaxed) + rows;
-        if let Some(max) = self.row_budget {
-            if r > max {
-                return Err(self.record(TripKind::Rows, max));
-            }
-        }
-        let b = self.bytes_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if let Some(max) = self.byte_budget {
-            if b > max {
-                return Err(self.record(TripKind::Memory, max));
-            }
-        }
-        Ok(())
-    }
-
-    /// Probe + charge in one call — the usual morsel-boundary checkpoint.
-    pub fn checkpoint(&self, rows: u64, bytes: u64) -> Result<(), Trip> {
-        self.probe()?;
-        self.charge(rows, bytes)
-    }
-
-    /// Ask every worker to stop at its next dispatch without recording a
-    /// trip (the error itself travels through the scheduler's error slot).
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// True once a trip or an external stop has been requested.
-    pub fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Rows charged so far, for the owner to reconcile after the join.
-    pub fn rows_used(&self) -> u64 {
-        self.rows_used.load(Ordering::Relaxed)
-    }
-
-    /// Bytes charged so far, for the owner to reconcile after the join.
-    pub fn bytes_used(&self) -> u64 {
-        self.bytes_used.load(Ordering::Relaxed)
-    }
-
-    /// The verdict after the join. Budget trips are re-derived from the
-    /// totals (row budget checked before byte budget), so when a bounded
-    /// axis is the binding constraint the surfaced kind is the same at
-    /// every thread count even though *which worker* tripped first is not.
-    pub fn trip(&self) -> Option<Trip> {
-        if let Some(max) = self.row_budget {
-            if self.rows_used.load(Ordering::Relaxed) > max {
-                return Some(Trip { kind: TripKind::Rows, limit: max });
-            }
-        }
-        if let Some(max) = self.byte_budget {
-            if self.bytes_used.load(Ordering::Relaxed) > max {
-                return Some(Trip { kind: TripKind::Memory, limit: max });
-            }
-        }
-        *self.trip.lock().expect("trip lock")
-    }
-
-    fn record(&self, kind: TripKind, limit: u64) -> Trip {
-        self.stop.store(true, Ordering::Relaxed);
-        let mut slot = self.trip.lock().expect("trip lock");
-        if slot.is_none() {
-            *slot = Some(Trip { kind, limit });
-        }
-        slot.expect("trip recorded")
-    }
-}
-
 /// Run `n_morsels` morsels over `workers` threads and return the per-morsel
 /// results **in morsel order**.
 ///
 /// * `make_state(worker)` builds one thread-local scratch value per worker —
 ///   arenas, hash tables, whatever the chain reuses across its morsels.
 /// * `work(state, morsel)` processes one morsel. The closure owns its probe
-///   discipline: check an [`Interrupt`] and map a [`Trip`] into `E`.
+///   discipline: typically [`crate::LimitGuard::probe`] once per morsel.
 ///
 /// With `workers <= 1` (or a single morsel) everything runs inline on the
 /// caller's thread — same closures, same order, no spawn. Since worker
-/// counts come from [`crate::ExecPolicy::morsel_workers`] (input-size-driven)
+/// counts come from [`crate::morsel_workers`] (input-size-driven)
 /// and results merge in morsel order, the output is identical either way.
 ///
 /// On error the run stops early: the stop flag parks every worker at its
@@ -403,75 +233,22 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_row_budget_trips_once_exceeded() {
-        let intr = Interrupt::new(Instant::now(), None, None, Some(10), None);
-        assert!(intr.charge(10, 0).is_ok());
-        let trip = intr.charge(1, 0).unwrap_err();
-        assert_eq!(trip, Trip { kind: TripKind::Rows, limit: 10 });
-        assert!(intr.should_stop());
-        assert_eq!(intr.trip(), Some(trip));
-        assert_eq!(intr.rows_used(), 11);
-    }
-
-    #[test]
-    fn interrupt_byte_budget_trips() {
-        let intr = Interrupt::new(Instant::now(), None, None, None, Some(100));
-        assert!(intr.checkpoint(5, 60).is_ok());
-        let trip = intr.checkpoint(5, 60).unwrap_err();
-        assert_eq!(trip, Trip { kind: TripKind::Memory, limit: 100 });
-    }
-
-    #[test]
-    fn interrupt_cancel_and_deadline_probe() {
-        let flag = CancelFlag::new();
-        let intr =
-            Interrupt::new(Instant::now(), None, Some(flag.clone()), None, None);
-        assert!(intr.probe().is_ok());
-        flag.cancel();
-        assert_eq!(intr.probe().unwrap_err().kind, TripKind::Cancelled);
-
-        let expired = Interrupt::new(
-            Instant::now() - Duration::from_secs(1),
-            Some(Duration::from_millis(1)),
-            None,
-            None,
-            None,
-        );
-        assert_eq!(expired.probe().unwrap_err().kind, TripKind::Deadline);
-    }
-
-    #[test]
-    fn rows_trip_outranks_a_recorded_deadline_trip() {
-        // when both a deterministic budget and a wall-clock source trip, the
-        // surfaced verdict must be the deterministic one
-        let intr = Interrupt::new(
-            Instant::now() - Duration::from_secs(1),
-            Some(Duration::from_millis(1)),
-            None,
-            Some(5),
-            None,
-        );
-        assert_eq!(intr.probe().unwrap_err().kind, TripKind::Deadline);
-        let _ = intr.charge(6, 0);
-        assert_eq!(intr.trip().map(|t| t.kind), Some(TripKind::Rows));
-    }
-
-    #[test]
-    fn workers_observe_a_sibling_trip_via_the_stop_flag() {
-        let intr = Interrupt::new(Instant::now(), None, None, Some(100), None);
+    fn workers_observe_a_sibling_trip_through_the_shared_guard() {
+        use crate::{EvalLimits, LimitGuard, LimitKind};
+        let guard = LimitGuard::new(EvalLimits::default().with_max_rows(100));
         let hits = AtomicUsize::new(0);
-        let err = run_morsels::<(), (), Trip, _, _>(
+        let err = run_morsels(
             4,
             1000,
             |_| (),
             |_, _| {
                 hits.fetch_add(1, Ordering::Relaxed);
-                intr.checkpoint(10, 0)
+                guard.checkpoint(10, 0)
             },
         )
         .unwrap_err();
-        assert_eq!(err.kind, TripKind::Rows);
-        assert!(hits.load(Ordering::Relaxed) < 1000, "stop flag must cut the run short");
-        assert_eq!(intr.trip().map(|t| t.kind), Some(TripKind::Rows));
+        assert_eq!(err.kind, LimitKind::SolutionRows);
+        assert!(hits.load(Ordering::Relaxed) < 1000, "the trip must cut the run short");
+        assert_eq!(guard.surface().unwrap_err().kind, LimitKind::SolutionRows);
     }
 }

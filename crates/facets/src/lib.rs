@@ -50,7 +50,7 @@ pub use markers::{
     GroupedValues, PropertyFacet,
 };
 pub use ops::{joins, joins_path, restrict_class, restrict_path, restrict_value};
-pub use rdfa_exec::{CancelFlag, ExecPolicy};
+pub use rdfa_exec::CancelFlag;
 pub use rdfa_store::ExtSet;
 pub use session::FacetedSession;
 pub use state::{Condition, Constraint, Intent, PathStep, State};
@@ -74,3 +74,17 @@ impl std::fmt::Display for FacetError {
 }
 
 impl std::error::Error for FacetError {}
+
+/// A tripped marker budget: only the deadline and the cancellation token
+/// apply to facets.
+impl From<rdfa_exec::LimitError> for FacetError {
+    fn from(e: rdfa_exec::LimitError) -> Self {
+        FacetError::new(match e.kind {
+            rdfa_exec::LimitKind::Cancelled => "marker computation cancelled".to_owned(),
+            rdfa_exec::LimitKind::Deadline => {
+                "marker computation exceeded the configured deadline".to_owned()
+            }
+            _ => e.to_string(),
+        })
+    }
+}

@@ -8,51 +8,55 @@
 //! scheduler ([`rdfa_exec::run_morsels`]) — work-stealing over a shared
 //! unit index, results merged back **by unit slot** and then sorted by
 //! display name, so output is byte-identical to the sequential computation
-//! regardless of thread count. Threads, a deadline, and a cancellation
-//! token are all configured through one [`ExecPolicy`]
-//! ([`FacetOptions::with_policy`]); expiry or cancellation aborts all
-//! workers and surfaces as a [`FacetError`].
+//! regardless of thread count. [`FacetOptions`] carries the thread count,
+//! a deadline and a cancellation token; the deadline and the token are
+//! enforced by one [`LimitGuard`] that every worker probes, and expiry or
+//! cancellation aborts all workers and surfaces as a [`FacetError`].
 
 use crate::ops::{joins_path, joins_with_counts};
 use crate::state::PathStep;
 use crate::FacetError;
-use rdfa_exec::{run_morsels, ExecPolicy};
+use rdfa_exec::{run_morsels, workers_for, CancelFlag, EvalLimits, LimitGuard};
 use rdfa_store::{ExtSet, Store, TermId};
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Below this many triples the auto thread mode stays sequential — spawning
 /// threads costs more than the whole computation.
 const PAR_MIN_TRIPLES: usize = 4096;
 
-/// Tuning knobs for marker computation, configured like the engine builder.
-///
-/// Since 0.5 the thread count, deadline, and cancellation token live in one
-/// [`ExecPolicy`]; the pre-0.5 per-field knobs (`threads`, `deadline`) have
-/// been removed — set the corresponding [`ExecPolicy`] fields and construct
-/// via [`FacetOptions::with_policy`].
+/// Tuning knobs for marker computation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FacetOptions {
-    /// Unified execution policy: worker threads, deadline, cancellation.
-    pub policy: ExecPolicy,
+    /// Worker threads; `0` (the default) is auto, which stays sequential on
+    /// small stores.
+    pub threads: usize,
+    /// Wall-clock deadline for one marker computation.
+    pub deadline: Option<Duration>,
+    /// External cancellation token. `None` means the computation cannot be
+    /// cancelled.
+    pub cancel: Option<CancelFlag>,
 }
 
 impl FacetOptions {
-    /// Options driven entirely by an execution policy.
-    pub fn with_policy(policy: ExecPolicy) -> Self {
-        FacetOptions { policy }
-    }
-
-    /// The effective policy.
-    pub fn exec_policy(&self) -> ExecPolicy {
-        self.policy.clone()
+    /// Options requesting `threads` workers, with no deadline or token.
+    pub fn with_threads(threads: usize) -> Self {
+        FacetOptions { threads, ..Self::default() }
     }
 
     /// These options with any deadline removed (for the infallible APIs).
     pub fn without_deadline(&self) -> FacetOptions {
-        let mut o = self.clone();
-        o.policy.deadline = None;
-        o
+        FacetOptions { deadline: None, ..self.clone() }
+    }
+
+    /// A guard enforcing the deadline and the cancellation token, its
+    /// clock started now.
+    fn guard(&self) -> LimitGuard {
+        LimitGuard::new(EvalLimits {
+            deadline: self.deadline,
+            cancel: self.cancel.clone(),
+            ..EvalLimits::unlimited()
+        })
     }
 
     /// Worker count for `n_units` independent units over a store of
@@ -60,40 +64,30 @@ impl FacetOptions {
     /// small stores; an explicit count is honored up to the machine's
     /// parallelism (tests force the parallel path on tiny fixtures this
     /// way).
-    fn unit_workers(&self, policy: &ExecPolicy, n_units: usize, store_len: usize) -> usize {
-        if policy.threads == 0 && store_len < PAR_MIN_TRIPLES {
+    fn unit_workers(&self, n_units: usize, store_len: usize) -> usize {
+        if self.threads == 0 && store_len < PAR_MIN_TRIPLES {
             return 1;
         }
-        policy.workers_for(n_units.max(1), 1)
+        workers_for(self.threads, n_units.max(1), 1)
     }
-}
-
-fn deadline_error() -> FacetError {
-    FacetError::new("marker computation exceeded the configured deadline")
-}
-
-fn cancelled_error() -> FacetError {
-    FacetError::new("marker computation cancelled")
-}
-
-fn expired(expiry: Option<Instant>) -> bool {
-    expiry.is_some_and(|d| Instant::now() > d)
 }
 
 /// Run `n` independent units on the shared morsel scheduler (one unit per
 /// morsel) and return their results in unit order (deterministic merge).
 /// The first failing unit (lowest index) stops all workers and its error is
-/// returned. The policy's cancellation token is probed before every unit.
-fn run_units<T, F>(n: usize, workers: usize, policy: &ExecPolicy, f: F) -> Result<Vec<Option<T>>, FacetError>
+/// returned. The guard is probed before every unit.
+fn run_units<T, F>(
+    n: usize,
+    workers: usize,
+    guard: &LimitGuard,
+    f: F,
+) -> Result<Vec<Option<T>>, FacetError>
 where
     T: Send,
     F: Fn(usize) -> Result<Option<T>, FacetError> + Sync,
 {
-    let cancel = policy.cancel.clone();
     run_morsels(workers, n, |_| (), |_: &mut (), i: usize| {
-        if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            return Err(cancelled_error());
-        }
+        guard.probe()?;
         f(i)
     })
 }
@@ -112,8 +106,7 @@ pub struct ClassMarker {
 /// top, subclasses nested, **zero-count classes pruned** (the never-empty
 /// guarantee). Sequential, no deadline — see [`class_markers_opts`].
 pub fn class_markers(store: &Store, ext: &ExtSet) -> Vec<ClassMarker> {
-    class_markers_opts(store, ext, FacetOptions::with_policy(ExecPolicy::serial()))
-        .expect("no deadline configured")
+    class_markers_opts(store, ext, FacetOptions::with_threads(1)).expect("no deadline configured")
 }
 
 /// [`class_markers`] with thread/deadline options; one unit of work per
@@ -123,14 +116,13 @@ pub fn class_markers_opts(
     ext: &ExtSet,
     opts: FacetOptions,
 ) -> Result<Vec<ClassMarker>, FacetError> {
-    let policy = opts.exec_policy();
-    let expiry = policy.deadline.map(|d| Instant::now() + d);
+    let guard = opts.guard();
     let roots = store.maximal_classes();
-    let workers = opts.unit_workers(&policy, roots.len(), store.len());
+    let workers = opts.unit_workers(roots.len(), store.len());
     let mut dense = ext.clone();
     dense.densify(store.term_count());
-    let slots = run_units(roots.len(), workers, &policy, |i| {
-        build_class_marker(store, &dense, roots[i], &mut BTreeSet::new(), expiry)
+    let slots = run_units(roots.len(), workers, &guard, |i| {
+        build_class_marker(store, &dense, roots[i], &mut BTreeSet::new(), &guard)
     })?;
     let mut out: Vec<ClassMarker> = slots.into_iter().flatten().collect();
     out.sort_by_key(|m| store.term(m.class).display_name());
@@ -185,11 +177,9 @@ fn build_class_marker(
     ext: &ExtSet,
     class: TermId,
     seen: &mut BTreeSet<TermId>,
-    expiry: Option<Instant>,
+    guard: &LimitGuard,
 ) -> Result<Option<ClassMarker>, FacetError> {
-    if expired(expiry) {
-        return Err(deadline_error());
-    }
+    guard.probe()?;
     if !seen.insert(class) {
         return Ok(None); // cycle guard
     }
@@ -201,7 +191,7 @@ fn build_class_marker(
         .count();
     let mut children: Vec<ClassMarker> = Vec::new();
     for sub in store.direct_subclasses(class) {
-        if let Some(m) = build_class_marker(store, ext, sub, seen, expiry)? {
+        if let Some(m) = build_class_marker(store, ext, sub, seen, guard)? {
             children.push(m);
         }
     }
@@ -236,7 +226,7 @@ impl PropertyFacet {
 /// counts (Fig 5.4 c) and the subproperty hierarchy. Sequential — see
 /// [`property_facets_opts`].
 pub fn property_facets(store: &Store, ext: &ExtSet) -> Vec<PropertyFacet> {
-    property_facets_opts(store, ext, FacetOptions::with_policy(ExecPolicy::serial()))
+    property_facets_opts(store, ext, FacetOptions::with_threads(1))
         .expect("no deadline configured")
 }
 
@@ -247,14 +237,13 @@ pub fn property_facets_opts(
     ext: &ExtSet,
     opts: FacetOptions,
 ) -> Result<Vec<PropertyFacet>, FacetError> {
-    let policy = opts.exec_policy();
-    let expiry = policy.deadline.map(|d| Instant::now() + d);
+    let guard = opts.guard();
     let roots = store.maximal_properties();
-    let workers = opts.unit_workers(&policy, roots.len(), store.len());
+    let workers = opts.unit_workers(roots.len(), store.len());
     let mut dense = ext.clone();
     dense.densify(store.term_count());
-    let slots = run_units(roots.len(), workers, &policy, |i| {
-        build_property_facet(store, &dense, roots[i], &mut BTreeSet::new(), expiry)
+    let slots = run_units(roots.len(), workers, &guard, |i| {
+        build_property_facet(store, &dense, roots[i], &mut BTreeSet::new(), &guard)
     })?;
     let mut out: Vec<PropertyFacet> = slots.into_iter().flatten().collect();
     out.sort_by_key(|f| store.term(f.property).display_name());
@@ -266,11 +255,9 @@ fn build_property_facet(
     ext: &ExtSet,
     property: TermId,
     seen: &mut BTreeSet<TermId>,
-    expiry: Option<Instant>,
+    guard: &LimitGuard,
 ) -> Result<Option<PropertyFacet>, FacetError> {
-    if expired(expiry) {
-        return Err(deadline_error());
-    }
+    guard.probe()?;
     if !seen.insert(property) {
         return Ok(None);
     }
@@ -284,7 +271,7 @@ fn build_property_facet(
     });
     let mut children: Vec<PropertyFacet> = Vec::new();
     for sub in store.direct_subproperties(property) {
-        if let Some(f) = build_property_facet(store, ext, sub, seen, expiry)? {
+        if let Some(f) = build_property_facet(store, ext, sub, seen, guard)? {
             children.push(f);
         }
     }
@@ -660,7 +647,7 @@ mod tests {
         let seq_c = class_markers(&s, &ext);
         let seq_f = property_facets(&s, &ext);
         for threads in [2, 4, 8] {
-            let opts = FacetOptions::with_policy(ExecPolicy::new().with_threads(threads));
+            let opts = FacetOptions::with_threads(threads);
             assert_eq!(
                 class_markers_opts(&s, &ext, opts.clone()).unwrap(),
                 seq_c,
@@ -678,10 +665,11 @@ mod tests {
     fn deadline_expiry_errors() {
         let s = store();
         let ext = all(&s);
-        for threads in [1, 4] {
-            let opts = FacetOptions::with_policy(
-                ExecPolicy::new().with_threads(threads).with_deadline(Duration::ZERO),
-            );
+        for threads in [1, 2, 4, 8] {
+            let opts = FacetOptions {
+                deadline: Some(Duration::ZERO),
+                ..FacetOptions::with_threads(threads)
+            };
             let err = class_markers_opts(&s, &ext, opts.clone()).unwrap_err();
             assert!(err.message.contains("deadline"), "{err}");
             assert!(property_facets_opts(&s, &ext, opts).is_err());
@@ -692,15 +680,12 @@ mod tests {
     /// sequential and the threaded path.
     #[test]
     fn cancellation_aborts_marker_computation() {
-        use rdfa_exec::CancelFlag;
         let s = store();
         let ext = all(&s);
-        for threads in [1, 4] {
+        for threads in [1, 2, 4, 8] {
             let flag = CancelFlag::new();
             flag.cancel();
-            let opts = FacetOptions::with_policy(
-                ExecPolicy::new().with_threads(threads).with_cancel(flag),
-            );
+            let opts = FacetOptions { cancel: Some(flag), ..FacetOptions::with_threads(threads) };
             let err = class_markers_opts(&s, &ext, opts.clone()).unwrap_err();
             assert!(err.message.contains("cancelled"), "{err}");
             assert!(property_facets_opts(&s, &ext, opts).is_err());

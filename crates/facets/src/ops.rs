@@ -14,7 +14,7 @@
 //!   to a bitmap).
 //!
 //! The old `BTreeSet`-based implementations are preserved verbatim in
-//! [`reference`] as the differential-testing and benchmarking baseline.
+//! [`reference`](mod@reference) as the differential-testing and benchmarking baseline.
 
 use crate::state::PathStep;
 use crate::FacetError;

@@ -463,9 +463,7 @@ mod tests {
     #[test]
     fn deadline_surfaces_through_try_apis() {
         let s = store();
-        let opts = FacetOptions::with_policy(
-            rdfa_exec::ExecPolicy::serial().with_deadline(Duration::ZERO),
-        );
+        let opts = FacetOptions { deadline: Some(Duration::ZERO), ..FacetOptions::with_threads(1) };
         let session = FacetedSession::start_with(&s, opts);
         assert!(session.try_facets().is_err());
         assert!(session.try_class_markers().is_err());

@@ -2,9 +2,9 @@
 //! interning with a deterministic merge, and sort-based index builds.
 //!
 //! The seed ingest path ([`Store::load_ntriples`]) parses a whole document
-//! into owned [`Term`]s, then interns and inserts one triple at a time into
-//! three sorted permutations. This module replaces every phase of that
-//! pipeline while producing a **byte-identical** store:
+//! into owned [`Term`](rdfa_model::Term)s, then interns and inserts one
+//! triple at a time into three sorted permutations. This module replaces
+//! every phase of that pipeline while producing a **byte-identical** store:
 //!
 //! 1. **Chunked parsing** — the document is split on newline-safe chunk
 //!    boundaries ([`ntriples::split_chunks`]) and each chunk is lexed on a
@@ -20,7 +20,7 @@
 //! 3. **Sort-based index build** — workers emit `IdTriple` runs which are
 //!    sorted and deduplicated with parallel merge rounds; SPO/POS/OSP are
 //!    then bulk-built from the sorted runs
-//!    ([`TripleIndex::from_sorted_runs`]) instead of per-triple inserts.
+//!    (`TripleIndex::from_sorted_runs`) instead of per-triple inserts.
 //!
 //! The seed per-triple path is retained untouched as the reference
 //! implementation; `tests/ingest_differential.rs` proves both paths produce
@@ -30,7 +30,7 @@
 use crate::index::{IdTriple, TripleIndex};
 use crate::interner::{hash64, term_ref_of, Interner, Slot, TermId, U64Map};
 use crate::store::Store;
-use rdfa_exec::{map_ordered, ExecPolicy};
+use rdfa_exec::{map_ordered, workers_for};
 use rdfa_model::ntriples::{self, NtriplesError, TermRef};
 use rdfa_model::{turtle, Graph, Triple};
 use std::collections::hash_map::Entry;
@@ -41,14 +41,13 @@ use std::path::Path;
 /// Tuning knobs for the bulk-ingest pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct LoadOptions {
-    /// Execution policy for parsing, interning and index builds. Only
-    /// [`ExecPolicy::threads`] is consulted by the ingest pipeline today:
-    /// `0` (the default) uses the machine's available parallelism, and both
-    /// `0` and explicit values are scaled down when the input is too small
-    /// for the requested fan-out to pay for itself (see
-    /// [`LoadOptions::exact`] to override) — the store contents never
-    /// depend on the thread count, only the wall-clock does.
-    pub policy: ExecPolicy,
+    /// Worker threads for parsing, interning and index builds. `0` (the
+    /// default) uses the machine's available parallelism, and both `0` and
+    /// explicit values are scaled down when the input is too small for the
+    /// requested fan-out to pay for itself (see [`LoadOptions::exact`] to
+    /// override) — the store contents never depend on the thread count,
+    /// only the wall-clock does.
+    pub threads: usize,
     /// Honour the requested thread count exactly, bypassing the
     /// small-input and available-parallelism caps. For tests that must
     /// force many chunks onto tiny documents; production callers should
@@ -58,29 +57,15 @@ pub struct LoadOptions {
 }
 
 impl LoadOptions {
-    /// Options driven by an [`ExecPolicy`] — the 0.5 entry point shared
-    /// with the query and facet engines.
-    pub fn with_policy(policy: ExecPolicy) -> Self {
-        LoadOptions { policy, ..Default::default() }
-    }
-
     /// Options requesting a worker-thread count, still subject to the
     /// small-input and available-parallelism caps.
     pub fn with_threads(threads: usize) -> Self {
-        LoadOptions::with_policy(ExecPolicy::new().with_threads(threads))
+        LoadOptions { threads, exact: false }
     }
 
     /// Options pinning an exact worker-thread count, caps bypassed.
     pub fn exact(threads: usize) -> Self {
-        let mut opts = LoadOptions::with_threads(threads);
-        opts.exact = true;
-        opts
-    }
-
-    /// The effective policy (the pre-0.5 `threads` field is gone; thread
-    /// requests live in [`LoadOptions::policy`] now).
-    pub fn exec_policy(&self) -> ExecPolicy {
-        self.policy.clone()
+        LoadOptions { threads, exact: true }
     }
 }
 
@@ -242,18 +227,17 @@ const MIN_TRIPLES_PER_CHUNK: usize = 4096;
 /// than 1 at 509k triples, pure oversubscription overhead) and one thread
 /// per `min_per_chunk` of work (chunks below that floor cost more in
 /// spawn/merge than their parse saves) — i.e.
-/// [`ExecPolicy::workers_for`]. [`LoadOptions::exact`] bypasses both, so
+/// [`rdfa_exec::workers_for`]. [`LoadOptions::exact`] bypasses both, so
 /// differential tests can still force many chunks onto tiny documents.
 fn effective_threads(opts: &LoadOptions, work_units: usize, min_per_chunk: usize) -> usize {
-    let policy = opts.exec_policy();
-    if opts.exact && policy.threads > 0 {
-        return policy.threads;
+    if opts.exact && opts.threads > 0 {
+        return opts.threads;
     }
     // unlike the query runtime, ingest caps explicit requests at available
     // parallelism: its workers are CPU-bound end to end, so BENCH_5's
     // oversubscription loss applies regardless of who asked for the fan-out
     let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    policy.workers_for(work_units, min_per_chunk).min(avail)
+    workers_for(opts.threads, work_units, min_per_chunk).min(avail)
 }
 
 /// Parse an N-Triples document into a [`Batch`] with the requested worker
@@ -708,7 +692,7 @@ impl<'s> BulkLoader<'s> {
             added,
             terms_added: self.store.term_count() - self.terms_before,
             threads: self.threads_used,
-            requested: self.opts.exec_policy().threads,
+            requested: self.opts.threads,
         }
     }
 }

@@ -144,7 +144,7 @@ impl ExtSet {
     }
 
     /// Set intersection; output is sorted. Gallops when one side is at
-    /// least [`GALLOP_RATIO`]× larger than the other.
+    /// least `GALLOP_RATIO`× larger than the other.
     pub fn intersect(&self, other: &ExtSet) -> ExtSet {
         // bitmap ∩ bitmap: word-parallel AND
         if let (Repr::Bitmap { words: a, .. }, Repr::Bitmap { words: b, .. }) =

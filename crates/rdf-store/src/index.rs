@@ -1,8 +1,8 @@
 //! Sorted triple permutations answering every triple-pattern binding shape
 //! with one contiguous range scan.
 //!
-//! Each permutation is a [`Run`]: one sorted sequence cut into `Arc`-shared
-//! chunks of at most [`CHUNK_MAX`] triples, with the first key of every chunk
+//! Each permutation is a `Run`: one sorted sequence cut into `Arc`-shared
+//! chunks of at most `CHUNK_MAX` triples, with the first key of every chunk
 //! kept in a dense fence array. Cloning an index bumps one `Arc` per chunk;
 //! an insert or remove copies only the chunk it lands in (and nothing at all
 //! when that chunk is already private to this index), so a copy-on-write

@@ -12,15 +12,15 @@
 //! No global fixpoint is needed: once the two subsumption relations are
 //! transitively closed, every entailed triple is either one of those closure
 //! triples or a *direct consequence* of a single explicit triple
-//! ([`Schema::consequences`]). The inferred layer is therefore
+//! (`Schema::consequences`). The inferred layer is therefore
 //!
 //! ```text
 //! (subsumption closure ∪ ⋃ consequences(t) for t explicit) ∖ explicit
 //! ```
 //!
-//! and both entry points are that formula: [`compute_closure`] evaluates it
-//! over the whole explicit layer, [`apply_delta`] re-evaluates it only for
-//! the triples a transaction inserted or removed. They share one [`Schema`]
+//! and both entry points are that formula: `compute_closure` evaluates it
+//! over the whole explicit layer, `apply_delta` re-evaluates it only for
+//! the triples a transaction inserted or removed. They share one `Schema`
 //! (the subsumption closures and lifted domains/ranges, read lazily from the
 //! explicit layer and memoized), which is what keeps them equal.
 

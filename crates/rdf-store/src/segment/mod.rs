@@ -4,7 +4,7 @@
 //! (SPO, POS, OSP), each as a sequence of delta-compressed blocks with a
 //! fence-key directory. Every range scan the in-memory
 //! [`TripleIndex`](crate::index::TripleIndex) answers is answered here by one
-//! cursor ([`SegScan`]) walking the mapped bytes — nothing is decoded into a
+//! cursor (`SegScan`) walking the mapped bytes — nothing is decoded into a
 //! side buffer, nothing is cached, no lock is taken:
 //!
 //! ```text
@@ -22,7 +22,7 @@
 //!                 then meta_crc u32 | magic b"RSG1"
 //! ```
 //!
-//! A block holds up to [`BLOCK_TRIPLES`] permuted triples in *restart
+//! A block holds up to `BLOCK_TRIPLES` permuted triples in *restart
 //! groups* of R = `restart_interval`: the group's first triple raw (12
 //! bytes LE), the rest as LEB128 varints of the delta between consecutive
 //! triples packed into a 96-bit key — sorted distinct triples make every
@@ -36,7 +36,7 @@
 //! up to a whole block), and the next checkpoint that rewrites them writes
 //! version 2; there is no migration step and no second decoder.
 //!
-//! [`RESTART_INTERVAL`] is 32, from a measured trade at 508k triples (one
+//! `RESTART_INTERVAL` is 32, from a measured trade at 508k triples (one
 //! `(s, p, ?)` probe per subject on the reopened store; file bytes per
 //! triple over the whole checkpoint): R = 16 probes in ≈ 405 ns at 37.8 B,
 //! R = 32 in ≈ 495 ns at 36.5 B, R = 64 in ≈ 550 ns at 35.9 B, no restarts

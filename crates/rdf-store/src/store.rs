@@ -90,7 +90,7 @@ pub struct SegmentStats {
 }
 
 impl SegmentStats {
-    fn absorb(&mut self, sl: &crate::layer::SegLayer) {
+    fn add_layer(&mut self, sl: &crate::layer::SegLayer) {
         self.segments += sl.segs.len();
         for seg in &sl.segs {
             self.segment_bytes += seg.file_bytes();
@@ -256,10 +256,10 @@ impl Store {
     pub fn segment_stats(&self) -> SegmentStats {
         let mut stats = SegmentStats::default();
         if let Some(sl) = self.explicit.as_seg() {
-            stats.absorb(sl);
+            stats.add_layer(sl);
         }
         if let Some(sl) = self.inferred.as_seg() {
-            stats.absorb(sl);
+            stats.add_layer(sl);
         }
         stats
     }

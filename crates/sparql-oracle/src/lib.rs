@@ -30,11 +30,10 @@
 use rdfa_model::{Graph, Term, Value};
 use rdfa_sparql::ast::*;
 use rdfa_sparql::expr::{bound_term, eval_expr_limited, ExistsEval};
-use rdfa_sparql::limits::LimitGuard;
 use rdfa_sparql::path::eval_path_limited;
 use rdfa_sparql::plan::rows::{collect_vars, finalize_rows, select_items, Bound, Frame, Row};
 use rdfa_sparql::views::aggregate_value_list;
-use rdfa_sparql::{parse_query, EvalOptions, QueryResults, SparqlError};
+use rdfa_sparql::{parse_query, EvalOptions, LimitGuard, QueryResults, SparqlError};
 use rdfa_store::{Store, TermId};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -72,7 +71,7 @@ impl<'s> Evaluator<'s> {
     /// Create an evaluator. The limit clock starts here, so construct the
     /// evaluator right before running the query.
     pub fn with_options(store: &'s Store, options: EvalOptions) -> Self {
-        let guard = Rc::new(LimitGuard::new(options.effective_limits()));
+        let guard = Rc::new(LimitGuard::new(options.limits.clone()));
         Evaluator {
             store,
             options,
@@ -481,7 +480,10 @@ impl<'s> Evaluator<'s> {
             return Ok(());
         }
         let same = same_var(&s_anchor, &o_anchor);
-        let mut emit = |s: TermId, o: TermId, p: Option<(usize, TermId)>| {
+        let mut emit = |s: TermId,
+                        o: TermId,
+                        p: Option<(usize, TermId)>|
+         -> Result<(), SparqlError> {
             // repeated-variable consistency (?x p ?x)
             if same && s != o {
                 return Ok(());
@@ -522,9 +524,11 @@ impl<'s> Evaluator<'s> {
                 }
             }
             PathOrVar::Path(path) => {
-                for (s, o) in
-                    eval_path_limited(self.store, path, s_anchor.id(), o_anchor.id(), &self.guard)?
-                {
+                let mut tally = self.guard.tally(0);
+                let pairs =
+                    eval_path_limited(self.store, path, s_anchor.id(), o_anchor.id(), &mut tally)?;
+                tally.flush()?;
+                for (s, o) in pairs {
                     emit(s, o, None)?;
                 }
             }

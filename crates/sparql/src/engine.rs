@@ -8,62 +8,42 @@
 //! [`PreparedQuery::last_stats`] reports per-operator cardinalities of the
 //! most recent execution.
 //!
-//! Parallelism, deadlines, memory budgets, and cancellation are configured
-//! through one [`ExecPolicy`] ([`EngineBuilder::policy`]); the morsel
-//! runtime in [`crate::plan`] reads it for every parallel region.
+//! Deadlines, row, memory and path budgets, and cancellation are configured
+//! by one [`EvalLimits`] ([`EngineBuilder::limits`]), enforced by one
+//! [`rdfa_exec::LimitGuard`] per execution; the morsel runtime in
+//! [`crate::plan`] sizes every parallel region from
+//! [`EngineBuilder::threads`].
 
 use crate::ast::{PathOrVar, PropertyPath, Query, QueryForm, TermPattern, TriplePattern};
 use crate::expr::bound_term;
-use crate::limits::EvalLimits;
+use crate::EvalLimits;
 use crate::parser::parse_query;
 use crate::plan::rows::{Frame, Row};
 use crate::plan::{compile, describe_plan, execute_plan, ExecStats, Output, PhysicalPlan};
 use crate::results::QueryResults;
 use crate::views::{match_aggregate_shape, ShapeMatch, ViewCatalog};
 use crate::SparqlError;
-use rdfa_exec::ExecPolicy;
 use rdfa_model::{Graph, Term};
 use rdfa_store::Store;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Evaluation options: join reordering plus resource budgets.
+/// Evaluation options: join reordering, resource budgets, worker threads.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
     /// Reorder BGP patterns by estimated selectivity (default true).
     pub reorder_bgp: bool,
     /// Cooperative resource limits (default: unlimited).
     pub limits: EvalLimits,
-    /// Execution policy: worker threads for the morsel runtime, plus
-    /// optional deadline/memory/cancel knobs merged into [`Self::limits`]
-    /// (the tighter value wins) — see [`EvalOptions::effective_limits`].
-    pub policy: ExecPolicy,
+    /// Worker threads for the morsel runtime; `0` (the default) uses the
+    /// machine's available parallelism ([`rdfa_exec::morsel_workers`]).
+    pub threads: usize,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        EvalOptions { reorder_bgp: true, limits: EvalLimits::unlimited(), policy: ExecPolicy::new() }
-    }
-}
-
-impl EvalOptions {
-    /// The limits actually enforced: [`Self::limits`] with the policy's
-    /// deadline/memory/cancel folded in. Where both specify an axis the
-    /// tighter bound wins; a cancel flag on the limits takes precedence
-    /// (it is already wired to a caller).
-    pub fn effective_limits(&self) -> EvalLimits {
-        let mut l = self.limits.clone();
-        if let Some(d) = self.policy.deadline {
-            l.deadline = Some(l.deadline.map_or(d, |e| e.min(d)));
-        }
-        if let Some(m) = self.policy.max_memory_bytes {
-            l.max_memory_bytes = Some(l.max_memory_bytes.map_or(m, |e| e.min(m)));
-        }
-        if l.cancel.is_none() {
-            l.cancel = self.policy.cancel.clone();
-        }
-        l
+        EvalOptions { reorder_bgp: true, limits: EvalLimits::unlimited(), threads: 0 }
     }
 }
 
@@ -100,18 +80,10 @@ impl<'s> EngineBuilder<'s> {
         self
     }
 
-    /// Replace the whole execution policy (threads, deadline, memory
-    /// budget, cancellation) at once.
-    pub fn policy(mut self, policy: ExecPolicy) -> Self {
-        self.options.policy = policy;
-        self
-    }
-
     /// Worker threads for parallel execution (joins, aggregation); `0` (the
-    /// default) uses [`std::thread::available_parallelism`]. Shorthand for
-    /// setting [`ExecPolicy::threads`] via [`EngineBuilder::policy`].
+    /// default) uses [`std::thread::available_parallelism`].
     pub fn threads(mut self, n: usize) -> Self {
-        self.options.policy.threads = n;
+        self.options.threads = n;
         self
     }
 
@@ -1002,7 +974,7 @@ mod tests {
 
     // ---- resource limits ---------------------------------------------------
 
-    use crate::limits::{EvalLimits, LimitKind};
+    use crate::{EvalLimits, LimitKind};
     use crate::SparqlError;
     use std::time::{Duration, Instant};
 

@@ -7,8 +7,8 @@
 //! row).
 
 use crate::ast::{ArithOp, CompareOp, Expr, GroupPattern};
-use crate::limits::LimitGuard;
 use crate::plan::rows::{Bound, Frame, Row};
+use crate::LimitGuard;
 use rdfa_model::{Term, Value};
 use rdfa_store::Store;
 use std::cmp::Ordering;

@@ -37,7 +37,6 @@ pub mod ast;
 pub mod batch;
 pub mod engine;
 pub mod expr;
-pub mod limits;
 pub mod parser;
 pub mod path;
 pub mod plan;
@@ -48,12 +47,13 @@ pub mod views;
 
 pub use ast::{Query, QueryForm, SelectQuery};
 pub use engine::{Engine, EngineBuilder, EvalOptions, PreparedQuery};
-pub use rdfa_exec::ExecPolicy;
-pub use limits::{CancelFlag, EvalLimits, LimitKind};
+pub use rdfa_exec::{CancelFlag, EvalLimits, LimitError, LimitGuard, LimitKind, Tally};
 pub use parser::parse_query;
 pub use plan::{ExecStats, OpStats};
 pub use results::{QueryResults, Solutions};
-pub use update::{execute_update, execute_update_recording, UpdateOp, UpdateStats};
+pub use update::{
+    execute_update, execute_update_limited, execute_update_recording, UpdateOp, UpdateStats,
+};
 pub use views::{match_aggregate_shape, AggShape, ShapeMatch, ViewCatalog};
 
 /// Errors from parsing or evaluating a query.
@@ -97,6 +97,12 @@ impl SparqlError {
     /// session falls back to direct functional evaluation).
     pub fn is_resource_limit(&self) -> bool {
         matches!(self, SparqlError::ResourceLimit { .. })
+    }
+}
+
+impl From<LimitError> for SparqlError {
+    fn from(e: LimitError) -> Self {
+        SparqlError::ResourceLimit { kind: e.kind, limit: e.limit }
     }
 }
 

@@ -5,8 +5,7 @@
 //! path-expansion transitions of the faceted UI (Fig 5.5).
 
 use crate::ast::PropertyPath;
-use crate::limits::LimitGuard;
-use crate::SparqlError;
+use crate::{LimitGuard, SparqlError, Tally};
 use rdfa_store::{Store, TermId};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -21,18 +20,20 @@ pub fn eval_path(
     end: Option<TermId>,
 ) -> BTreeSet<(TermId, TermId)> {
     // an unlimited guard never trips
-    eval_path_limited(store, path, start, end, &LimitGuard::unlimited()).unwrap_or_default()
+    let guard = LimitGuard::unlimited();
+    eval_path_limited(store, path, start, end, &mut guard.tally(0)).unwrap_or_default()
 }
 
-/// Like [`eval_path`], but every node expansion is charged against `guard`,
-/// so a runaway closure surfaces `SparqlError::ResourceLimit` instead of
-/// hanging the query.
+/// Like [`eval_path`], but every node expansion is counted in `tally`, so a
+/// runaway closure surfaces `SparqlError::ResourceLimit` instead of hanging
+/// the query. Expansions still pending in the tally reach its guard at the
+/// caller's [`Tally::flush`].
 pub fn eval_path_limited(
     store: &Store,
     path: &PropertyPath,
     start: Option<TermId>,
     end: Option<TermId>,
-    guard: &LimitGuard,
+    tally: &mut Tally<'_>,
 ) -> Result<BTreeSet<(TermId, TermId)>, SparqlError> {
     match path {
         PropertyPath::Iri(iri) => {
@@ -44,20 +45,20 @@ pub fn eval_path_limited(
                 .map(|[s, _, o]| (s, o))
                 .collect())
         }
-        PropertyPath::Inverse(inner) => Ok(eval_path_limited(store, inner, end, start, guard)?
+        PropertyPath::Inverse(inner) => Ok(eval_path_limited(store, inner, end, start, tally)?
             .into_iter()
             .map(|(a, b)| (b, a))
             .collect()),
         PropertyPath::Sequence(a, b) => {
             if start.is_some() || end.is_none() {
                 // drive left-to-right, anchored at start when available
-                let left = eval_path_limited(store, a, start, None, guard)?;
+                let left = eval_path_limited(store, a, start, None, tally)?;
                 let mut out = BTreeSet::new();
                 let mut mid_cache: HashMap<TermId, BTreeSet<(TermId, TermId)>> = HashMap::new();
                 for (s, mid) in left {
-                    guard.count_path_visit()?;
+                    tally.add_visit()?;
                     if let std::collections::hash_map::Entry::Vacant(e) = mid_cache.entry(mid) {
-                        let rights = eval_path_limited(store, b, Some(mid), end, guard)?;
+                        let rights = eval_path_limited(store, b, Some(mid), end, tally)?;
                         e.insert(rights);
                     }
                     for &(_, o) in &mid_cache[&mid] {
@@ -67,13 +68,13 @@ pub fn eval_path_limited(
                 Ok(out)
             } else {
                 // only end anchored: drive right-to-left
-                let right = eval_path_limited(store, b, None, end, guard)?;
+                let right = eval_path_limited(store, b, None, end, tally)?;
                 let mut out = BTreeSet::new();
                 let mut mid_cache: HashMap<TermId, BTreeSet<(TermId, TermId)>> = HashMap::new();
                 for (mid, o) in right {
-                    guard.count_path_visit()?;
+                    tally.add_visit()?;
                     if let std::collections::hash_map::Entry::Vacant(e) = mid_cache.entry(mid) {
-                        let lefts = eval_path_limited(store, a, None, Some(mid), guard)?;
+                        let lefts = eval_path_limited(store, a, None, Some(mid), tally)?;
                         e.insert(lefts);
                     }
                     for &(s, _) in &mid_cache[&mid] {
@@ -84,18 +85,18 @@ pub fn eval_path_limited(
             }
         }
         PropertyPath::Alternative(a, b) => {
-            let mut out = eval_path_limited(store, a, start, end, guard)?;
-            out.extend(eval_path_limited(store, b, start, end, guard)?);
+            let mut out = eval_path_limited(store, a, start, end, tally)?;
+            out.extend(eval_path_limited(store, b, start, end, tally)?);
             Ok(out)
         }
         PropertyPath::ZeroOrOne(inner) => {
-            let mut out = eval_path_limited(store, inner, start, end, guard)?;
+            let mut out = eval_path_limited(store, inner, start, end, tally)?;
             out.extend(identity_pairs(store, start, end));
             Ok(out)
         }
-        PropertyPath::OneOrMore(inner) => closure(store, inner, start, end, guard),
+        PropertyPath::OneOrMore(inner) => closure(store, inner, start, end, tally),
         PropertyPath::ZeroOrMore(inner) => {
-            let mut out = closure(store, inner, start, end, guard)?;
+            let mut out = closure(store, inner, start, end, tally)?;
             out.extend(identity_pairs(store, start, end));
             Ok(out)
         }
@@ -131,26 +132,26 @@ fn graph_nodes(store: &Store) -> BTreeSet<TermId> {
 }
 
 /// Transitive closure of a path via BFS from each start node. Every node
-/// expansion (queue pop) is charged against the guard — this is the loop
-/// that walks a cycle-heavy graph forever without a budget.
+/// expansion (queue pop) is charged against the budget — this is the loop
+/// that walks a cycle-heavy graph forever without one.
 fn closure(
     store: &Store,
     inner: &PropertyPath,
     start: Option<TermId>,
     end: Option<TermId>,
-    guard: &LimitGuard,
+    tally: &mut Tally<'_>,
 ) -> Result<BTreeSet<(TermId, TermId)>, SparqlError> {
     // when only the end is anchored, walk the inverse path instead
     if start.is_none() && end.is_some() {
         let inv = PropertyPath::Inverse(Box::new(inner.clone()));
-        return Ok(closure(store, &inv, end, None, guard)?
+        return Ok(closure(store, &inv, end, None, tally)?
             .into_iter()
             .map(|(a, b)| (b, a))
             .collect());
     }
     let starts: Vec<TermId> = match start {
         Some(s) => vec![s],
-        None => eval_path_limited(store, inner, None, None, guard)?
+        None => eval_path_limited(store, inner, None, None, tally)?
             .into_iter()
             .map(|(s, _)| s)
             .collect::<BTreeSet<_>>()
@@ -163,9 +164,9 @@ fn closure(
         let mut queue: VecDeque<TermId> = VecDeque::new();
         queue.push_back(s);
         while let Some(node) = queue.pop_front() {
-            guard.count_path_visit()?;
+            tally.add_visit()?;
             // expand one step of the inner path from `node`
-            for (_, next) in eval_path_limited(store, inner, Some(node), None, guard)? {
+            for (_, next) in eval_path_limited(store, inner, Some(node), None, tally)? {
                 if seen.insert(next) {
                     queue.push_back(next);
                 }
@@ -323,9 +324,8 @@ mod tests {
     fn closure_respects_path_visit_limit() {
         let s = cycle_store(100);
         let plus = PropertyPath::OneOrMore(Box::new(p("partOf")));
-        let guard =
-            LimitGuard::new(crate::limits::EvalLimits::default().with_max_path_visits(50));
-        let err = eval_path_limited(&s, &plus, None, None, &guard).unwrap_err();
+        let guard = LimitGuard::new(crate::EvalLimits::default().with_max_path_visits(50));
+        let err = eval_path_limited(&s, &plus, None, None, &mut guard.tally(0)).unwrap_err();
         assert!(err.is_resource_limit(), "{err}");
     }
 
@@ -335,15 +335,15 @@ mod tests {
         let s = cycle_store(2000);
         let plus = PropertyPath::OneOrMore(Box::new(p("partOf")));
         let deadline = Duration::from_millis(20);
-        let guard = LimitGuard::new(crate::limits::EvalLimits::default().with_deadline(deadline));
+        let guard = LimitGuard::new(crate::EvalLimits::default().with_deadline(deadline));
         let t0 = Instant::now();
-        let result = eval_path_limited(&s, &plus, None, None, &guard);
+        let result = eval_path_limited(&s, &plus, None, None, &mut guard.tally(0));
         let elapsed = t0.elapsed();
         // the full closure over a 2000-cycle is 4M pairs — the deadline must
         // cut it off promptly (well under 2x the budget)
         assert!(matches!(
             result,
-            Err(SparqlError::ResourceLimit { kind: crate::limits::LimitKind::Deadline, .. })
+            Err(SparqlError::ResourceLimit { kind: crate::LimitKind::Deadline, .. })
         ));
         assert!(elapsed < deadline * 2, "took {elapsed:?} against a {deadline:?} deadline");
     }

@@ -1,6 +1,6 @@
 //! Physical query plans over the interned ID space.
 //!
-//! [`compile_select`] lowers a parsed `SELECT` into a small operator tree
+//! `compile_select` lowers a parsed `SELECT` into a small operator tree
 //! (scan/join → filter → bind/values → optional/union → project/aggregate)
 //! once, ahead of execution. The executor evaluates the tree over columnar
 //! [`Batch`]es of packed execution ids ([`crate::batch`]): joins compare
@@ -24,7 +24,7 @@
 //! subject is a variable bound in the input, its predicate is a constant and
 //! the input is large next to the pattern's posting run
 //! ([`Store::prefer_seek`]), it instead scans that run once into a
-//! subject-indexed [`ScanSide`] and looks each row's subject up in it. The
+//! subject-indexed `ScanSide` and looks each row's subject up in it. The
 //! side yields what the probe would, in the same order, so the choice never
 //! shows in the output.
 //!
@@ -33,7 +33,7 @@
 //! anti-joins an inner tree run from an empty seed; a non-IRI property path
 //! is a join step that walks the path from each row's anchors; and every
 //! `EXISTS` is a sub-plan compiled once and run seeded with the row
-//! ([`nested`]). `CONSTRUCT`, `ASK` and update `WHERE` clauses execute the
+//! (`nested`). `CONSTRUCT`, `ASK` and update `WHERE` clauses execute the
 //! same tree and hand back its rows.
 
 mod nested;
@@ -43,11 +43,12 @@ use crate::ast::*;
 use crate::batch::{as_store, pack_store, Batch, EId, IdMap, IdSet, TermArena, UNBOUND};
 use crate::engine::EvalOptions;
 use crate::expr::eval_expr_limited;
-use crate::limits::LimitGuard;
 use crate::results::Solutions;
 use crate::SparqlError;
 use nested::ExistsPlan;
-use rdfa_exec::{run_morsels, Interrupt, Trip, DEFAULT_MORSEL_ROWS};
+use rdfa_exec::{
+    morsel_workers, run_morsels, LimitError, LimitGuard, Tally, DEFAULT_MORSEL_ROWS,
+};
 use rdfa_model::{Term, Value};
 use rdfa_store::{IdTriple, Store, TermId};
 use rows::{collect_vars, finalize_rows, select_items, Bound, Frame, Row, EMPTY_FRAME};
@@ -61,9 +62,6 @@ use std::time::{Duration, Instant};
 fn batch_row_cost(width: usize) -> u64 {
     (width * std::mem::size_of::<EId>() + std::mem::size_of::<u32>()) as u64
 }
-
-/// Output rows between cooperative budget flushes inside a morsel worker.
-const WORKER_PROBE_INTERVAL: usize = 512;
 
 /// Fewest bound-subject rows for which a join step considers scanning its
 /// pattern instead of probing per row: below one morsel the probes cost
@@ -206,7 +204,7 @@ pub struct OpStats {
     pub rows_out: u64,
     /// Times the operator ran.
     pub invocations: u64,
-    /// Join steps: triples read into a built [`ScanSide`] across all
+    /// Join steps: triples read into a built `ScanSide` across all
     /// invocations (0 = every invocation probed the index per row).
     pub scanned: u64,
 }
@@ -1109,16 +1107,22 @@ struct FoldCtx<'a> {
 /// Only precomputed columns are read. `COUNT` of a variable tests the slot
 /// for binding, DISTINCT over a variable dedupes on canonical ids, and any
 /// other use of a variable decodes its value through `memo`, once per
-/// distinct id.
+/// distinct id. Probes `guard` at every morsel boundary inside the range,
+/// so the sequential fold stops at a deadline or a cancel as the morsel
+/// workers do.
 fn fold_rows(
     ctx: &FoldCtx<'_>,
     lo: usize,
     hi: usize,
     memo: &mut IdMap<EId, Value>,
-) -> Vec<GroupAcc> {
+    guard: &LimitGuard,
+) -> Result<Vec<GroupAcc>, LimitError> {
     let mut index = GroupIndex::new(ctx.keys.len());
     let mut groups: Vec<GroupAcc> = Vec::new();
     for r in lo..hi {
+        if r > lo && r.is_multiple_of(DEFAULT_MORSEL_ROWS) {
+            guard.probe()?;
+        }
         let g = index.group(ctx.keys, r, groups.len());
         if g == groups.len() {
             groups.push(GroupAcc { first_row: r, states: fresh_states(ctx.specs, ctx.inputs) });
@@ -1153,7 +1157,7 @@ fn fold_rows(
             }
         }
     }
-    groups
+    Ok(groups)
 }
 
 /// The typed value of execution id `id`, decoded on its first use.
@@ -1177,7 +1181,7 @@ pub(crate) fn execute_plan(
     options: &EvalOptions,
 ) -> Result<(Output, ExecStats), SparqlError> {
     let t0 = Instant::now();
-    let guard = Rc::new(LimitGuard::new(options.effective_limits()));
+    let guard = Rc::new(LimitGuard::new(options.limits.clone()));
     let frame = plan.frame();
     let exists = match &plan.form {
         PlanForm::Select(sp) => &sp.scope.exists[..],
@@ -1450,7 +1454,7 @@ impl<'s> Executor<'s> {
             self.op_scanned[steps[0].3] += side.len() as u64;
         }
         let n_morsels = input.len().div_ceil(DEFAULT_MORSEL_ROWS).max(1);
-        let workers = self.options.policy.morsel_workers(n_morsels);
+        let workers = morsel_workers(self.options.threads, n_morsels);
         if workers <= 1 {
             let mut prev: Option<Batch> = None;
             for (i, &(s, p, o, op)) in steps.iter().enumerate() {
@@ -1461,9 +1465,8 @@ impl<'s> Executor<'s> {
             }
             return Ok(prev.expect("join runs are non-empty"));
         }
-        let store = self.store;
+        let (store, guard) = (self.store, &*self.guard);
         let rows = input.len();
-        let intr = self.guard.interrupt();
         let result = run_morsels(
             workers,
             n_morsels,
@@ -1471,21 +1474,15 @@ impl<'s> Executor<'s> {
             |_: &mut (), m: usize| {
                 let lo = m * DEFAULT_MORSEL_ROWS;
                 let hi = ((m + 1) * DEFAULT_MORSEL_ROWS).min(rows);
-                chain_worker(store, input, steps, side.as_ref(), lo, hi, &intr)
+                chain_worker(store, input, steps, side.as_ref(), lo, hi, guard)
             },
         );
         self.threads_used = self.threads_used.max(workers);
         self.morsels += n_morsels;
-        let segments = match result {
-            Ok(segments) => {
-                self.guard.absorb(&intr)?;
-                segments
-            }
-            Err(_trip) => {
-                self.guard.absorb(&intr)?;
-                unreachable!("absorb surfaces the recorded trip");
-            }
-        };
+        // a worker's trip is recorded in the guard, whose verdict reads the
+        // totals: the same error whichever worker tripped first
+        self.guard.surface()?;
+        let segments = result?;
         let mut totals = vec![0u64; steps.len()];
         let mut out = Batch::new(input.width());
         for (segment, counts) in segments {
@@ -1525,18 +1522,12 @@ impl<'s> Executor<'s> {
         if probes < SCAN_MIN_PROBES || self.store.prefer_seek(probes, *p, o) {
             return Ok(None);
         }
-        let intr = self.guard.interrupt();
-        let side = ScanSide::build(self.store, *p, o, &intr);
-        self.guard.absorb(&intr)?;
-        match side {
-            Ok(side) => Ok(Some(side)),
-            Err(_) => unreachable!("absorb surfaces the recorded trip"),
-        }
+        Ok(Some(ScanSide::build(self.store, *p, o, &self.guard)?))
     }
 
     /// One index-join step over the whole input, inline on the caller's
-    /// thread. Budgets are charged through a single-owner [`Interrupt`] and
-    /// reconciled into the guard, so the accounting matches the morsel path.
+    /// thread, charging the guard through a [`Tally`] as a morsel worker
+    /// does.
     fn exec_join(
         &mut self,
         input: &Batch,
@@ -1546,16 +1537,10 @@ impl<'s> Executor<'s> {
         side: Option<&ScanSide>,
     ) -> Result<Batch, SparqlError> {
         let mut out = Batch::new(input.width());
-        let intr = self.guard.interrupt();
-        let mut budget = BudgetBlock::new(&intr, batch_row_cost(input.width()));
-        let res =
-            join_rows(self.store, input, 0, input.len(), (s, p, o), side, &mut out, &mut budget)
-                .and_then(|()| budget.flush());
-        self.guard.absorb(&intr)?;
-        match res {
-            Ok(()) => Ok(out),
-            Err(_) => unreachable!("absorb surfaces the recorded trip"),
-        }
+        let mut tally = self.guard.tally(batch_row_cost(input.width()));
+        join_rows(self.store, input, 0, input.len(), (s, p, o), side, &mut out, &mut tally)?;
+        tally.flush()?;
+        Ok(out)
     }
 
     /// Keep the rows on which every expression is true. A top-level `&&`
@@ -1612,6 +1597,7 @@ impl<'s> Executor<'s> {
             })
             .collect();
         let mut out = Batch::new(input.width());
+        let mut tally = self.guard.tally(batch_row_cost(out.width()));
         let mut overrides: Vec<(usize, EId)> = Vec::new();
         for r in 0..input.len() {
             'data: for tuple in &tuples {
@@ -1628,10 +1614,11 @@ impl<'s> Executor<'s> {
                         }
                     }
                 }
-                self.guard.count_row_bytes(batch_row_cost(out.width()))?;
+                tally.add_row()?;
                 out.push_row_from(input, r, &overrides);
             }
         }
+        tally.flush()?;
         Ok(out)
     }
 
@@ -1830,7 +1817,7 @@ impl<'s> Executor<'s> {
         let fans_out = q.group_by.iter().all(|e| matches!(e, Expr::Var(_)))
             && inputs.iter().all(|i| !matches!(i, AggIn::Expr(_)));
         let n_morsels = n.div_ceil(DEFAULT_MORSEL_ROWS).max(1);
-        let workers = if fans_out { self.options.policy.morsel_workers(n_morsels) } else { 1 };
+        let workers = if fans_out { morsel_workers(self.options.threads, n_morsels) } else { 1 };
         let ctx = FoldCtx {
             store: self.store,
             arena: &self.arena,
@@ -1843,21 +1830,11 @@ impl<'s> Executor<'s> {
             self.threads_used = self.threads_used.max(workers);
             self.parallel_groupby = true;
             self.morsels += n_morsels;
-            let intr = self.guard.interrupt();
-            match parallel_group(&ctx, workers, n_morsels, &intr) {
-                Ok(groups) => {
-                    self.guard.absorb(&intr)?;
-                    groups
-                }
-                Err(_trip) => {
-                    // a worker saw the deadline expire or the cancel flag:
-                    // absorb maps the recorded trip onto the guard's error
-                    self.guard.absorb(&intr)?;
-                    unreachable!("absorb surfaces the recorded trip");
-                }
-            }
+            let result = parallel_group(&ctx, workers, n_morsels, &self.guard);
+            self.guard.surface()?;
+            result?
         } else {
-            fold_rows(&ctx, 0, n, &mut IdMap::default())
+            fold_rows(&ctx, 0, n, &mut IdMap::default(), &self.guard)?
         };
 
         // an aggregate query with no GROUP BY over zero rows still yields
@@ -2044,38 +2021,6 @@ fn conjuncts(e: &Expr) -> Vec<&Expr> {
 
 // ---- morsel join workers ---------------------------------------------------
 
-/// Batches per-row budget charges inside one join step: produced rows
-/// accumulate locally and flush to the shared [`Interrupt`] every
-/// [`WORKER_PROBE_INTERVAL`] rows, bounding both the atomic traffic and how
-/// far a blown-up join can overrun its budgets before tripping. Flushes
-/// also probe the deadline and the cancellation flag.
-struct BudgetBlock<'a> {
-    intr: &'a Interrupt,
-    row_bytes: u64,
-    pending: u64,
-}
-
-impl<'a> BudgetBlock<'a> {
-    fn new(intr: &'a Interrupt, row_bytes: u64) -> Self {
-        BudgetBlock { intr, row_bytes, pending: 0 }
-    }
-
-    /// Charge one produced row.
-    fn add_row(&mut self) -> Result<(), Trip> {
-        self.pending += 1;
-        if self.pending >= WORKER_PROBE_INTERVAL as u64 {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Push pending charges to the interrupt and probe deadline/cancel.
-    fn flush(&mut self) -> Result<(), Trip> {
-        let rows = std::mem::take(&mut self.pending);
-        self.intr.checkpoint(rows, rows * self.row_bytes)
-    }
-}
-
 /// One morsel of a join run: run every step over `input[lo..hi)`, the first
 /// reading `side` when one was built, then feed each step's local output to
 /// the next. Returns the run's final batch for this morsel plus per-step row
@@ -2087,18 +2032,18 @@ fn chain_worker(
     side: Option<&ScanSide>,
     lo: usize,
     hi: usize,
-    intr: &Interrupt,
-) -> Result<(Batch, Vec<u64>), Trip> {
+    guard: &LimitGuard,
+) -> Result<(Batch, Vec<u64>), LimitError> {
     let mut counts = vec![0u64; steps.len()];
     let mut prev: Option<Batch> = None;
     for (si, &(s, p, o, _)) in steps.iter().enumerate() {
         let mut out = Batch::new(input.width());
-        let mut budget = BudgetBlock::new(intr, batch_row_cost(input.width()));
+        let mut tally = guard.tally(batch_row_cost(input.width()));
         match &prev {
-            None => join_rows(store, input, lo, hi, (s, p, o), side, &mut out, &mut budget)?,
-            Some(b) => join_rows(store, b, 0, b.len(), (s, p, o), None, &mut out, &mut budget)?,
+            None => join_rows(store, input, lo, hi, (s, p, o), side, &mut out, &mut tally)?,
+            Some(b) => join_rows(store, b, 0, b.len(), (s, p, o), None, &mut out, &mut tally)?,
         }
-        budget.flush()?;
+        tally.flush()?;
         counts[si] = out.len() as u64;
         prev = Some(out);
     }
@@ -2128,26 +2073,31 @@ struct ScanSide {
 }
 
 impl ScanSide {
-    /// Scan `(?, p, o)` once into a side. Probes `intr` before the scan and
-    /// once per [`DEFAULT_MORSEL_ROWS`] triples (like a morsel), charging
-    /// the scratch pairs as they grow and the offsets and objects before
-    /// they are allocated.
-    fn build(store: &Store, p: TermId, o: Option<TermId>, intr: &Interrupt) -> Result<Self, Trip> {
+    /// Scan `(?, p, o)` once into a side. Probes `guard` before the scan
+    /// and once per [`DEFAULT_MORSEL_ROWS`] triples (like a morsel),
+    /// charging the scratch pairs as they grow and the offsets and objects
+    /// before they are allocated.
+    fn build(
+        store: &Store,
+        p: TermId,
+        o: Option<TermId>,
+        guard: &LimitGuard,
+    ) -> Result<Self, LimitError> {
         const PAIR_BYTES: u64 = std::mem::size_of::<(u32, TermId)>() as u64;
         const ID_BYTES: u64 = std::mem::size_of::<u32>() as u64;
-        intr.probe()?;
+        guard.probe()?;
         let mut pairs: Vec<(u32, TermId)> = Vec::new();
         for [s, _, obj] in store.matching(None, Some(p), o) {
             pairs.push((s.0, obj));
             if pairs.len().is_multiple_of(DEFAULT_MORSEL_ROWS) {
-                intr.checkpoint(0, DEFAULT_MORSEL_ROWS as u64 * PAIR_BYTES)?;
+                guard.checkpoint(0, DEFAULT_MORSEL_ROWS as u64 * PAIR_BYTES)?;
             }
         }
         let n = pairs.len();
         let base = pairs.iter().map(|&(s, _)| s).min().unwrap_or(0);
         let span = pairs.iter().map(|&(s, _)| (s - base) as usize + 1).max().unwrap_or(0);
         let tail = (n % DEFAULT_MORSEL_ROWS) as u64 * PAIR_BYTES;
-        intr.checkpoint(0, tail + (span as u64 + 1 + n as u64) * ID_BYTES)?;
+        guard.checkpoint(0, tail + (span as u64 + 1 + n as u64) * ID_BYTES)?;
         // counts land one slot right, so the prefix sum yields slice starts
         let mut offsets = vec![0u32; span + 1];
         for &(s, _) in &pairs {
@@ -2199,15 +2149,15 @@ fn join_rows(
     (s, p, o): (&CSlot, &CPred, &CSlot),
     side: Option<&ScanSide>,
     out: &mut Batch,
-    budget: &mut BudgetBlock<'_>,
-) -> Result<(), Trip> {
+    tally: &mut Tally<'_>,
+) -> Result<(), LimitError> {
     let mut overrides: Vec<(usize, EId)> = Vec::with_capacity(3);
     let mut emit = |r: usize,
                     sa: &RAnchor,
                     oa: &RAnchor,
                     p_slot: Option<usize>,
                     [sv, pv, ov]: IdTriple|
-     -> Result<(), Trip> {
+     -> Result<(), LimitError> {
         // repeated-variable consistency (?x p ?x)
         if same_free(sa, oa) && sv != ov {
             return Ok(());
@@ -2221,7 +2171,7 @@ fn join_rows(
             // the reference evaluator's overwrite order
             overrides.push((ps, pack_store(pv)));
         }
-        budget.add_row()?;
+        tally.add_row()?;
         out.push_row_from(input, r, &overrides);
         Ok(())
     };
@@ -2290,24 +2240,24 @@ fn resolve_slot(c: &CSlot, input: &Batch, r: usize) -> Option<RAnchor> {
 /// its morsels), and the partial groups merge in morsel order — morsel 0's
 /// rows precede morsel 1's, so first-seen group order and each group's
 /// representative row match the sequential fold exactly. A partial group
-/// is keyed by the key columns at its first row. Probes `intr` at every
+/// is keyed by the key columns at its first row. Probes `guard` at every
 /// morsel boundary.
 fn parallel_group(
     ctx: &FoldCtx<'_>,
     workers: usize,
     n_morsels: usize,
-    intr: &Interrupt,
-) -> Result<Vec<GroupAcc>, Trip> {
+    guard: &LimitGuard,
+) -> Result<Vec<GroupAcc>, LimitError> {
     let rows = ctx.batch.len();
     let partials = run_morsels(
         workers,
         n_morsels,
         |_| IdMap::<EId, Value>::default(),
         |memo, m| {
-            intr.probe()?;
+            guard.probe()?;
             let lo = m * DEFAULT_MORSEL_ROWS;
             let hi = (lo + DEFAULT_MORSEL_ROWS).min(rows);
-            Ok(fold_rows(ctx, lo, hi, memo))
+            fold_rows(ctx, lo, hi, memo, guard)
         },
     )?;
     let mut index = GroupIndex::new(ctx.keys.len());
@@ -2328,8 +2278,7 @@ fn parallel_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::limits::{EvalLimits, LimitKind};
-    use rdfa_exec::{CancelFlag, TripKind};
+    use crate::{CancelFlag, EvalLimits, LimitKind};
     use rdfa_model::{vocab::xsd, Literal};
 
     /// Deterministic xorshift stream, `0..n`.
@@ -2398,17 +2347,17 @@ mod tests {
             (CSlot::Var(0), CSlot::Const(c), Some(c)),
             (CSlot::Var(2), CSlot::Var(1), None),
         ];
-        let intr = Interrupt::unlimited();
+        let guard = LimitGuard::unlimited();
         for (s, o, o_const) in &steps {
             let join = |side: Option<&ScanSide>| {
                 let mut out = Batch::new(3);
-                let mut budget = BudgetBlock::new(&intr, 16);
+                let mut tally = guard.tally(16);
                 let step = (s, &CPred::Const(p), o);
-                join_rows(&store, &input, 0, input.len(), step, side, &mut out, &mut budget)
+                join_rows(&store, &input, 0, input.len(), step, side, &mut out, &mut tally)
                     .unwrap();
                 out
             };
-            let side = ScanSide::build(&store, p, *o_const, &intr).unwrap();
+            let side = ScanSide::build(&store, p, *o_const, &guard).unwrap();
             assert_eq!(side.len(), store.matching(None, Some(p), *o_const).count());
             let probed = join(None);
             assert!(!probed.is_empty(), "{s:?} {o:?}");
@@ -2417,7 +2366,7 @@ mod tests {
     }
 
     fn executor<'s>(store: &'s Store, frame: &'s Frame, options: &'s EvalOptions) -> Executor<'s> {
-        let guard = Rc::new(LimitGuard::new(options.effective_limits()));
+        let guard = Rc::new(LimitGuard::new(options.limits.clone()));
         Executor::new(store, frame, &[], options, guard, 0)
     }
 
@@ -2491,7 +2440,7 @@ mod tests {
             let mut ex = executor(&store, &frame, &options);
             let items = select_items(&q, &frame);
             ex.grouped_rows(&q, &items, &batch).expect("the fold itself does not check");
-            assert!(tripped(ex.guard.surface()), "GROUP BY key: {kind}");
+            assert!(tripped(ex.guard.surface().map_err(SparqlError::from)), "GROUP BY key: {kind}");
         }
     }
 
@@ -2500,12 +2449,45 @@ mod tests {
         let (store, _, p) = store_with_layers();
         let cancel = CancelFlag::new();
         cancel.cancel();
-        let intr = Interrupt::new(Instant::now(), None, Some(cancel), None, None);
-        let trip = ScanSide::build(&store, p, None, &intr).err().expect("cancelled");
-        assert_eq!(trip.kind, TripKind::Cancelled);
-        let intr = Interrupt::new(Instant::now(), None, None, None, Some(64));
-        let trip = ScanSide::build(&store, p, None, &intr).err().expect("over budget");
-        assert_eq!(trip.kind, TripKind::Memory);
-        assert!(intr.bytes_used() > 64);
+        let guard = LimitGuard::new(EvalLimits::unlimited().with_cancel(cancel));
+        let trip = ScanSide::build(&store, p, None, &guard).err().expect("cancelled");
+        assert_eq!(trip.kind, LimitKind::Cancelled);
+        let guard = LimitGuard::new(EvalLimits::unlimited().with_max_memory_bytes(64));
+        let trip = ScanSide::build(&store, p, None, &guard).err().expect("over budget");
+        assert_eq!(trip.kind, LimitKind::MemoryBytes);
+        assert!(guard.memory_bytes() > 64);
+    }
+
+    /// The sequential GROUP BY fold probes the guard once per morsel of
+    /// rows, as the parallel fold's workers do: a raised cancel flag stops
+    /// a fold of several morsels at one thread as at two, four or eight.
+    #[test]
+    fn the_sequential_fold_probes_once_per_morsel() {
+        let parsed =
+            crate::parser::parse_query("SELECT ?v (COUNT(*) AS ?n) WHERE { ?s ?p ?v } GROUP BY ?v");
+        let Ok(Query { form: QueryForm::Select(q) }) = parsed else { panic!("parses") };
+        let mut frame = Frame::default();
+        collect_vars(&q.where_, &mut frame);
+        let mut store = Store::new();
+        let vals: Vec<EId> = (0..3).map(|i| pack_store(store.intern(&Term::integer(i)))).collect();
+        let v = frame.index("v").expect("?v is in the frame");
+        let n_rows = 5 * DEFAULT_MORSEL_ROWS as u32;
+        let mut batch = Batch::new(frame.len());
+        for r in 0..n_rows {
+            let mut row = vec![UNBOUND; frame.len()];
+            row[v] = vals[r as usize % 3];
+            batch.push_row(&row, r);
+        }
+        let items = select_items(&q, &frame);
+        for threads in [1, 2, 4, 8] {
+            let cancel = CancelFlag::new();
+            cancel.cancel();
+            let limits = EvalLimits::unlimited().with_cancel(cancel);
+            let options = EvalOptions { limits, threads, ..EvalOptions::default() };
+            let mut ex = executor(&store, &frame, &options);
+            let err = ex.grouped_rows(&q, &items, &batch).expect_err("cancelled");
+            assert!(err.is_cancelled(), "{threads} threads: {err:?}");
+            assert_eq!(ex.parallel_groupby, threads > 1, "{threads} threads");
+        }
     }
 }

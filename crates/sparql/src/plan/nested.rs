@@ -5,8 +5,9 @@
 //! outer-row-major — an input row's matches in a fixed order (inner
 //! solution order, path pairs ascending) before the next row's — so output
 //! never depends on the thread count. Rows are charged to the row and
-//! memory budgets as they are produced; path walks charge every node
-//! expansion; the deadline and cancel flag are probed once per input row.
+//! memory budgets as they are produced and path walks charge every node
+//! expansion, both through a [`rdfa_exec::Tally`]; the deadline and cancel
+//! flag are probed (amortized) once per input row.
 
 use super::{
     anchor_bind, batch_row_cost, resolve_slot, same_free, CSlot, Executor, Node, Scope, SelectPlan,
@@ -82,6 +83,7 @@ impl<'s> Executor<'s> {
         o: &CSlot,
     ) -> Result<Batch, SparqlError> {
         let mut out = Batch::new(input.width());
+        let mut tally = self.guard.tally(batch_row_cost(out.width()));
         let mut overrides: Vec<(usize, EId)> = Vec::with_capacity(2);
         for r in 0..input.len() {
             self.guard.check_deadline()?;
@@ -89,7 +91,7 @@ impl<'s> Executor<'s> {
             else {
                 continue;
             };
-            for (sv, ov) in eval_path_limited(self.store, path, sa.id(), oa.id(), &self.guard)? {
+            for (sv, ov) in eval_path_limited(self.store, path, sa.id(), oa.id(), &mut tally)? {
                 overrides.clear();
                 if same_free(&sa, &oa) && sv != ov
                     || !anchor_bind(&sa, sv, &mut overrides)
@@ -97,10 +99,11 @@ impl<'s> Executor<'s> {
                 {
                     continue;
                 }
-                self.guard.count_row_bytes(batch_row_cost(out.width()))?;
+                tally.add_row()?;
                 out.push_row_from(input, r, &overrides);
             }
         }
+        tally.flush()?;
         Ok(out)
     }
 

@@ -6,9 +6,8 @@
 
 use crate::ast::*;
 use crate::expr::{eval_expr_limited, ExistsEval};
-use crate::limits::LimitGuard;
 use crate::results::Solutions;
-use crate::SparqlError;
+use crate::{LimitGuard, SparqlError};
 use rdfa_model::{Term, Value};
 use rdfa_store::{Store, TermId};
 

@@ -12,7 +12,7 @@ use crate::expr::bound_term;
 use crate::parser::parse_update_ops;
 use crate::plan::rows::{Frame, Row};
 use crate::plan::{compile_where, execute_plan, Output};
-use crate::SparqlError;
+use crate::{EvalLimits, SparqlError};
 use rdfa_model::{Term, Triple};
 use rdfa_store::{Mutation, Store};
 
@@ -56,11 +56,23 @@ pub fn execute_update_recording(
     store: &mut Store,
     text: &str,
 ) -> Result<(UpdateStats, Vec<Mutation>), SparqlError> {
+    execute_update_limited(store, text, &EvalLimits::unlimited())
+}
+
+/// Like [`execute_update_recording`], with every WHERE clause evaluated
+/// under `limits` (each with a budget of its own). A trip fails the whole
+/// request; the caller discards the store it was applying to.
+pub fn execute_update_limited(
+    store: &mut Store,
+    text: &str,
+    limits: &EvalLimits,
+) -> Result<(UpdateStats, Vec<Mutation>), SparqlError> {
     let ops = parse_update_ops(text)?;
+    let options = EvalOptions { limits: limits.clone(), ..EvalOptions::default() };
     let mut stats = UpdateStats::default();
     let mut changes = Vec::new();
     for op in &ops {
-        apply(store, op, &mut stats, &mut changes)?;
+        apply(store, op, &options, &mut stats, &mut changes)?;
     }
     store.refresh_inference();
     Ok((stats, changes))
@@ -69,6 +81,7 @@ pub fn execute_update_recording(
 fn apply(
     store: &mut Store,
     op: &UpdateOp,
+    options: &EvalOptions,
     stats: &mut UpdateStats,
     changes: &mut Vec<Mutation>,
 ) -> Result<(), SparqlError> {
@@ -103,7 +116,7 @@ fn apply(
                     .map(crate::ast::PatternElement::Triple)
                     .collect(),
             };
-            let (frame, rows) = eval_where(store, &where_)?;
+            let (frame, rows) = eval_where(store, &where_, options)?;
             for t in instantiate_all(store, patterns, &frame, &rows) {
                 if remove_triple(store, &t) {
                     stats.deleted += 1;
@@ -112,7 +125,7 @@ fn apply(
             }
         }
         UpdateOp::Modify { delete, insert, where_ } => {
-            let (frame, rows) = eval_where(store, where_)?;
+            let (frame, rows) = eval_where(store, where_, options)?;
             let deletions = instantiate_all(store, delete, &frame, &rows);
             let insertions = instantiate_all(store, insert, &frame, &rows);
             for t in deletions {
@@ -140,10 +153,13 @@ fn remove_triple(store: &mut Store, t: &Triple) -> bool {
 }
 
 /// Evaluate a WHERE pattern on the physical plan: its frame and rows.
-fn eval_where(store: &Store, where_: &GroupPattern) -> Result<(Frame, Vec<Row>), SparqlError> {
-    let options = EvalOptions::default();
-    let plan = compile_where(where_, "Where".to_owned(), store, &options);
-    match execute_plan(&plan, store, &options)?.0 {
+fn eval_where(
+    store: &Store,
+    where_: &GroupPattern,
+    options: &EvalOptions,
+) -> Result<(Frame, Vec<Row>), SparqlError> {
+    let plan = compile_where(where_, "Where".to_owned(), store, options);
+    match execute_plan(&plan, store, options)?.0 {
         Output::Rows(rows) => Ok((plan.frame().clone(), rows)),
         Output::Solutions(_) => unreachable!("a WHERE plan yields rows"),
     }

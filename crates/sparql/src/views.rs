@@ -1,7 +1,7 @@
 //! The engine-side contract for materialized aggregate views.
 //!
 //! A **view catalog** (implemented by `rdfa-views`) observes the query
-//! workload through [`Engine::prepare`]/execute and answers recurring
+//! workload through [`Engine::prepare`](crate::Engine::prepare)/execute and answers recurring
 //! aggregate queries from precomputed columnar tables instead of
 //! re-scanning the store. This module defines the pieces the engine needs
 //! without depending on the view implementation:
@@ -47,9 +47,8 @@ use crate::ast::{
 };
 use crate::expr::NoExists;
 use crate::plan::rows::finalize_rows;
-use crate::limits::LimitGuard;
 use crate::results::Solutions;
-use crate::SparqlError;
+use crate::{LimitGuard, SparqlError};
 use rdfa_model::{Term, Value};
 use rdfa_store::Store;
 use std::time::Duration;

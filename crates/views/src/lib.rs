@@ -3,7 +3,7 @@
 //! Interactive analytics sessions are repetitive: the same grouped
 //! aggregates (the paper's HIFUN queries, §4) run again and again as the
 //! analyst drills, pivots, and un-drills. This crate watches that workload
-//! through the engine's [`ViewCatalog`] hook, materializes the hottest
+//! through the engine's [`ViewCatalog`](rdfa_sparql::ViewCatalog) hook, materializes the hottest
 //! aggregate shapes as columnar tables, answers matching queries from them
 //! **byte-identically**, and maintains them incrementally under
 //! `INSERT`/`DELETE DATA` deltas.

@@ -58,7 +58,7 @@ fn main() {
         if args[i] == "--threads" {
             i += 1;
             match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => load_opts.policy.threads = n,
+                Some(n) => load_opts.threads = n,
                 None => {
                     eprintln!("--threads needs a numeric argument (0 = auto)");
                     std::process::exit(2);

@@ -75,9 +75,7 @@ use rdfa_facets::{
     notation, ClassMarker, FacetCache, FacetError, FacetOptions, PropertyFacet,
     State as FacetState,
 };
-use rdfa_sparql::{
-    execute_update, execute_update_recording, CancelFlag, Engine, EvalLimits, QueryResults,
-};
+use rdfa_sparql::{execute_update_limited, CancelFlag, Engine, EvalLimits, QueryResults};
 use rdfa_store::{
     Journal, Mutation, PersistError, PersistentStore, Snapshot, SnapshotStore, Store, StoreStats,
 };
@@ -112,9 +110,10 @@ pub struct ServerConfig {
     pub stream_chunk_bytes: usize,
     /// Largest `Content-Length` accepted; larger requests → `413`.
     pub max_body_bytes: usize,
-    /// Resource limits applied to every query evaluation (`503` when hit).
-    /// Its `deadline` also bounds `/v1/facets` marker computation, and its
-    /// `max_memory_bytes` caps what a single evaluation may materialize.
+    /// Resource limits applied to every query evaluation and to every
+    /// `/v1/update` WHERE clause (`503` when hit). Its `deadline` also
+    /// bounds `/v1/facets` marker computation, and its `max_memory_bytes`
+    /// caps what a single evaluation may materialize.
     pub limits: EvalLimits,
     /// Capacity of the generation-keyed facet cache behind `/v1/facets`
     /// (marker sets, not bytes); `0` disables caching.
@@ -1258,9 +1257,7 @@ fn serve_facets(
         None => ctx.config.limits.deadline,
     };
     let cached_only = deadline == Some(Duration::ZERO);
-    let mut policy = rdfa_facets::ExecPolicy::new();
-    policy.deadline = deadline;
-    let opts = FacetOptions::with_policy(policy);
+    let opts = FacetOptions { deadline, ..FacetOptions::default() };
     let misses_before = facet_cache.stats().misses;
     let mut stale_generation: Option<u64> = None;
     let mut last_err: Option<FacetError> = None;
@@ -1452,73 +1449,44 @@ fn serve_update(
     // `begin_write` is exactly the transaction's base state — the "before"
     // store the view maintainer subtracts delta contributions from.
     let before = views.map(|_| shared.snapshot());
-    match &shared.journal {
-        None => {
-            // record the concrete triple changes only when the view
-            // maintainer needs them; the plain path stays allocation-free
-            let applied = if views.is_some() {
-                execute_update_recording(txn.store_mut(), body)
-                    .map(|(stats, changes)| (stats, Some(changes)))
-            } else {
-                execute_update(txn.store_mut(), body).map(|stats| (stats, None))
-            };
-            match applied {
-                Ok((stats, changes)) => {
-                    // capture the published snapshot atomically with the
-                    // publish (before the writer guard releases), so the
-                    // maintainer's before/after pair brackets exactly this
-                    // batch even under concurrent updates
-                    let after = txn.commit_with(|| shared.snapshot());
-                    maintain_views(views, before.as_deref(), &after, changes.as_deref());
-                    write_response(
+    // the WHERE clauses run under the query limits: the writer mutex is held
+    // throughout, so an unbounded one would block every writer
+    let (stats, changes) = match execute_update_limited(txn.store_mut(), body, &ctx.config.limits)
+    {
+        Ok(applied) => applied,
+        Err(e) => return write_query_error(wire, &e), // txn rolls back on drop
+    };
+    let after = match &shared.journal {
+        // capture the published snapshot atomically with the publish (before
+        // the writer guard releases), so the maintainer's before/after pair
+        // brackets exactly this batch even under concurrent updates
+        None => txn.commit_with(|| shared.snapshot()),
+        // log the batch's concrete triple changes as ONE atomic WAL record
+        // and publish under the same journal lock hold
+        Some(journal) => {
+            let publish = move || txn.commit_with(|| shared.snapshot());
+            match journal.log_mutations_then(&changes, publish) {
+                Ok(after) => after,
+                // the WAL append failed before publish: the batch rolled
+                // back in memory too, so the store and the log still agree
+                Err(e) => {
+                    return write_response(
                         wire,
-                        "200 OK",
+                        "500 Internal Server Error",
                         "application/json",
-                        &format!(
-                            "{{\"inserted\":{},\"deleted\":{}}}",
-                            stats.inserted, stats.deleted
-                        ),
+                        &json_error(500, &format!("durability failure: {e}")),
                     )
                 }
-                Err(e) => write_query_error(wire, &e), // txn rolls back on drop
             }
         }
-        Some(journal) => {
-            // apply to the working store, recording the concrete triple
-            // changes, then log them as ONE atomic WAL record and publish
-            // under the same journal lock hold
-            match execute_update_recording(txn.store_mut(), body) {
-                Ok((stats, changes)) => {
-                    match journal
-                        .log_mutations_then(&changes, move || txn.commit_with(|| shared.snapshot()))
-                    {
-                        Ok(after) => {
-                            maintain_views(views, before.as_deref(), &after, Some(&changes));
-                            write_response(
-                                wire,
-                                "200 OK",
-                                "application/json",
-                                &format!(
-                                    "{{\"inserted\":{},\"deleted\":{}}}",
-                                    stats.inserted, stats.deleted
-                                ),
-                            )
-                        }
-                        // the WAL append failed before publish: the batch
-                        // rolled back in memory too, so the store and the
-                        // log still agree
-                        Err(e) => write_response(
-                            wire,
-                            "500 Internal Server Error",
-                            "application/json",
-                            &json_error(500, &format!("durability failure: {e}")),
-                        ),
-                    }
-                }
-                Err(e) => write_query_error(wire, &e),
-            }
-        }
-    }
+    };
+    maintain_views(views, before.as_deref(), &after, &changes);
+    write_response(
+        wire,
+        "200 OK",
+        "application/json",
+        &format!("{{\"inserted\":{},\"deleted\":{}}}", stats.inserted, stats.deleted),
+    )
 }
 
 /// Apply an acknowledged update batch to the materialized views. Runs after
@@ -1530,9 +1498,9 @@ fn maintain_views(
     views: Option<&ViewManager>,
     before: Option<&Store>,
     after: &Store,
-    changes: Option<&[Mutation]>,
+    changes: &[Mutation],
 ) {
-    if let (Some(views), Some(before), Some(changes)) = (views, before, changes) {
+    if let (Some(views), Some(before)) = (views, before) {
         views.maintain(before, after, changes);
     }
 }
@@ -2125,6 +2093,74 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
         assert!(resp.contains("\"error\""), "{resp}");
         assert!(resp.contains("resource limit"), "{resp}");
+    }
+
+    /// A cyclic `ex:partOf` chain of `n` nodes: its closure has `n²` pairs.
+    fn cycle_ttl(n: usize) -> String {
+        let mut ttl = String::from("@prefix ex: <http://example.org/> .\n");
+        for i in 0..n {
+            ttl.push_str(&format!("ex:n{i} ex:partOf ex:n{} .\n", (i + 1) % n));
+        }
+        ttl
+    }
+
+    /// An update whose WHERE walks the whole closure of the cycle.
+    const CLOSURE_DELETE: &str = "PREFIX ex: <http://example.org/> \
+        DELETE { ?x ex:partOf ?y } WHERE { ?x ex:partOf+ ?y . }";
+
+    /// The raw value of `"key":` in a flat JSON body.
+    fn json_value<'r>(resp: &'r str, key: &str) -> &'r str {
+        let at = resp.find(&format!("\"{key}\":")).unwrap_or_else(|| panic!("{key}: {resp}"));
+        resp[at + key.len() + 3..].split([',', '}']).next().unwrap_or("")
+    }
+
+    #[test]
+    fn resource_limited_update_returns_503_and_changes_nothing() {
+        let mut s = Store::new();
+        s.load_turtle(&cycle_ttl(400)).unwrap();
+        let config = ServerConfig {
+            limits: EvalLimits::default().with_max_path_visits(100),
+            ..ServerConfig::default()
+        };
+        let server = Server::start_with(s, 0, config).unwrap();
+        let before = get(server.addr(), "/healthz", "*/*");
+        let resp = post(server.addr(), "/v1/update", CLOSURE_DELETE);
+        assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
+        assert!(resp.contains("resource limit"), "{resp}");
+        let after = get(server.addr(), "/healthz", "*/*");
+        for key in ["triples", "snapshot_generation"] {
+            assert_eq!(json_value(&before, key), json_value(&after, key), "{key}");
+        }
+        let q = percent_encode(
+            "PREFIX ex: <http://example.org/> SELECT (COUNT(*) AS ?n) WHERE { ?x ex:partOf ?y . }",
+        );
+        let resp = get(server.addr(), &format!("/v1/query?query={q}"), "*/*");
+        assert!(resp.contains("\"value\":\"400\""), "{resp}");
+    }
+
+    #[test]
+    fn resource_limited_durable_update_returns_503_and_logs_nothing() {
+        use rdfa_store::PersistConfig;
+        let dir = std::env::temp_dir()
+            .join(format!("rdfa-server-limited-update-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut pstore = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        pstore.load_turtle(&cycle_ttl(400)).unwrap();
+        let config = ServerConfig {
+            limits: EvalLimits::default().with_max_path_visits(100),
+            ..ServerConfig::default()
+        };
+        let server = Server::start_durable(pstore, 0, config).unwrap();
+        let before = get(server.addr(), "/healthz", "*/*");
+        let resp = post(server.addr(), "/v1/update", CLOSURE_DELETE);
+        assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
+        assert!(resp.contains("resource limit"), "{resp}");
+        let after = get(server.addr(), "/healthz", "*/*");
+        for key in ["wal_records", "generation", "snapshot_generation", "triples"] {
+            assert_eq!(json_value(&before, key), json_value(&after, key), "{key}");
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -561,9 +561,24 @@ fn tripped_limits_identical_across_thread_counts() {
         "PREFIX ex: <{EX}> SELECT ?x ?m ?c WHERE {{ \
            ?x ex:manufacturer ?m . ?m ex:origin ?c . }}"
     );
-    for limits in [
-        EvalLimits::unlimited().with_max_rows(100),
-        EvalLimits::unlimited().with_deadline(std::time::Duration::ZERO),
+    // a grouped query: its joins and its fold both run on the morsel
+    // runtime from two threads up
+    let grouped = format!(
+        "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
+           ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
+    );
+    for threads in [2usize, 4, 8] {
+        let prepared = Engine::builder(&s).threads(threads).build().prepare(&grouped).unwrap();
+        prepared.execute().unwrap();
+        assert!(prepared.last_stats().unwrap().parallel_groupby, "{threads} threads");
+    }
+    for (q, limits) in [
+        (&q, EvalLimits::unlimited().with_max_rows(100)),
+        (&q, EvalLimits::unlimited().with_deadline(std::time::Duration::ZERO)),
+        (&q, EvalLimits::unlimited().with_max_memory_bytes(4096)),
+        (&grouped, EvalLimits::unlimited().with_max_rows(100)),
+        (&grouped, EvalLimits::unlimited().with_max_memory_bytes(4096)),
+        (&grouped, EvalLimits::unlimited().with_deadline(std::time::Duration::ZERO)),
     ] {
         let errs: Vec<SparqlError> = [1usize, 2, 4, 8]
             .iter()
@@ -572,13 +587,20 @@ fn tripped_limits_identical_across_thread_counts() {
                     .threads(threads)
                     .limits(limits.clone())
                     .build()
-                    .run(&q)
+                    .run(q)
                     .expect_err("limit should trip")
             })
             .collect();
         for e in &errs {
             assert!(e.is_resource_limit(), "{e:?}");
             assert_eq!(e, &errs[0], "thread count changed the surfaced limit error");
+        }
+        if limits.max_memory_bytes.is_some() {
+            assert_eq!(
+                errs[0],
+                SparqlError::ResourceLimit { kind: LimitKind::MemoryBytes, limit: 4096 },
+                "{q}"
+            );
         }
     }
 }

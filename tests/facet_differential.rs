@@ -5,7 +5,7 @@
 //! recompute after any SPARQL update mutates the store.
 
 use rdf_analytics::facets::markers::{self, FacetOptions};
-use rdf_analytics::facets::{ops, ExecPolicy, ExtSet, FacetCache, PathStep};
+use rdf_analytics::facets::{ops, ExtSet, FacetCache, PathStep};
 use rdf_analytics::sparql::execute_update;
 use rdf_analytics::store::{Store, TermId};
 use rdfa_prng::StdRng;
@@ -236,8 +236,7 @@ fn markers_match_reference_sequential_and_parallel() {
         let classes_ref = markers::reference::class_markers(&store, &oracle);
         let facets_ref = markers::reference::property_facets(&store, &oracle);
         for threads in [1usize, 4] {
-            let opts =
-                FacetOptions::with_policy(ExecPolicy::new().with_threads(threads));
+            let opts = FacetOptions::with_threads(threads);
             let classes = markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();
             let facets = markers::property_facets_opts(&store, &ext, opts).unwrap();
             assert_eq!(classes, classes_ref, "case {case} threads {threads}: class markers");
