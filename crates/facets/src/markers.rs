@@ -92,6 +92,15 @@ where
     })
 }
 
+/// Sort markers by the display name of the term `id` picks out of each —
+/// the order of every marker list in the left frame. Each name is borrowed
+/// from the store once per element ([`rdfa_model::Term::display_str`]), not
+/// built twice per comparison. The sort is stable, so equal names keep
+/// their incoming order, as in [`reference`]'s sorts.
+fn sort_by_display_name<T>(store: &Store, items: &mut [T], id: impl Fn(&T) -> TermId) {
+    items.sort_by_cached_key(|x| store.term(id(x)).display_str());
+}
+
 /// A class-based transition marker: a class, its instance count restricted
 /// to the current extension, and its direct subclasses (the hierarchical
 /// layout of the reflexive-transitive reduction, §5.3.2).
@@ -125,7 +134,7 @@ pub fn class_markers_opts(
         build_class_marker(store, &dense, roots[i], &mut BTreeSet::new(), &guard)
     })?;
     let mut out: Vec<ClassMarker> = slots.into_iter().flatten().collect();
-    out.sort_by_key(|m| store.term(m.class).display_name());
+    sort_by_display_name(store, &mut out, |m| m.class);
     Ok(out)
 }
 
@@ -156,7 +165,7 @@ pub fn class_markers_from_counts(
                 children.push(m);
             }
         }
-        children.sort_by_key(|m| store.term(m.class).display_name());
+        sort_by_display_name(store, &mut children, |m| m.class);
         seen.remove(&class);
         if count == 0 {
             return None;
@@ -168,7 +177,7 @@ pub fn class_markers_from_counts(
         .into_iter()
         .filter_map(|root| build(store, counts, root, &mut BTreeSet::new()))
         .collect();
-    out.sort_by_key(|m| store.term(m.class).display_name());
+    sort_by_display_name(store, &mut out, |m| m.class);
     out
 }
 
@@ -195,7 +204,7 @@ fn build_class_marker(
             children.push(m);
         }
     }
-    children.sort_by_key(|m| store.term(m.class).display_name());
+    sort_by_display_name(store, &mut children, |m| m.class);
     seen.remove(&class);
     if count == 0 {
         return Ok(None);
@@ -246,7 +255,7 @@ pub fn property_facets_opts(
         build_property_facet(store, &dense, roots[i], &mut BTreeSet::new(), &guard)
     })?;
     let mut out: Vec<PropertyFacet> = slots.into_iter().flatten().collect();
-    out.sort_by_key(|f| store.term(f.property).display_name());
+    sort_by_display_name(store, &mut out, |f| f.property);
     Ok(out)
 }
 
@@ -263,12 +272,7 @@ fn build_property_facet(
     }
     let step = PathStep::fwd(property);
     let mut values = joins_with_counts(store, ext, step);
-    values.sort_by(|a, b| {
-        store
-            .term(a.0)
-            .display_name()
-            .cmp(&store.term(b.0).display_name())
-    });
+    sort_by_display_name(store, &mut values, |v| v.0);
     let mut children: Vec<PropertyFacet> = Vec::new();
     for sub in store.direct_subproperties(property) {
         if let Some(f) = build_property_facet(store, ext, sub, seen, guard)? {
@@ -328,12 +332,10 @@ pub fn grouped_values(store: &Store, ext: &ExtSet, property: TermId) -> GroupedV
         }
     }
     for (_, _, members) in &mut groups {
-        members.sort_by(|a, b| {
-            store.term(a.0).display_name().cmp(&store.term(b.0).display_name())
-        });
+        sort_by_display_name(store, members, |v| v.0);
     }
-    groups.sort_by_key(|a| store.term(a.0).display_name());
-    ungrouped.sort_by_key(|a| store.term(a.0).display_name());
+    sort_by_display_name(store, &mut groups, |g| g.0);
+    sort_by_display_name(store, &mut ungrouped, |v| v.0);
     GroupedValues { groups, ungrouped }
 }
 
@@ -353,13 +355,11 @@ pub fn inverse_property_facets(store: &Store, ext: &ExtSet) -> Vec<PropertyFacet
             if values.is_empty() {
                 return None;
             }
-            values.sort_by(|a, b| {
-                store.term(a.0).display_name().cmp(&store.term(b.0).display_name())
-            });
+            sort_by_display_name(store, &mut values, |v| v.0);
             Some(PropertyFacet { property: p, values, children: Vec::new() })
         })
         .collect();
-    out.sort_by_key(|f| store.term(f.property).display_name());
+    sort_by_display_name(store, &mut out, |f| f.property);
     out
 }
 
@@ -373,12 +373,7 @@ pub fn expand_path(
     if path.len() == 1 {
         // single-step facet: one pass suffices
         let mut out = joins_with_counts(store, ext, path[0]);
-        out.sort_by(|a, b| {
-            store
-                .term(a.0)
-                .display_name()
-                .cmp(&store.term(b.0).display_name())
-        });
+        sort_by_display_name(store, &mut out, |v| v.0);
         return out;
     }
     let terminals = joins_path(store, ext, path);
@@ -393,12 +388,7 @@ pub fn expand_path(
         })
         .filter(|&(_, n)| n > 0)
         .collect();
-    out.sort_by(|a, b| {
-        store
-            .term(a.0)
-            .display_name()
-            .cmp(&store.term(b.0).display_name())
-    });
+    sort_by_display_name(store, &mut out, |v| v.0);
     out
 }
 
@@ -590,12 +580,9 @@ mod tests {
         let markers = class_markers(&s, &all(&s));
         let product = markers.iter().find(|m| m.class == id(&s, "Product")).unwrap();
         assert_eq!(product.count, 6); // 3 laptops + 3 drives
-        let names: Vec<String> = product
-            .children
-            .iter()
-            .map(|c| s.term(c.class).display_name())
-            .collect();
-        assert_eq!(names, vec!["HDType", "Laptop"]);
+        let names: Vec<_> =
+            product.children.iter().map(|c| s.term(c.class).display_str()).collect();
+        assert_eq!(names, ["HDType", "Laptop"]);
         let hdtype = &product.children[0];
         assert_eq!(hdtype.count, 3);
         assert_eq!(hdtype.children.len(), 2); // SSD (2), NVMe (1)

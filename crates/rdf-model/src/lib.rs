@@ -4,7 +4,8 @@
 //! (IRIs, blank nodes, literals), [triples](triple::Triple), typed
 //! [XSD values](value::Value) with SPARQL-compatible ordering and arithmetic,
 //! well-known [vocabularies](vocab) (`rdf:`, `rdfs:`, `xsd:`, `owl:`), and
-//! plain-text serializations (a Turtle subset and N-Triples).
+//! plain-text serializations (a Turtle subset and N-Triples), and the one
+//! [JSON string escaper](json::push_json_string) every JSON body uses.
 //!
 //! Everything in this crate is deliberately storage-agnostic: terms own their
 //! strings. The interning layer that turns terms into dense integer ids lives
@@ -22,6 +23,7 @@
 //! ```
 
 pub mod date;
+pub mod json;
 pub mod ntriples;
 pub mod term;
 pub mod triple;

@@ -5,6 +5,7 @@
 //! and objects may be any term (§2.1 of the paper).
 
 use crate::vocab::xsd;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A literal: a lexical form plus a datatype IRI and an optional language tag.
@@ -166,10 +167,17 @@ impl Term {
     /// A short human-readable rendering: local name for IRIs, lexical form
     /// for literals. Used by facet and answer-frame displays.
     pub fn display_name(&self) -> String {
+        self.display_str().into_owned()
+    }
+
+    /// [`Term::display_name`] borrowed from the term where it can be: an
+    /// IRI's local name and a literal's lexical form are slices of the
+    /// term, only a blank node's `_:` label is built.
+    pub fn display_str(&self) -> Cow<'_, str> {
         match self {
-            Term::Iri(s) => local_name(s).to_owned(),
-            Term::Blank(b) => format!("_:{b}"),
-            Term::Literal(l) => l.lexical.clone(),
+            Term::Iri(s) => Cow::Borrowed(local_name(s)),
+            Term::Blank(b) => Cow::Owned(format!("_:{b}")),
+            Term::Literal(l) => Cow::Borrowed(&l.lexical),
         }
     }
 }
@@ -460,6 +468,16 @@ mod tests {
     fn display_name_prefers_short_forms() {
         assert_eq!(Term::iri("http://ex.org#DELL").display_name(), "DELL");
         assert_eq!(Term::integer(2).display_name(), "2");
+        assert_eq!(Term::blank("b0").display_name(), "_:b0");
+    }
+
+    #[test]
+    fn display_str_borrows_all_but_blank_labels() {
+        for t in [Term::iri("http://ex.org/a#DELL"), Term::string("x y"), Term::blank("b0")] {
+            let shown = t.display_str();
+            assert_eq!(shown, t.display_name());
+            assert_eq!(matches!(shown, Cow::Borrowed(_)), !t.is_blank(), "{t}");
+        }
     }
 
     #[test]

@@ -1728,11 +1728,13 @@ impl<'s> Executor<'s> {
     // ---- plain projection --------------------------------------------------
 
     /// One output column per item, then one row per input row. A variable
-    /// projects each distinct id's [`Executor::canon_term`], cloned per
-    /// row; any other item is an [`Executor::eval_column`].
+    /// projects each id's [`Executor::canon_term`]: an IRI or blank node is
+    /// cloned straight from the store, and only a literal's canonical form,
+    /// the one that can differ from the stored term, is memoized per id;
+    /// any other item is an [`Executor::eval_column`].
     fn projected_rows(&self, items: &[SelectItem], batch: &Batch) -> Vec<Vec<Option<Term>>> {
         let n = batch.len();
-        let mut memo: IdMap<EId, Option<Term>> = IdMap::default();
+        let mut literals: IdMap<EId, Option<Term>> = IdMap::default();
         let mut cols: Vec<std::vec::IntoIter<Option<Term>>> = Vec::with_capacity(items.len());
         for it in items {
             let col: Vec<Option<Term>> = match &it.expr {
@@ -1740,7 +1742,16 @@ impl<'s> Executor<'s> {
                     Some(c) => batch
                         .column(c)
                         .iter()
-                        .map(|&id| memo.entry(id).or_insert_with(|| self.canon_term(id)).clone())
+                        .map(|&id| match id {
+                            UNBOUND => None,
+                            _ => match self.arena.term(self.store, id) {
+                                Term::Literal(_) => literals
+                                    .entry(id)
+                                    .or_insert_with(|| self.canon_term(id))
+                                    .clone(),
+                                t => Some(t.clone()),
+                            },
+                        })
                         .collect(),
                     None => vec![None; n], // projected var absent from the frame
                 },

@@ -1,6 +1,7 @@
 //! Query result types returned at the public API boundary, with text,
 //! CSV, and W3C SPARQL-JSON serializations.
 
+use rdfa_model::json::push_json_string;
 use rdfa_model::{vocab::xsd, Graph, Literal, Term, Value};
 
 /// A solution sequence: named columns plus rows of optional terms
@@ -99,55 +100,56 @@ impl Solutions {
     }
 }
 
-/// RFC-4180 field quoting for the SPARQL CSV results format.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
+/// Append one field of the SPARQL CSV results format: `prefix` then `s`,
+/// RFC-4180 quoted (the whole field in `"`, every `"` doubled) when `s`
+/// holds a comma, a quote or a line break. `prefix` is a blank node's `_:`
+/// or empty, and never needs quoting itself.
+fn push_csv_field(out: &mut String, prefix: &str, s: &str) {
+    if !s.contains([',', '"', '\n', '\r']) {
+        out.push_str(prefix);
+        out.push_str(s);
+        return;
     }
-}
-
-/// JSON string escaping (quotes included in the output).
-fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    out.push_str(prefix);
+    for (i, piece) in s.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
         }
+        out.push_str(piece);
     }
     out.push('"');
-    out
 }
 
-/// One term in the W3C SPARQL-JSON binding shape.
-fn term_json(t: &Term) -> String {
+/// Append one term in the W3C SPARQL-JSON binding shape.
+fn push_term_json(out: &mut String, t: &Term) {
     match t {
-        Term::Iri(iri) => format!("{{\"type\":\"uri\",\"value\":{}}}", js(iri)),
-        Term::Blank(b) => format!("{{\"type\":\"bnode\",\"value\":{}}}", js(b)),
-        Term::Literal(Literal { lexical, datatype, lang: Some(lang) }) => {
-            let _ = datatype;
-            format!("{{\"type\":\"literal\",\"xml:lang\":{},\"value\":{}}}", js(lang), js(lexical))
+        Term::Iri(iri) => {
+            out.push_str("{\"type\":\"uri\",\"value\":");
+            push_json_string(out, iri);
+        }
+        Term::Blank(b) => {
+            out.push_str("{\"type\":\"bnode\",\"value\":");
+            push_json_string(out, b);
+        }
+        Term::Literal(Literal { lexical, lang: Some(lang), .. }) => {
+            out.push_str("{\"type\":\"literal\",\"xml:lang\":");
+            push_json_string(out, lang);
+            out.push_str(",\"value\":");
+            push_json_string(out, lexical);
         }
         Term::Literal(Literal { lexical, datatype, lang: None }) => {
-            if datatype == xsd::STRING {
-                format!("{{\"type\":\"literal\",\"value\":{}}}", js(lexical))
-            } else {
-                format!(
-                    "{{\"type\":\"literal\",\"datatype\":{},\"value\":{}}}",
-                    js(datatype),
-                    js(lexical)
-                )
+            out.push_str("{\"type\":\"literal\",");
+            if datatype != xsd::STRING {
+                out.push_str("\"datatype\":");
+                push_json_string(out, datatype);
+                out.push(',');
             }
+            out.push_str("\"value\":");
+            push_json_string(out, lexical);
         }
     }
+    out.push('}');
 }
 
 impl Solutions {
@@ -163,25 +165,33 @@ impl Solutions {
     /// Stream the SPARQL 1.1 CSV serialization row by row into `out`.
     /// Memory stays bounded by one row regardless of result size — this is
     /// what the server's chunked-transfer path calls, so a `LIMIT`-less
-    /// SELECT never builds a whole-body `String`.
+    /// SELECT never builds a whole-body `String`. Each row is escaped
+    /// straight from the terms into one reused buffer.
     pub fn write_csv(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        let header = self.vars.iter().map(|v| csv_field(v)).collect::<Vec<_>>().join(",");
-        out.write_all(header.as_bytes())?;
-        out.write_all(b"\r\n")?;
+        let mut line = String::new();
+        for (i, v) in self.vars.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            push_csv_field(&mut line, "", v);
+        }
+        line.push_str("\r\n");
+        out.write_all(line.as_bytes())?;
         for row in &self.rows {
+            line.clear();
             for (i, c) in row.iter().enumerate() {
                 if i > 0 {
-                    out.write_all(b",")?;
+                    line.push(',');
                 }
-                let cell = match c {
-                    None => String::new(),
-                    Some(Term::Iri(iri)) => csv_field(iri),
-                    Some(Term::Blank(b)) => csv_field(&format!("_:{b}")),
-                    Some(Term::Literal(l)) => csv_field(&l.lexical),
-                };
-                out.write_all(cell.as_bytes())?;
+                match c {
+                    None => {}
+                    Some(Term::Iri(iri)) => push_csv_field(&mut line, "", iri),
+                    Some(Term::Blank(b)) => push_csv_field(&mut line, "_:", b),
+                    Some(Term::Literal(l)) => push_csv_field(&mut line, "", &l.lexical),
+                }
             }
-            out.write_all(b"\r\n")?;
+            line.push_str("\r\n");
+            out.write_all(line.as_bytes())?;
         }
         Ok(())
     }
@@ -195,26 +205,43 @@ impl Solutions {
     }
 
     /// Stream the W3C SPARQL-JSON serialization binding by binding into
-    /// `out`; the streaming counterpart of [`Solutions::to_json`].
+    /// `out`; the streaming counterpart of [`Solutions::to_json`]. The
+    /// `"var":` keys are escaped once per response; each binding is escaped
+    /// straight from the terms into one reused buffer.
     pub fn write_json(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        let head = self.vars.iter().map(|v| js(v)).collect::<Vec<_>>().join(",");
-        write!(out, "{{\"head\":{{\"vars\":[{head}]}},\"results\":{{\"bindings\":[")?;
-        for (r, row) in self.rows.iter().enumerate() {
-            if r > 0 {
-                out.write_all(b",")?;
+        let mut buf = String::from("{\"head\":{\"vars\":[");
+        let mut keys = Vec::with_capacity(self.vars.len());
+        for (i, v) in self.vars.iter().enumerate() {
+            if i > 0 {
+                buf.push(',');
             }
-            out.write_all(b"{")?;
+            let mut key = String::new();
+            push_json_string(&mut key, v);
+            buf.push_str(&key);
+            key.push(':');
+            keys.push(key);
+        }
+        buf.push_str("]},\"results\":{\"bindings\":[");
+        out.write_all(buf.as_bytes())?;
+        for (r, row) in self.rows.iter().enumerate() {
+            buf.clear();
+            if r > 0 {
+                buf.push(',');
+            }
+            buf.push('{');
             let mut first = true;
-            for (v, c) in self.vars.iter().zip(row) {
+            for (key, c) in keys.iter().zip(row) {
                 if let Some(t) = c {
                     if !first {
-                        out.write_all(b",")?;
+                        buf.push(',');
                     }
                     first = false;
-                    write!(out, "{}:{}", js(v), term_json(t))?;
+                    buf.push_str(key);
+                    push_term_json(&mut buf, t);
                 }
             }
-            out.write_all(b"}")?;
+            buf.push('}');
+            out.write_all(buf.as_bytes())?;
         }
         out.write_all(b"]}}")
     }
@@ -265,6 +292,155 @@ impl QueryResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-cell renderers the streaming writers replaced, kept as the
+    /// byte-for-byte oracle of their output.
+    mod oracle {
+        use super::*;
+
+        fn csv_field(s: &str) -> String {
+            if s.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_owned()
+            }
+        }
+
+        fn js(s: &str) -> String {
+            let mut out = String::with_capacity(s.len() + 2);
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        fn term_json(t: &Term) -> String {
+            match t {
+                Term::Iri(iri) => format!("{{\"type\":\"uri\",\"value\":{}}}", js(iri)),
+                Term::Blank(b) => format!("{{\"type\":\"bnode\",\"value\":{}}}", js(b)),
+                Term::Literal(Literal { lexical, lang: Some(lang), .. }) => format!(
+                    "{{\"type\":\"literal\",\"xml:lang\":{},\"value\":{}}}",
+                    js(lang),
+                    js(lexical)
+                ),
+                Term::Literal(Literal { lexical, datatype, lang: None }) => {
+                    if datatype == xsd::STRING {
+                        format!("{{\"type\":\"literal\",\"value\":{}}}", js(lexical))
+                    } else {
+                        format!(
+                            "{{\"type\":\"literal\",\"datatype\":{},\"value\":{}}}",
+                            js(datatype),
+                            js(lexical)
+                        )
+                    }
+                }
+            }
+        }
+
+        pub fn to_csv(s: &Solutions) -> String {
+            let mut out = s.vars.iter().map(|v| csv_field(v)).collect::<Vec<_>>().join(",");
+            out.push_str("\r\n");
+            for row in &s.rows {
+                let cells: Vec<String> = row
+                    .iter()
+                    .map(|c| match c {
+                        None => String::new(),
+                        Some(Term::Iri(iri)) => csv_field(iri),
+                        Some(Term::Blank(b)) => csv_field(&format!("_:{b}")),
+                        Some(Term::Literal(l)) => csv_field(&l.lexical),
+                    })
+                    .collect();
+                out.push_str(&cells.join(","));
+                out.push_str("\r\n");
+            }
+            out
+        }
+
+        pub fn to_json(s: &Solutions) -> String {
+            let head = s.vars.iter().map(|v| js(v)).collect::<Vec<_>>().join(",");
+            let bindings: Vec<String> = s
+                .rows
+                .iter()
+                .map(|row| {
+                    let cells: Vec<String> = s
+                        .vars
+                        .iter()
+                        .zip(row)
+                        .filter_map(|(v, c)| c.as_ref().map(|t| format!("{}:{}", js(v), term_json(t))))
+                        .collect();
+                    format!("{{{}}}", cells.join(","))
+                })
+                .collect();
+            format!(
+                "{{\"head\":{{\"vars\":[{head}]}},\"results\":{{\"bindings\":[{}]}}}}",
+                bindings.join(",")
+            )
+        }
+    }
+
+    /// Deterministic xorshift stream, `0..n`.
+    fn rng(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut x = seed;
+        move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        }
+    }
+
+    /// A random string over every escape class of both formats: JSON's
+    /// short escapes and `\u00xx` controls, CSV's comma, quote and line
+    /// breaks, DEL, non-ASCII, and the empty string.
+    fn random_text(next: &mut impl FnMut(usize) -> usize) -> String {
+        const PIECES: [&str; 16] = [
+            "", "a", "DELL", "\"", "\\", "\n", "\r", "\t", ",", "\u{1}", "\u{1f}", "\u{7f}", "é",
+            "中", "🦀", "http://e/x#y",
+        ];
+        (0..next(6)).map(|_| PIECES[next(PIECES.len())]).collect()
+    }
+
+    fn random_term(next: &mut impl FnMut(usize) -> usize) -> Option<Term> {
+        let text = random_text(next);
+        Some(match next(7) {
+            0 => return None,
+            1 => Term::iri(text),
+            2 => Term::blank(text),
+            3 => Term::string(text),
+            4 => Term::Literal(Literal::lang_string(text, random_text(next))),
+            5 => Term::integer(next(1000) as i64 - 500),
+            _ => Term::Literal(Literal {
+                lexical: text,
+                datatype: format!("http://e/dt{}", random_text(next)),
+                lang: None,
+            }),
+        })
+    }
+
+    #[test]
+    fn writers_match_the_per_cell_renderers_on_random_solutions() {
+        for seed in 1..300u64 {
+            let mut next = rng(seed * 0x9e37_79b9);
+            let width = next(4);
+            let vars: Vec<String> = (0..width).map(|_| random_text(&mut next)).collect();
+            let rows: Vec<Vec<Option<Term>>> = (0..next(8))
+                .map(|_| (0..width).map(|_| random_term(&mut next)).collect())
+                .collect();
+            let s = Solutions::new(vars, rows);
+            assert_eq!(s.to_json(), oracle::to_json(&s), "seed {seed}: JSON");
+            assert_eq!(s.to_csv(), oracle::to_csv(&s), "seed {seed}: CSV");
+        }
+    }
 
     #[test]
     fn csv_format() {

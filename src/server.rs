@@ -75,11 +75,14 @@ use rdfa_facets::{
     notation, ClassMarker, FacetCache, FacetError, FacetOptions, PropertyFacet,
     State as FacetState,
 };
+use rdfa_model::json::{json_string, push_json_string};
+use rdfa_model::Term;
 use rdfa_sparql::{execute_update_limited, CancelFlag, Engine, EvalLimits, QueryResults};
 use rdfa_store::{
     Journal, Mutation, PersistError, PersistentStore, Snapshot, SnapshotStore, Store, StoreStats,
 };
 use rdfa_views::ViewManager;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -868,8 +871,8 @@ fn handle_request(
                     v.views()
                         .iter()
                         .map(|i| format!(
-                            "{{\"key\":\"{}\",\"generation\":{},\"groups\":{},\"approx_bytes\":{},\"hits\":{},\"score_micros\":{}}}",
-                            json_escape(&i.key),
+                            "{{\"key\":{},\"generation\":{},\"groups\":{},\"approx_bytes\":{},\"hits\":{},\"score_micros\":{}}}",
+                            json_string(&i.key),
                             i.generation,
                             i.groups,
                             i.approx_bytes,
@@ -1257,7 +1260,13 @@ fn serve_facets(
         None => ctx.config.limits.deadline,
     };
     let cached_only = deadline == Some(Duration::ZERO);
-    let opts = FacetOptions { deadline, ..FacetOptions::default() };
+    // the marker computation stops at its next unit probe when the client
+    // hangs up or the server drains, and falls through to the stale/503
+    // path like an expired deadline
+    let cancel = CancelFlag::new();
+    let opts = FacetOptions { deadline, cancel: Some(cancel.clone()), ..FacetOptions::default() };
+    let watcher = (!cached_only)
+        .then(|| DisconnectWatcher::spawn(wire.stream, cancel, Arc::clone(&ctx.draining)));
     let misses_before = facet_cache.stats().misses;
     let mut stale_generation: Option<u64> = None;
     let mut last_err: Option<FacetError> = None;
@@ -1323,6 +1332,7 @@ fn serve_facets(
             }
         }
     };
+    drop(watcher);
     let facets = match fresh_facets {
         Some(f) => f,
         None => match facet_cache.property_facets_stale(&ext) {
@@ -1348,13 +1358,7 @@ fn serve_facets(
     if view_hit {
         headers.push("X-Facet-View: hit".to_owned());
     }
-    let payload = format!(
-        "{{\"generation\":{},\"extension\":{},\"classes\":[{}],\"facets\":[{}]}}",
-        snap.generation(),
-        ext.len(),
-        classes.iter().map(|m| class_marker_json(&snap, m)).collect::<Vec<_>>().join(","),
-        facets.iter().map(|f| facet_json(&snap, f)).collect::<Vec<_>>().join(","),
-    );
+    let payload = facets_json(&snap, ext.len(), &classes, &facets);
     write_response_headed(wire, "200 OK", "application/json", &headers, &payload)
 }
 
@@ -1397,34 +1401,74 @@ fn write_facet_unavailable(
     )
 }
 
-fn term_json(store: &Store, id: rdfa_store::TermId) -> String {
-    let term = store.term(id);
-    match term.as_iri() {
-        Some(iri) => format!("\"{}\"", json_escape(iri)),
-        None => format!("\"{}\"", json_escape(&term.display_name())),
+/// The `/v1/facets` body, written into one `String` straight from the
+/// store's terms: an IRI is shown whole, any other term by its display
+/// name. `{"generation":…,"extension":…,"classes":[…],"facets":[…]}`, with
+/// `{"class":…,"count":…,"children":[…]}` per class marker and
+/// `{"property":…,"values":[{"value":…,"count":…},…],"children":[…]}` per
+/// property facet.
+fn facets_json(
+    store: &Store,
+    extension: usize,
+    classes: &[ClassMarker],
+    facets: &[PropertyFacet],
+) -> String {
+    fn term(out: &mut String, store: &Store, id: rdfa_store::TermId) {
+        match store.term(id) {
+            Term::Iri(iri) => push_json_string(out, iri),
+            t => push_json_string(out, &t.display_str()),
+        }
     }
-}
-
-fn class_marker_json(store: &Store, m: &ClassMarker) -> String {
-    format!(
-        "{{\"class\":{},\"count\":{},\"children\":[{}]}}",
-        term_json(store, m.class),
-        m.count,
-        m.children.iter().map(|c| class_marker_json(store, c)).collect::<Vec<_>>().join(","),
-    )
-}
-
-fn facet_json(store: &Store, f: &PropertyFacet) -> String {
-    format!(
-        "{{\"property\":{},\"values\":[{}],\"children\":[{}]}}",
-        term_json(store, f.property),
-        f.values
-            .iter()
-            .map(|(v, n)| format!("{{\"value\":{},\"count\":{n}}}", term_json(store, *v)))
-            .collect::<Vec<_>>()
-            .join(","),
-        f.children.iter().map(|c| facet_json(store, c)).collect::<Vec<_>>().join(","),
-    )
+    fn class(out: &mut String, store: &Store, m: &ClassMarker) {
+        out.push_str("{\"class\":");
+        term(out, store, m.class);
+        let _ = write!(out, ",\"count\":{},\"children\":[", m.count);
+        for (i, c) in m.children.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            class(out, store, c);
+        }
+        out.push_str("]}");
+    }
+    fn facet(out: &mut String, store: &Store, f: &PropertyFacet) {
+        out.push_str("{\"property\":");
+        term(out, store, f.property);
+        out.push_str(",\"values\":[");
+        for (i, &(v, n)) in f.values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"value\":");
+            term(out, store, v);
+            let _ = write!(out, ",\"count\":{n}}}");
+        }
+        out.push_str("],\"children\":[");
+        for (i, c) in f.children.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            facet(out, store, c);
+        }
+        out.push_str("]}");
+    }
+    let mut out = String::new();
+    let _ = write!(out, "{{\"generation\":{},\"extension\":{extension},\"classes\":[", store.generation());
+    for (i, m) in classes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        class(&mut out, store, m);
+    }
+    out.push_str("],\"facets\":[");
+    for (i, f) in facets.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        facet(&mut out, store, f);
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Apply an update as one atomic write transaction: mutate a private
@@ -1580,23 +1624,7 @@ fn write_response_raw(
 
 /// `{"error":{"code":…,"message":"…"}}`
 fn json_error(code: u16, message: &str) -> String {
-    format!("{{\"error\":{{\"code\":{code},\"message\":\"{}\"}}}}", json_escape(message))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    format!("{{\"error\":{{\"code\":{code},\"message\":{}}}}}", json_string(message))
 }
 
 /// Extract and percent-decode one value from a `k=v&k2=v2` query string.
@@ -1665,6 +1693,210 @@ pub fn percent_encode(s: &str) -> String {
 mod tests {
     use super::*;
     use std::time::Instant;
+
+    /// The per-value renderers [`facets_json`] replaced, kept as the
+    /// byte-for-byte oracle of the `/v1/facets` body.
+    mod oracle {
+        use super::*;
+
+        fn json_escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        fn term_json(store: &Store, id: rdfa_store::TermId) -> String {
+            let term = store.term(id);
+            match term.as_iri() {
+                Some(iri) => format!("\"{}\"", json_escape(iri)),
+                None => format!("\"{}\"", json_escape(&term.display_name())),
+            }
+        }
+
+        fn class_marker_json(store: &Store, m: &ClassMarker) -> String {
+            format!(
+                "{{\"class\":{},\"count\":{},\"children\":[{}]}}",
+                term_json(store, m.class),
+                m.count,
+                m.children.iter().map(|c| class_marker_json(store, c)).collect::<Vec<_>>().join(","),
+            )
+        }
+
+        fn facet_json(store: &Store, f: &PropertyFacet) -> String {
+            format!(
+                "{{\"property\":{},\"values\":[{}],\"children\":[{}]}}",
+                term_json(store, f.property),
+                f.values
+                    .iter()
+                    .map(|(v, n)| format!("{{\"value\":{},\"count\":{n}}}", term_json(store, *v)))
+                    .collect::<Vec<_>>()
+                    .join(","),
+                f.children.iter().map(|c| facet_json(store, c)).collect::<Vec<_>>().join(","),
+            )
+        }
+
+        pub fn facets_json(
+            store: &Store,
+            extension: usize,
+            classes: &[ClassMarker],
+            facets: &[PropertyFacet],
+        ) -> String {
+            format!(
+                "{{\"generation\":{},\"extension\":{},\"classes\":[{}],\"facets\":[{}]}}",
+                store.generation(),
+                extension,
+                classes.iter().map(|m| class_marker_json(store, m)).collect::<Vec<_>>().join(","),
+                facets.iter().map(|f| facet_json(store, f)).collect::<Vec<_>>().join(","),
+            )
+        }
+    }
+
+    /// Deterministic xorshift stream, `0..n`.
+    fn rng(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut x = seed;
+        move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        }
+    }
+
+    /// A random string over every JSON escape class, DEL, non-ASCII and
+    /// the empty string.
+    fn random_text(next: &mut impl FnMut(usize) -> usize) -> String {
+        const PIECES: [&str; 13] =
+            ["", "x", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "\u{7f}", "é", "中", "/#:"];
+        (0..next(5)).map(|_| PIECES[next(PIECES.len())]).collect()
+    }
+
+    #[test]
+    fn facets_json_matches_the_per_value_renderers_on_random_panels() {
+        fn class_tree(
+            next: &mut impl FnMut(usize) -> usize,
+            ids: &[rdfa_store::TermId],
+            depth: usize,
+        ) -> Vec<ClassMarker> {
+            (0..next(4))
+                .map(|_| ClassMarker {
+                    class: ids[next(ids.len())],
+                    count: next(100_000),
+                    children: if depth > 0 { class_tree(next, ids, depth - 1) } else { Vec::new() },
+                })
+                .collect()
+        }
+        fn facet_tree(
+            next: &mut impl FnMut(usize) -> usize,
+            ids: &[rdfa_store::TermId],
+            depth: usize,
+        ) -> Vec<PropertyFacet> {
+            (0..next(4))
+                .map(|_| PropertyFacet {
+                    property: ids[next(ids.len())],
+                    values: (0..next(6)).map(|_| (ids[next(ids.len())], next(1000))).collect(),
+                    children: if depth > 0 { facet_tree(next, ids, depth - 1) } else { Vec::new() },
+                })
+                .collect()
+        }
+        for seed in 1..200u64 {
+            let mut next = rng(seed * 0x9e37_79b9);
+            let mut store = Store::new();
+            let ids: Vec<_> = (0..12)
+                .map(|_| {
+                    let text = random_text(&mut next);
+                    let term = match next(5) {
+                        0 => Term::iri(format!("http://e/{text}")),
+                        1 => Term::blank(format!("b{}", next(1000))),
+                        2 => Term::string(text),
+                        3 => Term::Literal(rdfa_model::Literal::lang_string(text, "en")),
+                        _ => Term::integer(next(100) as i64),
+                    };
+                    store.intern(&term)
+                })
+                .collect();
+            let classes = class_tree(&mut next, &ids, 2);
+            let facets = facet_tree(&mut next, &ids, 2);
+            let extension = next(1 << 20);
+            assert_eq!(
+                facets_json(&store, extension, &classes, &facets),
+                oracle::facets_json(&store, extension, &classes, &facets),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// The route's body over literal, blank-node and escape-laden values is
+    /// byte-identical to the per-value renderers over the same markers.
+    #[test]
+    fn facets_route_body_matches_the_per_value_renderers() {
+        let ttl = r#"@prefix ex: <http://example.org/> .
+            ex:l1 a ex:Laptop ; ex:label "say \"hi\"\n\ttab" ; ex:port _:b1 ; ex:maker ex:DELL .
+            ex:l2 a ex:Laptop ; ex:label "é\\中" ; ex:port _:b2 ; ex:maker <http://f#DELL> .
+            ex:l3 a ex:Laptop ; ex:label "" ; ex:label "DELL" ; ex:maker ex:DELL .
+        "#;
+        let mut store = Store::new();
+        store.load_turtle(ttl).unwrap();
+        let ext = store.instances_set(store.lookup_iri("http://example.org/Laptop").unwrap());
+        let expected = oracle::facets_json(
+            &store,
+            ext.len(),
+            &rdfa_facets::class_markers(&store, &ext),
+            &rdfa_facets::property_facets(&store, &ext),
+        );
+        let server = Server::start(store, 0).unwrap();
+        let class = percent_encode("http://example.org/Laptop");
+        let resp = get(server.addr(), &format!("/v1/facets?class={class}"), "*/*");
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert_eq!(body_of(&resp), expected);
+    }
+
+    /// A chunked `/v1/query` body, framed in 512-byte chunks and put back
+    /// together, is exactly the in-process `Solutions::to_json()` (and
+    /// `to_csv()`) of the same query.
+    #[test]
+    fn chunked_query_body_reassembles_to_the_whole_serialization() {
+        let mut ttl = String::from("@prefix ex: <http://example.org/> .\n");
+        for i in 0..300 {
+            ttl.push_str(&format!(
+                "ex:l{i} a ex:Laptop ; ex:label \"l{i}, \\\"é\\\"\\n\" ; ex:price {} .\n",
+                500 + i
+            ));
+        }
+        let mut store = Store::new();
+        store.load_turtle(&ttl).unwrap();
+        let q = "PREFIX ex: <http://example.org/> SELECT ?x ?l ?p ?none WHERE { \
+                 ?x a ex:Laptop ; ex:label ?l . OPTIONAL { ?x ex:price ?p . FILTER(?p > 700) } }";
+        let sols = Engine::builder(&store).build().run(q).unwrap().into_solutions().unwrap();
+        let config = ServerConfig { stream_chunk_bytes: 512, ..ServerConfig::default() };
+        let server = Server::start_with(store, 0, config).unwrap();
+        for (accept, expected) in [("*/*", sols.to_json()), ("text/csv", sols.to_csv())] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream
+                .write_all(
+                    format!(
+                        "GET /v1/query?query={} HTTP/1.1\r\nHost: x\r\nAccept: {accept}\r\n\r\n",
+                        percent_encode(q)
+                    )
+                    .as_bytes(),
+                )
+                .unwrap();
+            let (head, body) = read_one_response(&mut stream);
+            assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+            assert!(expected.len() > 20 * 512, "{accept}: the body spans many chunks");
+            assert_eq!(body, expected, "{accept}");
+        }
+    }
 
     fn demo_store() -> Store {
         let mut s = Store::new();

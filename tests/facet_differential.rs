@@ -23,9 +23,33 @@ fn random_ids(rng: &mut StdRng, max_len: usize, max_id: u32) -> (ExtSet, BTreeSe
     (ExtSet::from(&oracle), oracle)
 }
 
+/// Object values beside the plain `ex:v{n}` IRIs: local names that collide
+/// across namespaces (`http://e/x`, `http://f#x`) and with literals, so
+/// display-name sorts meet ties; literals over every escape class (quote,
+/// backslash, newline, tab, U+0001, non-ASCII, empty); blank nodes.
+const ODD_VALUES: [&str; 16] = [
+    "ex:x",
+    "<http://f#x>",
+    "\"x\"",
+    "\"x\"@en",
+    "<http://f#v1>",
+    "\"v1\"",
+    "\"q\\\"uote\"",
+    "\"back\\\\slash\"",
+    "\"new\\nline\"",
+    "\"t\\tab\"",
+    "\"c\\u0001trl\"",
+    "\"é中🦀\"",
+    "\"\"",
+    "_:b0",
+    "_:b1",
+    "_:x",
+];
+
 /// A random RDF graph in Turtle: a small class hierarchy, entities typed
 /// into random classes, and a handful of object/data properties with random
-/// (possibly multi-valued) edges. Exercises fan-out, fan-in, shared values.
+/// (possibly multi-valued) edges. Exercises fan-out, fan-in, shared values,
+/// and classes, properties and values whose display names tie.
 fn random_ttl(rng: &mut StdRng) -> String {
     let n_classes = rng.gen_range(2usize..6);
     let n_entities = rng.gen_range(10usize..60);
@@ -40,22 +64,20 @@ fn random_ttl(rng: &mut StdRng) -> String {
     }
     for e in 0..n_entities {
         let c = rng.gen_range(0..n_classes);
-        ttl.push_str(&format!("ex:e{e} a ex:C{c} .\n"));
+        // a namesake class in a second namespace ties with ex:C{c}
+        let class = if rng.gen_bool(0.2) { format!("<http://f#C{c}>") } else { format!("ex:C{c}") };
+        ttl.push_str(&format!("ex:e{e} a {class} .\n"));
         for p in 0..n_props {
+            let pred = if rng.gen_bool(0.2) { format!("<http://f#p{p}>") } else { format!("ex:p{p}") };
             // 0–2 edges per property per entity: absent, functional, multi-valued
             for _ in 0..rng.gen_range(0usize..3) {
-                if rng.gen_bool(0.5) {
-                    ttl.push_str(&format!(
-                        "ex:e{e} ex:p{p} ex:v{} .\n",
-                        rng.gen_range(0..n_values)
-                    ));
-                } else {
+                let object = match rng.gen_range(0u32..3) {
+                    0 => format!("ex:v{}", rng.gen_range(0..n_values)),
+                    1 => ODD_VALUES[rng.gen_range(0..ODD_VALUES.len())].to_owned(),
                     // entity-to-entity edges give the inverse direction teeth
-                    ttl.push_str(&format!(
-                        "ex:e{e} ex:p{p} ex:e{} .\n",
-                        rng.gen_range(0..n_entities)
-                    ));
-                }
+                    _ => format!("ex:e{}", rng.gen_range(0..n_entities)),
+                };
+                ttl.push_str(&format!("ex:e{e} {pred} {object} .\n"));
             }
         }
     }
@@ -229,12 +251,21 @@ fn facet_ops_match_reference_on_random_graphs() {
 
 #[test]
 fn markers_match_reference_sequential_and_parallel() {
+    // how often the random panels put equal display names side by side,
+    // and how often they offer a literal or blank-node value
+    let (mut ties, mut non_iri) = (0, 0);
     for case in 0u64..12 {
         let mut rng = StdRng::seed_from_u64(2000 + case);
         let store = random_store(&mut rng);
         let (ext, oracle) = random_ext(&mut rng, &store);
         let classes_ref = markers::reference::class_markers(&store, &oracle);
         let facets_ref = markers::reference::property_facets(&store, &oracle);
+        let name = |id: TermId| store.term(id).display_name();
+        for f in &facets_ref {
+            ties += f.values.windows(2).filter(|w| name(w[0].0) == name(w[1].0)).count();
+            non_iri += f.values.iter().filter(|(v, _)| !store.term(*v).is_iri()).count();
+        }
+        ties += facets_ref.windows(2).filter(|w| name(w[0].property) == name(w[1].property)).count();
         for threads in [1usize, 4] {
             let opts = FacetOptions::with_threads(threads);
             let classes = markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();
@@ -243,6 +274,7 @@ fn markers_match_reference_sequential_and_parallel() {
             assert_eq!(facets, facets_ref, "case {case} threads {threads}: property facets");
         }
     }
+    assert!(ties > 0 && non_iri > 0, "ties {ties}, non-IRI values {non_iri}: the corpus lost its teeth");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-//! Streaming-delivery robustness: a client that disconnects mid-query must
-//! cancel the evaluation (releasing its admission slot long before the
-//! query would finish naturally), and a reader draining a large streamed
+//! Streaming-delivery robustness: a client that disconnects mid-query or
+//! mid-panel must cancel the evaluation (releasing its admission slot long
+//! before it would finish naturally), and a reader draining a large streamed
 //! response too slowly must trip the write timeout without blocking other
 //! requests on the server.
 
+use rdf_analytics::facets::{class_markers_opts, property_facets_opts, FacetOptions};
 use rdf_analytics::server::{percent_encode, Server, ServerConfig};
 use rdf_analytics::sparql::EvalLimits;
+use rdf_analytics::model::Term;
 use rdf_analytics::store::Store;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -113,6 +115,81 @@ fn client_disconnect_mid_query_cancels_evaluation_and_releases_slot() {
         "*/*",
     );
     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+    server.stop();
+}
+
+/// A store whose facet panel is mostly probed work: `props` properties
+/// (one probed unit each) give each of `items` items one of `items`
+/// distinct literals that share a long prefix. Sorting a unit's values by
+/// display name then compares long strings, which outweighs the panel's
+/// unprobed prologue (one pass over the explicit triples).
+fn long_valued_items(items: usize, props: usize) -> Store {
+    let mut s = Store::new();
+    let ty = s.intern_iri(rdf_analytics::model::vocab::rdf::TYPE);
+    let class = s.intern_iri("http://example.org/Item");
+    let prefix = "v".repeat(4096);
+    let values: Vec<_> =
+        (0..items).map(|v| s.intern(&Term::string(format!("{prefix}{v}")))).collect();
+    for i in 0..items {
+        let item = s.intern_iri(&format!("http://example.org/i{i}"));
+        s.insert_ids([item, ty, class]);
+        for p in 0..props {
+            let prop = s.intern_iri(&format!("http://example.org/p{p}"));
+            s.insert_ids([item, prop, values[(i * 31 + p * 7) % items]]);
+        }
+    }
+    s
+}
+
+/// The `/v1/facets` counterpart of the query scenario above: a client
+/// that hangs up while its panel is being computed must stop the marker
+/// computation at the next unit probe and release its admission slot in
+/// a fraction of the panel's uncancelled time.
+#[test]
+fn client_disconnect_mid_facets_cancels_the_panel_and_releases_slot() {
+    let store = long_valued_items(2000, 60);
+    let ext = store.instances_set(store.lookup_iri("http://example.org/Item").unwrap());
+    let started = Instant::now();
+    class_markers_opts(&store, &ext, FacetOptions::default()).unwrap();
+    property_facets_opts(&store, &ext, FacetOptions::default()).unwrap();
+    let uncancelled = started.elapsed();
+    println!("uncancelled panel: {uncancelled:?}");
+    // the watcher polls every 25 ms: a panel cheaper than a few polls
+    // could finish before the hang-up is seen and prove nothing
+    assert!(uncancelled > Duration::from_millis(100), "panel too cheap: {uncancelled:?}");
+
+    let config = ServerConfig {
+        workers: 2,
+        max_in_flight: 2,
+        // a backstop far beyond what cancellation needs
+        limits: EvalLimits::unlimited().with_deadline(Duration::from_secs(60)),
+        ..ServerConfig::default()
+    };
+    let server = Server::start_with(store, 0, config).unwrap();
+    let addr = server.addr();
+    let path = format!("/v1/facets?class={}", percent_encode("http://example.org/Item"));
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n").as_bytes())
+        .unwrap();
+    let admitted = Instant::now();
+    while server.in_flight() == 0 {
+        assert!(admitted.elapsed() < Duration::from_secs(5), "panel request never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    drop(stream);
+    let took = wait_drained(&server, Duration::from_secs(30));
+    println!("cancelled and drained in {took:?}");
+    assert!(
+        took < uncancelled / 2,
+        "the abandoned panel ran on: drained in {took:?}, uncancelled {uncancelled:?}"
+    );
+
+    // the cancelled computation cached nothing: a cached-only request has
+    // no panel to serve
+    let resp = get(addr, &format!("{path}&budget_ms=0"), "*/*");
+    assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
     server.stop();
 }
 
