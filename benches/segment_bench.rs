@@ -1,13 +1,11 @@
 //! Restart and memory benchmark for mmap-able index segments (BENCH_10).
 //!
 //! Seeds one products KG (~500k triples; `SEGMENT_BENCH_SMOKE=1` shrinks it)
-//! into three restart artifacts — an N-Triples file, a snapshot-mode persist
-//! directory, and a segment-mode persist directory — then measures
-//! restart-to-first-query for each in a **fresh subprocess** so RSS numbers
-//! are not polluted by the seeding phase:
+//! into two restart artifacts — an N-Triples file and a checkpointed persist
+//! directory — then measures restart-to-first-query for each in a **fresh
+//! subprocess** so RSS numbers are not polluted by the seeding phase:
 //!
 //!   replay    parse data.nt + materialize inference   (cold full rebuild)
-//!   snapshot  PersistentStore::open on snapshot.N.bin (decode whole store)
 //!   mmap      PersistentStore::open on segments.N.txt (map, decode on demand)
 //!
 //! The subprocess protocol is the bench re-executing itself with
@@ -18,9 +16,9 @@
 //! dictionary chunks instead of rewriting them (`CheckpointStats`).
 //!
 //! Asserts (hard gates):
-//!   - all three backends answer the probe query identically
+//!   - both restarts answer the probe query identically
 //!   - mmap restart-to-first-query beats N-Triples replay (≥10x when full)
-//!   - mmap RSS after first query is below the all-in-RAM snapshot RSS (full)
+//!   - mmap RSS after first query is below the all-in-RAM replay RSS (full)
 //!   - the second checkpoint shares ≥1 segment and ≥1 dictionary chunk
 //!
 //! Writes BENCH_10.json next to Cargo.toml and prints it.
@@ -37,8 +35,8 @@ fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0
 }
 
-fn fsync_never(segments: bool) -> PersistConfig {
-    PersistConfig { fsync: FsyncPolicy::Never, segments, ..PersistConfig::default() }
+fn fsync_never() -> PersistConfig {
+    PersistConfig { fsync: FsyncPolicy::Never, ..PersistConfig::default() }
 }
 
 /// Count laptops through the POS index — the kind of selective first query an
@@ -67,10 +65,9 @@ fn run_child(mode: &str) -> ! {
             store.materialize_inference();
             (store, String::new())
         }
-        "snapshot" | "mmap" => {
+        "mmap" => {
             let dir = std::env::var("SEGMENT_BENCH_DIR").expect("SEGMENT_BENCH_DIR");
-            let pstore =
-                PersistentStore::open(&dir, fsync_never(mode == "mmap")).expect("open persist dir");
+            let pstore = PersistentStore::open(&dir, fsync_never()).expect("open persist dir");
             let (store, _journal, _recovery) = pstore.into_parts();
             let seg = store.segment_stats();
             let extra =
@@ -185,30 +182,28 @@ fn main() {
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("create bench dir");
     let nt_path = base.join("data.nt");
-    let snap_dir = base.join("snapshot");
     let seg_dir = base.join("segments");
 
-    // -- seed: one graph, three restart artifacts ---------------------------
+    // -- seed: one graph, two restart artifacts -----------------------------
     eprintln!("seeding {n_products} products…");
     let graph = ProductsGenerator::new(n_products, 10).generate();
     std::fs::write(&nt_path, ntriples::serialize(&graph)).expect("write data.nt");
     let nt_bytes = std::fs::metadata(&nt_path).expect("stat data.nt").len();
 
-    let mut triples = 0usize;
-    for (dir, segments) in [(&snap_dir, false), (&seg_dir, true)] {
-        let mut pstore = PersistentStore::open(dir, fsync_never(segments)).expect("open for seed");
+    let triples = {
+        let mut pstore = PersistentStore::open(&seg_dir, fsync_never()).expect("open for seed");
         pstore
             .load_ntriples_path(&nt_path, LoadOptions::default())
             .expect("seed load");
         pstore.materialize_inference();
-        pstore.checkpoint_fold().expect("seed checkpoint");
-        triples = pstore.len();
-    }
+        pstore.checkpoint().expect("seed checkpoint");
+        pstore.len()
+    };
     eprintln!("seeded {triples} triples ({nt_bytes} bytes of N-Triples)");
 
     // -- structural sharing: small write txn between two segment checkpoints
     let (shared_segments, written_segments, shared_terms, written_terms, delta_bytes) = {
-        let mut pstore = PersistentStore::open(&seg_dir, fsync_never(true)).expect("reopen seg");
+        let mut pstore = PersistentStore::open(&seg_dir, fsync_never()).expect("reopen seg");
         let ex = |local: &str| Term::iri(format!("{EX}{local}"));
         for i in 0..8 {
             let t = rdf_analytics::model::Triple::new(
@@ -218,7 +213,7 @@ fn main() {
             );
             pstore.insert(&t).expect("txn insert");
         }
-        pstore.checkpoint_fold().expect("txn checkpoint");
+        pstore.checkpoint().expect("txn checkpoint");
         let stats = pstore.last_checkpoint_stats().expect("checkpoint stats");
         (
             stats.segments_shared,
@@ -243,9 +238,8 @@ fn main() {
 
     // -- restart races, each in a fresh process -----------------------------
     let replay = measure("replay", &base, &nt_path, trials);
-    let snapshot = measure("snapshot", &snap_dir, &nt_path, trials);
     let mmap = measure("mmap", &seg_dir, &nt_path, trials);
-    for (mode, r) in [("replay", &replay), ("snapshot", &snapshot), ("mmap", &mmap)] {
+    for (mode, r) in [("replay", &replay), ("mmap", &mmap)] {
         eprintln!(
             "{mode:>8}: open {:.1}ms + query {:.1}ms = {:.1}ms, rss {:.1} MiB, {} laptops",
             r.open_ms,
@@ -256,15 +250,13 @@ fn main() {
         );
     }
 
-    // the three backends must agree on the answer (the write txn above added
-    // 8 laptops to the segment store only)
+    // both restarts must agree on the answer (the write txn above added 8
+    // laptops to the segment store only)
     assert_eq!(replay.count as usize, n_products, "replay probe count");
-    assert_eq!(snapshot.count, replay.count, "snapshot probe count");
     assert_eq!(mmap.count, replay.count + 8, "mmap probe count");
     assert!(mmap.segments >= 1, "mmap restart must be segment-backed");
 
     let speedup_replay = replay.restart_ms / mmap.restart_ms.max(0.001);
-    let speedup_snapshot = snapshot.restart_ms / mmap.restart_ms.max(0.001);
     assert!(
         mmap.restart_ms < replay.restart_ms,
         "mmap restart ({:.1}ms) must beat N-Triples replay ({:.1}ms)",
@@ -277,19 +269,18 @@ fn main() {
             "mmap restart must be ≥10x faster than replay at ~500k triples, got {speedup_replay:.1}x"
         );
         assert!(
-            mmap.rss_bytes < snapshot.rss_bytes,
+            mmap.rss_bytes < replay.rss_bytes,
             "segment-backed restart must use less RSS ({}) than all-in-RAM ({})",
             mmap.rss_bytes,
-            snapshot.rss_bytes
+            replay.rss_bytes
         );
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"segment_restart\",\n  \"smoke\": {smoke},\n  \"n_products\": {n_products},\n  \"triples\": {triples},\n  \"nt_bytes\": {nt_bytes},\n  \"modes\": {{\n    \"replay\": {},\n    \"snapshot\": {},\n    \"mmap\": {}\n  }},\n  \"speedup_mmap_vs_replay\": {speedup_replay:.2},\n  \"speedup_mmap_vs_snapshot\": {speedup_snapshot:.2},\n  \"rss_saving_vs_snapshot_bytes\": {},\n  \"write_txn\": {{\"segments_written\": {written_segments}, \"segments_shared\": {shared_segments}, \"segment_bytes_written\": {delta_bytes}, \"terms_written\": {written_terms}, \"terms_shared\": {shared_terms}}}\n}}\n",
+        "{{\n  \"bench\": \"segment_restart\",\n  \"smoke\": {smoke},\n  \"n_products\": {n_products},\n  \"triples\": {triples},\n  \"nt_bytes\": {nt_bytes},\n  \"modes\": {{\n    \"replay\": {},\n    \"mmap\": {}\n  }},\n  \"speedup_mmap_vs_replay\": {speedup_replay:.2},\n  \"rss_saving_vs_replay_bytes\": {},\n  \"write_txn\": {{\"segments_written\": {written_segments}, \"segments_shared\": {shared_segments}, \"segment_bytes_written\": {delta_bytes}, \"terms_written\": {written_terms}, \"terms_shared\": {shared_terms}}}\n}}\n",
         mode_json(&replay, false),
-        mode_json(&snapshot, false),
         mode_json(&mmap, true),
-        snapshot.rss_bytes.saturating_sub(mmap.rss_bytes),
+        replay.rss_bytes.saturating_sub(mmap.rss_bytes),
     );
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_10.json");
     std::fs::write(&out, &json).expect("write BENCH_10.json");

@@ -8,9 +8,9 @@
 //! | append ops/s | logged single-triple inserts per second |
 //! | WAL bytes | log size after the append phase |
 //! | replay ms | reopen time with the whole workload in the WAL |
-//! | checkpoint ms | snapshot + WAL rotation time |
-//! | snapshot bytes | size of the resulting snapshot file |
-//! | reopen ms | reopen time after the checkpoint (snapshot, empty WAL) |
+//! | checkpoint ms | segments + manifest + WAL rotation time |
+//! | checkpoint bytes | the new generation on disk: its manifest and every file it names |
+//! | reopen ms | reopen time after the checkpoint (mapped segments, empty WAL) |
 //!
 //! The spread between the `always` and `never` rows is the price of the
 //! durability guarantee; `every:N` sits between them with a bounded loss
@@ -18,7 +18,7 @@
 
 use rdfa_datagen::ProductsGenerator;
 use rdfa_store::{FsyncPolicy, PersistConfig, PersistentStore};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// One fsync policy's measurements.
@@ -29,7 +29,7 @@ pub struct DurabilityRow {
     pub wal_bytes: u64,
     pub replay_ms: f64,
     pub checkpoint_ms: f64,
-    pub snapshot_bytes: u64,
+    pub checkpoint_bytes: u64,
     pub reopen_ms: f64,
 }
 
@@ -70,18 +70,18 @@ pub fn measure(fsync: FsyncPolicy, products: usize) -> DurabilityRow {
 
     // 2. recovery with the whole workload in the WAL
     let t0 = Instant::now();
-    let store = PersistentStore::open(&dir, config(fsync)).expect("reopen for replay");
+    let mut store = PersistentStore::open(&dir, config(fsync)).expect("reopen for replay");
     let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(store.recovery().wal_records_replayed, triples.len() as u64);
 
-    // 3. checkpoint: snapshot + WAL rotation
+    // 3. checkpoint: segments + manifest + WAL rotation
     let t0 = Instant::now();
-    store.checkpoint().expect("checkpoint");
+    let generation = store.checkpoint().expect("checkpoint");
     let checkpoint_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let snapshot_bytes = file_size(&dir, "snapshot.1.bin");
+    let checkpoint_bytes = checkpoint_bytes(&dir, generation);
     drop(store);
 
-    // 4. recovery from the snapshot alone
+    // 4. recovery from the checkpoint alone
     let t0 = Instant::now();
     let store = PersistentStore::open(&dir, config(fsync)).expect("reopen after checkpoint");
     let reopen_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -94,13 +94,32 @@ pub fn measure(fsync: FsyncPolicy, products: usize) -> DurabilityRow {
         wal_bytes,
         replay_ms,
         checkpoint_ms,
-        snapshot_bytes,
+        checkpoint_bytes,
         reopen_ms,
     }
 }
 
-fn file_size(dir: &std::path::Path, name: &str) -> u64 {
+fn file_size(dir: &Path, name: &str) -> u64 {
     std::fs::metadata(dir.join(name)).map(|m| m.len()).unwrap_or(0)
+}
+
+/// Bytes on disk of checkpoint `generation`: its manifest
+/// (`segments.<g>.txt`) and every file the manifest names — term chunks,
+/// explicit segments and the closure segment.
+fn checkpoint_bytes(dir: &Path, generation: u64) -> u64 {
+    let manifest = format!("segments.{generation}.txt");
+    let text = std::fs::read_to_string(dir.join(&manifest)).unwrap_or_default();
+    let named = text.lines().filter_map(|line| {
+        let mut words = line.split(' ');
+        match (words.next(), words.next()) {
+            (Some("chunk" | "seg" | "inf"), Some(file)) => Some(file),
+            _ => None,
+        }
+    });
+    std::iter::once(manifest.as_str())
+        .chain(named)
+        .map(|f| file_size(dir, f))
+        .sum()
 }
 
 /// The durability table: one row per fsync policy over the same workload.
@@ -112,25 +131,25 @@ pub fn durability_table(products: usize) -> String {
         "durability: WAL fsync policy trade-offs ({products} products)\n"
     ));
     out.push_str(
-        "| policy   | append ops/s | WAL bytes | replay ms | checkpoint ms | snapshot bytes | reopen ms |\n",
+        "| policy   | append ops/s | WAL bytes | replay ms | checkpoint ms | checkpoint bytes | reopen ms |\n",
     );
     out.push_str(
-        "|----------|-------------:|----------:|----------:|--------------:|---------------:|----------:|\n",
+        "|----------|-------------:|----------:|----------:|--------------:|-----------------:|----------:|\n",
     );
     for r in &rows {
         out.push_str(&format!(
-            "| {:<8} | {:>12.0} | {:>9} | {:>9.1} | {:>13.1} | {:>14} | {:>9.1} |\n",
+            "| {:<8} | {:>12.0} | {:>9} | {:>9.1} | {:>13.1} | {:>16} | {:>9.1} |\n",
             r.policy,
             r.append_ops_per_s,
             r.wal_bytes,
             r.replay_ms,
             r.checkpoint_ms,
-            r.snapshot_bytes,
+            r.checkpoint_bytes,
             r.reopen_ms
         ));
     }
     out.push_str(
-        "(append = logged single-triple inserts; replay = reopen with the full workload in the WAL;\n reopen = recovery from the checkpoint snapshot alone)\n",
+        "(append = logged single-triple inserts; replay = reopen with the full workload in the WAL;\n reopen = recovery from the checkpointed segments alone)\n",
     );
     out
 }
@@ -153,6 +172,6 @@ mod tests {
         let row = measure(FsyncPolicy::Never, 40);
         assert!(row.append_ops_per_s > 0.0);
         assert!(row.wal_bytes > 0);
-        assert!(row.snapshot_bytes > 0);
+        assert!(row.checkpoint_bytes > 0);
     }
 }

@@ -322,7 +322,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let f = frame();
         {
-            let store = f.persist_as_dataset(&dir).unwrap();
+            let mut store = f.persist_as_dataset(&dir).unwrap();
             assert_eq!(store.len(), 12);
             store.checkpoint().unwrap();
         }

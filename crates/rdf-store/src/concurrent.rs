@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn write_txn_over_segment_store_shares_segments() {
-        // the thing segment mode buys the write path: a copy-on-write
+        // what segments buy the write path: a copy-on-write
         // transaction over a folded store clones Arc pointers, not triple
         // data — the base segments stay shared across generations
         let dir = std::env::temp_dir().join(format!(
@@ -382,19 +382,14 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut p = crate::persist::PersistentStore::open(
-            &dir,
-            crate::persist::PersistConfig {
-                segments: true,
-                ..crate::persist::PersistConfig::default()
-            },
-        )
-        .unwrap();
+        let mut p =
+            crate::persist::PersistentStore::open(&dir, crate::persist::PersistConfig::default())
+                .unwrap();
         for i in 0..200 {
             p.insert(&triple(i)).unwrap();
         }
         p.materialize_inference();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         let stats = p.store().segment_stats();
         assert!(stats.segments >= 1, "fold must leave a segment-backed store");
         let (store, _journal, _report) = p.into_parts();

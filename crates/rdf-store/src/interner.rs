@@ -150,14 +150,14 @@ impl LazyChunk {
         self.slots[local].get_or_init(|| {
             let start = if local == 0 { 0 } else { self.offsets[local - 1] as usize };
             let end = self.offsets[local] as usize;
-            let mut cur = crate::persist::snapshot::Cursor {
+            let mut cur = crate::persist::term_codec::Cursor {
                 buf: &self.payload[start..end],
                 pos: 0,
                 what: "term chunk",
             };
             // the payload was CRC-verified when the chunk was opened, so a
             // decode failure here is a logic error, not disk corruption
-            crate::persist::snapshot::decode_term(&mut cur, self.from + local)
+            crate::persist::term_codec::decode_term(&mut cur, self.from + local)
                 .expect("CRC-verified term payload decodes")
         })
     }

@@ -1,6 +1,6 @@
 //! Deterministic crash injection for the persistence layer.
 //!
-//! Every labeled point in the snapshot/WAL write paths calls
+//! Every labeled point in the WAL and checkpoint write paths calls
 //! [`CrashInjector::check`]. When the injector is armed for that point the
 //! call returns [`PersistError::InjectedCrash`]; the caller stops writing
 //! *immediately* — leaving a torn header, a half-written record, an
@@ -30,11 +30,6 @@ pub const CRASH_POINTS: &[&str] = &[
     "wal.append.body",
     "wal.append.synced",
     "checkpoint.begin",
-    "snapshot.header",
-    "snapshot.torn-section",
-    "snapshot.written",
-    "snapshot.fsync",
-    "snapshot.rename",
     "segment.header",
     "segment.torn-block",
     "segment.written",
@@ -54,7 +49,7 @@ enum Mode {
     Sample { seed: u64, prob: f64 },
 }
 
-/// The crash-point hook shared by a store's WAL and snapshot writers.
+/// The crash-point hook shared by a store's WAL and checkpoint writers.
 #[derive(Debug)]
 pub struct CrashInjector {
     mode: Mode,
@@ -155,7 +150,7 @@ mod tests {
     fn at_fires_exactly_on_nth_hit() {
         let inj = CrashInjector::at("wal.append.body", 3);
         assert!(inj.check("wal.append.body").is_ok());
-        assert!(inj.check("snapshot.header").is_ok()); // other labels don't count
+        assert!(inj.check("segment.header").is_ok()); // other labels don't count
         assert!(inj.check("wal.append.body").is_ok());
         assert!(matches!(
             inj.check("wal.append.body"),

@@ -1,6 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) — the checksum
-//! guarding every snapshot section, WAL record, segment directory and term
-//! chunk. Implemented locally so the durability layer adds no dependencies.
+//! guarding every WAL record, manifest, segment directory and block, and
+//! term chunk. Implemented locally so the durability layer adds no
+//! dependencies.
 //!
 //! Uses slicing-by-8: eight derived tables let the hot loop fold eight input
 //! bytes per iteration with independent lookups instead of a one-byte carry

@@ -1,8 +1,8 @@
-//! The segment manifest: the root of a segment-mode checkpoint generation.
+//! The segment manifest: the root of a checkpoint generation.
 //!
-//! A generation checkpointed with [`super::PersistConfig::segments`] is
-//! described by `segments.<g>.txt` — a small, CRC-sealed ASCII file naming
-//! every immutable file the generation is built from:
+//! Every checkpointed generation is described by `segments.<g>.txt` — a
+//! small, CRC-sealed ASCII file naming every immutable file the generation
+//! is built from:
 //!
 //! ```text
 //! RDFAMAN1
@@ -13,22 +13,21 @@
 //! crc <8 hex digits>              # CRC-32 of every preceding byte
 //! ```
 //!
-//! Term chunks (`terms.<from>-<to>.tbl`) are immutable binary files reusing
-//! the snapshot's term wire format; because term ids are append-only, a new
+//! Term chunks (`terms.<from>-<to>.tbl`) are immutable binary files in the
+//! term wire format of [`super::term_codec`]; because term ids are append-only, a new
 //! checkpoint writes only the chunk of terms interned *since the previous
 //! manifest* and re-references the older chunks — the dictionary half of
 //! structural sharing. Segment files are shared the same way: an unchanged
 //! base segment is named by consecutive manifests and never rewritten.
 //!
 //! The manifest itself is written tmp → fsync → atomic rename, and the
-//! generation only becomes visible when `CURRENT` flips — exactly the
-//! snapshot path's commit protocol.
+//! generation only becomes visible when `CURRENT` flips.
 
 use super::crash::CrashInjector;
 use super::crc::crc32;
-use super::snapshot::encode_term;
+use super::term_codec::encode_term;
 #[cfg(test)]
-use super::snapshot::{decode_term, Cursor};
+use super::term_codec::{decode_term, Cursor};
 use crate::interner::TermChunkParts;
 use super::{sync_dir, PersistError};
 use crate::layer::Layer;
@@ -139,7 +138,10 @@ pub(crate) fn read_manifest(path: &Path) -> Result<Manifest, PersistError> {
     }
     let mut lines = body.lines();
     if lines.next() != Some(HEADER) {
-        return Err(PersistError::BadMagic { found: text.bytes().take(8).collect() });
+        return Err(PersistError::BadMagic {
+            what: "segment manifest",
+            found: text.bytes().take(8).collect(),
+        });
     }
     let mut m = Manifest::default();
     let mut saw_terms = false;
@@ -177,7 +179,7 @@ pub(crate) fn read_manifest(path: &Path) -> Result<Manifest, PersistError> {
 }
 
 /// Read the previous generation's manifest if one exists (for chunk and
-/// segment reuse); a missing file means the store was snapshot-based.
+/// segment reuse); `None` before the first checkpoint.
 pub(crate) fn read_previous(dir: &Path, generation: u64) -> Option<Manifest> {
     let path = manifest_path(dir, generation);
     path.exists().then(|| read_manifest(&path).ok()).flatten()
@@ -257,7 +259,7 @@ pub(crate) fn open_term_chunk(path: &Path) -> Result<TermChunkParts, PersistErro
         return Err(chunk_corrupt(format!("file too small ({} bytes)", bytes.len())));
     }
     if &bytes[..8] != CHUNK_MAGIC {
-        return Err(PersistError::BadMagic { found: bytes[..8].to_vec() });
+        return Err(PersistError::BadMagic { what: "term chunk", found: bytes[..8].to_vec() });
     }
     let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
     let from = u32_at(8) as usize;
@@ -430,6 +432,11 @@ mod tests {
             read_manifest(&path),
             Err(PersistError::Checksum { .. })
         ));
+        // a correctly sealed file with a foreign header is refused by name
+        let body = text.rsplit_once("crc ").unwrap().0.replace(HEADER, "RDFAMAN9");
+        fs::write(&path, format!("{body}crc {:08x}\n", crc32(body.as_bytes()))).unwrap();
+        let err = read_manifest(&path).unwrap_err().to_string();
+        assert!(err.starts_with("not a segment manifest file"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -457,6 +464,10 @@ mod tests {
             read_term_chunk(&path),
             Err(PersistError::Checksum { .. }) | Err(PersistError::Corrupt { .. })
         ));
+        bytes[0] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let err = read_term_chunk(&path).unwrap_err().to_string();
+        assert!(err.starts_with("not a term chunk file"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,4 +1,4 @@
-//! Crash-safe persistence for the [`Store`]: checksummed snapshots + a
+//! Crash-safe persistence for the [`Store`]: mmap-able index segments + a
 //! write-ahead log, recovery-on-open, and a deterministic crash-injection
 //! harness.
 //!
@@ -8,8 +8,7 @@
 //!
 //! ```text
 //! CURRENT            the active generation number (ASCII u64)
-//! snapshot.<g>.bin   checksummed binary dump of generation g (see snapshot.rs)
-//! segments.<g>.txt   segment-mode manifest for generation g (see manifest.rs)
+//! segments.<g>.txt   the manifest of generation g (see manifest.rs)
 //! seg.<g>.<i>.seg    immutable compressed index segments (see crate::segment)
 //! inf.<g>.seg        persisted RDFS closure segment
 //! terms.<a>-<b>.tbl  immutable term-dictionary chunks
@@ -18,23 +17,21 @@
 //!
 //! Mutations are logged **write-ahead** (record appended, then applied in
 //! memory). [`PersistentStore::checkpoint`] compacts: it writes the next
-//! generation's durable image to temp files, fsyncs, atomically renames them
-//! into place, creates the next WAL, then flips `CURRENT` via the same
-//! temp-file + rename + fsync-dir dance. A crash at *any* point leaves
-//! `CURRENT` naming a complete generation: recovery loads it, replays the
-//! WAL (truncating a torn tail), and rematerializes the RDFS closure when it
-//! is stale.
+//! generation's segment files and manifest to temp files, fsyncs, atomically
+//! renames them into place, creates the next WAL, then flips `CURRENT` via
+//! the same temp-file + rename + fsync-dir dance. A crash at *any* point
+//! leaves `CURRENT` naming a complete generation: recovery maps its
+//! segments, replays the WAL (truncating a torn tail), and rematerializes
+//! the RDFS closure when it is stale.
 //!
-//! The durable image comes in two formats. The classic **snapshot** is a
-//! monolithic dump that recovery decodes in full. **Segment mode**
-//! ([`PersistConfig::segments`]) instead writes compressed, mmap-able index
-//! segments plus a small manifest: recovery maps the files and serves
-//! queries immediately (blocks decode on first touch), and a checkpoint
-//! re-references every base segment and term chunk that did not change —
-//! only the overlay written since the last checkpoint costs I/O. The
-//! checkpoint also returns a *folded* store rebuilt on the new segment stack
-//! so the in-memory overlay resets and subsequent copy-on-write write
-//! transactions share the segment `Arc`s instead of deep-copying triples.
+//! Recovery serves queries as soon as the files are mapped (blocks decode
+//! on first touch), and a checkpoint re-references every base segment and
+//! term chunk that did not change — only the overlay written since the last
+//! checkpoint costs I/O. The checkpoint also returns a *folded* store
+//! rebuilt on the new segment stack so the in-memory overlay resets and
+//! subsequent copy-on-write write transactions share the segment `Arc`s
+//! instead of deep-copying triples. N-Triples stays the import and export
+//! format ([`PersistentStore::export_ntriples`]).
 //!
 //! # Crash injection
 //!
@@ -48,7 +45,7 @@
 pub mod crash;
 pub mod crc;
 mod manifest;
-pub(crate) mod snapshot;
+pub(crate) mod term_codec;
 mod wal;
 
 pub use crash::{CrashInjector, CRASH_POINTS};
@@ -72,10 +69,11 @@ use wal::Wal;
 pub enum PersistError {
     /// An underlying I/O failure.
     Io { context: &'static str, source: std::io::Error },
-    /// The snapshot file does not start with the expected magic bytes.
-    BadMagic { found: Vec<u8> },
-    /// The snapshot was written by an unknown format version.
-    UnsupportedVersion { found: u32 },
+    /// A file (`what`: segment, manifest, term chunk) does not start with
+    /// the expected magic bytes.
+    BadMagic { what: &'static str, found: Vec<u8> },
+    /// A file (`what`) was written by an unknown format version.
+    UnsupportedVersion { what: &'static str, found: u32 },
     /// A CRC-32 check failed — the bytes on disk are not the bytes written.
     Checksum { what: &'static str, expected: u32, found: u32 },
     /// Structurally invalid data (truncated section, bad tag, …).
@@ -94,11 +92,11 @@ impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::Io { context, source } => write!(f, "{context}: {source}"),
-            PersistError::BadMagic { found } => {
-                write!(f, "not a snapshot file (magic {found:02x?})")
+            PersistError::BadMagic { what, found } => {
+                write!(f, "not a {what} file (magic {found:02x?})")
             }
-            PersistError::UnsupportedVersion { found } => {
-                write!(f, "unsupported snapshot version {found}")
+            PersistError::UnsupportedVersion { what, found } => {
+                write!(f, "unsupported {what} version {found}")
             }
             PersistError::Checksum { what, expected, found } => write!(
                 f,
@@ -158,11 +156,9 @@ impl FsyncPolicy {
 pub struct PersistConfig {
     /// WAL durability policy.
     pub fsync: FsyncPolicy,
-    /// Checkpoint to compressed mmap-able segment files (manifest +
-    /// structurally shared segments) instead of monolithic snapshots.
-    /// Restart then maps the files instead of decoding them, and unchanged
-    /// segments are never rewritten. Off by default; either format recovers
-    /// a directory written by the other.
+    /// Ignored: segments are the only checkpoint format. Kept so that
+    /// struct literals which still set it keep compiling.
+    #[doc(hidden)]
     pub segments: bool,
     /// Crash-injection hook (off in production).
     pub crash: Arc<CrashInjector>,
@@ -172,31 +168,27 @@ impl Default for PersistConfig {
     fn default() -> Self {
         PersistConfig {
             fsync: FsyncPolicy::Always,
-            segments: false,
+            segments: true,
             crash: CrashInjector::off(),
         }
     }
 }
 
 impl PersistConfig {
-    /// Config honouring `RDFA_FSYNC` (`always`/`never`/`every:N`),
-    /// `RDFA_SEGMENTS` (`1`/`true`/`yes`/`on`), and the
+    /// Config honouring `RDFA_FSYNC` (`always`/`never`/`every:N`) and the
     /// `RDFA_CRASHPOINT`/`RDFA_CRASHPOINT_SEED` crash-injection variables.
     pub fn from_env() -> PersistConfig {
         let fsync = std::env::var("RDFA_FSYNC")
             .ok()
             .and_then(|s| FsyncPolicy::parse(s.trim()))
             .unwrap_or(FsyncPolicy::Always);
-        let segments = std::env::var("RDFA_SEGMENTS")
-            .map(|v| matches!(v.trim(), "1" | "true" | "yes" | "on"))
-            .unwrap_or(false);
-        PersistConfig { fsync, segments, crash: CrashInjector::from_env() }
+        PersistConfig { fsync, crash: CrashInjector::from_env(), ..PersistConfig::default() }
     }
 }
 
-/// What the last segment-mode checkpoint wrote versus re-referenced —
-/// the observable measure of structural sharing. `None` from
-/// [`Journal::last_checkpoint_stats`] until a segment checkpoint ran.
+/// What the last checkpoint wrote versus re-referenced — the observable
+/// measure of structural sharing. `None` from
+/// [`Journal::last_checkpoint_stats`] until a checkpoint ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Generation the checkpoint produced.
@@ -225,9 +217,9 @@ pub enum Mutation {
 pub struct RecoveryReport {
     /// The generation named by `CURRENT` (0 before the first checkpoint).
     pub generation: u64,
-    /// Explicit triples loaded from the snapshot.
-    pub snapshot_triples: usize,
-    /// WAL records replayed on top of the snapshot.
+    /// Explicit triples in the checkpointed generation.
+    pub checkpoint_triples: usize,
+    /// WAL records replayed on top of the checkpoint.
     pub wal_records_replayed: u64,
     /// Set when the WAL had a torn/corrupt tail that was cut off.
     pub wal_truncation: Option<WalTruncation>,
@@ -339,23 +331,16 @@ impl Journal {
     /// `snap` runs after the lock is taken, so the snapshot it returns
     /// contains every batch whose WAL record the checkpoint supersedes.
     /// Readers proceed throughout; updates queue on the journal only.
+    ///
+    /// Returns the new generation and the *folded* store: the same
+    /// observable state rebuilt on the freshly persisted segment stack
+    /// (empty overlay, frozen term dictionary), sharing every base segment
+    /// `Arc` with the view. The caller swaps it in for the view so the
+    /// overlay resets and write transactions stay O(overlay).
     pub fn checkpoint_with<S: std::ops::Deref<Target = Store>>(
         &self,
         snap: impl FnOnce() -> S,
-    ) -> Result<u64, PersistError> {
-        self.checkpoint_with_fold(snap).map(|(generation, _)| generation)
-    }
-
-    /// [`Journal::checkpoint_with`], additionally returning the *folded*
-    /// store in segment mode: the same observable state rebuilt on the
-    /// freshly persisted segment stack (empty overlay, frozen term
-    /// dictionary), sharing every base segment `Arc` with the view. The
-    /// caller swaps it in for the view so the overlay resets and write
-    /// transactions stay O(overlay). `None` in snapshot mode.
-    pub fn checkpoint_with_fold<S: std::ops::Deref<Target = Store>>(
-        &self,
-        snap: impl FnOnce() -> S,
-    ) -> Result<(u64, Option<Store>), PersistError> {
+    ) -> Result<(u64, Store), PersistError> {
         let mut inner = self.lock();
         if inner.dead || inner.wal.is_dead() {
             return Err(PersistError::Dead);
@@ -368,13 +353,8 @@ impl Journal {
         result
     }
 
-    /// Checkpoint from a directly-borrowed store (the single-writer path).
-    pub fn checkpoint_from(&self, store: &Store) -> Result<u64, PersistError> {
-        self.checkpoint_with(|| store)
-    }
-
-    /// What the last segment-mode checkpoint on this handle wrote versus
-    /// re-referenced; `None` until one has run.
+    /// What the last checkpoint on this handle wrote versus re-referenced;
+    /// `None` until one has run.
     pub fn last_checkpoint_stats(&self) -> Option<CheckpointStats> {
         self.lock().last_checkpoint
     }
@@ -383,7 +363,7 @@ impl Journal {
         &self,
         inner: &mut Inner,
         store: &Store,
-    ) -> Result<(u64, Option<Store>), PersistError> {
+    ) -> Result<(u64, Store), PersistError> {
         let crash = Arc::clone(&inner.config.crash);
         let io = |context: &'static str| {
             move |e: std::io::Error| PersistError::Io { context, source: e }
@@ -391,33 +371,15 @@ impl Journal {
         crash.check("checkpoint.begin")?;
         let next = inner.generation + 1;
 
-        // 1. the durable image: segment files + manifest, or a monolithic
-        //    snapshot. Every file goes tmp → fsync → atomic rename before
-        //    CURRENT flips, so a crash anywhere leaves the previous
-        //    generation fully intact. `keep` collects the file names the
-        //    new generation is made of (for cleanup in step 5).
-        let mut keep: Vec<String> = vec![format!("wal.{next}.log")];
-        let mut folded = None;
-        if inner.config.segments {
-            let (fold, m, stats) = self.write_segment_generation(store, next, inner.generation, &crash)?;
-            keep.push(format!("segments.{next}.txt"));
-            keep.extend(m.files().map(str::to_owned));
-            inner.last_checkpoint = Some(stats);
-            folded = Some(fold);
-        } else {
-            let tmp = self.dir.join(format!("snapshot.{next}.tmp"));
-            let snap = self.dir.join(format!("snapshot.{next}.bin"));
-            {
-                let mut file = File::create(&tmp).map_err(io("snapshot create"))?;
-                snapshot::write_snapshot(store, &mut file, &crash)?;
-                file.sync_all().map_err(io("snapshot fsync"))?;
-            }
-            crash.check("snapshot.fsync")?;
-            fs::rename(&tmp, &snap).map_err(io("snapshot rename"))?;
-            sync_dir(&self.dir)?;
-            crash.check("snapshot.rename")?;
-            keep.push(format!("snapshot.{next}.bin"));
-        }
+        // 1. the durable image: segment files + manifest. Every file goes
+        //    tmp → fsync → atomic rename before CURRENT flips, so a crash
+        //    anywhere leaves the previous generation fully intact. `keep`
+        //    collects the file names the new generation is made of (for
+        //    cleanup in step 5).
+        let (folded, m, stats) = self.write_segment_generation(store, next, inner.generation, &crash)?;
+        let mut keep: Vec<String> = vec![format!("wal.{next}.log"), format!("segments.{next}.txt")];
+        keep.extend(m.files().map(str::to_owned));
+        inner.last_checkpoint = Some(stats);
 
         // 2. the next WAL starts empty
         let wal_path = self.dir.join(format!("wal.{next}.log"));
@@ -445,13 +407,13 @@ impl Journal {
         inner.generation = next;
 
         // 5. best-effort cleanup: drop every managed file the new
-        //    generation does not reference (superseded snapshots, WALs,
-        //    manifests, unshared segments and chunks, stray temps)
+        //    generation does not reference (superseded WALs, manifests,
+        //    unshared segments and chunks, stray temps)
         if let Ok(entries) = fs::read_dir(&self.dir) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                let managed = ["snapshot.", "wal.", "segments.", "seg.", "inf.", "terms."]
+                let managed = ["wal.", "segments.", "seg.", "inf.", "terms."]
                     .iter()
                     .any(|p| name.starts_with(p));
                 let stale = name.ends_with(".tmp")
@@ -658,8 +620,9 @@ impl Journal {
 
 /// A [`Store`] bound to a directory: every mutation is WAL-logged before it
 /// is applied, [`checkpoint`](PersistentStore::checkpoint) compacts the log
-/// into a checksummed snapshot, and reopening the directory recovers to the
-/// last consistent state. Dereferences to [`Store`] for the whole read API.
+/// into checksummed segment files, and reopening the directory recovers to
+/// the last consistent state. Dereferences to [`Store`] for the whole read
+/// API.
 pub struct PersistentStore {
     store: Store,
     journal: Journal,
@@ -686,25 +649,27 @@ impl fmt::Debug for PersistentStore {
 
 impl PersistentStore {
     /// Open (creating if needed) the store directory, running recovery:
-    /// load the current generation (mmap its segment manifest if present,
-    /// else decode its snapshot), replay the WAL (truncating a torn tail),
-    /// and rematerialize inference *only if it is stale* — a segment
+    /// map the current generation's segments, replay the WAL (truncating a
+    /// torn tail), and rematerialize inference *only if it is stale* — a
     /// generation with a persisted closure and an empty WAL serves its
     /// first query without decoding anything.
+    ///
+    /// A generation past 0 without its manifest is refused with
+    /// [`PersistError::Corrupt`] and every file is left in place: opening
+    /// it empty would let the next checkpoint delete the data.
     pub fn open(dir: impl AsRef<Path>, config: PersistConfig) -> Result<PersistentStore, PersistError> {
         let dir = dir.as_ref().to_owned();
         fs::create_dir_all(&dir)
             .map_err(|e| PersistError::Io { context: "create store dir", source: e })?;
         let generation = read_current(&dir)?;
-        let snap_path = dir.join(format!("snapshot.{generation}.bin"));
-        let mut store = if manifest::manifest_path(&dir, generation).exists() {
-            manifest::open_store(&dir, generation)?
-        } else if snap_path.exists() {
-            snapshot::read_snapshot(&snap_path)?
-        } else {
+        let mut store = if generation == 0 {
             Store::new()
+        } else if manifest::manifest_path(&dir, generation).exists() {
+            manifest::open_store(&dir, generation)?
+        } else {
+            return Err(missing_manifest(&dir, generation));
         };
-        let snapshot_triples = store.len();
+        let checkpoint_triples = store.len();
         let wal_path = dir.join(format!("wal.{generation}.log"));
         let (replayed, truncation) = wal::replay(&wal_path, &mut store)?;
         if store.is_dirty() {
@@ -713,7 +678,7 @@ impl PersistentStore {
         let wal = Wal::open_append(&wal_path, config.fsync, Arc::clone(&config.crash), replayed)?;
         let recovery = RecoveryReport {
             generation,
-            snapshot_triples,
+            checkpoint_triples,
             wal_records_replayed: replayed,
             wal_truncation: truncation,
         };
@@ -916,20 +881,13 @@ impl PersistentStore {
 
     // ---- checkpoint / compaction -----------------------------------------
 
-    /// Write the next generation's snapshot, rotate the WAL, and flip
-    /// `CURRENT` — all via temp-file + atomic rename + fsync-dir, so a
-    /// crash at any point leaves a complete generation behind. Returns the
-    /// new generation. Takes `&self`: readers holding the store can keep
-    /// going while a checkpoint runs.
-    pub fn checkpoint(&self) -> Result<u64, PersistError> {
-        self.journal.checkpoint_from(&self.store)
-    }
-
-    /// [`PersistentStore::checkpoint`], additionally swapping in the folded
-    /// store in segment mode: after this call the in-memory overlay is
-    /// empty, reads go through the freshly persisted mmap segments, and the
-    /// next reopen is byte-identical to continuing in-process.
-    pub fn checkpoint_fold(&mut self) -> Result<u64, PersistError> {
+    /// Write the next generation's segments and manifest, rotate the WAL,
+    /// and flip `CURRENT` — all via temp-file + atomic rename + fsync-dir,
+    /// so a crash at any point leaves a complete generation behind — then
+    /// swap in the folded store: the in-memory overlay is empty, reads go
+    /// through the freshly persisted mmap segments, and the next reopen is
+    /// byte-identical to continuing in-process. Returns the new generation.
+    pub fn checkpoint(&mut self) -> Result<u64, PersistError> {
         // Bring the RDFS closure up to date now so the generation persists
         // it (`inf.<g>.seg`) — a checkpoint of a dirty store would otherwise
         // force every restart to rematerialize the closure from scratch.
@@ -937,23 +895,26 @@ impl PersistentStore {
             self.store.refresh_inference();
         }
         let (store, journal) = (&self.store, &self.journal);
-        let (generation, folded) = journal.checkpoint_with_fold(|| store)?;
-        if let Some(folded) = folded {
-            self.store = folded;
-        }
+        let (generation, folded) = journal.checkpoint_with(|| store)?;
+        self.store = folded;
         Ok(generation)
     }
 
-    /// What the last segment-mode checkpoint wrote versus re-referenced;
-    /// `None` until one has run.
+    /// What the last checkpoint wrote versus re-referenced; `None` until
+    /// one has run.
     pub fn last_checkpoint_stats(&self) -> Option<CheckpointStats> {
         self.journal.last_checkpoint_stats()
     }
 
-    /// Write the N-Triples fallback export (human-readable durability
-    /// escape hatch; see the snapshot module docs).
+    /// Write the explicit triples as N-Triples: a human-readable,
+    /// tool-compatible dump, usable when the binary files cannot be (a
+    /// format from another release, external tooling, manual recovery).
     pub fn export_ntriples(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        snapshot::export_ntriples(&self.store, path.as_ref())
+        let io = |e: std::io::Error| PersistError::Io { context: "ntriples export", source: e };
+        let text = ntriples::serialize(&self.store.to_graph());
+        let mut file = File::create(path).map_err(io)?;
+        file.write_all(text.as_bytes()).map_err(io)?;
+        file.sync_all().map_err(io)
     }
 
     /// Flush the WAL to disk regardless of fsync policy.
@@ -972,6 +933,23 @@ fn read_current(dir: &Path) -> Result<u64, PersistError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
         Err(e) => Err(PersistError::Io { context: "read CURRENT", source: e }),
     }
+}
+
+/// The error for a generation `CURRENT` names but whose manifest is gone.
+/// A `snapshot.<g>.bin` in its place was written by an older release that
+/// checkpointed to a single file; this release does not read that format.
+fn missing_manifest(dir: &Path, generation: u64) -> PersistError {
+    let legacy = format!("snapshot.{generation}.bin");
+    let detail = if dir.join(&legacy).exists() {
+        format!(
+            "generation {generation} is stored as {legacy}, a format this release no longer \
+             reads; export it to N-Triples with the release that wrote it, then import that \
+             file into an empty directory"
+        )
+    } else {
+        format!("generation {generation} has no manifest: segments.{generation}.txt is missing")
+    };
+    PersistError::Corrupt { what: "CURRENT", detail }
 }
 
 #[cfg(unix)]
@@ -1048,7 +1026,7 @@ mod tests {
         let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(p.len(), 8);
         assert_eq!(p.recovery().generation, 1);
-        assert_eq!(p.recovery().snapshot_triples, 5);
+        assert_eq!(p.recovery().checkpoint_triples, 5);
         assert_eq!(p.recovery().wal_records_replayed, 3);
         // superseded generation-0 files were cleaned up
         assert!(!dir.join("wal.0.log").exists());
@@ -1056,7 +1034,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_preserves_schema_and_inference() {
+    fn checkpoint_preserves_schema_and_inference() {
         let dir = tmpdir("inference");
         {
             let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
@@ -1090,9 +1068,25 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every file in `dir` with its bytes, sorted by name.
+    fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// `CURRENT` names a generation whose manifest is gone: open refuses
+    /// it and touches nothing, so no later checkpoint can delete the
+    /// segments and term chunks the lost manifest named.
     #[test]
-    fn corrupted_snapshot_byte_is_a_typed_checksum_error() {
-        let dir = tmpdir("flip-snapshot");
+    fn generation_without_manifest_is_refused_and_kept() {
+        let dir = tmpdir("no-manifest");
         {
             let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
             for i in 0..20 {
@@ -1100,15 +1094,40 @@ mod tests {
             }
             p.checkpoint().unwrap();
         }
-        let snap = dir.join("snapshot.1.bin");
-        let mut bytes = fs::read(&snap).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        fs::write(&snap, &bytes).unwrap();
-        match PersistentStore::open(&dir, PersistConfig::default()) {
-            Err(PersistError::Checksum { .. }) => {}
-            other => panic!("expected checksum error, got {other:?}"),
+        fs::remove_file(dir.join("segments.1.txt")).unwrap();
+        let before = dir_contents(&dir);
+        assert!(before.iter().any(|(name, _)| name.starts_with("seg.1.")), "{before:?}");
+        for _ in 0..2 {
+            match PersistentStore::open(&dir, PersistConfig::default()) {
+                Err(PersistError::Corrupt { what: "CURRENT", detail }) => {
+                    assert!(detail.contains("segments.1.txt is missing"), "{detail}");
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+            assert_eq!(dir_contents(&dir), before, "a refused open changes no file");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory whose current generation is a single-file snapshot from
+    /// an older release is refused with the way out, never read or deleted.
+    #[test]
+    fn legacy_snapshot_generation_is_refused_and_kept() {
+        let dir = tmpdir("legacy");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("CURRENT"), "3\n").unwrap();
+        fs::write(dir.join("snapshot.3.bin"), b"RDFASNP1 older release").unwrap();
+        fs::write(dir.join("wal.3.log"), b"").unwrap();
+        let before = dir_contents(&dir);
+        match PersistentStore::open(&dir, PersistConfig::default()) {
+            Err(e @ PersistError::Corrupt { what: "CURRENT", .. }) => {
+                let msg = e.to_string();
+                assert!(msg.contains("snapshot.3.bin"), "{msg}");
+                assert!(msg.contains("N-Triples"), "{msg}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(dir_contents(&dir), before, "a refused open changes no file");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1191,15 +1210,11 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn seg_config() -> PersistConfig {
-        PersistConfig { segments: true, ..PersistConfig::default() }
-    }
-
     #[test]
     fn segment_checkpoint_roundtrips_and_reopens_clean() {
         let dir = tmpdir("seg-roundtrip");
         {
-            let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
             p.load_turtle(
                 r#"@prefix ex: <http://e/> .
                    @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
@@ -1207,17 +1222,16 @@ mod tests {
                    ex:l1 a ex:Laptop . ex:l2 a ex:Laptop ."#,
             )
             .unwrap();
-            assert_eq!(p.checkpoint_fold().unwrap(), 1);
+            assert_eq!(p.checkpoint().unwrap(), 1);
             // the fold left a segment-backed, clean store with empty overlay
             let stats = p.store().segment_stats();
             assert!(stats.segments >= 1);
             assert_eq!((stats.overlay_adds, stats.overlay_dels), (0, 0));
             assert!(!p.store().is_dirty());
         }
-        let p = PersistentStore::open(&dir, seg_config()).unwrap();
-        // recovery mapped segments: no snapshot file, closure persisted →
-        // the store comes up clean without recomputing inference
-        assert!(!dir.join("snapshot.1.bin").exists());
+        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        // recovery mapped segments, closure persisted → the store comes up
+        // clean without recomputing inference
         assert!(dir.join("segments.1.txt").exists());
         assert!(!p.store().is_dirty());
         let stats = p.store().segment_stats();
@@ -1230,12 +1244,12 @@ mod tests {
     #[test]
     fn segment_checkpoint_shares_unchanged_base() {
         let dir = tmpdir("seg-share");
-        let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+        let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         for i in 0..300 {
             p.insert(&triple(i)).unwrap();
         }
         p.materialize_inference();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         let first = p.last_checkpoint_stats().unwrap();
         assert!(first.segments_written >= 1);
         assert_eq!(first.segments_shared, 0);
@@ -1245,7 +1259,7 @@ mod tests {
         p.insert(&triple(1000)).unwrap();
         p.materialize_inference();
         let terms_before = p.term_count();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         let second = p.last_checkpoint_stats().unwrap();
         assert!(
             second.segments_shared >= 1,
@@ -1256,12 +1270,12 @@ mod tests {
         assert_eq!(second.terms_shared + second.terms_written, terms_before);
 
         // no churn at all: nothing new is written for the explicit layer
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         let third = p.last_checkpoint_stats().unwrap();
         assert_eq!(third.terms_written, 0);
         assert!(third.segments_shared >= 2, "{third:?}");
         drop(p);
-        let p = PersistentStore::open(&dir, seg_config()).unwrap();
+        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(p.len(), 301);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1286,12 +1300,12 @@ mod tests {
         };
         let dir = tmpdir("seg-v1");
         {
-            let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
             for i in 0..2500 {
                 p.insert(&triple(i)).unwrap();
             }
             p.materialize_inference();
-            p.checkpoint_fold().unwrap();
+            p.checkpoint().unwrap();
         }
         // rewrite every segment file in the version-1 layout, in place
         for entry in fs::read_dir(&dir).unwrap() {
@@ -1306,7 +1320,7 @@ mod tests {
                 fs::rename(&tmp, &path).unwrap();
             }
         }
-        let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+        let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(intervals(&p), [BLOCK_TRIPLES]);
         assert_eq!(p.len(), 2500);
         assert!((0..2500).all(|i| holds(&p, i)) && !holds(&p, 2500));
@@ -1314,16 +1328,16 @@ mod tests {
         // a delta is written beside the shared v1 base, with restart points
         p.insert(&triple(2500)).unwrap();
         p.materialize_inference();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         assert_eq!(intervals(&p), [BLOCK_TRIPLES, RESTART_INTERVAL]);
 
         // a tombstone compacts the stack: the v1 file is folded away
         assert!(p.remove(&triple(7)).unwrap());
         p.materialize_inference();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         assert_eq!(intervals(&p), [RESTART_INTERVAL]);
         drop(p);
-        let p = PersistentStore::open(&dir, seg_config()).unwrap();
+        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(intervals(&p), [RESTART_INTERVAL]);
         assert_eq!(p.len(), 2500);
         assert!((0..=2500).all(|i| holds(&p, i) == (i != 7)));
@@ -1333,20 +1347,20 @@ mod tests {
     #[test]
     fn segment_checkpoint_compacts_after_removals() {
         let dir = tmpdir("seg-compact");
-        let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+        let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         for i in 0..50 {
             p.insert(&triple(i)).unwrap();
         }
         p.materialize_inference();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         // tombstones force the next checkpoint to compact (no sharing)
         assert!(p.remove(&triple(0)).unwrap());
         p.materialize_inference();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         let stats = p.last_checkpoint_stats().unwrap();
         assert_eq!(stats.segments_shared, 0, "tombstoned base must compact: {stats:?}");
         drop(p);
-        let p = PersistentStore::open(&dir, seg_config()).unwrap();
+        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(p.len(), 49);
         assert!(!p.lookup(&triple(0).subject).map(|s| {
             p.matching_explicit(Some(s), None, None).next().is_some()
@@ -1355,55 +1369,21 @@ mod tests {
     }
 
     #[test]
-    fn formats_interconvert_via_checkpoint() {
-        let dir = tmpdir("convert");
-        {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-            for i in 0..20 {
-                p.insert(&triple(i)).unwrap();
-            }
-            p.checkpoint().unwrap(); // snapshot generation 1
-        }
-        {
-            // reopen the snapshot directory in segment mode and convert
-            let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
-            assert_eq!(p.len(), 20);
-            p.insert(&triple(20)).unwrap();
-            p.materialize_inference();
-            p.checkpoint_fold().unwrap(); // segment generation 2
-            assert!(!dir.join("snapshot.2.bin").exists());
-            assert!(dir.join("segments.2.txt").exists());
-        }
-        {
-            // and back: snapshot mode checkpoints a segment directory
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-            assert_eq!(p.len(), 21);
-            p.insert(&triple(21)).unwrap();
-            p.checkpoint().unwrap(); // snapshot generation 3
-            assert!(dir.join("snapshot.3.bin").exists());
-            assert!(!dir.join("segments.3.txt").exists());
-        }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(p.len(), 22);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn segment_mutations_after_fold_wal_replay_correctly() {
         let dir = tmpdir("seg-wal");
         {
-            let mut p = PersistentStore::open(&dir, seg_config()).unwrap();
+            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
             for i in 0..30 {
                 p.insert(&triple(i)).unwrap();
             }
             p.materialize_inference();
-            p.checkpoint_fold().unwrap();
+            p.checkpoint().unwrap();
             // post-fold mutations land in the overlay AND the new WAL
             p.insert(&triple(100)).unwrap();
             assert!(p.remove(&triple(3)).unwrap());
             assert_eq!(p.wal_records(), 2);
         }
-        let p = PersistentStore::open(&dir, seg_config()).unwrap();
+        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(p.len(), 30); // 30 - 1 + 1
         assert_eq!(p.recovery().wal_records_replayed, 2);
         let stats = p.store().segment_stats();

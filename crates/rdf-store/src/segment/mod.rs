@@ -58,7 +58,7 @@
 //! an LRU of 256 × 12 KiB `Vec`s behind a mutex. An index-nested-loop join
 //! probes ~1,500 blocks in random order to read 1–8 triples from each, so
 //! nearly every probe decoded 1,024 triples (≈ 9.7 µs against ≈ 0.5 µs
-//! now) and 85 % of segment-mode execute time was re-decoding. Rejected
+//! now) and 85 % of execute time over segments was re-decoding. Rejected
 //! alternatives: a bigger LRU reaches the same speed only by holding the
 //! store decoded — +48 MiB resident at 508k triples, and a size to re-tune
 //! per dataset; 32-triple blocks make every seek short but multiply the
@@ -238,7 +238,7 @@ struct RunDir {
 /// Write a segment file at `path` from three sorted, distinct, permuted
 /// runs of the *same* `count` triples (SPO, POS, OSP element order). The
 /// file is not fsynced here — the checkpoint sequence owns durability and
-/// rename ordering, exactly as with snapshots. Returns the byte size.
+/// rename ordering. Returns the byte size.
 pub(crate) fn write_segment(
     path: &Path,
     count: u64,
@@ -397,7 +397,10 @@ impl Segment {
             return Err(corrupt(format!("file too small ({n} bytes)")));
         }
         if &map[..8] != MAGIC {
-            return Err(PersistError::BadMagic { found: map[..8].to_vec() });
+            return Err(PersistError::BadMagic {
+                what: "segment",
+                found: map[..8].to_vec(),
+            });
         }
         let u32_at = |i: usize| u32::from_le_bytes(map[i..i + 4].try_into().unwrap());
         let u64_at = |i: usize| u64::from_le_bytes(map[i..i + 8].try_into().unwrap());
@@ -405,7 +408,12 @@ impl Segment {
         let interval = match u32_at(8) {
             1 => block_size,
             VERSION => u32_at(28),
-            version => return Err(PersistError::UnsupportedVersion { found: version }),
+            version => {
+                return Err(PersistError::UnsupportedVersion {
+                    what: "segment",
+                    found: version,
+                })
+            }
         };
         if interval == 0 || interval > block_size {
             return Err(corrupt(format!(
@@ -1055,6 +1063,17 @@ mod tests {
             Segment::open(&path),
             Err(PersistError::Checksum { .. }) | Err(PersistError::Corrupt { .. })
         ));
+        // a foreign file and a future version are refused by name
+        let mut data = std::fs::read(&path).unwrap();
+        data[0] ^= 0x01;
+        std::fs::write(&path, &data).unwrap();
+        let err = Segment::open(&path).unwrap_err().to_string();
+        assert!(err.starts_with("not a segment file"), "{err}");
+        data[0] ^= 0x01;
+        data[8..12].copy_from_slice(&99u32.to_le_bytes());
+        std::fs::write(&path, &data).unwrap();
+        let err = Segment::open(&path).unwrap_err().to_string();
+        assert_eq!(err, "unsupported segment version 99");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //! helper queries used by the faceted-search model.
 
 use crate::extset::{merge_sorted, ExtSet};
-use crate::index::{IdTriple, TripleIndex};
+use crate::index::IdTriple;
 use crate::inference;
 use crate::interner::{Interner, TermId};
 use crate::layer::Layer;
@@ -181,20 +181,12 @@ impl Store {
         }
     }
 
-    /// Rebuild a store from a deserialized interner + explicit layer (the
-    /// snapshot reader). Well-known ids are re-resolved by lookup rather
-    /// than assumed, so the format stays robust to interning order. The
-    /// returned store is dirty — the caller rematerializes inference after
-    /// WAL replay.
-    pub(crate) fn from_layers(interner: Interner, explicit: TripleIndex) -> Store {
-        Store::from_layer_parts(interner, Layer::mem(explicit), None)
-    }
-
-    /// Rebuild a store from deserialized layers — the in-memory snapshot
-    /// path and the mmap segment-manifest path share this. When the inferred
-    /// layer is provided (a persisted closure segment), the store comes up
-    /// clean and skips closure recomputation; otherwise it is dirty and the
-    /// caller rematerializes after WAL replay.
+    /// Rebuild a store from deserialized layers (the segment-manifest
+    /// reader). Well-known ids are re-resolved by lookup rather than
+    /// assumed, so the format stays robust to interning order. When the
+    /// inferred layer is provided (a persisted closure segment), the store
+    /// comes up clean and skips closure recomputation; otherwise it is dirty
+    /// and the caller rematerializes after WAL replay.
     pub(crate) fn from_layer_parts(
         mut interner: Interner,
         explicit: Layer,

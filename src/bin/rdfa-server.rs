@@ -2,7 +2,7 @@
 //! backend of the paper's client–server architecture, Fig 6.1).
 //!
 //! ```text
-//! cargo run --bin rdfa-server -- [file.ttl|file.nt] [port] [--persist DIR] [--segments] [--facet-cache N] [--max-in-flight N] [--auto-views] [--view-budget BYTES]
+//! cargo run --bin rdfa-server -- [file.ttl|file.nt] [port] [--persist DIR] [--facet-cache N] [--max-in-flight N] [--auto-views] [--view-budget BYTES]
 //! curl 'http://127.0.0.1:3030/v1/query?query=SELECT+%3Fs+WHERE+%7B+%3Fs+%3Fp+%3Fo+%7D+LIMIT+3'
 //! curl -X POST --data 'PREFIX ex: <http://e/> INSERT DATA { ex:a ex:p 1 . }' http://127.0.0.1:3030/v1/update
 //! curl http://127.0.0.1:3030/void
@@ -10,18 +10,18 @@
 //! ```
 //!
 //! With `--persist DIR` the store is durable: it recovers from `DIR` on
-//! start (snapshot + WAL replay), every update is logged before it is
-//! acknowledged, and SIGTERM/SIGINT trigger a graceful shutdown — stop
-//! accepting, drain in-flight requests, checkpoint, exit. The WAL fsync
-//! policy comes from `RDFA_FSYNC` (`always` | `never` | `every:N`).
+//! start (mmap the checkpointed segments + WAL replay), every update is
+//! logged before it is acknowledged, and SIGTERM/SIGINT trigger a graceful
+//! shutdown — stop accepting, drain in-flight requests, checkpoint, exit.
+//! The WAL fsync policy comes from `RDFA_FSYNC` (`always` | `never` |
+//! `every:N`).
 //!
-//! `--segments` (or `RDFA_SEGMENTS=1`) makes checkpoints write compressed
-//! mmap-able index segments instead of monolithic snapshots: restart maps
-//! the segments back instead of replaying them, unchanged segments are
-//! shared between generations, and `/healthz` reports `segments`,
-//! `segment_bytes`, `segment_blocks`, `segment_blocks_verified` (blocks
-//! reads have touched since open), and `resident_bytes`. Either format
-//! recovers a directory written by the other.
+//! Checkpoints write compressed mmap-able index segments: restart maps them
+//! back instead of replaying them, unchanged segments are shared between
+//! generations, and `/healthz` reports `segments`, `segment_bytes`,
+//! `segment_blocks`, `segment_blocks_verified` (blocks reads have touched
+//! since open), and `resident_bytes`. `--segments` is still accepted and
+//! does nothing, since segments are the only format.
 //!
 //! `--facet-cache N` sizes the generation-keyed marker cache behind
 //! `GET /v1/facets` (N cached marker sets; 0 disables caching; default 128).
@@ -74,7 +74,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut port = 3030u16;
     let mut persist_dir: Option<String> = None;
-    let mut segments = false;
     let mut input: Option<String> = None;
     let mut config = ServerConfig::default();
     let mut i = 0;
@@ -108,7 +107,7 @@ fn main() {
                 }
             }
         } else if arg == "--segments" {
-            segments = true;
+            // segments are the only format; kept so older command lines run
         } else if arg == "--auto-views" {
             config.auto_views = true;
         } else if arg == "--view-budget" {
@@ -132,18 +131,16 @@ fn main() {
 
     let server = match persist_dir {
         Some(dir) => {
-            let mut pconfig = PersistConfig::from_env();
-            pconfig.segments |= segments;
-            let mut pstore = PersistentStore::open(&dir, pconfig)
+            let mut pstore = PersistentStore::open(&dir, PersistConfig::from_env())
                 .unwrap_or_else(|e| {
                     eprintln!("cannot open persistent store at {dir}: {e}");
                     std::process::exit(2);
                 });
             let r = pstore.recovery();
             eprintln!(
-                "recovered {dir}: generation {}, {} snapshot triples + {} WAL records{}",
+                "recovered {dir}: generation {}, {} checkpoint triples + {} WAL records{}",
                 r.generation,
-                r.snapshot_triples,
+                r.checkpoint_triples,
                 r.wal_records_replayed,
                 match &r.wal_truncation {
                     Some(t) => format!(" (WAL truncated at byte {}: {})", t.offset, t.reason),

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! $ cargo run --bin rdfa                       # starts on the demo KG
-//! $ cargo run --bin rdfa -- --open ./kg.db     # durable store (WAL + snapshots)
+//! $ cargo run --bin rdfa -- --open ./kg.db     # durable store (WAL + segments)
 //! rdfa> facets
 //! rdfa> class Laptop
 //! rdfa> group manufacturer
@@ -17,9 +17,8 @@
 //! Property and resource names may be given as plain local names; they are
 //! resolved against the loaded KG. With `--open DIR` the store recovers
 //! from `DIR` on start; a file argument seeds it only when it is empty, and
-//! `checkpoint` compacts the WAL into a fresh snapshot — or, with
-//! `--segments` (or `RDFA_SEGMENTS=1`), into compressed mmap-able index
-//! segments that the next start maps back instead of replaying.
+//! `checkpoint` compacts the WAL into compressed mmap-able index segments
+//! that the next start maps back instead of replaying.
 
 use rdf_analytics::analytics::{AnalyticsSession, GroupSpec, MeasureSpec};
 use rdf_analytics::facets::{markers, PathStep};
@@ -50,7 +49,6 @@ impl Backing {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut open_dir: Option<String> = None;
-    let mut segments = false;
     let mut load_opts = LoadOptions::default();
     let mut positional: Vec<String> = Vec::new();
     let mut i = 0;
@@ -73,8 +71,6 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if args[i] == "--segments" {
-            segments = true;
         } else {
             positional.push(args[i].clone());
         }
@@ -83,17 +79,15 @@ fn main() {
 
     let backing = match open_dir {
         Some(dir) => {
-            let mut pconfig = PersistConfig::from_env();
-            pconfig.segments |= segments;
-            let mut pstore = PersistentStore::open(&dir, pconfig)
-                .unwrap_or_else(|e| {
+            let mut pstore =
+                PersistentStore::open(&dir, PersistConfig::from_env()).unwrap_or_else(|e| {
                     eprintln!("cannot open {dir}: {e}");
                     std::process::exit(2);
                 });
             let r = pstore.recovery();
             eprintln!(
-                "recovered {dir}: generation {}, {} snapshot triples + {} WAL records",
-                r.generation, r.snapshot_triples, r.wal_records_replayed
+                "recovered {dir}: generation {}, {} checkpoint triples + {} WAL records",
+                r.generation, r.checkpoint_triples, r.wal_records_replayed
             );
             // seed only an empty store; a populated one keeps its state
             if pstore.is_empty() {
@@ -220,7 +214,12 @@ fn dispatch(
         "quit" | "exit" => return Ok(Continue::No),
         "checkpoint" => match backing {
             Backing::Durable(p) => {
-                let generation = p.checkpoint().map_err(|e| e.to_string())?;
+                // the session keeps reading the store it started on, so the
+                // folded copy is dropped; the next start maps the segments
+                let (generation, _folded) = p
+                    .journal()
+                    .checkpoint_with(|| p.store())
+                    .map_err(|e| e.to_string())?;
                 println!(
                     "checkpointed to generation {generation} in {} ({} triples, WAL reset)",
                     p.dir().display(),
@@ -598,6 +597,6 @@ commands:
   script <file>              run a click script from a file
   record                     show this session's click log
   query [--explain] <sparql> run raw SPARQL (one line); --explain appends the executed plan
-  checkpoint                 compact the WAL into a snapshot (--open mode)
+  checkpoint                 compact the WAL into segment files (--open mode)
   export <file.nt>           N-Triples fallback dump (--open mode)
   quit";

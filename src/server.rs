@@ -203,28 +203,23 @@ impl SharedStore {
     /// view is captured under the journal lock, so no acknowledged batch
     /// can be both compacted away and lost; readers proceed throughout.
     ///
-    /// In segment mode the checkpoint also *folds*: the equivalent store
-    /// rebuilt on the freshly persisted mmap segments (empty overlay,
-    /// frozen term dictionary) is swapped in for the published view, so
-    /// the next write transaction clones an overlay, not the whole store.
-    /// The swap is best-effort — if an update published in between, the
-    /// current overlay simply survives until the next checkpoint.
+    /// The checkpoint also *folds*: the equivalent store rebuilt on the
+    /// freshly persisted mmap segments (empty overlay, frozen term
+    /// dictionary) is swapped in for the published view, so the next write
+    /// transaction clones an overlay, not the whole store. The swap is
+    /// best-effort — if an update published in between, the current
+    /// overlay simply survives until the next checkpoint.
     pub fn checkpoint(&self) -> Result<Option<u64>, PersistError> {
-        match &self.journal {
-            None => Ok(None),
-            Some(j) => {
-                let mut view: Option<Snapshot> = None;
-                let (generation, folded) = j.checkpoint_with_fold(|| {
-                    let snap = self.store.snapshot();
-                    view = Some(snap.clone());
-                    snap
-                })?;
-                if let (Some(folded), Some(view)) = (folded, view) {
-                    let _ = self.store.try_replace_equivalent(&view.into_arc(), folded);
-                }
-                Ok(Some(generation))
-            }
+        let Some(j) = &self.journal else {
+            return Ok(None);
+        };
+        let mut view = None;
+        let (generation, folded) =
+            j.checkpoint_with(|| view.insert(self.store.snapshot()).clone())?;
+        if let Some(view) = view {
+            let _ = self.store.try_replace_equivalent(&view.into_arc(), folded);
         }
+        Ok(Some(generation))
     }
 }
 
@@ -2537,7 +2532,7 @@ mod tests {
         // laptops — from the shutdown checkpoint, with an empty WAL
         let pstore = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(pstore.recovery().generation, 1);
-        assert_eq!(pstore.recovery().snapshot_triples, 2);
+        assert_eq!(pstore.recovery().checkpoint_triples, 2);
         assert_eq!(pstore.recovery().wal_records_replayed, 0);
         let server = Server::start_durable(pstore, 0, ServerConfig::default()).unwrap();
         let q = percent_encode(

@@ -10,7 +10,7 @@
 //! inherited and lifted through superclasses, triples that are both asserted
 //! and entailed, triples entailed twice over. Both backends run the same
 //! sequences: the in-memory index and the mmap segments + overlay a
-//! `--segments` store serves after a checkpoint. Steps that touch the schema
+//! durable store serves after a checkpoint. Steps that touch the schema
 //! itself must take the full-pass fallback — and still agree.
 
 use rdf_analytics::model::{vocab, Term};
@@ -97,12 +97,11 @@ fn seg_store(ttl: &str, tag: &str) -> (Store, Journal, std::path::PathBuf) {
     let _ = std::fs::remove_dir_all(&dir);
     let config = || PersistConfig {
         fsync: FsyncPolicy::Never,
-        segments: true,
         ..PersistConfig::default()
     };
     let mut p = PersistentStore::open(&dir, config()).unwrap();
     p.load_turtle(ttl).unwrap();
-    p.checkpoint_fold().unwrap();
+    p.checkpoint().unwrap();
     drop(p);
     let (store, journal, _) = PersistentStore::open(&dir, config()).unwrap().into_parts();
     let stats = store.segment_stats();
@@ -295,12 +294,11 @@ fn maintained_closure_survives_checkpoint_and_replay() {
     let _ = std::fs::remove_dir_all(&dir);
     let config = || PersistConfig {
         fsync: FsyncPolicy::Never,
-        segments: true,
         ..PersistConfig::default()
     };
     let mut p = PersistentStore::open(&dir, config()).unwrap();
     p.load_turtle(&ttl).unwrap();
-    p.checkpoint_fold().unwrap();
+    p.checkpoint().unwrap();
     for round in 0..3 {
         for _ in 0..8 {
             let update = data_step(&mut rng, p.store());
@@ -310,7 +308,7 @@ fn maintained_closure_survives_checkpoint_and_replay() {
         assert_equals_rebuild(p.store(), &format!("round {round} live"));
         let want: Vec<IdTriple> = p.store().matching(None, None, None).collect();
         if round % 2 == 0 {
-            p.checkpoint_fold().unwrap();
+            p.checkpoint().unwrap();
         }
         drop(p);
         p = PersistentStore::open(&dir, config()).unwrap();

@@ -1,12 +1,11 @@
 //! The crash matrix: for EVERY labeled crash point in the persistence
-//! layer, under EVERY fsync policy, in EVERY applicable checkpoint format
-//! (monolithic snapshot and mmap segment manifest), a crash mid-write must
-//! recover on reopen to a consistent prefix of the committed operations —
-//! no panic, no partial record visible, no acknowledged write lost.
+//! layer, under EVERY fsync policy, a crash mid-write must recover on
+//! reopen to a consistent prefix of the committed operations — no panic,
+//! no partial record visible, no acknowledged write lost.
 //!
 //! The scripted workload exercises both write paths: five single-triple
-//! inserts, a checkpoint (durable image + WAL rotation + CURRENT flip),
-//! then five more inserts. An operation counts as *acknowledged* only when
+//! inserts, a checkpoint (segments + manifest + WAL rotation + CURRENT
+//! flip), then five more inserts. An operation counts as *acknowledged* only when
 //! the API returned `Ok`; recovery may additionally surface at most one
 //! unacknowledged operation (a record fully written before the crash label
 //! fired), and never anything else.
@@ -110,20 +109,6 @@ fn assert_consistent_prefix(store: &PersistentStore, acked: usize, label: &str, 
     );
 }
 
-/// Which checkpoint formats can reach a crash label: `snapshot.*` labels
-/// only fire on the monolithic path, `segment.*`/`manifest.*` only on the
-/// segment path, and everything else (WAL appends, CURRENT flip, cleanup)
-/// fires on both.
-fn segment_modes_for(label: &str) -> &'static [bool] {
-    if label.starts_with("snapshot.") {
-        &[false]
-    } else if label.starts_with("segment.") || label.starts_with("manifest.") {
-        &[true]
-    } else {
-        &[false, true]
-    }
-}
-
 #[test]
 fn every_crash_point_recovers_under_every_fsync_policy() {
     let policies = [
@@ -133,35 +118,30 @@ fn every_crash_point_recovers_under_every_fsync_policy() {
     ];
     for &label in CRASH_POINTS {
         for (pname, policy) in policies {
-            for &segments in segment_modes_for(label) {
-                let mode = if segments { "segments" } else { "snapshot" };
-                let tag = format!("{label}-{pname}-{mode}");
-                let dir = tmpdir(&tag);
-                let config = PersistConfig {
-                    fsync: policy,
-                    segments,
-                    crash: CrashInjector::at(label, 1),
-                };
-                let (acked, crashed) = run_until_crash(&dir, config);
-                assert!(
-                    crashed,
-                    "[{label} / {pname} / {mode}] the workload never reached this crash point"
-                );
-                // recovery: must succeed, must not panic, must see a prefix
-                let store = PersistentStore::open(&dir, PersistConfig::default())
-                    .unwrap_or_else(|e| panic!("[{tag}] recovery failed: {e}"));
-                assert_consistent_prefix(&store, acked, label, &tag);
-                // and the recovered store is fully usable again — in both
-                // formats (a checkpoint of either format supersedes the
-                // half-written generation the crash left behind)
-                drop(store);
-                let reopen_cfg = PersistConfig { segments, ..PersistConfig::default() };
-                let mut store = PersistentStore::open(&dir, reopen_cfg).unwrap();
-                let next = store.len();
-                store.insert(&triple(next)).expect("recovered store accepts writes");
-                store.checkpoint().expect("recovered store checkpoints");
-                let _ = std::fs::remove_dir_all(&dir);
-            }
+            let tag = format!("{label}-{pname}");
+            let dir = tmpdir(&tag);
+            let config = PersistConfig {
+                fsync: policy,
+                crash: CrashInjector::at(label, 1),
+                ..PersistConfig::default()
+            };
+            let (acked, crashed) = run_until_crash(&dir, config);
+            assert!(
+                crashed,
+                "[{label} / {pname}] the workload never reached this crash point"
+            );
+            // recovery: must succeed, must not panic, must see a prefix
+            let mut store = PersistentStore::open(&dir, PersistConfig::default())
+                .unwrap_or_else(|e| panic!("[{tag}] recovery failed: {e}"));
+            assert_consistent_prefix(&store, acked, label, &tag);
+            // and the recovered store is fully usable again: a checkpoint
+            // supersedes the half-written generation the crash left behind
+            let next = store.len();
+            store
+                .insert(&triple(next))
+                .expect("recovered store accepts writes");
+            store.checkpoint().expect("recovered store checkpoints");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -205,38 +185,94 @@ fn repeated_crashes_still_converge() {
     assert_eq!(store.len(), base + 1, "insert before the failed checkpoint survives");
 }
 
+/// One flipped byte in a checkpointed generation never yields a wrong
+/// answer or a wrong count. Each file is flipped in turn: the manifest, the
+/// term chunk, and each segment's (explicit and closure) header, trailer
+/// and first block. Open refuses the directory with a typed error, or the
+/// store opens with the right count and its full scan panics with the
+/// block-CRC message. With the byte restored the directory reopens whole.
 #[test]
-fn flipped_snapshot_byte_is_detected_by_checksum() {
-    let dir = tmpdir("snapshot-corruption");
+fn flipped_checkpoint_byte_is_detected() {
+    // the segment layout's fixed header (magic, version, block size, count,
+    // restart interval) and trailer (run table, CRC, tail magic)
+    const SEG_HEADER: usize = 32;
+    const SEG_TRAILER: usize = 68;
+    let dir = tmpdir("checkpoint-corruption");
     {
         let mut store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let mut ttl = String::from(
+            "@prefix ex: <http://crash.test/> .\n\
+             @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+             ex:Laptop rdfs:subClassOf ex:Product .\n",
+        );
         for i in 0..30 {
-            store.insert(&triple(i)).unwrap();
+            ttl.push_str(&format!("ex:s{i} a ex:Laptop ; ex:p {i} .\n"));
         }
+        store.load_turtle(&ttl).unwrap();
         store.checkpoint().unwrap();
     }
-    let snap = dir.join("snapshot.1.bin");
-    let clean = std::fs::read(&snap).unwrap();
-    // flip one byte at several depths; every flip must surface as a typed
-    // error (checksum for payload bytes, magic/corrupt for header bytes)
-    for pos in [0, 8, 20, clean.len() / 2, clean.len() - 1] {
-        let mut bytes = clean.clone();
-        bytes[pos] ^= 0x20;
-        std::fs::write(&snap, &bytes).unwrap();
-        match PersistentStore::open(&dir, PersistConfig::default()) {
-            Err(
-                PersistError::Checksum { .. }
-                | PersistError::BadMagic { .. }
-                | PersistError::UnsupportedVersion { .. }
-                | PersistError::Corrupt { .. },
-            ) => {}
-            Err(other) => panic!("flip at {pos}: wrong error class: {other}"),
-            Ok(s) => panic!("flip at {pos}: corruption not detected ({} triples)", s.len()),
+    let full_scan = |store: &PersistentStore| store.matching(None, None, None).collect::<Vec<_>>();
+    let (len, expected) = {
+        let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        (store.len(), full_scan(&store))
+    };
+    assert!(expected.len() > len, "the closure segment must hold triples");
+
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n != "CURRENT" && !n.starts_with("wal."))
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 4, "manifest, term chunk, explicit and closure segment: {names:?}");
+    let (mut refused, mut caught) = (0, 0);
+    for name in &names {
+        let path = dir.join(name);
+        let clean = std::fs::read(&path).unwrap();
+        let n = clean.len();
+        let positions = if name.ends_with(".seg") {
+            vec![0, 8, 20, SEG_HEADER - 1, SEG_HEADER + 4, n - SEG_TRAILER, n - 30, n - 5, n - 1]
+        } else {
+            vec![0, n / 2, n - 1]
+        };
+        for pos in positions {
+            let mut bytes = clean.clone();
+            bytes[pos] ^= 0x20;
+            std::fs::write(&path, &bytes).unwrap();
+            let at = format!("{name} byte {pos}");
+            match PersistentStore::open(&dir, PersistConfig::default()) {
+                Err(
+                    PersistError::Checksum { .. }
+                    | PersistError::BadMagic { .. }
+                    | PersistError::UnsupportedVersion { .. }
+                    | PersistError::Corrupt { .. },
+                ) => refused += 1,
+                Err(other) => panic!("{at}: wrong error class: {other}"),
+                Ok(store) => {
+                    assert_eq!(store.len(), len, "{at}: wrong count");
+                    let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        full_scan(&store)
+                    }));
+                    match scan {
+                        Ok(rows) if rows == expected => panic!("{at}: flip went undetected"),
+                        Ok(rows) => panic!("{at}: wrong answer, {} rows", rows.len()),
+                        Err(e) => {
+                            let msg = e.downcast_ref::<String>().cloned().unwrap_or_default();
+                            assert!(msg.contains("failed CRC"), "{at}: unexpected panic: {msg}");
+                            caught += 1;
+                        }
+                    }
+                }
+            }
         }
+        std::fs::write(&path, &clean).unwrap();
     }
-    std::fs::write(&snap, &clean).unwrap();
+    // metadata flips are refused at open; the two block flips are caught
+    // by the scan
+    assert_eq!((refused, caught), (2 * 3 + 2 * 8, 2));
     let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-    assert_eq!(store.len(), 30);
+    assert_eq!(store.len(), len);
+    assert_eq!(full_scan(&store), expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -278,16 +314,15 @@ fn flipped_wal_byte_truncates_to_committed_prefix() {
 #[test]
 fn seeded_crash_sampling_soak() {
     // randomized (but deterministic) soak: under sampled crash injection
-    // with many seeds, every recovery lands on a consistent prefix. Odd
-    // seeds checkpoint in segment mode, even seeds as snapshots.
+    // with many seeds, every recovery lands on a consistent prefix
     for seed in 0..24u64 {
         let dir = tmpdir(&format!("soak-{seed}"));
         let mut acked = 0usize;
         {
             let config = PersistConfig {
                 fsync: FsyncPolicy::EveryN(3),
-                segments: seed % 2 == 1,
                 crash: CrashInjector::sampled(seed, 0.04),
+                ..PersistConfig::default()
             };
             let mut store = PersistentStore::open(&dir, config).unwrap();
             for i in 0..40 {

@@ -24,7 +24,7 @@ fn store() -> Store {
 }
 
 /// A graph rebuilt on compressed mmap index segments: loaded into a
-/// segment-mode durable store, checkpointed into a segment generation, and
+/// durable store, checkpointed into a segment generation, and
 /// reopened from disk — the on-disk half of the mmap-vs-memory differential
 /// tests.
 fn mmap_store(tag: &str, graph: &Graph) -> (std::path::PathBuf, Store) {
@@ -33,7 +33,6 @@ fn mmap_store(tag: &str, graph: &Graph) -> (std::path::PathBuf, Store) {
     let _ = std::fs::remove_dir_all(&dir);
     let config = || PersistConfig {
         fsync: FsyncPolicy::Never,
-        segments: true,
         ..PersistConfig::default()
     };
     let mut p = PersistentStore::open(&dir, config()).unwrap();
@@ -41,7 +40,7 @@ fn mmap_store(tag: &str, graph: &Graph) -> (std::path::PathBuf, Store) {
         p.insert(t).unwrap();
     }
     p.materialize_inference();
-    p.checkpoint_fold().unwrap();
+    p.checkpoint().unwrap();
     drop(p);
     let p = PersistentStore::open(&dir, config()).unwrap();
     let (store, _journal, _recovery) = p.into_parts();

@@ -299,13 +299,12 @@ fn markers_byte_identical_over_mmap_segments() {
         let _ = std::fs::remove_dir_all(&dir);
         let config = || PersistConfig {
             fsync: FsyncPolicy::Never,
-            segments: true,
             ..PersistConfig::default()
         };
         let mut p = PersistentStore::open(&dir, config()).unwrap();
         p.load_turtle(&ttl).unwrap();
         p.materialize_inference();
-        p.checkpoint_fold().unwrap();
+        p.checkpoint().unwrap();
         drop(p);
         let (seg, _journal, _recovery) =
             PersistentStore::open(&dir, config()).unwrap().into_parts();
