@@ -3,7 +3,7 @@
 //! one state, comparing
 //!
 //! 1. the seed `BTreeSet` path (`markers::reference`),
-//! 2. the sorted-dense merge-join path with parallel marker computation,
+//! 2. the sorted-dense merge-join path, one thread,
 //! 3. the same path answered from a warm generation-keyed [`FacetCache`].
 //!
 //! Asserts the new path reproduces the seed output byte-identically at each
@@ -39,17 +39,17 @@ struct ScaleResult {
     cached_secs: f64,
 }
 
-fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
+fn bench_scale(n_products: usize, reps: usize) -> ScaleResult {
     let mut store = Store::new();
     store.load_graph(&ProductsGenerator::new(n_products, 1).generate());
     let laptop = store.lookup_iri(&format!("{EX}Laptop")).unwrap();
     let ext_ref = store.instances(laptop);
     let ext = store.instances_set(laptop);
     assert_eq!(ext.to_btree_set(), ext_ref);
-    let opts = FacetOptions::with_threads(threads);
+    let opts = FacetOptions::default();
 
-    // correctness gate: the merge-join/parallel path must reproduce the
-    // seed implementation byte-identically
+    // correctness gate: the merge-join path must reproduce the seed
+    // implementation byte-identically
     let classes_ref = markers::reference::class_markers(&store, &ext_ref);
     let facets_ref = markers::reference::property_facets(&store, &ext_ref);
     let classes_new = markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();
@@ -86,14 +86,13 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
 }
 
 fn main() {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // ~9 triples per product: 6,300 → ~57k triples, 55,400 → ~500k triples
-    let small = bench_scale(7_100, 9, threads);
-    let large = bench_scale(62_400, 5, threads);
+    // ~8 triples per product: 7,100 → ~57k triples, 62,400 → ~500k triples
+    let small = bench_scale(7_100, 9);
+    let large = bench_scale(62_400, 5);
 
     let scale_json = |s: &ScaleResult| {
         format!(
-            "{{\n    \"triples\": {},\n    \"extension\": {},\n    \"reps\": {},\n    \"reference_secs\": {:.6},\n    \"merge_join_parallel_secs\": {:.6},\n    \"cached_secs\": {:.6},\n    \"speedup_merge_join_vs_reference\": {:.3},\n    \"speedup_cached_vs_reference\": {:.1}\n  }}",
+            "{{\n    \"triples\": {},\n    \"extension\": {},\n    \"reps\": {},\n    \"reference_secs\": {:.6},\n    \"merge_join_secs\": {:.6},\n    \"cached_secs\": {:.6},\n    \"speedup_merge_join_vs_reference\": {:.3},\n    \"speedup_cached_vs_reference\": {:.1}\n  }}",
             s.triples,
             s.ext_len,
             s.reps,
@@ -105,7 +104,7 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"facet_markers_merge_join_parallel_cache\",\n  \"threads\": {threads},\n  \"available_parallelism\": {threads},\n  \"small\": {},\n  \"large\": {}\n}}\n",
+        "{{\n  \"bench\": \"facet_markers_merge_join_cache\",\n  \"small\": {},\n  \"large\": {}\n}}\n",
         scale_json(&small),
         scale_json(&large)
     );

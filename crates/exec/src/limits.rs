@@ -5,16 +5,16 @@
 //! and return a structured error instead of hanging. [`EvalLimits`] is the
 //! declarative budget (every limit defaults to "unlimited") and
 //! [`LimitGuard`] is its runtime counterpart. One guard serves a whole
-//! request: the owner thread, every morsel worker of its parallel regions
-//! and every facet unit charge and probe the same object.
+//! request: the query plan, its `EXISTS` and sub-select scopes, and every
+//! facet unit charge and probe the same object.
 //!
 //! Checks are cooperative:
 //! * hot loops count into a local [`Tally`], which reaches the guard every
 //!   `TALLY_FLUSH` (512) units and probes the deadline and the cancel flag
 //!   then;
-//! * morsel workers and facet units call [`LimitGuard::probe`] once per
-//!   morsel or unit, and charge what they produced with
-//!   [`LimitGuard::checkpoint`];
+//! * join and fold loops probe once per morsel of rows and facet units
+//!   once per unit ([`LimitGuard::probe`]), and charge what they produced
+//!   with [`LimitGuard::checkpoint`];
 //! * contexts with no error channel (a `FILTER` expression, an `ORDER BY`
 //!   comparator) use [`LimitGuard::soft_tripped`]: the trip is recorded in
 //!   the guard and surfaced as a hard error at the next checkpoint that can
@@ -23,7 +23,7 @@
 //! Every trip is recorded in the guard and sticks. The error a tripped
 //! guard reports is read from its totals, rows before bytes, and only then
 //! from the first recorded trip, so a budget overrun surfaces as the same
-//! `(kind, limit)` pair whichever worker hit it first.
+//! `(kind, limit)` pair whichever loop hit it first.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -234,12 +234,10 @@ const TALLY_FLUSH: u64 = 512;
 
 /// Runtime counterpart of [`EvalLimits`]: the consumption counters of one
 /// request, shared by every sub-evaluation (`EXISTS` patterns and
-/// subqueries draw from the same budget as the outer query) and by every
-/// worker thread of its parallel regions.
+/// subqueries draw from the same budget as the outer query).
 ///
-/// The counters are `Relaxed` atomics: they publish no other data, and a
-/// parallel region's owner reads them after its scoped workers have joined.
-/// The first trip is published through a `OnceLock`.
+/// The counters are `Relaxed` atomics: they publish no other data. The
+/// first trip is published through a `OnceLock`.
 #[derive(Debug)]
 pub struct LimitGuard {
     limits: EvalLimits,
@@ -340,9 +338,8 @@ impl LimitGuard {
     }
 
     /// The error a tripped guard reports: a row or byte budget its totals
-    /// overran, rows first, else the first trip recorded. Workers of a
-    /// parallel region keep charging until they see the trip, so which of
-    /// them tripped first is a race; the totals are not.
+    /// overran, rows first, else the first trip recorded: the verdict reads
+    /// the totals, not the order in which the charges tripped.
     fn verdict(&self, first: LimitError) -> LimitError {
         if let Some(max) = self.limits.max_rows.filter(|&max| self.rows() > max) {
             return LimitError { kind: LimitKind::SolutionRows, limit: max };
@@ -354,7 +351,7 @@ impl LimitGuard {
     }
 
     /// Re-raise a limit that already tripped — possibly in a context with no
-    /// error channel, like a `FILTER` closure or another worker.
+    /// error channel, like a `FILTER` closure.
     pub fn surface(&self) -> Result<(), LimitError> {
         match self.first_trip.get() {
             Some(&first) => Err(self.verdict(first)),

@@ -42,7 +42,7 @@ impl<'s> FacetedSession<'s> {
     }
 
     /// [`FacetedSession::start`] with explicit marker-computation options
-    /// (thread count, deadline).
+    /// (deadline, cancellation).
     pub fn start_with(store: &'s Store, opts: FacetOptions) -> Self {
         FacetedSession {
             store,
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn deadline_surfaces_through_try_apis() {
         let s = store();
-        let opts = FacetOptions { deadline: Some(Duration::ZERO), ..FacetOptions::with_threads(1) };
+        let opts = FacetOptions { deadline: Some(Duration::ZERO), ..FacetOptions::default() };
         let session = FacetedSession::start_with(&s, opts);
         assert!(session.try_facets().is_err());
         assert!(session.try_class_markers().is_err());

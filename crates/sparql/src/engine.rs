@@ -10,9 +10,8 @@
 //!
 //! Deadlines, row, memory and path budgets, and cancellation are configured
 //! by one [`EvalLimits`] ([`EngineBuilder::limits`]), enforced by one
-//! [`rdfa_exec::LimitGuard`] per execution; the morsel runtime in
-//! [`crate::plan`] sizes every parallel region from
-//! [`EngineBuilder::threads`].
+//! [`rdfa_exec::LimitGuard`] per execution. Execution is sequential, on the
+//! caller's thread.
 
 use crate::ast::{PathOrVar, PropertyPath, Query, QueryForm, TermPattern, TriplePattern};
 use crate::expr::bound_term;
@@ -29,21 +28,18 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Evaluation options: join reordering, resource budgets, worker threads.
+/// Evaluation options: join reordering and resource budgets.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
     /// Reorder BGP patterns by estimated selectivity (default true).
     pub reorder_bgp: bool,
     /// Cooperative resource limits (default: unlimited).
     pub limits: EvalLimits,
-    /// Worker threads for the morsel runtime; `0` (the default) uses the
-    /// machine's available parallelism ([`rdfa_exec::morsel_workers`]).
-    pub threads: usize,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        EvalOptions { reorder_bgp: true, limits: EvalLimits::unlimited(), threads: 0 }
+        EvalOptions { reorder_bgp: true, limits: EvalLimits::unlimited() }
     }
 }
 
@@ -80,10 +76,10 @@ impl<'s> EngineBuilder<'s> {
         self
     }
 
-    /// Worker threads for parallel execution (joins, aggregation); `0` (the
-    /// default) uses [`std::thread::available_parallelism`].
-    pub fn threads(mut self, n: usize) -> Self {
-        self.options.threads = n;
+    /// Accepted and ignored: execution is sequential. Kept so older
+    /// callers still build.
+    #[doc(hidden)]
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -216,7 +212,7 @@ impl<'s> PreparedQuery<'s> {
     }
 
     /// Statistics of the most recent [`PreparedQuery::execute`] (operator
-    /// cardinalities, threads used, arena size). `None` before the first
+    /// cardinalities, rows out, arena size). `None` before the first
     /// execution, after one a materialized view answered, and for
     /// `DESCRIBE`.
     pub fn last_stats(&self) -> Option<ExecStats> {

@@ -8,16 +8,11 @@
 //! ids, filters and keys over one variable are evaluated once per distinct
 //! id, and terms are materialized only at the [`Solutions`] boundary.
 //!
-//! Scan/join chains and hash aggregation run on the shared morsel runtime
-//! ([`rdfa_exec`]) when the input clears its work floor: the batch is cut
-//! into fixed-size morsels, workers pull morsel indices from a shared
-//! cursor and drive the *whole* operator chain per morsel against
-//! thread-local scratch, and the per-morsel results are stitched together
-//! in morsel index order. Morsel geometry depends only on the input size —
-//! never the worker count — and index-nested-loop joins emit matches in
-//! store-iteration order, so the merged output (and each group's
-//! first-seen order and representative row) is byte-identical to the
-//! sequential path at every thread count.
+//! Execution is sequential, on the caller's thread. Join and fold loops
+//! probe the request's [`LimitGuard`] once per morsel of `MORSEL_ROWS`
+//! rows, so a deadline or a raised cancel flag stops them within a few
+//! microseconds of work, and they count rows into a [`Tally`] that charges
+//! the guard in blocks.
 //!
 //! An index-join step reads its pattern one of two ways. By default it
 //! probes the store once per input row (index-nested-loop). When the step's
@@ -46,9 +41,7 @@ use crate::expr::eval_expr_limited;
 use crate::results::Solutions;
 use crate::SparqlError;
 use nested::ExistsPlan;
-use rdfa_exec::{
-    morsel_workers, run_morsels, LimitError, LimitGuard, Tally, DEFAULT_MORSEL_ROWS,
-};
+use rdfa_exec::{LimitError, LimitGuard, Tally};
 use rdfa_model::{Term, Value};
 use rdfa_store::{IdTriple, Store, TermId};
 use rows::{collect_vars, finalize_rows, select_items, Bound, Frame, Row, EMPTY_FRAME};
@@ -56,6 +49,11 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
+
+/// Rows per morsel: the stretch of a join, a fold or a scan-side build
+/// between two probes of the guard. Small enough that a probe arrives every
+/// few microseconds even on wide rows, big enough that the probe is noise.
+pub(crate) const MORSEL_ROWS: usize = 1024;
 
 /// Estimated materialization cost of one batch row (one `EId` per column),
 /// charged against [`crate::EvalLimits::max_memory_bytes`].
@@ -67,7 +65,7 @@ fn batch_row_cost(width: usize) -> u64 {
 /// pattern instead of probing per row: below one morsel the probes cost
 /// under a millisecond, and the side's fixed costs (the capped run count,
 /// the offsets array over the run's subject id span) would not pay back.
-const SCAN_MIN_PROBES: usize = DEFAULT_MORSEL_ROWS;
+const SCAN_MIN_PROBES: usize = MORSEL_ROWS;
 
 // ---- plan structure --------------------------------------------------------
 
@@ -89,9 +87,6 @@ pub(crate) enum CPred {
     Var(usize),
     Missing,
 }
-
-/// One index-join step: subject, predicate, object, operator id.
-type JoinStep<'a> = (&'a CSlot, &'a CPred, &'a CSlot, usize);
 
 /// One operator of the physical plan. `Input` is the leaf that consumes
 /// whatever batch the parent feeds in (the seed row at the root, the outer
@@ -216,11 +211,14 @@ pub struct ExecStats {
     pub operators: Vec<OpStats>,
     /// Rows in the final result.
     pub rows_out: usize,
-    /// Peak worker threads used by any parallel region (1 = sequential).
+    /// Always 1: execution is sequential. Kept for old readers.
+    #[doc(hidden)]
     pub threads_used: usize,
-    /// Whether hash aggregation ran on the parallel path.
+    /// Always `false`: execution is sequential. Kept for old readers.
+    #[doc(hidden)]
     pub parallel_groupby: bool,
-    /// Morsels dispatched to the parallel runtime (0 = fully sequential).
+    /// Always 0: execution is sequential. Kept for old readers.
+    #[doc(hidden)]
     pub morsels: usize,
     /// Terms interned into the execution arena (computed terms).
     pub arena_terms: usize,
@@ -324,13 +322,6 @@ pub(crate) fn describe_plan(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> V
         PlanForm::Describe => {}
     }
     out.push(line(plan, stats, plan.tail_op, 0));
-    if let Some(st) = stats {
-        let mut rt = format!("runtime: threads={} morsels={}", st.threads_used, st.morsels);
-        if st.parallel_groupby {
-            rt.push_str(" parallel-groupby");
-        }
-        out.push(rt);
-    }
     out
 }
 
@@ -815,9 +806,9 @@ enum AggState {
     Distinct { op: AggregateOp, seen: HashSet<Term>, values: Vec<Value> },
     /// DISTINCT over a variable: occurrences are told apart by canonical
     /// id, which is the same as by the value's term ([`Executor::canon_id`]).
-    /// `ids` keeps first occurrences in order for the parallel merge;
-    /// `values` holds their values, except for `COUNT`, which needs none.
-    DistinctIds { op: AggregateOp, seen: IdSet<EId>, ids: Vec<EId>, values: Vec<Value> },
+    /// `values` holds the first occurrences' values, except for `COUNT`,
+    /// which needs none.
+    DistinctIds { op: AggregateOp, seen: IdSet<EId>, values: Vec<Value> },
 }
 
 /// A MIN/MAX step: `v` replaces the incumbent only when it orders strictly
@@ -834,7 +825,7 @@ impl AggState {
         if spec.distinct {
             let op = spec.op;
             return if by_id {
-                AggState::DistinctIds { op, seen: IdSet::default(), ids: Vec::new(), values: Vec::new() }
+                AggState::DistinctIds { op, seen: IdSet::default(), values: Vec::new() }
             } else {
                 AggState::Distinct { op, seen: HashSet::new(), values: Vec::new() }
             };
@@ -881,59 +872,6 @@ impl AggState {
         }
     }
 
-    /// Fold a later chunk's state into an earlier chunk's (parallel merge).
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Sum(a), AggState::Sum(b)) => {
-                *a = match (a.take(), b) {
-                    (Some(x), Some(y)) => x.add(&y),
-                    _ => None,
-                };
-            }
-            (AggState::Avg { acc: aa, n: an }, AggState::Avg { acc: ba, n: bn }) => {
-                *aa = match (aa.take(), ba) {
-                    (Some(x), Some(y)) => x.add(&y),
-                    _ => None,
-                };
-                *an += bn;
-            }
-            (AggState::Min(a), AggState::Min(Some(b))) => keep_if(a, &b, std::cmp::Ordering::Less),
-            (AggState::Max(a), AggState::Max(Some(b))) => {
-                keep_if(a, &b, std::cmp::Ordering::Greater)
-            }
-            (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
-            (AggState::Sample(a), AggState::Sample(b)) => {
-                if a.is_none() {
-                    *a = b;
-                }
-            }
-            (AggState::Concat(a), AggState::Concat(b)) => a.extend(b),
-            (AggState::Distinct { seen, values, .. }, AggState::Distinct { values: bv, .. }) => {
-                for v in bv {
-                    if seen.insert(v.to_term()) {
-                        values.push(v);
-                    }
-                }
-            }
-            (
-                AggState::DistinctIds { seen, ids, values, .. },
-                AggState::DistinctIds { ids: b_ids, values: b_values, .. },
-            ) => {
-                // `b_values` is empty for COUNT, so `v` is then always None
-                let mut b_values = b_values.into_iter();
-                for c in b_ids {
-                    let v = b_values.next();
-                    if seen.insert(c) {
-                        ids.push(c);
-                        values.extend(v);
-                    }
-                }
-            }
-            _ => unreachable!("mismatched aggregate states"),
-        }
-    }
-
     fn finalize(self) -> Option<Value> {
         match self {
             AggState::Count(n) => Some(Value::Int(n)),
@@ -948,8 +886,8 @@ impl AggState {
             AggState::Min(best) | AggState::Max(best) | AggState::Sample(best) => best,
             AggState::Concat(parts) => Some(Value::Str(parts.join(" "), None)),
             AggState::Distinct { op, values, .. } => aggregate_values(op, values),
-            AggState::DistinctIds { op: AggregateOp::Count, ids, .. } => {
-                Some(Value::Int(ids.len() as i64))
+            AggState::DistinctIds { op: AggregateOp::Count, seen, .. } => {
+                Some(Value::Int(seen.len() as i64))
             }
             AggState::DistinctIds { op, values, .. } => aggregate_values(op, values),
         }
@@ -1091,7 +1029,7 @@ impl GroupIndex {
     }
 }
 
-/// Read-only inputs of the grouping fold, shared by the morsel workers.
+/// Read-only inputs of the grouping fold.
 struct FoldCtx<'a> {
     store: &'a Store,
     arena: &'a TermArena,
@@ -1102,25 +1040,18 @@ struct FoldCtx<'a> {
     inputs: &'a [AggIn],
 }
 
-/// Hash-aggregate rows `[lo, hi)` into groups in first-seen order: the
-/// sequential path folds the whole batch, each morsel worker its morsel.
-/// Only precomputed columns are read. `COUNT` of a variable tests the slot
-/// for binding, DISTINCT over a variable dedupes on canonical ids, and any
-/// other use of a variable decodes its value through `memo`, once per
-/// distinct id. Probes `guard` at every morsel boundary inside the range,
-/// so the sequential fold stops at a deadline or a cancel as the morsel
-/// workers do.
-fn fold_rows(
-    ctx: &FoldCtx<'_>,
-    lo: usize,
-    hi: usize,
-    memo: &mut IdMap<EId, Value>,
-    guard: &LimitGuard,
-) -> Result<Vec<GroupAcc>, LimitError> {
+/// Hash-aggregate the batch's rows into groups in first-seen order. Only
+/// precomputed columns are read. `COUNT` of a variable tests the slot for
+/// binding, DISTINCT over a variable dedupes on canonical ids, and any
+/// other use of a variable decodes its value once per distinct id. Probes
+/// `guard` at every morsel boundary, so the fold stops at a deadline or a
+/// cancel.
+fn fold_rows(ctx: &FoldCtx<'_>, guard: &LimitGuard) -> Result<Vec<GroupAcc>, LimitError> {
+    let mut memo: IdMap<EId, Value> = IdMap::default();
     let mut index = GroupIndex::new(ctx.keys.len());
     let mut groups: Vec<GroupAcc> = Vec::new();
-    for r in lo..hi {
-        if r > lo && r.is_multiple_of(DEFAULT_MORSEL_ROWS) {
+    for r in 0..ctx.batch.len() {
+        if r > 0 && r.is_multiple_of(MORSEL_ROWS) {
             guard.probe()?;
         }
         let g = index.group(ctx.keys, r, groups.len());
@@ -1143,15 +1074,12 @@ fn fold_rows(
                     }
                     match state {
                         AggState::Count(n) => *n += 1,
-                        AggState::DistinctIds { op, seen, ids, values } => {
-                            if seen.insert(canon[r]) {
-                                ids.push(canon[r]);
-                                if *op != AggregateOp::Count {
-                                    values.push(decode(ctx, memo, id).clone());
-                                }
+                        AggState::DistinctIds { op, seen, values } => {
+                            if seen.insert(canon[r]) && *op != AggregateOp::Count {
+                                values.push(decode(ctx, &mut memo, id).clone());
                             }
                         }
-                        _ => state.update(decode(ctx, memo, id)),
+                        _ => state.update(decode(ctx, &mut memo, id)),
                     }
                 }
             }
@@ -1188,7 +1116,7 @@ pub(crate) fn execute_plan(
         PlanForm::Rows(scope) => &scope.exists[..],
         PlanForm::Describe => &[],
     };
-    let mut ex = Executor::new(store, frame, exists, options, Rc::clone(&guard), plan.ops.len());
+    let mut ex = Executor::new(store, frame, exists, Rc::clone(&guard), plan.ops.len());
     // charge the static nesting depth of the deepest group (sub-selects and
     // EXISTS patterns included) against the recursion budget up front
     let mut scopes = Vec::with_capacity(plan.depth as usize);
@@ -1229,9 +1157,9 @@ pub(crate) fn execute_plan(
             })
             .collect(),
         rows_out,
-        threads_used: ex.threads_used,
-        parallel_groupby: ex.parallel_groupby,
-        morsels: ex.morsels,
+        threads_used: 1,
+        parallel_groupby: false,
+        morsels: 0,
         arena_terms: ex.arena.len(),
         elapsed: t0.elapsed(),
     };
@@ -1244,15 +1172,11 @@ struct Executor<'s> {
     frame: &'s Frame,
     /// That scope's compiled `EXISTS` patterns.
     exists: &'s [ExistsPlan],
-    options: &'s EvalOptions,
     guard: Rc<LimitGuard>,
     arena: TermArena,
     op_rows: Vec<u64>,
     op_calls: Vec<u64>,
     op_scanned: Vec<u64>,
-    threads_used: usize,
-    parallel_groupby: bool,
-    morsels: usize,
     /// Runs `EXISTS` sub-plans; built on first use and reused for every
     /// row, its counters folded into these at the end.
     sub: RefCell<Option<Box<Executor<'s>>>>,
@@ -1295,7 +1219,6 @@ impl<'s> Executor<'s> {
         store: &'s Store,
         frame: &'s Frame,
         exists: &'s [ExistsPlan],
-        options: &'s EvalOptions,
         guard: Rc<LimitGuard>,
         n_ops: usize,
     ) -> Self {
@@ -1303,15 +1226,11 @@ impl<'s> Executor<'s> {
             store,
             frame,
             exists,
-            options,
             guard,
             arena: TermArena::new(),
             op_rows: vec![0; n_ops],
             op_calls: vec![0; n_ops],
             op_scanned: vec![0; n_ops],
-            threads_used: 1,
-            parallel_groupby: false,
-            morsels: 0,
             sub: RefCell::new(None),
         }
     }
@@ -1329,9 +1248,6 @@ impl<'s> Executor<'s> {
             for (a, b) in self.op_scanned.iter_mut().zip(&sub.op_scanned) {
                 *a += b;
             }
-            self.threads_used = self.threads_used.max(sub.threads_used);
-            self.parallel_groupby |= sub.parallel_groupby;
-            self.morsels += sub.morsels;
         }
     }
 
@@ -1348,19 +1264,11 @@ impl<'s> Executor<'s> {
     fn exec(&mut self, node: &'s Node, input: Batch) -> Result<Batch, SparqlError> {
         match node {
             Node::Input => Ok(input),
-            Node::Join { .. } => {
-                // collapse the maximal join chain ending here so the morsel
-                // runtime can drive all of it per morsel without a barrier
-                // between steps
-                let mut steps: Vec<JoinStep<'_>> = Vec::new();
-                let mut cur = node;
-                while let Node::Join { input: child, s, p, o, op } = cur {
-                    steps.push((s, p, o, *op));
-                    cur = child;
-                }
-                steps.reverse();
-                let b = self.exec(cur, input)?;
-                self.exec_join_chain(&b, &steps)
+            Node::Join { input: child, s, p, o, op } => {
+                let b = self.exec(child, input)?;
+                let out = self.exec_join(&b, s, p, o, *op)?;
+                self.note(*op, out.len());
+                Ok(out)
             }
             Node::Filter { input: child, exprs, op } => {
                 let b = self.exec(child, input)?;
@@ -1417,103 +1325,24 @@ impl<'s> Executor<'s> {
         }
     }
 
-    /// Execute a maximal chain of index joins over `input`, cut into runs
-    /// that each begin at a step able to read a built [`ScanSide`]: that
-    /// step's seek-vs-scan decision needs its whole input, which exists only
-    /// between runs — so every thread count decides the same way.
-    fn exec_join_chain(
-        &mut self,
-        input: &Batch,
-        steps: &[JoinStep<'_>],
-    ) -> Result<Batch, SparqlError> {
-        let mut out: Option<Batch> = None;
-        let mut lo = 0;
-        while lo < steps.len() {
-            let hi = (lo + 1..steps.len()).find(|&i| may_scan(steps[i])).unwrap_or(steps.len());
-            out = Some(self.exec_join_run(out.as_ref().unwrap_or(input), &steps[lo..hi])?);
-            lo = hi;
-        }
-        Ok(out.expect("join chains are non-empty"))
-    }
-
-    /// Execute one run of index joins over `input`, the first step reading
-    /// a built side when [`Executor::scan_side`] builds one. When the input
-    /// clears the morsel work floor, the *whole* run executes per morsel on
-    /// the shared scheduler — no allocation or barrier between steps, the
-    /// side shared read-only — and the per-morsel outputs concatenate in
-    /// morsel order, which reproduces the sequential scan byte-for-byte
-    /// (index joins emit matches in store-iteration order). Below the floor
-    /// the run executes inline.
-    fn exec_join_run(
-        &mut self,
-        input: &Batch,
-        steps: &[JoinStep<'_>],
-    ) -> Result<Batch, SparqlError> {
-        let side = self.scan_side(input, steps[0])?;
-        if let Some(side) = &side {
-            self.op_scanned[steps[0].3] += side.len() as u64;
-        }
-        let n_morsels = input.len().div_ceil(DEFAULT_MORSEL_ROWS).max(1);
-        let workers = morsel_workers(self.options.threads, n_morsels);
-        if workers <= 1 {
-            let mut prev: Option<Batch> = None;
-            for (i, &(s, p, o, op)) in steps.iter().enumerate() {
-                let side = if i == 0 { side.as_ref() } else { None };
-                let out = self.exec_join(prev.as_ref().unwrap_or(input), s, p, o, side)?;
-                self.note(op, out.len());
-                prev = Some(out);
-            }
-            return Ok(prev.expect("join runs are non-empty"));
-        }
-        let (store, guard) = (self.store, &*self.guard);
-        let rows = input.len();
-        let result = run_morsels(
-            workers,
-            n_morsels,
-            |_| (),
-            |_: &mut (), m: usize| {
-                let lo = m * DEFAULT_MORSEL_ROWS;
-                let hi = ((m + 1) * DEFAULT_MORSEL_ROWS).min(rows);
-                chain_worker(store, input, steps, side.as_ref(), lo, hi, guard)
-            },
-        );
-        self.threads_used = self.threads_used.max(workers);
-        self.morsels += n_morsels;
-        // a worker's trip is recorded in the guard, whose verdict reads the
-        // totals: the same error whichever worker tripped first
-        self.guard.surface()?;
-        let segments = result?;
-        let mut totals = vec![0u64; steps.len()];
-        let mut out = Batch::new(input.width());
-        for (segment, counts) in segments {
-            out.append(&segment);
-            for (t, c) in totals.iter_mut().zip(&counts) {
-                *t += *c;
-            }
-        }
-        // one invocation per step per run, independent of the worker count
-        for (&(_, _, _, op), &t) in steps.iter().zip(&totals) {
-            self.op_rows[op] += t;
-            self.op_calls[op] += 1;
-        }
-        Ok(out)
-    }
-
     /// The built side for one join step over `input`, or `None` to probe per
-    /// row: the step must qualify ([`may_scan`]), at least
+    /// row: the step must have a variable subject, a constant predicate
+    /// and an object that can match, at least
     /// [`SCAN_MIN_PROBES`] rows must bind its subject to a store term, and
     /// one scan of the pattern's run must beat that many probes
     /// ([`Store::prefer_seek`]). The build honours the deadline and the
     /// cancel flag and charges its bytes to the memory budget.
     fn scan_side(
-        &mut self,
+        &self,
         input: &Batch,
-        step: JoinStep<'_>,
+        s: &CSlot,
+        p: &CPred,
+        o: &CSlot,
     ) -> Result<Option<ScanSide>, SparqlError> {
-        let (CSlot::Var(slot), CPred::Const(p)) = (step.0, step.1) else {
+        let (CSlot::Var(slot), CPred::Const(p)) = (s, p) else {
             return Ok(None);
         };
-        let o = match step.2 {
+        let o = match o {
             CSlot::Const(id) => Some(*id),
             CSlot::Var(_) => None,
             CSlot::Missing => return Ok(None),
@@ -1525,20 +1354,24 @@ impl<'s> Executor<'s> {
         Ok(Some(ScanSide::build(self.store, *p, o, &self.guard)?))
     }
 
-    /// One index-join step over the whole input, inline on the caller's
-    /// thread, charging the guard through a [`Tally`] as a morsel worker
-    /// does.
+    /// One index-join step over `input`, reading a built side when
+    /// [`Executor::scan_side`] builds one and probing the index per row
+    /// otherwise. Rows are charged to the guard through a [`Tally`].
     fn exec_join(
         &mut self,
         input: &Batch,
         s: &CSlot,
         p: &CPred,
         o: &CSlot,
-        side: Option<&ScanSide>,
+        op: usize,
     ) -> Result<Batch, SparqlError> {
+        let side = self.scan_side(input, s, p, o)?;
+        if let Some(side) = &side {
+            self.op_scanned[op] += side.len() as u64;
+        }
         let mut out = Batch::new(input.width());
         let mut tally = self.guard.tally(batch_row_cost(input.width()));
-        join_rows(self.store, input, 0, input.len(), (s, p, o), side, &mut out, &mut tally)?;
+        join_rows(self.store, input, (s, p, o), side.as_ref(), &mut out, &mut tally)?;
         tally.flush()?;
         Ok(out)
     }
@@ -1822,13 +1655,6 @@ impl<'s> Executor<'s> {
             });
         }
 
-        // only variable keys and inputs fan out, as ever: a parallel float
-        // SUM/AVG adds partial sums, which match the sequential fold only up
-        // to rounding, so widening the set would change answers
-        let fans_out = q.group_by.iter().all(|e| matches!(e, Expr::Var(_)))
-            && inputs.iter().all(|i| !matches!(i, AggIn::Expr(_)));
-        let n_morsels = n.div_ceil(DEFAULT_MORSEL_ROWS).max(1);
-        let workers = if fans_out { morsel_workers(self.options.threads, n_morsels) } else { 1 };
         let ctx = FoldCtx {
             store: self.store,
             arena: &self.arena,
@@ -1837,16 +1663,7 @@ impl<'s> Executor<'s> {
             specs: &specs,
             inputs: &inputs,
         };
-        let mut groups: Vec<GroupAcc> = if workers > 1 {
-            self.threads_used = self.threads_used.max(workers);
-            self.parallel_groupby = true;
-            self.morsels += n_morsels;
-            let result = parallel_group(&ctx, workers, n_morsels, &self.guard);
-            self.guard.surface()?;
-            result?
-        } else {
-            fold_rows(&ctx, 0, n, &mut IdMap::default(), &self.guard)?
-        };
+        let mut groups = fold_rows(&ctx, &self.guard)?;
 
         // an aggregate query with no GROUP BY over zero rows still yields
         // one group (COUNT(*) = 0)
@@ -2030,43 +1847,6 @@ fn conjuncts(e: &Expr) -> Vec<&Expr> {
     }
 }
 
-// ---- morsel join workers ---------------------------------------------------
-
-/// One morsel of a join run: run every step over `input[lo..hi)`, the first
-/// reading `side` when one was built, then feed each step's local output to
-/// the next. Returns the run's final batch for this morsel plus per-step row
-/// counts (for operator stats).
-fn chain_worker(
-    store: &Store,
-    input: &Batch,
-    steps: &[JoinStep<'_>],
-    side: Option<&ScanSide>,
-    lo: usize,
-    hi: usize,
-    guard: &LimitGuard,
-) -> Result<(Batch, Vec<u64>), LimitError> {
-    let mut counts = vec![0u64; steps.len()];
-    let mut prev: Option<Batch> = None;
-    for (si, &(s, p, o, _)) in steps.iter().enumerate() {
-        let mut out = Batch::new(input.width());
-        let mut tally = guard.tally(batch_row_cost(input.width()));
-        match &prev {
-            None => join_rows(store, input, lo, hi, (s, p, o), side, &mut out, &mut tally)?,
-            Some(b) => join_rows(store, b, 0, b.len(), (s, p, o), None, &mut out, &mut tally)?,
-        }
-        tally.flush()?;
-        counts[si] = out.len() as u64;
-        prev = Some(out);
-    }
-    Ok((prev.expect("join runs are non-empty"), counts))
-}
-
-/// True when a join step can read a built [`ScanSide`]: a variable subject,
-/// a constant predicate and an object that can match.
-fn may_scan((s, p, o, _): JoinStep<'_>) -> bool {
-    matches!((s, p, o), (CSlot::Var(_), CPred::Const(_), CSlot::Const(_) | CSlot::Var(_)))
-}
-
 /// One join step's pattern `(?, p, o)` read in a single scan and laid out
 /// by subject (compressed sparse row): subject `base + i` owns
 /// `objects[offsets[i]..offsets[i + 1]]`.
@@ -2085,7 +1865,7 @@ struct ScanSide {
 
 impl ScanSide {
     /// Scan `(?, p, o)` once into a side. Probes `guard` before the scan
-    /// and once per [`DEFAULT_MORSEL_ROWS`] triples (like a morsel),
+    /// and once per morsel of [`MORSEL_ROWS`] triples,
     /// charging the scratch pairs as they grow and the offsets and objects
     /// before they are allocated.
     fn build(
@@ -2100,14 +1880,14 @@ impl ScanSide {
         let mut pairs: Vec<(u32, TermId)> = Vec::new();
         for [s, _, obj] in store.matching(None, Some(p), o) {
             pairs.push((s.0, obj));
-            if pairs.len().is_multiple_of(DEFAULT_MORSEL_ROWS) {
-                guard.checkpoint(0, DEFAULT_MORSEL_ROWS as u64 * PAIR_BYTES)?;
+            if pairs.len().is_multiple_of(MORSEL_ROWS) {
+                guard.checkpoint(0, MORSEL_ROWS as u64 * PAIR_BYTES)?;
             }
         }
         let n = pairs.len();
         let base = pairs.iter().map(|&(s, _)| s).min().unwrap_or(0);
         let span = pairs.iter().map(|&(s, _)| (s - base) as usize + 1).max().unwrap_or(0);
-        let tail = (n % DEFAULT_MORSEL_ROWS) as u64 * PAIR_BYTES;
+        let tail = (n % MORSEL_ROWS) as u64 * PAIR_BYTES;
         guard.checkpoint(0, tail + (span as u64 + 1 + n as u64) * ID_BYTES)?;
         // counts land one slot right, so the prefix sum yields slice starts
         let mut offsets = vec![0u32; span + 1];
@@ -2145,25 +1925,23 @@ impl ScanSide {
     }
 }
 
-/// The index-nested-loop inner loop over `input[lo..hi)`, shared by the
-/// inline step executor and morsel workers. Each row's matches come from
-/// `side` when one was built and the row binds the subject to a store term,
-/// else from one index probe; either way they append in store-iteration
-/// order, so concatenating per-morsel outputs reproduces the full
-/// sequential scan byte-for-byte.
-#[allow(clippy::too_many_arguments)]
+/// The index-nested-loop inner loop over `input`. Each row's matches come
+/// from `side` when one was built and the row binds the subject to a store
+/// term, else from one index probe; either way they append in
+/// store-iteration order, so the two paths yield the same batch. The tally
+/// is flushed, and the guard so probed, at every morsel boundary of the
+/// input, also when the rows before it matched nothing.
 fn join_rows(
     store: &Store,
     input: &Batch,
-    lo: usize,
-    hi: usize,
     (s, p, o): (&CSlot, &CPred, &CSlot),
     side: Option<&ScanSide>,
     out: &mut Batch,
     tally: &mut Tally<'_>,
 ) -> Result<(), LimitError> {
     let mut overrides: Vec<(usize, EId)> = Vec::with_capacity(3);
-    let mut emit = |r: usize,
+    let mut emit = |tally: &mut Tally<'_>,
+                    r: usize,
                     sa: &RAnchor,
                     oa: &RAnchor,
                     p_slot: Option<usize>,
@@ -2186,7 +1964,10 @@ fn join_rows(
         out.push_row_from(input, r, &overrides);
         Ok(())
     };
-    for r in lo..hi {
+    for r in 0..input.len() {
+        if r > 0 && r.is_multiple_of(MORSEL_ROWS) {
+            tally.flush()?;
+        }
         let sa = match resolve_slot(s, input, r) {
             Some(a) => a,
             None => continue,
@@ -2214,12 +1995,12 @@ fn join_rows(
                 // a bound object keeps only its own match (`anchor_bind`),
                 // which is all a probe with the object fixed would yield
                 for &ov in side.objects(*sv) {
-                    emit(r, &sa, &oa, p_slot, [*sv, pv, ov])?;
+                    emit(tally, r, &sa, &oa, p_slot, [*sv, pv, ov])?;
                 }
             }
             _ => {
                 for t in store.matching(sa.id(), p_fixed, oa.id()) {
-                    emit(r, &sa, &oa, p_slot, t)?;
+                    emit(tally, r, &sa, &oa, p_slot, t)?;
                 }
             }
         }
@@ -2242,48 +2023,6 @@ fn resolve_slot(c: &CSlot, input: &Batch, r: usize) -> Option<RAnchor> {
             }
         }
     }
-}
-
-// ---- parallel hash aggregation ---------------------------------------------
-
-/// Hash-aggregate `ctx.batch` on the morsel scheduler: each worker runs
-/// [`fold_rows`] on its morsels (one value memo per worker, reused across
-/// its morsels), and the partial groups merge in morsel order — morsel 0's
-/// rows precede morsel 1's, so first-seen group order and each group's
-/// representative row match the sequential fold exactly. A partial group
-/// is keyed by the key columns at its first row. Probes `guard` at every
-/// morsel boundary.
-fn parallel_group(
-    ctx: &FoldCtx<'_>,
-    workers: usize,
-    n_morsels: usize,
-    guard: &LimitGuard,
-) -> Result<Vec<GroupAcc>, LimitError> {
-    let rows = ctx.batch.len();
-    let partials = run_morsels(
-        workers,
-        n_morsels,
-        |_| IdMap::<EId, Value>::default(),
-        |memo, m| {
-            guard.probe()?;
-            let lo = m * DEFAULT_MORSEL_ROWS;
-            let hi = (lo + DEFAULT_MORSEL_ROWS).min(rows);
-            fold_rows(ctx, lo, hi, memo, guard)
-        },
-    )?;
-    let mut index = GroupIndex::new(ctx.keys.len());
-    let mut groups: Vec<GroupAcc> = Vec::new();
-    for g in partials.into_iter().flatten() {
-        let i = index.group(ctx.keys, g.first_row, groups.len());
-        if i == groups.len() {
-            groups.push(g);
-        } else {
-            for (a, b) in groups[i].states.iter_mut().zip(g.states) {
-                a.merge(b);
-            }
-        }
-    }
-    Ok(groups)
 }
 
 #[cfg(test)]
@@ -2364,8 +2103,7 @@ mod tests {
                 let mut out = Batch::new(3);
                 let mut tally = guard.tally(16);
                 let step = (s, &CPred::Const(p), o);
-                join_rows(&store, &input, 0, input.len(), step, side, &mut out, &mut tally)
-                    .unwrap();
+                join_rows(&store, &input, step, side, &mut out, &mut tally).unwrap();
                 out
             };
             let side = ScanSide::build(&store, p, *o_const, &guard).unwrap();
@@ -2378,7 +2116,7 @@ mod tests {
 
     fn executor<'s>(store: &'s Store, frame: &'s Frame, options: &'s EvalOptions) -> Executor<'s> {
         let guard = Rc::new(LimitGuard::new(options.limits.clone()));
-        Executor::new(store, frame, &[], options, guard, 0)
+        Executor::new(store, frame, &[], guard, 0)
     }
 
     #[test]
@@ -2469,11 +2207,34 @@ mod tests {
         assert!(guard.memory_bytes() > 64);
     }
 
-    /// The sequential GROUP BY fold probes the guard once per morsel of
-    /// rows, as the parallel fold's workers do: a raised cancel flag stops
-    /// a fold of several morsels at one thread as at two, four or eight.
+    /// A join step probes the guard once per morsel of input rows, also
+    /// when those rows match nothing and so never flush the tally by
+    /// themselves: a raised cancel flag stops a join of several morsels.
     #[test]
-    fn the_sequential_fold_probes_once_per_morsel() {
+    fn join_rows_probes_once_per_morsel_without_matches() {
+        let (store, _, p) = store_with_layers();
+        let absent = TermArena::new().intern(&store, &Term::integer(42));
+        let mut input = Batch::new(2);
+        for r in 0..5 * MORSEL_ROWS as u32 {
+            input.push_row(&[absent, UNBOUND], r);
+        }
+        let step = (&CSlot::Var(0), &CPred::Const(p), &CSlot::Var(1));
+        let run = |guard: &LimitGuard| {
+            let mut out = Batch::new(2);
+            let mut tally = guard.tally(12);
+            join_rows(&store, &input, step, None, &mut out, &mut tally).map(|()| out.len())
+        };
+        assert_eq!(run(&LimitGuard::unlimited()), Ok(0), "a computed subject never matches");
+        let cancel = CancelFlag::new();
+        cancel.cancel();
+        let guard = LimitGuard::new(EvalLimits::unlimited().with_cancel(cancel));
+        assert_eq!(run(&guard).unwrap_err().kind, LimitKind::Cancelled);
+    }
+
+    /// The GROUP BY fold probes the guard once per morsel of rows: a raised
+    /// cancel flag stops a fold of several morsels.
+    #[test]
+    fn the_fold_probes_once_per_morsel() {
         let parsed =
             crate::parser::parse_query("SELECT ?v (COUNT(*) AS ?n) WHERE { ?s ?p ?v } GROUP BY ?v");
         let Ok(Query { form: QueryForm::Select(q) }) = parsed else { panic!("parses") };
@@ -2482,7 +2243,7 @@ mod tests {
         let mut store = Store::new();
         let vals: Vec<EId> = (0..3).map(|i| pack_store(store.intern(&Term::integer(i)))).collect();
         let v = frame.index("v").expect("?v is in the frame");
-        let n_rows = 5 * DEFAULT_MORSEL_ROWS as u32;
+        let n_rows = 5 * MORSEL_ROWS as u32;
         let mut batch = Batch::new(frame.len());
         for r in 0..n_rows {
             let mut row = vec![UNBOUND; frame.len()];
@@ -2490,15 +2251,15 @@ mod tests {
             batch.push_row(&row, r);
         }
         let items = select_items(&q, &frame);
-        for threads in [1, 2, 4, 8] {
-            let cancel = CancelFlag::new();
-            cancel.cancel();
-            let limits = EvalLimits::unlimited().with_cancel(cancel);
-            let options = EvalOptions { limits, threads, ..EvalOptions::default() };
-            let mut ex = executor(&store, &frame, &options);
-            let err = ex.grouped_rows(&q, &items, &batch).expect_err("cancelled");
-            assert!(err.is_cancelled(), "{threads} threads: {err:?}");
-            assert_eq!(ex.parallel_groupby, threads > 1, "{threads} threads");
-        }
+        let options = EvalOptions::default();
+        let mut ex = executor(&store, &frame, &options);
+        assert_eq!(ex.grouped_rows(&q, &items, &batch).expect("folds").len(), 3);
+        let cancel = CancelFlag::new();
+        cancel.cancel();
+        let limits = EvalLimits::unlimited().with_cancel(cancel);
+        let options = EvalOptions { limits, ..EvalOptions::default() };
+        let mut ex = executor(&store, &frame, &options);
+        let err = ex.grouped_rows(&q, &items, &batch).expect_err("cancelled");
+        assert!(err.is_cancelled(), "{err:?}");
     }
 }

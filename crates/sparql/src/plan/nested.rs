@@ -4,7 +4,7 @@
 //! Order and limits follow the rest of the plan. Every operator emits rows
 //! outer-row-major — an input row's matches in a fixed order (inner
 //! solution order, path pairs ascending) before the next row's — so output
-//! never depends on the thread count. Rows are charged to the row and
+//! is deterministic. Rows are charged to the row and
 //! memory budgets as they are produced and path walks charge every node
 //! expansion, both through a [`rdfa_exec::Tally`]; the deadline and cancel
 //! flag are probed (amortized) once per input row.
@@ -45,14 +45,7 @@ impl ExistsEval for Executor<'_> {
         let sub = slot.get_or_insert_with(|| {
             let (frame, exists) = (&ep.scope.frame, &ep.scope.exists[..]);
             let guard = Rc::clone(&self.guard);
-            Box::new(Executor::new(
-                self.store,
-                frame,
-                exists,
-                self.options,
-                guard,
-                self.op_rows.len(),
-            ))
+            Box::new(Executor::new(self.store, frame, exists, guard, self.op_rows.len()))
         });
         sub.frame = &ep.scope.frame;
         sub.exists = &ep.scope.exists;

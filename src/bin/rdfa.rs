@@ -392,7 +392,7 @@ fn dispatch(
         }
         "explain" => {
             // execute once so the plan carries observed cardinalities
-            // (rows=) and the morsel-runtime summary, not just estimates
+            // (rows=, scanned=), not just estimates
             let text = session.sparql().map_err(|e| e.message)?;
             let prepared =
                 Engine::builder(store).build().prepare(&text).map_err(|e| e.message())?;
@@ -590,7 +590,7 @@ commands:
   having <i> <cmp> <num>     restrict the i-th aggregate (HAVING)
   run                        evaluate → Answer Frame (+ chart)
   sparql                     show the generated SPARQL
-  explain                    executed plan of the current query (est=, rows=, threads/morsels)
+  explain                    executed plan of the current query (est=, rows=, scanned=)
   intent                     show the state's intention query
   back | reset               undo last click | start over
   hifun (g, m, op)           run a HIFUN query in the paper notation

@@ -8,7 +8,7 @@
 //! | `/v1/query?query=…` | GET | URL-encoded query | negotiated via `Accept` (see below) |
 //! | `/v1/query` | POST | the query verbatim | same |
 //! | `/v1/update` | POST | an update request | `{"inserted":n,"deleted":m}` |
-//! | `/v1/explain?query=…` | GET/POST | a `SELECT` (or any) query | the annotated plan (`text/plain`): `est=`, observed `rows=`, morsel/worker counts |
+//! | `/v1/explain?query=…` | GET/POST | a `SELECT` (or any) query | the annotated plan (`text/plain`): `est=`, observed `rows=` and `scanned=` |
 //! | `/v1/facets?class=…&budget_ms=…` | GET | facet markers for a class extension | JSON, possibly stale (see below) |
 //! | `/void` | GET | — | the dataset's VoID description (N-Triples) |
 //! | `/health` | GET | — | `ok` |
@@ -1161,9 +1161,9 @@ fn serve_query(
 
 /// Serve `/v1/explain`: prepare the query, execute it under the server's
 /// limits, and return the annotated plan as `text/plain` — operator
-/// estimates (`est=`), observed cardinalities (`rows=`), and the morsel
-/// runtime summary (worker threads and morsel count) — for every query
-/// form, since every form compiles to a physical plan. The execution runs under
+/// estimates (`est=`), observed cardinalities (`rows=`) and the triples
+/// each join step scanned (`scanned=`) — for every query form, since every
+/// form compiles to a physical plan. The execution runs under
 /// the same cancellation wiring as `/v1/query`, so an abandoned explain
 /// releases its admission slot promptly too.
 fn serve_explain(wire: &mut Wire<'_>, ctx: &Ctx, query: &str) -> std::io::Result<()> {
@@ -1259,7 +1259,7 @@ fn serve_facets(
     // hangs up or the server drains, and falls through to the stale/503
     // path like an expired deadline
     let cancel = CancelFlag::new();
-    let opts = FacetOptions { deadline, cancel: Some(cancel.clone()), ..FacetOptions::default() };
+    let opts = FacetOptions { deadline, cancel: Some(cancel.clone()) };
     let watcher = (!cached_only)
         .then(|| DisconnectWatcher::spawn(wire.stream, cancel, Arc::clone(&ctx.draining)));
     let misses_before = facet_cache.stats().misses;
@@ -1269,9 +1269,13 @@ fn serve_facets(
     // The initial panel's class counts are exactly the `GROUP BY rdf:type`
     // aggregate: when the view manager holds a fresh class-counts view AND
     // the equivalence is exact (see `initial_counts_are_exact`), the whole
-    // marker-tree walk is served from the view.
+    // marker-tree walk is served from the view. Where it is not exact the
+    // view could never serve, so its cost is not reported either: reporting
+    // it would materialize a view that is maintained on every update and
+    // never read.
     let mut view_hit = false;
-    let view_counts = if initial_state && !cached_only && initial_counts_are_exact(&snap) {
+    let counts_viewable = initial_state && initial_counts_are_exact(&snap);
+    let view_counts = if counts_viewable && !cached_only {
         ctx.views.as_ref().and_then(|v| v.class_counts(&snap)).map(|counts| {
             counts
                 .iter()
@@ -1292,7 +1296,7 @@ fn serve_facets(
             Ok(c) => {
                 // report the direct cost so the selector can decide the
                 // class-counts view is worth materializing
-                if initial_state {
+                if counts_viewable {
                     if let Some(v) = &ctx.views {
                         v.observe_class_counts(&snap, started.elapsed());
                     }
@@ -1353,7 +1357,9 @@ fn serve_facets(
     if view_hit {
         headers.push("X-Facet-View: hit".to_owned());
     }
-    let payload = facets_json(&snap, ext.len(), &classes, &facets);
+    // a stale panel reports the generation its markers were computed at
+    let generation = stale_generation.unwrap_or_else(|| snap.generation());
+    let payload = facets_json(&snap, generation, ext.len(), &classes, &facets);
     write_response_headed(wire, "200 OK", "application/json", &headers, &payload)
 }
 
@@ -1398,12 +1404,14 @@ fn write_facet_unavailable(
 
 /// The `/v1/facets` body, written into one `String` straight from the
 /// store's terms: an IRI is shown whole, any other term by its display
-/// name. `{"generation":…,"extension":…,"classes":[…],"facets":[…]}`, with
+/// name. `{"generation":…,"extension":…,"classes":[…],"facets":[…]}`, where
+/// `generation` is the store generation the markers were computed at, with
 /// `{"class":…,"count":…,"children":[…]}` per class marker and
 /// `{"property":…,"values":[{"value":…,"count":…},…],"children":[…]}` per
 /// property facet.
 fn facets_json(
     store: &Store,
+    generation: u64,
     extension: usize,
     classes: &[ClassMarker],
     facets: &[PropertyFacet],
@@ -1448,7 +1456,7 @@ fn facets_json(
         out.push_str("]}");
     }
     let mut out = String::new();
-    let _ = write!(out, "{{\"generation\":{},\"extension\":{extension},\"classes\":[", store.generation());
+    let _ = write!(out, "{{\"generation\":{generation},\"extension\":{extension},\"classes\":[");
     for (i, m) in classes.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1823,7 +1831,7 @@ mod tests {
             let facets = facet_tree(&mut next, &ids, 2);
             let extension = next(1 << 20);
             assert_eq!(
-                facets_json(&store, extension, &classes, &facets),
+                facets_json(&store, store.generation(), extension, &classes, &facets),
                 oracle::facets_json(&store, extension, &classes, &facets),
                 "seed {seed}"
             );
@@ -2035,6 +2043,35 @@ mod tests {
         assert_eq!(body_of(&hit), body_of(&direct));
     }
 
+    /// Over a store with inferred triples the initial class counts are not
+    /// the class-counts view's group sizes, so the view could never serve
+    /// the panel: the route must not get it materialized (and then
+    /// maintained on every update) by reporting its cost.
+    #[test]
+    fn facets_over_an_inferred_store_materialize_no_class_counts_view() {
+        let mut store = demo_store();
+        store
+            .load_turtle(
+                "@prefix ex: <http://example.org/> .
+                 @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+                 ex:Laptop rdfs:subClassOf ex:Product .",
+            )
+            .unwrap();
+        assert!(store.len_entailed() > store.len(), "the fixture must carry inferred triples");
+        let server = views_server(store);
+        for i in 0..6 {
+            let resp = get(server.addr(), "/v1/facets", "*/*");
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+            assert!(!resp.contains("X-Facet-View"), "{resp}");
+            let update = format!("PREFIX ex: <http://example.org/> INSERT DATA {{ ex:n{i} ex:tag {i} . }}");
+            assert!(post(server.addr(), "/v1/update", &update).contains("\"inserted\":1"));
+        }
+        let views = server.views().unwrap();
+        assert!(views.views().is_empty(), "{:?}", views.views());
+        let stats = views.stats();
+        assert_eq!((stats.materializations, stats.incremental_maintenance), (0, 0), "{stats:?}");
+    }
+
     #[test]
     fn views_refresh_materializes_the_recorded_workload() {
         let server = views_server(demo_store());
@@ -2078,8 +2115,7 @@ mod tests {
         assert!(resp.contains("text/plain"), "{resp}");
         assert!(resp.contains("physical plan:"), "{resp}");
         assert!(resp.contains("rows="), "executed plans carry observed rows: {resp}");
-        assert!(resp.contains("runtime: threads="), "{resp}");
-        assert!(resp.contains("morsels="), "{resp}");
+        assert!(!resp.contains("threads="), "execution is sequential: {resp}");
 
         // a malformed query is a diagnosed 400, not a panic
         let bad = get(server.addr(), "/v1/explain?query=NOT%20SPARQL", "*/*");
@@ -2621,10 +2657,28 @@ mod tests {
             get(server.addr(), &format!("/v1/facets?class={class}&budget_ms=0"), "*/*");
         assert!(stale.starts_with("HTTP/1.1 200"), "{stale}");
         assert!(stale.contains("X-Facet-Cache: stale"), "{stale}");
-        assert!(stale.contains("X-Facet-Stale: "), "{stale}");
+        // the body reports the generation the markers were computed at,
+        // which is the header's, not the current snapshot's
+        let generation_of = |resp: &str| -> u64 {
+            let at = resp.find("\"generation\":").expect("body carries a generation") + 13;
+            let digits: String = resp[at..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        let header = stale
+            .lines()
+            .find_map(|l| l.strip_prefix("X-Facet-Stale: "))
+            .expect("stale header")
+            .trim()
+            .parse::<u64>()
+            .unwrap();
+        assert_eq!(generation_of(&stale), header, "{stale}");
+        assert_eq!(generation_of(&fresh), header, "the markers are the warm-up's: {fresh}");
         assert!(stale.contains("\"property\":\"http://example.org/price\""), "{stale}");
         let stats = get(server.addr(), "/v1/facets/stats", "*/*");
         assert!(stats.contains("\"stale_hits\":2"), "{stats}"); // classes + facets
+        // a fresh panel reports the current, later generation
+        let now = get(server.addr(), &format!("/v1/facets?class={class}"), "*/*");
+        assert!(generation_of(&now) > header, "{now}");
         // garbage budget is the client's error
         let bad = get(server.addr(), &format!("/v1/facets?class={class}&budget_ms=soon"), "*/*");
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");

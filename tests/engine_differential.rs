@@ -1,7 +1,7 @@
 //! Differential harness: the engine's physical plan must agree with the
 //! reference evaluator (`rdfa-sparql-oracle`, an independent term-space
-//! implementation) on every query, at every thread count and over every
-//! backend, including when resource limits trip. Queries come from a fixed
+//! implementation) on every query and over every backend, including when
+//! resource limits trip. Queries come from a fixed
 //! corpus covering the operator surface (aggregates, OPTIONAL, UNION,
 //! FILTER, BIND, VALUES, DISTINCT, ORDER BY, sub-SELECT, MINUS, property
 //! paths, EXISTS, CONSTRUCT, ASK) plus seeded random BGP+aggregate
@@ -48,7 +48,7 @@ fn mmap_store(tag: &str, graph: &Graph) -> (std::path::PathBuf, Store) {
 }
 
 /// A products KG big enough that every stage of the corpus queries spans
-/// several 1024-row morsels, so the parallel runtime genuinely engages and
+/// several 1024-row morsels (the stretch between two guard probes), and
 /// join steps read their pattern through a built scan side. On top of the
 /// generator's `subClassOf` schema, `manufacturer` is a subproperty of
 /// `producer` (an entirely inferred predicate), and a small `similarTo` run
@@ -89,8 +89,7 @@ fn big_store() -> Store {
 /// their variable header) or constructed triples, every cell rendered fully
 /// and the rows sorted; a boolean as itself. The engine must agree with the
 /// oracle up to row permutation (ORDER BY ties are unordered between
-/// implementations, and parallel grouping is only guaranteed to be a
-/// permutation of the sequential result).
+/// implementations).
 fn canon(results: &QueryResults) -> (Vec<String>, Vec<Vec<Option<String>>>) {
     let cell = |t: &Term| Some(format!("{t:?}"));
     let (vars, mut rows): (Vec<String>, Vec<Vec<Option<String>>>) = match results {
@@ -112,23 +111,14 @@ fn oracle(s: &Store, q: &str, options: EvalOptions) -> Result<QueryResults, Spar
     rdfa_sparql_oracle::run(s, q, options)
 }
 
-/// Run one query on the oracle and on the plan at 1 and 4 threads, and
-/// demand agreement.
+/// Run one query on the oracle and on the plan, and demand agreement.
 fn check(s: &Store, q: &str, ctx: &str) {
     let expected = oracle(s, q, EvalOptions::default())
         .unwrap_or_else(|e| panic!("oracle failed ({ctx}): {e}\n{q}"));
-    for threads in [1usize, 4] {
-        let prepared = Engine::builder(s).threads(threads).build().prepare(q).unwrap();
-        assert!(prepared.uses_id_space(), "{ctx}: every query runs on the plan\n{q}");
-        let got = prepared
-            .execute()
-            .unwrap_or_else(|e| panic!("plan ({threads} threads) failed ({ctx}): {e}\n{q}"));
-        assert_eq!(
-            canon(&expected),
-            canon(&got),
-            "{ctx}: the plan with {threads} thread(s) diverged from the oracle\n{q}"
-        );
-    }
+    let prepared = Engine::builder(s).build().prepare(q).unwrap();
+    assert!(prepared.uses_id_space(), "{ctx}: every query runs on the plan\n{q}");
+    let got = prepared.execute().unwrap_or_else(|e| panic!("plan failed ({ctx}): {e}\n{q}"));
+    assert_eq!(canon(&expected), canon(&got), "{ctx}: the plan diverged from the oracle\n{q}");
 }
 
 const CORPUS: &[&str] = &[
@@ -241,18 +231,37 @@ const CORPUS: &[&str] = &[
     "SELECT ?x ?p WHERE { ?x ex:price ?p . } ORDER BY DESC(FLOOR(?p / 100)) ?x",
 ];
 
+/// The corpus agrees with the oracle, and its answers stay byte-identical
+/// when four threads run it at once over one shared store, as the server's
+/// connection workers run queries over one snapshot.
 #[test]
 fn corpus_queries_agree_across_engines_and_threads() {
     let s = store();
-    for (i, q) in CORPUS.iter().enumerate() {
-        let q = format!("PREFIX ex: <{EX}> {q}");
-        check(&s, &q, &format!("corpus[{i}]"));
+    let corpus: Vec<String> = CORPUS.iter().map(|q| format!("PREFIX ex: <{EX}> {q}")).collect();
+    for (i, q) in corpus.iter().enumerate() {
+        check(&s, q, &format!("corpus[{i}]"));
     }
+    let alone: Vec<QueryResults> = corpus.iter().map(|q| run_id_space(&s, q)).collect();
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (s, corpus, alone, start) = (&s, &corpus, &alone, &start);
+            scope.spawn(move || {
+                start.wait();
+                // each thread walks the corpus from its own start
+                for k in 0..corpus.len() {
+                    let i = (k + 7 * t) % corpus.len();
+                    let got = run_id_space(s, &corpus[i]);
+                    assert_eq!(got, alone[i], "corpus[{i}] on thread {t}\n{}", corpus[i]);
+                }
+            });
+        }
+    });
 }
 
 /// The whole corpus answered over an mmap segment-backed store must be
-/// *byte-identical* to the fully in-memory store — same rows, same order —
-/// at every thread count. Segment round-trips preserve term ids and the
+/// *byte-identical* to the fully in-memory store — same rows, same order.
+/// Segment round-trips preserve term ids and the
 /// layered store iterates every permutation in the same order as the
 /// in-memory index, so not even unordered results may permute.
 #[test]
@@ -264,11 +273,8 @@ fn corpus_queries_byte_identical_over_mmap_segments() {
     assert_eq!(mem.len(), seg.len());
     for (i, q) in CORPUS.iter().enumerate() {
         let q = format!("PREFIX ex: <{EX}> {q}");
-        for threads in [1usize, 4] {
-            let a = run_id_space(&mem, &q, threads);
-            let b = run_id_space(&seg, &q, threads);
-            assert_eq!(a, b, "corpus[{i}]: mmap store diverged from memory at {threads} thread(s)\n{q}");
-        }
+        let (a, b) = (run_id_space(&mem, &q), run_id_space(&seg, &q));
+        assert_eq!(a, b, "corpus[{i}]: mmap store diverged from memory\n{q}");
         // and over the segments the plan still agrees with the oracle
         check(&seg, &q, &format!("corpus[{i}] over mmap"));
     }
@@ -277,8 +283,7 @@ fn corpus_queries_byte_identical_over_mmap_segments() {
 
 /// The corpus where join steps are large enough to scan their pattern's run
 /// instead of probing per row: the plan agrees with the oracle, and its
-/// answers are byte-identical at 1 and 4 threads, in memory and over mmap
-/// segments.
+/// answers are byte-identical in memory and over mmap segments.
 #[test]
 fn corpus_on_big_store_agrees_in_memory_and_over_mmap() {
     let graph = big_graph();
@@ -289,13 +294,8 @@ fn corpus_on_big_store_agrees_in_memory_and_over_mmap() {
     for (i, q) in CORPUS.iter().enumerate() {
         let q = format!("PREFIX ex: <{EX}> {q}");
         check(&mem, &q, &format!("big corpus[{i}]"));
-        let reference = run_id_space(&mem, &q, 1);
-        for (store, backend) in [(&mem, "memory"), (&seg, "mmap")] {
-            for threads in [1usize, 4] {
-                let got = run_id_space(store, &q, threads);
-                assert_eq!(reference, got, "big corpus[{i}]: {backend} at {threads} thread(s) diverged\n{q}");
-            }
-        }
+        let got = run_id_space(&seg, &q);
+        assert_eq!(run_id_space(&mem, &q), got, "big corpus[{i}]: mmap diverged from memory\n{q}");
         let prepared = Engine::builder(&mem).build().prepare(&q).unwrap();
         prepared.execute().unwrap();
         let stats = prepared.last_stats().unwrap();
@@ -457,18 +457,12 @@ fn update_where_changes_exactly_what_the_oracle_select_instantiates() {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-runtime determinism: the parallel runtime must be invisible in the
-// result. Morsel geometry depends only on the input size (never the thread
-// count) and per-morsel outputs merge in morsel order, so N workers must
-// reproduce the 1-thread output *byte for byte* — same rows, same order.
+// Multi-morsel inputs: every join, fold and scan-side build spans several
+// 1024-row morsels, so the guard is probed between them.
 // ---------------------------------------------------------------------------
 
-fn run_id_space(s: &Store, q: &str, threads: usize) -> QueryResults {
-    Engine::builder(s)
-        .threads(threads)
-        .build()
-        .run(q)
-        .unwrap_or_else(|e| panic!("{threads} threads failed: {e}\n{q}"))
+fn run_id_space(s: &Store, q: &str) -> QueryResults {
+    Engine::builder(s).build().run(q).unwrap_or_else(|e| panic!("{e}\n{q}"))
 }
 
 fn multi_morsel_queries() -> Vec<String> {
@@ -478,7 +472,7 @@ fn multi_morsel_queries() -> Vec<String> {
             "PREFIX ex: <{EX}> SELECT ?x ?m ?c WHERE {{ \
                ?x ex:manufacturer ?m . ?m ex:origin ?c . }}"
         ),
-        // parallel GROUP BY over a multi-morsel join
+        // GROUP BY over a multi-morsel join
         format!(
             "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) (AVG(?p) AS ?avg) WHERE {{ \
                ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
@@ -498,61 +492,20 @@ fn multi_morsel_queries() -> Vec<String> {
     ]
 }
 
+/// Queries whose every stage spans several morsels agree with the oracle.
 #[test]
-fn morsel_runtime_output_is_byte_identical_across_thread_counts() {
+fn multi_morsel_queries_agree_with_the_oracle() {
     let s = big_store();
-    for q in multi_morsel_queries() {
-        let reference = run_id_space(&s, &q, 1);
-        assert!(!reference.solutions().unwrap().is_empty(), "{q}");
-        for threads in [2usize, 4, 8] {
-            let sols = run_id_space(&s, &q, threads);
-            assert_eq!(reference, sols, "{threads} threads must reproduce the serial output exactly\n{q}");
-        }
+    for (i, q) in multi_morsel_queries().iter().enumerate() {
+        assert!(!run_id_space(&s, q).solutions().unwrap().is_empty(), "{q}");
+        check(&s, q, &format!("multi-morsel[{i}]"));
     }
 }
 
-/// The large configuration really does exercise the parallel runtime: the
-/// input splits into many morsels and (on a multi-core box) fans out.
-#[test]
-fn parallel_runtime_engages_on_large_inputs() {
-    let s = big_store();
-    let q = format!(
-        "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
-           ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
-    );
-    let engine = Engine::builder(&s).threads(8).build();
-    let prepared = engine.prepare(&q).unwrap();
-    prepared.execute().unwrap();
-    let stats = prepared.last_stats().unwrap();
-    assert!(stats.morsels >= 4, "large input must split into morsels: {stats:?}");
-    assert!(stats.threads_used > 1, "explicit thread request must fan out: {stats:?}");
-    assert!(stats.parallel_groupby, "{stats:?}");
-    let text = prepared.explain();
-    assert!(text.contains("runtime: threads="), "{text}");
-    assert!(text.contains("morsels="), "{text}");
-}
-
-/// The small-input regression fix: below the morsel-count floor the scheduler
-/// must dispatch serially no matter how many threads were requested — tiny
-/// interactive queries never pay fan-out overhead.
-#[test]
-fn tiny_inputs_dispatch_serially_even_when_threads_requested() {
-    let s = store(); // a few hundred rows: under the 4-morsel floor
-    let q = format!(
-        "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
-           ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
-    );
-    let engine = Engine::builder(&s).threads(8).build();
-    let prepared = engine.prepare(&q).unwrap();
-    prepared.execute().unwrap();
-    let stats = prepared.last_stats().unwrap();
-    assert_eq!(stats.threads_used, 1, "tiny inputs must not fan out: {stats:?}");
-    assert_eq!(stats.morsels, 0, "tiny inputs bypass the parallel runtime: {stats:?}");
-    assert!(!stats.parallel_groupby, "{stats:?}");
-}
-
-/// Resource-limit errors must be identical at every thread count: the same
-/// `(kind, limit)` pair, regardless of which worker tripped first.
+/// A tripped limit surfaces the same `(kind, limit)` pair whether the query
+/// runs alone or on one, two or four threads at once over the same store:
+/// each execution charges its own guard, so one request's trip neither
+/// leaks into nor hides behind another's.
 #[test]
 fn tripped_limits_identical_across_thread_counts() {
     let s = big_store();
@@ -560,17 +513,14 @@ fn tripped_limits_identical_across_thread_counts() {
         "PREFIX ex: <{EX}> SELECT ?x ?m ?c WHERE {{ \
            ?x ex:manufacturer ?m . ?m ex:origin ?c . }}"
     );
-    // a grouped query: its joins and its fold both run on the morsel
-    // runtime from two threads up
+    // a grouped query: its joins and its fold both span many morsels
     let grouped = format!(
         "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
            ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
     );
-    for threads in [2usize, 4, 8] {
-        let prepared = Engine::builder(&s).threads(threads).build().prepare(&grouped).unwrap();
-        prepared.execute().unwrap();
-        assert!(prepared.last_stats().unwrap().parallel_groupby, "{threads} threads");
-    }
+    let run = |q: &str, limits: &EvalLimits| {
+        Engine::builder(&s).limits(limits.clone()).build().run(q).expect_err("limit should trip")
+    };
     for (q, limits) in [
         (&q, EvalLimits::unlimited().with_max_rows(100)),
         (&q, EvalLimits::unlimited().with_deadline(std::time::Duration::ZERO)),
@@ -579,24 +529,24 @@ fn tripped_limits_identical_across_thread_counts() {
         (&grouped, EvalLimits::unlimited().with_max_memory_bytes(4096)),
         (&grouped, EvalLimits::unlimited().with_deadline(std::time::Duration::ZERO)),
     ] {
-        let errs: Vec<SparqlError> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                Engine::builder(&s)
-                    .threads(threads)
-                    .limits(limits.clone())
-                    .build()
-                    .run(q)
-                    .expect_err("limit should trip")
-            })
-            .collect();
-        for e in &errs {
-            assert!(e.is_resource_limit(), "{e:?}");
-            assert_eq!(e, &errs[0], "thread count changed the surfaced limit error");
+        let alone = run(q, &limits);
+        assert!(alone.is_resource_limit(), "{alone:?}");
+        for threads in [1usize, 2, 4] {
+            let start = std::sync::Barrier::new(threads);
+            std::thread::scope(|scope| {
+                let run_together = || {
+                    start.wait();
+                    run(q, &limits)
+                };
+                let runs: Vec<_> = (0..threads).map(|_| scope.spawn(run_together)).collect();
+                for r in runs {
+                    assert_eq!(r.join().unwrap(), alone, "{threads} concurrent runs\n{q}");
+                }
+            });
         }
         if limits.max_memory_bytes.is_some() {
             assert_eq!(
-                errs[0],
+                alone,
                 SparqlError::ResourceLimit { kind: LimitKind::MemoryBytes, limit: 4096 },
                 "{q}"
             );
@@ -604,28 +554,22 @@ fn tripped_limits_identical_across_thread_counts() {
     }
 }
 
-/// A raised cancel flag stops the morsel runtime at every thread count —
-/// workers probe at morsel boundaries, so parallel execution honours the
-/// same cooperative-cancellation contract the serial path does (the
-/// server's admission slot is released by the same mechanism, proven
-/// end-to-end in `streaming_robustness.rs`).
+/// A raised cancel flag stops a query whose joins and fold span many
+/// morsels: both probe the guard at every morsel boundary (the server's
+/// admission slot is released by the same mechanism, proven end-to-end in
+/// `streaming_robustness.rs`).
 #[test]
-fn cancellation_stops_the_morsel_runtime_at_every_thread_count() {
+fn cancellation_stops_a_multi_morsel_query() {
     let s = big_store();
-    let q = format!(
-        "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
-           ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
-    );
-    for threads in [1usize, 2, 4, 8] {
+    for q in multi_morsel_queries() {
         let cancel = CancelFlag::new();
         cancel.cancel();
         let err = Engine::builder(&s)
-            .threads(threads)
             .limits(EvalLimits::unlimited().with_cancel(cancel))
             .build()
             .run(&q)
             .expect_err("raised flag must cancel evaluation");
-        assert!(err.is_cancelled(), "{threads} threads: {err:?}");
+        assert!(err.is_cancelled(), "{err:?}\n{q}");
     }
 }
 

@@ -246,11 +246,11 @@ fn facet_ops_match_reference_on_random_graphs() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. markers: parallel and sequential byte-identical to the seed
+// 3. markers: byte-identical to the seed
 // ---------------------------------------------------------------------------
 
 #[test]
-fn markers_match_reference_sequential_and_parallel() {
+fn markers_match_reference() {
     // how often the random panels put equal display names side by side,
     // and how often they offer a literal or blank-node value
     let (mut ties, mut non_iri) = (0, 0);
@@ -266,13 +266,11 @@ fn markers_match_reference_sequential_and_parallel() {
             non_iri += f.values.iter().filter(|(v, _)| !store.term(*v).is_iri()).count();
         }
         ties += facets_ref.windows(2).filter(|w| name(w[0].property) == name(w[1].property)).count();
-        for threads in [1usize, 4] {
-            let opts = FacetOptions::with_threads(threads);
-            let classes = markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();
-            let facets = markers::property_facets_opts(&store, &ext, opts).unwrap();
-            assert_eq!(classes, classes_ref, "case {case} threads {threads}: class markers");
-            assert_eq!(facets, facets_ref, "case {case} threads {threads}: property facets");
-        }
+        let opts = FacetOptions::default();
+        let classes = markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();
+        let facets = markers::property_facets_opts(&store, &ext, opts).unwrap();
+        assert_eq!(classes, classes_ref, "case {case}: class markers");
+        assert_eq!(facets, facets_ref, "case {case}: property facets");
     }
     assert!(ties > 0 && non_iri > 0, "ties {ties}, non-IRI values {non_iri}: the corpus lost its teeth");
 }
