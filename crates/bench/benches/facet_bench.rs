@@ -7,8 +7,10 @@
 //! 3. the same path answered from a warm generation-keyed [`FacetCache`].
 //!
 //! Asserts the new path reproduces the seed output byte-identically at each
-//! scale, then writes `BENCH_4.json` with timings and speedups so CI can
-//! archive the artifact.
+//! scale — for the timed `Laptop` panel, and untimed for the 200-entity
+//! `Company` panel, whose extension takes the kernels' per-element seek arm
+//! — then writes `BENCH_4.json` with timings and speedups so CI can archive
+//! the artifact.
 //!
 //! Run with `cargo bench --bench facet_bench`.
 
@@ -56,6 +58,21 @@ fn bench_scale(n_products: usize, reps: usize) -> ScaleResult {
     let facets_new = markers::property_facets_opts(&store, &ext, opts.clone()).unwrap();
     assert_eq!(classes_ref, classes_new, "class markers diverged from seed");
     assert_eq!(facets_ref, facets_new, "property facets diverged from seed");
+    let company = store.lookup_iri(&format!("{EX}Company")).unwrap();
+    let small = store.instances_set(company);
+    let rdf_type = store.well_known().rdf_type;
+    assert!(store.prefer_seek(small.len(), rdf_type, None), "the Company panel must seek");
+    let small_ref = small.to_btree_set();
+    assert_eq!(
+        markers::class_markers_opts(&store, &small, opts.clone()).unwrap(),
+        markers::reference::class_markers(&store, &small_ref),
+        "small-class class markers diverged from seed"
+    );
+    assert_eq!(
+        markers::property_facets_opts(&store, &small, opts.clone()).unwrap(),
+        markers::reference::property_facets(&store, &small_ref),
+        "small-class property facets diverged from seed"
+    );
 
     let reference_secs = median_secs(reps, || {
         markers::reference::class_markers(&store, &ext_ref);

@@ -1,21 +1,22 @@
 //! Transition-marker computation — the algorithms of §5.4 that build the
 //! left frame of the GUI (Fig 5.4, Fig 5.5).
 //!
-//! The per-state cost is dominated by one independent unit of work per
-//! maximal class (the class-marker subtree) and per maximal property (the
+//! The per-state cost is the class counts — one pass of the edge-count
+//! kernel over `rdf:type` — and one unit of work per maximal property (the
 //! facet's value counts + subproperty subtree). [`class_markers_opts`] and
-//! [`property_facets_opts`] run those units in a plain loop and sort the
+//! [`property_facets_opts`] build the trees in a plain loop and sort the
 //! results by display name. [`FacetOptions`] carries a deadline and a
-//! cancellation token, enforced by one [`LimitGuard`] probed before every
-//! unit (and every subtree inside it); expiry or cancellation surfaces as a
+//! cancellation token, enforced by one [`LimitGuard`] probed before the
+//! class counts, before every maximal class, and before every property unit
+//! (and every subproperty inside it); expiry or cancellation surfaces as a
 //! [`FacetError`].
 
 use crate::ops::{joins_path, joins_with_counts};
 use crate::state::PathStep;
 use crate::FacetError;
 use rdfa_exec::{CancelFlag, EvalLimits, LimitGuard};
-use rdfa_store::{ExtSet, Store, TermId};
-use std::collections::BTreeSet;
+use rdfa_store::{CountKey, ExtSet, Store, TermId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Deadline and cancellation for one marker computation.
@@ -71,38 +72,51 @@ pub fn class_markers(store: &Store, ext: &ExtSet) -> Vec<ClassMarker> {
     class_markers_opts(store, ext, FacetOptions::default()).expect("no deadline configured")
 }
 
-/// [`class_markers`] with deadline/cancellation options; one unit of work
-/// per maximal class.
+/// [`class_markers`] with deadline/cancellation options. The per-class
+/// counts come from the one edge-count kernel over `rdf:type`
+/// ([`Store::edge_counts`]), which seeks per extension element or scans
+/// the type run once, whichever [`Store::prefer_seek`] picks; the tree is
+/// then built from them as in [`class_markers_from_counts`]. The guard is
+/// probed before counting and before each maximal class.
 pub fn class_markers_opts(
     store: &Store,
     ext: &ExtSet,
     opts: FacetOptions,
 ) -> Result<Vec<ClassMarker>, FacetError> {
     let guard = opts.guard();
+    guard.probe()?;
     let mut dense = ext.clone();
     dense.densify(store.term_count());
-    let mut out = Vec::new();
-    for root in store.maximal_classes() {
-        out.extend(build_class_marker(store, &dense, root, &mut BTreeSet::new(), &guard)?);
-    }
-    sort_by_display_name(store, &mut out, |m| m.class);
-    Ok(out)
+    let counts: BTreeMap<TermId, usize> = store
+        .edge_counts(store.well_known().rdf_type, CountKey::Object, Some(&dense))
+        .into_iter()
+        .collect();
+    markers_from_counts(store, &counts, &guard)
 }
 
-/// Build the class-marker tree from **precomputed** per-class instance
-/// counts instead of scanning postings — same hierarchy walk, pruning, and
-/// display-name ordering as [`class_markers`], so the output is identical
-/// whenever `counts[c] = |instances(c) ∩ ext|`. This is the serving path
-/// for a materialized `GROUP BY rdf:type` aggregate view (`rdfa-views`),
-/// whose per-group base-row counts are exactly the per-class instance
-/// counts of the full extension.
+/// Build the class-marker tree from per-class instance counts — the
+/// hierarchy walk, zero-count pruning and display-name ordering of
+/// [`class_markers`], whose output this is whenever
+/// `counts[c] = |instances(c) ∩ ext|`. This is also the serving path for a
+/// materialized `GROUP BY rdf:type` aggregate view (`rdfa-views`), whose
+/// per-group base-row counts are exactly the per-class instance counts of
+/// the full extension.
 pub fn class_markers_from_counts(
     store: &Store,
-    counts: &std::collections::BTreeMap<TermId, usize>,
+    counts: &BTreeMap<TermId, usize>,
 ) -> Vec<ClassMarker> {
+    markers_from_counts(store, counts, &FacetOptions::default().guard())
+        .expect("no deadline configured")
+}
+
+fn markers_from_counts(
+    store: &Store,
+    counts: &BTreeMap<TermId, usize>,
+    guard: &LimitGuard,
+) -> Result<Vec<ClassMarker>, FacetError> {
     fn build(
         store: &Store,
-        counts: &std::collections::BTreeMap<TermId, usize>,
+        counts: &BTreeMap<TermId, usize>,
         class: TermId,
         seen: &mut BTreeSet<TermId>,
     ) -> Option<ClassMarker> {
@@ -123,44 +137,13 @@ pub fn class_markers_from_counts(
         }
         Some(ClassMarker { class, count, children })
     }
-    let mut out: Vec<ClassMarker> = store
-        .maximal_classes()
-        .into_iter()
-        .filter_map(|root| build(store, counts, root, &mut BTreeSet::new()))
-        .collect();
+    let mut out = Vec::new();
+    for root in store.maximal_classes() {
+        guard.probe()?;
+        out.extend(build(store, counts, root, &mut BTreeSet::new()));
+    }
     sort_by_display_name(store, &mut out, |m| m.class);
-    out
-}
-
-fn build_class_marker(
-    store: &Store,
-    ext: &ExtSet,
-    class: TermId,
-    seen: &mut BTreeSet<TermId>,
-    guard: &LimitGuard,
-) -> Result<Option<ClassMarker>, FacetError> {
-    guard.probe()?;
-    if !seen.insert(class) {
-        return Ok(None); // cycle guard
-    }
-    // merge-count the class's sorted instance run against the extension
-    let wk = store.well_known();
-    let count = store
-        .subjects_for_po(wk.rdf_type, class)
-        .filter(|&s| ext.contains(s))
-        .count();
-    let mut children: Vec<ClassMarker> = Vec::new();
-    for sub in store.direct_subclasses(class) {
-        if let Some(m) = build_class_marker(store, ext, sub, seen, guard)? {
-            children.push(m);
-        }
-    }
-    sort_by_display_name(store, &mut children, |m| m.class);
-    seen.remove(&class);
-    if count == 0 {
-        return Ok(None);
-    }
-    Ok(Some(ClassMarker { class, count, children }))
+    Ok(out)
 }
 
 /// A property facet: the property, its value markers (value, count), and
@@ -411,13 +394,13 @@ pub mod reference {
         let mut roots: Vec<ClassMarker> = store
             .maximal_classes()
             .into_iter()
-            .filter_map(|c| build_class_marker(store, ext, c, &mut BTreeSet::new()))
+            .filter_map(|c| class_subtree(store, ext, c, &mut BTreeSet::new()))
             .collect();
         roots.sort_by_key(|m| store.term(m.class).display_name());
         roots
     }
 
-    fn build_class_marker(
+    fn class_subtree(
         store: &Store,
         ext: &BTreeSet<TermId>,
         class: TermId,
@@ -430,7 +413,7 @@ pub mod reference {
         let mut children: Vec<ClassMarker> = store
             .direct_subclasses(class)
             .into_iter()
-            .filter_map(|sub| build_class_marker(store, ext, sub, seen))
+            .filter_map(|sub| class_subtree(store, ext, sub, seen))
             .collect();
         children.sort_by_key(|m| store.term(m.class).display_name());
         seen.remove(&class);

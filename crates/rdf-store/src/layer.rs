@@ -104,6 +104,25 @@ impl SegLayer {
         crate::bulk::extend_index(&mut self.adds, fresh, threads) + untombed
     }
 
+    /// Elements of one permutation in `lo..=hi`, read by position: each
+    /// segment's and the add-index's count, less the tombstones matching
+    /// `pattern` (the `[s, p, o]` shape the range serves) — O(|dels|), which
+    /// checkpoints bound. Exact by the layer invariants: the sources are
+    /// disjoint and every tombstone lies in exactly one segment.
+    fn run_len(
+        &self,
+        perm: Perm,
+        lo: IdTriple,
+        hi: IdTriple,
+        pattern: [Option<TermId>; 3],
+    ) -> usize {
+        let base: usize = self.segs.iter().map(|seg| seg.run_len(perm, lo, hi)).sum();
+        let matches =
+            |t: &&IdTriple| t.iter().zip(pattern).all(|(&id, want)| want.is_none_or(|w| w == id));
+        let dead = self.dels.iter().filter(matches).count();
+        base + self.adds.scan_perm(perm, lo, hi).len() - dead
+    }
+
     /// Merged scan of one permutation over `lo..=hi`.
     fn perm_range(&self, perm: Perm, lo: IdTriple, hi: IdTriple) -> PermRange<'_> {
         let srcs = std::array::from_fn(|i| self.segs.get(i).map(|seg| seg.scan_from(perm, lo)));
@@ -118,6 +137,15 @@ impl SegLayer {
             perm,
             hi,
         }
+    }
+}
+
+/// The inclusive key range of the elements whose first component is
+/// `first` and, when given, whose second is `second`.
+fn prefix_bounds(first: TermId, second: Option<TermId>) -> (IdTriple, IdTriple) {
+    match second {
+        Some(snd) => ([first, snd, TermId(0)], [first, snd, TermId(u32::MAX)]),
+        None => ([first, TermId(0), TermId(0)], [first, TermId(u32::MAX), TermId(u32::MAX)]),
     }
 }
 
@@ -261,17 +289,55 @@ impl Layer {
     /// Range-scan one permutation on its first one or two components —
     /// the layered counterpart of the index's `range3`.
     fn range_perm(&self, perm: Perm, first: TermId, second: Option<TermId>) -> PermIter<'_> {
-        let (lo, hi) = match second {
-            Some(snd) => ([first, snd, TermId(0)], [first, snd, TermId(u32::MAX)]),
-            None => (
-                [first, TermId(0), TermId(0)],
-                [first, TermId(u32::MAX), TermId(u32::MAX)],
-            ),
-        };
+        let (lo, hi) = prefix_bounds(first, second);
+        self.scan(perm, lo, hi)
+    }
+
+    /// Permuted elements in `lo..=hi`, ascending.
+    fn scan(&self, perm: Perm, lo: IdTriple, hi: IdTriple) -> PermIter<'_> {
         match self {
             Layer::Mem(idx) => PermIter::Mem(idx.scan_perm(perm, lo, hi)),
             Layer::Seg(sl) => PermIter::Seg(sl.perm_range(perm, lo, hi)),
         }
+    }
+
+    /// How many triples match the pattern (`None` = wildcard): exactly
+    /// `matching(s, p, o).count()`, read off the sorted permutation by
+    /// position in O(log n) per source instead of walking the run.
+    pub(crate) fn run_len(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
+        let (perm, first, second) = match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => return usize::from(self.contains([s, p, o])),
+            (None, None, None) => return self.len(),
+            (Some(s), p, None) => (Perm::Spo, s, p),
+            (Some(s), None, Some(o)) => (Perm::Osp, o, Some(s)),
+            (None, Some(p), o) => (Perm::Pos, p, o),
+            (None, None, Some(o)) => (Perm::Osp, o, None),
+        };
+        let (lo, hi) = prefix_bounds(first, second);
+        match self {
+            Layer::Mem(idx) => idx.scan_perm(perm, lo, hi).len(),
+            Layer::Seg(sl) => sl.run_len(perm, lo, hi, [s, p, o]),
+        }
+    }
+
+    /// The distinct predicates (`p = None`) or the distinct objects of `p`,
+    /// ascending: keys of the POS permutation, each found by seeking past
+    /// the previous key's run rather than walking it — O(keys · log n).
+    pub(crate) fn pos_keys(&self, p: Option<TermId>) -> Vec<TermId> {
+        let mut out = Vec::new();
+        let mut from = Some(TermId(0));
+        while let Some(k) = from {
+            let (lo, hi, at) = match p {
+                None => ([k, TermId(0), TermId(0)], MAX3, 0),
+                Some(p) => ([p, k, TermId(0)], [p, TermId(u32::MAX), TermId(u32::MAX)], 1),
+            };
+            let Some(head) = self.scan(Perm::Pos, lo, hi).next() else {
+                break;
+            };
+            out.push(head[at]);
+            from = head[at].0.checked_add(1).map(TermId);
+        }
+        out
     }
 
     /// Full scan of one permutation.
@@ -473,6 +539,18 @@ mod tests {
                 let want: Vec<IdTriple> = oracle.matching(s, p, o).collect();
                 let got: Vec<IdTriple> = layer.matching(s, p, o).collect();
                 assert_eq!(got, want, "case {case} pattern ({s:?},{p:?},{o:?})");
+                let n = layer.run_len(s, p, o);
+                assert_eq!(n, want.len(), "case {case} run_len ({s:?},{p:?},{o:?})");
+            }
+            // distinct POS keys, by seeking
+            let distinct = |ids: &mut dyn Iterator<Item = TermId>| {
+                ids.collect::<BTreeSet<TermId>>().into_iter().collect::<Vec<_>>()
+            };
+            let preds = distinct(&mut oracle.iter().map(|[_, p, _]| p));
+            assert_eq!(layer.pos_keys(None), preds, "case {case} predicates");
+            for pv in 0..10u32 {
+                let objs = distinct(&mut oracle.pairs_for_p(TermId(pv)).map(|(o, _)| o));
+                assert_eq!(layer.pos_keys(Some(TermId(pv))), objs, "case {case} objects of {pv}");
             }
             // posting runs
             for pv in 0..10u32 {

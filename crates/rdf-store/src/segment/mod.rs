@@ -30,7 +30,9 @@
 //! steps: binary search of the fence keys (each block's first element) for
 //! the block, binary search of the raw restart triples through the offset
 //! array for the group, then at most R − 1 deltas. Iterating on from there
-//! is the same code. Version 1 files — written before restart points — are
+//! is the same code. How many elements a key range holds is two such seeks
+//! plus the directory's per-block counts — no run is walked to count it.
+//! Version 1 files — written before restart points — are
 //! the case R = `block_size`: one group per block, no offset array, the
 //! header's last word 0. The cursor reads them unchanged (a seek then walks
 //! up to a whole block), and the next checkpoint that rewrites them writes
@@ -229,6 +231,9 @@ struct RunDir {
     /// Absolute file offset of this run's block area.
     blocks_off: u64,
     metas: Vec<BlockMeta>,
+    /// Per block, the triples in the blocks before it: the directory's
+    /// counts summed once at open, so a rank is one lookup.
+    starts: Vec<u64>,
     /// One bit per block, set once its CRC has been checked since open.
     verified: Vec<AtomicU64>,
 }
@@ -458,6 +463,7 @@ impl Segment {
         let mut runs = Vec::with_capacity(3);
         for (r, (blocks_off, dir_off, block_count)) in run_specs.into_iter().enumerate() {
             let mut metas = Vec::with_capacity(block_count);
+            let mut starts = Vec::with_capacity(block_count);
             let mut run_total = 0u64;
             let mut prev_end = 0u64;
             for b in 0..block_count {
@@ -481,6 +487,7 @@ impl Segment {
                     )));
                 }
                 prev_end = m.off as u64 + m.len as u64;
+                starts.push(run_total);
                 run_total += m.count as u64;
                 metas.push(m);
             }
@@ -490,7 +497,7 @@ impl Segment {
                 )));
             }
             let verified = (0..block_count.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-            runs.push(RunDir { blocks_off, metas, verified });
+            runs.push(RunDir { blocks_off, metas, starts, verified });
         }
         let runs: [RunDir; 3] = runs.try_into().expect("three runs");
         Ok(Segment { map, path: path.to_owned(), count, interval, runs })
@@ -581,16 +588,7 @@ impl Segment {
     pub(crate) fn scan_from(&self, perm: Perm, lo: IdTriple) -> SegScan<'_> {
         let metas = &self.run(perm).metas;
         let block = metas.partition_point(|m| m.fence <= lo).saturating_sub(1);
-        let mut scan = SegScan {
-            seg: self,
-            perm,
-            next_block: block,
-            bytes: &[],
-            pos: 0,
-            left: 0,
-            to_restart: 0,
-            head: None,
-        };
+        let mut scan = self.cursor(perm, block);
         if scan.enter_next_block() {
             scan.seek_group(lo);
         }
@@ -599,6 +597,54 @@ impl Segment {
             scan.advance();
         }
         scan
+    }
+
+    /// A cursor before block `block` of `perm`'s run, not yet in it.
+    fn cursor(&self, perm: Perm, block: usize) -> SegScan<'_> {
+        SegScan {
+            seg: self,
+            perm,
+            next_block: block,
+            bytes: &[],
+            pos: 0,
+            left: 0,
+            to_restart: 0,
+            head: None,
+        }
+    }
+
+    /// How many of `perm`'s elements are `< key` (`inclusive`: `<= key`).
+    /// The directory's counts cover every block before the one the fences
+    /// put the boundary in; inside that block the cursor seeks as a scan
+    /// does — so the block is CRC-checked before any of it is read — and
+    /// counts at most one restart group's elements.
+    fn rank(&self, perm: Perm, key: IdTriple, inclusive: bool) -> u64 {
+        let below = |t: IdTriple| if inclusive { t <= key } else { t < key };
+        let run = self.run(perm);
+        let Some(block) = run.metas.partition_point(|m| below(m.fence)).checked_sub(1) else {
+            return 0;
+        };
+        let mut scan = self.cursor(perm, block);
+        scan.enter_next_block();
+        let count = scan.left;
+        scan.seek_group(key);
+        let mut n = count - scan.left;
+        while scan.left > 0 {
+            scan.advance();
+            if !scan.head.is_some_and(below) {
+                break;
+            }
+            n += 1;
+        }
+        run.starts[block] + u64::from(n)
+    }
+
+    /// Number of `perm`'s elements in `lo..=hi`, read by position.
+    pub(crate) fn run_len(&self, perm: Perm, lo: IdTriple, hi: IdTriple) -> usize {
+        if lo > hi {
+            return 0;
+        }
+        (self.rank(perm, hi, true) - self.rank(perm, lo, false)) as usize
     }
 
     /// Full scan of one permutation.
@@ -818,12 +864,17 @@ mod tests {
             }
             // long enough to run from one restart group into the next
             let take = RESTART_INTERVAL + 3;
-            for lo in starts {
+            for (i, &lo) in starts.iter().enumerate() {
                 let want: Vec<IdTriple> = idx.scan_perm(perm, lo, MAX3).take(take).collect();
                 let got: Vec<IdTriple> = seg.scan_from(perm, lo).take(take).collect();
                 assert_eq!(got, want, "{what} perm {perm:?} lo {lo:?}");
                 if perm == Perm::Spo {
                     assert_eq!(seg.contains(lo), idx.contains(lo), "{what} contains {lo:?}");
+                }
+                // ranges ending at every other start key, empty and inverted ones included
+                for hi in [lo, starts[(i + 1) % starts.len()], starts[(i + 7) % starts.len()], MAX3] {
+                    let want = idx.scan_perm(perm, lo, hi).len();
+                    assert_eq!(seg.run_len(perm, lo, hi), want, "{what} perm {perm:?} {lo:?}..={hi:?}");
                 }
             }
         }
@@ -998,8 +1049,10 @@ mod tests {
             };
             for perm in Perm::ALL {
                 read(&|| seg.iter_perm(perm).eq(idx.iter_perm(perm)));
-                for &lo in &probes {
+                for (i, &lo) in probes.iter().enumerate() {
                     read(&|| seg.scan_from(perm, lo).take(40).eq(idx.scan_perm(perm, lo, MAX3).take(40)));
+                    let hi = probes[(i + 1) % probes.len()];
+                    read(&|| seg.run_len(perm, lo, hi) == idx.scan_perm(perm, lo, hi).len());
                 }
             }
             for &t in &probes {

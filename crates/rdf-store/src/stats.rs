@@ -63,21 +63,22 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Gather statistics from a store.
+    /// Gather statistics from a store. Every per-class and per-property
+    /// count is a run length read off the index ([`Store::run_len`]), not a
+    /// walk of the run.
     pub fn gather(store: &Store) -> Self {
         let classes = store.classes();
         let properties = store.properties();
+        let rdf_type = store.well_known().rdf_type;
         let class_instances = classes
             .iter()
-            .map(|&c| (c, store.instances(c).len()))
+            .map(|&c| (c, store.run_len(None, Some(rdf_type), Some(c))))
             .collect();
-        let mut property_usage: BTreeMap<TermId, usize> = BTreeMap::new();
-        for &p in &properties {
-            let n = store.matching_explicit(None, Some(p), None).count();
-            if n > 0 {
-                property_usage.insert(p, n);
-            }
-        }
+        let property_usage: BTreeMap<TermId, usize> = properties
+            .iter()
+            .map(|&p| (p, store.explicit.run_len(None, Some(p), None)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
         StoreStats {
             triples: store.len(),
             entailed_triples: store.len_entailed(),

@@ -476,17 +476,13 @@ impl Store {
         self.explicit.matching(s, p, o).chain(self.inferred.matching(s, p, o))
     }
 
-    /// Number of entailed triples matching a pattern, counting at most
-    /// `cap`. Used by query planners to rank triple patterns by selectivity
-    /// without paying for an exact count on huge patterns.
-    pub fn count_matching(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-        cap: usize,
-    ) -> usize {
-        self.matching(s, p, o).take(cap).count()
+    /// Number of entailed triples matching a pattern — exactly
+    /// `matching(s, p, o).count()`, explicit and inferred summed — read off
+    /// the sorted permutations by position: O(log n) per in-memory layer or
+    /// segment, plus the overlay's tombstones. Nothing is iterated, so a
+    /// planner or a seek-vs-scan choice can ask for any run's length.
+    pub fn run_len(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
+        self.explicit.run_len(s, p, o) + self.inferred.run_len(s, p, o)
     }
 
     /// Triples matching a pattern among asserted triples only.
@@ -560,13 +556,13 @@ impl Store {
     }
 
     /// True when `seeks` per-element seeks into the entailed `(?, p, o)` run
-    /// (`o = None`: all of `p`'s edges) beat one scan of it: the run is at
-    /// least `SEEK_FACTOR` (32)× longer than `seeks`. The run is counted only up
-    /// to that break-even point, so rejecting a long run costs at most
-    /// `SEEK_FACTOR · seeks` index steps.
+    /// (`o = None`: all of `p`'s edges) beat one scan of it: the run is more
+    /// than `SEEK_FACTOR` (32)× longer than `seeks`. The run's length is
+    /// [`Store::run_len`], read by position, so the decision costs a few
+    /// index seeks however long the run is.
     pub fn prefer_seek(&self, seeks: usize, p: TermId, o: Option<TermId>) -> bool {
         let budget = seeks.saturating_mul(SEEK_FACTOR).saturating_add(1);
-        self.count_matching(None, Some(p), o, budget) >= budget
+        self.run_len(None, Some(p), o) >= budget
     }
 
     // ---- the counting kernel ---------------------------------------------
@@ -667,43 +663,29 @@ impl Store {
     }
 
     /// All class ids: declared via `rdf:type rdfs:Class`, used as a type, or
-    /// appearing in `rdfs:subClassOf`.
+    /// appearing in `rdfs:subClassOf`. The types used are the distinct
+    /// objects of the `rdf:type` runs, found by seeking past each class's
+    /// instances, so the cost is per class, not per typed resource.
     pub fn classes(&self) -> BTreeSet<TermId> {
-        let mut out = BTreeSet::new();
-        for [_, _, c] in self.matching(None, Some(self.wk.rdf_type), None) {
-            if c != self.wk.rdfs_class && c != self.wk.rdf_property {
-                out.insert(c);
-            }
-        }
-        for [s, _, _] in self.matching(None, Some(self.wk.rdf_type), Some(self.wk.rdfs_class)) {
-            out.insert(s);
-        }
-        for [s, _, o] in self.matching(None, Some(self.wk.rdfs_subclassof), None) {
+        let wk = self.wk;
+        let mut out: BTreeSet<TermId> = [&self.explicit, &self.inferred]
+            .into_iter()
+            .flat_map(|layer| layer.pos_keys(Some(wk.rdf_type)))
+            .collect();
+        out.extend(self.subjects_for_po(wk.rdf_type, wk.rdfs_class));
+        for [s, _, o] in self.matching(None, Some(wk.rdfs_subclassof), None) {
             out.insert(s);
             out.insert(o);
         }
-        // instances themselves are not classes; drop anything that is typed
-        // *and* never used as a class
-        let used_as_class: BTreeSet<TermId> = self
-            .matching(None, Some(self.wk.rdf_type), None)
-            .map(|[_, _, c]| c)
-            .chain(
-                self.matching(None, Some(self.wk.rdfs_subclassof), None)
-                    .flat_map(|[s, _, o]| [s, o]),
-            )
-            .chain(
-                self.matching(None, Some(self.wk.rdf_type), Some(self.wk.rdfs_class))
-                    .map(|[s, _, _]| s),
-            )
-            .collect();
-        out.retain(|c| used_as_class.contains(c));
-        out.remove(&self.wk.rdfs_class);
-        out.remove(&self.wk.rdf_property);
+        out.remove(&wk.rdfs_class);
+        out.remove(&wk.rdf_property);
         out
     }
 
     /// All property ids: declared `rdf:Property`, used as a predicate of a
-    /// data triple, or appearing in `rdfs:subPropertyOf`.
+    /// data triple, or appearing in `rdfs:subPropertyOf`. The predicates
+    /// used are the distinct keys of the explicit POS permutation, found by
+    /// seeking past each predicate's run.
     pub fn properties(&self) -> BTreeSet<TermId> {
         let schema = [
             self.wk.rdf_type,
@@ -712,15 +694,13 @@ impl Store {
             self.wk.rdfs_domain,
             self.wk.rdfs_range,
         ];
-        let mut out = BTreeSet::new();
-        for [_, p, _] in self.explicit.iter() {
-            if !schema.contains(&p) {
-                out.insert(p);
-            }
-        }
-        for [s, _, _] in self.matching(None, Some(self.wk.rdf_type), Some(self.wk.rdf_property)) {
-            out.insert(s);
-        }
+        let mut out: BTreeSet<TermId> = self
+            .explicit
+            .pos_keys(None)
+            .into_iter()
+            .filter(|p| !schema.contains(p))
+            .collect();
+        out.extend(self.subjects_for_po(self.wk.rdf_type, self.wk.rdf_property));
         for [s, _, o] in self.matching(None, Some(self.wk.rdfs_subpropertyof), None) {
             out.insert(s);
             out.insert(o);
@@ -1058,6 +1038,151 @@ mod tests {
         }
         assert_eq!(store.edge_counts(p, CountKey::Object, None), oracle(CountKey::Object, None));
         assert_eq!(store.edge_counts(p, CountKey::Subject, None), oracle(CountKey::Subject, None));
+    }
+
+    /// The scan definitions of the class and property sets the seek-based
+    /// [`Store::classes`] and [`Store::properties`] replaced, kept as their
+    /// reference.
+    fn classes_by_scan(store: &Store) -> BTreeSet<TermId> {
+        let wk = store.wk;
+        let mut out = BTreeSet::new();
+        for [_, _, c] in store.matching(None, Some(wk.rdf_type), None) {
+            if c != wk.rdfs_class && c != wk.rdf_property {
+                out.insert(c);
+            }
+        }
+        for [s, _, _] in store.matching(None, Some(wk.rdf_type), Some(wk.rdfs_class)) {
+            out.insert(s);
+        }
+        for [s, _, o] in store.matching(None, Some(wk.rdfs_subclassof), None) {
+            out.insert(s);
+            out.insert(o);
+        }
+        out.remove(&wk.rdfs_class);
+        out.remove(&wk.rdf_property);
+        out
+    }
+
+    fn properties_by_scan(store: &Store) -> BTreeSet<TermId> {
+        let wk = store.wk;
+        let schema =
+            [wk.rdf_type, wk.rdfs_subclassof, wk.rdfs_subpropertyof, wk.rdfs_domain, wk.rdfs_range];
+        let mut out = BTreeSet::new();
+        for [_, p, _] in store.iter_explicit() {
+            if !schema.contains(&p) {
+                out.insert(p);
+            }
+        }
+        for [s, _, _] in store.matching(None, Some(wk.rdf_type), Some(wk.rdf_property)) {
+            out.insert(s);
+        }
+        for [s, _, o] in store.matching(None, Some(wk.rdfs_subpropertyof), None) {
+            out.insert(s);
+            out.insert(o);
+        }
+        out
+    }
+
+    /// `run_len` equals `matching().count()` for all eight pattern shapes —
+    /// every shape of a sample of stored triples, and of random ids, most of
+    /// them absent — and the class and property sets equal their scan
+    /// definitions.
+    fn assert_counts_exact(store: &Store, rng: &mut rdfa_prng::StdRng, what: &str) {
+        let stored: Vec<IdTriple> = store.matching(None, None, None).collect();
+        let space = store.term_count() as u32 + 2;
+        let mut samples: Vec<IdTriple> = stored.iter().step_by(stored.len() / 100 + 1).copied().collect();
+        samples.extend((0..60).map(|_| [0; 3].map(|_: u8| TermId(rng.gen_range(0..space)))));
+        assert_eq!(store.run_len(None, None, None), stored.len(), "{what}: all");
+        for t in samples {
+            for mask in 1..8u32 {
+                let part = |i: usize| (mask & (1 << i) != 0).then_some(t[i]);
+                let (s, p, o) = (part(0), part(1), part(2));
+                assert_eq!(
+                    store.run_len(s, p, o),
+                    store.matching(s, p, o).count(),
+                    "{what}: ({s:?}, {p:?}, {o:?})"
+                );
+            }
+        }
+        assert_eq!(store.classes(), classes_by_scan(store), "{what}: classes");
+        assert_eq!(store.properties(), properties_by_scan(store), "{what}: properties");
+    }
+
+    /// Property: over random stores with a class and property hierarchy,
+    /// run lengths and the schema sets are exact in memory and over
+    /// reopened segments carrying overlay adds and tombstones — among them
+    /// one class's whole explicit instance run and one predicate's whole
+    /// base run, so seeks land on deleted heads.
+    #[test]
+    fn run_len_and_schema_are_exact_on_both_backings() {
+        use crate::persist::{FsyncPolicy, PersistConfig, PersistentStore};
+        use rdfa_prng::StdRng;
+        for case in 0u64..6 {
+            let mut rng = StdRng::seed_from_u64(0x4a11_0000 + case);
+            let mut mem = Store::new();
+            let wk = mem.well_known();
+            let mut iris = |name: &str, n: usize| -> Vec<TermId> {
+                (0..n).map(|i| mem.intern_iri(&format!("http://e/{name}{i}"))).collect()
+            };
+            let (classes, props) = (iris("C", 8), iris("p", 5));
+            let n_entities = [40usize, 600, 2500][case as usize % 3];
+            let entities: Vec<TermId> =
+                (0..n_entities).map(|i| mem.intern_iri(&format!("http://e/e{i}"))).collect();
+            for i in 1..classes.len() {
+                if rng.gen_bool(0.6) {
+                    mem.insert_ids([classes[i], wk.rdfs_subclassof, classes[rng.gen_range(0..i)]]);
+                }
+            }
+            mem.insert_ids([classes[7], wk.rdf_type, wk.rdfs_class]);
+            mem.insert_ids([props[1], wk.rdfs_subpropertyof, props[0]]);
+            mem.insert_ids([props[4], wk.rdf_type, wk.rdf_property]);
+            for &e in &entities {
+                mem.insert_ids([e, wk.rdf_type, classes[rng.gen_range(0..7usize)]]);
+                for &p in &props[..4] {
+                    for _ in 0..rng.gen_range(0..3) {
+                        let o = entities[rng.gen_range(0..entities.len())];
+                        mem.insert_ids([e, p, o]);
+                    }
+                }
+            }
+            mem.materialize_inference();
+            assert_counts_exact(&mem, &mut rng, &format!("case {case} in memory"));
+
+            let dir = std::env::temp_dir().join(format!("rdfa-runlen-{}-{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = || PersistConfig { fsync: FsyncPolicy::Never, ..PersistConfig::default() };
+            let mut durable = PersistentStore::open(&dir, config()).unwrap();
+            *durable.store_mut_unlogged() = mem.clone();
+            durable.checkpoint().unwrap();
+            drop(durable);
+            let (mut seg, _journal, _recovery) =
+                PersistentStore::open(&dir, config()).unwrap().into_parts();
+            assert!(seg.segment_stats().segments > 0, "case {case}: segment-backed");
+            assert_counts_exact(&seg, &mut rng, &format!("case {case} segments"));
+
+            // overlay: one class's explicit instances and one predicate's
+            // whole run tombstoned, random removes, and fresh adds
+            let gone_class = classes[rng.gen_range(0..7usize)];
+            let gone_prop = props[rng.gen_range(0..4usize)];
+            let mut dead: Vec<IdTriple> =
+                seg.matching_explicit(None, Some(wk.rdf_type), Some(gone_class)).collect();
+            dead.extend(seg.matching_explicit(None, Some(gone_prop), None));
+            dead.extend(seg.iter_explicit().filter(|_| rng.gen_bool(0.05)));
+            for t in dead {
+                seg.remove_ids(t);
+            }
+            for _ in 0..n_entities / 4 {
+                let e = entities[rng.gen_range(0..n_entities)];
+                let o = entities[rng.gen_range(0..n_entities)];
+                seg.insert_ids([e, props[rng.gen_range(0..4usize)], o]);
+                seg.insert_ids([e, wk.rdf_type, classes[rng.gen_range(0..7usize)]]);
+            }
+            assert!(seg.segment_stats().overlay_dels > 0 && seg.segment_stats().overlay_adds > 0);
+            assert_counts_exact(&seg, &mut rng, &format!("case {case} segments + overlay, stale closure"));
+            seg.refresh_inference();
+            assert_counts_exact(&seg, &mut rng, &format!("case {case} segments + overlay"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A row-at-a-time, term-space evaluator of the SPARQL algebra that
 //! `rdfa-sparql` parses: bindings are rows of [`Bound`] slots indexed by a
 //! per-query [`Frame`], basic graph patterns run as index nested-loop joins
-//! in a greedy selectivity order (capped-count estimates), and every nested
+//! in a greedy selectivity order (exact run-length estimates), and every nested
 //! construct (`OPTIONAL`, `UNION`, `MINUS`, sub-`SELECT`, `EXISTS`, property
 //! paths) is evaluated bottom-up exactly as the algebra reads.
 //!
@@ -439,8 +439,7 @@ impl<'s> Evaluator<'s> {
             PathOrVar::Path(_) => return 1000.0,
             PathOrVar::Var(_) => None,
         };
-        // cap the scan so estimation stays cheap on huge stores
-        self.store.count_matching(s, p, o, 10_000) as f64
+        self.store.run_len(s, p, o) as f64
     }
 
     fn match_triple(

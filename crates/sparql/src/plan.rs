@@ -63,8 +63,8 @@ fn batch_row_cost(width: usize) -> u64 {
 
 /// Fewest bound-subject rows for which a join step considers scanning its
 /// pattern instead of probing per row: below one morsel the probes cost
-/// under a millisecond, and the side's fixed costs (the capped run count,
-/// the offsets array over the run's subject id span) would not pay back.
+/// under a millisecond, and the side's fixed cost (the offsets array over
+/// the run's subject id span) would not pay back.
 const SCAN_MIN_PROBES: usize = MORSEL_ROWS;
 
 // ---- plan structure --------------------------------------------------------
@@ -697,8 +697,8 @@ fn plan_order(
     order
 }
 
-/// Static cardinality estimate for one pattern (constants only), a capped
-/// [`Store::count_matching`].
+/// Static cardinality estimate for one pattern (constants only): the exact
+/// [`Store::run_len`] of its constants, read off the index by position.
 pub(crate) fn estimate_pattern(store: &Store, tp: &TriplePattern) -> f64 {
     let s = match &tp.subject {
         TermPattern::Term(t) => match store.lookup(t) {
@@ -722,7 +722,7 @@ pub(crate) fn estimate_pattern(store: &Store, tp: &TriplePattern) -> f64 {
         PathOrVar::Path(_) => return 1000.0, // complex path: moderately expensive
         PathOrVar::Var(_) => None,
     };
-    store.count_matching(s, p, o, 10_000) as f64
+    store.run_len(s, p, o) as f64
 }
 
 fn fmt_pattern(tp: &TriplePattern) -> String {

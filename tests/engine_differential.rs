@@ -305,6 +305,66 @@ fn corpus_on_big_store_agrees_in_memory_and_over_mmap() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The explained plan's first step — the first operator line, looking
+/// inside a `Union` or `SubSelect` — when it is an `IndexJoin` reading its
+/// pattern from the seed row with no variable repeated (a repeated one, as
+/// in `?x p ?x`, filters the run): its `est=` and `rows=` fields.
+fn first_step_est_and_rows(explain: &str) -> Option<(u64, u64)> {
+    let line = explain
+        .lines()
+        .skip_while(|l| !l.starts_with("physical plan:"))
+        .skip(1)
+        .map(str::trim)
+        .find(|l| !l.starts_with("Union") && !l.starts_with("SubSelect"))?;
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let [kind, s, _, o, ..] = words[..] else { return None };
+    if kind != "IndexJoin" || (s.starts_with('?') && s == o) {
+        return None;
+    }
+    let field = |key: &str| words.iter().find_map(|w| w.strip_prefix(key)).map(|v| v.parse().unwrap());
+    Some((field("est=")?, field("rows=")?))
+}
+
+/// Estimates are exact run lengths ([`Store::run_len`]): on the big store
+/// every corpus query's first join step estimates exactly the rows it
+/// reads, in memory and over mmap — runs of more than 10,000 triples
+/// included — and a star BGP drives from its shortest run. Here that is the
+/// `producer` run (12,000 edges, all inferred), shorter than the `rdf:type`
+/// run, and the answers still agree with the oracle.
+#[test]
+fn estimates_are_exact_run_lengths_on_the_big_store() {
+    let graph = big_graph();
+    let mem = big_store();
+    let (dir, seg) = mmap_store("big-estimates", &graph);
+    let star = format!(
+        "PREFIX ex: <{EX}> SELECT ?k (COUNT(*) AS ?n) WHERE {{ ?x a ?k ; ex:producer ?m . }} GROUP BY ?k"
+    );
+    for (s, backing) in [(&mem, "memory"), (&seg, "mmap")] {
+        let mut checked = 0;
+        for (i, q) in CORPUS.iter().enumerate() {
+            let q = format!("PREFIX ex: <{EX}> {q}");
+            let prepared = Engine::builder(s).build().prepare(&q).unwrap();
+            prepared.execute().unwrap();
+            let text = prepared.explain();
+            if let Some((est, rows)) = first_step_est_and_rows(&text) {
+                assert_eq!(est, rows, "{backing} corpus[{i}]: estimate is not the run length
+{text}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 40, "{backing}: only {checked} first steps read from the seed row");
+        check(s, &star, &format!("{backing} star"));
+        let prepared = Engine::builder(s).build().prepare(&star).unwrap();
+        prepared.execute().unwrap();
+        let text = prepared.explain();
+        let first = text.lines().nth(1).unwrap_or_default();
+        assert!(first.contains("IndexJoin ?x producer ?m est=12000 rows=12000"), "{backing}: {text}");
+        let rdf_type = s.lookup_iri(vocab::rdf::TYPE);
+        assert!(s.run_len(None, rdf_type, None) > 12_000, "{backing}: the type run is the longer one");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Seeded random GROUP BY queries: random grouping key, random aggregate,
 /// random filter threshold. Shapes the harness can't enumerate by hand.
 #[test]
@@ -637,3 +697,4 @@ fn scan_side_build_is_charged_to_the_memory_budget() {
         SparqlError::ResourceLimit { kind: LimitKind::MemoryBytes, limit: probe_bytes }
     );
 }
+

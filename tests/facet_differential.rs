@@ -341,6 +341,59 @@ fn markers_byte_identical_over_mmap_segments() {
     }
 }
 
+/// The panels of `explore_*`'s `F0` (every subject) and `F1` over a
+/// 200-entity class, on a 4,000-product store in memory and reopened from
+/// mmap segments: the first extension scans the `rdf:type` run and every
+/// large predicate's run, the second seeks into them per entity
+/// ([`Store::prefer_seek`]). Both sides of that crossover must reproduce the
+/// seed kernels.
+#[test]
+fn markers_match_reference_on_both_sides_of_the_crossover() {
+    use rdf_analytics::datagen::{ProductsGenerator, EX};
+    use rdf_analytics::facets::State;
+    use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistentStore};
+    let graph = ProductsGenerator { n_companies: 200, ..ProductsGenerator::new(4000, 5) }.generate();
+    let mut mem = Store::new();
+    mem.load_graph(&graph);
+    let dir = std::env::temp_dir().join(format!("rdfa-facet-crossover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || PersistConfig { fsync: FsyncPolicy::Never, ..PersistConfig::default() };
+    let mut p = PersistentStore::open(&dir, config()).unwrap();
+    p.load_graph(&graph).unwrap();
+    p.materialize_inference();
+    p.checkpoint().unwrap();
+    drop(p);
+    let (seg, _journal, _recovery) = PersistentStore::open(&dir, config()).unwrap().into_parts();
+    assert!(seg.segment_stats().segments > 0, "the reopened store must be segment-backed");
+
+    for (store, backing) in [(&mem, "memory"), (&seg, "mmap")] {
+        let rdf_type = store.well_known().rdf_type;
+        let company = store.lookup_iri(&format!("{EX}Company")).unwrap();
+        let panels = [
+            ("F0", State::initial(store).ext, false),
+            ("Company", store.instances_set(company), true),
+        ];
+        for (name, ext, seeks) in panels {
+            let seek = store.prefer_seek(ext.len(), rdf_type, None);
+            assert_eq!(seek, seeks, "{backing} {name}: crossover side");
+            let oracle = ext.to_btree_set();
+            let opts = FacetOptions::default();
+            assert_eq!(
+                markers::class_markers_opts(store, &ext, opts.clone()).unwrap(),
+                markers::reference::class_markers(store, &oracle),
+                "{backing} {name}: class markers"
+            );
+            assert_eq!(
+                markers::property_facets_opts(store, &ext, opts).unwrap(),
+                markers::reference::property_facets(store, &oracle),
+                "{backing} {name}: property facets"
+            );
+        }
+        assert_eq!(store.instances_set(company).len(), 200, "{backing}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // 5. cache invalidation through SPARQL updates
 // ---------------------------------------------------------------------------
