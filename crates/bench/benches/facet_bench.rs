@@ -2,7 +2,7 @@
 //! the left frame — class markers plus property facets with counts — for
 //! one state, comparing
 //!
-//! 1. the seed `BTreeSet` path (`markers::reference`),
+//! 1. the seed `BTreeSet` path (`rdfa_oracle::facets`),
 //! 2. the sorted-dense merge-join path, one thread,
 //! 3. the same path answered from a warm generation-keyed [`FacetCache`].
 //!
@@ -16,7 +16,9 @@
 
 use rdfa_datagen::{ProductsGenerator, EX};
 use rdfa_facets::{markers, FacetCache, FacetOptions};
-use rdfa_store::Store;
+use rdfa_oracle::facets as reference;
+use rdfa_store::{Store, TermId};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Median wall-clock seconds over `reps` runs of `f`.
@@ -45,15 +47,14 @@ fn bench_scale(n_products: usize, reps: usize) -> ScaleResult {
     let mut store = Store::new();
     store.load_graph(&ProductsGenerator::new(n_products, 1).generate());
     let laptop = store.lookup_iri(&format!("{EX}Laptop")).unwrap();
-    let ext_ref = store.instances(laptop);
     let ext = store.instances_set(laptop);
-    assert_eq!(ext.to_btree_set(), ext_ref);
+    let ext_ref: BTreeSet<TermId> = ext.iter().collect();
     let opts = FacetOptions::default();
 
     // correctness gate: the merge-join path must reproduce the seed
     // implementation byte-identically
-    let classes_ref = markers::reference::class_markers(&store, &ext_ref);
-    let facets_ref = markers::reference::property_facets(&store, &ext_ref);
+    let classes_ref = reference::class_markers(&store, &ext_ref);
+    let facets_ref = reference::property_facets(&store, &ext_ref);
     let classes_new = markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();
     let facets_new = markers::property_facets_opts(&store, &ext, opts.clone()).unwrap();
     assert_eq!(classes_ref, classes_new, "class markers diverged from seed");
@@ -62,21 +63,21 @@ fn bench_scale(n_products: usize, reps: usize) -> ScaleResult {
     let small = store.instances_set(company);
     let rdf_type = store.well_known().rdf_type;
     assert!(store.prefer_seek(small.len(), rdf_type, None), "the Company panel must seek");
-    let small_ref = small.to_btree_set();
+    let small_ref: BTreeSet<TermId> = small.iter().collect();
     assert_eq!(
         markers::class_markers_opts(&store, &small, opts.clone()).unwrap(),
-        markers::reference::class_markers(&store, &small_ref),
+        reference::class_markers(&store, &small_ref),
         "small-class class markers diverged from seed"
     );
     assert_eq!(
         markers::property_facets_opts(&store, &small, opts.clone()).unwrap(),
-        markers::reference::property_facets(&store, &small_ref),
+        reference::property_facets(&store, &small_ref),
         "small-class property facets diverged from seed"
     );
 
     let reference_secs = median_secs(reps, || {
-        markers::reference::class_markers(&store, &ext_ref);
-        markers::reference::property_facets(&store, &ext_ref);
+        reference::class_markers(&store, &ext_ref);
+        reference::property_facets(&store, &ext_ref);
     });
     let merge_join_secs = median_secs(reps, || {
         markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();

@@ -9,11 +9,12 @@
 //!    heap-allocated `Term`s, a `HashMap<Term, TermId>` interner that clones
 //!    every new term twice, and per-triple `BTreeSet` inserts. This is the
 //!    pinned baseline: the PR also rebuilt the lexer and interner that the
-//!    *in-tree* per-triple loader now shares, so timing only the in-tree
+//!    per-triple loader now shares, so timing only the in-tree
 //!    path would understate the end-to-end change at the load sites.
-//! 2. `per_triple`: today's in-tree `Store::load_ntriples` (seed algorithm,
-//!    but running on this PR's lexer and id-keyed interner) — isolates how
-//!    much of the win comes from shared-component rework alone.
+//! 2. `per_triple`: the seed algorithm as the `rdfa-oracle` crate keeps it
+//!    (`rdfa_oracle::ingest::load_ntriples`), running on this PR's lexer and
+//!    id-keyed interner — isolates how much of the win comes from
+//!    shared-component rework alone.
 //! 3. `bulk x1`: the bulk pipeline pinned to one worker thread (isolating
 //!    the algorithmic wins: zero-copy lexing, dedup-once interning, sorted
 //!    bulk index construction).
@@ -28,6 +29,7 @@
 
 use rdfa_datagen::ProductsGenerator;
 use rdfa_model::ntriples;
+use rdfa_oracle::ingest as per_triple;
 use rdfa_store::{LoadOptions, Store, TermId};
 use std::time::Instant;
 
@@ -241,7 +243,7 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
 
     // correctness gate: every contender must produce the same store
     let mut reference = Store::new();
-    let n = reference.load_ntriples(&text).expect("per-triple load");
+    let n = per_triple::load_ntriples(&mut reference, &text).expect("per-triple load");
     let mut baseline = seed_path::SeedStore::new();
     assert_eq!(baseline.load_ntriples(&text), n, "baseline triple count");
     assert_baseline_matches(&baseline, &reference);
@@ -268,7 +270,7 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
         }));
         per_triple_samples.push(time_one(|| {
             let mut s = Store::new();
-            s.load_ntriples(&text).unwrap();
+            per_triple::load_ntriples(&mut s, &text).unwrap();
             s
         }));
         bulk1_samples.push(time_one(|| {

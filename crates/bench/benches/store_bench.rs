@@ -63,7 +63,7 @@ fn bench_inference_ablation(c: &mut Criterion) {
         let mut store = Store::new();
         store.load_graph(&graph);
         let product = store.lookup_iri(&format!("{EX}Product")).unwrap();
-        b.iter(|| black_box(store.instances(product).len()))
+        b.iter(|| black_box(store.instances_set(product).len()))
     });
     group.finish();
 }

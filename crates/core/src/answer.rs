@@ -21,12 +21,8 @@ pub struct AnswerFrame {
     pub rows: Vec<Vec<Option<Term>>>,
     /// The HIFUN expression of the query (for display, §5.1).
     pub hifun: String,
-    /// The SPARQL translation, when the translated strategy produced it.
-    pub sparql: Option<String>,
-    /// Set when the answer was not produced by the requested strategy —
-    /// e.g. the SPARQL translation hit a resource limit and the session
-    /// degraded to direct HIFUN evaluation. Holds the reason.
-    pub fallback: Option<String>,
+    /// The SPARQL translation that produced the answer.
+    pub sparql: String,
 }
 
 impl AnswerFrame {
@@ -35,16 +31,10 @@ impl AnswerFrame {
         headers: Vec<String>,
         solutions: Solutions,
         hifun: String,
-        sparql: Option<String>,
+        sparql: String,
     ) -> Self {
         debug_assert_eq!(headers.len(), solutions.vars().len());
-        AnswerFrame { headers, rows: solutions.into_rows(), hifun, sparql, fallback: None }
-    }
-
-    /// Record that this answer came from a degraded evaluation path.
-    pub fn with_fallback(mut self, reason: impl Into<String>) -> Self {
-        self.fallback = Some(reason.into());
-        self
+        AnswerFrame { headers, rows: solutions.into_rows(), hifun, sparql }
     }
 
     /// Number of answer rows.
@@ -268,8 +258,7 @@ mod tests {
                 ],
             ],
             hifun: "(manufacturer ⊗ year∘releaseDate, price, AVG)".into(),
-            sparql: None,
-            fallback: None,
+            sparql: String::new(),
         }
     }
 
@@ -288,7 +277,7 @@ mod tests {
         // 3 rows × (3 value triples + 1 type triple)
         assert_eq!(store.len(), 12);
         let row_class = store.lookup_iri(AF_ROW_CLASS).unwrap();
-        assert_eq!(store.instances(row_class).len(), 3);
+        assert_eq!(store.instances_set(row_class).len(), 3);
     }
 
     #[test]
@@ -332,7 +321,7 @@ mod tests {
         let store = f.persist_as_dataset(&dir).unwrap();
         assert_eq!(store.len(), 12);
         let row_class = store.lookup_iri(AF_ROW_CLASS).unwrap();
-        assert_eq!(store.instances(row_class).len(), 3);
+        assert_eq!(store.instances_set(row_class).len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

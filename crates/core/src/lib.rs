@@ -16,9 +16,10 @@
 //! - **OLAP operators** (Chapter 7) — roll-up, drill-down, slice, dice,
 //!   pivot — are derived moves over the same state.
 //!
-//! Two interchangeable evaluation strategies implement a state's analytic
-//! intention (the comparison of Fig 8.3): translating the HIFUN query to
-//! SPARQL and running the engine, or evaluating HIFUN directly.
+//! A state's analytic intention is answered one way: its HIFUN query is
+//! translated to SPARQL and run by the engine (Fig 6.1). Direct HIFUN
+//! evaluation (`rdfa_hifun::direct`) is the reference semantics the
+//! translation is checked against (Prop. 2), not a second engine.
 //!
 //! ```
 //! use rdfa_store::Store;
@@ -57,7 +58,7 @@ pub use expressive::{check_expressibility, Expressibility, InexpressibleReason};
 pub use olap::OlapOp;
 pub use script::{Action, Script};
 pub use transform::{Transform, Transformed};
-pub use session::{AnalyticsSession, EvalStrategy, GroupSpec, MeasureSpec};
+pub use session::{AnalyticsSession, GroupSpec, MeasureSpec};
 
 /// Errors from the analytics layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

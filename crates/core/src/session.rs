@@ -4,22 +4,10 @@ use crate::answer::AnswerFrame;
 use crate::AnalyticsError;
 use rdfa_facets::{Constraint, FacetedSession, PathStep};
 use rdfa_hifun::query::{ResultRestriction, RestrictedPath};
-use rdfa_hifun::{direct, translate, AggOp, AttrPath, CondOp, DerivedFn, HifunQuery, Restriction, Step};
+use rdfa_hifun::{translate, AggOp, AttrPath, CondOp, DerivedFn, HifunQuery, Restriction, Step};
 use rdfa_model::{Term, Value};
 use rdfa_sparql::{Engine, EvalLimits};
-use rdfa_store::{Store, TermId};
-
-/// How a state's analytic intention is computed (the two implementations
-/// compared in Fig 8.3 / experiment E5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalStrategy {
-    /// Translate the HIFUN query to SPARQL and run the engine (the system's
-    /// architecture, Fig 6.1).
-    #[default]
-    TranslatedSparql,
-    /// Evaluate HIFUN's grouping → measuring → reduction directly.
-    DirectHifun,
-}
+use rdfa_store::{ExtSet, Store, TermId};
 
 /// A grouping attribute selected with the G button: a (forward) property
 /// path from the focus resources, optionally ending in a derived function
@@ -77,7 +65,6 @@ pub struct AnalyticsSession<'s> {
     measure: Option<MeasureSpec>,
     ops: Vec<AggOp>,
     havings: Vec<(usize, CondOp, Term)>,
-    strategy: EvalStrategy,
     limits: EvalLimits,
     views: Option<std::sync::Arc<dyn rdfa_sparql::ViewCatalog>>,
     /// Click log, exportable as a replayable [`crate::Script`].
@@ -87,39 +74,26 @@ pub struct AnalyticsSession<'s> {
 impl<'s> AnalyticsSession<'s> {
     /// Start a session over a store.
     pub fn start(store: &'s Store) -> Self {
-        AnalyticsSession {
-            facets: FacetedSession::start(store),
-            groupings: Vec::new(),
-            measure: None,
-            ops: Vec::new(),
-            havings: Vec::new(),
-            strategy: EvalStrategy::default(),
-            limits: EvalLimits::default(),
-            views: None,
-            log: Vec::new(),
-        }
+        AnalyticsSession::over(FacetedSession::start(store))
     }
 
     /// Start from an externally obtained result set — e.g. a keyword
     /// search's hits (§5.4.1's second starting point).
-    pub fn start_from(store: &'s Store, results: std::collections::BTreeSet<TermId>) -> Self {
+    pub fn start_from(store: &'s Store, results: ExtSet) -> Self {
+        AnalyticsSession::over(FacetedSession::start_from(store, results))
+    }
+
+    fn over(facets: FacetedSession<'s>) -> Self {
         AnalyticsSession {
-            facets: FacetedSession::start_from(store, results),
+            facets,
             groupings: Vec::new(),
             measure: None,
             ops: Vec::new(),
             havings: Vec::new(),
-            strategy: EvalStrategy::default(),
             limits: EvalLimits::default(),
             views: None,
             log: Vec::new(),
         }
-    }
-
-    /// Choose the evaluation strategy (E5 ablation).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Share a marker cache with other sessions over the same store; makes
@@ -129,9 +103,8 @@ impl<'s> AnalyticsSession<'s> {
         self
     }
 
-    /// Bound the resources [`run`](Self::run) may spend on the SPARQL
-    /// strategy. When a limit trips, the session degrades to direct HIFUN
-    /// evaluation and records the fallback in the answer's provenance.
+    /// Bound the resources [`run`](Self::run) may spend. A tripped limit is
+    /// an error, as it is a 503 on the server.
     pub fn with_limits(mut self, limits: EvalLimits) -> Self {
         self.limits = limits;
         self
@@ -199,7 +172,7 @@ impl<'s> AnalyticsSession<'s> {
     pub fn select_values(
         &mut self,
         prop: TermId,
-        values: &std::collections::BTreeSet<TermId>,
+        values: &ExtSet,
     ) -> Result<(), AnalyticsError> {
         Ok(self.facets.select_values(prop, values)?)
     }
@@ -352,7 +325,7 @@ impl<'s> AnalyticsSession<'s> {
             .map(str::to_owned)
             .unwrap_or_default();
         let ctx = rdfa_hifun::AnalysisContext::over_set(
-            self.facets.extension().to_btree_set(),
+            self.facets.extension().clone(),
             vec![AttrPath::prop(iri)],
         );
         ctx.check_applicability(store)
@@ -411,7 +384,7 @@ impl<'s> AnalyticsSession<'s> {
             // a session started from external results carries its seed set
             if let Some(seed) = &intent.seed {
                 q.root.among =
-                    Some(seed.iter().map(|&id| store.term(id).clone()).collect());
+                    Some(seed.iter().map(|id| store.term(id).clone()).collect());
             }
         } else {
             q.root.among = Some(
@@ -438,46 +411,22 @@ impl<'s> AnalyticsSession<'s> {
         Ok(translate::to_sparql(&self.hifun_query()?))
     }
 
-    /// Evaluate the analytic intention, producing the Answer Frame.
-    ///
-    /// Under the `TranslatedSparql` strategy the engine runs with this
-    /// session's [`EvalLimits`]; if a limit trips, the session degrades
-    /// gracefully to the direct functional evaluator instead of failing,
-    /// and the answer's `fallback` field records why.
+    /// Evaluate the analytic intention, producing the Answer Frame: the
+    /// HIFUN query is translated to SPARQL and run by the engine under this
+    /// session's [`EvalLimits`] (Fig 6.1). A tripped limit is an error.
     pub fn run(&self) -> Result<AnswerFrame, AnalyticsError> {
         let q = self.hifun_query()?;
-        let store = self.store();
-        let headers = self.headers(&q);
-        match self.strategy {
-            EvalStrategy::TranslatedSparql => {
-                let text = translate::to_sparql(&q);
-                let mut builder = Engine::builder(store).limits(self.limits.clone());
-                if let Some(views) = &self.views {
-                    builder = builder.views(views.clone());
-                }
-                match builder.build().run(&text) {
-                    Ok(results) => {
-                        let sols = results.into_solutions().ok_or_else(|| {
-                            AnalyticsError::new("translated query was not a SELECT")
-                        })?;
-                        Ok(AnswerFrame::from_solutions(headers, sols, q.to_string(), Some(text)))
-                    }
-                    Err(e) if e.is_resource_limit() => {
-                        let sols = direct::evaluate(store, &q)?;
-                        Ok(AnswerFrame::from_solutions(headers, sols, q.to_string(), None)
-                            .with_fallback(format!(
-                                "SPARQL strategy aborted ({}); fell back to direct HIFUN evaluation",
-                                e.message()
-                            )))
-                    }
-                    Err(e) => Err(e.into()),
-                }
-            }
-            EvalStrategy::DirectHifun => {
-                let sols = direct::evaluate(store, &q)?;
-                Ok(AnswerFrame::from_solutions(headers, sols, q.to_string(), None))
-            }
+        let text = translate::to_sparql(&q);
+        let mut builder = Engine::builder(self.store()).limits(self.limits.clone());
+        if let Some(views) = &self.views {
+            builder = builder.views(views.clone());
         }
+        let sols = builder
+            .build()
+            .run(&text)?
+            .into_solutions()
+            .ok_or_else(|| AnalyticsError::new("translated query was not a SELECT"))?;
+        Ok(AnswerFrame::from_solutions(self.headers(&q), sols, q.to_string(), text))
     }
 
     fn headers(&self, q: &HifunQuery) -> Vec<String> {
@@ -708,19 +657,42 @@ mod tests {
         assert!(row_value(&frame, "2021", 1).unwrap().value_eq(&Value::Int(2)));
     }
 
-    #[test]
-    fn both_strategies_agree() {
-        let s = store();
-        for strategy in [EvalStrategy::TranslatedSparql, EvalStrategy::DirectHifun] {
-            let mut a = AnalyticsSession::start(&s).with_strategy(strategy);
-            a.select_class(id(&s, "Laptop")).unwrap();
-            a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
-            a.set_measure(MeasureSpec::property(id(&s, "price")));
-            a.set_ops(vec![AggOp::Sum]);
-            let frame = a.run().unwrap();
-            assert!(row_value(&frame, "DELL", 1).unwrap().value_eq(&Value::Int(1900)));
-            assert!(row_value(&frame, "ACER", 1).unwrap().value_eq(&Value::Int(820)));
+    /// The session's answer equals direct HIFUN evaluation of its query,
+    /// rows compared as sorted lists of numeric values or display names.
+    fn assert_agrees_with_direct(s: &Store, a: &AnalyticsSession) {
+        fn canonical(rows: Vec<Vec<Option<Term>>>) -> Vec<Vec<String>> {
+            let mut out: Vec<Vec<String>> = rows
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|cell| match cell.as_ref().map(|t| (Value::from_term(t).as_f64(), t)) {
+                            None => "∅".to_owned(),
+                            Some((Some(f), _)) => format!("{f:.6}"),
+                            Some((None, t)) => t.display_name(),
+                        })
+                        .collect()
+                })
+                .collect();
+            out.sort();
+            out
         }
+        let frame = a.run().unwrap();
+        let direct = rdfa_hifun::direct::evaluate(s, &a.hifun_query().unwrap()).unwrap();
+        assert_eq!(canonical(frame.rows), canonical(direct.into_rows()));
+    }
+
+    #[test]
+    fn run_agrees_with_direct_evaluation() {
+        let s = store();
+        let mut a = AnalyticsSession::start(&s);
+        a.select_class(id(&s, "Laptop")).unwrap();
+        a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
+        a.set_measure(MeasureSpec::property(id(&s, "price")));
+        a.set_ops(vec![AggOp::Sum]);
+        let frame = a.run().unwrap();
+        assert!(row_value(&frame, "DELL", 1).unwrap().value_eq(&Value::Int(1900)));
+        assert!(row_value(&frame, "ACER", 1).unwrap().value_eq(&Value::Int(820)));
+        assert_agrees_with_direct(&s, &a);
     }
 
     #[test]
@@ -775,8 +747,7 @@ mod tests {
         let s = store();
         let mut a = AnalyticsSession::start(&s);
         a.select_class(id(&s, "Laptop")).unwrap();
-        let both: std::collections::BTreeSet<TermId> =
-            [id(&s, "DELL"), id(&s, "ACER")].into_iter().collect();
+        let both: ExtSet = [id(&s, "DELL"), id(&s, "ACER")].into_iter().collect();
         a.select_values(id(&s, "manufacturer"), &both).unwrap();
         a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
         a.set_ops(vec![AggOp::Count]);
@@ -794,8 +765,7 @@ mod tests {
         // carry that seed into the analytic root (via VALUES), not fall back
         // to the whole KG
         let s = store();
-        let seed: std::collections::BTreeSet<TermId> =
-            [id(&s, "l1"), id(&s, "l3")].into_iter().collect();
+        let seed: ExtSet = [id(&s, "l1"), id(&s, "l3")].into_iter().collect();
         let mut a = AnalyticsSession::start_from(&s, seed);
         a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
         a.set_ops(vec![AggOp::Count]);
@@ -805,17 +775,12 @@ mod tests {
         assert!(row_value(&frame, "ACER", 1).unwrap().value_eq(&Value::Int(1)));
         // the generated SPARQL pins the seed
         assert!(a.sparql().unwrap().contains("VALUES ?x1"));
-        // and both strategies agree
-        let seed2: std::collections::BTreeSet<TermId> =
-            [id(&s, "l1"), id(&s, "l3")].into_iter().collect();
-        let mut d = AnalyticsSession::start_from(&s, seed2).with_strategy(EvalStrategy::DirectHifun);
-        d.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
-        d.set_ops(vec![AggOp::Count]);
-        assert_eq!(d.run().unwrap().rows.len(), 2);
+        // and the answer agrees with direct evaluation
+        assert_agrees_with_direct(&s, &a);
     }
 
     #[test]
-    fn resource_limit_degrades_to_direct_evaluation() {
+    fn resource_limit_is_an_error() {
         let s = store();
         // a 1-row budget the translated SPARQL query cannot fit into
         let mut a = AnalyticsSession::start(&s).with_limits(EvalLimits::default().with_max_rows(1));
@@ -823,23 +788,18 @@ mod tests {
         a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
         a.set_measure(MeasureSpec::property(id(&s, "price")));
         a.set_ops(vec![AggOp::Sum]);
-        let frame = a.run().unwrap();
-        // the answer is still correct — produced by the direct evaluator
-        assert!(row_value(&frame, "DELL", 1).unwrap().value_eq(&Value::Int(1900)));
-        let reason = frame.fallback.as_deref().expect("fallback must be recorded");
-        assert!(reason.contains("resource limit"), "{reason}");
-        assert!(reason.contains("direct HIFUN"), "{reason}");
-        assert!(frame.sparql.is_none(), "the SPARQL text did not produce this answer");
+        let err = a.run().expect_err("a tripped limit must not produce an answer");
+        assert!(err.message.contains("resource limit exceeded"), "{err}");
+        assert!(err.message.contains("limit 1"), "{err}");
 
-        // generous limits: the SPARQL strategy completes, no fallback
+        // generous limits: the translated query completes
         let mut b = AnalyticsSession::start(&s).with_limits(EvalLimits::interactive());
         b.select_class(id(&s, "Laptop")).unwrap();
         b.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
         b.set_measure(MeasureSpec::property(id(&s, "price")));
         b.set_ops(vec![AggOp::Sum]);
         let frame = b.run().unwrap();
-        assert!(frame.fallback.is_none());
-        assert!(frame.sparql.is_some());
+        assert!(frame.sparql.contains("GROUP BY"), "{}", frame.sparql);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 use rdfa_hifun::fco;
 use rdfa_hifun::{Applicability, AnalysisContext, AttrPath};
 use rdfa_model::Graph;
-use rdfa_store::{Store, TermId};
-use std::collections::BTreeSet;
+use rdfa_store::{ExtSet, Store};
 
 /// The transform menu: one entry per feature-creation operator of Table 4.1
 /// that the GUI offers on a facet.
@@ -49,7 +48,7 @@ pub struct Transformed {
 }
 
 /// Apply a transform over an extension (the current state's focus set).
-pub fn apply(store: &Store, extension: &BTreeSet<TermId>, transform: &Transform) -> Transformed {
+pub fn apply(store: &Store, extension: &ExtSet, transform: &Transform) -> Transformed {
     let graph: Graph = match transform {
         Transform::Value { property } => fco::fco1_value(store, property, extension),
         Transform::Exists { property } => fco::fco2_exists(store, property, extension),
@@ -75,7 +74,7 @@ pub fn apply(store: &Store, extension: &BTreeSet<TermId>, transform: &Transform)
 
 /// Suggest a repair for a non-functional attribute: the menu the GUI would
 /// preselect when the user presses ƒ on a problematic facet (§4.2.6).
-pub fn suggest(store: &Store, extension: &BTreeSet<TermId>, property: &str) -> Option<Transform> {
+pub fn suggest(store: &Store, extension: &ExtSet, property: &str) -> Option<Transform> {
     let ctx = AnalysisContext::over_set(extension.clone(), vec![AttrPath::prop(property)]);
     match ctx.check_applicability(store).pop()?.1 {
         Applicability::Functional => None,
@@ -110,8 +109,8 @@ mod tests {
         s
     }
 
-    fn companies(s: &Store) -> BTreeSet<TermId> {
-        s.instances(s.lookup_iri(&format!("{EX}Company")).unwrap())
+    fn companies(s: &Store) -> ExtSet {
+        s.instances_set(s.lookup_iri(&format!("{EX}Company")).unwrap())
     }
 
     #[test]
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn degree_transform_over_extension_only() {
         let s = store();
-        let two: BTreeSet<TermId> = companies(&s).into_iter().take(2).collect();
+        let two: ExtSet = companies(&s).iter().take(2).collect();
         let t = apply(&s, &two, &Transform::Degree);
         assert_eq!(t.added, 2);
     }

@@ -99,9 +99,9 @@ mod tests {
         let mut store = Store::new();
         store.load_graph(&CovidGenerator::new(60, 3).generate());
         let obs = store.lookup_iri(&format!("{EX}Observation")).unwrap();
-        assert_eq!(store.instances(obs).len(), 60 * COUNTRIES.len());
+        assert_eq!(store.instances_set(obs).len(), 60 * COUNTRIES.len());
         let country = store.lookup_iri(&format!("{EX}Country")).unwrap();
-        assert_eq!(store.instances(country).len(), COUNTRIES.len());
+        assert_eq!(store.instances_set(country).len(), COUNTRIES.len());
     }
 
     #[test]

@@ -193,11 +193,11 @@ mod tests {
         let mut store = Store::new();
         store.load_graph(&products_fixture());
         let laptop = store.lookup_iri(&format!("{EX}Laptop")).unwrap();
-        assert_eq!(store.instances(laptop).len(), 3);
+        assert_eq!(store.instances_set(laptop).len(), 3);
         let product = store.lookup_iri(&format!("{EX}Product")).unwrap();
-        assert_eq!(store.instances(product).len(), 6); // 3 laptops + 3 drives
+        assert_eq!(store.instances_set(product).len(), 6); // 3 laptops + 3 drives
         let company = store.lookup_iri(&format!("{EX}Company")).unwrap();
-        assert_eq!(store.instances(company).len(), 4);
+        assert_eq!(store.instances_set(company).len(), 4);
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
         let mut store = Store::new();
         store.load_graph(&g);
         let laptop = store.lookup_iri(&format!("{EX}Laptop")).unwrap();
-        assert_eq!(store.instances(laptop).len(), 200);
+        assert_eq!(store.instances_set(laptop).len(), 200);
     }
 
     #[test]

@@ -136,7 +136,7 @@ mod tests {
         let n = buckets.len();
         for (i, b) in buckets.iter().enumerate() {
             let (min, max) = bucket_bounds(b, i + 1 == n);
-            let mut session = FacetedSession::start_from(&s, ext.to_btree_set());
+            let mut session = FacetedSession::start_from(&s, ext.clone());
             session.select_range(&path, min, max).unwrap();
             assert_eq!(session.extension().len(), b.count);
         }

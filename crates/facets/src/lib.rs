@@ -45,7 +45,7 @@ pub mod state;
 pub use buckets::{bucket_values, Bucket};
 pub use cache::{FacetCache, FacetCacheStats, DEFAULT_FACET_CACHE_ENTRIES};
 pub use markers::{
-    class_markers, class_markers_from_counts, class_markers_opts, expand_path, grouped_values,
+    class_markers, class_markers_opts, expand_path, grouped_values,
     inverse_property_facets, property_facets, property_facets_opts, ClassMarker, FacetOptions,
     GroupedValues, PropertyFacet,
 };

@@ -50,7 +50,7 @@ impl FacetOptions {
 /// the order of every marker list in the left frame. Each name is borrowed
 /// from the store once per element ([`rdfa_model::Term::display_str`]), not
 /// built twice per comparison. The sort is stable, so equal names keep
-/// their incoming order, as in [`reference`]'s sorts.
+/// their incoming order.
 fn sort_by_display_name<T>(store: &Store, items: &mut [T], id: impl Fn(&T) -> TermId) {
     items.sort_by_cached_key(|x| store.term(id(x)).display_str());
 }
@@ -76,8 +76,8 @@ pub fn class_markers(store: &Store, ext: &ExtSet) -> Vec<ClassMarker> {
 /// counts come from the one edge-count kernel over `rdf:type`
 /// ([`Store::edge_counts`]), which seeks per extension element or scans
 /// the type run once, whichever [`Store::prefer_seek`] picks; the tree is
-/// then built from them as in [`class_markers_from_counts`]. The guard is
-/// probed before counting and before each maximal class.
+/// then built from them. The guard is probed before counting and before
+/// each maximal class.
 pub fn class_markers_opts(
     store: &Store,
     ext: &ExtSet,
@@ -94,21 +94,9 @@ pub fn class_markers_opts(
     markers_from_counts(store, &counts, &guard)
 }
 
-/// Build the class-marker tree from per-class instance counts — the
-/// hierarchy walk, zero-count pruning and display-name ordering of
-/// [`class_markers`], whose output this is whenever
-/// `counts[c] = |instances(c) ∩ ext|`. This is also the serving path for a
-/// materialized `GROUP BY rdf:type` aggregate view (`rdfa-views`), whose
-/// per-group base-row counts are exactly the per-class instance counts of
-/// the full extension.
-pub fn class_markers_from_counts(
-    store: &Store,
-    counts: &BTreeMap<TermId, usize>,
-) -> Vec<ClassMarker> {
-    markers_from_counts(store, counts, &FacetOptions::default().guard())
-        .expect("no deadline configured")
-}
-
+/// Build the class-marker tree from per-class instance counts
+/// (`counts[c] = |instances(c) ∩ ext|`): the hierarchy walk, zero-count
+/// pruning and display-name ordering.
 fn markers_from_counts(
     store: &Store,
     counts: &BTreeMap<TermId, usize>,
@@ -125,7 +113,7 @@ fn markers_from_counts(
         }
         let count = counts.get(&class).copied().unwrap_or(0);
         let mut children: Vec<ClassMarker> = Vec::new();
-        for sub in store.direct_subclasses(class) {
+        for sub in store.direct_subclasses(class).iter() {
             if let Some(m) = build(store, counts, sub, seen) {
                 children.push(m);
             }
@@ -205,7 +193,7 @@ fn build_property_facet(
     let mut values = joins_with_counts(store, ext, step);
     sort_by_display_name(store, &mut values, |v| v.0);
     let mut children: Vec<PropertyFacet> = Vec::new();
-    for sub in store.direct_subproperties(property) {
+    for sub in store.direct_subproperties(property).iter() {
         if let Some(f) = build_property_facet(store, ext, sub, seen, guard)? {
             children.push(f);
         }
@@ -243,13 +231,10 @@ pub fn grouped_values(store: &Store, ext: &ExtSet, property: TermId) -> GroupedV
         // most specific class: an entailed class with no entailed subclass
         // among the value's classes
         let classes = store.classes_of(v);
-        let specific = classes
-            .iter()
-            .copied()
-            .find(|&c| {
-                let subs = store.subclass_closure(c);
-                classes.iter().all(|&d| d == c || !subs.contains(&d))
-            });
+        let specific = classes.iter().find(|&c| {
+            let subs = store.subclass_closure(c);
+            classes.iter().all(|d| d == c || !subs.contains(d))
+        });
         match specific {
             Some(c) => {
                 if let Some(slot) = groups.iter_mut().find(|(gc, _, _)| *gc == c) {
@@ -279,7 +264,7 @@ pub fn inverse_property_facets(store: &Store, ext: &ExtSet) -> Vec<PropertyFacet
     dense.densify(store.term_count());
     let mut out: Vec<PropertyFacet> = store
         .properties()
-        .into_iter()
+        .iter()
         .filter_map(|p| {
             let step = PathStep::inv(p);
             let mut values = joins_with_counts(store, &dense, step);
@@ -379,92 +364,6 @@ pub fn render_property_facets(store: &Store, facets: &[PropertyFacet], indent: u
     out
 }
 
-/// The seed `BTreeSet` marker computation, kept verbatim as the baseline for
-/// differential tests and `facet_bench` (built on [`crate::ops::reference`]).
-pub mod reference {
-    use super::{ClassMarker, PropertyFacet};
-    use crate::ops::reference::joins_with_counts;
-    use crate::state::PathStep;
-    use rdfa_store::{Store, TermId};
-    use std::collections::BTreeSet;
-
-    /// Seed class-marker computation: per-root recursion with
-    /// `instances().intersection(ext)` counting.
-    pub fn class_markers(store: &Store, ext: &BTreeSet<TermId>) -> Vec<ClassMarker> {
-        let mut roots: Vec<ClassMarker> = store
-            .maximal_classes()
-            .into_iter()
-            .filter_map(|c| class_subtree(store, ext, c, &mut BTreeSet::new()))
-            .collect();
-        roots.sort_by_key(|m| store.term(m.class).display_name());
-        roots
-    }
-
-    fn class_subtree(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        class: TermId,
-        seen: &mut BTreeSet<TermId>,
-    ) -> Option<ClassMarker> {
-        if !seen.insert(class) {
-            return None;
-        }
-        let count = store.instances(class).intersection(ext).count();
-        let mut children: Vec<ClassMarker> = store
-            .direct_subclasses(class)
-            .into_iter()
-            .filter_map(|sub| class_subtree(store, ext, sub, seen))
-            .collect();
-        children.sort_by_key(|m| store.term(m.class).display_name());
-        seen.remove(&class);
-        if count == 0 {
-            return None;
-        }
-        Some(ClassMarker { class, count, children })
-    }
-
-    /// Seed property-facet computation over `BTreeMap` counting.
-    pub fn property_facets(store: &Store, ext: &BTreeSet<TermId>) -> Vec<PropertyFacet> {
-        let mut out: Vec<PropertyFacet> = store
-            .maximal_properties()
-            .into_iter()
-            .filter_map(|p| build_property_facet(store, ext, p, &mut BTreeSet::new()))
-            .collect();
-        out.sort_by_key(|f| store.term(f.property).display_name());
-        out
-    }
-
-    fn build_property_facet(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        property: TermId,
-        seen: &mut BTreeSet<TermId>,
-    ) -> Option<PropertyFacet> {
-        if !seen.insert(property) {
-            return None;
-        }
-        let step = PathStep::fwd(property);
-        let mut values: Vec<(TermId, usize)> =
-            joins_with_counts(store, ext, step).into_iter().collect();
-        values.sort_by(|a, b| {
-            store
-                .term(a.0)
-                .display_name()
-                .cmp(&store.term(b.0).display_name())
-        });
-        let children: Vec<PropertyFacet> = store
-            .direct_subproperties(property)
-            .into_iter()
-            .filter_map(|sub| build_property_facet(store, ext, sub, seen))
-            .collect();
-        seen.remove(&property);
-        if values.is_empty() && children.is_empty() {
-            return None;
-        }
-        Some(PropertyFacet { property, values, children })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,20 +453,16 @@ mod tests {
         }
     }
 
-    /// The merge-join path agrees with the seed reference implementation,
-    /// and the option-taking entry points with the plain ones.
+    /// The option-taking entry points agree with the plain ones.
     #[test]
-    fn opts_path_matches_plain_and_reference() {
+    fn opts_path_matches_plain() {
         let s = store();
         let ext = all(&s);
-        let ext_ref = ext.to_btree_set();
         let classes = class_markers(&s, &ext);
         let facets = property_facets(&s, &ext);
         let opts = FacetOptions { cancel: Some(CancelFlag::new()), ..FacetOptions::default() };
         assert_eq!(class_markers_opts(&s, &ext, opts.clone()).unwrap(), classes);
         assert_eq!(property_facets_opts(&s, &ext, opts).unwrap(), facets);
-        assert_eq!(reference::class_markers(&s, &ext_ref), classes);
-        assert_eq!(reference::property_facets(&s, &ext_ref), facets);
     }
 
     /// An already-expired deadline aborts with an error.

@@ -13,8 +13,8 @@
 //!   other side against the extension (O(1) once the extension is densified
 //!   to a bitmap).
 //!
-//! The old `BTreeSet`-based implementations are preserved verbatim in
-//! [`reference`](mod@reference) as the differential-testing and benchmarking baseline.
+//! The seed `BTreeSet` implementations live in the dev-only `rdfa-oracle`
+//! crate, the reference `tests/facet_differential.rs` checks these against.
 
 use crate::state::PathStep;
 use crate::FacetError;
@@ -207,171 +207,10 @@ pub fn restrict_range(
     }
 }
 
-/// The seed `BTreeSet` implementations of every operator, kept verbatim as
-/// the reference semantics: differential tests check the merge-join operators
-/// against these on random graphs, and `facet_bench` uses them as the
-/// before-optimization baseline.
-pub mod reference {
-    use crate::state::PathStep;
-    use rdfa_model::Value;
-    use rdfa_store::{Store, TermId};
-    use std::collections::BTreeSet;
-
-    /// `Restrict(E, p : v)` by per-element entailed-membership probes.
-    pub fn restrict_value(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        step: PathStep,
-        v: TermId,
-    ) -> BTreeSet<TermId> {
-        ext.iter()
-            .copied()
-            .filter(|&e| {
-                if step.inverse {
-                    store.contains([v, step.prop, e])
-                } else {
-                    store.contains([e, step.prop, v])
-                }
-            })
-            .collect()
-    }
-
-    /// `Restrict(E, p : vset)` by per-element edge enumeration.
-    pub fn restrict_value_set(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        step: PathStep,
-        vset: &BTreeSet<TermId>,
-    ) -> BTreeSet<TermId> {
-        ext.iter()
-            .copied()
-            .filter(|&e| joins_step(store, e, step).any(|x| vset.contains(&x)))
-            .collect()
-    }
-
-    /// `Restrict(E, c)` by per-element `rdf:type` probes.
-    pub fn restrict_class(store: &Store, ext: &BTreeSet<TermId>, c: TermId) -> BTreeSet<TermId> {
-        let wk = store.well_known();
-        ext.iter()
-            .copied()
-            .filter(|&e| store.contains([e, wk.rdf_type, c]))
-            .collect()
-    }
-
-    /// One-step joins from a single node.
-    fn joins_step(store: &Store, e: TermId, step: PathStep) -> impl Iterator<Item = TermId> + '_ {
-        let (s, o) = if step.inverse { (None, Some(e)) } else { (Some(e), None) };
-        store
-            .matching(s, Some(step.prop), o)
-            .map(move |[s2, _, o2]| if step.inverse { s2 } else { o2 })
-    }
-
-    /// `Joins(E, p)` by per-element index probes.
-    pub fn joins(store: &Store, ext: &BTreeSet<TermId>, step: PathStep) -> BTreeSet<TermId> {
-        let mut out = BTreeSet::new();
-        for &e in ext {
-            out.extend(joins_step(store, e, step));
-        }
-        out
-    }
-
-    /// `Joins(E, p)` with per-value counts via `BTreeMap` accumulation.
-    pub fn joins_with_counts(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        step: PathStep,
-    ) -> std::collections::BTreeMap<TermId, usize> {
-        let mut counts = std::collections::BTreeMap::new();
-        for &e in ext {
-            for v in joins_step(store, e, step) {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-        }
-        counts
-    }
-
-    /// Path joins with a per-step frontier clone (the seed behaviour).
-    pub fn joins_path(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        path: &[PathStep],
-    ) -> BTreeSet<TermId> {
-        let mut frontier = ext.clone();
-        for &step in path {
-            frontier = joins(store, &frontier, step);
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        frontier
-    }
-
-    /// Back-propagating path restriction (Eq. 5.1), seed implementation.
-    /// Callers must pass a non-empty path.
-    pub fn restrict_path(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        path: &[PathStep],
-        terminal: &BTreeSet<TermId>,
-    ) -> BTreeSet<TermId> {
-        assert!(!path.is_empty(), "restrict_path needs a non-empty path");
-        let mut markers: Vec<BTreeSet<TermId>> = Vec::with_capacity(path.len());
-        let mut frontier = ext.clone();
-        for &step in path {
-            frontier = joins(store, &frontier, step);
-            markers.push(frontier.clone());
-        }
-        let mut restricted = terminal.clone();
-        for i in (0..path.len() - 1).rev() {
-            restricted = restrict_value_set(store, &markers[i], path[i + 1], &restricted);
-        }
-        restrict_value_set(store, ext, path[0], &restricted)
-    }
-
-    /// Range restriction, seed implementation.
-    pub fn restrict_range(
-        store: &Store,
-        ext: &BTreeSet<TermId>,
-        path: &[PathStep],
-        min: Option<&Value>,
-        max: Option<&Value>,
-    ) -> BTreeSet<TermId> {
-        let in_range = |id: TermId| -> bool {
-            let v = Value::from_term(store.term(id));
-            let ge_min = min.is_none_or(|m| {
-                matches!(
-                    v.compare(m),
-                    Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-                )
-            });
-            let le_max = max.is_none_or(|m| {
-                matches!(
-                    v.compare(m),
-                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-                )
-            });
-            ge_min && le_max
-        };
-        let terminal: BTreeSet<TermId> = joins_path(store, ext, path)
-            .into_iter()
-            .filter(|&t| in_range(t))
-            .collect();
-        if terminal.is_empty() {
-            return BTreeSet::new();
-        }
-        if path.len() == 1 {
-            restrict_value_set(store, ext, path[0], &terminal)
-        } else {
-            restrict_path(store, ext, path, &terminal)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rdfa_model::Term;
-    use std::collections::BTreeSet;
 
     const EX: &str = "http://e/";
 
@@ -494,37 +333,5 @@ mod tests {
         let s = store();
         let vals = joins_path(&s, &ExtSet::new(), &[step(&s, "manufacturer")]);
         assert!(vals.is_empty());
-    }
-
-    /// Every operator agrees with its [`reference`] counterpart on the
-    /// fixture (the broader random-graph differential suite lives in the
-    /// workspace-level tests).
-    #[test]
-    fn agrees_with_reference_on_fixture() {
-        let s = store();
-        let ext = laptops(&s);
-        let ext_ref = ext.to_btree_set();
-        for prop in ["manufacturer", "usb"] {
-            for inverse in [false, true] {
-                let st = PathStep { prop: id(&s, prop), inverse };
-                assert_eq!(
-                    joins(&s, &ext, st).to_btree_set(),
-                    reference::joins(&s, &ext_ref, st)
-                );
-                let counts: Vec<(TermId, usize)> =
-                    reference::joins_with_counts(&s, &ext_ref, st).into_iter().collect();
-                assert_eq!(joins_with_counts(&s, &ext, st), counts);
-            }
-        }
-        let path = [step(&s, "manufacturer"), step(&s, "origin")];
-        assert_eq!(
-            joins_path(&s, &ext, &path).to_btree_set(),
-            reference::joins_path(&s, &ext_ref, &path)
-        );
-        let usa: BTreeSet<TermId> = [id(&s, "USA")].into_iter().collect();
-        assert_eq!(
-            restrict_path(&s, &ext, &path, &ExtSet::from(&usa)).unwrap().to_btree_set(),
-            reference::restrict_path(&s, &ext_ref, &path, &usa)
-        );
     }
 }

@@ -11,7 +11,6 @@ use crate::state::{Condition, Constraint, Intent, PathStep, State};
 use crate::FacetError;
 use rdfa_model::Value;
 use rdfa_store::{ExtSet, Store, TermId};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Memoized left-frame computations for the current state — the
@@ -55,9 +54,9 @@ impl<'s> FacetedSession<'s> {
 
     /// Start by exploring an externally obtained result set (e.g. a keyword
     /// query's answer — the second starting point of §5.4.1).
-    pub fn start_from(store: &'s Store, results: BTreeSet<TermId>) -> Self {
-        let ext = ExtSet::from(&results);
-        let intent = Intent { seed: Some(results), ..Intent::default() };
+    pub fn start_from(store: &'s Store, results: ExtSet) -> Self {
+        let intent = Intent { seed: Some(results.clone()), ..Intent::default() };
+        let ext = results;
         FacetedSession {
             store,
             states: vec![State { ext, intent }],
@@ -202,14 +201,13 @@ impl<'s> FacetedSession<'s> {
     pub fn select_values(
         &mut self,
         prop: TermId,
-        values: &BTreeSet<TermId>,
+        values: &ExtSet,
     ) -> Result<(), FacetError> {
         if values.is_empty() {
             return Err(FacetError::new("empty value selection"));
         }
         let step = PathStep::fwd(prop);
-        let vset = ExtSet::from(values);
-        let ext = crate::ops::restrict_value_set(self.store, self.extension(), step, &vset);
+        let ext = crate::ops::restrict_value_set(self.store, self.extension(), step, values);
         let mut intent = self.intent().clone();
         intent.conditions.push(Condition {
             path: vec![step],
@@ -289,6 +287,7 @@ impl<'s> FacetedSession<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::time::Duration;
 
     const EX: &str = "http://e/";
@@ -405,7 +404,7 @@ mod tests {
         let s = store();
         let mut session = FacetedSession::start(&s);
         session.select_class(id(&s, "Laptop")).unwrap();
-        let both: BTreeSet<TermId> = [id(&s, "DELL"), id(&s, "Lenovo")].into_iter().collect();
+        let both: ExtSet = [id(&s, "DELL"), id(&s, "Lenovo")].into_iter().collect();
         session.select_values(id(&s, "manufacturer"), &both).unwrap();
         assert_eq!(session.extension().len(), 3);
         // the OR intention evaluates back to the extension
@@ -418,7 +417,7 @@ mod tests {
             .unwrap();
         assert_eq!(got.len(), 3);
         // empty selection rejected
-        assert!(session.select_values(id(&s, "manufacturer"), &BTreeSet::new()).is_err());
+        assert!(session.select_values(id(&s, "manufacturer"), &ExtSet::new()).is_err());
     }
 
     #[test]
@@ -472,8 +471,8 @@ mod tests {
     #[test]
     fn start_from_external_results() {
         let s = store();
-        let two: BTreeSet<TermId> = [id(&s, "l1"), id(&s, "l3")].into_iter().collect();
+        let two: ExtSet = [id(&s, "l1"), id(&s, "l3")].into_iter().collect();
         let session = FacetedSession::start_from(&s, two.clone());
-        assert_eq!(session.extension().to_btree_set(), two);
+        assert_eq!(session.extension(), &two);
     }
 }

@@ -2,7 +2,6 @@
 
 use rdfa_model::{Term, Value};
 use rdfa_store::{ExtSet, Store, TermId};
-use std::collections::BTreeSet;
 
 /// One step of a property path: a property, possibly traversed inversely
 /// (`p⁻¹` of §5.3.1).
@@ -30,7 +29,7 @@ pub enum Constraint {
     /// Terminal value equals this term.
     Value(TermId),
     /// Terminal value is one of these terms.
-    OneOf(BTreeSet<TermId>),
+    OneOf(ExtSet),
     /// Terminal value lies in a (typed) range; either bound optional.
     Range { min: Option<Value>, max: Option<Value> },
 }
@@ -48,7 +47,7 @@ pub struct Condition {
 pub struct Intent {
     /// An explicit seed set when the session started from external results
     /// (keyword search, §5.4.1); `None` for from-scratch sessions.
-    pub seed: Option<BTreeSet<TermId>>,
+    pub seed: Option<ExtSet>,
     /// Selected class, if any.
     pub class: Option<TermId>,
     /// Conjunction of conditions, in click order.
@@ -69,7 +68,7 @@ impl Intent {
         let values_clause = self.seed.as_ref().map(|seed| {
             let list = seed
                 .iter()
-                .map(|&id| store.term(id).to_string())
+                .map(|id| store.term(id).to_string())
                 .collect::<Vec<_>>()
                 .join(" ");
             format!("VALUES ?x {{ {list} }}")
@@ -108,7 +107,7 @@ impl Intent {
                         Constraint::OneOf(set) => {
                             let list = set
                                 .iter()
-                                .map(|v| store.term(*v).to_string())
+                                .map(|v| store.term(v).to_string())
                                 .collect::<Vec<_>>()
                                 .join(", ");
                             filters.push(format!("{next} IN ({list})"));

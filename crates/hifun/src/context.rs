@@ -8,8 +8,7 @@
 //! (Table 4.1) is needed first.
 
 use crate::query::{AttrPath, Step};
-use rdfa_store::{Store, TermId};
-use std::collections::BTreeSet;
+use rdfa_store::{ExtSet, Store, TermId};
 
 /// How the context's root set is defined.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,7 +19,7 @@ pub enum RootSpec {
     Class(String),
     /// An explicit set of resources (e.g. the current faceted-search
     /// extension, §5.2.2).
-    Explicit(BTreeSet<TermId>),
+    Explicit(ExtSet),
 }
 
 /// Applicability verdict for one attribute (§4.1.1).
@@ -51,17 +50,17 @@ impl AnalysisContext {
     }
 
     /// Context over an explicit resource set.
-    pub fn over_set(items: BTreeSet<TermId>, attributes: Vec<AttrPath>) -> Self {
+    pub fn over_set(items: ExtSet, attributes: Vec<AttrPath>) -> Self {
         AnalysisContext { root: RootSpec::Explicit(items), attributes }
     }
 
     /// Resolve the root set against a store.
-    pub fn items(&self, store: &Store) -> BTreeSet<TermId> {
+    pub fn items(&self, store: &Store) -> ExtSet {
         match &self.root {
             RootSpec::AllSubjects => store.iter_explicit().map(|[s, _, _]| s).collect(),
             RootSpec::Class(c) => store
                 .lookup_iri(c)
-                .map(|cid| store.instances(cid))
+                .map(|cid| store.instances_set(cid))
                 .unwrap_or_default(),
             RootSpec::Explicit(set) => set.clone(),
         }
@@ -76,7 +75,7 @@ impl AnalysisContext {
             .map(|path| {
                 let mut missing = 0usize;
                 let mut max_values = 0usize;
-                for &item in &items {
+                for item in &items {
                     let n = count_values(store, item, &path.steps);
                     if n == 0 {
                         missing += 1;
@@ -170,7 +169,7 @@ mod tests {
     #[test]
     fn functional_attribute_passes() {
         let s = store();
-        let two: BTreeSet<TermId> = [
+        let two: ExtSet = [
             s.lookup_iri(&format!("{EX}l1")).unwrap(),
             s.lookup_iri(&format!("{EX}l2")).unwrap(),
         ]

@@ -6,8 +6,10 @@
 //! direct answer and the translated query's answer must coincide. The
 //! property test in `tests/translation_soundness.rs` exercises exactly this.
 //!
-//! It is also the "SPARQL-only vs native" alternative implementation whose
-//! relative cost Figure 8.3 discusses (experiment E5).
+//! No product path calls it: `AnalyticsSession::run` always translates and
+//! runs the SPARQL under its budget. It is also the "SPARQL-only vs native"
+//! alternative implementation whose relative cost Figure 8.3 discusses
+//! (experiment E5).
 
 use crate::query::*;
 use crate::HifunError;
@@ -147,8 +149,11 @@ fn root_items(store: &Store, root: &Root) -> BTreeSet<TermId> {
         None => store.iter_explicit().map(|[s, _, _]| s).collect(),
     };
     if let Some(c) = &root.class {
-        let insts = match store.lookup_iri(c) {
-            Some(cid) => store.instances(cid),
+        let insts: BTreeSet<TermId> = match store.lookup_iri(c) {
+            Some(cid) => store
+                .matching(None, Some(store.well_known().rdf_type), Some(cid))
+                .map(|[s, _, _]| s)
+                .collect(),
             None => BTreeSet::new(),
         };
         items = items.intersection(&insts).copied().collect();

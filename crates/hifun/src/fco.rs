@@ -7,7 +7,7 @@
 //! IRIs are the source property IRI with a suffix (`#p` → `#p_count` etc.).
 
 use rdfa_model::{Graph, Term, Triple};
-use rdfa_store::{Store, TermId};
+use rdfa_store::{ExtSet, Store, TermId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Derived-feature IRI for a property and suffix.
@@ -22,11 +22,11 @@ fn term(store: &Store, id: TermId) -> Term {
 /// FCO1 — `p.value`: materialize the (first) value of `p` for every subject,
 /// substituting `0` where the value is missing among `domain` items
 /// (the "confirm functional" repair of §4.2.6).
-pub fn fco1_value(store: &Store, property: &str, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco1_value(store: &Store, property: &str, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let Some(p) = store.lookup_iri(property) else { return g };
     let feature = Term::iri(feature_iri(property, "value"));
-    for &s in domain {
+    for s in domain {
         let mut vals = store.matching_explicit(Some(s), Some(p), None);
         match vals.next() {
             Some([_, _, o]) => g.add(term(store, s), feature.clone(), term(store, o)),
@@ -38,16 +38,16 @@ pub fn fco1_value(store: &Store, property: &str, domain: &BTreeSet<TermId>) -> G
 
 /// FCO2 — `p.exists`: boolean feature, true iff the item has `p` in either
 /// direction.
-pub fn fco2_exists(store: &Store, property: &str, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco2_exists(store: &Store, property: &str, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let Some(p) = store.lookup_iri(property) else {
-        for &s in domain {
+        for s in domain {
             g.add(term(store, s), Term::iri(feature_iri(property, "exists")), Term::boolean(false));
         }
         return g;
     };
     let feature = Term::iri(feature_iri(property, "exists"));
-    for &s in domain {
+    for s in domain {
         let has = store.matching_explicit(Some(s), Some(p), None).next().is_some()
             || store.matching_explicit(None, Some(p), Some(s)).next().is_some();
         g.add(term(store, s), feature.clone(), Term::boolean(has));
@@ -56,11 +56,11 @@ pub fn fco2_exists(store: &Store, property: &str, domain: &BTreeSet<TermId>) -> 
 }
 
 /// FCO3 — `p.count`: integer feature counting the values of `p`.
-pub fn fco3_count(store: &Store, property: &str, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco3_count(store: &Store, property: &str, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let feature = Term::iri(feature_iri(property, "count"));
     let p = store.lookup_iri(property);
-    for &s in domain {
+    for s in domain {
         let n = match p {
             Some(p) => store.matching_explicit(Some(s), Some(p), None).count(),
             None => 0,
@@ -73,7 +73,7 @@ pub fn fco3_count(store: &Store, property: &str, domain: &BTreeSet<TermId>) -> G
 /// FCO4 — `p.values.AsFeatures`: one boolean feature per distinct value of
 /// `p` (`founder_Pierre = true`), turning a multi-valued property into a set
 /// of functional ones.
-pub fn fco4_values_as_features(store: &Store, property: &str, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco4_values_as_features(store: &Store, property: &str, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let Some(p) = store.lookup_iri(property) else { return g };
     let values: BTreeSet<TermId> = store
@@ -83,7 +83,7 @@ pub fn fco4_values_as_features(store: &Store, property: &str, domain: &BTreeSet<
     for &v in &values {
         let label = store.term(v).display_name();
         let feature = Term::iri(feature_iri(property, &label));
-        for &s in domain {
+        for s in domain {
             let has = store.contains([s, p, v]);
             g.add(term(store, s), feature.clone(), Term::boolean(has));
         }
@@ -93,10 +93,10 @@ pub fn fco4_values_as_features(store: &Store, property: &str, domain: &BTreeSet<
 
 /// FCO5 — `degree`: number of triples mentioning the item as subject or
 /// object.
-pub fn fco5_degree(store: &Store, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco5_degree(store: &Store, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let feature = Term::iri("urn:rdfa:feature:degree");
-    for &e in domain {
+    for e in domain {
         let n = store.matching_explicit(Some(e), None, None).count()
             + store.matching_explicit(None, None, Some(e)).count();
         g.add(term(store, e), feature.clone(), Term::integer(n as i64));
@@ -105,10 +105,10 @@ pub fn fco5_degree(store: &Store, domain: &BTreeSet<TermId>) -> Graph {
 }
 
 /// FCO6 — `average degree`: mean degree of the item's neighbours.
-pub fn fco6_average_degree(store: &Store, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco6_average_degree(store: &Store, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let feature = Term::iri("urn:rdfa:feature:avgDegree");
-    for &e in domain {
+    for e in domain {
         let neighbours: BTreeSet<TermId> = store
             .matching_explicit(Some(e), None, None)
             .map(|[_, _, o]| o)
@@ -135,12 +135,12 @@ pub fn fco7_path_exists(
     store: &Store,
     p1: &str,
     p2: &str,
-    domain: &BTreeSet<TermId>,
+    domain: &ExtSet,
 ) -> Graph {
     let mut g = Graph::new();
     let feature = Term::iri(format!("{}_{}_exists", p1, rdfa_model::term::local_name(p2)));
     let (i1, i2) = (store.lookup_iri(p1), store.lookup_iri(p2));
-    for &s in domain {
+    for s in domain {
         let has = match (i1, i2) {
             (Some(a), Some(b)) => store
                 .matching_explicit(Some(s), Some(a), None)
@@ -153,11 +153,11 @@ pub fn fco7_path_exists(
 }
 
 /// FCO8 — `p1.p2.count`: number of two-step path endpoints.
-pub fn fco8_path_count(store: &Store, p1: &str, p2: &str, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco8_path_count(store: &Store, p1: &str, p2: &str, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let feature = Term::iri(format!("{}_{}_count", p1, rdfa_model::term::local_name(p2)));
     let (i1, i2) = (store.lookup_iri(p1), store.lookup_iri(p2));
-    for &s in domain {
+    for s in domain {
         let n = match (i1, i2) {
             (Some(a), Some(b)) => store
                 .matching_explicit(Some(s), Some(a), None)
@@ -172,11 +172,11 @@ pub fn fco8_path_count(store: &Store, p1: &str, p2: &str, domain: &BTreeSet<Term
 
 /// FCO9 — `p1.p2.value.maxFreq`: the most frequent two-step path endpoint
 /// (ties broken by term order for determinism).
-pub fn fco9_path_max_freq(store: &Store, p1: &str, p2: &str, domain: &BTreeSet<TermId>) -> Graph {
+pub fn fco9_path_max_freq(store: &Store, p1: &str, p2: &str, domain: &ExtSet) -> Graph {
     let mut g = Graph::new();
     let feature = Term::iri(format!("{}_{}_maxFreq", p1, rdfa_model::term::local_name(p2)));
     let (Some(a), Some(b)) = (store.lookup_iri(p1), store.lookup_iri(p2)) else { return g };
-    for &s in domain {
+    for s in domain {
         let mut freq: BTreeMap<TermId, usize> = BTreeMap::new();
         for [_, _, mid] in store.matching_explicit(Some(s), Some(a), None) {
             for [_, _, o] in store.matching_explicit(Some(mid), Some(b), None) {
@@ -226,7 +226,7 @@ mod tests {
         s
     }
 
-    fn domain(s: &Store) -> BTreeSet<TermId> {
+    fn domain(s: &Store) -> ExtSet {
         ["b1", "b2", "b3"]
             .iter()
             .map(|l| s.lookup_iri(&format!("{EX}{l}")).unwrap())

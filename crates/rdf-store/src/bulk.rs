@@ -1,10 +1,7 @@
-//! Parallel bulk ingest: chunked zero-copy parsing, two-phase sharded
-//! interning with a deterministic merge, and sort-based index builds.
-//!
-//! The seed ingest path ([`Store::load_ntriples`]) parses a whole document
-//! into owned [`Term`](rdfa_model::Term)s, then interns and inserts one
-//! triple at a time into three sorted permutations. This module replaces
-//! every phase of that pipeline while producing a **byte-identical** store:
+//! The ingest pipeline: chunked zero-copy parsing, two-phase sharded
+//! interning with a deterministic merge, and sort-based index builds. Every
+//! load entry point of [`Store`] runs through it, [`Store::load_graph`],
+//! [`Store::load_turtle`] and [`Store::load_ntriples`] included.
 //!
 //! 1. **Chunked parsing** — the document is split on newline-safe chunk
 //!    boundaries ([`ntriples::split_chunks`]) and each chunk is lexed on a
@@ -15,16 +12,17 @@
 //!    terms into a local dictionary keyed by a 64-bit FNV hash. The merge
 //!    phase dedups local dictionaries per hash shard (in parallel), then
 //!    assigns global [`TermId`]s sequentially in *document first-occurrence
-//!    order* — exactly the order the seed path interns in, and independent
-//!    of the chunk count — so term ids never depend on the thread count.
+//!    order*, independent of the chunk count, so term ids never depend on
+//!    the thread count.
 //! 3. **Sort-based index build** — workers emit `IdTriple` runs which are
 //!    sorted and deduplicated with parallel merge rounds; SPO/POS/OSP are
 //!    then bulk-built from the sorted runs
 //!    (`TripleIndex::from_sorted_runs`) instead of per-triple inserts.
 //!
-//! The seed per-triple path is retained untouched as the reference
-//! implementation; `tests/ingest_differential.rs` proves both paths produce
-//! identical stores (term ids, generation counter, all three indexes)
+//! The seed per-triple path (parse into owned terms, then intern and insert
+//! one triple at a time) lives in the dev-only `rdfa-oracle` crate as the
+//! reference; `tests/ingest_differential.rs` proves the pipeline produces a
+//! store identical to it (term ids, generation counter, all three indexes)
 //! across thread counts.
 
 use crate::index::{IdTriple, TripleIndex};
@@ -73,7 +71,7 @@ impl LoadOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadStats {
     /// Triples parsed from the input, duplicates included (the count the
-    /// seed loaders return).
+    /// per-triple loaders return).
     pub triples: usize,
     /// Distinct triples newly added to the store.
     pub added: usize,
@@ -352,7 +350,7 @@ pub(crate) fn graph_batch<'g>(graph: &'g Graph, opts: &LoadOptions) -> Batch<'g>
 //
 // Both strategies below translate a batch's worker-local dictionaries into
 // per-chunk `local id → global TermId` tables assigning ids in *document
-// first-occurrence order* — the canonical order, identical to the seed
+// first-occurrence order* — the canonical order, identical to the per-triple
 // path and independent of the chunk count. `assign_direct` walks chunks
 // sequentially (chunks partition the document in order and local ids are
 // chunk-first-occurrence-ordered, so chunk-major/local-minor *is* document
@@ -625,7 +623,7 @@ impl<'s> BulkLoader<'s> {
 
     /// Merge a parsed batch into the store's interner and stage its triple
     /// runs: cross-chunk dedup + global id assignment in document
-    /// first-occurrence order (the canonical order — identical to the seed
+    /// first-occurrence order (the canonical order — identical to the per-triple
     /// path and independent of chunking), then chunk-parallel remap of
     /// local ids to global ones. The sharded merge only pays off when the
     /// machine can actually run shards concurrently; otherwise the direct
@@ -770,11 +768,9 @@ impl<R: Read> BlockReader<R> {
 
 impl Store {
     /// Bulk-load an N-Triples document: chunked zero-copy parallel parse,
-    /// sharded interning, sort-based index build. Produces a store
-    /// **identical** to [`Store::load_ntriples`] — same term ids, same
-    /// generation counter, same indexes — for any thread count, and
-    /// materializes inference like the seed path. On error the store is
-    /// untouched.
+    /// sharded interning, sort-based index build. The store is the same —
+    /// term ids, generation counter, indexes — for any thread count, and
+    /// inference is materialized. On error the store is untouched.
     pub fn bulk_load_ntriples(
         &mut self,
         text: &str,
@@ -786,8 +782,7 @@ impl Store {
     }
 
     /// Bulk-load an already-parsed graph through the sharded-interning and
-    /// sort-based-build phases (the datagen and Turtle path). Identical
-    /// result to [`Store::load_graph`].
+    /// sort-based-build phases (the datagen and Turtle path).
     pub fn bulk_load_graph(&mut self, graph: &Graph, opts: LoadOptions) -> LoadStats {
         let batch = graph_batch(graph, &opts);
         let mut loader = BulkLoader::new(self, opts);
@@ -832,6 +827,26 @@ impl Store {
         let text = std::fs::read_to_string(path)?;
         let graph = turtle::parse(&text)?;
         Ok(self.bulk_load_graph(&graph, opts))
+    }
+
+    /// Load a parsed graph ([`Store::bulk_load_graph`] with default
+    /// options) and materialize the RDFS closure.
+    pub fn load_graph(&mut self, graph: &Graph) {
+        self.bulk_load_graph(graph, LoadOptions::default());
+    }
+
+    /// Parse and load a Turtle document; returns the parsed triple count.
+    pub fn load_turtle(&mut self, text: &str) -> Result<usize, turtle::TurtleError> {
+        let graph = turtle::parse(text)?;
+        self.load_graph(&graph);
+        Ok(graph.len())
+    }
+
+    /// Parse and load an N-Triples document ([`Store::bulk_load_ntriples`]
+    /// with default options); returns the parsed triple count. The error
+    /// carries the line number and offending lexeme of the first failure.
+    pub fn load_ntriples(&mut self, text: &str) -> Result<usize, NtriplesError> {
+        Ok(self.bulk_load_ntriples(text, LoadOptions::default())?.triples)
     }
 
     /// WAL-replay entry point: bulk-ingest an `OP_LOAD` payload *without*

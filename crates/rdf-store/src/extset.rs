@@ -15,7 +15,6 @@
 //! is deterministic regardless of representation.
 
 use crate::interner::TermId;
-use std::collections::BTreeSet;
 
 /// Size ratio beyond which intersections gallop instead of merging.
 const GALLOP_RATIO: usize = 16;
@@ -138,11 +137,6 @@ impl ExtSet {
         self.iter().collect()
     }
 
-    /// A copy as a `BTreeSet` (interop with the classic APIs).
-    pub fn to_btree_set(&self) -> BTreeSet<TermId> {
-        self.iter().collect()
-    }
-
     /// Set intersection; output is sorted. Gallops when one side is at
     /// least `GALLOP_RATIO`× larger than the other.
     pub fn intersect(&self, other: &ExtSet) -> ExtSet {
@@ -231,18 +225,6 @@ impl FromIterator<TermId> for ExtSet {
         ids.sort_unstable();
         ids.dedup();
         ExtSet { repr: Repr::Sorted(ids) }
-    }
-}
-
-impl From<&BTreeSet<TermId>> for ExtSet {
-    fn from(set: &BTreeSet<TermId>) -> Self {
-        ExtSet { repr: Repr::Sorted(set.iter().copied().collect()) }
-    }
-}
-
-impl From<BTreeSet<TermId>> for ExtSet {
-    fn from(set: BTreeSet<TermId>) -> Self {
-        ExtSet::from(&set)
     }
 }
 
@@ -387,6 +369,11 @@ impl<T: Ord + Copy, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator
 mod tests {
     use super::*;
     use rdfa_prng::StdRng;
+    use std::collections::BTreeSet;
+
+    fn from_btree(set: &BTreeSet<TermId>) -> ExtSet {
+        set.iter().copied().collect()
+    }
 
     fn ids(v: &[u32]) -> Vec<TermId> {
         v.iter().map(|&i| TermId(i)).collect()
@@ -456,12 +443,12 @@ mod tests {
             let a_ref = random_set(&mut rng, universe, na);
             let nb = rng.gen_range(0..80);
             let b_ref = random_set(&mut rng, universe, nb);
-            let mut variants_a = vec![ExtSet::from(&a_ref)];
-            let mut dense_a = ExtSet::from(&a_ref);
+            let mut variants_a = vec![from_btree(&a_ref)];
+            let mut dense_a = from_btree(&a_ref);
             dense_a.densify(universe as usize);
             variants_a.push(dense_a);
-            let mut variants_b = vec![ExtSet::from(&b_ref)];
-            let mut dense_b = ExtSet::from(&b_ref);
+            let mut variants_b = vec![from_btree(&b_ref)];
+            let mut dense_b = from_btree(&b_ref);
             dense_b.densify(universe as usize);
             variants_b.push(dense_b);
             for a in &variants_a {
@@ -485,8 +472,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(1000 + case);
             let large_ref = random_set(&mut rng, 10_000, 2000);
             let small_ref = random_set(&mut rng, 10_000, 5);
-            let large = ExtSet::from(&large_ref);
-            let small = ExtSet::from(&small_ref);
+            let large = from_btree(&large_ref);
+            let small = from_btree(&small_ref);
             let got: BTreeSet<TermId> = small.intersect(&large).iter().collect();
             assert_eq!(got, &small_ref & &large_ref, "case {case}");
         }

@@ -6,10 +6,11 @@
 //! scored by TF–IDF and aggregated per *subject* resource, so the ranked
 //! hits can seed `FacetedSession::start_from` directly.
 
+use crate::extset::ExtSet;
 use crate::interner::TermId;
 use crate::store::Store;
 use rdfa_model::Term;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// One ranked hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +121,7 @@ impl KeywordIndex {
 
     /// The top-`k` resources as a set, ready for
     /// `FacetedSession::start_from`.
-    pub fn search_set(&self, query: &str, k: usize) -> BTreeSet<TermId> {
+    pub fn search_set(&self, query: &str, k: usize) -> ExtSet {
         self.search(query).into_iter().take(k).map(|h| h.resource).collect()
     }
 }

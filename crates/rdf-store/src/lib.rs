@@ -24,7 +24,7 @@
 //! "#;
 //! store.load_turtle(ttl).unwrap();
 //! let product = store.lookup(&Term::iri("http://example.org/Product")).unwrap();
-//! assert_eq!(store.instances(product).len(), 1); // via subClassOf inference
+//! assert_eq!(store.instances_set(product).len(), 1); // via subClassOf inference
 //! ```
 
 pub mod bulk;

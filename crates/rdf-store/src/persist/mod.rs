@@ -1049,7 +1049,7 @@ mod tests {
         }
         let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
         let product = p.lookup_iri("http://e/Product").unwrap();
-        assert_eq!(p.instances(product).len(), 1);
+        assert_eq!(p.instances_set(product).len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1237,7 +1237,7 @@ mod tests {
         let stats = p.store().segment_stats();
         assert!(stats.segments >= 2, "explicit + inf segments, got {stats:?}");
         let product = p.lookup_iri("http://e/Product").unwrap();
-        assert_eq!(p.instances(product).len(), 2);
+        assert_eq!(p.instances_set(product).len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

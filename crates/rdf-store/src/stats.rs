@@ -72,11 +72,11 @@ impl StoreStats {
         let rdf_type = store.well_known().rdf_type;
         let class_instances = classes
             .iter()
-            .map(|&c| (c, store.run_len(None, Some(rdf_type), Some(c))))
+            .map(|c| (c, store.run_len(None, Some(rdf_type), Some(c))))
             .collect();
         let property_usage: BTreeMap<TermId, usize> = properties
             .iter()
-            .map(|&p| (p, store.explicit.run_len(None, Some(p), None)))
+            .map(|p| (p, store.explicit.run_len(None, Some(p), None)))
             .filter(|&(_, n)| n > 0)
             .collect();
         StoreStats {

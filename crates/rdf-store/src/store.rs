@@ -6,8 +6,7 @@ use crate::index::IdTriple;
 use crate::inference;
 use crate::interner::{Interner, TermId};
 use crate::layer::Layer;
-use rdfa_model::{ntriples, turtle, vocab, Graph, Term, Triple};
-use std::collections::BTreeSet;
+use rdfa_model::{vocab, Graph, Term, Triple};
 
 /// A triple pattern over interned ids; `None` is a wildcard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -365,31 +364,6 @@ impl Store {
         self.generation += added as u64;
     }
 
-    /// Load a parsed graph and materialize the RDFS closure.
-    pub fn load_graph(&mut self, graph: &Graph) {
-        for t in graph.iter() {
-            self.insert(t);
-        }
-        self.materialize_inference();
-    }
-
-    /// Parse and load a Turtle document.
-    pub fn load_turtle(&mut self, text: &str) -> Result<usize, turtle::TurtleError> {
-        let g = turtle::parse(text)?;
-        let n = g.len();
-        self.load_graph(&g);
-        Ok(n)
-    }
-
-    /// Parse and load an N-Triples document. The error carries the line
-    /// number and offending lexeme of the first failure.
-    pub fn load_ntriples(&mut self, text: &str) -> Result<usize, ntriples::NtriplesError> {
-        let g = ntriples::parse(text)?;
-        let n = g.len();
-        self.load_graph(&g);
-        Ok(n)
-    }
-
     /// Recompute the inferred layer from the explicit layer (RDFS rules
     /// 2, 3, 5, 7, 9, 11: domain, range, subPropertyOf transitivity and
     /// inheritance, subClassOf transitivity and type propagation) — always a
@@ -549,8 +523,8 @@ impl Store {
         merge_sorted(self.explicit.pairs_for_p(p), self.inferred.pairs_for_p(p))
     }
 
-    /// Entailed instances of a class as an [`ExtSet`] — the sorted-run
-    /// counterpart of [`Store::instances`].
+    /// Entailed instances of a class, `inst(c)` of §5.3.1: the class's
+    /// sorted `rdf:type` run.
     pub fn instances_set(&self, class: TermId) -> ExtSet {
         ExtSet::from_sorted_iter(self.subjects_for_po(self.wk.rdf_type, class))
     }
@@ -648,45 +622,35 @@ impl Store {
 
     // ---- schema helpers (used by the faceted-search model, §5.3) ----------
 
-    /// Instances of a class under RDFS entailment: `inst(c)` of §5.3.1.
-    pub fn instances(&self, class: TermId) -> BTreeSet<TermId> {
-        self.matching(None, Some(self.wk.rdf_type), Some(class))
-            .map(|[s, _, _]| s)
-            .collect()
-    }
-
     /// Classes the resource is an entailed instance of.
-    pub fn classes_of(&self, resource: TermId) -> BTreeSet<TermId> {
-        self.matching(Some(resource), Some(self.wk.rdf_type), None)
-            .map(|[_, _, o]| o)
-            .collect()
+    pub fn classes_of(&self, resource: TermId) -> ExtSet {
+        ExtSet::from_sorted_iter(self.objects_for_sp(resource, self.wk.rdf_type))
     }
 
     /// All class ids: declared via `rdf:type rdfs:Class`, used as a type, or
     /// appearing in `rdfs:subClassOf`. The types used are the distinct
     /// objects of the `rdf:type` runs, found by seeking past each class's
     /// instances, so the cost is per class, not per typed resource.
-    pub fn classes(&self) -> BTreeSet<TermId> {
+    pub fn classes(&self) -> ExtSet {
         let wk = self.wk;
-        let mut out: BTreeSet<TermId> = [&self.explicit, &self.inferred]
+        let mut out: Vec<TermId> = [&self.explicit, &self.inferred]
             .into_iter()
             .flat_map(|layer| layer.pos_keys(Some(wk.rdf_type)))
             .collect();
         out.extend(self.subjects_for_po(wk.rdf_type, wk.rdfs_class));
-        for [s, _, o] in self.matching(None, Some(wk.rdfs_subclassof), None) {
-            out.insert(s);
-            out.insert(o);
-        }
-        out.remove(&wk.rdfs_class);
-        out.remove(&wk.rdf_property);
-        out
+        out.extend(
+            self.matching(None, Some(wk.rdfs_subclassof), None)
+                .flat_map(|[s, _, o]| [s, o]),
+        );
+        out.retain(|&c| c != wk.rdfs_class && c != wk.rdf_property);
+        out.into_iter().collect()
     }
 
     /// All property ids: declared `rdf:Property`, used as a predicate of a
     /// data triple, or appearing in `rdfs:subPropertyOf`. The predicates
     /// used are the distinct keys of the explicit POS permutation, found by
     /// seeking past each predicate's run.
-    pub fn properties(&self) -> BTreeSet<TermId> {
+    pub fn properties(&self) -> ExtSet {
         let schema = [
             self.wk.rdf_type,
             self.wk.rdfs_subclassof,
@@ -694,22 +658,18 @@ impl Store {
             self.wk.rdfs_domain,
             self.wk.rdfs_range,
         ];
-        let mut out: BTreeSet<TermId> = self
-            .explicit
-            .pos_keys(None)
-            .into_iter()
-            .filter(|p| !schema.contains(p))
-            .collect();
+        let mut out = self.explicit.pos_keys(None);
+        out.retain(|p| !schema.contains(p));
         out.extend(self.subjects_for_po(self.wk.rdf_type, self.wk.rdf_property));
-        for [s, _, o] in self.matching(None, Some(self.wk.rdfs_subpropertyof), None) {
-            out.insert(s);
-            out.insert(o);
-        }
-        out
+        out.extend(
+            self.matching(None, Some(self.wk.rdfs_subpropertyof), None)
+                .flat_map(|[s, _, o]| [s, o]),
+        );
+        out.into_iter().collect()
     }
 
     /// Direct (asserted) subclasses of `c`, excluding `c` itself.
-    pub fn direct_subclasses(&self, c: TermId) -> BTreeSet<TermId> {
+    pub fn direct_subclasses(&self, c: TermId) -> ExtSet {
         self.matching_explicit(None, Some(self.wk.rdfs_subclassof), Some(c))
             .map(|[s, _, _]| s)
             .filter(|&s| s != c)
@@ -717,30 +677,26 @@ impl Store {
     }
 
     /// All entailed subclasses of `c` (reflexive: includes `c`).
-    pub fn subclass_closure(&self, c: TermId) -> BTreeSet<TermId> {
-        let mut out: BTreeSet<TermId> = self
-            .matching(None, Some(self.wk.rdfs_subclassof), Some(c))
+    pub fn subclass_closure(&self, c: TermId) -> ExtSet {
+        self.matching(None, Some(self.wk.rdfs_subclassof), Some(c))
             .map(|[s, _, _]| s)
-            .collect();
-        out.insert(c);
-        out
+            .chain([c])
+            .collect()
     }
 
     /// All entailed superclasses of `c` (reflexive).
-    pub fn superclass_closure(&self, c: TermId) -> BTreeSet<TermId> {
-        let mut out: BTreeSet<TermId> = self
-            .matching(Some(c), Some(self.wk.rdfs_subclassof), None)
+    pub fn superclass_closure(&self, c: TermId) -> ExtSet {
+        self.matching(Some(c), Some(self.wk.rdfs_subclassof), None)
             .map(|[_, _, o]| o)
-            .collect();
-        out.insert(c);
-        out
+            .chain([c])
+            .collect()
     }
 
     /// Maximal (top-level) classes: classes with no proper superclass
     /// (`maximal≤cl(C)` of §5.3.2).
     pub fn maximal_classes(&self) -> Vec<TermId> {
         self.classes()
-            .into_iter()
+            .iter()
             .filter(|&c| {
                 self.matching(Some(c), Some(self.wk.rdfs_subclassof), None)
                     .all(|[_, _, sup]| sup == c)
@@ -751,7 +707,7 @@ impl Store {
     /// Maximal properties w.r.t. `rdfs:subPropertyOf`.
     pub fn maximal_properties(&self) -> Vec<TermId> {
         self.properties()
-            .into_iter()
+            .iter()
             .filter(|&p| {
                 self.matching(Some(p), Some(self.wk.rdfs_subpropertyof), None)
                     .all(|[_, _, sup]| sup == p)
@@ -760,7 +716,7 @@ impl Store {
     }
 
     /// Direct (asserted) subproperties of `p`, excluding `p`.
-    pub fn direct_subproperties(&self, p: TermId) -> BTreeSet<TermId> {
+    pub fn direct_subproperties(&self, p: TermId) -> ExtSet {
         self.matching_explicit(None, Some(self.wk.rdfs_subpropertyof), Some(p))
             .map(|[s, _, _]| s)
             .filter(|&s| s != p)
@@ -798,6 +754,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     const EX: &str = "http://example.org/";
 
@@ -835,7 +792,7 @@ mod tests {
     fn subclass_inference_extends_instances() {
         let store = products_store();
         let product = iri(&store, "Product");
-        let insts = store.instances(product);
+        let insts = store.instances_set(product);
         assert_eq!(insts.len(), 2); // laptop1 via Laptop, ssd1 via SSD→HDType→Product
     }
 
@@ -889,10 +846,10 @@ mod tests {
     fn classes_excludes_instances() {
         let store = products_store();
         let classes = store.classes();
-        assert!(classes.contains(&iri(&store, "Laptop")));
-        assert!(classes.contains(&iri(&store, "Product")));
-        assert!(!classes.contains(&iri(&store, "laptop1")));
-        assert!(!classes.contains(&iri(&store, "DELL")));
+        assert!(classes.contains(iri(&store, "Laptop")));
+        assert!(classes.contains(iri(&store, "Product")));
+        assert!(!classes.contains(iri(&store, "laptop1")));
+        assert!(!classes.contains(iri(&store, "DELL")));
     }
 
     #[test]
@@ -901,7 +858,7 @@ mod tests {
         let product = iri(&store, "Product");
         let clo = store.subclass_closure(product);
         for name in ["Product", "Laptop", "HDType", "SSD"] {
-            assert!(clo.contains(&iri(&store, name)), "{name} missing");
+            assert!(clo.contains(iri(&store, name)), "{name} missing");
         }
     }
 
@@ -956,9 +913,11 @@ mod tests {
         let t = store.well_known().rdf_type;
         let run: Vec<(TermId, TermId)> = store.predicate_pairs(t).collect();
         assert!(run.windows(2).all(|w| w[0] < w[1]), "{run:?}");
-        // instances_set agrees with instances
+        // instances_set agrees with the entailed type triples
         let product = iri(&store, "Product");
-        assert_eq!(store.instances_set(product).to_btree_set(), store.instances(product));
+        let typed: BTreeSet<TermId> =
+            store.matching(None, Some(t), Some(product)).map(|[s, _, _]| s).collect();
+        assert_eq!(store.instances_set(product).to_sorted_vec(), Vec::from_iter(typed));
     }
 
     #[test]
@@ -1043,7 +1002,7 @@ mod tests {
     /// The scan definitions of the class and property sets the seek-based
     /// [`Store::classes`] and [`Store::properties`] replaced, kept as their
     /// reference.
-    fn classes_by_scan(store: &Store) -> BTreeSet<TermId> {
+    fn classes_by_scan(store: &Store) -> ExtSet {
         let wk = store.wk;
         let mut out = BTreeSet::new();
         for [_, _, c] in store.matching(None, Some(wk.rdf_type), None) {
@@ -1060,10 +1019,10 @@ mod tests {
         }
         out.remove(&wk.rdfs_class);
         out.remove(&wk.rdf_property);
-        out
+        out.into_iter().collect()
     }
 
-    fn properties_by_scan(store: &Store) -> BTreeSet<TermId> {
+    fn properties_by_scan(store: &Store) -> ExtSet {
         let wk = store.wk;
         let schema =
             [wk.rdf_type, wk.rdfs_subclassof, wk.rdfs_subpropertyof, wk.rdfs_domain, wk.rdfs_range];
@@ -1080,7 +1039,7 @@ mod tests {
             out.insert(s);
             out.insert(o);
         }
-        out
+        out.into_iter().collect()
     }
 
     /// `run_len` equals `matching().count()` for all eight pattern shapes —

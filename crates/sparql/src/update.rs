@@ -225,7 +225,7 @@ mod tests {
         .unwrap();
         assert_eq!(stats.inserted, 2);
         let laptop = s.lookup_iri(&format!("{EX}Laptop")).unwrap();
-        assert_eq!(s.instances(laptop).len(), 3);
+        assert_eq!(s.instances_set(laptop).len(), 3);
     }
 
     #[test]
@@ -391,7 +391,7 @@ mod tests {
         )
         .unwrap();
         let product = s.lookup_iri(&format!("{EX}Product")).unwrap();
-        assert_eq!(s.instances(product).len(), 1);
+        assert_eq!(s.instances_set(product).len(), 1);
         assert!(!s.is_dirty());
     }
 }

@@ -39,7 +39,7 @@
 mod manager;
 mod table;
 
-pub use manager::{class_counts_shape, RecorderStats, ViewConfig, ViewInfo, ViewManager};
+pub use manager::{RecorderStats, ViewConfig, ViewInfo, ViewManager};
 pub use table::ViewTable;
 
 #[cfg(test)]
@@ -245,6 +245,8 @@ mod tests {
         assert!(manager.workload().iter().any(|(k, _, _, mat)| k == &cheap.key() && !mat));
     }
 
+    /// The per-class instance counts (`GROUP BY rdf:type`) are an ordinary
+    /// viewable shape, served through the query path.
     #[test]
     fn class_counts_view_matches_instance_counts() {
         let store = store_with(
@@ -252,17 +254,17 @@ mod tests {
         );
         let manager =
             Arc::new(ViewManager::new(ViewConfig { min_observations: 1, ..ViewConfig::default() }));
-        assert!(manager.class_counts(&store).is_none(), "not materialized yet");
-        manager.observe_class_counts(&store, Duration::from_millis(5));
-        let counts = manager.class_counts(&store).expect("materialized");
-        let get = |name: &str| {
-            counts
-                .iter()
-                .find(|(t, _)| matches!(t, Term::Iri(i) if i.ends_with(name)))
-                .map(|(_, n)| *n)
+        let q = "SELECT ?c (COUNT(*) AS ?n) WHERE { ?x a ?c } GROUP BY ?c ORDER BY ?c";
+        let direct = rows_of(&store, None, q);
+        rows_of(&store, Some(manager.clone()), q); // observe + materialize
+        let warm = rows_of(&store, Some(manager.clone()), q); // view hit
+        assert_eq!(direct, warm);
+        assert_eq!(manager.stats().hits, 1);
+        let count = |name: &str| {
+            warm.1.iter().find(|row| matches!(&row[0], Some(Term::Iri(i)) if i.ends_with(name))).map(|row| row[1].clone())
         };
-        assert_eq!(get("Laptop"), Some(2));
-        assert_eq!(get("Desktop"), Some(1));
+        assert_eq!(count("Laptop"), Some(Some(int(2))));
+        assert_eq!(count("Desktop"), Some(Some(int(1))));
     }
 
     fn triple(s: &str, p: &str, o: Term) -> rdfa_model::Triple {

@@ -115,13 +115,6 @@ struct State {
     stats: RecorderStats,
 }
 
-/// The shape of the facet panel's per-class instance counts:
-/// `SELECT ?c (COUNT(*) …) WHERE { ?x a ?c } GROUP BY ?c` — grouping on
-/// `rdf:type` with no restrictions and no value column.
-pub fn class_counts_shape() -> AggShape {
-    AggShape { restrictions: Vec::new(), group: Some(vocab::rdf::TYPE.to_owned()), value: None }
-}
-
 /// Workload-driven materialized-view manager. Shared via `Arc` between
 /// the engine hook, the update path, and the HTTP routes.
 pub struct ViewManager {
@@ -313,31 +306,6 @@ impl ViewManager {
         if n > 0 {
             state.stats.maintain_micros += t0.elapsed().as_micros() as u64;
         }
-    }
-
-    // ---- the facet fast path --------------------------------------------
-
-    /// Per-class instance counts from a fresh class-counts view, or `None`
-    /// when no such view is materialized and fresh. The base-row count of
-    /// each `GROUP BY rdf:type` group is exactly `|instances(c)|`.
-    pub fn class_counts(&self, store: &Store) -> Option<Vec<(Term, u64)>> {
-        let mut state = self.lock();
-        let state = &mut *state;
-        let shape = class_counts_shape();
-        let view = state.views.get_mut(&shape)?;
-        if view.generation() != store.generation() {
-            return None;
-        }
-        view.hits += 1;
-        state.stats.hits += 1;
-        Some(view.group_rows().map(|(t, n)| (t.clone(), n)).collect())
-    }
-
-    /// Record one direct class-count computation (the facet panel's
-    /// initial state) so the selector can decide to materialize it.
-    pub fn observe_class_counts(&self, store: &Store, elapsed: Duration) {
-        let m = ShapeMatch { shape: class_counts_shape(), columns: Vec::new() };
-        self.observe_match(Some(&m), store, elapsed);
     }
 
     // ---- introspection ---------------------------------------------------

@@ -27,9 +27,7 @@ fn main() {
 
     let answer = session.run().unwrap();
     println!("Example 1 — {}", answer.hifun);
-    if let Some(sparql) = &answer.sparql {
-        println!("translated SPARQL:\n{sparql}");
-    }
+    println!("translated SPARQL:\n{}", answer.sparql);
     println!("{}", answer.to_table());
 
     // 3. Example 2 (§5.1): count of laptops grouped by manufacturer's country

@@ -40,7 +40,7 @@ fn main() {
 
     // 2. the ƒ menu suggests a repair; FCO3 (p.count) derives a functional
     //    feature
-    let ext = session.facets().extension().to_btree_set();
+    let ext = session.facets().extension().clone();
     let suggestion = transform::suggest(&store, &ext, &format!("{EX}founder"));
     println!("suggested transform: {suggestion:?}");
     let transformed = transform::apply(&store, &ext, &suggestion.expect("a repair is suggested"));

@@ -32,11 +32,12 @@
 //! Shed counts and the current snapshot generation are in `GET /healthz`.
 //!
 //! `--auto-views` turns on workload-driven materialized aggregate views:
-//! hot aggregate query shapes are materialized, answered from the views
-//! (`GET /v1/views` lists them, `GET /v1/views/stats` the counters,
-//! `POST /v1/views/refresh` re-runs the selector), and maintained
-//! incrementally on updates. `--view-budget BYTES` caps their approximate
-//! memory footprint.
+//! hot aggregate shapes of the `/v1/query` workload are materialized,
+//! answered from the views (`GET /v1/views` lists them,
+//! `GET /v1/views/stats` the counters, `POST /v1/views/refresh` re-runs
+//! the selector), and maintained incrementally on updates. The facet panel
+//! never reads them. `--view-budget BYTES` caps their approximate memory
+//! footprint.
 //!
 //! Without a file argument (and an empty/absent persist dir) the demo
 //! products KG is served.

@@ -128,10 +128,10 @@ pub struct ServerConfig {
     /// Enable test-only routes (`/panic`, `/slow`). Off by default.
     pub debug_routes: bool,
     /// Workload-driven materialized aggregate views: record the aggregate
-    /// fragment of the query workload, materialize the hot shapes, answer
-    /// matching queries (and the facet panel's initial class counts) from
-    /// the views, and maintain them incrementally on `/v1/update`. Exposed
-    /// on `/v1/views`. Off by default.
+    /// fragment of the `/v1/query` workload, materialize the hot shapes,
+    /// answer matching queries from the views, and maintain them
+    /// incrementally on `/v1/update`. The facet panel never reads them.
+    /// Exposed on `/v1/views`. Off by default.
     pub auto_views: bool,
     /// Approximate memory budget for materialized views (bytes).
     pub view_budget_bytes: usize,
@@ -1206,9 +1206,7 @@ fn serve_facets(
 ) -> std::io::Result<()> {
     let snap = ctx.shared.snapshot();
     let facet_cache = &ctx.facet_cache;
-    let class_param = form_value(query_string, "class");
-    let initial_state = class_param.is_none();
-    let ext = match class_param {
+    let ext = match form_value(query_string, "class") {
         Some(iri) => {
             if let Err(e) = notation::validate_iri(&iri) {
                 return write_response(
@@ -1266,43 +1264,11 @@ fn serve_facets(
     let mut stale_generation: Option<u64> = None;
     let mut last_err: Option<FacetError> = None;
 
-    // The initial panel's class counts are exactly the `GROUP BY rdf:type`
-    // aggregate: when the view manager holds a fresh class-counts view AND
-    // the equivalence is exact (see `initial_counts_are_exact`), the whole
-    // marker-tree walk is served from the view. Where it is not exact the
-    // view could never serve, so its cost is not reported either: reporting
-    // it would materialize a view that is maintained on every update and
-    // never read.
-    let mut view_hit = false;
-    let counts_viewable = initial_state && initial_counts_are_exact(&snap);
-    let view_counts = if counts_viewable && !cached_only {
-        ctx.views.as_ref().and_then(|v| v.class_counts(&snap)).map(|counts| {
-            counts
-                .iter()
-                .filter_map(|(term, n)| snap.lookup(term).map(|id| (id, *n as usize)))
-                .collect::<std::collections::BTreeMap<_, _>>()
-        })
-    } else {
-        None
-    };
     let fresh_classes = if cached_only {
         None
-    } else if let Some(counts) = view_counts {
-        view_hit = true;
-        Some(Arc::new(rdfa_facets::class_markers_from_counts(&snap, &counts)))
     } else {
-        let started = Instant::now();
         match facet_cache.class_markers(&snap, &ext, opts.clone()) {
-            Ok(c) => {
-                // report the direct cost so the selector can decide the
-                // class-counts view is worth materializing
-                if counts_viewable {
-                    if let Some(v) = &ctx.views {
-                        v.observe_class_counts(&snap, started.elapsed());
-                    }
-                }
-                Some(c)
-            }
+            Ok(c) => Some(c),
             Err(e) => {
                 last_err = Some(e);
                 None
@@ -1354,32 +1320,10 @@ fn serve_facets(
     if let Some(generation) = stale_generation {
         headers.push(format!("X-Facet-Stale: {generation}"));
     }
-    if view_hit {
-        headers.push("X-Facet-View: hit".to_owned());
-    }
     // a stale panel reports the generation its markers were computed at
     let generation = stale_generation.unwrap_or_else(|| snap.generation());
     let payload = facets_json(&snap, generation, ext.len(), &classes, &facets);
     write_response_headed(wire, "200 OK", "application/json", &headers, &payload)
-}
-
-/// True when the initial facet state's per-class counts equal the
-/// class-counts view's group sizes, so the view can serve them verbatim.
-///
-/// The view counts every `?x rdf:type c` subject; the facet walk counts
-/// `instances(c) ∩ ext` where the initial `ext` is every named individual,
-/// or every *explicit* subject when no `owl:NamedIndividual` typing exists.
-/// The two agree exactly when (a) there are no named individuals (so `ext`
-/// is the all-subjects variant) and (b) the store has no inferred triples —
-/// then every typed subject carries an explicit type triple and is
-/// therefore in `ext`. Inference can type a term that only ever appears as
-/// an object (e.g. via `rdfs:range`), which `ext` would exclude; in that
-/// case the walk is computed directly.
-fn initial_counts_are_exact(snap: &Store) -> bool {
-    snap.len_entailed() == snap.len()
-        && snap
-            .lookup_iri(rdfa_model::vocab::owl::NAMED_INDIVIDUAL)
-            .is_none_or(|ni| snap.instances_set(ni).is_empty())
 }
 
 /// Facet markers could not be computed within budget and no stale set was
@@ -2027,49 +1971,36 @@ mod tests {
         );
     }
 
+    /// The facet route reads no view and reports no workload to the view
+    /// selector, over a store with inferred triples and over one without:
+    /// repeated panels and updates leave no view materialized (and none
+    /// maintained on every update).
     #[test]
-    fn facets_initial_class_counts_serve_from_the_view() {
-        let server = views_server(demo_store());
-        // warm the class-counts shape through the facet route itself
-        for _ in 0..3 {
-            let resp = get(server.addr(), "/v1/facets", "*/*");
-            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        }
-        let hit = get(server.addr(), "/v1/facets", "*/*");
-        assert!(hit.contains("X-Facet-View: hit"), "{hit}");
-        // the view-backed markers carry the same counts as direct ones
-        let plain = Server::start(demo_store(), 0).unwrap();
-        let direct = get(plain.addr(), "/v1/facets", "*/*");
-        assert_eq!(body_of(&hit), body_of(&direct));
-    }
-
-    /// Over a store with inferred triples the initial class counts are not
-    /// the class-counts view's group sizes, so the view could never serve
-    /// the panel: the route must not get it materialized (and then
-    /// maintained on every update) by reporting its cost.
-    #[test]
-    fn facets_over_an_inferred_store_materialize_no_class_counts_view() {
-        let mut store = demo_store();
-        store
+    fn facets_route_materializes_no_view() {
+        let mut inferred = demo_store();
+        inferred
             .load_turtle(
                 "@prefix ex: <http://example.org/> .
                  @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
                  ex:Laptop rdfs:subClassOf ex:Product .",
             )
             .unwrap();
-        assert!(store.len_entailed() > store.len(), "the fixture must carry inferred triples");
-        let server = views_server(store);
-        for i in 0..6 {
-            let resp = get(server.addr(), "/v1/facets", "*/*");
-            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-            assert!(!resp.contains("X-Facet-View"), "{resp}");
-            let update = format!("PREFIX ex: <http://example.org/> INSERT DATA {{ ex:n{i} ex:tag {i} . }}");
-            assert!(post(server.addr(), "/v1/update", &update).contains("\"inserted\":1"));
+        assert!(inferred.len_entailed() > inferred.len(), "the fixture must carry inferred triples");
+        let plain = demo_store();
+        assert_eq!(plain.len_entailed(), plain.len(), "the fixture must carry no inferred triples");
+        for store in [inferred, plain] {
+            let server = views_server(store);
+            for i in 0..6 {
+                let resp = get(server.addr(), "/v1/facets", "*/*");
+                assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+                let update = format!("PREFIX ex: <http://example.org/> INSERT DATA {{ ex:n{i} ex:tag {i} . }}");
+                assert!(post(server.addr(), "/v1/update", &update).contains("\"inserted\":1"));
+            }
+            let views = server.views().unwrap();
+            assert!(views.views().is_empty(), "{:?}", views.views());
+            let stats = views.stats();
+            assert_eq!((stats.materializations, stats.incremental_maintenance), (0, 0), "{stats:?}");
         }
-        let views = server.views().unwrap();
-        assert!(views.views().is_empty(), "{:?}", views.views());
-        let stats = views.stats();
-        assert_eq!((stats.materializations, stats.incremental_maintenance), (0, 0), "{stats:?}");
     }
 
     #[test]

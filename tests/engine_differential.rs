@@ -1,5 +1,5 @@
 //! Differential harness: the engine's physical plan must agree with the
-//! reference evaluator (`rdfa-sparql-oracle`, an independent term-space
+//! reference evaluator (`rdfa_oracle::sparql`, an independent term-space
 //! implementation) on every query and over every backend, including when
 //! resource limits trip. Queries come from a fixed
 //! corpus covering the operator surface (aggregates, OPTIONAL, UNION,
@@ -108,7 +108,7 @@ fn canon(results: &QueryResults) -> (Vec<String>, Vec<Vec<Option<String>>>) {
 }
 
 fn oracle(s: &Store, q: &str, options: EvalOptions) -> Result<QueryResults, SparqlError> {
-    rdfa_sparql_oracle::run(s, q, options)
+    rdfa_oracle::sparql::run(s, q, options)
 }
 
 /// Run one query on the oracle and on the plan, and demand agreement.

@@ -1,15 +1,33 @@
 //! Differential property tests for the merge-join facet path (§5.3–5.5):
 //! the sorted-dense `ExtSet` and every algebra operation built on it must
-//! agree, byte for byte, with the seed's `BTreeSet` implementations on
-//! randomly generated graphs — and the generation-keyed `FacetCache` must
-//! recompute after any SPARQL update mutates the store.
+//! agree, byte for byte, with the seed's `BTreeSet` implementations
+//! (`rdfa_oracle::facets`) on fixtures and randomly generated graphs — and
+//! the generation-keyed `FacetCache` must recompute after any SPARQL update
+//! mutates the store.
 
 use rdf_analytics::facets::markers::{self, FacetOptions};
 use rdf_analytics::facets::{ops, ExtSet, FacetCache, PathStep};
 use rdf_analytics::sparql::execute_update;
 use rdf_analytics::store::{Store, TermId};
+use rdfa_oracle::facets as reference;
 use rdfa_prng::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// An `ExtSet` as the oracle's set type.
+trait AsBTree {
+    fn btree(&self) -> BTreeSet<TermId>;
+}
+
+impl AsBTree for ExtSet {
+    fn btree(&self) -> BTreeSet<TermId> {
+        self.iter().collect()
+    }
+}
+
+/// The oracle's set as an `ExtSet`.
+fn ext_of(set: &BTreeSet<TermId>) -> ExtSet {
+    set.iter().copied().collect()
+}
 
 // ---------------------------------------------------------------------------
 // random inputs
@@ -20,7 +38,7 @@ fn random_ids(rng: &mut StdRng, max_len: usize, max_id: u32) -> (ExtSet, BTreeSe
     let len = rng.gen_range(0..max_len);
     let oracle: BTreeSet<TermId> =
         (0..len).map(|_| TermId(rng.gen_range(0u32..max_id))).collect();
-    (ExtSet::from(&oracle), oracle)
+    (ext_of(&oracle), oracle)
 }
 
 /// Object values beside the plain `ex:v{n}` IRIs: local names that collide
@@ -101,7 +119,7 @@ fn random_ext(rng: &mut StdRng, store: &Store) -> (ExtSet, BTreeSet<TermId>) {
         .copied()
         .filter(|_| rng.gen_bool(0.6))
         .collect();
-    (ExtSet::from(&oracle), oracle)
+    (ext_of(&oracle), oracle)
 }
 
 fn props_of(store: &Store) -> Vec<TermId> {
@@ -128,19 +146,19 @@ fn extset_ops_match_btreeset_oracle() {
         }
 
         assert_eq!(a.len(), oa.len(), "case {case}: len");
-        assert_eq!(a.to_btree_set(), oa, "case {case}: roundtrip");
+        assert_eq!(a.btree(), oa, "case {case}: roundtrip");
         assert_eq!(
-            a.intersect(&b).to_btree_set(),
+            a.intersect(&b).btree(),
             oa.intersection(&ob).copied().collect::<BTreeSet<_>>(),
             "case {case}: intersect"
         );
         assert_eq!(
-            a.union(&b).to_btree_set(),
+            a.union(&b).btree(),
             oa.union(&ob).copied().collect::<BTreeSet<_>>(),
             "case {case}: union"
         );
         assert_eq!(
-            a.difference(&b).to_btree_set(),
+            a.difference(&b).btree(),
             oa.difference(&ob).copied().collect::<BTreeSet<_>>(),
             "case {case}: difference"
         );
@@ -155,15 +173,59 @@ fn extset_ops_match_btreeset_oracle() {
         // fingerprints agree across representations of the same set
         assert_eq!(
             a.fingerprint(),
-            ExtSet::from(&oa).fingerprint(),
+            ext_of(&oa).fingerprint(),
             "case {case}: fingerprint is representation-independent"
         );
     }
 }
 
 // ---------------------------------------------------------------------------
-// 2. facet algebra vs ops::reference on random graphs
+// 2. facet algebra vs the seed operators on fixtures and random graphs
 // ---------------------------------------------------------------------------
+
+const EX: &str = "http://e/";
+
+fn fixture_id(s: &Store, local: &str) -> TermId {
+    s.lookup_iri(&format!("{EX}{local}")).unwrap()
+}
+
+/// Every operator agrees with its seed counterpart on a small laptop
+/// fixture, forward and inverse.
+#[test]
+fn facet_ops_match_reference_on_fixture() {
+    let mut s = Store::new();
+    s.load_turtle(&format!(
+        r#"@prefix ex: <{EX}> .
+           ex:l1 a ex:Laptop ; ex:manufacturer ex:DELL ; ex:usb 2 .
+           ex:l2 a ex:Laptop ; ex:manufacturer ex:Lenovo ; ex:usb 4 .
+           ex:l3 a ex:Laptop ; ex:manufacturer ex:DELL ; ex:usb 3 .
+           ex:DELL ex:origin ex:USA .
+           ex:Lenovo ex:origin ex:China .
+        "#
+    ))
+    .unwrap();
+    let ext: ExtSet = ["l1", "l2", "l3"].iter().map(|l| fixture_id(&s, l)).collect();
+    let ext_ref = ext.btree();
+    for prop in ["manufacturer", "usb"] {
+        for inverse in [false, true] {
+            let st = PathStep { prop: fixture_id(&s, prop), inverse };
+            assert_eq!(ops::joins(&s, &ext, st).btree(), reference::joins(&s, &ext_ref, st));
+            let counts: Vec<(TermId, usize)> =
+                reference::joins_with_counts(&s, &ext_ref, st).into_iter().collect();
+            assert_eq!(ops::joins_with_counts(&s, &ext, st), counts);
+        }
+    }
+    let path = [
+        PathStep::fwd(fixture_id(&s, "manufacturer")),
+        PathStep::fwd(fixture_id(&s, "origin")),
+    ];
+    assert_eq!(ops::joins_path(&s, &ext, &path).btree(), reference::joins_path(&s, &ext_ref, &path));
+    let usa: BTreeSet<TermId> = [fixture_id(&s, "USA")].into_iter().collect();
+    assert_eq!(
+        ops::restrict_path(&s, &ext, &path, &ext_of(&usa)).unwrap().btree(),
+        reference::restrict_path(&s, &ext_ref, &path, &usa)
+    );
+}
 
 #[test]
 fn facet_ops_match_reference_on_random_graphs() {
@@ -174,33 +236,33 @@ fn facet_ops_match_reference_on_random_graphs() {
         for p in props_of(&store) {
             for step in [PathStep::fwd(p), PathStep::inv(p)] {
                 let joined = ops::joins(&store, &ext, step);
-                let joined_ref = ops::reference::joins(&store, &oracle, step);
-                assert_eq!(joined.to_btree_set(), joined_ref, "case {case}: joins");
+                let joined_ref = reference::joins(&store, &oracle, step);
+                assert_eq!(joined.btree(), joined_ref, "case {case}: joins");
 
                 let counts: BTreeMap<TermId, usize> =
                     ops::joins_with_counts(&store, &ext, step).into_iter().collect();
                 assert_eq!(
                     counts,
-                    ops::reference::joins_with_counts(&store, &oracle, step),
+                    reference::joins_with_counts(&store, &oracle, step),
                     "case {case}: joins_with_counts"
                 );
 
                 // restrict back through every joined value
                 for v in joined.iter().take(5) {
                     assert_eq!(
-                        ops::restrict_value(&store, &ext, step, v).to_btree_set(),
-                        ops::reference::restrict_value(&store, &oracle, step, v),
+                        ops::restrict_value(&store, &ext, step, v).btree(),
+                        reference::restrict_value(&store, &oracle, step, v),
                         "case {case}: restrict_value"
                     );
                 }
                 let vset = joined;
                 assert_eq!(
-                    ops::restrict_value_set(&store, &ext, step, &vset).to_btree_set(),
-                    ops::reference::restrict_value_set(
+                    ops::restrict_value_set(&store, &ext, step, &vset).btree(),
+                    reference::restrict_value_set(
                         &store,
                         &oracle,
                         step,
-                        &vset.to_btree_set()
+                        &vset.btree()
                     ),
                     "case {case}: restrict_value_set"
                 );
@@ -210,8 +272,8 @@ fn facet_ops_match_reference_on_random_graphs() {
         for c in 0..6 {
             if let Some(class) = store.lookup_iri(&format!("http://e/C{c}")) {
                 assert_eq!(
-                    ops::restrict_class(&store, &ext, class).to_btree_set(),
-                    ops::reference::restrict_class(&store, &oracle, class),
+                    ops::restrict_class(&store, &ext, class).btree(),
+                    reference::restrict_class(&store, &oracle, class),
                     "case {case}: restrict_class"
                 );
             }
@@ -221,8 +283,8 @@ fn facet_ops_match_reference_on_random_graphs() {
         if props.len() >= 2 {
             let path = [PathStep::fwd(props[0]), PathStep::fwd(props[1])];
             assert_eq!(
-                ops::joins_path(&store, &ext, &path).to_btree_set(),
-                ops::reference::joins_path(&store, &oracle, &path),
+                ops::joins_path(&store, &ext, &path).btree(),
+                reference::joins_path(&store, &oracle, &path),
                 "case {case}: joins_path"
             );
             let terminal = ops::joins_path(&store, &ext, &path);
@@ -231,12 +293,12 @@ fn facet_ops_match_reference_on_random_graphs() {
                 assert_eq!(
                     ops::restrict_path(&store, &ext, &path, &one)
                         .expect("non-empty path")
-                        .to_btree_set(),
-                    ops::reference::restrict_path(
+                        .btree(),
+                    reference::restrict_path(
                         &store,
                         &oracle,
                         &path,
-                        &one.to_btree_set()
+                        &one.btree()
                     ),
                     "case {case}: restrict_path"
                 );
@@ -249,6 +311,32 @@ fn facet_ops_match_reference_on_random_graphs() {
 // 3. markers: byte-identical to the seed
 // ---------------------------------------------------------------------------
 
+/// The merge-join markers agree with the seed markers on the running
+/// example of Fig 5.3 (abridged): a class hierarchy two levels deep.
+#[test]
+fn markers_match_reference_on_fixture() {
+    let mut s = Store::new();
+    s.load_turtle(&format!(
+        r#"@prefix ex: <{EX}> .
+           @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+           ex:Laptop rdfs:subClassOf ex:Product .
+           ex:HDType rdfs:subClassOf ex:Product .
+           ex:SSD rdfs:subClassOf ex:HDType .
+           ex:NVMe rdfs:subClassOf ex:HDType .
+           ex:l1 a ex:Laptop ; ex:manufacturer ex:DELL ; ex:hardDrive ex:ssd1 ; ex:usb 2 .
+           ex:l2 a ex:Laptop ; ex:manufacturer ex:DELL ; ex:hardDrive ex:ssd2 ; ex:usb 2 .
+           ex:l3 a ex:Laptop ; ex:manufacturer ex:Lenovo ; ex:hardDrive ex:nvme1 ; ex:usb 4 .
+           ex:ssd1 a ex:SSD . ex:ssd2 a ex:SSD . ex:nvme1 a ex:NVMe .
+           ex:DELL ex:origin ex:USA . ex:Lenovo ex:origin ex:China .
+        "#
+    ))
+    .unwrap();
+    let ext = ExtSet::from_sorted_iter(s.iter_explicit().map(|[x, _, _]| x));
+    let ext_ref = ext.btree();
+    assert_eq!(reference::class_markers(&s, &ext_ref), markers::class_markers(&s, &ext));
+    assert_eq!(reference::property_facets(&s, &ext_ref), markers::property_facets(&s, &ext));
+}
+
 #[test]
 fn markers_match_reference() {
     // how often the random panels put equal display names side by side,
@@ -258,8 +346,8 @@ fn markers_match_reference() {
         let mut rng = StdRng::seed_from_u64(2000 + case);
         let store = random_store(&mut rng);
         let (ext, oracle) = random_ext(&mut rng, &store);
-        let classes_ref = markers::reference::class_markers(&store, &oracle);
-        let facets_ref = markers::reference::property_facets(&store, &oracle);
+        let classes_ref = reference::class_markers(&store, &oracle);
+        let facets_ref = reference::property_facets(&store, &oracle);
         let name = |id: TermId| store.term(id).display_name();
         for f in &facets_ref {
             ties += f.values.windows(2).filter(|w| name(w[0].0) == name(w[1].0)).count();
@@ -326,8 +414,8 @@ fn markers_byte_identical_over_mmap_segments() {
         for prop in props_of(&seg) {
             for step in [PathStep::fwd(prop), PathStep::inv(prop)] {
                 assert_eq!(
-                    ops::joins(&mem, &ext, step).to_btree_set(),
-                    ops::joins(&seg, &ext, step).to_btree_set(),
+                    ops::joins(&mem, &ext, step).btree(),
+                    ops::joins(&seg, &ext, step).btree(),
                     "case {case}: joins diverged over mmap"
                 );
                 assert_eq!(
@@ -376,16 +464,16 @@ fn markers_match_reference_on_both_sides_of_the_crossover() {
         for (name, ext, seeks) in panels {
             let seek = store.prefer_seek(ext.len(), rdf_type, None);
             assert_eq!(seek, seeks, "{backing} {name}: crossover side");
-            let oracle = ext.to_btree_set();
+            let oracle = ext.btree();
             let opts = FacetOptions::default();
             assert_eq!(
                 markers::class_markers_opts(store, &ext, opts.clone()).unwrap(),
-                markers::reference::class_markers(store, &oracle),
+                reference::class_markers(store, &oracle),
                 "{backing} {name}: class markers"
             );
             assert_eq!(
                 markers::property_facets_opts(store, &ext, opts).unwrap(),
-                markers::reference::property_facets(store, &oracle),
+                reference::property_facets(store, &oracle),
                 "{backing} {name}: property facets"
             );
         }

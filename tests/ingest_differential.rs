@@ -1,5 +1,6 @@
-//! Ingest differential: the parallel bulk-ingest pipeline must produce a
-//! store **identical** to the seed per-triple path — same term-id
+//! Ingest differential: the parallel bulk-ingest pipeline behind every
+//! `Store` loader must produce a store **identical** to the seed per-triple
+//! path (`rdfa_oracle::ingest`) — same term-id
 //! assignment, same generation counter, same explicit and entailed
 //! indexes — for every thread count, on random documents and on
 //! adversarial chunk-boundary cases (escaped newlines inside literals,
@@ -14,6 +15,7 @@ use rdf_analytics::model::ntriples;
 use rdf_analytics::store::{
     FsyncPolicy, LoadOptions, PersistConfig, PersistentStore, Store, TermId,
 };
+use rdfa_oracle::ingest as seed;
 use rdfa_prng::StdRng;
 use std::path::PathBuf;
 
@@ -109,7 +111,7 @@ fn bulk_load_matches_seed_across_thread_counts() {
         let n_lines = rng.gen_range(0..120);
         let doc = random_doc(&mut rng, n_lines);
         let mut reference = Store::new();
-        let n = reference.load_ntriples(&doc).expect("seed parse");
+        let n = seed::load_ntriples(&mut reference, &doc).expect("seed parse");
         for threads in THREADS {
             let mut bulk = Store::new();
             let stats = bulk
@@ -132,8 +134,8 @@ fn bulk_load_into_non_empty_store_matches_seed() {
         let n_lines = rng.gen_range(1..80);
         let doc = random_doc(&mut rng, n_lines);
         let mut reference = Store::new();
-        reference.load_ntriples(preload).unwrap();
-        reference.load_ntriples(&doc).unwrap();
+        seed::load_ntriples(&mut reference, preload).unwrap();
+        seed::load_ntriples(&mut reference, &doc).unwrap();
         for threads in THREADS {
             let mut bulk = Store::new();
             bulk.load_ntriples(preload).unwrap();
@@ -156,7 +158,7 @@ fn chunk_boundary_hazards() {
                <http://ex.org/a> <http://ex.org/p> \"one\\ntwo\\nthree\" .\n\
                <http://ex.org/d> <http://ex.org/q> _:tail .";
     let mut reference = Store::new();
-    let n = reference.load_ntriples(doc).expect("seed parse");
+    let n = seed::load_ntriples(&mut reference, doc).expect("seed parse");
     assert_eq!(n, 5, "fixture should hold five triples (one duplicated)");
     for threads in THREADS {
         let mut bulk = Store::new();
@@ -184,7 +186,7 @@ fn parse_errors_agree_with_seed_including_line_numbers() {
         doc.push_str(bad[(case % 3) as usize]);
         doc.push('\n');
         doc.push_str("<http://ex.org/x> <http://ex.org/p> \"after the error\" .\n");
-        let seed_err = Store::new().load_ntriples(&doc).expect_err("seed must reject");
+        let seed_err = seed::load_ntriples(&mut Store::new(), &doc).expect_err("seed must reject");
         for threads in THREADS {
             let mut bulk = Store::new();
             let bulk_err = bulk
@@ -202,7 +204,7 @@ fn reader_and_path_loaders_match_in_memory_load() {
     let mut rng = StdRng::seed_from_u64(42);
     let doc = random_doc(&mut rng, 400);
     let mut reference = Store::new();
-    reference.load_ntriples(&doc).unwrap();
+    seed::load_ntriples(&mut reference, &doc).unwrap();
 
     let mut via_reader = Store::new();
     let stats = via_reader
@@ -286,7 +288,7 @@ fn durable_path_load_survives_reopen() {
     std::fs::write(&path, &doc).unwrap();
 
     let mut reference = Store::new();
-    reference.load_ntriples(&doc).unwrap();
+    seed::load_ntriples(&mut reference, &doc).unwrap();
 
     let dir = tmpdir("path");
     let config = PersistConfig { fsync: FsyncPolicy::Always, ..PersistConfig::default() };
@@ -313,8 +315,8 @@ fn bulk_graph_load_matches_seed_load_graph() {
     let products = ProductsGenerator::new(400, 3).generate();
     let invoices = InvoicesGenerator::new(250, 5).generate();
     let mut reference = Store::new();
-    reference.load_graph(&products);
-    reference.load_graph(&invoices);
+    seed::load_graph(&mut reference, &products);
+    seed::load_graph(&mut reference, &invoices);
     for threads in THREADS {
         let mut bulk = Store::new();
         bulk.bulk_load_graph(&products, LoadOptions::exact(threads));

@@ -14,9 +14,9 @@
 use rdf_analytics::datagen::{ProductsGenerator, EX};
 use rdf_analytics::facets::{FacetedSession, PathStep};
 use rdf_analytics::sparql::Engine;
-use rdf_analytics::store::{Store, TermId};
+use rdf_analytics::store::{ExtSet, Store};
 use rdfa_prng::StdRng;
-use std::collections::BTreeSet;
+
 
 fn build_store(n_products: usize, seed: u64) -> Store {
     let mut store = Store::new();
@@ -55,13 +55,13 @@ fn random_walk(store: &Store, clicks: &[usize]) -> bool {
     // invariant 4: intention evaluates back to the extension
     let sparql = session.intent_sparql();
     let sols = Engine::builder(store).build().run(&sparql).unwrap();
-    let got: BTreeSet<TermId> = sols
+    let got: ExtSet = sols
         .solutions()
         .unwrap()
         .column("x")
         .filter_map(|t| store.lookup(t))
         .collect();
-    assert_eq!(got, session.extension().to_btree_set(), "intention must reproduce the extension");
+    assert_eq!(&got, session.extension(), "intention must reproduce the extension");
     true
 }
 

@@ -2,10 +2,10 @@
 //! Fig 5.3 fixture: the four §5.1 examples, the Fig 1.3 flagship query,
 //! and the Fig 6.3 reload flow.
 
-use rdf_analytics::analytics::{AnalyticsSession, EvalStrategy, GroupSpec, MeasureSpec};
+use rdf_analytics::analytics::{AnalyticsSession, GroupSpec, MeasureSpec};
 use rdf_analytics::datagen::{products_fixture, EX};
 use rdf_analytics::facets::PathStep;
-use rdf_analytics::hifun::{AggOp, CondOp, DerivedFn};
+use rdf_analytics::hifun::{direct, AggOp, CondOp, DerivedFn};
 use rdf_analytics::model::{Term, Value};
 use rdf_analytics::sparql::Engine;
 use rdf_analytics::store::Store;
@@ -186,41 +186,13 @@ fn fig_1_3_via_interaction_model() {
     s.add_grouping(GroupSpec::property(id(&store, "manufacturer")));
     s.set_measure(MeasureSpec::property(id(&store, "price")));
     s.set_ops(vec![AggOp::Avg]);
-    for strategy in [EvalStrategy::TranslatedSparql, EvalStrategy::DirectHifun] {
-        let mut s2 = AnalyticsSession::start(&store).with_strategy(strategy);
-        // replay the same clicks
-        s2.select_class(id(&store, "Laptop")).unwrap();
-        s2.select_path_value(
-            &[PathStep::fwd(id(&store, "manufacturer")), PathStep::fwd(id(&store, "origin"))],
-            id(&store, "USA"),
-        )
-        .unwrap();
-        s2.select_range(&[PathStep::fwd(id(&store, "USBPorts"))], Some(Value::Int(2)), None)
-            .unwrap();
-        s2.select_path_value(
-            &[
-                PathStep::fwd(id(&store, "hardDrive")),
-                PathStep::fwd(id(&store, "manufacturer")),
-                PathStep::fwd(id(&store, "origin")),
-                PathStep::fwd(id(&store, "locatedAt")),
-            ],
-            id(&store, "Asia"),
-        )
-        .unwrap();
-        s2.select_range(
-            &[PathStep::fwd(id(&store, "releaseDate"))],
-            Some(date("2021-01-01")),
-            Some(date("2021-12-31")),
-        )
-        .unwrap();
-        s2.add_grouping(GroupSpec::property(id(&store, "manufacturer")));
-        s2.set_measure(MeasureSpec::property(id(&store, "price")));
-        s2.set_ops(vec![AggOp::Avg]);
-        let frame = s2.run().unwrap();
-        assert_eq!(frame.rows.len(), 1, "strategy {strategy:?}");
-        assert_eq!(frame.rows[0][0].as_ref().unwrap().display_name(), "DELL");
-        assert!(Value::from_term(frame.rows[0][1].as_ref().unwrap())
-            .value_eq(&Value::Float(900.0)));
+    // the session's answer, and the direct HIFUN evaluation of its query
+    let translated = s.run().unwrap().rows;
+    let direct = direct::evaluate(&store, &s.hifun_query().unwrap()).unwrap().into_rows();
+    for (how, rows) in [("translated", translated), ("direct", direct)] {
+        assert_eq!(rows.len(), 1, "{how}");
+        assert_eq!(rows[0][0].as_ref().unwrap().display_name(), "DELL", "{how}");
+        assert!(Value::from_term(rows[0][1].as_ref().unwrap()).value_eq(&Value::Float(900.0)));
     }
 }
 
