@@ -1,15 +1,16 @@
-//! Click scripts: a tiny textual DSL for recording and replaying interaction
-//! sessions.
+//! Click scripts: the text form of an interaction state.
 //!
-//! Every button of the paper's GUI corresponds to one line; a script is the
-//! exact click sequence a user performs. Scripts make sessions serializable
-//! and reproducible — the simulated user study and the examples replay them,
-//! and they double as a compact notation in documentation:
+//! Every button of the paper's GUI corresponds to one line. A script is
+//! what a user types — the `rdfa` REPL reads each click command as a
+//! one-line script — and what a session prints:
+//! [`AnalyticsSession::script`] writes the current state as the clicks that
+//! rebuild it, and `Display` prints exactly what [`Script::parse`] reads.
 //!
 //! ```text
 //! prefix ex: <http://www.ics.forth.gr/example#>
 //! class ex:Laptop
 //! path ex:manufacturer/ex:origin = ex:USA
+//! values ex:hardDrive ex:SSD1 ex:SSD2
 //! range ex:USBPorts 2 4
 //! group ex:manufacturer
 //! group ex:releaseDate [year]
@@ -18,33 +19,43 @@
 //! having 0 >= 1200
 //! run
 //! ```
+//!
+//! Terms are written in N-Triples syntax — `<iri>`, `_:label`, `"lex"`,
+//! `"lex"@lang`, `"lex"^^<datatype>` — or as a shorthand: a prefixed name,
+//! a bare integer, decimal or date (`2021-06-10`). A path step written
+//! `^p` is traversed inversely. Bare local names (`class Laptop`) are
+//! resolved only by [`Script::parse_in`], against a store.
 
 use crate::session::{AnalyticsSession, GroupSpec, MeasureSpec};
 use crate::{AnalyticsError, AnswerFrame};
 use rdfa_facets::PathStep;
 use rdfa_hifun::{AggOp, CondOp, DerivedFn};
-use rdfa_model::{Term, Value};
-use rdfa_store::Store;
+use rdfa_model::term::{local_name, unescape_literal_checked};
+use rdfa_model::{vocab::xsd, Date, Literal, Term, Value};
+use rdfa_store::{ExtSet, Store, TermId};
 use std::collections::HashMap;
+use std::fmt;
 
 /// One scripted action (one GUI interaction).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// `class <iri>` — click a class marker.
-    SelectClass(String),
+    SelectClass(Term),
     /// `value <prop> <term>` / `path p1/p2 = <term>` — click a value marker
     /// (possibly at the end of an expanded path).
-    SelectPathValue { path: Vec<String>, value: ScriptTerm },
+    SelectPathValue { path: Vec<Step>, value: Term },
+    /// `values p1/p2 <term> <term> …` — tick several value checkboxes.
+    SelectValues { path: Vec<Step>, values: Vec<Term> },
     /// `range p1/p2 <min|*> <max|*>` — the ⧩ filter.
-    SelectRange { path: Vec<String>, min: Option<ScriptTerm>, max: Option<ScriptTerm> },
+    SelectRange { path: Vec<Step>, min: Option<Term>, max: Option<Term> },
     /// `group p1/p2 [year|month|day]` — click a G button.
-    AddGrouping { path: Vec<String>, derived: Option<DerivedFn> },
-    /// `measure p1/p2` — click the ⨊ button's attribute.
-    SetMeasure { path: Vec<String> },
+    AddGrouping { path: Vec<Term>, derived: Option<DerivedFn> },
+    /// `measure p1/p2 [year|month|day]` — click the ⨊ button's attribute.
+    SetMeasure { path: Vec<Term>, derived: Option<DerivedFn> },
     /// `ops avg sum …` — pick the aggregate operations.
     SetOps(Vec<AggOp>),
-    /// `having <op-index> <cmp> <value>` — a result restriction.
-    AddHaving { op_index: usize, cond: CondOp, value: ScriptTerm },
+    /// `having <op-index> <cmp> <term>` — a result restriction.
+    AddHaving { op_index: usize, cond: CondOp, value: Term },
     /// `run` — evaluate the current intention into an Answer Frame.
     Run,
     /// `back` — undo the last faceted transition.
@@ -53,36 +64,15 @@ pub enum Action {
     ClearAnalytics,
 }
 
-/// A literal or IRI in script syntax.
+/// One step of a facet path: a property, traversed inversely when written
+/// `^p`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ScriptTerm {
-    Iri(String),
-    Int(i64),
-    Float(f64),
-    Date(rdfa_model::Date),
-    Str(String),
+pub struct Step {
+    pub prop: Term,
+    pub inverse: bool,
 }
 
-impl ScriptTerm {
-    fn to_term(&self) -> Term {
-        match self {
-            ScriptTerm::Iri(iri) => Term::iri(iri.clone()),
-            ScriptTerm::Int(v) => Term::integer(*v),
-            ScriptTerm::Float(v) => Term::decimal(*v),
-            ScriptTerm::Date(d) => Term::Literal(rdfa_model::Literal::typed(
-                d.to_string(),
-                rdfa_model::vocab::xsd::DATE,
-            )),
-            ScriptTerm::Str(s) => Term::string(s.clone()),
-        }
-    }
-
-    fn to_value(&self) -> Value {
-        Value::from_term(&self.to_term())
-    }
-}
-
-/// A parsed script: prefix table plus the action list.
+/// A parsed script: the action list.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Script {
     pub actions: Vec<Action>,
@@ -95,140 +85,28 @@ pub struct ScriptError {
     pub message: String,
 }
 
-impl std::fmt::Display for ScriptError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ScriptError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "script error at line {}: {}", self.line, self.message)
     }
 }
 
 impl std::error::Error for ScriptError {}
 
+const CONDS: [CondOp; 6] = [CondOp::Eq, CondOp::Ne, CondOp::Lt, CondOp::Le, CondOp::Gt, CondOp::Ge];
+const DERIVED: [DerivedFn; 3] = [DerivedFn::Year, DerivedFn::Month, DerivedFn::Day];
+
 impl Script {
-    /// Parse a script text.
+    /// Parse a script text. Names must be `<iri>`s or prefixed names.
     pub fn parse(text: &str) -> Result<Script, ScriptError> {
-        let mut prefixes: HashMap<String, String> = HashMap::new();
-        let mut actions = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |message: String| ScriptError { line: lineno + 1, message };
-            let mut words = line.split_whitespace();
-            let verb = words.next().expect("non-empty line");
-            let rest: Vec<&str> = words.collect();
-            match verb {
-                "prefix" => {
-                    // prefix ex: <http://…>
-                    let name = rest
-                        .first()
-                        .and_then(|w| w.strip_suffix(':'))
-                        .ok_or_else(|| err("prefix needs a name ending in ':'".into()))?;
-                    let iri = rest
-                        .get(1)
-                        .and_then(|w| w.strip_prefix('<'))
-                        .and_then(|w| w.strip_suffix('>'))
-                        .ok_or_else(|| err("prefix needs an <iri>".into()))?;
-                    prefixes.insert(name.to_owned(), iri.to_owned());
-                }
-                "class" => {
-                    let iri = resolve(rest.first().copied(), &prefixes)
-                        .ok_or_else(|| err("class needs an IRI".into()))?;
-                    actions.push(Action::SelectClass(iri));
-                }
-                "value" => {
-                    let prop = resolve(rest.first().copied(), &prefixes)
-                        .ok_or_else(|| err("value needs a property".into()))?;
-                    let value = parse_term(rest.get(1).copied(), &prefixes)
-                        .ok_or_else(|| err("value needs a term".into()))?;
-                    actions.push(Action::SelectPathValue { path: vec![prop], value });
-                }
-                "path" => {
-                    // path p1/p2 = term
-                    let path = parse_path(rest.first().copied(), &prefixes)
-                        .ok_or_else(|| err("path needs p1/p2/…".into()))?;
-                    if rest.get(1) != Some(&"=") {
-                        return Err(err("path needs '= term'".into()));
-                    }
-                    let value = parse_term(rest.get(2).copied(), &prefixes)
-                        .ok_or_else(|| err("path needs a term after '='".into()))?;
-                    actions.push(Action::SelectPathValue { path, value });
-                }
-                "range" => {
-                    let path = parse_path(rest.first().copied(), &prefixes)
-                        .ok_or_else(|| err("range needs a property path".into()))?;
-                    let bound = |w: Option<&str>| -> Option<Option<ScriptTerm>> {
-                        match w {
-                            Some("*") => Some(None),
-                            w => parse_term(w, &prefixes).map(Some),
-                        }
-                    };
-                    let min = bound(rest.get(1).copied())
-                        .ok_or_else(|| err("range needs <min|*>".into()))?;
-                    let max = bound(rest.get(2).copied())
-                        .ok_or_else(|| err("range needs <max|*>".into()))?;
-                    actions.push(Action::SelectRange { path, min, max });
-                }
-                "group" => {
-                    let path = parse_path(rest.first().copied(), &prefixes)
-                        .ok_or_else(|| err("group needs a property path".into()))?;
-                    let derived = match rest.get(1).copied() {
-                        None => None,
-                        Some("[year]") => Some(DerivedFn::Year),
-                        Some("[month]") => Some(DerivedFn::Month),
-                        Some("[day]") => Some(DerivedFn::Day),
-                        Some(other) => return Err(err(format!("unknown derived '{other}'"))),
-                    };
-                    actions.push(Action::AddGrouping { path, derived });
-                }
-                "measure" => {
-                    let path = parse_path(rest.first().copied(), &prefixes)
-                        .ok_or_else(|| err("measure needs a property path".into()))?;
-                    actions.push(Action::SetMeasure { path });
-                }
-                "ops" => {
-                    let mut ops = Vec::new();
-                    for w in &rest {
-                        ops.push(match *w {
-                            "count" => AggOp::Count,
-                            "sum" => AggOp::Sum,
-                            "avg" => AggOp::Avg,
-                            "min" => AggOp::Min,
-                            "max" => AggOp::Max,
-                            other => return Err(err(format!("unknown op '{other}'"))),
-                        });
-                    }
-                    if ops.is_empty() {
-                        return Err(err("ops needs at least one operation".into()));
-                    }
-                    actions.push(Action::SetOps(ops));
-                }
-                "having" => {
-                    let op_index: usize = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| err("having needs an op index".into()))?;
-                    let cond = match rest.get(1).copied() {
-                        Some("=") => CondOp::Eq,
-                        Some("!=") => CondOp::Ne,
-                        Some("<") => CondOp::Lt,
-                        Some("<=") => CondOp::Le,
-                        Some(">") => CondOp::Gt,
-                        Some(">=") => CondOp::Ge,
-                        other => return Err(err(format!("bad comparator {other:?}"))),
-                    };
-                    let value = parse_term(rest.get(2).copied(), &prefixes)
-                        .ok_or_else(|| err("having needs a value".into()))?;
-                    actions.push(Action::AddHaving { op_index, cond, value });
-                }
-                "run" => actions.push(Action::Run),
-                "back" => actions.push(Action::Back),
-                "clear" => actions.push(Action::ClearAnalytics),
-                other => return Err(err(format!("unknown action '{other}'"))),
-            }
-        }
-        Ok(Script { actions })
+        Parser::new(None).script(text)
+    }
+
+    /// Parse a script text, resolving bare local names (`class Laptop`)
+    /// against `store`: a name must match the local name of exactly one
+    /// IRI in it.
+    pub fn parse_in(text: &str, store: &Store) -> Result<Script, ScriptError> {
+        Parser::new(Some(store)).script(text)
     }
 
     /// Apply the script to a session; returns the Answer Frame of each `run`.
@@ -238,42 +116,33 @@ impl Script {
     ) -> Result<Vec<AnswerFrame>, AnalyticsError> {
         let mut frames = Vec::new();
         for action in &self.actions {
+            let store = session.store();
             match action {
-                Action::SelectClass(iri) => {
-                    let c = lookup(session.store(), iri)?;
-                    session.select_class(c)?;
-                }
+                Action::SelectClass(c) => session.select_class(lookup(store, c)?)?,
                 Action::SelectPathValue { path, value } => {
-                    let steps = lookup_path(session.store(), path)?;
-                    let v = session
-                        .store()
-                        .lookup(&value.to_term())
-                        .ok_or_else(|| AnalyticsError::new("value not in the KG"))?;
-                    session.select_path_value(&steps, v)?;
+                    session.select_path_value(&lookup_path(store, path)?, lookup(store, value)?)?
                 }
-                Action::SelectRange { path, min, max } => {
-                    let steps = lookup_path(session.store(), path)?;
-                    session.select_range(
-                        &steps,
-                        min.as_ref().map(ScriptTerm::to_value),
-                        max.as_ref().map(ScriptTerm::to_value),
-                    )?;
+                Action::SelectValues { path, values } => {
+                    let values: ExtSet =
+                        values.iter().map(|v| lookup(store, v)).collect::<Result<_, _>>()?;
+                    session.select_values(&lookup_path(store, path)?, &values)?
                 }
+                Action::SelectRange { path, min, max } => session.select_range(
+                    &lookup_path(store, path)?,
+                    min.as_ref().map(Value::from_term),
+                    max.as_ref().map(Value::from_term),
+                )?,
                 Action::AddGrouping { path, derived } => {
-                    let props = lookup_props(session.store(), path)?;
-                    let mut spec = GroupSpec::path(props);
-                    if let Some(f) = derived {
-                        spec = spec.with_derived(*f);
-                    }
-                    session.add_grouping(spec);
+                    let path = lookup_props(store, path)?;
+                    session.add_grouping(GroupSpec { path, derived: *derived })
                 }
-                Action::SetMeasure { path } => {
-                    let props = lookup_props(session.store(), path)?;
-                    session.set_measure(MeasureSpec::path(props));
+                Action::SetMeasure { path, derived } => {
+                    let path = lookup_props(store, path)?;
+                    session.set_measure(MeasureSpec { path, derived: *derived })
                 }
                 Action::SetOps(ops) => session.set_ops(ops.clone()),
                 Action::AddHaving { op_index, cond, value } => {
-                    session.add_having(*op_index, *cond, value.to_term());
+                    session.add_having(*op_index, *cond, value.clone())
                 }
                 Action::Run => frames.push(session.run()?),
                 Action::Back => {
@@ -302,91 +171,411 @@ impl Script {
     }
 }
 
-/// Strip a `#` comment, but not inside `<…>` IRIs (fragments!) and only at
-/// a token boundary.
-fn strip_comment(line: &str) -> &str {
-    let mut depth = 0;
-    let mut prev_ws = true;
-    for (i, c) in line.char_indices() {
-        match c {
-            '<' => depth += 1,
-            '>' => depth -= 1,
-            '#' if depth == 0 && prev_ws => return &line[..i],
-            _ => {}
-        }
-        prev_ws = c.is_whitespace();
-    }
-    line
+/// Resolve a property path written as in a script (`p1/^p2`, bare local
+/// names allowed) against a store.
+pub fn resolve_path(store: &Store, text: &str) -> Result<Vec<PathStep>, String> {
+    let steps = Parser::new(Some(store)).path(text)?;
+    lookup_path(store, &steps).map_err(|e| e.message)
 }
 
-fn resolve(word: Option<&str>, prefixes: &HashMap<String, String>) -> Option<String> {
-    let w = word?;
-    if let Some(iri) = w.strip_prefix('<').and_then(|w| w.strip_suffix('>')) {
-        return Some(iri.to_owned());
+impl fmt::Display for Script {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.actions.iter().try_for_each(|action| writeln!(f, "{action}"))
     }
-    let (p, local) = w.split_once(':')?;
-    prefixes.get(p).map(|ns| format!("{ns}{local}"))
 }
 
-fn parse_path(word: Option<&str>, prefixes: &HashMap<String, String>) -> Option<Vec<String>> {
-    let w = word?;
-    // split on '/' between name parts; full IRIs in <> may contain '/', so
-    // split only outside angle brackets
-    let mut parts = Vec::new();
-    let mut depth = 0;
-    let mut current = String::new();
-    for c in w.chars() {
-        match c {
-            '<' => {
-                depth += 1;
-                current.push(c);
+impl fmt::Display for Action {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let derived = |d: &Option<DerivedFn>| d.map(|d| format!(" {}", derived_word(d)));
+        match self {
+            Action::SelectClass(c) => write!(f, "class {c}"),
+            Action::SelectPathValue { path, value } if path.len() == 1 => {
+                write!(f, "value {} {}", steps(path), text(value))
             }
-            '>' => {
-                depth -= 1;
-                current.push(c);
+            Action::SelectPathValue { path, value } => {
+                write!(f, "path {} = {}", steps(path), text(value))
             }
-            '/' if depth == 0 => parts.push(std::mem::take(&mut current)),
-            _ => current.push(c),
+            Action::SelectValues { path, values } => {
+                let values: Vec<String> = values.iter().map(text).collect();
+                write!(f, "values {} {}", steps(path), values.join(" "))
+            }
+            Action::SelectRange { path, min, max } => {
+                let bound = |b: &Option<Term>| b.as_ref().map_or("*".to_owned(), text);
+                write!(f, "range {} {} {}", steps(path), bound(min), bound(max))
+            }
+            Action::AddGrouping { path, derived: d } => {
+                write!(f, "group {}{}", props(path), derived(d).unwrap_or_default())
+            }
+            Action::SetMeasure { path, derived: d } => {
+                write!(f, "measure {}{}", props(path), derived(d).unwrap_or_default())
+            }
+            Action::SetOps(ops) => {
+                let ops: Vec<&str> = ops.iter().map(|op| op.label()).collect();
+                write!(f, "ops {}", ops.join(" "))
+            }
+            Action::AddHaving { op_index, cond, value } => {
+                write!(f, "having {op_index} {} {}", cond.sparql(), text(value))
+            }
+            Action::Run => f.write_str("run"),
+            Action::Back => f.write_str("back"),
+            Action::ClearAnalytics => f.write_str("clear"),
         }
     }
-    parts.push(current);
-    parts
-        .into_iter()
-        .map(|p| resolve(Some(&p), prefixes))
-        .collect()
 }
 
-fn parse_term(word: Option<&str>, prefixes: &HashMap<String, String>) -> Option<ScriptTerm> {
-    let w = word?;
-    if let Some(s) = w.strip_prefix('"').and_then(|w| w.strip_suffix('"')) {
-        return Some(ScriptTerm::Str(s.to_owned()));
+fn steps(path: &[Step]) -> String {
+    let steps: Vec<String> =
+        path.iter().map(|s| format!("{}{}", if s.inverse { "^" } else { "" }, s.prop)).collect();
+    steps.join("/")
+}
+
+fn props(path: &[Term]) -> String {
+    path.iter().map(Term::to_string).collect::<Vec<_>>().join("/")
+}
+
+fn derived_word(d: DerivedFn) -> String {
+    format!("[{}]", d.sparql().to_lowercase())
+}
+
+/// A term in its shorthand form when that reads back as the same term, in
+/// N-Triples syntax otherwise.
+fn text(t: &Term) -> String {
+    match t {
+        Term::Literal(l) if shorthand(&l.lexical).as_ref() == Some(t) => l.lexical.clone(),
+        t => t.to_string(),
+    }
+}
+
+/// A bare integer, decimal or date.
+fn shorthand(w: &str) -> Option<Term> {
+    if !w.starts_with(|c: char| c.is_ascii_digit() || "+-.".contains(c)) {
+        return None;
     }
     if let Ok(v) = w.parse::<i64>() {
-        return Some(ScriptTerm::Int(v));
+        return Some(Term::integer(v));
     }
-    if let Ok(v) = w.parse::<f64>() {
-        return Some(ScriptTerm::Float(v));
+    if let Some(v) = w.parse::<f64>().ok().filter(|v| v.is_finite()) {
+        return Some(Term::decimal(v));
     }
-    if let Some(d) = rdfa_model::Date::parse(w) {
-        return Some(ScriptTerm::Date(d));
-    }
-    resolve(Some(w), prefixes).map(ScriptTerm::Iri)
+    Date::parse(w).map(|d| Term::Literal(Literal::typed(d.to_string(), xsd::DATE)))
 }
 
-fn lookup(store: &Store, iri: &str) -> Result<rdfa_store::TermId, AnalyticsError> {
+struct Parser<'s> {
+    store: Option<&'s Store>,
+    prefixes: HashMap<String, String>,
+}
+
+/// The words of one line after its verb, consumed left to right.
+struct Args<'l> {
+    verb: &'l str,
+    words: std::slice::Iter<'l, &'l str>,
+}
+
+impl<'l> Args<'l> {
+    fn next(&mut self, what: &str) -> Result<&'l str, String> {
+        self.words.next().copied().ok_or_else(|| format!("{} needs {what}", self.verb))
+    }
+
+    fn done(&mut self) -> Result<(), String> {
+        match self.words.next() {
+            Some(extra) => Err(format!("unexpected '{extra}' after {}", self.verb)),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<'s> Parser<'s> {
+    fn new(store: Option<&'s Store>) -> Self {
+        Parser { store, prefixes: HashMap::new() }
+    }
+
+    fn script(mut self, text: &str) -> Result<Script, ScriptError> {
+        let mut actions = Vec::new();
+        for (lineno, line) in text.lines().enumerate() {
+            let action = self.line(line);
+            actions.extend(action.map_err(|message| ScriptError { line: lineno + 1, message })?);
+        }
+        Ok(Script { actions })
+    }
+
+    fn line(&mut self, line: &str) -> Result<Option<Action>, String> {
+        let words = tokenize(line)?;
+        let Some((verb, rest)) = words.split_first() else {
+            return Ok(None);
+        };
+        let mut args = Args { verb, words: rest.iter() };
+        let action = match *verb {
+            "prefix" => {
+                let name = args.next("a name")?;
+                let name = name.strip_suffix(':').ok_or("prefix needs a name ending in ':'")?;
+                let iri = args.next("an <iri>")?;
+                let iri = bracketed(iri).ok_or("prefix needs an <iri>")??;
+                args.done()?;
+                self.prefixes.insert(name.to_owned(), iri);
+                return Ok(None);
+            }
+            "class" => Action::SelectClass(self.resource(args.next("a class")?)?),
+            "value" => {
+                let path = self.path(args.next("a property")?)?;
+                Action::SelectPathValue { path, value: self.term(args.next("a term")?)? }
+            }
+            "path" => {
+                let path = self.path(args.next("a property path")?)?;
+                if args.next("'= term'")? != "=" {
+                    return Err("path needs '= term'".into());
+                }
+                Action::SelectPathValue { path, value: self.term(args.next("a term after '='")?)? }
+            }
+            "values" => {
+                let path = self.path(args.next("a property path")?)?;
+                let values: Vec<Term> =
+                    args.words.by_ref().map(|w| self.term(w)).collect::<Result<_, _>>()?;
+                if values.is_empty() {
+                    return Err("values needs at least one term".into());
+                }
+                Action::SelectValues { path, values }
+            }
+            "range" => {
+                let path = self.path(args.next("a property path")?)?;
+                let mut bound = |what| match args.next(what)? {
+                    "*" => Ok(None),
+                    w => self.term(w).map(Some),
+                };
+                let min = bound("<min|*>")?;
+                let max = bound("<max|*>")?;
+                Action::SelectRange { path, min, max }
+            }
+            "group" | "measure" => {
+                let path = self.props(args.next("a property path")?)?;
+                let derived = args
+                    .words
+                    .next()
+                    .map(|w| {
+                        DERIVED
+                            .into_iter()
+                            .find(|d| derived_word(*d) == *w)
+                            .ok_or_else(|| format!("unknown derived '{w}'"))
+                    })
+                    .transpose()?;
+                if *verb == "group" {
+                    Action::AddGrouping { path, derived }
+                } else {
+                    Action::SetMeasure { path, derived }
+                }
+            }
+            "ops" => {
+                let ops = args
+                    .words
+                    .by_ref()
+                    .map(|w| {
+                        AggOp::all()
+                            .into_iter()
+                            .find(|op| op.label() == *w)
+                            .ok_or_else(|| format!("unknown op '{w}'"))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                if ops.is_empty() {
+                    return Err("ops needs at least one operation".into());
+                }
+                Action::SetOps(ops)
+            }
+            "having" => {
+                let op_index = args.next("an op index")?;
+                let op_index = op_index.parse().map_err(|_| format!("bad op index '{op_index}'"))?;
+                let cond = args.next("a comparator")?;
+                let cond = CONDS
+                    .into_iter()
+                    .find(|c| c.sparql() == cond)
+                    .ok_or_else(|| format!("bad comparator '{cond}'"))?;
+                Action::AddHaving { op_index, cond, value: self.term(args.next("a value")?)? }
+            }
+            "run" => Action::Run,
+            "back" => Action::Back,
+            "clear" => Action::ClearAnalytics,
+            other => return Err(format!("unknown action '{other}'")),
+        };
+        args.done()?;
+        Ok(Some(action))
+    }
+
+    /// `p1/^p2/…`: split on `/` outside `<…>`.
+    fn path(&self, word: &str) -> Result<Vec<Step>, String> {
+        let mut parts = Vec::new();
+        let (mut angle, mut start) = (false, 0);
+        for (i, c) in word.char_indices() {
+            match c {
+                '<' => angle = true,
+                '>' => angle = false,
+                '/' if !angle => {
+                    parts.push(&word[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        parts.push(&word[start..]);
+        parts
+            .into_iter()
+            .map(|part| {
+                let (inverse, prop) = match part.strip_prefix('^') {
+                    Some(prop) => (true, prop),
+                    None => (false, part),
+                };
+                Ok(Step { prop: self.resource(prop)?, inverse })
+            })
+            .collect()
+    }
+
+    /// A forward-only path (groupings and measures).
+    fn props(&self, word: &str) -> Result<Vec<Term>, String> {
+        self.path(word)?
+            .into_iter()
+            .map(|s| if s.inverse { Err(format!("inverse step in '{word}'")) } else { Ok(s.prop) })
+            .collect()
+    }
+
+    /// Any term: a literal, a shorthand, or a resource.
+    fn term(&self, w: &str) -> Result<Term, String> {
+        if let Some(body) = w.strip_prefix('"') {
+            return self.literal(body);
+        }
+        match shorthand(w) {
+            Some(t) => Ok(t),
+            None => self.resource(w),
+        }
+    }
+
+    /// An IRI or a blank node.
+    fn resource(&self, w: &str) -> Result<Term, String> {
+        if let Some(label) = w.strip_prefix("_:") {
+            let valid = |c: char| c.is_alphanumeric() || "_-.".contains(c);
+            if label.is_empty() || !label.chars().all(valid) {
+                return Err(format!("bad blank node '{w}'"));
+            }
+            return Ok(Term::blank(label));
+        }
+        self.iri(w).map(Term::Iri)
+    }
+
+    fn iri(&self, w: &str) -> Result<String, String> {
+        if let Some(iri) = bracketed(w) {
+            return iri;
+        }
+        if let Some((prefix, local)) = w.split_once(':') {
+            let ns = self.prefixes.get(prefix);
+            let ns = ns.ok_or_else(|| format!("undeclared prefix '{prefix}:'"))?;
+            return checked_iri(format!("{ns}{local}"));
+        }
+        let store =
+            self.store.ok_or_else(|| format!("'{w}' is no <iri>, prefixed name or literal"))?;
+        let matches: Vec<&str> = store
+            .terms()
+            .filter_map(|(_, t)| t.as_iri())
+            .filter(|iri| local_name(iri) == w)
+            .collect();
+        match matches[..] {
+            [] => Err(format!("no resource named '{w}'")),
+            [iri] => Ok(iri.to_owned()),
+            _ => Err(format!("'{w}' is ambiguous ({} matches); use a full <iri>", matches.len())),
+        }
+    }
+
+    /// `"lex"`, `"lex"@lang` or `"lex"^^<datatype>`, after the opening quote.
+    fn literal(&self, body: &str) -> Result<Term, String> {
+        let mut escaped = false;
+        let close = body
+            .char_indices()
+            .find(|&(_, c)| {
+                let closes = c == '"' && !escaped;
+                escaped = c == '\\' && !escaped;
+                closes
+            })
+            .map(|(i, _)| i)
+            .ok_or("unterminated literal")?;
+        let lexical = unescape_literal_checked(&body[..close]).map_err(|e| e.to_string())?;
+        let suffix = &body[close + 1..];
+        let literal = if suffix.is_empty() {
+            Literal::string(lexical)
+        } else if let Some(lang) = suffix.strip_prefix('@') {
+            if lang.is_empty() || !lang.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
+                return Err(format!("bad language tag '{lang}'"));
+            }
+            Literal::lang_string(lexical, lang)
+        } else if let Some(datatype) = suffix.strip_prefix("^^") {
+            Literal::typed(lexical, self.iri(datatype)?)
+        } else {
+            return Err(format!("unexpected '{suffix}' after a literal"));
+        };
+        Ok(Term::Literal(literal))
+    }
+}
+
+/// The IRI of an `<iri>` word, `None` for any other word.
+fn bracketed(w: &str) -> Option<Result<String, String>> {
+    let inner = w.strip_prefix('<')?;
+    Some(match inner.strip_suffix('>') {
+        Some(iri) => checked_iri(iri.to_owned()),
+        None => Err(format!("bad IRI '{w}'")),
+    })
+}
+
+/// Reject what N-Triples does not allow inside `<…>`, so every IRI prints
+/// back as one word.
+fn checked_iri(iri: String) -> Result<String, String> {
+    match iri.chars().find(|&c| c <= ' ' || "<>\"{}|^`\\".contains(c)) {
+        Some(c) => Err(format!("{c:?} is not allowed in IRI <{iri}>")),
+        None => Ok(iri),
+    }
+}
+
+/// Split a line into words on whitespace outside `"…"` and `<…>`; a word
+/// starting with `#` begins a comment. `<` and `<=` standing alone are
+/// comparators, not IRIs.
+fn tokenize(line: &str) -> Result<Vec<&str>, String> {
+    let mut words = Vec::new();
+    let mut rest = line.trim_start();
+    while !rest.is_empty() && !rest.starts_with('#') {
+        let first = rest.split_whitespace().next().unwrap_or_default();
+        let len = if first == "<" || first == "<=" {
+            first.len()
+        } else {
+            let (mut quote, mut angle, mut escaped) = (false, false, false);
+            let end = rest.char_indices().find(|&(_, c)| {
+                match c {
+                    '"' if !angle && !escaped => quote = !quote,
+                    '<' if !quote => angle = true,
+                    '>' if !quote => angle = false,
+                    _ => {}
+                }
+                escaped = quote && c == '\\' && !escaped;
+                c.is_whitespace() && !quote && !angle
+            });
+            if quote || angle {
+                let what = if quote { "literal" } else { "IRI" };
+                return Err(format!("unterminated {what} in '{rest}'"));
+            }
+            end.map_or(rest.len(), |(i, _)| i)
+        };
+        words.push(&rest[..len]);
+        rest = rest[len..].trim_start();
+    }
+    Ok(words)
+}
+
+fn lookup(store: &Store, term: &Term) -> Result<TermId, AnalyticsError> {
     store
-        .lookup_iri(iri)
-        .ok_or_else(|| AnalyticsError::new(format!("IRI not in the KG: {iri}")))
+        .lookup(term)
+        .ok_or_else(|| AnalyticsError::new(format!("not in the KG: {term}")))
 }
 
-fn lookup_path(store: &Store, path: &[String]) -> Result<Vec<PathStep>, AnalyticsError> {
+fn lookup_path(store: &Store, path: &[Step]) -> Result<Vec<PathStep>, AnalyticsError> {
     path.iter()
-        .map(|iri| lookup(store, iri).map(PathStep::fwd))
+        .map(|s| Ok(PathStep { prop: lookup(store, &s.prop)?, inverse: s.inverse }))
         .collect()
 }
 
-fn lookup_props(store: &Store, path: &[String]) -> Result<Vec<rdfa_store::TermId>, AnalyticsError> {
-    path.iter().map(|iri| lookup(store, iri)).collect()
+fn lookup_props(store: &Store, path: &[Term]) -> Result<Vec<TermId>, AnalyticsError> {
+    path.iter().map(|t| lookup(store, t)).collect()
 }
 
 #[cfg(test)]
@@ -423,6 +612,7 @@ mod tests {
         let script = Script::parse(&text).unwrap();
         assert_eq!(script.actions.len(), 13);
         assert_eq!(script.ui_action_count(), 12);
+        assert_eq!(Script::parse(&script.to_string()).unwrap(), script);
     }
 
     #[test]
@@ -515,7 +705,7 @@ mod tests {
         original.set_ops(vec![AggOp::Avg]);
         let expected = original.run().unwrap();
 
-        let script = original.recorded_script();
+        let script = original.script();
         assert!(script.ui_action_count() >= 5);
         let mut replay = AnalyticsSession::start(&s);
         script.apply(&mut replay).unwrap();
@@ -539,7 +729,7 @@ mod tests {
             .unwrap();
         let expected = original.facets().extension().clone();
         let mut replay = AnalyticsSession::start(&s);
-        original.recorded_script().apply(&mut replay).unwrap();
+        original.script().apply(&mut replay).unwrap();
         assert_eq!(replay.facets().extension(), &expected);
     }
 
@@ -551,5 +741,134 @@ mod tests {
                     ops count\nrun\n";
         let frames = Script::run_on(&s, text).unwrap();
         assert_eq!(frames[0].rows.len(), 2);
+    }
+
+    fn id(s: &Store, local: &str) -> TermId {
+        s.lookup_iri(&format!("http://www.ics.forth.gr/example#{local}")).unwrap()
+    }
+
+    /// The original's script, printed, parsed back and applied to a fresh
+    /// session.
+    fn replayed<'s>(s: &'s Store, original: &AnalyticsSession<'_>) -> AnalyticsSession<'s> {
+        let script = original.script();
+        assert_eq!(Script::parse(&script.to_string()).unwrap(), script, "{script}");
+        let mut replay = AnalyticsSession::start(s);
+        script.apply(&mut replay).unwrap();
+        assert_eq!(replay.facets().extension(), original.facets().extension());
+        assert_eq!(replay.facets().intent_sparql(), original.facets().intent_sparql());
+        replay
+    }
+
+    #[test]
+    fn removed_grouping_stays_removed_on_replay() {
+        let s = store();
+        let mut original = AnalyticsSession::start(&s);
+        original.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
+        original.add_grouping(GroupSpec::property(id(&s, "USBPorts")));
+        original.remove_grouping(0);
+        assert_eq!(replayed(&s, &original).groupings(), original.groupings());
+    }
+
+    #[test]
+    fn back_is_replayed_as_the_state_it_left() {
+        let s = store();
+        let mut original = AnalyticsSession::start(&s);
+        original.select_class(id(&s, "Laptop")).unwrap();
+        original.select_value(id(&s, "manufacturer"), id(&s, "DELL")).unwrap();
+        original.facets_mut().back();
+        assert_eq!(replayed(&s, &original).facets().extension().len(), 3);
+    }
+
+    #[test]
+    fn multi_select_is_replayed() {
+        let s = store();
+        let mut original = AnalyticsSession::start(&s);
+        original.select_class(id(&s, "Laptop")).unwrap();
+        let values: ExtSet = [id(&s, "DELL"), id(&s, "Maxtor")].into_iter().collect();
+        original.select_values(&[PathStep::fwd(id(&s, "manufacturer"))], &values).unwrap();
+        assert!(original.script().to_string().contains("values "));
+        assert_eq!(replayed(&s, &original).facets().extension().len(), 2);
+    }
+
+    #[test]
+    fn cleared_measure_stays_cleared_on_replay() {
+        let s = store();
+        let mut original = AnalyticsSession::start(&s);
+        original.set_measure(MeasureSpec::property(id(&s, "price")));
+        original.set_ops(vec![AggOp::Avg]);
+        original.clear_analytics();
+        let replay = replayed(&s, &original);
+        assert_eq!(replay.script(), original.script());
+        assert!(replay.script().actions.is_empty());
+    }
+
+    #[test]
+    fn every_form_prints_and_parses_back() {
+        let text = format!(
+            "{HEADER}\
+             class ex:Laptop\n\
+             class _:b0\n\
+             value ^ex:manufacturer ex:laptop1\n\
+             path ex:manufacturer/^ex:manufacturer = ex:laptop2\n\
+             values ex:manufacturer/ex:origin ex:USA <http://www.ics.forth.gr/example#China>\n\
+             range ex:price 500.5 *\n\
+             range ex:releaseDate * 2021-09-03\n\
+             value ex:label \"a \\\"quoted\\\" # word\"@en-GB\n\
+             value ex:code \"007\"^^ex:code\n\
+             value ex:code \"7\"\n\
+             group ex:releaseDate [month]\n\
+             measure ex:releaseDate [year]\n\
+             ops count avg\n\
+             having 1 <= 3\n\
+             having 0 < \"x\"\n\
+             back\n\
+             clear\n\
+             run\n"
+        );
+        let script = Script::parse(&text).unwrap();
+        assert_eq!(script.actions.len(), 18);
+        let printed = script.to_string();
+        assert_eq!(Script::parse(&printed).unwrap(), script, "{printed}");
+        for line in [
+            "range <http://www.ics.forth.gr/example#price> 500.5 *\n",
+            "value <http://www.ics.forth.gr/example#code> \"7\"\n",
+            "value ^<http://www.ics.forth.gr/example#manufacturer> ",
+        ] {
+            assert!(printed.contains(line), "{printed}");
+        }
+    }
+
+    #[test]
+    fn malformed_terms_are_rejected() {
+        for line in [
+            "class <http://e/a b>",
+            "class <http://e/a",
+            "value <http://e/p> \"open",
+            "value <http://e/p> \"x\"@",
+            "value <http://e/p> \"x\"junk",
+            "value <http://e/p> \"\\q\"",
+            "group ^<http://e/p>",
+            "measure <http://e/p> [week]",
+            "class Laptop",
+            "class <http://e/a> <http://e/b>",
+            "values <http://e/p>",
+            "having x = 1",
+            "having 0 =< 1",
+        ] {
+            assert!(Script::parse(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn bare_names_resolve_against_a_store() {
+        let s = store();
+        let text = "class Laptop\nvalue manufacturer DELL\nrange price 800 *";
+        let script = Script::parse_in(text, &s).unwrap();
+        let mut session = AnalyticsSession::start(&s);
+        script.apply(&mut session).unwrap();
+        assert_eq!(session.facets().extension().len(), 2);
+        let err = Script::parse_in("class Spaceship", &s).unwrap_err();
+        assert!(err.message.contains("no resource named 'Spaceship'"), "{err}");
+        assert_eq!(resolve_path(&s, "manufacturer/origin").unwrap().len(), 2);
     }
 }

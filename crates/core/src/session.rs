@@ -1,6 +1,7 @@
 //! The analytics session: faceted search + the G/⨊ buttons + evaluation.
 
 use crate::answer::AnswerFrame;
+use crate::script::{Action, Script, Step as ScriptStep};
 use crate::AnalyticsError;
 use rdfa_facets::{Constraint, FacetedSession, PathStep};
 use rdfa_hifun::query::{ResultRestriction, RestrictedPath};
@@ -67,8 +68,6 @@ pub struct AnalyticsSession<'s> {
     havings: Vec<(usize, CondOp, Term)>,
     limits: EvalLimits,
     views: Option<std::sync::Arc<dyn rdfa_sparql::ViewCatalog>>,
-    /// Click log, exportable as a replayable [`crate::Script`].
-    log: Vec<crate::script::Action>,
 }
 
 impl<'s> AnalyticsSession<'s> {
@@ -92,7 +91,6 @@ impl<'s> AnalyticsSession<'s> {
             havings: Vec::new(),
             limits: EvalLimits::default(),
             views: None,
-            log: Vec::new(),
         }
     }
 
@@ -141,18 +139,12 @@ impl<'s> AnalyticsSession<'s> {
 
     /// Click a class marker.
     pub fn select_class(&mut self, c: TermId) -> Result<(), AnalyticsError> {
-        self.facets.select_class(c)?;
-        if let Some(iri) = self.store().term(c).as_iri() {
-            self.log.push(crate::script::Action::SelectClass(iri.to_owned()));
-        }
-        Ok(())
+        Ok(self.facets.select_class(c)?)
     }
 
     /// Click a property value marker.
     pub fn select_value(&mut self, prop: TermId, value: TermId) -> Result<(), AnalyticsError> {
-        self.facets.select_value(prop, value)?;
-        self.record_path_value(&[PathStep::fwd(prop)], value);
-        Ok(())
+        Ok(self.facets.select_value(prop, value)?)
     }
 
     /// Click a value at the end of an expanded property path.
@@ -161,9 +153,7 @@ impl<'s> AnalyticsSession<'s> {
         path: &[PathStep],
         value: TermId,
     ) -> Result<(), AnalyticsError> {
-        self.facets.select_path_value(path, value)?;
-        self.record_path_value(path, value);
-        Ok(())
+        Ok(self.facets.select_path_value(path, value)?)
     }
 
     /// Tick several value checkboxes of one facet (disjunctive selection).
@@ -171,10 +161,10 @@ impl<'s> AnalyticsSession<'s> {
     /// state automatically pin the extension via `VALUES`.
     pub fn select_values(
         &mut self,
-        prop: TermId,
+        path: &[PathStep],
         values: &ExtSet,
     ) -> Result<(), AnalyticsError> {
-        Ok(self.facets.select_values(prop, values)?)
+        Ok(self.facets.select_values(path, values)?)
     }
 
     /// Apply a range filter (the ⧩ button).
@@ -184,43 +174,54 @@ impl<'s> AnalyticsSession<'s> {
         min: Option<Value>,
         max: Option<Value>,
     ) -> Result<(), AnalyticsError> {
-        self.facets.select_range(path, min.clone(), max.clone())?;
-        if let Some(iris) = self.path_iris(path) {
-            self.log.push(crate::script::Action::SelectRange {
-                path: iris,
-                min: min.as_ref().map(value_to_script),
-                max: max.as_ref().map(value_to_script),
+        Ok(self.facets.select_range(path, min, max)?)
+    }
+
+    /// The current state as a script: the class clicks, the conditions in
+    /// click order, the groupings, the measure, the operations and the
+    /// HAVING restrictions. Applied to a fresh session started the same
+    /// way, it rebuilds this state; a session started with
+    /// [`start_from`](Self::start_from) prints no seed, so its script
+    /// replays onto a session started from the same results.
+    pub fn script(&self) -> Script {
+        let store = self.store();
+        let term = |id: TermId| store.term(id).clone();
+        let steps = |path: &[PathStep]| {
+            path.iter().map(|s| ScriptStep { prop: term(s.prop), inverse: s.inverse }).collect()
+        };
+        let intent = self.facets.intent();
+        let mut actions: Vec<Action> =
+            intent.classes.iter().map(|&c| Action::SelectClass(term(c))).collect();
+        for cond in &intent.conditions {
+            let path = steps(&cond.path);
+            actions.push(match &cond.constraint {
+                Constraint::Value(v) => Action::SelectPathValue { path, value: term(*v) },
+                Constraint::OneOf(values) => {
+                    Action::SelectValues { path, values: values.iter().map(term).collect() }
+                }
+                Constraint::Range { min, max } => Action::SelectRange {
+                    path,
+                    min: min.as_ref().map(Value::to_term),
+                    max: max.as_ref().map(Value::to_term),
+                },
             });
         }
-        Ok(())
-    }
-
-    fn record_path_value(&mut self, path: &[PathStep], value: TermId) {
-        if let Some(iris) = self.path_iris(path) {
-            let v = term_to_script(self.store().term(value));
-            self.log.push(crate::script::Action::SelectPathValue { path: iris, value: v });
+        for g in &self.groupings {
+            let path = g.path.iter().map(|&p| term(p)).collect();
+            actions.push(Action::AddGrouping { path, derived: g.derived });
         }
-    }
-
-    /// Forward path → IRI strings; inverse steps are not representable in
-    /// the script DSL, so such actions are skipped in the log.
-    fn path_iris(&self, path: &[PathStep]) -> Option<Vec<String>> {
-        path.iter()
-            .map(|s| {
-                if s.inverse {
-                    None
-                } else {
-                    self.store().term(s.prop).as_iri().map(str::to_owned)
-                }
-            })
-            .collect()
-    }
-
-    /// The click log as a replayable script (reproducibility: applying the
-    /// returned script to a fresh session over the same store reproduces
-    /// this session's state).
-    pub fn recorded_script(&self) -> crate::script::Script {
-        crate::script::Script { actions: self.log.clone() }
+        if let Some(m) = &self.measure {
+            let path = m.path.iter().map(|&p| term(p)).collect();
+            actions.push(Action::SetMeasure { path, derived: m.derived });
+        }
+        if !self.ops.is_empty() {
+            actions.push(Action::SetOps(self.ops.clone()));
+        }
+        for (op_index, cond, value) in &self.havings {
+            let (op_index, cond, value) = (*op_index, *cond, value.clone());
+            actions.push(Action::AddHaving { op_index, cond, value });
+        }
+        Script { actions }
     }
 
     // ---- analytics actions (the extension of §5.2.2) -----------------------
@@ -230,15 +231,6 @@ impl<'s> AnalyticsSession<'s> {
     /// (the ">1 attributes" dialogue of §5.1).
     pub fn add_grouping(&mut self, spec: GroupSpec) {
         if !self.groupings.contains(&spec) {
-            if let Some(path) = spec
-                .path
-                .iter()
-                .map(|&p| self.store().term(p).as_iri().map(str::to_owned))
-                .collect::<Option<Vec<_>>>()
-            {
-                self.log
-                    .push(crate::script::Action::AddGrouping { path, derived: spec.derived });
-            }
             self.groupings.push(spec);
         }
     }
@@ -250,10 +242,16 @@ impl<'s> AnalyticsSession<'s> {
         }
     }
 
-    /// Replace a grouping attribute in place (granularity changes).
+    /// Replace a grouping attribute in place (granularity changes). The
+    /// groupings stay distinct: replacing one by another already present
+    /// removes it.
     pub fn replace_grouping(&mut self, index: usize, spec: GroupSpec) {
         if index < self.groupings.len() {
-            self.groupings[index] = spec;
+            if self.groupings.contains(&spec) {
+                self.groupings.remove(index);
+            } else {
+                self.groupings[index] = spec;
+            }
         }
     }
 
@@ -271,14 +269,6 @@ impl<'s> AnalyticsSession<'s> {
 
     /// Click the ⨊ button of a facet: set the measuring attribute.
     pub fn set_measure(&mut self, spec: MeasureSpec) {
-        if let Some(path) = spec
-            .path
-            .iter()
-            .map(|&p| self.store().term(p).as_iri().map(str::to_owned))
-            .collect::<Option<Vec<_>>>()
-        {
-            self.log.push(crate::script::Action::SetMeasure { path });
-        }
         self.measure = Some(spec);
     }
 
@@ -290,7 +280,6 @@ impl<'s> AnalyticsSession<'s> {
     /// Select the aggregate operations from the ⨊ menu (several allowed,
     /// Fig 6.2).
     pub fn set_ops(&mut self, ops: Vec<AggOp>) {
-        self.log.push(crate::script::Action::SetOps(ops.clone()));
         self.ops = ops;
     }
 
@@ -298,11 +287,6 @@ impl<'s> AnalyticsSession<'s> {
     /// GUI this is expressed by reloading the answer frame and filtering
     /// (§5.3.3); the direct form is offered for programmatic use.
     pub fn add_having(&mut self, idx: usize, op: CondOp, value: Term) {
-        self.log.push(crate::script::Action::AddHaving {
-            op_index: idx,
-            cond: op,
-            value: term_to_script(&value),
-        });
         self.havings.push((idx, op, value));
     }
 
@@ -343,6 +327,12 @@ impl<'s> AnalyticsSession<'s> {
                 "no aggregate operation selected (click the ⨊ button first)",
             ));
         }
+        if let Some((idx, ..)) = self.havings.iter().find(|(idx, ..)| *idx >= self.ops.len()) {
+            return Err(AnalyticsError::new(format!(
+                "HAVING restricts aggregate {idx}, but only {} operation(s) are selected",
+                self.ops.len()
+            )));
+        }
         let store = self.store();
         let mut q = HifunQuery {
             root: Default::default(),
@@ -363,24 +353,23 @@ impl<'s> AnalyticsSession<'s> {
         // root: map the faceted intention when possible, else pin the
         // extension with VALUES
         let intent = self.facets.intent();
-        let mut mapped = Vec::new();
-        let mut mappable = true;
-        for cond in &intent.conditions {
-            match map_condition(store, &cond.path, &cond.constraint) {
-                Some(rs) => mapped.extend(rs),
-                None => {
-                    mappable = false;
-                    break;
-                }
+        let classes: Option<Vec<&str>> =
+            intent.classes.iter().map(|&c| store.term(c).as_iri()).collect();
+        let conditions: Option<Vec<Vec<Restriction>>> = intent
+            .conditions
+            .iter()
+            .map(|cond| map_condition(store, &cond.path, &cond.constraint))
+            .collect();
+        if let (Some(classes), Some(conditions)) = (classes, conditions) {
+            q.root.conditions = conditions.concat();
+            // the first class roots the query, the others are rdf:type conditions
+            if let Some((first, others)) = classes.split_first() {
+                q.root.class = Some((*first).to_owned());
+                q.root.conditions.extend(others.iter().map(|c| {
+                    let rdf_type = Step::Prop(rdfa_model::vocab::rdf::TYPE.to_owned());
+                    Restriction::via(vec![rdf_type], CondOp::Eq, Term::iri(*c))
+                }));
             }
-        }
-        if mappable {
-            if let Some(c) = intent.class {
-                if let Some(iri) = store.term(c).as_iri() {
-                    q.root.class = Some(iri.to_owned());
-                }
-            }
-            q.root.conditions = mapped;
             // a session started from external results carries its seed set
             if let Some(seed) = &intent.seed {
                 q.root.among =
@@ -461,26 +450,6 @@ impl<'s> AnalyticsSession<'s> {
         }
         headers
     }
-}
-
-/// Convert a term to its script representation.
-fn term_to_script(t: &Term) -> crate::script::ScriptTerm {
-    use crate::script::ScriptTerm;
-    match Value::from_term(t) {
-        Value::Int(v) => ScriptTerm::Int(v),
-        Value::Float(v) => ScriptTerm::Float(v),
-        Value::Date(d) => ScriptTerm::Date(d),
-        Value::Str(s, _) => ScriptTerm::Str(s),
-        _ => match t {
-            Term::Iri(iri) => ScriptTerm::Iri(iri.clone()),
-            other => ScriptTerm::Str(other.display_name()),
-        },
-    }
-}
-
-/// Convert a typed value to its script representation.
-fn value_to_script(v: &Value) -> crate::script::ScriptTerm {
-    term_to_script(&v.to_term())
 }
 
 /// Convert a GroupSpec/MeasureSpec path of interned properties into a HIFUN
@@ -748,7 +717,7 @@ mod tests {
         let mut a = AnalyticsSession::start(&s);
         a.select_class(id(&s, "Laptop")).unwrap();
         let both: ExtSet = [id(&s, "DELL"), id(&s, "ACER")].into_iter().collect();
-        a.select_values(id(&s, "manufacturer"), &both).unwrap();
+        a.select_values(&[PathStep::fwd(id(&s, "manufacturer"))], &both).unwrap();
         a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
         a.set_ops(vec![AggOp::Count]);
         // OneOf is not expressible as a HIFUN root condition → VALUES pinning
@@ -808,9 +777,47 @@ mod tests {
         let mut a = AnalyticsSession::start(&s);
         let g = GroupSpec::property(id(&s, "manufacturer"));
         a.add_grouping(g.clone());
-        a.add_grouping(g);
+        a.add_grouping(g.clone());
         assert_eq!(a.groupings().len(), 1);
         a.remove_grouping(0);
         assert!(a.groupings().is_empty());
+        // replacing one grouping by another already present merges them,
+        // so the state a script prints is the state it rebuilds
+        a.add_grouping(g.clone());
+        a.add_grouping(GroupSpec::property(id(&s, "usb")));
+        a.replace_grouping(1, g.clone());
+        assert_eq!(a.groupings(), &[g][..]);
+    }
+
+    #[test]
+    fn superclass_click_keeps_the_narrower_class() {
+        let mut s = Store::new();
+        s.load_graph(&rdfa_datagen::products_fixture());
+        let ex = |l: &str| s.lookup_iri(&format!("{}{l}", rdfa_datagen::EX)).unwrap();
+        let mut a = AnalyticsSession::start(&s);
+        a.select_class(ex("Laptop")).unwrap();
+        a.select_class(ex("Product")).unwrap();
+        assert_eq!(a.facets().extension().len(), 3);
+        let engine = rdfa_sparql::Engine::builder(&s).build();
+        let intent = engine.run(&a.facets().intent_sparql()).unwrap();
+        assert_eq!(intent.solutions().unwrap().len(), 3);
+        assert_eq!(a.facets().intent().describe(&s), "type=Laptop, type=Product");
+        // the analytic root denotes the extension, not all six products
+        a.set_ops(vec![AggOp::Count]);
+        let frame = a.run().unwrap();
+        assert!(Value::from_term(frame.rows[0][0].as_ref().unwrap()).value_eq(&Value::Int(3)));
+    }
+
+    #[test]
+    fn having_beyond_the_selected_ops_is_an_error() {
+        let s = store();
+        let mut a = AnalyticsSession::start(&s);
+        a.select_class(id(&s, "Laptop")).unwrap();
+        a.set_measure(MeasureSpec::property(id(&s, "price")));
+        a.set_ops(vec![AggOp::Avg]);
+        a.add_having(3, CondOp::Ge, Term::integer(1));
+        let err = a.run().expect_err("HAVING on aggregate 3 of 1");
+        assert!(err.message.contains("aggregate 3"), "{err}");
+        assert!(a.sparql().is_err());
     }
 }

@@ -2,10 +2,7 @@
 //! the GUI (§5.4's Startup / ComputeNewState loop).
 
 use crate::cache::FacetCache;
-use crate::markers::{
-    class_markers_opts, expand_path, property_facets_opts, ClassMarker, FacetOptions,
-    PropertyFacet,
-};
+use crate::markers::{expand_path, ClassMarker, FacetOptions, PropertyFacet};
 use crate::ops::{restrict_class, restrict_path, restrict_range, restrict_value};
 use crate::state::{Condition, Constraint, Intent, PathStep, State};
 use crate::FacetError;
@@ -13,25 +10,14 @@ use rdfa_model::Value;
 use rdfa_store::{ExtSet, Store, TermId};
 use std::sync::Arc;
 
-/// Memoized left-frame computations for the current state — the
-/// user-friendliness/efficiency iteration the dissertation lists as
-/// system (3): markers are recomputed only when the state changes.
-#[derive(Default)]
-struct FrameCache {
-    class_markers: Option<Arc<Vec<ClassMarker>>>,
-    facets: Option<Arc<Vec<PropertyFacet>>>,
-}
-
 /// A session over a store: a history of states, the last being current.
 pub struct FacetedSession<'s> {
     store: &'s Store,
     states: Vec<State>,
     opts: FacetOptions,
-    /// Cross-state (and cross-session, when shared) marker cache; makes the
-    /// back button O(1).
-    shared: Option<Arc<FacetCache>>,
-    /// Per-state memo, used when no shared cache is attached.
-    cache: std::cell::RefCell<FrameCache>,
+    /// Marker cache, keyed by store generation and extension: makes the back
+    /// button O(1). Private to the session unless a shared one is attached.
+    cache: Arc<FacetCache>,
 }
 
 impl<'s> FacetedSession<'s> {
@@ -47,8 +33,7 @@ impl<'s> FacetedSession<'s> {
             store,
             states: vec![State::initial(store)],
             opts,
-            shared: None,
-            cache: Default::default(),
+            cache: Arc::new(FacetCache::default()),
         }
     }
 
@@ -56,18 +41,16 @@ impl<'s> FacetedSession<'s> {
     /// query's answer — the second starting point of §5.4.1).
     pub fn start_from(store: &'s Store, results: ExtSet) -> Self {
         let intent = Intent { seed: Some(results.clone()), ..Intent::default() };
-        let ext = results;
         FacetedSession {
             store,
-            states: vec![State { ext, intent }],
+            states: vec![State { ext: results, intent }],
             opts: FacetOptions::default(),
-            shared: None,
-            cache: Default::default(),
+            cache: Arc::new(FacetCache::default()),
         }
     }
 
-    /// Attach a shared marker cache; repeated states (back button, other
-    /// sessions over the same store) are then served without recomputation.
+    /// Replace the session's private marker cache with a shared one, so
+    /// states other sessions over the same store computed are served too.
     pub fn with_cache(mut self, cache: Arc<FacetCache>) -> Self {
         self.set_cache(cache);
         self
@@ -75,7 +58,7 @@ impl<'s> FacetedSession<'s> {
 
     /// See [`FacetedSession::with_cache`].
     pub fn set_cache(&mut self, cache: Arc<FacetCache>) {
-        self.shared = Some(cache);
+        self.cache = cache;
     }
 
     /// The backing store.
@@ -105,56 +88,34 @@ impl<'s> FacetedSession<'s> {
 
     // ---- left frame -------------------------------------------------------
 
-    /// Class-based transition markers for the current state (Fig 5.4 a/b).
-    /// Memoized per state; served from the shared cache when one is set.
+    /// Class-based transition markers for the current state (Fig 5.4 a/b),
+    /// served from the marker cache when the state was seen before.
     /// Ignores any configured deadline — use
     /// [`FacetedSession::try_class_markers`] to enforce it.
     pub fn class_markers(&self) -> Vec<ClassMarker> {
         let opts = self.opts.without_deadline();
-        (*self.class_markers_arc(opts).expect("no deadline configured")).clone()
+        let markers = self.cache.class_markers(self.store, self.extension(), opts);
+        (*markers.expect("no deadline configured")).clone()
     }
 
     /// Class markers with the session's deadline enforced.
     pub fn try_class_markers(&self) -> Result<Arc<Vec<ClassMarker>>, FacetError> {
-        self.class_markers_arc(self.opts.clone())
+        self.cache.class_markers(self.store, self.extension(), self.opts.clone())
     }
 
-    fn class_markers_arc(&self, opts: FacetOptions) -> Result<Arc<Vec<ClassMarker>>, FacetError> {
-        if let Some(shared) = &self.shared {
-            return shared.class_markers(self.store, self.extension(), opts);
-        }
-        if let Some(cached) = &self.cache.borrow().class_markers {
-            return Ok(Arc::clone(cached));
-        }
-        let computed = Arc::new(class_markers_opts(self.store, self.extension(), opts)?);
-        self.cache.borrow_mut().class_markers = Some(Arc::clone(&computed));
-        Ok(computed)
-    }
-
-    /// Property facets with value counts for the current state (Fig 5.4 c).
-    /// Memoized per state; served from the shared cache when one is set.
+    /// Property facets with value counts for the current state (Fig 5.4 c),
+    /// served from the marker cache when the state was seen before.
     /// Ignores any configured deadline — use [`FacetedSession::try_facets`]
     /// to enforce it.
     pub fn facets(&self) -> Vec<PropertyFacet> {
         let opts = self.opts.without_deadline();
-        (*self.facets_arc(opts).expect("no deadline configured")).clone()
+        let facets = self.cache.property_facets(self.store, self.extension(), opts);
+        (*facets.expect("no deadline configured")).clone()
     }
 
     /// Property facets with the session's deadline enforced.
     pub fn try_facets(&self) -> Result<Arc<Vec<PropertyFacet>>, FacetError> {
-        self.facets_arc(self.opts.clone())
-    }
-
-    fn facets_arc(&self, opts: FacetOptions) -> Result<Arc<Vec<PropertyFacet>>, FacetError> {
-        if let Some(shared) = &self.shared {
-            return shared.property_facets(self.store, self.extension(), opts);
-        }
-        if let Some(cached) = &self.cache.borrow().facets {
-            return Ok(Arc::clone(cached));
-        }
-        let computed = Arc::new(property_facets_opts(self.store, self.extension(), opts)?);
-        self.cache.borrow_mut().facets = Some(Arc::clone(&computed));
-        Ok(computed)
+        self.cache.property_facets(self.store, self.extension(), self.opts.clone())
     }
 
     /// Path-expansion markers for a property path (Fig 5.5).
@@ -171,15 +132,18 @@ impl<'s> FacetedSession<'s> {
             ));
         }
         self.states.push(State { ext, intent });
-        *self.cache.borrow_mut() = FrameCache::default();
         Ok(())
     }
 
-    /// Click a class marker: restrict to (entailed) instances of `c`.
+    /// Click a class marker: restrict to (entailed) instances of `c`. Every
+    /// class clicked stays in the intention, so a later click on a
+    /// superclass keeps the narrower one.
     pub fn select_class(&mut self, c: TermId) -> Result<(), FacetError> {
         let ext = restrict_class(self.store, self.extension(), c);
         let mut intent = self.intent().clone();
-        intent.class = Some(c);
+        if !intent.classes.contains(&c) {
+            intent.classes.push(c);
+        }
         self.push(ext, intent)
     }
 
@@ -195,22 +159,24 @@ impl<'s> FacetedSession<'s> {
         self.push(ext, intent)
     }
 
-    /// Tick several value checkboxes of one facet at once (disjunctive
-    /// selection, the multi-select of classic faceted search, Fig 2.10):
-    /// keeps elements with a `p`-edge to *any* of the chosen values.
-    pub fn select_values(
-        &mut self,
-        prop: TermId,
-        values: &ExtSet,
-    ) -> Result<(), FacetError> {
+    /// Tick several value checkboxes of one facet (or expanded path) at
+    /// once (disjunctive selection, the multi-select of classic faceted
+    /// search, Fig 2.10): keeps elements whose path reaches *any* of the
+    /// chosen values.
+    pub fn select_values(&mut self, path: &[PathStep], values: &ExtSet) -> Result<(), FacetError> {
+        if path.is_empty() {
+            return Err(FacetError::new("empty property path"));
+        }
         if values.is_empty() {
             return Err(FacetError::new("empty value selection"));
         }
-        let step = PathStep::fwd(prop);
-        let ext = crate::ops::restrict_value_set(self.store, self.extension(), step, values);
+        let ext = match path {
+            [step] => crate::ops::restrict_value_set(self.store, self.extension(), *step, values),
+            _ => restrict_path(self.store, self.extension(), path, values)?,
+        };
         let mut intent = self.intent().clone();
         intent.conditions.push(Condition {
-            path: vec![step],
+            path: path.to_vec(),
             constraint: Constraint::OneOf(values.clone()),
         });
         self.push(ext, intent)
@@ -259,13 +225,12 @@ impl<'s> FacetedSession<'s> {
         self.push(ext, intent)
     }
 
-    /// Undo the last transition. Returns `false` at the initial state. With
-    /// a shared cache attached, the previous state's markers are still
-    /// cached, so this is effectively O(1).
+    /// Undo the last transition. Returns `false` at the initial state. The
+    /// previous state's markers are still cached, so this is effectively
+    /// O(1).
     pub fn back(&mut self) -> bool {
         if self.states.len() > 1 {
             self.states.pop();
-            *self.cache.borrow_mut() = FrameCache::default();
             true
         } else {
             false
@@ -275,7 +240,6 @@ impl<'s> FacetedSession<'s> {
     /// Reset to the initial state.
     pub fn reset(&mut self) {
         self.states.truncate(1);
-        *self.cache.borrow_mut() = FrameCache::default();
     }
 
     /// The SPARQL expression of the current intention (§5.5).
@@ -405,7 +369,8 @@ mod tests {
         let mut session = FacetedSession::start(&s);
         session.select_class(id(&s, "Laptop")).unwrap();
         let both: ExtSet = [id(&s, "DELL"), id(&s, "Lenovo")].into_iter().collect();
-        session.select_values(id(&s, "manufacturer"), &both).unwrap();
+        let man = [PathStep::fwd(id(&s, "manufacturer"))];
+        session.select_values(&man, &both).unwrap();
         assert_eq!(session.extension().len(), 3);
         // the OR intention evaluates back to the extension
         let sparql = session.intent_sparql();
@@ -417,7 +382,7 @@ mod tests {
             .unwrap();
         assert_eq!(got.len(), 3);
         // empty selection rejected
-        assert!(session.select_values(id(&s, "manufacturer"), &ExtSet::new()).is_err());
+        assert!(session.select_values(&man, &ExtSet::new()).is_err());
     }
 
     #[test]

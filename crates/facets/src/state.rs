@@ -48,8 +48,8 @@ pub struct Intent {
     /// An explicit seed set when the session started from external results
     /// (keyword search, §5.4.1); `None` for from-scratch sessions.
     pub seed: Option<ExtSet>,
-    /// Selected class, if any.
-    pub class: Option<TermId>,
+    /// Clicked classes, in click order; the extension lies in all of them.
+    pub classes: Vec<TermId>,
     /// Conjunction of conditions, in click order.
     pub conditions: Vec<Condition>,
 }
@@ -73,7 +73,7 @@ impl Intent {
                 .join(" ");
             format!("VALUES ?x {{ {list} }}")
         });
-        if let Some(c) = self.class {
+        for &c in &self.classes {
             patterns.push(format!(
                 "?x <{}> {} .",
                 rdfa_model::vocab::rdf::TYPE,
@@ -152,7 +152,7 @@ impl Intent {
         if let Some(seed) = &self.seed {
             parts.push(format!("seed of {} results", seed.len()));
         }
-        if let Some(c) = self.class {
+        for &c in &self.classes {
             parts.push(format!("type={}", store.term(c).display_name()));
         }
         for cond in &self.conditions {
@@ -254,7 +254,7 @@ mod tests {
         let usa = s.lookup_iri(&format!("{EX}USA")).unwrap();
         let intent = Intent {
             seed: None,
-            class: Some(laptop),
+            classes: vec![laptop],
             conditions: vec![Condition {
                 path: vec![PathStep::fwd(man), PathStep::fwd(origin)],
                 constraint: Constraint::Value(usa),
@@ -274,7 +274,7 @@ mod tests {
         let usb = s.lookup_iri(&format!("{EX}usb")).unwrap();
         let intent = Intent {
             seed: None,
-            class: None,
+            classes: Vec::new(),
             conditions: vec![Condition {
                 path: vec![PathStep::fwd(usb)],
                 constraint: Constraint::Range {
@@ -295,7 +295,7 @@ mod tests {
         let dell = s.lookup_iri(&format!("{EX}DELL")).unwrap();
         let intent = Intent {
             seed: None,
-            class: None,
+            classes: Vec::new(),
             conditions: vec![Condition {
                 path: vec![PathStep::fwd(man)],
                 constraint: Constraint::Value(dell),

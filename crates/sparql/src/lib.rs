@@ -93,8 +93,9 @@ impl SparqlError {
     }
 
     /// True for the structured resource-limit variant. Callers use this to
-    /// choose between failing and degrading gracefully (e.g. the analytics
-    /// session falls back to direct functional evaluation).
+    /// tell an exhausted budget from a bad query: the server answers 503
+    /// rather than 400, and the analytics session reports the tripped
+    /// limit as its error.
     pub fn is_resource_limit(&self) -> bool {
         matches!(self, SparqlError::ResourceLimit { .. })
     }

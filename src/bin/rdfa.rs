@@ -14,20 +14,20 @@
 //! rdfa> help
 //! ```
 //!
-//! Property and resource names may be given as plain local names; they are
-//! resolved against the loaded KG. With `--open DIR` the store recovers
-//! from `DIR` on start; a file argument seeds it only when it is empty, and
-//! `checkpoint` compacts the WAL into compressed mmap-able index segments
-//! that the next start maps back instead of replaying.
+//! The click commands (`class`, `value`, `path`, `range`, `group`, …) are
+//! one-line click scripts (see `rdfa_core::script`). Property and resource
+//! names may be given as plain local names; they are resolved against the
+//! loaded KG. With `--open DIR` the store recovers from `DIR` on start; a
+//! file argument seeds it only when it is empty, and `checkpoint` compacts
+//! the WAL into compressed mmap-able index segments that the next start
+//! maps back instead of replaying.
 
-use rdf_analytics::analytics::{AnalyticsSession, GroupSpec, MeasureSpec};
+use rdf_analytics::analytics::script::resolve_path;
+use rdf_analytics::analytics::{Action, AnalyticsSession, Script};
 use rdf_analytics::facets::{markers, PathStep};
-use rdf_analytics::hifun::{AggOp, CondOp, DerivedFn};
 use rdf_analytics::model::{Term, Value};
 use rdf_analytics::sparql::Engine;
-use rdf_analytics::store::{
-    LoadOptions, PersistConfig, PersistentStore, Store, StoreStats, TermId,
-};
+use rdf_analytics::store::{LoadOptions, PersistConfig, PersistentStore, Store, StoreStats};
 use rdf_analytics::viz::{BarChart, BarDatum};
 use std::io::{BufRead, Write};
 
@@ -258,7 +258,7 @@ fn dispatch(
         }
         "buckets" => {
             // buckets <prop> [n]
-            let path = parse_path(store, rest.first().copied())?;
+            let path = resolve_path(store, rest.first().ok_or("usage: buckets <prop> [n]")?)?;
             let n: usize = rest.get(1).and_then(|w| w.parse().ok()).unwrap_or(5);
             let buckets = rdf_analytics::facets::bucket_values(
                 store,
@@ -274,7 +274,10 @@ fn dispatch(
             }
         }
         "grouped" => {
-            let p = resolve(store, rest.first().copied())?;
+            let p = match resolve_path(store, rest.first().ok_or("usage: grouped <prop>")?)?[..] {
+                [PathStep { prop, inverse: false }] => prop,
+                _ => return Err("grouped takes one property".into()),
+            };
             let gv = rdf_analytics::facets::grouped_values(
                 store,
                 session.facets().extension(),
@@ -286,88 +289,23 @@ fn dispatch(
             );
         }
         "expand" => {
-            let path = parse_path(store, rest.first().copied())?;
+            let path = resolve_path(store, rest.first().ok_or("usage: expand p1/p2")?)?;
             for (v, n) in session.facets().expand(&path) {
                 println!("  {} ({n})", store.term(v).display_name());
             }
         }
-        "class" => {
-            let c = resolve(store, rest.first().copied())?;
-            session.select_class(c).map_err(|e| e.message)?;
-            show_focus(store, session);
-        }
-        "value" => {
-            let p = resolve(store, rest.first().copied())?;
-            let v = resolve_term(store, rest.get(1).copied())?;
-            session.select_value(p, v).map_err(|e| e.message)?;
-            show_focus(store, session);
-        }
-        "path" => {
-            // path p1/p2 = v
-            let path = parse_path(store, rest.first().copied())?;
-            if rest.get(1) != Some(&"=") {
-                return Err("usage: path p1/p2 = value".into());
+        "class" | "value" | "values" | "path" | "range" | "group" | "measure" | "ops"
+        | "having" | "back" | "clear" => {
+            // a click is a one-line script
+            let script = Script::parse_in(line, store).map_err(|e| e.message)?;
+            script.apply(session).map_err(|e| e.message)?;
+            match script.actions.first() {
+                Some(Action::AddGrouping { .. }) => {
+                    println!("grouping attributes: {}", session.groupings().len())
+                }
+                Some(Action::SetMeasure { .. } | Action::SetOps(_) | Action::AddHaving { .. }) => {}
+                _ => show_focus(store, session),
             }
-            let v = resolve_term(store, rest.get(2).copied())?;
-            session.select_path_value(&path, v).map_err(|e| e.message)?;
-            show_focus(store, session);
-        }
-        "range" => {
-            let path = parse_path(store, rest.first().copied())?;
-            let min = parse_bound(rest.get(1).copied())?;
-            let max = parse_bound(rest.get(2).copied())?;
-            session.select_range(&path, min, max).map_err(|e| e.message)?;
-            show_focus(store, session);
-        }
-        "group" => {
-            let props = parse_props(store, rest.first().copied())?;
-            let mut spec = GroupSpec::path(props);
-            spec = match rest.get(1).copied() {
-                Some("[year]") => spec.with_derived(DerivedFn::Year),
-                Some("[month]") => spec.with_derived(DerivedFn::Month),
-                Some("[day]") => spec.with_derived(DerivedFn::Day),
-                _ => spec,
-            };
-            session.add_grouping(spec);
-            println!("grouping attributes: {}", session.groupings().len());
-        }
-        "measure" => {
-            let props = parse_props(store, rest.first().copied())?;
-            session.set_measure(MeasureSpec::path(props));
-        }
-        "ops" => {
-            let mut ops = Vec::new();
-            for w in &rest {
-                ops.push(match *w {
-                    "count" => AggOp::Count,
-                    "sum" => AggOp::Sum,
-                    "avg" => AggOp::Avg,
-                    "min" => AggOp::Min,
-                    "max" => AggOp::Max,
-                    other => return Err(format!("unknown op {other}")),
-                });
-            }
-            session.set_ops(ops);
-        }
-        "having" => {
-            let idx: usize = rest
-                .first()
-                .and_then(|w| w.parse().ok())
-                .ok_or("usage: having <op-index> <cmp> <number>")?;
-            let cond = match rest.get(1).copied() {
-                Some("=") => CondOp::Eq,
-                Some("<") => CondOp::Lt,
-                Some("<=") => CondOp::Le,
-                Some(">") => CondOp::Gt,
-                Some(">=") => CondOp::Ge,
-                Some("!=") => CondOp::Ne,
-                _ => return Err("usage: having <op-index> <cmp> <number>".into()),
-            };
-            let v: f64 = rest
-                .get(2)
-                .and_then(|w| w.parse().ok())
-                .ok_or("having needs a numeric threshold")?;
-            session.add_having(idx, cond, Term::decimal(v));
         }
         "run" => {
             let frame = session.run().map_err(|e| e.message)?;
@@ -381,10 +319,6 @@ fn dispatch(
         }
         "sparql" => println!("{}", session.sparql().map_err(|e| e.message)?),
         "intent" => println!("{}", session.facets().intent_sparql()),
-        "back" => {
-            session.facets_mut().back();
-            show_focus(store, session);
-        }
         "reset" => {
             session.facets_mut().reset();
             session.clear_analytics();
@@ -420,8 +354,7 @@ fn dispatch(
             // script <file> — run a click script against a fresh session
             let path = rest.first().ok_or("usage: script <file>")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let script =
-                rdf_analytics::analytics::Script::parse(&text).map_err(|e| e.to_string())?;
+            let script = Script::parse_in(&text, store).map_err(|e| e.to_string())?;
             // replay into the live session after a reset, so the replayed
             // state stays current
             session.facets_mut().reset();
@@ -433,14 +366,7 @@ fn dispatch(
                 print!("{}", frame.to_table());
             }
         }
-        "record" => {
-            // print the current session's click log as a replayable script
-            let script = session.recorded_script();
-            println!("# {} recorded actions", script.ui_action_count());
-            for action in &script.actions {
-                println!("{action:?}");
-            }
-        }
+        "record" => print!("{}", session.script()),
         "query" => {
             let mut q = line.trim_start_matches("query").trim();
             let explain = q.starts_with("--explain");
@@ -494,67 +420,6 @@ fn dominant_namespace(store: &Store) -> String {
         .unwrap_or_default()
 }
 
-/// Resolve a name: full IRI in <>, or a local name matched against the KG.
-fn resolve(store: &Store, word: Option<&str>) -> Result<TermId, String> {
-    let w = word.ok_or("missing name")?;
-    if let Some(iri) = w.strip_prefix('<').and_then(|x| x.strip_suffix('>')) {
-        return store.lookup_iri(iri).ok_or(format!("IRI not in KG: {iri}"));
-    }
-    let matches: Vec<TermId> = store
-        .terms()
-        .filter(|(_, t)| matches!(t, Term::Iri(iri) if rdf_analytics::model::term::local_name(iri) == w))
-        .map(|(id, _)| id)
-        .collect();
-    match matches.len() {
-        0 => Err(format!("no resource named '{w}'")),
-        1 => Ok(matches[0]),
-        n => Err(format!("'{w}' is ambiguous ({n} matches) — use a full <iri>")),
-    }
-}
-
-/// Resolve a clicked value: a name, or a literal (number / quoted string).
-fn resolve_term(store: &Store, word: Option<&str>) -> Result<TermId, String> {
-    let w = word.ok_or("missing value")?;
-    if let Ok(v) = w.parse::<i64>() {
-        return store
-            .lookup(&Term::integer(v))
-            .ok_or(format!("integer {v} not present in KG"));
-    }
-    if let Some(s) = w.strip_prefix('"').and_then(|x| x.strip_suffix('"')) {
-        return store
-            .lookup(&Term::string(s))
-            .ok_or(format!("string \"{s}\" not present in KG"));
-    }
-    resolve(store, Some(w))
-}
-
-fn parse_path(store: &Store, word: Option<&str>) -> Result<Vec<PathStep>, String> {
-    Ok(parse_props(store, word)?.into_iter().map(PathStep::fwd).collect())
-}
-
-fn parse_props(store: &Store, word: Option<&str>) -> Result<Vec<TermId>, String> {
-    let w = word.ok_or("missing property path")?;
-    w.split('/').map(|part| resolve(store, Some(part))).collect()
-}
-
-fn parse_bound(word: Option<&str>) -> Result<Option<Value>, String> {
-    match word {
-        None | Some("*") => Ok(None),
-        Some(w) => {
-            if let Ok(v) = w.parse::<i64>() {
-                return Ok(Some(Value::Int(v)));
-            }
-            if let Ok(v) = w.parse::<f64>() {
-                return Ok(Some(Value::Float(v)));
-            }
-            if let Some(d) = rdf_analytics::model::Date::parse(w) {
-                return Ok(Some(Value::Date(d)));
-            }
-            Err(format!("cannot parse bound '{w}' (number, date, or *)"))
-        }
-    }
-}
-
 fn chart_of(frame: &rdf_analytics::analytics::AnswerFrame) -> Result<BarChart, String> {
     let series: Vec<String> = frame.headers[frame.headers.len() - 1..].to_vec();
     let data: Vec<BarDatum> = frame
@@ -582,20 +447,21 @@ commands:
   grouped <prop>             value markers grouped by class (Fig 5.4 d)
   class <Name>               click a class marker
   value <prop> <value>       click a facet value
-  path p1/p2 = <value>       click a value at the end of a path
+  values <prop> <v1> <v2> …  tick several values of a facet
+  path p1/^p2 = <value>      click a value at the end of a path (^p: inverse)
   range p1/p2 <min|*> <max|*>  range filter (the ⧩ button)
   group p1/p2 [year|month|day] add a grouping attribute (the G button)
-  measure <prop>             set the measure (the ⨊ button)
+  measure p1/p2 [year|month|day] set the measure (the ⨊ button)
   ops avg sum max min count  choose aggregate operations
-  having <i> <cmp> <num>     restrict the i-th aggregate (HAVING)
+  having <i> <cmp> <value>   restrict the i-th aggregate (HAVING)
   run                        evaluate → Answer Frame (+ chart)
   sparql                     show the generated SPARQL
   explain                    executed plan of the current query (est=, rows=, scanned=)
   intent                     show the state's intention query
-  back | reset               undo last click | start over
+  back | clear | reset       undo last click | drop G/⨊ choices | start over
   hifun (g, m, op)           run a HIFUN query in the paper notation
   script <file>              run a click script from a file
-  record                     show this session's click log
+  record                     print this session's state as a replayable script
   query [--explain] <sparql> run raw SPARQL (one line); --explain appends the executed plan
   checkpoint                 compact the WAL into segment files (--open mode)
   export <file.nt>           N-Triples fallback dump (--open mode)

@@ -98,12 +98,66 @@ fn hifun_notation_parser_never_panics() {
     }
 }
 
+/// A click-script line: a verb with arguments drawn from script syntax
+/// fragments of the right kind, now and then of the wrong kind or glued to
+/// junk.
+fn script_line(rng: &mut StdRng) -> String {
+    const PATHS: &[&str] = &["<http://e/p>", "ex:p", "^ex:p", "ex:p/^<http://e/q>", "_:b1", "ex:"];
+    const TERMS: &[&str] = &[
+        "\"x y\"", "\"a\\\"b\"@en", "\"7\"^^<http://e/t>", "\"\\u00e9\\n\"", "\"1\"^^ex:int", "42",
+        "-7", "+3", "3.25", "1e3", ".5", "2021-06-10", "<http://e/v>", "ex:v", "_:b2", "*",
+    ];
+    const OTHER: &[&str] =
+        &["=", "<", "<=", "!=", ">=", "[year]", "[day]", "avg", "count", "0", "#", "\"", "^"];
+    let verbs: &[(&str, &[&[&str]])] = &[
+        ("class", &[PATHS]),
+        ("value", &[PATHS, TERMS]),
+        ("path", &[PATHS, &["="], TERMS]),
+        ("values", &[PATHS, TERMS, TERMS]),
+        ("range", &[PATHS, TERMS, TERMS]),
+        ("group", &[PATHS, &["[year]", "[month]"]]),
+        ("measure", &[PATHS]),
+        ("ops", &[&["avg", "sum", "max"], &["count", "min"]]),
+        ("having", &[&["0", "1"], &["=", "!=", "<", "<=", ">", ">="], TERMS]),
+        ("run", &[]),
+        ("back", &[]),
+        ("clear", &[]),
+    ];
+    let (verb, slots) = verbs[rng.gen_range(0..verbs.len())];
+    let mut line = verb.to_owned();
+    for slot in slots {
+        let pool = if rng.gen_bool(0.9) { *slot } else { OTHER };
+        line.push(if rng.gen_bool(0.9) { ' ' } else { '\t' });
+        line.push_str(pool[rng.gen_range(0..pool.len())]);
+        if rng.gen_bool(0.05) {
+            line.push_str(&fuzz_string(rng, 3));
+        }
+    }
+    line
+}
+
 #[test]
 fn script_parser_never_panics() {
+    use rdf_analytics::analytics::Script;
+    let mut parsed = 0;
     for case in 0..CASES {
-        let input = fuzz_string(&mut StdRng::seed_from_u64(18000 + case), 200);
-        let _ = rdf_analytics::analytics::Script::parse(&input);
+        let mut rng = StdRng::seed_from_u64(18000 + case);
+        let junk = fuzz_string(&mut rng, 200);
+        let prefix = "prefix ex: <http://e/>\n".to_owned();
+        let lines = (0..rng.gen_range(1..4)).map(|_| script_line(&mut rng));
+        let structured = prefix + &lines.collect::<Vec<_>>().join("\n");
+        for input in [junk, structured] {
+            // whatever parses prints as a script that parses back to itself
+            if let Ok(script) = Script::parse(&input) {
+                let printed = script.to_string();
+                let again = Script::parse(&printed)
+                    .unwrap_or_else(|e| panic!("case {case}: {e}\n{input}\n--\n{printed}"));
+                assert_eq!(again, script, "case {case}:\n{input}\n--\n{printed}");
+                parsed += 1;
+            }
+        }
     }
+    assert!(parsed > CASES / 4, "only {parsed} fuzzed scripts parsed");
 }
 
 #[test]
