@@ -27,7 +27,7 @@ use rdf_analytics::datagen::ProductsGenerator;
 use rdf_analytics::model::{Term, Triple};
 use rdf_analytics::server::{percent_encode, Server, ServerConfig};
 use rdf_analytics::sparql::Engine;
-use rdf_analytics::store::{LoadOptions, SnapshotStore, Store};
+use rdf_analytics::store::{SnapshotStore, Store};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -119,7 +119,7 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
 /// returns (offered, served, shed).
 fn measure_shed(waves: usize) -> (u64, u64, u64) {
     let mut store = Store::new();
-    ProductsGenerator::new(300, 7).generate_into(&mut store, LoadOptions::default());
+    ProductsGenerator::new(300, 7).generate_into(&mut store);
     let config = ServerConfig {
         workers: 8,
         max_in_flight: 2,
@@ -153,7 +153,7 @@ fn measure_shed(waves: usize) -> (u64, u64, u64) {
 
 fn main() {
     let mut store = Store::new();
-    ProductsGenerator::new(2_000, 7).generate_into(&mut store, LoadOptions::default());
+    ProductsGenerator::new(2_000, 7).generate_into(&mut store);
     let triples = store.len();
     let shared = Arc::new(SnapshotStore::new(store));
 

@@ -192,9 +192,7 @@ fn main() {
 
     let triples = {
         let mut pstore = PersistentStore::open(&seg_dir, fsync_never()).expect("open for seed");
-        pstore
-            .load_ntriples_path(&nt_path, LoadOptions::default())
-            .expect("seed load");
+        pstore.load_ntriples_path(&nt_path).expect("seed load");
         pstore.materialize_inference();
         pstore.checkpoint().expect("seed checkpoint");
         pstore.len()

@@ -1,8 +1,8 @@
-//! Bulk-ingest benchmark (PR 5): the seed ingest path versus the parallel
-//! bulk pipeline — chunked zero-copy parsing, sharded interning, sort-based
-//! index builds — on the products KG serialized as N-Triples.
+//! Bulk-ingest benchmark: the seed ingest path versus the bulk pipeline —
+//! zero-copy parsing, batch-local interning, sort-based index builds — on
+//! the products KG serialized as N-Triples.
 //!
-//! Four contenders at each scale:
+//! Three contenders at each scale:
 //!
 //! 1. `seed`: the ingest implementation exactly as it stood before this PR,
 //!    vendored below in [`seed_path`] — whole-document parse into owned
@@ -15,10 +15,9 @@
 //!    (`rdfa_oracle::ingest::load_ntriples`), running on this PR's lexer and
 //!    id-keyed interner — isolates how much of the win comes from
 //!    shared-component rework alone.
-//! 3. `bulk x1`: the bulk pipeline pinned to one worker thread (isolating
-//!    the algorithmic wins: zero-copy lexing, dedup-once interning, sorted
-//!    bulk index construction).
-//! 4. `bulk xN`: the bulk pipeline with eight workers.
+//! 3. `bulk`: the bulk pipeline behind `Store::load_ntriples` (zero-copy
+//!    lexing, dedup-once interning, sorted bulk index construction). It runs
+//!    on one thread.
 //!
 //! Before timing anything, asserts every contender produces the same store:
 //! identical term tables (same ids in the same order), identical explicit
@@ -30,7 +29,7 @@
 use rdfa_datagen::ProductsGenerator;
 use rdfa_model::ntriples;
 use rdfa_oracle::ingest as per_triple;
-use rdfa_store::{LoadOptions, Store, TermId};
+use rdfa_store::{Store, TermId};
 use std::time::Instant;
 
 /// The ingest path exactly as it stood at the seed commit, vendored as the
@@ -232,11 +231,10 @@ struct ScaleResult {
     reps: usize,
     seed_secs: f64,
     per_triple_secs: f64,
-    bulk1_secs: f64,
-    bulkn_secs: f64,
+    bulk_secs: f64,
 }
 
-fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
+fn bench_scale(n_products: usize, reps: usize) -> ScaleResult {
     let graph = ProductsGenerator::new(n_products, 1).generate();
     let text = ntriples::serialize(&graph);
     drop(graph);
@@ -248,20 +246,18 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
     assert_eq!(baseline.load_ntriples(&text), n, "baseline triple count");
     assert_baseline_matches(&baseline, &reference);
     drop(baseline);
-    for t in [1, threads] {
-        let mut bulk = Store::new();
-        let stats = bulk.bulk_load_ntriples(&text, LoadOptions::with_threads(t)).expect("bulk");
-        assert_eq!(stats.triples, n, "triple count with {t} threads");
-        assert_identical(&reference, &bulk, &format!("bulk x{t}"));
-    }
+    let mut bulk = Store::new();
+    let stats = bulk.load_ntriples(&text).expect("bulk");
+    assert_eq!(stats.triples, n, "bulk triple count");
+    assert_identical(&reference, &bulk, "bulk");
+    drop(bulk);
 
     // interleave the contenders within each rep — shared-box CPU throttling
     // drifts on a seconds timescale, so adjacent measurements see the same
     // conditions while widely separated ones do not
     let mut seed_samples = Vec::with_capacity(reps);
     let mut per_triple_samples = Vec::with_capacity(reps);
-    let mut bulk1_samples = Vec::with_capacity(reps);
-    let mut bulkn_samples = Vec::with_capacity(reps);
+    let mut bulk_samples = Vec::with_capacity(reps);
     for _ in 0..reps {
         seed_samples.push(time_one(|| {
             let mut s = seed_path::SeedStore::new();
@@ -273,14 +269,9 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
             per_triple::load_ntriples(&mut s, &text).unwrap();
             s
         }));
-        bulk1_samples.push(time_one(|| {
+        bulk_samples.push(time_one(|| {
             let mut s = Store::new();
-            s.bulk_load_ntriples(&text, LoadOptions::with_threads(1)).unwrap();
-            s
-        }));
-        bulkn_samples.push(time_one(|| {
-            let mut s = Store::new();
-            s.bulk_load_ntriples(&text, LoadOptions::with_threads(threads)).unwrap();
+            s.load_ntriples(&text).unwrap();
             s
         }));
     }
@@ -292,16 +283,14 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
         reps,
         seed_secs: median(seed_samples),
         per_triple_secs: median(per_triple_samples),
-        bulk1_secs: median(bulk1_samples),
-        bulkn_secs: median(bulkn_samples),
+        bulk_secs: median(bulk_samples),
     }
 }
 
 fn main() {
-    let threads = 8;
     // ~8 triples per product: 7,100 → ~57k triples, 63,500 → ~509k triples
-    let small = bench_scale(7_100, 7, threads);
-    let large = bench_scale(63_500, 5, threads);
+    let small = bench_scale(7_100, 7);
+    let large = bench_scale(63_500, 5);
     assert!(
         large.triples >= 500_000,
         "large scale must hold at least 500k triples, got {}",
@@ -310,24 +299,19 @@ fn main() {
 
     let scale_json = |s: &ScaleResult| {
         format!(
-            "{{\n    \"triples\": {},\n    \"terms\": {},\n    \"ntriples_bytes\": {},\n    \"reps\": {},\n    \"seed_secs\": {:.6},\n    \"per_triple_secs\": {:.6},\n    \"bulk_1thread_secs\": {:.6},\n    \"bulk_{}threads_secs\": {:.6},\n    \"speedup_bulk1_vs_seed\": {:.3},\n    \"speedup_bulk{}_vs_seed\": {:.3}\n  }}",
+            "{{\n    \"triples\": {},\n    \"terms\": {},\n    \"ntriples_bytes\": {},\n    \"reps\": {},\n    \"seed_secs\": {:.6},\n    \"per_triple_secs\": {:.6},\n    \"bulk_secs\": {:.6},\n    \"speedup_bulk_vs_seed\": {:.3}\n  }}",
             s.triples,
             s.terms,
             s.bytes,
             s.reps,
             s.seed_secs,
             s.per_triple_secs,
-            s.bulk1_secs,
-            threads,
-            s.bulkn_secs,
-            s.seed_secs / s.bulk1_secs,
-            threads,
-            s.seed_secs / s.bulkn_secs,
+            s.bulk_secs,
+            s.seed_secs / s.bulk_secs,
         )
     };
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"parallel_bulk_ingest\",\n  \"available_parallelism\": {avail},\n  \"threads\": {threads},\n  \"small\": {},\n  \"large\": {}\n}}\n",
+        "{{\n  \"bench\": \"bulk_ingest\",\n  \"small\": {},\n  \"large\": {}\n}}\n",
         scale_json(&small),
         scale_json(&large)
     );

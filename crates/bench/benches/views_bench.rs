@@ -10,7 +10,7 @@
 
 use rdfa_datagen::{ProductsGenerator, EX};
 use rdfa_sparql::{execute_update_recording, Engine, QueryForm};
-use rdfa_store::{LoadOptions, Store};
+use rdfa_store::Store;
 use rdfa_views::{ViewConfig, ViewManager};
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,7 +108,7 @@ fn main() {
     let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     let mut store = Store::new();
-    ProductsGenerator::new(products, 7).generate_into(&mut store, LoadOptions::default());
+    ProductsGenerator::new(products, 7).generate_into(&mut store);
     let triples = store.len();
     eprintln!("store: {products} products, {triples} triples (smoke={smoke})");
     if !smoke {

@@ -204,7 +204,7 @@ pub fn tasks() -> Vec<Task> {
                 a.add_grouping(GroupSpec::property(id_of(s, "manufacturer")?));
                 a.set_measure(MeasureSpec::property(id_of(s, "price")?));
                 a.set_ops(vec![AggOp::Avg]);
-                a.add_having(0, CondOp::Ge, Term::integer(1200));
+                a.add_having(0, CondOp::Ge, Term::integer(1200)).map_err(|e| e.message)?;
                 Ok(a.run().map_err(|e| e.message)?.len())
             },
         },

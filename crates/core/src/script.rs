@@ -142,7 +142,7 @@ impl Script {
                 }
                 Action::SetOps(ops) => session.set_ops(ops.clone()),
                 Action::AddHaving { op_index, cond, value } => {
-                    session.add_having(*op_index, *cond, value.clone())
+                    session.add_having(*op_index, *cond, value.clone())?
                 }
                 Action::Run => frames.push(session.run()?),
                 Action::Back => {

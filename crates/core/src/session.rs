@@ -67,7 +67,6 @@ pub struct AnalyticsSession<'s> {
     ops: Vec<AggOp>,
     havings: Vec<(usize, CondOp, Term)>,
     limits: EvalLimits,
-    views: Option<std::sync::Arc<dyn rdfa_sparql::ViewCatalog>>,
 }
 
 impl<'s> AnalyticsSession<'s> {
@@ -90,33 +89,13 @@ impl<'s> AnalyticsSession<'s> {
             ops: Vec::new(),
             havings: Vec::new(),
             limits: EvalLimits::default(),
-            views: None,
         }
-    }
-
-    /// Share a marker cache with other sessions over the same store; makes
-    /// revisited states (back button, repeated requests) O(1).
-    pub fn with_facet_cache(mut self, cache: std::sync::Arc<rdfa_facets::FacetCache>) -> Self {
-        self.facets.set_cache(cache);
-        self
     }
 
     /// Bound the resources [`run`](Self::run) may spend. A tripped limit is
     /// an error, as it is a 503 on the server.
     pub fn with_limits(mut self, limits: EvalLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Attach a materialized-view catalog (see `rdfa-views`). Analytic
-    /// intentions whose SPARQL translation falls in the viewable aggregate
-    /// fragment are then answered from fresh views and contribute workload
-    /// observations that drive view selection.
-    pub fn with_views(
-        mut self,
-        views: std::sync::Arc<dyn rdfa_sparql::ViewCatalog>,
-    ) -> Self {
-        self.views = Some(views);
         self
     }
 
@@ -285,9 +264,21 @@ impl<'s> AnalyticsSession<'s> {
 
     /// Add a result restriction (HAVING) on the `idx`-th aggregate. In the
     /// GUI this is expressed by reloading the answer frame and filtering
-    /// (§5.3.3); the direct form is offered for programmatic use.
-    pub fn add_having(&mut self, idx: usize, op: CondOp, value: Term) {
+    /// (§5.3.3); the direct form is offered for programmatic use. An index
+    /// past the selected operations is refused. A later
+    /// [`set_ops`](Self::set_ops) may still drop the aggregate; the
+    /// restriction is then reported by [`hifun_query`](Self::hifun_query).
+    pub fn add_having(
+        &mut self,
+        idx: usize,
+        op: CondOp,
+        value: Term,
+    ) -> Result<(), AnalyticsError> {
+        if idx >= self.ops.len() {
+            return Err(having_out_of_range(idx, self.ops.len()));
+        }
         self.havings.push((idx, op, value));
+        Ok(())
     }
 
     /// Reset all analytics state, keeping the faceted state.
@@ -328,10 +319,7 @@ impl<'s> AnalyticsSession<'s> {
             ));
         }
         if let Some((idx, ..)) = self.havings.iter().find(|(idx, ..)| *idx >= self.ops.len()) {
-            return Err(AnalyticsError::new(format!(
-                "HAVING restricts aggregate {idx}, but only {} operation(s) are selected",
-                self.ops.len()
-            )));
+            return Err(having_out_of_range(*idx, self.ops.len()));
         }
         let store = self.store();
         let mut q = HifunQuery {
@@ -406,11 +394,8 @@ impl<'s> AnalyticsSession<'s> {
     pub fn run(&self) -> Result<AnswerFrame, AnalyticsError> {
         let q = self.hifun_query()?;
         let text = translate::to_sparql(&q);
-        let mut builder = Engine::builder(self.store()).limits(self.limits.clone());
-        if let Some(views) = &self.views {
-            builder = builder.views(views.clone());
-        }
-        let sols = builder
+        let sols = Engine::builder(self.store())
+            .limits(self.limits.clone())
             .build()
             .run(&text)?
             .into_solutions()
@@ -450,6 +435,12 @@ impl<'s> AnalyticsSession<'s> {
         }
         headers
     }
+}
+
+fn having_out_of_range(idx: usize, ops: usize) -> AnalyticsError {
+    AnalyticsError::new(format!(
+        "HAVING restricts aggregate {idx}, but only {ops} operation(s) are selected"
+    ))
 }
 
 /// Convert a GroupSpec/MeasureSpec path of interned properties into a HIFUN
@@ -672,7 +663,7 @@ mod tests {
         a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
         a.set_measure(MeasureSpec::property(id(&s, "price")));
         a.set_ops(vec![AggOp::Avg]);
-        a.add_having(0, CondOp::Gt, Term::integer(900));
+        a.add_having(0, CondOp::Gt, Term::integer(900)).unwrap();
         let frame = a.run().unwrap();
         assert_eq!(frame.rows.len(), 1);
         assert_eq!(frame.rows[0][0].as_ref().unwrap().display_name(), "DELL");
@@ -815,9 +806,16 @@ mod tests {
         a.select_class(id(&s, "Laptop")).unwrap();
         a.set_measure(MeasureSpec::property(id(&s, "price")));
         a.set_ops(vec![AggOp::Avg]);
-        a.add_having(3, CondOp::Ge, Term::integer(1));
-        let err = a.run().expect_err("HAVING on aggregate 3 of 1");
+        let err = a.add_having(3, CondOp::Ge, Term::integer(1)).expect_err("aggregate 3 of 1");
         assert!(err.message.contains("aggregate 3"), "{err}");
+        // the refused click left no restriction behind
+        assert!(a.run().is_ok());
+        // a later set_ops can still drop a restricted aggregate
+        a.set_ops(vec![AggOp::Avg, AggOp::Max]);
+        a.add_having(1, CondOp::Ge, Term::integer(1)).unwrap();
+        a.set_ops(vec![AggOp::Avg]);
+        let err = a.run().expect_err("HAVING on aggregate 1 of 1");
+        assert!(err.message.contains("aggregate 1"), "{err}");
         assert!(a.sparql().is_err());
     }
 }

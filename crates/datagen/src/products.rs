@@ -171,15 +171,10 @@ impl ProductsGenerator {
         g
     }
 
-    /// Generate and bulk-load straight into a store through the parallel
-    /// ingest pipeline, returning what the load did. Equivalent to
-    /// `store.load_graph(&gen.generate())` but skips the per-triple path.
-    pub fn generate_into(
-        &self,
-        store: &mut rdfa_store::Store,
-        opts: rdfa_store::LoadOptions,
-    ) -> rdfa_store::LoadStats {
-        store.bulk_load_graph(&self.generate(), opts)
+    /// Generate and load straight into a store
+    /// (`store.load_graph(&gen.generate())`), returning what the load did.
+    pub fn generate_into(&self, store: &mut rdfa_store::Store) -> rdfa_store::LoadStats {
+        store.load_graph(&self.generate())
     }
 }
 

@@ -71,9 +71,9 @@ impl fmt::Display for NtriplesError {
 impl std::error::Error for NtriplesError {}
 
 /// A line-local error from the zero-copy lexer, upgraded to
-/// [`NtriplesError`] once the caller knows the document line number —
-/// chunked parsers lex lines whose absolute position is only known after
-/// per-chunk line counts are summed.
+/// [`NtriplesError`] once the caller knows the document line number — a
+/// streaming loader lexes block by block and adds the lines of the blocks
+/// before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LexError {
     /// The offending fragment, truncated for display.
@@ -182,41 +182,10 @@ pub fn strip_bom(input: &str) -> &str {
     input.strip_prefix('\u{feff}').unwrap_or(input)
 }
 
-/// Split a document into at most `n` chunks at newline boundaries, so each
-/// chunk is a whole number of lines and chunks concatenate back to the
-/// input. Safe for N-Triples because a raw `\n` byte can never occur
-/// *inside* a well-formed term — newlines in literals are escaped as the
-/// two-character sequence `\n` — so every `\n` byte is a line terminator.
-/// (A raw newline inside a literal is malformed input; the line-based
-/// parser rejects each half exactly as the sequential path would.)
-pub fn split_chunks(input: &str, n: usize) -> Vec<&str> {
-    let mut out = Vec::with_capacity(n.max(1));
-    let bytes = input.as_bytes();
-    let mut start = 0usize;
-    for i in 1..n {
-        let target = input.len() * i / n;
-        if target <= start {
-            continue;
-        }
-        match bytes[target..].iter().position(|&b| b == b'\n') {
-            Some(off) => {
-                let end = target + off + 1;
-                out.push(&input[start..end]);
-                start = end;
-            }
-            None => break,
-        }
-    }
-    if start < input.len() || out.is_empty() {
-        out.push(&input[start..]);
-    }
-    out
-}
-
 /// Lex one N-Triples line with the zero-copy lexer. Returns `Ok(None)` for
 /// blank lines and `#` comments, and borrowed `[subject, predicate,
-/// object]` views otherwise. A trailing `\r` (CRLF input split by a chunker
-/// rather than [`str::lines`]) is tolerated.
+/// object]` views otherwise. Surrounding whitespace is trimmed, so a stray
+/// `\r` left on a CRLF line is tolerated.
 pub fn lex_line(line: &str) -> Result<Option<[TermRef<'_>; 3]>, LexError> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
@@ -379,25 +348,6 @@ mod tests {
         assert_ne!(s, Term::blank("http://s"));
         assert!(lex_line("# comment").unwrap().is_none());
         assert!(lex_line("   ").unwrap().is_none());
-    }
-
-    #[test]
-    fn chunks_concatenate_and_split_on_newlines() {
-        let doc = "<http://s> <http://p> \"a\\nb\" .\n<http://s> <http://p> \"c\" .\r\n\
-                   # comment\n<http://s2> <http://p> \"d\" .";
-        for n in 1..=8 {
-            let chunks = split_chunks(doc, n);
-            assert_eq!(chunks.concat(), doc, "n={n}");
-            for c in &chunks[..chunks.len() - 1] {
-                assert!(c.ends_with('\n'), "mid chunk must end at a line break: {c:?}");
-            }
-            let total: usize = chunks
-                .iter()
-                .map(|c| c.lines().flat_map(lex_line).flatten().count())
-                .sum();
-            assert_eq!(total, 3, "n={n}");
-        }
-        assert_eq!(split_chunks("", 4), vec![""]);
     }
 
     #[test]

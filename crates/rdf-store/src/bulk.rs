@@ -1,87 +1,59 @@
-//! The ingest pipeline: chunked zero-copy parsing, two-phase sharded
-//! interning with a deterministic merge, and sort-based index builds. Every
-//! load entry point of [`Store`] runs through it, [`Store::load_graph`],
-//! [`Store::load_turtle`] and [`Store::load_ntriples`] included.
+//! The ingest pipeline: zero-copy parsing, one batch-local dictionary per
+//! parsed block, and sort-based index builds. Every load entry point of
+//! [`Store`] runs through it, [`Store::load_graph`], [`Store::load_turtle`]
+//! and [`Store::load_ntriples`] included.
 //!
-//! 1. **Chunked parsing** — the document is split on newline-safe chunk
-//!    boundaries ([`ntriples::split_chunks`]) and each chunk is lexed on a
-//!    scoped worker thread with the zero-copy lexer
-//!    ([`ntriples::lex_line`]), which yields borrowed lexemes: no per-term
-//!    `String` is allocated until interning decides a term is new.
-//! 2. **Two-phase sharded interning** — each worker interns its chunk's
-//!    terms into a local dictionary keyed by a 64-bit FNV hash. The merge
-//!    phase dedups local dictionaries per hash shard (in parallel), then
-//!    assigns global [`TermId`]s sequentially in *document first-occurrence
-//!    order*, independent of the chunk count, so term ids never depend on
-//!    the thread count.
-//! 3. **Sort-based index build** — workers emit `IdTriple` runs which are
-//!    sorted and deduplicated with parallel merge rounds; SPO/POS/OSP are
-//!    then bulk-built from the sorted runs
-//!    (`TripleIndex::from_sorted_runs`) instead of per-triple inserts.
+//! 1. **Zero-copy parsing** — each line is lexed with
+//!    [`ntriples::lex_line`], which yields borrowed lexemes: no per-term
+//!    `String` is allocated while a block is parsed.
+//! 2. **Batch-local interning** — a parsed block's terms go into a local
+//!    dictionary keyed by a 64-bit content hash. Only once the whole block
+//!    has parsed are the local entries handed to the store's interner, in
+//!    first-occurrence order, so a malformed line leaves the store untouched
+//!    and term ids follow document order, exactly as the per-triple path
+//!    assigns them.
+//! 3. **Sort-based index build** — the remapped `IdTriple`s of every block
+//!    are sorted and deduplicated once (document order groups triples by
+//!    subject, so the run is nearly sorted already); SPO/POS/OSP are then
+//!    bulk-built from the sorted run (`TripleIndex::from_sorted_spo`)
+//!    instead of per-triple inserts.
+//!
+//! Streaming loads ([`Store::load_ntriples_path`]) read the file in
+//! newline-aligned blocks (`BlockReader`) and run steps 1 and 2 per block,
+//! step 3 once at the end. The pipeline runs on the caller's thread: a
+//! sharded multi-worker variant measured slower on the paper-scale load
+//! (DESIGN.md, "Bulk ingest").
 //!
 //! The seed per-triple path (parse into owned terms, then intern and insert
 //! one triple at a time) lives in the dev-only `rdfa-oracle` crate as the
 //! reference; `tests/ingest_differential.rs` proves the pipeline produces a
-//! store identical to it (term ids, generation counter, all three indexes)
-//! across thread counts.
+//! store identical to it (term ids, generation counter, all three indexes).
 
 use crate::index::{IdTriple, TripleIndex};
 use crate::interner::{hash64, term_ref_of, Interner, Slot, TermId, U64Map};
 use crate::store::Store;
-use rdfa_exec::{map_ordered, workers_for};
 use rdfa_model::ntriples::{self, NtriplesError, TermRef};
-use rdfa_model::{turtle, Graph, Triple};
+use rdfa_model::{turtle, Graph};
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
 
-/// Tuning knobs for the bulk-ingest pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct LoadOptions {
-    /// Worker threads for parsing, interning and index builds. `0` (the
-    /// default) uses the machine's available parallelism, and both `0` and
-    /// explicit values are scaled down when the input is too small for the
-    /// requested fan-out to pay for itself (see [`LoadOptions::exact`] to
-    /// override) — the store contents never depend on the thread count,
-    /// only the wall-clock does.
-    pub threads: usize,
-    /// Honour the requested thread count exactly, bypassing the
-    /// small-input and available-parallelism caps. For tests that must
-    /// force many chunks onto tiny documents; production callers should
-    /// leave this off — BENCH_5 measured 8 requested threads *slower* than
-    /// 1 at 509k triples once the box had fewer cores than the request.
-    pub exact: bool,
-}
-
-impl LoadOptions {
-    /// Options requesting a worker-thread count, still subject to the
-    /// small-input and available-parallelism caps.
-    pub fn with_threads(threads: usize) -> Self {
-        LoadOptions { threads, exact: false }
-    }
-
-    /// Options pinning an exact worker-thread count, caps bypassed.
-    pub fn exact(threads: usize) -> Self {
-        LoadOptions { threads, exact: true }
-    }
-}
+/// The options argument of [`Store::load_ntriples_path`]. It has no fields
+/// and the loader ignores it: it stays only so that existing callers of
+/// `load_ntriples_path(path, LoadOptions::default())` keep compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LoadOptions {}
 
 /// What a bulk load did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadStats {
-    /// Triples parsed from the input, duplicates included (the count the
-    /// per-triple loaders return).
+    /// Triples parsed from the input, duplicates included.
     pub triples: usize,
     /// Distinct triples newly added to the store.
     pub added: usize,
     /// Terms newly interned.
     pub terms_added: usize,
-    /// Worker threads actually used (after the small-input and
-    /// available-parallelism caps).
-    pub threads: usize,
-    /// Worker threads requested via [`LoadOptions::threads`] (`0` = auto).
-    pub requested: usize,
 }
 
 /// Why a streaming load failed.
@@ -133,12 +105,12 @@ impl From<turtle::TurtleError> for LoadError {
     }
 }
 
-// ---- phase 1: chunked parse into worker-local dictionaries ---------------
+// ---- phase 1: parse into a batch-local dictionary -----------------------
 
-/// A worker-local dictionary: borrowed term views in first-occurrence
-/// order, their hashes, and a hash → local-id bucket map. Nothing here owns
-/// term text — entries borrow the input until the merge phase decides which
-/// occurrences are canonical and converts exactly those to owned [`Term`]s.
+/// A batch-local dictionary: borrowed term views in first-occurrence order,
+/// their hashes, and a hash → local-id bucket map. Nothing here owns term
+/// text — entries borrow the input until [`assign_ids`] hands each one to
+/// the store's interner as an owned [`Term`](rdfa_model::Term).
 #[derive(Default)]
 struct LocalDict<'a> {
     terms: Vec<TermRef<'a>>,
@@ -155,10 +127,6 @@ impl<'a> LocalDict<'a> {
             hashes: Vec::with_capacity(terms),
             buckets: U64Map::with_capacity_and_hasher(terms, Default::default()),
         }
-    }
-
-    fn len(&self) -> usize {
-        self.terms.len()
     }
 
     fn intern(&mut self, t: TermRef<'a>) -> u32 {
@@ -200,123 +168,61 @@ impl<'a> LocalDict<'a> {
     }
 }
 
-/// One chunk's parse output: its dictionary and its triples over local ids.
-struct ChunkPart<'a> {
+/// A fully parsed block, ready to merge into a store: its dictionary and
+/// its triples over local ids. Borrows the input text (zero-copy), but is
+/// structurally complete — callers can validate a payload before committing
+/// side effects (the WAL logs between parse and apply).
+pub(crate) struct Batch<'a> {
     dict: LocalDict<'a>,
     triples: Vec<[u32; 3]>,
-}
-
-/// A fully parsed batch, ready to merge into a store. Borrows the input
-/// text (zero-copy), but is structurally complete — callers can validate a
-/// payload before committing side effects (the WAL logs between parse and
-/// apply).
-pub(crate) struct Batch<'a> {
-    parts: Vec<ChunkPart<'a>>,
     lines: usize,
-    triples: usize,
 }
 
-const MIN_BYTES_PER_CHUNK: usize = 64 * 1024;
-const MIN_TRIPLES_PER_CHUNK: usize = 4096;
-
-/// Resolve a requested thread count: `0` means auto (available
-/// parallelism); explicit values are honoured up to the same two caps —
-/// available parallelism (BENCH_5: 8 threads on a smaller box ran *slower*
-/// than 1 at 509k triples, pure oversubscription overhead) and one thread
-/// per `min_per_chunk` of work (chunks below that floor cost more in
-/// spawn/merge than their parse saves) — i.e.
-/// [`rdfa_exec::workers_for`]. [`LoadOptions::exact`] bypasses both, so
-/// differential tests can still force many chunks onto tiny documents.
-fn effective_threads(opts: &LoadOptions, work_units: usize, min_per_chunk: usize) -> usize {
-    if opts.exact && opts.threads > 0 {
-        return opts.threads;
-    }
-    // unlike the query runtime, ingest caps explicit requests at available
-    // parallelism: its workers are CPU-bound end to end, so BENCH_5's
-    // oversubscription loss applies regardless of who asked for the fan-out
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    workers_for(opts.threads, work_units, min_per_chunk).min(avail)
-}
-
-/// Parse an N-Triples document into a [`Batch`] with the requested worker
-/// threads. Errors carry the 1-based line number *within this text*; the
-/// first malformed line in document order wins, matching the sequential
-/// parser.
-pub(crate) fn parse_batch<'t>(
-    text: &'t str,
-    opts: &LoadOptions,
-) -> Result<Batch<'t>, NtriplesError> {
-    let text = ntriples::strip_bom(text);
-    let threads = effective_threads(opts, text.len(), MIN_BYTES_PER_CHUNK);
-    let chunks = ntriples::split_chunks(text, threads);
-    let results = map_ordered(threads, chunks, |_, chunk| parse_chunk(chunk));
-    let mut parts = Vec::with_capacity(results.len());
-    let mut lines = 0usize;
-    let mut triples = 0usize;
-    for result in results {
-        match result {
-            Ok((part, chunk_lines)) => {
-                lines += chunk_lines;
-                triples += part.triples.len();
-                parts.push(part);
-            }
-            Err((e, local_line)) => return Err(e.at_line(lines + local_line)),
-        }
-    }
-    Ok(Batch { parts, lines, triples })
-}
-
-/// Lex and locally intern one chunk. On success returns the part and the
-/// chunk's line count (needed to offset later chunks' error lines).
-#[allow(clippy::type_complexity)]
-fn parse_chunk<'a>(
-    chunk: &'a str,
-) -> Result<(ChunkPart<'a>, usize), (ntriples::LexError, usize)> {
+/// Lex and locally intern an N-Triples text. Errors carry the 1-based line
+/// number *within this text*; the first malformed line wins.
+fn parse_batch(text: &str) -> Result<Batch<'_>, NtriplesError> {
     // N-Triples lines run ~100+ bytes and real graphs re-use most terms;
     // these estimates only size the initial tables, correctness never
     // depends on them
-    let mut dict = LocalDict::with_capacity(chunk.len() / 256);
-    let mut triples = Vec::with_capacity(chunk.len() / 96);
-    let mut n_lines = 0usize;
+    let mut dict = LocalDict::with_capacity(text.len() / 256);
+    let mut triples = Vec::with_capacity(text.len() / 96);
+    let mut lines = 0usize;
     // real-world dumps group consecutive lines by subject, so remembering
     // the previous subject's local id skips a hash+probe for the common
     // repeat (subject views are borrowed slices — the clone is a pointer
     // copy); predicates come from a small schema vocabulary that recurs in
     // every subject's line group, so a short ring of recent predicates
     // short-circuits most predicate interns the same way
-    let mut last_subject: Option<(TermRef<'a>, u32)> = None;
-    let mut recent_preds: Vec<(TermRef<'a>, u32)> = Vec::with_capacity(PRED_MEMO);
-    for line in chunk.lines() {
-        n_lines += 1;
-        match ntriples::lex_line(line) {
-            Ok(None) => {}
-            Ok(Some([s, p, o])) => {
-                let s_id = match &last_subject {
-                    Some((prev, id)) if *prev == s => *id,
-                    _ => {
-                        let id = dict.intern(s.clone());
-                        last_subject = Some((s, id));
-                        id
-                    }
-                };
-                let p_id = match recent_preds.iter().find(|(t, _)| *t == p) {
-                    Some(&(_, id)) => id,
-                    None => {
-                        let id = dict.intern(p.clone());
-                        if recent_preds.len() == PRED_MEMO {
-                            recent_preds.remove(0);
-                        }
-                        recent_preds.push((p, id));
-                        id
-                    }
-                };
-                let o = dict.intern(o);
-                triples.push([s_id, p_id, o]);
+    let mut last_subject: Option<(TermRef<'_>, u32)> = None;
+    let mut recent_preds: Vec<(TermRef<'_>, u32)> = Vec::with_capacity(PRED_MEMO);
+    for line in text.lines() {
+        lines += 1;
+        let Some([s, p, o]) = ntriples::lex_line(line).map_err(|e| e.at_line(lines))? else {
+            continue;
+        };
+        let s_id = match &last_subject {
+            Some((prev, id)) if *prev == s => *id,
+            _ => {
+                let id = dict.intern(s.clone());
+                last_subject = Some((s, id));
+                id
             }
-            Err(e) => return Err((e, n_lines)),
-        }
+        };
+        let p_id = match recent_preds.iter().find(|(t, _)| *t == p) {
+            Some(&(_, id)) => id,
+            None => {
+                let id = dict.intern(p.clone());
+                if recent_preds.len() == PRED_MEMO {
+                    recent_preds.remove(0);
+                }
+                recent_preds.push((p, id));
+                id
+            }
+        };
+        let o = dict.intern(o);
+        triples.push([s_id, p_id, o]);
     }
-    Ok((ChunkPart { dict, triples }, n_lines))
+    Ok(Batch { dict, triples, lines })
 }
 
 /// Recent-predicate ring size: big enough to hold a uniform schema's
@@ -324,168 +230,33 @@ fn parse_chunk<'a>(
 /// length checks.
 const PRED_MEMO: usize = 16;
 
-/// Locally intern an already-parsed graph (the Turtle and datagen path):
-/// the parse happened sequentially, but interning, deduplication and the
-/// index build still fan out.
-pub(crate) fn graph_batch<'g>(graph: &'g Graph, opts: &LoadOptions) -> Batch<'g> {
-    let triples: Vec<&Triple> = graph.iter().collect();
-    let threads = effective_threads(opts, triples.len(), MIN_TRIPLES_PER_CHUNK);
-    let chunk_size = triples.len().div_ceil(threads.max(1)).max(1);
-    let chunks: Vec<&[&Triple]> = triples.chunks(chunk_size).collect();
-    let parts = map_ordered(threads, chunks, |_, chunk| {
-        let mut dict = LocalDict::with_capacity(chunk.len());
-        let mut out = Vec::with_capacity(chunk.len());
-        for t in chunk {
+/// Locally intern an already-parsed graph (the Turtle and datagen path).
+fn graph_batch(graph: &Graph) -> Batch<'_> {
+    let mut dict = LocalDict::with_capacity(graph.len());
+    let triples = graph
+        .iter()
+        .map(|t| {
             let s = dict.intern(term_ref_of(&t.subject));
             let p = dict.intern(term_ref_of(&t.predicate));
             let o = dict.intern(term_ref_of(&t.object));
-            out.push([s, p, o]);
-        }
-        ChunkPart { dict, triples: out }
-    });
-    Batch { parts, lines: 0, triples: graph.len() }
-}
-
-// ---- phase 2: sharded dedup merge + deterministic id assignment ----------
-//
-// Both strategies below translate a batch's worker-local dictionaries into
-// per-chunk `local id → global TermId` tables assigning ids in *document
-// first-occurrence order* — the canonical order, identical to the per-triple
-// path and independent of the chunk count. `assign_direct` walks chunks
-// sequentially (chunks partition the document in order and local ids are
-// chunk-first-occurrence-ordered, so chunk-major/local-minor *is* document
-// order). `assign_sharded` first dedups across chunks per hash shard in
-// parallel so the sequential id-assignment section only touches each
-// distinct term once — worth it exactly when spare cores exist; a unit
-// test pins both to the same output.
-
-const SHARDS: usize = 16;
-
-/// One hash shard's cross-chunk dedup result.
-struct ShardOut {
-    /// `(chunk, local)` of each distinct term's first occurrence, ascending.
-    entries: Vec<(u32, u32)>,
-    /// Every `(chunk, local, entry)` membership in this shard.
-    assign: Vec<(u32, u32, u32)>,
-}
-
-fn merge_shard<'a>(parts: &[ChunkPart<'a>], shard: usize) -> ShardOut {
-    let mut buckets: U64Map<Slot> = U64Map::default();
-    let mut entries: Vec<(u32, u32)> = Vec::new();
-    let mut assign: Vec<(u32, u32, u32)> = Vec::new();
-    let term_of = |entries: &[(u32, u32)], e: u32| -> &TermRef<'a> {
-        let (c, l) = entries[e as usize];
-        &parts[c as usize].dict.terms[l as usize]
-    };
-    for (ci, part) in parts.iter().enumerate() {
-        for (li, &h) in part.dict.hashes.iter().enumerate() {
-            if h as usize % SHARDS != shard {
-                continue;
-            }
-            let term = &part.dict.terms[li];
-            let entry = match buckets.entry(h) {
-                Entry::Occupied(mut e) => match e.get_mut() {
-                    Slot::One(first) => {
-                        let first = *first;
-                        if term == term_of(&entries, first) {
-                            first
-                        } else {
-                            let id = entries.len() as u32;
-                            entries.push((ci as u32, li as u32));
-                            *e.get_mut() = Slot::Many(vec![first, id]);
-                            id
-                        }
-                    }
-                    Slot::Many(ids) => {
-                        match ids.iter().find(|&&i| term == term_of(&entries, i)) {
-                            Some(&i) => i,
-                            None => {
-                                let id = entries.len() as u32;
-                                entries.push((ci as u32, li as u32));
-                                ids.push(id);
-                                id
-                            }
-                        }
-                    }
-                },
-                Entry::Vacant(e) => {
-                    let id = entries.len() as u32;
-                    entries.push((ci as u32, li as u32));
-                    e.insert(Slot::One(id));
-                    id
-                }
-            };
-            assign.push((ci as u32, li as u32, entry));
-        }
-    }
-    ShardOut { entries, assign }
-}
-
-/// Sequential chunk-major assignment: probe the global interner once per
-/// local entry. The cheapest strategy when no parallelism is available.
-fn assign_direct(parts: &[ChunkPart<'_>], interner: &mut Interner) -> Vec<Vec<TermId>> {
-    parts
-        .iter()
-        .map(|part| {
-            part.dict
-                .terms
-                .iter()
-                .zip(&part.dict.hashes)
-                .map(|(t, &h)| interner.get_or_intern_owned_hashed(h, t.to_term()))
-                .collect()
+            [s, p, o]
         })
-        .collect()
+        .collect();
+    Batch { dict, triples, lines: 0 }
 }
 
-/// Shard-parallel cross-chunk dedup, then sequential global id assignment
-/// over the distinct representatives only, then a scatter back to per-chunk
-/// tables. Identical output to [`assign_direct`].
-fn assign_sharded(
-    parts: &[ChunkPart<'_>],
-    interner: &mut Interner,
-    threads: usize,
-) -> Vec<Vec<TermId>> {
-    // 2a: per-shard cross-chunk dedup, shards strided over workers
-    let groups = threads.clamp(1, SHARDS);
-    let shard_outs: Vec<ShardOut> = {
-        let nested: Vec<Vec<(usize, ShardOut)>> =
-            map_ordered(groups, (0..groups).collect(), |_, g| {
-                (g..SHARDS).step_by(groups).map(|s| (s, merge_shard(parts, s))).collect()
-            });
-        let mut outs: Vec<Option<ShardOut>> = (0..SHARDS).map(|_| None).collect();
-        for (s, so) in nested.into_iter().flatten() {
-            outs[s] = Some(so);
-        }
-        outs.into_iter().map(|o| o.expect("every shard merged")).collect()
-    };
+// ---- phase 2: global id assignment ---------------------------------------
 
-    // 2b: global ids in document first-occurrence order
-    let mut order: Vec<(u32, u32, u32, u32)> = Vec::new(); // (chunk, local, shard, entry)
-    for (s, so) in shard_outs.iter().enumerate() {
-        for (e, &(c, l)) in so.entries.iter().enumerate() {
-            order.push((c, l, s as u32, e as u32));
-        }
-    }
-    order.sort_unstable();
-    let mut shard_global: Vec<Vec<TermId>> =
-        shard_outs.iter().map(|so| vec![TermId(0); so.entries.len()]).collect();
-    for &(c, l, s, e) in &order {
-        // the representative's first (and only) conversion to an owned
-        // Term — occurrences that lost the dedup race are never allocated
-        let dict = &parts[c as usize].dict;
-        let (term, h) = (dict.terms[l as usize].to_term(), dict.hashes[l as usize]);
-        shard_global[s as usize][e as usize] = interner.get_or_intern_owned_hashed(h, term);
-    }
-
-    // 2c: scatter shard entries back to per-chunk local → global tables
-    let mut tables: Vec<Vec<TermId>> =
-        parts.iter().map(|p| vec![TermId(0); p.dict.len()]).collect();
-    for (s, so) in shard_outs.iter().enumerate() {
-        for &(c, l, e) in &so.assign {
-            tables[c as usize][l as usize] = shard_global[s][e as usize];
-        }
-    }
-    tables
+/// Translate a batch dictionary into a `local id → global TermId` table by
+/// probing the store's interner once per local entry. Local ids are in
+/// first-occurrence order, so new terms get global ids in document order —
+/// the canonical order, identical to the per-triple path.
+fn assign_ids(dict: &LocalDict<'_>, interner: &mut Interner) -> Vec<TermId> {
+    dict.terms
+        .iter()
+        .zip(&dict.hashes)
+        .map(|(t, &h)| interner.get_or_intern_owned_hashed(h, t.to_term()))
+        .collect()
 }
 
 // ---- phase 3: sort-based triple dedup and index build --------------------
@@ -516,53 +287,11 @@ fn merge_dedup(a: Vec<IdTriple>, b: Vec<IdTriple>) -> Vec<IdTriple> {
     out
 }
 
-/// Sort + dedup each run in parallel, then reduce them with parallel
-/// pairwise merge rounds into one sorted, distinct run.
-fn par_sort_dedup(runs: Vec<Vec<IdTriple>>, threads: usize) -> Vec<IdTriple> {
-    let mut runs: Vec<Vec<IdTriple>> = map_ordered(threads, runs, |_, mut r| {
-        r.sort_unstable();
-        r.dedup();
-        r
-    });
-    runs.retain(|r| !r.is_empty());
-    while runs.len() > 1 {
-        let mut pairs = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
-        }
-        runs = map_ordered(threads, pairs, |_, (a, b)| match b {
-            Some(b) => merge_dedup(a, b),
-            None => a,
-        });
-    }
-    runs.pop().unwrap_or_default()
-}
-
-/// Build a sorted permutation of an already-sorted distinct SPO run by
-/// rewriting each element and re-sorting in parallel runs.
-fn permuted_sorted(
-    spo: &[IdTriple],
-    perm: fn(IdTriple) -> IdTriple,
-    threads: usize,
-) -> Vec<IdTriple> {
-    let chunk = spo.len().div_ceil(threads.max(1)).max(1);
-    let runs: Vec<Vec<IdTriple>> = spo
-        .chunks(chunk)
-        .map(|c| c.iter().map(|&t| perm(t)).collect())
-        .collect();
-    par_sort_dedup(runs, threads)
-}
-
 /// Merge a sorted distinct run of new triples into the explicit index,
 /// rebuilding all three permutations in bulk. Returns how many triples were
 /// actually new. Also the ingest engine behind the segment overlay's
 /// [`crate::layer::SegLayer::bulk_extend`].
-pub(crate) fn extend_index(
-    explicit: &mut TripleIndex,
-    new_run: Vec<IdTriple>,
-    threads: usize,
-) -> usize {
+pub(crate) fn extend_index(explicit: &mut TripleIndex, new_run: Vec<IdTriple>) -> usize {
     if new_run.is_empty() {
         return 0;
     }
@@ -576,81 +305,54 @@ pub(crate) fn extend_index(
     if added == 0 {
         return 0;
     }
-    let pos = permuted_sorted(&combined, |[s, p, o]| [p, o, s], threads);
-    let osp = permuted_sorted(&combined, |[s, p, o]| [o, s, p], threads);
-    *explicit = TripleIndex::from_sorted_runs(combined, pos, osp);
+    *explicit = TripleIndex::from_sorted_spo(combined);
     added
 }
 
 // ---- the loader ----------------------------------------------------------
 
 /// Accumulates parsed batches into a store and builds the indexes once at
-/// the end — the engine behind [`Store::bulk_load_ntriples`] and the
-/// streaming/persistent loaders, which need to interleave WAL appends or
-/// block reads between batches.
+/// the end — the engine behind every load entry point, the streaming and
+/// persistent loaders included, which interleave block reads or WAL
+/// appends between batches.
 pub(crate) struct BulkLoader<'s> {
     store: &'s mut Store,
-    opts: LoadOptions,
-    threads_used: usize,
-    runs: Vec<Vec<IdTriple>>,
+    staged: Vec<IdTriple>,
     line_base: usize,
     triples_seen: usize,
     terms_before: usize,
 }
 
 impl<'s> BulkLoader<'s> {
-    pub(crate) fn new(store: &'s mut Store, opts: LoadOptions) -> Self {
+    pub(crate) fn new(store: &'s mut Store) -> Self {
         let terms_before = store.term_count();
-        BulkLoader {
-            store,
-            opts,
-            threads_used: 1,
-            runs: Vec::new(),
-            line_base: 0,
-            triples_seen: 0,
-            terms_before,
-        }
+        BulkLoader { store, staged: Vec::new(), line_base: 0, triples_seen: 0, terms_before }
     }
 
     /// Parse a text block. Error line numbers are absolute across all
     /// blocks ingested through this loader so far.
     pub(crate) fn parse<'t>(&self, text: &'t str) -> Result<Batch<'t>, NtriplesError> {
-        parse_batch(text, &self.opts).map_err(|mut e| {
+        // a byte-order mark can only open the document, not a later block
+        let text = if self.line_base == 0 { ntriples::strip_bom(text) } else { text };
+        parse_batch(text).map_err(|mut e| {
             e.line += self.line_base;
             e
         })
     }
 
-    /// Merge a parsed batch into the store's interner and stage its triple
-    /// runs: cross-chunk dedup + global id assignment in document
-    /// first-occurrence order (the canonical order — identical to the per-triple
-    /// path and independent of chunking), then chunk-parallel remap of
-    /// local ids to global ones. The sharded merge only pays off when the
-    /// machine can actually run shards concurrently; otherwise the direct
-    /// sequential assignment (same output, proven by unit test) is used.
+    /// Merge a parsed batch into the store's interner (global ids in
+    /// document first-occurrence order) and stage its triples remapped to
+    /// global ids.
     pub(crate) fn apply(&mut self, batch: Batch<'_>) {
-        let Batch { parts, lines, triples } = batch;
+        let Batch { dict, triples, lines } = batch;
         self.line_base += lines;
-        self.triples_seen += triples;
-        let local_terms: usize = parts.iter().map(|p| p.dict.len()).sum();
-        let threads = effective_threads(&self.opts, local_terms, MIN_TRIPLES_PER_CHUNK);
-        self.threads_used = self.threads_used.max(threads).max(parts.len());
-
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let tables: Vec<Vec<TermId>> = if parts.len() == 1 || cores == 1 {
-            assign_direct(&parts, &mut self.store.interner)
-        } else {
-            assign_sharded(&parts, &mut self.store.interner, threads)
-        };
-
-        let work: Vec<(ChunkPart<'_>, Vec<TermId>)> = parts.into_iter().zip(tables).collect();
-        let new_runs: Vec<Vec<IdTriple>> = map_ordered(threads, work, |_, (part, table)| {
-            part.triples
+        self.triples_seen += triples.len();
+        let table = assign_ids(&dict, &mut self.store.interner);
+        self.staged.extend(
+            triples
                 .iter()
-                .map(|&[s, p, o]| [table[s as usize], table[p as usize], table[o as usize]])
-                .collect()
-        });
-        self.runs.extend(new_runs);
+                .map(|&[s, p, o]| [table[s as usize], table[p as usize], table[o as usize]]),
+        );
     }
 
     /// Parse and stage one text block.
@@ -660,38 +362,29 @@ impl<'s> BulkLoader<'s> {
         Ok(())
     }
 
-    /// Sort + dedup the staged runs, bulk-(re)build the explicit indexes,
-    /// and account generation/dirtiness exactly like the per-triple path:
-    /// one bump per genuinely new triple, plus the materialization bump
-    /// when `materialize` is set (the load paths always materialize; WAL
-    /// replay defers it to the end of recovery).
+    /// Sort + dedup the staged triples, bulk-(re)build the explicit
+    /// indexes, and account generation/dirtiness exactly like the
+    /// per-triple path: one bump per genuinely new triple, plus the
+    /// materialization bump when `materialize` is set (the load paths
+    /// always materialize; WAL replay defers it to the end of recovery).
     pub(crate) fn finish(self, materialize: bool) -> LoadStats {
-        let threads = effective_threads(
-            &self.opts,
-            self.runs.iter().map(Vec::len).sum(),
-            MIN_TRIPLES_PER_CHUNK,
-        );
-        let new_run = par_sort_dedup(self.runs, threads);
-        let added = match &mut self.store.explicit {
-            crate::layer::Layer::Mem(idx) => extend_index(idx, new_run, threads),
-            crate::layer::Layer::Seg(sl) => sl.bulk_extend(new_run, threads),
+        let BulkLoader { store, mut staged, triples_seen, terms_before, .. } = self;
+        staged.sort_unstable();
+        staged.dedup();
+        let added = match &mut store.explicit {
+            crate::layer::Layer::Mem(idx) => extend_index(idx, staged),
+            crate::layer::Layer::Seg(sl) => sl.bulk_extend(staged),
         };
         if added > 0 {
-            self.store.note_bulk_insert(added);
+            store.note_bulk_insert(added);
         }
         // the terms just loaded join the Arc-shared dictionary base, so the
         // next write transaction's copy starts from an empty tail
-        self.store.interner.freeze_by_move();
+        store.interner.freeze_by_move();
         if materialize {
-            self.store.materialize_inference();
+            store.materialize_inference();
         }
-        LoadStats {
-            triples: self.triples_seen,
-            added,
-            terms_added: self.store.term_count() - self.terms_before,
-            threads: self.threads_used,
-            requested: self.opts.threads,
-        }
+        LoadStats { triples: triples_seen, added, terms_added: store.term_count() - terms_before }
     }
 }
 
@@ -767,38 +460,29 @@ impl<R: Read> BlockReader<R> {
 // ---- public Store entry points -------------------------------------------
 
 impl Store {
-    /// Bulk-load an N-Triples document: chunked zero-copy parallel parse,
-    /// sharded interning, sort-based index build. The store is the same —
-    /// term ids, generation counter, indexes — for any thread count, and
-    /// inference is materialized. On error the store is untouched.
-    pub fn bulk_load_ntriples(
-        &mut self,
-        text: &str,
-        opts: LoadOptions,
-    ) -> Result<LoadStats, NtriplesError> {
-        let mut loader = BulkLoader::new(self, opts);
+    /// Bulk-load an N-Triples document and materialize inference. The error
+    /// carries the line number and offending lexeme of the first failure;
+    /// on error the store is untouched.
+    pub fn load_ntriples(&mut self, text: &str) -> Result<LoadStats, NtriplesError> {
+        let mut loader = BulkLoader::new(self);
         loader.ingest_text(text)?;
         Ok(loader.finish(true))
     }
 
-    /// Bulk-load an already-parsed graph through the sharded-interning and
-    /// sort-based-build phases (the datagen and Turtle path).
-    pub fn bulk_load_graph(&mut self, graph: &Graph, opts: LoadOptions) -> LoadStats {
-        let batch = graph_batch(graph, &opts);
-        let mut loader = BulkLoader::new(self, opts);
+    /// Bulk-load an already-parsed graph (the datagen and Turtle path) and
+    /// materialize inference.
+    pub fn load_graph(&mut self, graph: &Graph) -> LoadStats {
+        let batch = graph_batch(graph);
+        let mut loader = BulkLoader::new(self);
         loader.apply(batch);
         loader.finish(true)
     }
 
     /// Stream N-Triples from a reader in newline-aligned blocks, bulk-
     /// ingesting each block: the document is never held in memory at once.
-    pub fn load_ntriples_reader(
-        &mut self,
-        reader: impl Read,
-        opts: LoadOptions,
-    ) -> Result<LoadStats, LoadError> {
+    pub fn load_ntriples_reader(&mut self, reader: impl Read) -> Result<LoadStats, LoadError> {
         let mut blocks = BlockReader::new(reader);
-        let mut loader = BulkLoader::new(self, opts);
+        let mut loader = BulkLoader::new(self);
         while let Some(block) = blocks.next_block()? {
             loader.ingest_text(&block)?;
         }
@@ -806,33 +490,22 @@ impl Store {
     }
 
     /// Stream-load an N-Triples file ([`Store::load_ntriples_reader`] over
-    /// a [`std::fs::File`]).
+    /// a [`std::fs::File`]). `_opts` is ignored (see [`LoadOptions`]).
     pub fn load_ntriples_path(
         &mut self,
         path: impl AsRef<Path>,
-        opts: LoadOptions,
+        _opts: LoadOptions,
     ) -> Result<LoadStats, LoadError> {
         let file = std::fs::File::open(path)?;
-        self.load_ntriples_reader(file, opts)
+        self.load_ntriples_reader(file)
     }
 
     /// Load a Turtle file. Turtle is stateful (prefix declarations scope
-    /// the whole document), so the parse itself stays sequential — but
-    /// interning and the index build still run through the bulk pipeline.
-    pub fn load_turtle_path(
-        &mut self,
-        path: impl AsRef<Path>,
-        opts: LoadOptions,
-    ) -> Result<LoadStats, LoadError> {
+    /// the whole document), so it is parsed whole, then loaded as a graph.
+    pub fn load_turtle_path(&mut self, path: impl AsRef<Path>) -> Result<LoadStats, LoadError> {
         let text = std::fs::read_to_string(path)?;
         let graph = turtle::parse(&text)?;
-        Ok(self.bulk_load_graph(&graph, opts))
-    }
-
-    /// Load a parsed graph ([`Store::bulk_load_graph`] with default
-    /// options) and materialize the RDFS closure.
-    pub fn load_graph(&mut self, graph: &Graph) {
-        self.bulk_load_graph(graph, LoadOptions::default());
+        Ok(self.load_graph(&graph))
     }
 
     /// Parse and load a Turtle document; returns the parsed triple count.
@@ -842,19 +515,12 @@ impl Store {
         Ok(graph.len())
     }
 
-    /// Parse and load an N-Triples document ([`Store::bulk_load_ntriples`]
-    /// with default options); returns the parsed triple count. The error
-    /// carries the line number and offending lexeme of the first failure.
-    pub fn load_ntriples(&mut self, text: &str) -> Result<usize, NtriplesError> {
-        Ok(self.bulk_load_ntriples(text, LoadOptions::default())?.triples)
-    }
-
     /// WAL-replay entry point: bulk-ingest an `OP_LOAD` payload *without*
     /// materializing inference — recovery replays many records and
     /// materializes once at the end, and per-insert generation accounting
     /// must match the sequential replay exactly.
     pub(crate) fn bulk_replay_ntriples(&mut self, text: &str) -> Result<usize, NtriplesError> {
-        let mut loader = BulkLoader::new(self, LoadOptions::default());
+        let mut loader = BulkLoader::new(self);
         loader.ingest_text(text)?;
         Ok(loader.finish(false).added)
     }
@@ -863,47 +529,12 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Perm;
+    use crate::layer::Layer;
     use rdfa_model::Term;
-    use rdfa_prng::StdRng;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         [TermId(s), TermId(p), TermId(o)]
-    }
-
-    #[test]
-    fn effective_threads_caps_small_inputs_and_oversubscription() {
-        let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // tiny input: even an explicit request collapses to 1
-        assert_eq!(effective_threads(&LoadOptions::with_threads(8), 100, 64 * 1024), 1);
-        // explicit requests never exceed available parallelism
-        assert!(effective_threads(&LoadOptions::with_threads(64), usize::MAX, 1) <= avail);
-        // auto follows the same caps
-        assert_eq!(effective_threads(&LoadOptions::default(), 100, 64 * 1024), 1);
-        assert!(effective_threads(&LoadOptions::default(), usize::MAX, 1) <= avail);
-        // big-enough input: request honoured up to availability
-        assert_eq!(
-            effective_threads(&LoadOptions::with_threads(2), 10 * 64 * 1024, 64 * 1024),
-            2.min(avail)
-        );
-        // the exact knob bypasses both caps
-        assert_eq!(effective_threads(&LoadOptions::exact(8), 100, 64 * 1024), 8);
-    }
-
-    #[test]
-    fn load_stats_record_requested_and_used_parallelism() {
-        let mut text = String::new();
-        for i in 0..100 {
-            text.push_str(&format!("<http://s{i}> <http://p> \"{i}\" .\n"));
-        }
-        let mut s = Store::new();
-        let stats = s.bulk_load_ntriples(&text, LoadOptions::with_threads(8)).unwrap();
-        assert_eq!(stats.requested, 8);
-        assert_eq!(stats.threads, 1, "tiny input must not fan out");
-        let mut s2 = Store::new();
-        let stats2 = s2.bulk_load_ntriples(&text, LoadOptions::exact(4)).unwrap();
-        assert_eq!(stats2.requested, 4);
-        assert_eq!(stats2.threads, 4, "exact bypasses the caps");
-        assert_eq!(s.len(), s2.len());
     }
 
     #[test]
@@ -912,32 +543,6 @@ mod tests {
         let b = vec![t(2, 2, 2), t(3, 3, 3)];
         let m = merge_dedup(a, b);
         assert_eq!(m, vec![t(1, 1, 1), t(2, 2, 2), t(3, 3, 3), t(5, 5, 5)]);
-    }
-
-    #[test]
-    fn par_sort_dedup_matches_naive_sort() {
-        for case in 0u64..32 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let runs: Vec<Vec<IdTriple>> = (0..rng.gen_range(0..6))
-                .map(|_| {
-                    (0..rng.gen_range(0..50))
-                        .map(|_| {
-                            t(
-                                rng.gen_range(0u32..8),
-                                rng.gen_range(0u32..8),
-                                rng.gen_range(0u32..8),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut naive: Vec<IdTriple> = runs.iter().flatten().copied().collect();
-            naive.sort_unstable();
-            naive.dedup();
-            for threads in [1, 3, 8] {
-                assert_eq!(par_sort_dedup(runs.clone(), threads), naive, "case {case}");
-            }
-        }
     }
 
     #[test]
@@ -956,39 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_sharded_assignment_agree() {
-        // a document with heavy cross-chunk term sharing: repeated
-        // predicates, repeated objects, subjects recurring in every chunk
-        let mut text = String::new();
-        for i in 0..200 {
-            let s = i % 23;
-            let p = i % 5;
-            text.push_str(&format!("<http://s{s}> <http://p{p}> \"v{}\" .\n", i % 31));
-            text.push_str(&format!("<http://s{s}> <http://p{p}> <http://s{}> .\n", (i + 7) % 23));
-        }
-        for threads in [2usize, 4, 8] {
-            let batch_a = parse_batch(&text, &LoadOptions::exact(threads)).unwrap();
-            let batch_b = parse_batch(&text, &LoadOptions::exact(threads)).unwrap();
-            assert!(batch_a.parts.len() > 1, "chunking must engage");
-            // pre-seed both interners identically: the non-empty-store case
-            let mut int_a = Interner::new();
-            let mut int_b = Interner::new();
-            for t in [Term::iri("http://p1"), Term::string("v3")] {
-                int_a.get_or_intern(&t);
-                int_b.get_or_intern(&t);
-            }
-            let tables_a = assign_direct(&batch_a.parts, &mut int_a);
-            let tables_b = assign_sharded(&batch_b.parts, &mut int_b, threads);
-            assert_eq!(tables_a, tables_b, "{threads} threads");
-            assert_eq!(int_a.len(), int_b.len());
-            for i in 0..int_a.len() {
-                let id = TermId(i as u32);
-                assert_eq!(int_a.term(id), int_b.term(id), "term {i}");
-            }
-        }
-    }
-
-    #[test]
     fn hashes_agree_between_lexed_and_owned_views() {
         let lines = [
             r#"<http://s> <http://p> "v" ."#,
@@ -1000,7 +572,7 @@ mod tests {
             let refs = ntriples::lex_line(line).unwrap().unwrap();
             for r in &refs {
                 // the graph path hashes a view of the owned Term; both views
-                // of the same term must land in the same shard bucket
+                // of the same term must land in the same interner bucket
                 let owned = r.to_term();
                 assert_eq!(hash64(r), hash64(&term_ref_of(&owned)), "{line}");
                 assert!(*r == owned);
@@ -1012,6 +584,119 @@ mod tests {
             hash64(&TermRef::Iri("x")),
             hash64(&term_ref_of(&Term::string("x")))
         );
+    }
+
+    /// A reader that hands out one byte per call, so [`BlockReader`] cuts
+    /// each block at the first newline past its block size.
+    struct ByteAtATime<'a>(&'a [u8]);
+
+    impl Read for ByteAtATime<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Load `text` through the streaming loader in blocks of about
+    /// `block_size` bytes; returns the store and how many blocks it took.
+    fn load_in_blocks(text: &str, block_size: usize) -> Result<(Store, usize), NtriplesError> {
+        let mut store = Store::new();
+        let mut blocks = BlockReader::with_block_size(ByteAtATime(text.as_bytes()), block_size);
+        let mut loader = BulkLoader::new(&mut store);
+        let mut n_blocks = 0;
+        while let Some(block) = blocks.next_block().expect("in-memory read") {
+            n_blocks += 1;
+            loader.ingest_text(&block)?;
+        }
+        loader.finish(true);
+        Ok((store, n_blocks))
+    }
+
+    /// Term ids, generation and all three permutations, element by element.
+    fn assert_same_store(a: &Store, b: &Store, ctx: &str) {
+        assert_eq!(a.term_count(), b.term_count(), "{ctx}: term count");
+        for i in 0..a.term_count() {
+            let id = TermId(i as u32);
+            assert_eq!(a.term(id), b.term(id), "{ctx}: term {i}");
+        }
+        assert_eq!(a.generation(), b.generation(), "{ctx}: generation");
+        assert_eq!(a.len_entailed(), b.len_entailed(), "{ctx}: entailed count");
+        let (Layer::Mem(ia), Layer::Mem(ib)) = (&a.explicit, &b.explicit) else {
+            panic!("{ctx}: fresh stores are in memory");
+        };
+        for perm in Perm::ALL {
+            let ra: Vec<_> = ia.iter_perm(perm).collect();
+            let rb: Vec<_> = ib.iter_perm(perm).collect();
+            assert_eq!(ra, rb, "{ctx}: {perm:?}");
+        }
+    }
+
+    fn multi_block_doc() -> String {
+        let mut text = String::new();
+        for i in 0..60 {
+            let s = i % 17;
+            text.push_str(&format!("<http://s{s}> <http://p{}> \"v{}\" .\n", i % 5, i % 13));
+            text.push_str(&format!("<http://s{s}> <http://p{}> <http://s{}> .\n", i % 3, i % 11));
+        }
+        text
+    }
+
+    #[test]
+    fn block_boundaries_do_not_change_the_store() {
+        let text = multi_block_doc();
+        let mut whole = Store::new();
+        let stats = whole.load_ntriples(&text).unwrap();
+        assert!(stats.added > 0);
+        // ~40 bytes a line: blocks of one, a few and a dozen lines
+        for block_size in [1, 100, 200, 480] {
+            let (blocked, n_blocks) = load_in_blocks(&text, block_size).unwrap();
+            assert!(n_blocks > 5, "block size {block_size}: only {n_blocks} blocks");
+            assert_same_store(&whole, &blocked, &format!("block size {block_size}"));
+        }
+    }
+
+    #[test]
+    fn a_malformed_line_in_a_later_block_reports_its_document_line() {
+        let mut lines: Vec<String> = multi_block_doc().lines().map(str::to_owned).collect();
+        lines[96] = "<http://s1> <http://p1> \"open literal .".to_owned();
+        let text = lines.join("\n");
+        let want = ntriples::parse(&text).unwrap_err();
+        assert_eq!(want.line, 97);
+        for block_size in [1, 100, 200] {
+            let Err(err) = load_in_blocks(&text, block_size) else {
+                panic!("block size {block_size}: the load must fail");
+            };
+            assert_eq!(err, want, "block size {block_size}");
+        }
+    }
+
+    #[test]
+    fn boundary_hazards_split_at_every_line_give_the_same_store() {
+        // the fixture of `tests/ingest_differential.rs::chunk_boundary_hazards`:
+        // a BOM, CRLF endings, escaped newlines, a comment, a blank line, a
+        // duplicate triple and no final newline
+        let doc = "\u{feff}<http://ex.org/a> <http://ex.org/p> \"one\\ntwo\\nthree\" .\r\n\
+                   # comment between triples\n\
+                   <http://ex.org/b> <http://ex.org/p> \"say \\\"hi\\\"\\n\" .\n\
+                   \n\
+                   <http://ex.org/c> <http://ex.org/p> \"trailing\\\\\" .\r\n\
+                   <http://ex.org/a> <http://ex.org/p> \"one\\ntwo\\nthree\" .\n\
+                   <http://ex.org/d> <http://ex.org/q> _:tail .";
+        let mut whole = Store::new();
+        let stats = whole.load_ntriples(doc).unwrap();
+        assert_eq!((stats.triples, stats.added), (5, 4));
+        let (blocked, n_blocks) = load_in_blocks(doc, 1).unwrap();
+        assert_eq!(n_blocks, doc.lines().count(), "one block per line");
+        assert_same_store(&whole, &blocked, "one line a block");
+        // a byte-order mark opens the document only: one that opens a later
+        // block is as malformed as anywhere else mid-document
+        let mid = "<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .\n\
+                   \u{feff}<http://ex.org/c> <http://ex.org/p> <http://ex.org/d> .\n";
+        let want = ntriples::parse(mid).unwrap_err();
+        assert_eq!(want.line, 2);
+        assert_eq!(load_in_blocks(mid, 1).err(), Some(want));
     }
 
     #[test]

@@ -344,7 +344,7 @@ mod tests {
             ));
         }
         let mut store = Store::new();
-        store.bulk_load_ntriples(&text, crate::LoadOptions::default()).unwrap();
+        store.load_ntriples(&text).unwrap();
         let shared = SnapshotStore::new(store);
         let held = shared.snapshot();
         let held_triples: Vec<_> = held.iter_explicit().collect();

@@ -91,7 +91,7 @@ impl SegLayer {
     /// Filters the run against the segment base (un-tombstoning removed
     /// triples), then merges the remainder into the add-index with the same
     /// sort-based rebuild the in-memory path uses. Returns triples added.
-    pub(crate) fn bulk_extend(&mut self, new_run: Vec<IdTriple>, threads: usize) -> usize {
+    pub(crate) fn bulk_extend(&mut self, new_run: Vec<IdTriple>) -> usize {
         let mut fresh = Vec::with_capacity(new_run.len());
         let mut untombed = 0usize;
         for t in new_run {
@@ -101,7 +101,7 @@ impl SegLayer {
                 fresh.push(t);
             }
         }
-        crate::bulk::extend_index(&mut self.adds, fresh, threads) + untombed
+        crate::bulk::extend_index(&mut self.adds, fresh) + untombed
     }
 
     /// Elements of one permutation in `lo..=hi`, read by position: each
@@ -593,7 +593,7 @@ mod tests {
         assert!(layer.remove(t(5, 1, 6)));
         let run: Vec<IdTriple> = vec![t(3, 1, 4), t(5, 1, 6), t(200, 1, 201), t(201, 1, 202)];
         let added = match &mut layer {
-            Layer::Seg(sl) => sl.bulk_extend(run, 1),
+            Layer::Seg(sl) => sl.bulk_extend(run),
             Layer::Mem(_) => unreachable!(),
         };
         // t(3,1,4) already in base → skipped; t(5,1,6) un-tombstoned; two fresh

@@ -51,7 +51,7 @@ mod wal;
 pub use crash::{CrashInjector, CRASH_POINTS};
 pub use wal::WalTruncation;
 
-use crate::bulk::{BlockReader, BulkLoader, LoadOptions, LoadStats};
+use crate::bulk::{BlockReader, BulkLoader, LoadStats};
 use crate::index::Perm;
 use crate::layer::{Layer, MAX_SEGS};
 use crate::segment::Segment;
@@ -309,21 +309,6 @@ impl Journal {
         if !mutations.is_empty() {
             inner.wal.append_batch(mutations)?;
         }
-        Ok(publish())
-    }
-
-    /// Append a bulk-load payload, then run `publish` under the same lock
-    /// hold (see [`Journal::log_mutations_then`]).
-    pub fn log_load_then<R>(
-        &self,
-        text: &str,
-        publish: impl FnOnce() -> R,
-    ) -> Result<R, PersistError> {
-        let mut inner = self.lock();
-        if inner.dead {
-            return Err(PersistError::Dead);
-        }
-        inner.wal.append_load(text)?;
         Ok(publish())
     }
 
@@ -786,7 +771,7 @@ impl PersistentStore {
     }
 
     /// Load a graph as one atomic WAL record and materialize inference.
-    pub fn load_graph(&mut self, graph: &Graph) -> Result<usize, PersistError> {
+    pub fn load_graph(&mut self, graph: &Graph) -> Result<LoadStats, PersistError> {
         {
             let mut inner = self.lock();
             if inner.dead {
@@ -794,30 +779,21 @@ impl PersistentStore {
             }
             inner.wal.append_load(&ntriples::serialize(graph))?;
         }
-        self.store.bulk_load_graph(graph, LoadOptions::default());
-        Ok(graph.len())
+        Ok(self.store.load_graph(graph))
     }
 
-    /// Parse and load a Turtle document (logged as its N-Triples form).
+    /// Parse and load a Turtle document (logged as its N-Triples form);
+    /// returns the parsed triple count.
     pub fn load_turtle(&mut self, text: &str) -> Result<usize, PersistError> {
         let graph = turtle::parse(text).map_err(|e| PersistError::Turtle(e.to_string()))?;
-        self.load_graph(&graph)
+        Ok(self.load_graph(&graph)?.triples)
     }
 
-    /// Parse and load an N-Triples document.
-    pub fn load_ntriples(&mut self, text: &str) -> Result<usize, PersistError> {
-        Ok(self.bulk_load_ntriples(text, LoadOptions::default())?.triples)
-    }
-
-    /// Bulk-load an N-Triples document through the parallel ingest pipeline
-    /// as one atomic WAL record. The payload is fully parsed *before* it is
-    /// logged, so the WAL never records an unparsable document.
-    pub fn bulk_load_ntriples(
-        &mut self,
-        text: &str,
-        opts: LoadOptions,
-    ) -> Result<LoadStats, PersistError> {
-        let mut loader = BulkLoader::new(&mut self.store, opts);
+    /// Bulk-load an N-Triples document as one atomic WAL record. The
+    /// payload is fully parsed *before* it is logged, so the WAL never
+    /// records an unparsable document.
+    pub fn load_ntriples(&mut self, text: &str) -> Result<LoadStats, PersistError> {
+        let mut loader = BulkLoader::new(&mut self.store);
         let batch = loader.parse(text).map_err(PersistError::Ntriples)?;
         {
             let mut inner = self.journal.lock();
@@ -837,12 +813,11 @@ impl PersistentStore {
     pub fn load_ntriples_path(
         &mut self,
         path: impl AsRef<Path>,
-        opts: LoadOptions,
     ) -> Result<LoadStats, PersistError> {
         let file = fs::File::open(path)
             .map_err(|e| PersistError::Io { context: "open ntriples file", source: e })?;
         let mut blocks = BlockReader::new(file);
-        let mut loader = BulkLoader::new(&mut self.store, opts);
+        let mut loader = BulkLoader::new(&mut self.store);
         while let Some(block) = blocks
             .next_block()
             .map_err(|e| PersistError::Io { context: "read ntriples file", source: e })?

@@ -267,7 +267,7 @@ fn apply_record(store: &mut Store, payload: &[u8]) -> Result<(), PersistError> {
         OP_INSERT => apply_line(store, &as_text(data)?, true),
         OP_REMOVE => apply_line(store, &as_text(data)?, false),
         OP_LOAD => {
-            // bulk replay: parses in parallel and rebuilds indexes in one
+            // bulk replay: parses the payload whole and rebuilds indexes in one
             // sorted pass, with generation accounting identical to the
             // per-triple inserts it replaces; inference stays unmaterialized
             // until the end of recovery, as before

@@ -66,7 +66,8 @@ fn main() {
         0,
         rdf_analytics::hifun::CondOp::Ge,
         rdf_analytics::model::Term::decimal(threshold),
-    );
+    )
+    .expect("aggregate 0 is selected");
     let survivors = direct.run().unwrap();
     println!(
         "cross-check — direct HAVING form returns {} groups (reload path kept {})",

@@ -180,7 +180,7 @@ fn main() {
             }
             if !loaded {
                 rdf_analytics::datagen::ProductsGenerator::new(300, 7)
-                    .generate_into(&mut store, LoadOptions::default());
+                    .generate_into(&mut store);
                 eprintln!(
                     "no input file given — serving the demo products KG ({} triples)",
                     store.len()
@@ -208,12 +208,12 @@ fn main() {
 }
 
 fn load_into_plain(store: &mut Store, path: &str) -> Result<usize, String> {
-    // streamed, parallel bulk ingest — N-Triples files are never read into
-    // memory whole
+    // streamed bulk ingest — N-Triples files are never read into memory
+    // whole
     if path.ends_with(".nt") {
         store.load_ntriples_path(path, LoadOptions::default())
     } else {
-        store.load_turtle_path(path, LoadOptions::default())
+        store.load_turtle_path(path)
     }
     .map(|stats| stats.triples)
     .map_err(|e| e.to_string())
@@ -222,7 +222,7 @@ fn load_into_plain(store: &mut Store, path: &str) -> Result<usize, String> {
 fn load_into_durable(store: &mut PersistentStore, path: &str) -> Result<usize, String> {
     if path.ends_with(".nt") {
         store
-            .load_ntriples_path(path, LoadOptions::default())
+            .load_ntriples_path(path)
             .map(|stats| stats.triples)
             .map_err(|e| e.to_string())
     } else {

@@ -29,7 +29,7 @@ use rdf_analytics::model::{Term, Value};
 use rdf_analytics::sparql::Engine;
 use rdf_analytics::store::{LoadOptions, PersistConfig, PersistentStore, Store, StoreStats};
 use rdf_analytics::viz::{BarChart, BarDatum};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 
 /// The REPL's store: in-memory, or bound to a durable directory.
 enum Backing {
@@ -49,20 +49,10 @@ impl Backing {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut open_dir: Option<String> = None;
-    let mut load_opts = LoadOptions::default();
     let mut positional: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--threads" {
-            i += 1;
-            match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => load_opts.threads = n,
-                None => {
-                    eprintln!("--threads needs a numeric argument (0 = auto)");
-                    std::process::exit(2);
-                }
-            }
-        } else if args[i] == "--open" {
+        if args[i] == "--open" {
             i += 1;
             match args.get(i) {
                 Some(dir) => open_dir = Some(dir.clone()),
@@ -71,6 +61,9 @@ fn main() {
                     std::process::exit(2);
                 }
             }
+        } else if args[i].starts_with("--") {
+            eprintln!("unknown flag {} (usage: rdfa [--open DIR] [FILE|invoices])", args[i]);
+            std::process::exit(2);
         } else {
             positional.push(args[i].clone());
         }
@@ -91,7 +84,7 @@ fn main() {
             );
             // seed only an empty store; a populated one keeps its state
             if pstore.is_empty() {
-                if let Err(e) = seed_durable(&mut pstore, positional.first(), load_opts) {
+                if let Err(e) = seed_durable(&mut pstore, positional.first()) {
                     eprintln!("cannot load: {e}");
                     std::process::exit(2);
                 }
@@ -105,15 +98,15 @@ fn main() {
             match positional.first().map(String::as_str) {
                 Some("invoices") => {
                     rdf_analytics::datagen::InvoicesGenerator::new(300, 7)
-                        .generate_into(&mut store, load_opts);
+                        .generate_into(&mut store);
                 }
                 Some(path) if std::path::Path::new(path).exists() => {
-                    // streamed + parallel bulk ingest; malformed input is a
-                    // diagnosed exit, not a panic
+                    // streamed bulk ingest; malformed input is a diagnosed
+                    // exit, not a panic
                     let loaded = if path.ends_with(".nt") {
-                        store.load_ntriples_path(path, load_opts)
+                        store.load_ntriples_path(path, LoadOptions::default())
                     } else {
-                        store.load_turtle_path(path, load_opts)
+                        store.load_turtle_path(path)
                     };
                     match loaded {
                         Ok(stats) => eprintln!("loaded {} triples from {path}", stats.triples),
@@ -125,7 +118,7 @@ fn main() {
                 }
                 _ => {
                     rdf_analytics::datagen::ProductsGenerator::new(200, 7)
-                        .generate_into(&mut store, load_opts);
+                        .generate_into(&mut store);
                 }
             }
             Backing::Plain(Box::new(store))
@@ -140,10 +133,14 @@ fn main() {
 
     let mut session = AnalyticsSession::start(store);
     let stdin = std::io::stdin();
+    // piped input (a script, CI's record/replay) gets the answers only
+    let prompt = stdin.is_terminal();
     let mut out = std::io::stdout();
     loop {
-        print!("rdfa> ");
-        let _ = out.flush();
+        if prompt {
+            print!("rdfa> ");
+            let _ = out.flush();
+        }
         let mut line = String::new();
         if stdin.lock().read_line(&mut line).unwrap_or(0) == 0 {
             break;
@@ -165,7 +162,6 @@ fn main() {
 fn seed_durable(
     pstore: &mut PersistentStore,
     path: Option<&String>,
-    opts: LoadOptions,
 ) -> Result<(), String> {
     match path.map(String::as_str) {
         Some("invoices") => {
@@ -175,7 +171,7 @@ fn seed_durable(
         Some(path) if std::path::Path::new(path).exists() => {
             let n = if path.ends_with(".nt") {
                 pstore
-                    .load_ntriples_path(path, opts)
+                    .load_ntriples_path(path)
                     .map_err(|e| format!("{path}: {e}"))?
                     .triples
             } else {

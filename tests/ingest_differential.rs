@@ -1,15 +1,15 @@
-//! Ingest differential: the parallel bulk-ingest pipeline behind every
-//! `Store` loader must produce a store **identical** to the seed per-triple
-//! path (`rdfa_oracle::ingest`) — same term-id
-//! assignment, same generation counter, same explicit and entailed
-//! indexes — for every thread count, on random documents and on
-//! adversarial chunk-boundary cases (escaped newlines inside literals,
-//! CRLF line endings, BOMs, comments, a final unterminated line).
+//! Ingest differential: the bulk-ingest pipeline behind every `Store`
+//! loader must produce a store **identical** to the seed per-triple path
+//! (`rdfa_oracle::ingest`) — same term-id assignment, same generation
+//! counter, same explicit and entailed indexes — on random documents and on
+//! adversarial line-boundary cases (escaped newlines inside literals, CRLF
+//! line endings, BOMs, comments, a final unterminated line).
 //!
-//! Also covered: parse-error parity (absolute line numbers across chunk
-//! boundaries), the streaming reader/path loaders, and the durable-store
-//! bulk load including WAL recovery, whose replay runs through the bulk
-//! pipeline without materializing until the end of recovery.
+//! Also covered: parse-error parity (absolute line numbers), the streaming
+//! reader/path loaders, and the durable-store bulk load including WAL
+//! recovery, whose replay runs through the bulk pipeline without
+//! materializing until the end of recovery. Block boundaries inside one
+//! streamed load are covered by `rdfa-store`'s `bulk` unit tests.
 
 use rdf_analytics::model::ntriples;
 use rdf_analytics::store::{
@@ -18,8 +18,6 @@ use rdf_analytics::store::{
 use rdfa_oracle::ingest as seed;
 use rdfa_prng::StdRng;
 use std::path::PathBuf;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Full structural equality: term table (id-by-id), generation, explicit
 /// SPO scan, entailed size, and probes of the POS and OSP permutations.
@@ -58,7 +56,7 @@ fn predicate(rng: &mut StdRng) -> String {
 fn object(rng: &mut StdRng) -> String {
     // literal lexical forms deliberately include escape sequences — most
     // importantly \n, which the writer encodes as TWO characters, so a
-    // newline-split chunker that got this wrong would corrupt the term
+    // loader that split lines on it would corrupt the term
     let lexicals = [
         "plain",
         r"line one\nline two",
@@ -105,22 +103,17 @@ fn random_doc(rng: &mut StdRng, n_lines: usize) -> String {
 // ---- the differentials ----------------------------------------------------
 
 #[test]
-fn bulk_load_matches_seed_across_thread_counts() {
+fn bulk_load_matches_seed() {
     for case in 0u64..24 {
         let mut rng = StdRng::seed_from_u64(case);
         let n_lines = rng.gen_range(0..120);
         let doc = random_doc(&mut rng, n_lines);
         let mut reference = Store::new();
         let n = seed::load_ntriples(&mut reference, &doc).expect("seed parse");
-        for threads in THREADS {
-            let mut bulk = Store::new();
-            let stats = bulk
-                .bulk_load_ntriples(&doc, LoadOptions::exact(threads))
-                .expect("bulk parse");
-            assert_eq!(stats.triples, n, "case {case} threads {threads}: triple count");
-            assert_eq!(stats.threads, threads, "case {case}: reported threads");
-            assert_same_store(&reference, &bulk, &format!("case {case} threads {threads}"));
-        }
+        let mut bulk = Store::new();
+        let stats = bulk.load_ntriples(&doc).expect("bulk parse");
+        assert_eq!(stats.triples, n, "case {case}: triple count");
+        assert_same_store(&reference, &bulk, &format!("case {case}"));
     }
 }
 
@@ -136,20 +129,18 @@ fn bulk_load_into_non_empty_store_matches_seed() {
         let mut reference = Store::new();
         seed::load_ntriples(&mut reference, preload).unwrap();
         seed::load_ntriples(&mut reference, &doc).unwrap();
-        for threads in THREADS {
-            let mut bulk = Store::new();
-            bulk.load_ntriples(preload).unwrap();
-            bulk.bulk_load_ntriples(&doc, LoadOptions::exact(threads)).unwrap();
-            assert_same_store(&reference, &bulk, &format!("case {case} threads {threads}"));
-        }
+        let mut bulk = Store::new();
+        bulk.load_ntriples(preload).unwrap();
+        bulk.load_ntriples(&doc).unwrap();
+        assert_same_store(&reference, &bulk, &format!("case {case}"));
     }
 }
 
 #[test]
 fn chunk_boundary_hazards() {
-    // every line is short, so forcing 8 threads puts chunk boundaries
-    // between almost every pair of lines; escaped \n stays two characters,
-    // CRLF and comments sit at boundaries, the last line has no newline
+    // escaped \n stays two characters, CRLF and comments sit between
+    // triples, the last line has no newline (split at every line by the
+    // `bulk` unit test `boundary_hazards_split_at_every_line_give_the_same_store`)
     let doc = "\u{feff}<http://ex.org/a> <http://ex.org/p> \"one\\ntwo\\nthree\" .\r\n\
                # comment between triples\n\
                <http://ex.org/b> <http://ex.org/p> \"say \\\"hi\\\"\\n\" .\n\
@@ -160,21 +151,18 @@ fn chunk_boundary_hazards() {
     let mut reference = Store::new();
     let n = seed::load_ntriples(&mut reference, doc).expect("seed parse");
     assert_eq!(n, 5, "fixture should hold five triples (one duplicated)");
-    for threads in THREADS {
-        let mut bulk = Store::new();
-        let stats =
-            bulk.bulk_load_ntriples(doc, LoadOptions::exact(threads)).expect("bulk parse");
-        assert_eq!(stats.triples, 5);
-        assert_eq!(stats.added, 4, "duplicate triple must collapse");
-        assert_same_store(&reference, &bulk, &format!("hazards threads {threads}"));
-    }
+    let mut bulk = Store::new();
+    let stats = bulk.load_ntriples(doc).expect("bulk parse");
+    assert_eq!(stats.triples, 5);
+    assert_eq!(stats.added, 4, "duplicate triple must collapse");
+    assert_same_store(&reference, &bulk, "hazards");
 }
 
 #[test]
 fn parse_errors_agree_with_seed_including_line_numbers() {
     // plant one malformed line at varying depths; the bulk loader must
     // report the same absolute line, lexeme and kind as the sequential
-    // parser even when the bad line falls in a later chunk
+    // parser
     for case in 200u64..216 {
         let mut rng = StdRng::seed_from_u64(case);
         let n_lines = rng.gen_range(4..60);
@@ -187,15 +175,12 @@ fn parse_errors_agree_with_seed_including_line_numbers() {
         doc.push('\n');
         doc.push_str("<http://ex.org/x> <http://ex.org/p> \"after the error\" .\n");
         let seed_err = seed::load_ntriples(&mut Store::new(), &doc).expect_err("seed must reject");
-        for threads in THREADS {
-            let mut bulk = Store::new();
-            let bulk_err = bulk
-                .bulk_load_ntriples(&doc, LoadOptions::exact(threads))
-                .expect_err("bulk must reject");
-            assert_eq!(seed_err, bulk_err, "case {case} threads {threads}");
-            assert_eq!(bulk.len(), 0, "failed load must leave the store empty");
-            assert_eq!(bulk.generation(), Store::new().generation(), "no generation bump");
-        }
+        let mut bulk = Store::new();
+        let bulk_err = bulk.load_ntriples(&doc).expect_err("bulk must reject");
+        assert_eq!(seed_err, bulk_err, "case {case}");
+        assert_eq!(bulk.len(), 0, "failed load must leave the store empty");
+        assert_eq!(bulk.term_count(), Store::new().term_count(), "failed load interns nothing");
+        assert_eq!(bulk.generation(), Store::new().generation(), "no generation bump");
     }
 }
 
@@ -207,16 +192,14 @@ fn reader_and_path_loaders_match_in_memory_load() {
     seed::load_ntriples(&mut reference, &doc).unwrap();
 
     let mut via_reader = Store::new();
-    let stats = via_reader
-        .load_ntriples_reader(doc.as_bytes(), LoadOptions::exact(4))
-        .expect("reader load");
+    let stats = via_reader.load_ntriples_reader(doc.as_bytes()).expect("reader load");
     assert_same_store(&reference, &via_reader, "reader loader");
 
     let path = std::env::temp_dir().join(format!("rdfa-ingest-{}.nt", std::process::id()));
     std::fs::write(&path, &doc).unwrap();
     let mut via_path = Store::new();
     let path_stats =
-        via_path.load_ntriples_path(&path, LoadOptions::exact(4)).expect("path load");
+        via_path.load_ntriples_path(&path, LoadOptions::default()).expect("path load");
     std::fs::remove_file(&path).ok();
     assert_eq!(stats, path_stats, "reader and path loads must report identically");
     assert_same_store(&reference, &via_path, "path loader");
@@ -229,7 +212,7 @@ fn path_loader_reports_absolute_error_lines() {
     let path = std::env::temp_dir().join(format!("rdfa-ingest-bad-{}.nt", std::process::id()));
     std::fs::write(&path, &doc).unwrap();
     let err = Store::new()
-        .load_ntriples_path(&path, LoadOptions::exact(4))
+        .load_ntriples_path(&path, LoadOptions::default())
         .expect_err("malformed file must be rejected");
     std::fs::remove_file(&path).ok();
     let msg = err.to_string();
@@ -262,9 +245,7 @@ fn durable_bulk_load_and_wal_recovery_match_sequential_replay() {
     {
         let mut pstore = PersistentStore::open(&dir, config.clone()).unwrap();
         for (i, doc) in docs.iter().enumerate() {
-            let stats = pstore
-                .bulk_load_ntriples(doc, LoadOptions::exact(1 + i))
-                .expect("durable bulk load");
+            let stats = pstore.load_ntriples(doc).expect("durable bulk load");
             assert!(stats.triples > 0, "doc {i} should hold triples");
         }
         // live handle: same explicit contents as the reference (generation
@@ -294,7 +275,7 @@ fn durable_path_load_survives_reopen() {
     let config = PersistConfig { fsync: FsyncPolicy::Always, ..PersistConfig::default() };
     {
         let mut pstore = PersistentStore::open(&dir, config.clone()).unwrap();
-        let stats = pstore.load_ntriples_path(&path, LoadOptions::exact(2)).unwrap();
+        let stats = pstore.load_ntriples_path(&path).unwrap();
         let a: Vec<_> = reference.iter_explicit().collect();
         let b: Vec<_> = pstore.iter_explicit().collect();
         assert_eq!(a, b, "live path-loaded store contents");
@@ -317,10 +298,8 @@ fn bulk_graph_load_matches_seed_load_graph() {
     let mut reference = Store::new();
     seed::load_graph(&mut reference, &products);
     seed::load_graph(&mut reference, &invoices);
-    for threads in THREADS {
-        let mut bulk = Store::new();
-        bulk.bulk_load_graph(&products, LoadOptions::exact(threads));
-        bulk.bulk_load_graph(&invoices, LoadOptions::exact(threads));
-        assert_same_store(&reference, &bulk, &format!("graph load threads {threads}"));
-    }
+    let mut bulk = Store::new();
+    bulk.load_graph(&products);
+    bulk.load_graph(&invoices);
+    assert_same_store(&reference, &bulk, "graph load");
 }

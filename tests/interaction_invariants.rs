@@ -225,7 +225,9 @@ fn random_walk(store: &Store, rng: &mut StdRng, n: usize) -> Vec<Click> {
                 }
                 let cond = pick(rng, &[CondOp::Ge, CondOp::Lt, CondOp::Ne]).unwrap();
                 let threshold = Term::integer(rng.gen_range(0..1500));
-                session.add_having(rng.gen_range(0..k), cond, threshold);
+                session
+                    .add_having(rng.gen_range(0..k), cond, threshold)
+                    .expect("index below the ops");
             }
             Click::ClearAnalytics => session.clear_analytics(),
         }

@@ -113,7 +113,7 @@ fn example_4_having_via_reload() {
         .add_grouping(GroupSpec::property(id(&store, "releaseDate")).with_derived(DerivedFn::Year));
     direct.set_measure(MeasureSpec::property(id(&store, "price")));
     direct.set_ops(vec![AggOp::Avg]);
-    direct.add_having(0, CondOp::Ge, Term::integer(900));
+    direct.add_having(0, CondOp::Ge, Term::integer(900)).unwrap();
     assert_eq!(direct.run().unwrap().rows.len(), 1);
 }
 

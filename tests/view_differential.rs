@@ -8,14 +8,14 @@
 
 use rdf_analytics::datagen::{ProductsGenerator, EX};
 use rdf_analytics::sparql::{execute_update_recording, Engine};
-use rdf_analytics::store::{LoadOptions, Store};
+use rdf_analytics::store::Store;
 use rdfa_prng::StdRng;
 use rdfa_views::{ViewConfig, ViewManager};
 use std::sync::Arc;
 
 fn store(products: usize, seed: u64) -> Store {
     let mut s = Store::new();
-    ProductsGenerator::new(products, seed).generate_into(&mut s, LoadOptions::default());
+    ProductsGenerator::new(products, seed).generate_into(&mut s);
     s
 }
 
