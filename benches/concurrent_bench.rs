@@ -4,7 +4,7 @@
 //!
 //! Two parts:
 //!
-//! 1. **Snapshot read scaling** — the products KG behind a `SnapshotStore`;
+//! 1. **Snapshot read scaling** — the products KG behind a `SharedStore`;
 //!    1/2/4/8 reader threads each loop `snapshot()` → aggregation query
 //!    (AVG price per manufacturer over laptops) for a fixed window while one
 //!    writer commits a two-triple batch every few milliseconds. Readers
@@ -27,7 +27,7 @@ use rdf_analytics::datagen::ProductsGenerator;
 use rdf_analytics::model::{Term, Triple};
 use rdf_analytics::server::{percent_encode, Server, ServerConfig};
 use rdf_analytics::sparql::Engine;
-use rdf_analytics::store::{SnapshotStore, Store};
+use rdf_analytics::store::{PersistError, SharedStore, Store};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -42,9 +42,9 @@ const QUERY: &str = "PREFIX ex: <http://www.ics.forth.gr/example#> \
 /// One reader-scaling measurement: `readers` query threads against live
 /// write traffic for `window`. Returns (queries completed, generations
 /// published while measuring).
-fn measure_reads(shared: &Arc<SnapshotStore>, readers: usize, window: Duration) -> (u64, u64) {
+fn measure_reads(shared: &Arc<SharedStore>, readers: usize, window: Duration) -> (u64, u64) {
     let stop = AtomicBool::new(false);
-    let gen_before = shared.generation();
+    let gen_before = shared.snapshot().generation();
     let mut total = 0u64;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -72,7 +72,8 @@ fn measure_reads(shared: &Arc<SnapshotStore>, readers: usize, window: Duration) 
         let writer = scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
                 let i = NEXT_SUBJECT.fetch_add(1, Ordering::Relaxed);
-                shared.with_write(|s| {
+                let written = shared.transact(|txn| {
+                    let s = txn.store_mut();
                     let iri = format!("http://www.ics.forth.gr/example#bench-w{i}");
                     s.insert(&Triple::new(
                         Term::iri(&iri),
@@ -84,7 +85,9 @@ fn measure_reads(shared: &Arc<SnapshotStore>, readers: usize, window: Duration) 
                         Term::iri("http://www.ics.forth.gr/example#price"),
                         Term::integer(500 + (i as i64 % 900)),
                     ));
+                    Ok::<_, PersistError>(())
                 });
+                written.expect("a non-durable transaction cannot fail");
                 std::thread::sleep(Duration::from_millis(2));
             }
         });
@@ -95,7 +98,7 @@ fn measure_reads(shared: &Arc<SnapshotStore>, readers: usize, window: Duration) 
             total += h.join().unwrap();
         }
     });
-    (total, shared.generation() - gen_before)
+    (total, shared.snapshot().generation() - gen_before)
 }
 
 fn http(addr: std::net::SocketAddr, request: &str) -> String {
@@ -155,7 +158,7 @@ fn main() {
     let mut store = Store::new();
     ProductsGenerator::new(2_000, 7).generate_into(&mut store);
     let triples = store.len();
-    let shared = Arc::new(SnapshotStore::new(store));
+    let shared = Arc::new(SharedStore::new(store));
 
     // warm-up: fault in indexes and the query plan once
     let (_, _) = measure_reads(&shared, 1, Duration::from_millis(200));

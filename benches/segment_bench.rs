@@ -6,7 +6,7 @@
 //! subprocess** so RSS numbers are not polluted by the seeding phase:
 //!
 //!   replay    parse data.nt + materialize inference   (cold full rebuild)
-//!   mmap      PersistentStore::open on segments.N.txt (map, decode on demand)
+//!   mmap      SharedStore::open on segments.N.txt (map, decode on demand)
 //!
 //! The subprocess protocol is the bench re-executing itself with
 //! `SEGMENT_BENCH_MODE` set; the child prints one `RESULT {...}` JSON line.
@@ -26,7 +26,8 @@
 use rdf_analytics::datagen::{ProductsGenerator, EX};
 use rdf_analytics::model::{ntriples, vocab, Term};
 use rdf_analytics::store::{
-    resident_bytes, FsyncPolicy, LoadOptions, PersistConfig, PersistentStore, Store,
+    resident_bytes, FsyncPolicy, LoadOptions, PersistConfig, PersistError, SharedStore, Snapshot,
+    Store,
 };
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -63,12 +64,12 @@ fn run_child(mode: &str) -> ! {
                 .load_ntriples_path(&nt, LoadOptions::default())
                 .expect("replay load");
             store.materialize_inference();
-            (store, String::new())
+            (Snapshot::from(store), String::new())
         }
         "mmap" => {
             let dir = std::env::var("SEGMENT_BENCH_DIR").expect("SEGMENT_BENCH_DIR");
-            let pstore = PersistentStore::open(&dir, fsync_never()).expect("open persist dir");
-            let (store, _journal, _recovery) = pstore.into_parts();
+            let store =
+                SharedStore::open(&dir, fsync_never()).expect("open persist dir").snapshot();
             let seg = store.segment_stats();
             let extra =
                 format!(",\"segments\":{},\"segment_bytes\":{}", seg.segments, seg.segment_bytes);
@@ -191,17 +192,16 @@ fn main() {
     let nt_bytes = std::fs::metadata(&nt_path).expect("stat data.nt").len();
 
     let triples = {
-        let mut pstore = PersistentStore::open(&seg_dir, fsync_never()).expect("open for seed");
-        pstore.load_ntriples_path(&nt_path).expect("seed load");
-        pstore.materialize_inference();
-        pstore.checkpoint().expect("seed checkpoint");
-        pstore.len()
+        let store = SharedStore::open(&seg_dir, fsync_never()).expect("open for seed");
+        store.transact(|txn| txn.load_ntriples_path(&nt_path)).expect("seed load");
+        store.checkpoint().expect("seed checkpoint");
+        store.snapshot().len()
     };
     eprintln!("seeded {triples} triples ({nt_bytes} bytes of N-Triples)");
 
     // -- structural sharing: small write txn between two segment checkpoints
     let (shared_segments, written_segments, shared_terms, written_terms, delta_bytes) = {
-        let mut pstore = PersistentStore::open(&seg_dir, fsync_never()).expect("reopen seg");
+        let store = SharedStore::open(&seg_dir, fsync_never()).expect("reopen seg");
         let ex = |local: &str| Term::iri(format!("{EX}{local}"));
         for i in 0..8 {
             let t = rdf_analytics::model::Triple::new(
@@ -209,10 +209,13 @@ fn main() {
                 Term::iri(vocab::rdf::TYPE),
                 ex("Laptop"),
             );
-            pstore.insert(&t).expect("txn insert");
+            store
+                .transact(|txn| Ok::<_, PersistError>(txn.store_mut().insert(&t)))
+                .expect("txn insert");
         }
-        pstore.checkpoint().expect("txn checkpoint");
-        let stats = pstore.last_checkpoint_stats().expect("checkpoint stats");
+        store.checkpoint().expect("txn checkpoint");
+        let journal = store.journal().expect("an opened store is durable");
+        let stats = journal.last_checkpoint_stats().expect("checkpoint stats");
         (
             stats.segments_shared,
             stats.segments_written,

@@ -5,7 +5,7 @@
 //!
 //! | column | meaning |
 //! |---|---|
-//! | append ops/s | logged single-triple inserts per second |
+//! | append ops/s | single-triple insert transactions per second, each one logged WAL record |
 //! | WAL bytes | log size after the append phase |
 //! | replay ms | reopen time with the whole workload in the WAL |
 //! | checkpoint ms | segments + manifest + WAL rotation time |
@@ -17,7 +17,7 @@
 //! window of N records.
 
 use rdfa_datagen::ProductsGenerator;
-use rdfa_store::{FsyncPolicy, PersistConfig, PersistentStore};
+use rdfa_store::{FsyncPolicy, PersistConfig, PersistError, SharedStore};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -57,33 +57,39 @@ pub fn measure(fsync: FsyncPolicy, products: usize) -> DurabilityRow {
     let workload = ProductsGenerator::new(products, 7).generate();
     let triples: Vec<_> = workload.into_triples();
 
-    // 1. append phase: every triple is one logged insert
-    let mut store = PersistentStore::open(&dir, config(fsync)).expect("open bench store");
+    // 1. append phase: every triple is one transaction, one logged insert
+    let store = SharedStore::open(&dir, config(fsync)).expect("open bench store");
     let t0 = Instant::now();
+    let mut logged = 0u64;
     for t in &triples {
-        store.insert(t).expect("logged insert");
+        let (added, _) = store
+            .transact(|txn| Ok::<_, PersistError>(txn.store_mut().insert(t)))
+            .expect("logged insert");
+        logged += u64::from(added);
     }
-    store.sync().expect("final sync");
+    let journal = store.journal().expect("an opened store is durable");
+    journal.sync().expect("final sync");
     let append_s = t0.elapsed().as_secs_f64();
     let wal_bytes = file_size(&dir, "wal.0.log");
     drop(store);
 
     // 2. recovery with the whole workload in the WAL
     let t0 = Instant::now();
-    let mut store = PersistentStore::open(&dir, config(fsync)).expect("reopen for replay");
+    let store = SharedStore::open(&dir, config(fsync)).expect("reopen for replay");
     let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(store.recovery().wal_records_replayed, triples.len() as u64);
+    let replayed = store.recovery().map(|r| r.wal_records_replayed);
+    assert_eq!(replayed, Some(logged), "one record per effective insert");
 
-    // 3. checkpoint: segments + manifest + WAL rotation
+    // 3. checkpoint: closure refresh + segments + manifest + WAL rotation
     let t0 = Instant::now();
-    let generation = store.checkpoint().expect("checkpoint");
+    let generation = store.checkpoint().expect("checkpoint").expect("durable");
     let checkpoint_ms = t0.elapsed().as_secs_f64() * 1e3;
     let checkpoint_bytes = checkpoint_bytes(&dir, generation);
     drop(store);
 
     // 4. recovery from the checkpoint alone
     let t0 = Instant::now();
-    let store = PersistentStore::open(&dir, config(fsync)).expect("reopen after checkpoint");
+    let store = SharedStore::open(&dir, config(fsync)).expect("reopen after checkpoint");
     let reopen_ms = t0.elapsed().as_secs_f64() * 1e3;
     drop(store);
 
@@ -149,7 +155,7 @@ pub fn durability_table(products: usize) -> String {
         ));
     }
     out.push_str(
-        "(append = logged single-triple inserts; replay = reopen with the full workload in the WAL;\n reopen = recovery from the checkpointed segments alone)\n",
+        "(append = single-triple insert transactions; replay = reopen with the full workload in the WAL;\n reopen = recovery from the checkpointed segments alone)\n",
     );
     out
 }

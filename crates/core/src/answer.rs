@@ -3,7 +3,7 @@
 
 use rdfa_model::{Graph, Term, Triple};
 use rdfa_sparql::Solutions;
-use rdfa_store::{PersistConfig, PersistError, PersistentStore, Store};
+use rdfa_store::{PersistConfig, PersistError, SharedStore, Store};
 
 /// Namespace for answer-frame resources and properties.
 pub const AF_NS: &str = "urn:rdfa:af:";
@@ -208,7 +208,7 @@ impl AnswerFrame {
     }
 
     /// Reload the AF as a **durable** dataset rooted at `dir`: the answer
-    /// triples are WAL-logged into a [`PersistentStore`], so an analysis
+    /// triples are WAL-logged into a durable [`SharedStore`], so an analysis
     /// session built on a reloaded answer survives a crash and can be
     /// reopened later (the nested-exploration workflow of §5.3.3, made
     /// restart-safe). Reopening a non-empty directory appends nothing; the
@@ -216,11 +216,14 @@ impl AnswerFrame {
     pub fn persist_as_dataset(
         &self,
         dir: impl AsRef<std::path::Path>,
-    ) -> Result<PersistentStore, PersistError> {
-        let mut store = PersistentStore::open(dir, PersistConfig::default())?;
-        if store.is_empty() {
-            store.load_graph(&self.dataset_graph())?;
-        }
+    ) -> Result<SharedStore, PersistError> {
+        let store = SharedStore::open(dir, PersistConfig::default())?;
+        store.transact(|txn| {
+            if txn.store().is_empty() {
+                txn.load_graph(&self.dataset_graph())?;
+            }
+            Ok::<_, PersistError>(())
+        })?;
         Ok(store)
     }
 }
@@ -311,14 +314,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let f = frame();
         {
-            let mut store = f.persist_as_dataset(&dir).unwrap();
-            assert_eq!(store.len(), 12);
+            let store = f.persist_as_dataset(&dir).unwrap();
+            assert_eq!(store.snapshot().len(), 12);
             store.checkpoint().unwrap();
         }
         // reopen: the reloaded answer dataset is still there, still a
         // faceted-search starting point — and a second persist call does
         // not double-load it
-        let store = f.persist_as_dataset(&dir).unwrap();
+        let store = f.persist_as_dataset(&dir).unwrap().snapshot();
         assert_eq!(store.len(), 12);
         let row_class = store.lookup_iri(AF_ROW_CLASS).unwrap();
         assert_eq!(store.instances_set(row_class).len(), 3);

@@ -371,6 +371,11 @@ impl<'s> BulkLoader<'s> {
         let BulkLoader { store, mut staged, triples_seen, terms_before, .. } = self;
         staged.sort_unstable();
         staged.dedup();
+        if let Some(log) = &mut store.log {
+            // a recording transaction logs what the merge below adds
+            let added = staged.iter().filter(|&&t| !store.explicit.contains(t));
+            log.extend(added.map(|&t| (t, true)));
+        }
         let added = match &mut store.explicit {
             crate::layer::Layer::Mem(idx) => extend_index(idx, staged),
             crate::layer::Layer::Seg(sl) => sl.bulk_extend(staged),

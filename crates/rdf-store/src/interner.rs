@@ -243,31 +243,13 @@ impl Interner {
     }
 
     /// Build an interner whose entire current content is the frozen,
-    /// `Arc`-shared base — the segment-open path. Terms must be in id
-    /// order; ids are assigned `0..terms.len()`.
+    /// `Arc`-shared base — what [`freeze`](Interner::freeze) rebuilds when
+    /// the tail cannot be moved in. Terms must be in id order; ids are
+    /// assigned `0..terms.len()`. Hashing is one sequential pass.
     pub(crate) fn from_frozen(terms: Vec<Term>) -> Interner {
-        // Content-hash the table on all cores — this dominates the restart
-        // path's dictionary rebuild; the bucket inserts that follow are
-        // cheap u64 moves.
-        let hashes: Vec<u64> = {
-            let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            let per = terms.len().div_ceil(workers.max(1)).max(1);
-            if workers <= 1 || terms.len() < 16_384 {
-                terms.iter().map(|t| hash64(&term_ref_of(t))).collect()
-            } else {
-                let mut hashes = vec![0u64; terms.len()];
-                std::thread::scope(|scope| {
-                    for (out, chunk) in hashes.chunks_mut(per).zip(terms.chunks(per)) {
-                        scope.spawn(move || {
-                            for (h, t) in out.iter_mut().zip(chunk) {
-                                *h = hash64(&term_ref_of(t));
-                            }
-                        });
-                    }
-                });
-                hashes
-            }
-        };
+        // hash every term first, then fill the buckets: two tight passes
+        // run about twice as fast as one that interleaves them
+        let hashes: Vec<u64> = terms.iter().map(|t| hash64(&term_ref_of(t))).collect();
         let mut ids: U64Map<Slot> =
             U64Map::with_capacity_and_hasher(terms.len(), Default::default());
         for (i, &h) in hashes.iter().enumerate() {

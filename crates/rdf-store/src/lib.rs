@@ -41,7 +41,7 @@ pub mod stats;
 pub mod store;
 
 pub use bulk::{LoadError, LoadOptions, LoadStats};
-pub use concurrent::{Snapshot, SnapshotStore, WriteTxn};
+pub use concurrent::{SharedStore, Snapshot, SnapshotStore, Txn, WriteTxn};
 pub use extset::ExtSet;
 pub use index::{IdTriple, TripleIndex};
 pub use interner::{Interner, TermId};

@@ -15,14 +15,23 @@
 //! wal.<g>.log        append-only log of mutations since generation g (wal.rs)
 //! ```
 //!
-//! Mutations are logged **write-ahead** (record appended, then applied in
-//! memory). [`PersistentStore::checkpoint`] compacts: it writes the next
-//! generation's segment files and manifest to temp files, fsyncs, atomically
-//! renames them into place, creates the next WAL, then flips `CURRENT` via
-//! the same temp-file + rename + fsync-dir dance. A crash at *any* point
-//! leaves `CURRENT` naming a complete generation: recovery maps its
-//! segments, replays the WAL (truncating a torn tail), and rematerializes
-//! the RDFS closure when it is stale.
+//! This module is the durable half of [`crate::SharedStore`]: recovery
+//! ([`crate::SharedStore::open`]) and the [`Journal`] that appends WAL
+//! records and writes checkpoints. Every write reaches it through
+//! [`crate::SharedStore::transact`], which appends a transaction's records
+//! and publishes them under one journal lock hold (the commit protocol is
+//! stated once, on [`crate::concurrent`]). The lock is held from a
+//! transaction's first append to its publish, so a record is on disk
+//! before its batch is acknowledged, and a checkpoint never rotates away a
+//! record whose batch is not yet visible.
+//!
+//! [`crate::SharedStore::checkpoint`] compacts: it writes the next
+//! generation's segment files and manifest to temp files, fsyncs,
+//! atomically renames them into place, creates the next WAL, then flips
+//! `CURRENT` via the same temp-file + rename + fsync-dir dance. A crash at
+//! *any* point leaves `CURRENT` naming a complete generation: recovery maps
+//! its segments, replays the WAL (truncating a torn tail), and
+//! rematerializes the RDFS closure when it is stale.
 //!
 //! Recovery serves queries as soon as the files are mapped (blocks decode
 //! on first touch), and a checkpoint re-references every base segment and
@@ -31,7 +40,7 @@
 //! rebuilt on the new segment stack so the in-memory overlay resets and
 //! subsequent copy-on-write write transactions share the segment `Arc`s
 //! instead of deep-copying triples. N-Triples stays the import and export
-//! format ([`PersistentStore::export_ntriples`]).
+//! format ([`crate::SharedStore::export_ntriples`]).
 //!
 //! # Crash injection
 //!
@@ -46,17 +55,16 @@ pub mod crash;
 pub mod crc;
 mod manifest;
 pub(crate) mod term_codec;
-mod wal;
+pub(crate) mod wal;
 
 pub use crash::{CrashInjector, CRASH_POINTS};
 pub use wal::WalTruncation;
 
-use crate::bulk::{BlockReader, BulkLoader, LoadStats};
 use crate::index::Perm;
 use crate::layer::{Layer, MAX_SEGS};
 use crate::segment::Segment;
 use crate::store::Store;
-use rdfa_model::{ntriples, turtle, Graph, NtriplesError, Triple};
+use rdfa_model::{NtriplesError, Triple};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write;
@@ -225,37 +233,40 @@ pub struct RecoveryReport {
     pub wal_truncation: Option<WalTruncation>,
 }
 
-struct Inner {
-    wal: Wal,
+pub(crate) struct Inner {
+    pub(crate) wal: Wal,
     generation: u64,
     config: PersistConfig,
     dead: bool,
     last_checkpoint: Option<CheckpointStats>,
 }
 
-/// The durability half of a [`PersistentStore`], separable from the store
-/// itself: the WAL handle, checkpoint machinery and generation counter
-/// behind one mutex, with `&self` methods throughout.
+impl Inner {
+    /// `Err(Dead)` once a durability failure poisoned the handle.
+    pub(crate) fn alive(&self) -> Result<(), PersistError> {
+        if self.dead || self.wal.is_dead() {
+            return Err(PersistError::Dead);
+        }
+        Ok(())
+    }
+}
+
+/// The durability half of a [`crate::SharedStore`]: the WAL, the
+/// checkpoint machinery and the generation counter behind one mutex.
 ///
-/// [`PersistentStore::into_parts`] splits a recovered store into its
-/// [`Store`] and its `Journal` so a concurrent server can put the store
-/// behind an MVCC [`crate::SnapshotStore`] (readers never touch the
-/// journal) while updates log through the journal and checkpoints run from
-/// an immutable snapshot, entirely off the write path.
-///
-/// Ordering contract for concurrent use: a WAL append and the in-memory
-/// publication of the same batch must happen under **one** journal lock
-/// hold ([`Journal::log_mutations_then`]), and a checkpoint captures its
-/// store view under that same lock ([`Journal::checkpoint_with`]). Then
-/// every checkpointed snapshot contains exactly the batches whose WAL
-/// records it supersedes — a batch is never both compacted away and lost.
+/// Its public methods only read. The handle appends and checkpoints
+/// through crate-internal methods, under the commit protocol stated on
+/// [`crate::concurrent`]: a WAL record is appended only under the journal
+/// lock hold that publishes it, and a checkpoint captures its store view
+/// under that same lock, so a logged batch is never compacted away before
+/// it is visible.
 pub struct Journal {
     dir: PathBuf,
     inner: Mutex<Inner>,
 }
 
 impl Journal {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -277,39 +288,12 @@ impl Journal {
     /// True once a durability failure (or injected crash) poisoned the
     /// handle; all further mutations fail until the directory is reopened.
     pub fn is_dead(&self) -> bool {
-        let inner = self.lock();
-        inner.dead || inner.wal.is_dead()
+        self.lock().alive().is_err()
     }
 
     /// Flush the WAL to disk regardless of fsync policy.
     pub fn sync(&self) -> Result<(), PersistError> {
         self.lock().wal.sync()
-    }
-
-    /// Append already-applied mutations as one atomic WAL batch record.
-    pub fn log_mutations(&self, mutations: &[Mutation]) -> Result<(), PersistError> {
-        self.log_mutations_then(mutations, || ())
-    }
-
-    /// Append a mutation batch, then run `publish` **before releasing the
-    /// journal lock**. The concurrent server passes the snapshot-publish
-    /// swap as `publish`, making "logged" and "visible" atomic with respect
-    /// to [`Journal::checkpoint_with`]. On append failure `publish` never
-    /// runs — the batch must not become visible, or a crash would forget an
-    /// acknowledged update.
-    pub fn log_mutations_then<R>(
-        &self,
-        mutations: &[Mutation],
-        publish: impl FnOnce() -> R,
-    ) -> Result<R, PersistError> {
-        let mut inner = self.lock();
-        if inner.dead {
-            return Err(PersistError::Dead);
-        }
-        if !mutations.is_empty() {
-            inner.wal.append_batch(mutations)?;
-        }
-        Ok(publish())
     }
 
     /// Checkpoint from a store view captured *under the journal lock*:
@@ -320,16 +304,14 @@ impl Journal {
     /// Returns the new generation and the *folded* store: the same
     /// observable state rebuilt on the freshly persisted segment stack
     /// (empty overlay, frozen term dictionary), sharing every base segment
-    /// `Arc` with the view. The caller swaps it in for the view so the
+    /// `Arc` with the view. The handle swaps it in for the view so the
     /// overlay resets and write transactions stay O(overlay).
-    pub fn checkpoint_with<S: std::ops::Deref<Target = Store>>(
+    pub(crate) fn checkpoint<S: std::ops::Deref<Target = Store>>(
         &self,
         snap: impl FnOnce() -> S,
     ) -> Result<(u64, Store), PersistError> {
         let mut inner = self.lock();
-        if inner.dead || inner.wal.is_dead() {
-            return Err(PersistError::Dead);
-        }
+        inner.alive()?;
         let view = snap();
         let result = self.checkpoint_locked(&mut inner, &view);
         if result.is_err() {
@@ -603,298 +585,77 @@ impl Journal {
     }
 }
 
-/// A [`Store`] bound to a directory: every mutation is WAL-logged before it
-/// is applied, [`checkpoint`](PersistentStore::checkpoint) compacts the log
-/// into checksummed segment files, and reopening the directory recovers to
-/// the last consistent state. Dereferences to [`Store`] for the whole read
-/// API.
+/// Open (creating if needed) the store directory and run recovery: map the
+/// current generation's segments, replay the WAL (truncating a torn tail),
+/// and rematerialize inference *only if it is stale* — a generation with a
+/// persisted closure and an empty WAL serves its first query without
+/// decoding anything.
+///
+/// A generation past 0 without its manifest is refused with
+/// [`PersistError::Corrupt`] and every file is left in place: opening it
+/// empty would let the next checkpoint delete the data.
+pub(crate) fn recover(
+    dir: &Path,
+    config: PersistConfig,
+) -> Result<(Store, Journal, RecoveryReport), PersistError> {
+    let dir = dir.to_owned();
+    fs::create_dir_all(&dir)
+        .map_err(|e| PersistError::Io { context: "create store dir", source: e })?;
+    let generation = read_current(&dir)?;
+    let mut store = if generation == 0 {
+        Store::new()
+    } else if manifest::manifest_path(&dir, generation).exists() {
+        manifest::open_store(&dir, generation)?
+    } else {
+        return Err(missing_manifest(&dir, generation));
+    };
+    let checkpoint_triples = store.len();
+    let wal_path = dir.join(format!("wal.{generation}.log"));
+    let (replayed, truncation) = wal::replay(&wal_path, &mut store)?;
+    if store.is_dirty() {
+        store.materialize_inference();
+    }
+    let wal = Wal::open_append(&wal_path, config.fsync, Arc::clone(&config.crash), replayed)?;
+    let recovery = RecoveryReport {
+        generation,
+        checkpoint_triples,
+        wal_records_replayed: replayed,
+        wal_truncation: truncation,
+    };
+    let inner = Inner { wal, generation, config, dead: false, last_checkpoint: None };
+    Ok((store, Journal { dir, inner: Mutex::new(inner) }, recovery))
+}
+
+/// A recovered store and its journal, unassembled. Not a write path: open
+/// a [`crate::SharedStore`] instead. Kept, with
+/// [`into_parts`](PersistentStore::into_parts) and
+/// [`log_mutations`](PersistentStore::log_mutations), for the benchmark
+/// driver, which reopens a durable store read-only and times a WAL append.
+#[doc(hidden)]
 pub struct PersistentStore {
     store: Store,
     journal: Journal,
     recovery: RecoveryReport,
 }
 
-impl std::ops::Deref for PersistentStore {
-    type Target = Store;
-
-    fn deref(&self) -> &Store {
-        &self.store
-    }
-}
-
-impl fmt::Debug for PersistentStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PersistentStore")
-            .field("dir", &self.journal.dir)
-            .field("generation", &self.generation())
-            .field("triples", &self.store.len())
-            .finish()
-    }
-}
-
 impl PersistentStore {
-    /// Open (creating if needed) the store directory, running recovery:
-    /// map the current generation's segments, replay the WAL (truncating a
-    /// torn tail), and rematerialize inference *only if it is stale* — a
-    /// generation with a persisted closure and an empty WAL serves its
-    /// first query without decoding anything.
-    ///
-    /// A generation past 0 without its manifest is refused with
-    /// [`PersistError::Corrupt`] and every file is left in place: opening
-    /// it empty would let the next checkpoint delete the data.
+    /// Recover the directory (see [`crate::SharedStore::open`]).
     pub fn open(dir: impl AsRef<Path>, config: PersistConfig) -> Result<PersistentStore, PersistError> {
-        let dir = dir.as_ref().to_owned();
-        fs::create_dir_all(&dir)
-            .map_err(|e| PersistError::Io { context: "create store dir", source: e })?;
-        let generation = read_current(&dir)?;
-        let mut store = if generation == 0 {
-            Store::new()
-        } else if manifest::manifest_path(&dir, generation).exists() {
-            manifest::open_store(&dir, generation)?
-        } else {
-            return Err(missing_manifest(&dir, generation));
-        };
-        let checkpoint_triples = store.len();
-        let wal_path = dir.join(format!("wal.{generation}.log"));
-        let (replayed, truncation) = wal::replay(&wal_path, &mut store)?;
-        if store.is_dirty() {
-            store.materialize_inference();
-        }
-        let wal = Wal::open_append(&wal_path, config.fsync, Arc::clone(&config.crash), replayed)?;
-        let recovery = RecoveryReport {
-            generation,
-            checkpoint_triples,
-            wal_records_replayed: replayed,
-            wal_truncation: truncation,
-        };
-        Ok(PersistentStore {
-            store,
-            journal: Journal {
-                dir,
-                inner: Mutex::new(Inner {
-                    wal,
-                    generation,
-                    config,
-                    dead: false,
-                    last_checkpoint: None,
-                }),
-            },
-            recovery,
-        })
+        let (store, journal, recovery) = recover(dir.as_ref(), config)?;
+        Ok(PersistentStore { store, journal, recovery })
     }
 
-    /// Split this handle into its in-memory [`Store`], its [`Journal`], and
-    /// the recovery report. The concurrent server uses this to put the
-    /// store behind a [`crate::SnapshotStore`] while sharing the journal
-    /// (`&self` API) across writer and checkpoint paths.
+    /// The recovered store, its journal and the recovery report. Writes to
+    /// this store reach no WAL.
     pub fn into_parts(self) -> (Store, Journal, RecoveryReport) {
         (self.store, self.journal, self.recovery)
     }
 
-    /// The durability half of this handle.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// What recovery found when this handle was opened.
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.recovery
-    }
-
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        self.journal.dir()
-    }
-
-    /// Read access to the underlying store (also available via `Deref`).
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-
-    /// The current generation (bumped by every checkpoint).
-    pub fn generation(&self) -> u64 {
-        self.journal.generation()
-    }
-
-    /// Records in the current WAL — the replay work a crash would cost now.
-    pub fn wal_records(&self) -> u64 {
-        self.journal.wal_records()
-    }
-
-    /// True once a durability failure (or injected crash) poisoned the
-    /// handle; all further mutations fail until the directory is reopened.
-    pub fn is_dead(&self) -> bool {
-        self.journal.is_dead()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.journal.lock()
-    }
-
-    // ---- logged mutations -------------------------------------------------
-
-    /// Insert one triple (WAL-logged, then applied). Leaves the inference
-    /// layer stale, like [`Store::insert`].
-    pub fn insert(&mut self, t: &Triple) -> Result<bool, PersistError> {
-        {
-            let mut inner = self.lock();
-            if inner.dead {
-                return Err(PersistError::Dead);
-            }
-            inner.wal.append_insert(t)?;
-        }
-        Ok(self.store.insert(t))
-    }
-
-    /// Remove one explicit triple (WAL-logged, then applied). Absent
-    /// triples are a silent no-op and are not logged.
-    pub fn remove(&mut self, t: &Triple) -> Result<bool, PersistError> {
-        let ids = match (
-            self.store.lookup(&t.subject),
-            self.store.lookup(&t.predicate),
-            self.store.lookup(&t.object),
-        ) {
-            (Some(s), Some(p), Some(o)) => [s, p, o],
-            _ => return Ok(false),
-        };
-        if self.store.matching_explicit(Some(ids[0]), Some(ids[1]), Some(ids[2])).next().is_none() {
-            return Ok(false);
-        }
-        {
-            let mut inner = self.lock();
-            if inner.dead {
-                return Err(PersistError::Dead);
-            }
-            inner.wal.append_remove(t)?;
-        }
-        Ok(self.store.remove_ids(ids))
-    }
-
-    /// Load a graph as one atomic WAL record and materialize inference.
-    pub fn load_graph(&mut self, graph: &Graph) -> Result<LoadStats, PersistError> {
-        {
-            let mut inner = self.lock();
-            if inner.dead {
-                return Err(PersistError::Dead);
-            }
-            inner.wal.append_load(&ntriples::serialize(graph))?;
-        }
-        Ok(self.store.load_graph(graph))
-    }
-
-    /// Parse and load a Turtle document (logged as its N-Triples form);
-    /// returns the parsed triple count.
-    pub fn load_turtle(&mut self, text: &str) -> Result<usize, PersistError> {
-        let graph = turtle::parse(text).map_err(|e| PersistError::Turtle(e.to_string()))?;
-        Ok(self.load_graph(&graph)?.triples)
-    }
-
-    /// Bulk-load an N-Triples document as one atomic WAL record. The
-    /// payload is fully parsed *before* it is logged, so the WAL never
-    /// records an unparsable document.
-    pub fn load_ntriples(&mut self, text: &str) -> Result<LoadStats, PersistError> {
-        let mut loader = BulkLoader::new(&mut self.store);
-        let batch = loader.parse(text).map_err(PersistError::Ntriples)?;
-        {
-            let mut inner = self.journal.lock();
-            if inner.dead {
-                return Err(PersistError::Dead);
-            }
-            inner.wal.append_load(text)?;
-        }
-        loader.apply(batch);
-        Ok(loader.finish(true))
-    }
-
-    /// Stream-load an N-Triples file in newline-aligned blocks, logging one
-    /// WAL record per block. Each block is parsed before it is logged, and
-    /// blocks hold whole lines, so a crash mid-file recovers to a store
-    /// holding a valid prefix of the file.
-    pub fn load_ntriples_path(
-        &mut self,
-        path: impl AsRef<Path>,
-    ) -> Result<LoadStats, PersistError> {
-        let file = fs::File::open(path)
-            .map_err(|e| PersistError::Io { context: "open ntriples file", source: e })?;
-        let mut blocks = BlockReader::new(file);
-        let mut loader = BulkLoader::new(&mut self.store);
-        while let Some(block) = blocks
-            .next_block()
-            .map_err(|e| PersistError::Io { context: "read ntriples file", source: e })?
-        {
-            let batch = loader.parse(&block).map_err(PersistError::Ntriples)?;
-            {
-                let mut inner = self.journal.lock();
-                if inner.dead {
-                    return Err(PersistError::Dead);
-                }
-                inner.wal.append_load(&block)?;
-            }
-            loader.apply(batch);
-        }
-        Ok(loader.finish(true))
-    }
-
-    /// Recompute the inferred layer (not logged — it is derived state).
-    pub fn materialize_inference(&mut self) {
-        self.store.materialize_inference();
-    }
-
-    /// Escape hatch for callers that mutate the store through external code
-    /// (e.g. a SPARQL update executor) and then log the recorded changes
-    /// via [`log_mutations`](PersistentStore::log_mutations). Mutating
-    /// through this reference without logging forfeits durability for those
-    /// changes.
-    pub fn store_mut_unlogged(&mut self) -> &mut Store {
-        &mut self.store
-    }
-
-    /// Append already-applied mutations as one atomic WAL batch record.
+    /// Append `mutations` as one WAL batch record, without applying them.
     pub fn log_mutations(&mut self, mutations: &[Mutation]) -> Result<(), PersistError> {
-        self.journal.log_mutations(mutations)
-    }
-
-    // ---- checkpoint / compaction -----------------------------------------
-
-    /// Write the next generation's segments and manifest, rotate the WAL,
-    /// and flip `CURRENT` — all via temp-file + atomic rename + fsync-dir,
-    /// so a crash at any point leaves a complete generation behind — then
-    /// swap in the folded store: the in-memory overlay is empty, reads go
-    /// through the freshly persisted mmap segments, and the next reopen is
-    /// byte-identical to continuing in-process. Returns the new generation.
-    pub fn checkpoint(&mut self) -> Result<u64, PersistError> {
-        // Bring the RDFS closure up to date now so the generation persists
-        // it (`inf.<g>.seg`) — a checkpoint of a dirty store would otherwise
-        // force every restart to rematerialize the closure from scratch.
-        if self.store.is_dirty() {
-            self.store.refresh_inference();
-        }
-        let (store, journal) = (&self.store, &self.journal);
-        let (generation, folded) = journal.checkpoint_with(|| store)?;
-        self.store = folded;
-        Ok(generation)
-    }
-
-    /// What the last checkpoint wrote versus re-referenced; `None` until
-    /// one has run.
-    pub fn last_checkpoint_stats(&self) -> Option<CheckpointStats> {
-        self.journal.last_checkpoint_stats()
-    }
-
-    /// Write the explicit triples as N-Triples: a human-readable,
-    /// tool-compatible dump, usable when the binary files cannot be (a
-    /// format from another release, external tooling, manual recovery).
-    pub fn export_ntriples(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let io = |e: std::io::Error| PersistError::Io { context: "ntriples export", source: e };
-        let text = ntriples::serialize(&self.store.to_graph());
-        let mut file = File::create(path).map_err(io)?;
-        file.write_all(text.as_bytes()).map_err(io)?;
-        file.sync_all().map_err(io)
-    }
-
-    /// Flush the WAL to disk regardless of fsync policy.
-    pub fn sync(&self) -> Result<(), PersistError> {
-        self.lock().wal.sync()
+        let mut inner = self.journal.lock();
+        inner.alive()?;
+        inner.wal.append_batch(mutations)
     }
 }
 
@@ -942,7 +703,8 @@ fn sync_dir(_dir: &Path) -> Result<(), PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfa_model::Term;
+    use crate::SharedStore;
+    use rdfa_model::{ntriples, Term};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -965,21 +727,56 @@ mod tests {
         )
     }
 
+    fn open(dir: &Path) -> SharedStore {
+        SharedStore::open(dir, PersistConfig::default()).unwrap()
+    }
+
+    /// Insert one triple in a transaction of its own.
+    fn insert(h: &SharedStore, t: &Triple) -> Result<bool, PersistError> {
+        h.transact(|txn| Ok(txn.store_mut().insert(t))).map(|(added, _)| added)
+    }
+
+    /// Remove one triple in a transaction of its own.
+    fn remove(h: &SharedStore, t: &Triple) -> Result<bool, PersistError> {
+        h.transact(|txn| Ok(txn.store_mut().remove(t))).map(|(removed, _)| removed)
+    }
+
+    fn load_turtle(h: &SharedStore, text: &str) {
+        h.transact(|txn| txn.load_turtle(text)).unwrap();
+    }
+
+    /// Recompute the closure with a full pass, in a transaction of its own.
+    fn materialize(h: &SharedStore) {
+        h.transact(|txn| {
+            txn.store_mut().materialize_inference();
+            Ok::<_, PersistError>(())
+        })
+        .unwrap();
+    }
+
+    fn wal_records(h: &SharedStore) -> u64 {
+        h.journal().unwrap().wal_records()
+    }
+
+    fn last_stats(h: &SharedStore) -> CheckpointStats {
+        h.journal().unwrap().last_checkpoint_stats().unwrap()
+    }
+
     #[test]
     fn roundtrip_through_wal_only() {
         let dir = tmpdir("wal-roundtrip");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+            let p = open(&dir);
             for i in 0..10 {
-                assert!(p.insert(&triple(i)).unwrap());
+                assert!(insert(&p, &triple(i)).unwrap());
             }
-            assert_eq!(p.wal_records(), 10);
-            assert_eq!(p.generation(), 0);
+            assert_eq!(wal_records(&p), 10);
+            assert_eq!(p.journal().unwrap().generation(), 0);
         }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(p.len(), 10);
-        assert_eq!(p.recovery().wal_records_replayed, 10);
-        assert!(p.recovery().wal_truncation.is_none());
+        let p = open(&dir);
+        assert_eq!(p.snapshot().len(), 10);
+        assert_eq!(p.recovery().unwrap().wal_records_replayed, 10);
+        assert!(p.recovery().unwrap().wal_truncation.is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -987,22 +784,22 @@ mod tests {
     fn checkpoint_compacts_and_bumps_generation() {
         let dir = tmpdir("checkpoint");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+            let p = open(&dir);
             for i in 0..5 {
-                p.insert(&triple(i)).unwrap();
+                insert(&p, &triple(i)).unwrap();
             }
-            assert_eq!(p.checkpoint().unwrap(), 1);
-            assert_eq!(p.wal_records(), 0);
+            assert_eq!(p.checkpoint().unwrap(), Some(1));
+            assert_eq!(wal_records(&p), 0);
             for i in 5..8 {
-                p.insert(&triple(i)).unwrap();
+                insert(&p, &triple(i)).unwrap();
             }
-            assert_eq!(p.wal_records(), 3);
+            assert_eq!(wal_records(&p), 3);
         }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(p.len(), 8);
-        assert_eq!(p.recovery().generation, 1);
-        assert_eq!(p.recovery().checkpoint_triples, 5);
-        assert_eq!(p.recovery().wal_records_replayed, 3);
+        let p = open(&dir);
+        assert_eq!(p.snapshot().len(), 8);
+        assert_eq!(p.recovery().unwrap().generation, 1);
+        assert_eq!(p.recovery().unwrap().checkpoint_triples, 5);
+        assert_eq!(p.recovery().unwrap().wal_records_replayed, 3);
         // superseded generation-0 files were cleaned up
         assert!(!dir.join("wal.0.log").exists());
         fs::remove_dir_all(&dir).unwrap();
@@ -1012,19 +809,19 @@ mod tests {
     fn checkpoint_preserves_schema_and_inference() {
         let dir = tmpdir("inference");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-            p.load_turtle(
+            let p = open(&dir);
+            load_turtle(
+                &p,
                 r#"@prefix ex: <http://e/> .
                    @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
                    ex:Laptop rdfs:subClassOf ex:Product .
                    ex:l1 a ex:Laptop ."#,
-            )
-            .unwrap();
+            );
             p.checkpoint().unwrap();
         }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        let product = p.lookup_iri("http://e/Product").unwrap();
-        assert_eq!(p.instances_set(product).len(), 1);
+        let p = open(&dir);
+        let product = p.snapshot().lookup_iri("http://e/Product").unwrap();
+        assert_eq!(p.snapshot().instances_set(product).len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1032,14 +829,14 @@ mod tests {
     fn remove_is_logged_and_survives_reopen() {
         let dir = tmpdir("remove");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-            p.insert(&triple(0)).unwrap();
-            p.insert(&triple(1)).unwrap();
-            assert!(p.remove(&triple(0)).unwrap());
-            assert!(!p.remove(&triple(7)).unwrap()); // absent → no-op, unlogged
+            let p = open(&dir);
+            insert(&p, &triple(0)).unwrap();
+            insert(&p, &triple(1)).unwrap();
+            assert!(remove(&p, &triple(0)).unwrap());
+            assert!(!remove(&p, &triple(7)).unwrap()); // absent → no-op, unlogged
         }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(p.len(), 1);
+        let p = open(&dir);
+        assert_eq!(p.snapshot().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1063,9 +860,9 @@ mod tests {
     fn generation_without_manifest_is_refused_and_kept() {
         let dir = tmpdir("no-manifest");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+            let p = open(&dir);
             for i in 0..20 {
-                p.insert(&triple(i)).unwrap();
+                insert(&p, &triple(i)).unwrap();
             }
             p.checkpoint().unwrap();
         }
@@ -1073,7 +870,7 @@ mod tests {
         let before = dir_contents(&dir);
         assert!(before.iter().any(|(name, _)| name.starts_with("seg.1.")), "{before:?}");
         for _ in 0..2 {
-            match PersistentStore::open(&dir, PersistConfig::default()) {
+            match SharedStore::open(&dir, PersistConfig::default()) {
                 Err(PersistError::Corrupt { what: "CURRENT", detail }) => {
                     assert!(detail.contains("segments.1.txt is missing"), "{detail}");
                 }
@@ -1094,7 +891,7 @@ mod tests {
         fs::write(dir.join("snapshot.3.bin"), b"RDFASNP1 older release").unwrap();
         fs::write(dir.join("wal.3.log"), b"").unwrap();
         let before = dir_contents(&dir);
-        match PersistentStore::open(&dir, PersistConfig::default()) {
+        match SharedStore::open(&dir, PersistConfig::default()) {
             Err(e @ PersistError::Corrupt { what: "CURRENT", .. }) => {
                 let msg = e.to_string();
                 assert!(msg.contains("snapshot.3.bin"), "{msg}");
@@ -1110,9 +907,9 @@ mod tests {
     fn corrupted_wal_byte_truncates_to_good_prefix() {
         let dir = tmpdir("flip-wal");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+            let p = open(&dir);
             for i in 0..10 {
-                p.insert(&triple(i)).unwrap();
+                insert(&p, &triple(i)).unwrap();
             }
         }
         let wal = dir.join("wal.0.log");
@@ -1121,21 +918,21 @@ mod tests {
         let target = (bytes.len() / 10) * 5 + 12;
         bytes[target] ^= 0x10;
         fs::write(&wal, &bytes).unwrap();
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        let trunc = p.recovery().wal_truncation.clone().expect("truncation reported");
+        let p = open(&dir);
+        let trunc = p.recovery().unwrap().wal_truncation.clone().expect("truncation reported");
         assert!(trunc.reason.contains("checksum"), "{trunc:?}");
         // a strict prefix survived, and it is a prefix (triples 0..n)
-        let n = p.recovery().wal_records_replayed as usize;
+        let n = p.recovery().unwrap().wal_records_replayed as usize;
         assert!(n < 10);
-        assert_eq!(p.len(), n);
+        assert_eq!(p.snapshot().len(), n);
         for i in 0..n {
             let t = triple(i);
             let ids = [
-                p.lookup(&t.subject).unwrap(),
-                p.lookup(&t.predicate).unwrap(),
-                p.lookup(&t.object).unwrap(),
+                p.snapshot().lookup(&t.subject).unwrap(),
+                p.snapshot().lookup(&t.predicate).unwrap(),
+                p.snapshot().lookup(&t.object).unwrap(),
             ];
-            assert!(p.contains(ids), "triple {i} missing from recovered prefix");
+            assert!(p.snapshot().contains(ids), "triple {i} missing from recovered prefix");
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1143,8 +940,8 @@ mod tests {
     #[test]
     fn export_ntriples_fallback_parses_back() {
         let dir = tmpdir("export");
-        let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        p.load_turtle(r#"@prefix ex: <http://e/> . ex:a ex:p "tricky \"value\"\n" ."#).unwrap();
+        let p = open(&dir);
+        load_turtle(&p, r#"@prefix ex: <http://e/> . ex:a ex:p "tricky \"value\"\n" ."#);
         let out = dir.join("fallback.nt");
         p.export_ntriples(&out).unwrap();
         let graph = ntriples::parse(&fs::read_to_string(&out).unwrap()).unwrap();
@@ -1160,11 +957,11 @@ mod tests {
             crash: CrashInjector::at("wal.append.torn-body", 4),
             ..PersistConfig::default()
         };
-        let mut p = PersistentStore::open(&dir, config).unwrap();
+        let p = SharedStore::open(&dir, config).unwrap();
         let mut acked = 0;
         let mut crashed = false;
         for i in 0..10 {
-            match p.insert(&triple(i)) {
+            match insert(&p, &triple(i)) {
                 Ok(_) => acked += 1,
                 Err(PersistError::InjectedCrash { point }) => {
                     assert_eq!(point, "wal.append.torn-body");
@@ -1175,13 +972,13 @@ mod tests {
             }
         }
         assert!(crashed);
-        assert!(p.is_dead());
-        assert!(matches!(p.insert(&triple(99)), Err(PersistError::Dead)));
+        assert!(p.journal().unwrap().is_dead());
+        assert!(matches!(insert(&p, &triple(99)), Err(PersistError::Dead)));
         drop(p);
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        let trunc = p.recovery().wal_truncation.clone().expect("torn record cut off");
+        let p = open(&dir);
+        let trunc = p.recovery().unwrap().wal_truncation.clone().expect("torn record cut off");
         assert!(trunc.reason.contains("torn") || trunc.reason.contains("checksum"), "{trunc:?}");
-        assert_eq!(p.len(), acked);
+        assert_eq!(p.snapshot().len(), acked);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1189,53 +986,53 @@ mod tests {
     fn segment_checkpoint_roundtrips_and_reopens_clean() {
         let dir = tmpdir("seg-roundtrip");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-            p.load_turtle(
+            let p = open(&dir);
+            load_turtle(
+                &p,
                 r#"@prefix ex: <http://e/> .
                    @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
                    ex:Laptop rdfs:subClassOf ex:Product .
                    ex:l1 a ex:Laptop . ex:l2 a ex:Laptop ."#,
-            )
-            .unwrap();
-            assert_eq!(p.checkpoint().unwrap(), 1);
+            );
+            assert_eq!(p.checkpoint().unwrap(), Some(1));
             // the fold left a segment-backed, clean store with empty overlay
-            let stats = p.store().segment_stats();
+            let stats = p.snapshot().segment_stats();
             assert!(stats.segments >= 1);
             assert_eq!((stats.overlay_adds, stats.overlay_dels), (0, 0));
-            assert!(!p.store().is_dirty());
+            assert!(!p.snapshot().is_dirty());
         }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let p = open(&dir);
         // recovery mapped segments, closure persisted → the store comes up
         // clean without recomputing inference
         assert!(dir.join("segments.1.txt").exists());
-        assert!(!p.store().is_dirty());
-        let stats = p.store().segment_stats();
+        assert!(!p.snapshot().is_dirty());
+        let stats = p.snapshot().segment_stats();
         assert!(stats.segments >= 2, "explicit + inf segments, got {stats:?}");
-        let product = p.lookup_iri("http://e/Product").unwrap();
-        assert_eq!(p.instances_set(product).len(), 2);
+        let product = p.snapshot().lookup_iri("http://e/Product").unwrap();
+        assert_eq!(p.snapshot().instances_set(product).len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn segment_checkpoint_shares_unchanged_base() {
         let dir = tmpdir("seg-share");
-        let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let p = open(&dir);
         for i in 0..300 {
-            p.insert(&triple(i)).unwrap();
+            insert(&p, &triple(i)).unwrap();
         }
-        p.materialize_inference();
+        materialize(&p);
         p.checkpoint().unwrap();
-        let first = p.last_checkpoint_stats().unwrap();
+        let first = last_stats(&p);
         assert!(first.segments_written >= 1);
         assert_eq!(first.segments_shared, 0);
-        assert_eq!(first.terms_written, p.term_count());
+        assert_eq!(first.terms_written, p.snapshot().term_count());
 
         // a small delta: the base segment and all terms are re-referenced
-        p.insert(&triple(1000)).unwrap();
-        p.materialize_inference();
-        let terms_before = p.term_count();
+        insert(&p, &triple(1000)).unwrap();
+        let terms_before = p.snapshot().term_count();
+        materialize(&p);
         p.checkpoint().unwrap();
-        let second = p.last_checkpoint_stats().unwrap();
+        let second = last_stats(&p);
         assert!(
             second.segments_shared >= 1,
             "unchanged base segment must be shared: {second:?}"
@@ -1246,12 +1043,12 @@ mod tests {
 
         // no churn at all: nothing new is written for the explicit layer
         p.checkpoint().unwrap();
-        let third = p.last_checkpoint_stats().unwrap();
+        let third = last_stats(&p);
         assert_eq!(third.terms_written, 0);
         assert!(third.segments_shared >= 2, "{third:?}");
         drop(p);
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(p.len(), 301);
+        let p = open(&dir);
+        assert_eq!(p.snapshot().len(), 301);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1262,12 +1059,14 @@ mod tests {
     #[test]
     fn v1_segments_open_and_fold_into_restart_segments() {
         use crate::segment::{write_segment_with, BLOCK_TRIPLES, RESTART_INTERVAL};
-        let intervals = |p: &PersistentStore| -> Vec<usize> {
-            let explicit = p.store().explicit.as_seg().expect("segment-backed");
+        let intervals = |p: &SharedStore| -> Vec<usize> {
+            let p = p.snapshot();
+            let explicit = p.explicit.as_seg().expect("segment-backed");
             explicit.segs.iter().map(|s| s.restart_interval()).collect()
         };
-        let holds = |p: &PersistentStore, i: usize| {
+        let holds = |p: &SharedStore, i: usize| {
             let t = triple(i);
+            let p = p.snapshot();
             match (p.lookup(&t.subject), p.lookup(&t.predicate), p.lookup(&t.object)) {
                 (Some(s), Some(pr), Some(o)) => p.contains([s, pr, o]),
                 _ => false,
@@ -1275,11 +1074,11 @@ mod tests {
         };
         let dir = tmpdir("seg-v1");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+            let p = open(&dir);
             for i in 0..2500 {
-                p.insert(&triple(i)).unwrap();
+                insert(&p, &triple(i)).unwrap();
             }
-            p.materialize_inference();
+            materialize(&p);
             p.checkpoint().unwrap();
         }
         // rewrite every segment file in the version-1 layout, in place
@@ -1295,26 +1094,26 @@ mod tests {
                 fs::rename(&tmp, &path).unwrap();
             }
         }
-        let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let p = open(&dir);
         assert_eq!(intervals(&p), [BLOCK_TRIPLES]);
-        assert_eq!(p.len(), 2500);
+        assert_eq!(p.snapshot().len(), 2500);
         assert!((0..2500).all(|i| holds(&p, i)) && !holds(&p, 2500));
 
         // a delta is written beside the shared v1 base, with restart points
-        p.insert(&triple(2500)).unwrap();
-        p.materialize_inference();
+        insert(&p, &triple(2500)).unwrap();
+        materialize(&p);
         p.checkpoint().unwrap();
         assert_eq!(intervals(&p), [BLOCK_TRIPLES, RESTART_INTERVAL]);
 
         // a tombstone compacts the stack: the v1 file is folded away
-        assert!(p.remove(&triple(7)).unwrap());
-        p.materialize_inference();
+        assert!(remove(&p, &triple(7)).unwrap());
+        materialize(&p);
         p.checkpoint().unwrap();
         assert_eq!(intervals(&p), [RESTART_INTERVAL]);
         drop(p);
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let p = open(&dir);
         assert_eq!(intervals(&p), [RESTART_INTERVAL]);
-        assert_eq!(p.len(), 2500);
+        assert_eq!(p.snapshot().len(), 2500);
         assert!((0..=2500).all(|i| holds(&p, i) == (i != 7)));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1322,23 +1121,23 @@ mod tests {
     #[test]
     fn segment_checkpoint_compacts_after_removals() {
         let dir = tmpdir("seg-compact");
-        let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let p = open(&dir);
         for i in 0..50 {
-            p.insert(&triple(i)).unwrap();
+            insert(&p, &triple(i)).unwrap();
         }
-        p.materialize_inference();
+        materialize(&p);
         p.checkpoint().unwrap();
         // tombstones force the next checkpoint to compact (no sharing)
-        assert!(p.remove(&triple(0)).unwrap());
-        p.materialize_inference();
+        assert!(remove(&p, &triple(0)).unwrap());
+        materialize(&p);
         p.checkpoint().unwrap();
-        let stats = p.last_checkpoint_stats().unwrap();
+        let stats = last_stats(&p);
         assert_eq!(stats.segments_shared, 0, "tombstoned base must compact: {stats:?}");
         drop(p);
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(p.len(), 49);
-        assert!(!p.lookup(&triple(0).subject).map(|s| {
-            p.matching_explicit(Some(s), None, None).next().is_some()
+        let p = open(&dir);
+        assert_eq!(p.snapshot().len(), 49);
+        assert!(!p.snapshot().lookup(&triple(0).subject).map(|s| {
+            p.snapshot().matching_explicit(Some(s), None, None).next().is_some()
         }).unwrap_or(false));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1347,21 +1146,21 @@ mod tests {
     fn segment_mutations_after_fold_wal_replay_correctly() {
         let dir = tmpdir("seg-wal");
         {
-            let mut p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+            let p = open(&dir);
             for i in 0..30 {
-                p.insert(&triple(i)).unwrap();
+                insert(&p, &triple(i)).unwrap();
             }
-            p.materialize_inference();
+            materialize(&p);
             p.checkpoint().unwrap();
             // post-fold mutations land in the overlay AND the new WAL
-            p.insert(&triple(100)).unwrap();
-            assert!(p.remove(&triple(3)).unwrap());
-            assert_eq!(p.wal_records(), 2);
+            insert(&p, &triple(100)).unwrap();
+            assert!(remove(&p, &triple(3)).unwrap());
+            assert_eq!(wal_records(&p), 2);
         }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(p.len(), 30); // 30 - 1 + 1
-        assert_eq!(p.recovery().wal_records_replayed, 2);
-        let stats = p.store().segment_stats();
+        let p = open(&dir);
+        assert_eq!(p.snapshot().len(), 30); // 30 - 1 + 1
+        assert_eq!(p.recovery().unwrap().wal_records_replayed, 2);
+        let stats = p.snapshot().segment_stats();
         assert_eq!(stats.overlay_adds, 1);
         assert_eq!(stats.overlay_dels, 1);
         fs::remove_dir_all(&dir).unwrap();
@@ -1383,9 +1182,9 @@ mod tests {
         let config = PersistConfig { fsync: FsyncPolicy::EveryN(2), crash, ..PersistConfig::default() };
         let mut acked = 0usize;
         {
-            let mut p = PersistentStore::open(&dir, config).unwrap();
+            let p = SharedStore::open(&dir, config).unwrap();
             for i in 0..50 {
-                match p.insert(&triple(i)) {
+                match insert(&p, &triple(i)) {
                     Ok(_) => acked += 1,
                     Err(_) => break,
                 }
@@ -1394,11 +1193,12 @@ mod tests {
                 }
             }
         }
-        let p = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let p = open(&dir);
         // every acknowledged insert survived; at most one torn-but-complete
         // record beyond that may also have made it
-        assert!(p.len() >= acked, "lost acknowledged data: {} < {acked}", p.len());
-        assert!(p.len() <= acked + 1, "phantom data: {} > {acked}+1", p.len());
+        let n = p.snapshot().len();
+        assert!(n >= acked, "lost acknowledged data: {n} < {acked}");
+        assert!(n <= acked + 1, "phantom data: {n} > {acked}+1");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,13 +6,14 @@
 //!
 //! | tag | op | data |
 //! |---|---|---|
-//! | 1 | insert | one N-Triples line |
-//! | 2 | remove | one N-Triples line |
+//! | 1 | insert | one N-Triples line (read only: written by older releases) |
+//! | 2 | remove | one N-Triples line (read only: written by older releases) |
 //! | 3 | load   | an N-Triples document |
 //! | 4 | batch  | `u32` count, then per item `u8` insert/remove tag + `u32` len + line |
 //!
-//! A batch replays atomically: it is one record, so either the whole update
-//! survives a crash or none of it does. On open the log is replayed into
+//! A transaction's explicit changes are one batch record, so either the
+//! whole update survives a crash or none of it does; a load is one record
+//! per parsed block. On open the log is replayed into
 //! the store and **truncated at the first torn or corrupt record** — a
 //! half-written tail is the expected aftermath of a crash, not an error.
 
@@ -20,7 +21,7 @@ use super::crash::CrashInjector;
 use super::crc::crc32;
 use super::{FsyncPolicy, Mutation, PersistError};
 use crate::store::Store;
-use rdfa_model::{ntriples, Triple};
+use rdfa_model::ntriples;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -50,8 +51,17 @@ pub(crate) struct Wal {
     crash: Arc<CrashInjector>,
     unsynced: u32,
     dead: bool,
+    /// Bytes in this log file.
+    len: u64,
     /// Records in this log file: replayed at open + appended since.
     pub(crate) records: u64,
+}
+
+/// A position in the log a transaction can roll its appends back to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WalMark {
+    len: u64,
+    records: u64,
 }
 
 impl Wal {
@@ -68,22 +78,48 @@ impl Wal {
             .append(true)
             .open(path)
             .map_err(|e| PersistError::Io { context: "wal open", source: e })?;
+        let len = file
+            .metadata()
+            .map_err(|e| PersistError::Io { context: "wal open", source: e })?
+            .len();
         Ok(Wal {
             file,
             fsync,
             crash,
             unsynced: 0,
             dead: false,
+            len,
             records: existing,
         })
     }
 
-    pub(crate) fn append_insert(&mut self, t: &Triple) -> Result<(), PersistError> {
-        self.append(&encode_line(OP_INSERT, t))
+    /// The current end of the log.
+    pub(crate) fn mark(&self) -> WalMark {
+        WalMark { len: self.len, records: self.records }
     }
 
-    pub(crate) fn append_remove(&mut self, t: &Triple) -> Result<(), PersistError> {
-        self.append(&encode_line(OP_REMOVE, t))
+    /// Cut the log back to `mark`, undoing the appends of a transaction
+    /// that will not publish. A failure poisons the log.
+    pub(crate) fn rollback(&mut self, mark: WalMark) -> Result<(), PersistError> {
+        if self.dead {
+            return Err(PersistError::Dead);
+        }
+        let cut = self
+            .file
+            .set_len(mark.len)
+            .and_then(|()| self.file.sync_data())
+            .map_err(|e| PersistError::Io { context: "wal rollback", source: e });
+        match cut {
+            Ok(()) => {
+                self.len = mark.len;
+                self.records = mark.records;
+                Ok(())
+            }
+            Err(e) => {
+                self.dead = true;
+                Err(e)
+            }
+        }
     }
 
     pub(crate) fn append_load(&mut self, ntriples_doc: &str) -> Result<(), PersistError> {
@@ -148,6 +184,7 @@ impl Wal {
             FsyncPolicy::Never => {}
         }
         self.crash.check("wal.append.synced")?;
+        self.len += (header.len() + payload.len()) as u64;
         self.records += 1;
         Ok(())
     }
@@ -173,14 +210,6 @@ impl Drop for Wal {
             let _ = self.file.sync_data();
         }
     }
-}
-
-fn encode_line(tag: u8, t: &Triple) -> Vec<u8> {
-    let line = t.to_string();
-    let mut payload = Vec::with_capacity(1 + line.len());
-    payload.push(tag);
-    payload.extend_from_slice(line.as_bytes());
-    payload
 }
 
 /// Replay a log into `store` (no per-record inference; the caller
@@ -313,10 +342,8 @@ fn apply_line(store: &mut Store, line: &str, insert: bool) -> Result<(), Persist
     for t in graph.iter() {
         if insert {
             store.insert(t);
-        } else if let (Some(s), Some(p), Some(o)) =
-            (store.lookup(&t.subject), store.lookup(&t.predicate), store.lookup(&t.object))
-        {
-            store.remove_ids([s, p, o]);
+        } else {
+            store.remove(t);
         }
     }
     Ok(())

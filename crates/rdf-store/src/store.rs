@@ -140,6 +140,11 @@ pub struct Store {
     /// recorded — bulk loads, a delta past the replay limit, a store restored
     /// without its closure — so only a full pass can refresh.
     delta: Option<Vec<(IdTriple, bool)>>,
+    /// Effective explicit changes since a durable transaction started
+    /// recording, in application order (`true` = inserted) — the batch the
+    /// transaction logs at publish (see [`crate::SharedStore::transact`]).
+    /// `None` outside such a transaction; a published store never records.
+    pub(crate) log: Option<Vec<(IdTriple, bool)>>,
     closure_stats: ClosureStats,
     /// Monotonic change counter: bumped on every effective insert/remove and
     /// on rematerialization. Cache keys derived from query results over this
@@ -174,6 +179,7 @@ impl Store {
             inferred: Layer::default(),
             dirty: false,
             delta: Some(Vec::new()),
+            log: None,
             closure_stats: ClosureStats::default(),
             generation: 0,
             wk,
@@ -208,6 +214,7 @@ impl Store {
             inferred: inferred.unwrap_or_default(),
             dirty,
             delta: (!dirty).then(Vec::new),
+            log: None,
             closure_stats: ClosureStats::default(),
             generation: 0,
             wk,
@@ -236,6 +243,7 @@ impl Store {
             inferred: inferred.unwrap_or_else(|| self.inferred.clone()),
             dirty: self.dirty,
             delta: self.delta.clone(),
+            log: None,
             closure_stats: self.closure_stats,
             generation: self.generation,
             wk: self.wk,
@@ -253,15 +261,6 @@ impl Store {
             stats.add_layer(sl);
         }
         stats
-    }
-
-    /// Open a durable store rooted at `dir` with default persistence
-    /// settings (fsync on every WAL append, crash injection off). See
-    /// [`crate::persist::PersistentStore::open`] for full control.
-    pub fn open(
-        dir: impl AsRef<std::path::Path>,
-    ) -> Result<crate::persist::PersistentStore, crate::persist::PersistError> {
-        crate::persist::PersistentStore::open(dir, crate::persist::PersistConfig::default())
     }
 
     /// The interned ids of the interpreted vocabulary.
@@ -333,6 +332,15 @@ impl Store {
         added
     }
 
+    /// Remove an explicit triple of terms; `false` (and nothing interned)
+    /// when it is absent.
+    pub fn remove(&mut self, t: &Triple) -> bool {
+        match (self.lookup(&t.subject), self.lookup(&t.predicate), self.lookup(&t.object)) {
+            (Some(s), Some(p), Some(o)) => self.remove_ids([s, p, o]),
+            _ => false,
+        }
+    }
+
     /// Remove an explicit triple. The inferred layer is stale until the next
     /// [`Store::refresh_inference`], which re-derives only what this triple
     /// supported.
@@ -344,9 +352,15 @@ impl Store {
         removed
     }
 
+    /// The one funnel every effective explicit change passes through: it
+    /// marks the closure stale, bumps the generation, and feeds both the
+    /// closure's delta and a recording transaction's log.
     fn record_change(&mut self, t: IdTriple, inserted: bool) {
         self.dirty = true;
         self.generation += 1;
+        if let Some(log) = &mut self.log {
+            log.push((t, inserted));
+        }
         if let Some(delta) = &mut self.delta {
             delta.push((t, inserted));
             if delta.len() > DELTA_REPLAY_MIN + self.explicit.len() / DELTA_REPLAY_FRACTION {
@@ -1074,7 +1088,7 @@ mod tests {
     /// base run, so seeks land on deleted heads.
     #[test]
     fn run_len_and_schema_are_exact_on_both_backings() {
-        use crate::persist::{FsyncPolicy, PersistConfig, PersistentStore};
+        use crate::persist::{recover, FsyncPolicy, PersistConfig};
         use rdfa_prng::StdRng;
         for case in 0u64..6 {
             let mut rng = StdRng::seed_from_u64(0x4a11_0000 + case);
@@ -1110,12 +1124,11 @@ mod tests {
             let dir = std::env::temp_dir().join(format!("rdfa-runlen-{}-{case}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let config = || PersistConfig { fsync: FsyncPolicy::Never, ..PersistConfig::default() };
-            let mut durable = PersistentStore::open(&dir, config()).unwrap();
-            *durable.store_mut_unlogged() = mem.clone();
-            durable.checkpoint().unwrap();
-            drop(durable);
-            let (mut seg, _journal, _recovery) =
-                PersistentStore::open(&dir, config()).unwrap().into_parts();
+            // the journal checkpoints `mem` as it is, ids included
+            let (_, journal, _) = recover(&dir, config()).unwrap();
+            journal.checkpoint(|| &mem).unwrap();
+            drop(journal);
+            let (mut seg, _journal, _recovery) = recover(&dir, config()).unwrap();
             assert!(seg.segment_stats().segments > 0, "case {case}: segment-backed");
             assert_counts_exact(&seg, &mut rng, &format!("case {case} segments"));
 

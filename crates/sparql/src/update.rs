@@ -96,15 +96,9 @@ fn apply(
         }
         UpdateOp::DeleteData(triples) => {
             for t in triples {
-                if let (Some(s), Some(p), Some(o)) = (
-                    store.lookup(&t.subject),
-                    store.lookup(&t.predicate),
-                    store.lookup(&t.object),
-                ) {
-                    if store.remove_ids([s, p, o]) {
-                        stats.deleted += 1;
-                        changes.push(Mutation::Remove(t.clone()));
-                    }
+                if store.remove(t) {
+                    stats.deleted += 1;
+                    changes.push(Mutation::Remove(t.clone()));
                 }
             }
         }
@@ -118,7 +112,7 @@ fn apply(
             };
             let (frame, rows) = eval_where(store, &where_, options)?;
             for t in instantiate_all(store, patterns, &frame, &rows) {
-                if remove_triple(store, &t) {
+                if store.remove(&t) {
                     stats.deleted += 1;
                     changes.push(Mutation::Remove(t));
                 }
@@ -129,7 +123,7 @@ fn apply(
             let deletions = instantiate_all(store, delete, &frame, &rows);
             let insertions = instantiate_all(store, insert, &frame, &rows);
             for t in deletions {
-                if remove_triple(store, &t) {
+                if store.remove(&t) {
                     stats.deleted += 1;
                     changes.push(Mutation::Remove(t));
                 }
@@ -143,13 +137,6 @@ fn apply(
         }
     }
     Ok(())
-}
-
-fn remove_triple(store: &mut Store, t: &Triple) -> bool {
-    match (store.lookup(&t.subject), store.lookup(&t.predicate), store.lookup(&t.object)) {
-        (Some(s), Some(p), Some(o)) => store.remove_ids([s, p, o]),
-        _ => false,
-    }
 }
 
 /// Evaluate a WHERE pattern on the physical plan: its frame and rows.

@@ -43,7 +43,7 @@
 //! products KG is served.
 
 use rdf_analytics::server::{Server, ServerConfig};
-use rdf_analytics::store::{LoadOptions, PersistConfig, PersistentStore, Store};
+use rdf_analytics::store::{PersistConfig, PersistError, SharedStore, Store};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -130,14 +130,13 @@ fn main() {
 
     install_signal_handlers();
 
-    let server = match persist_dir {
+    let store = match persist_dir {
         Some(dir) => {
-            let mut pstore = PersistentStore::open(&dir, PersistConfig::from_env())
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot open persistent store at {dir}: {e}");
-                    std::process::exit(2);
-                });
-            let r = pstore.recovery();
+            let store = SharedStore::open(&dir, PersistConfig::from_env()).unwrap_or_else(|e| {
+                eprintln!("cannot open persistent store at {dir}: {e}");
+                std::process::exit(2);
+            });
+            let r = store.recovery().expect("an opened store is durable");
             eprintln!(
                 "recovered {dir}: generation {}, {} checkpoint triples + {} WAL records{}",
                 r.generation,
@@ -148,47 +147,36 @@ fn main() {
                     None => String::new(),
                 }
             );
-            // a file argument seeds an EMPTY durable store; an already
-            // populated one keeps its recovered state
-            if let Some(path) = &input {
-                if pstore.is_empty() {
-                    match load_into_durable(&mut pstore, path) {
-                        Ok(n) => eprintln!("loaded {n} triples from {path}"),
-                        Err(e) => {
-                            eprintln!("cannot load {path}: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                } else {
-                    eprintln!("ignoring {path}: store already holds {} triples", pstore.len());
-                }
-            }
-            Server::start_durable(pstore, port, config)
+            store
         }
+        None if input.is_some() => SharedStore::new(Store::new()),
         None => {
-            let mut store = Store::new();
-            let mut loaded = false;
-            if let Some(path) = &input {
-                match load_into_plain(&mut store, path) {
-                    Ok(n) => eprintln!("loaded {n} triples from {path}"),
-                    Err(e) => {
-                        eprintln!("cannot load {path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-                loaded = true;
-            }
-            if !loaded {
-                rdf_analytics::datagen::ProductsGenerator::new(300, 7)
-                    .generate_into(&mut store);
-                eprintln!(
-                    "no input file given — serving the demo products KG ({} triples)",
-                    store.len()
-                );
-            }
-            Server::start_with(store, port, config)
+            let mut demo = Store::new();
+            rdf_analytics::datagen::ProductsGenerator::new(300, 7).generate_into(&mut demo);
+            eprintln!(
+                "no input file given — serving the demo products KG ({} triples)",
+                demo.len()
+            );
+            SharedStore::new(demo)
         }
     };
+    // a file argument seeds an EMPTY store; a durable one that recovered
+    // data keeps its state
+    if let Some(path) = &input {
+        let held = store.snapshot().len();
+        if held == 0 {
+            match load_file(&store, path) {
+                Ok(n) => eprintln!("loaded {n} triples from {path}"),
+                Err(e) => {
+                    eprintln!("cannot load {path}: {e}");
+                    std::process::exit(2);
+                }
+            }
+        } else {
+            eprintln!("ignoring {path}: store already holds {held} triples");
+        }
+    }
+    let server = Server::start_with(store, port, config);
     let server = server.unwrap_or_else(|e| {
         eprintln!("cannot bind port {port}: {e}");
         std::process::exit(2);
@@ -207,26 +195,20 @@ fn main() {
     eprintln!("bye");
 }
 
-fn load_into_plain(store: &mut Store, path: &str) -> Result<usize, String> {
-    // streamed bulk ingest — N-Triples files are never read into memory
-    // whole
-    if path.ends_with(".nt") {
-        store.load_ntriples_path(path, LoadOptions::default())
-    } else {
-        store.load_turtle_path(path)
-    }
-    .map(|stats| stats.triples)
-    .map_err(|e| e.to_string())
-}
-
-fn load_into_durable(store: &mut PersistentStore, path: &str) -> Result<usize, String> {
-    if path.ends_with(".nt") {
-        store
-            .load_ntriples_path(path)
-            .map(|stats| stats.triples)
-            .map_err(|e| e.to_string())
-    } else {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        store.load_turtle(&text).map_err(|e| e.to_string())
-    }
+/// Load an N-Triples file (streamed in blocks, never read into memory
+/// whole) or a Turtle file in one transaction; returns the parsed triple
+/// count.
+fn load_file(store: &SharedStore, path: &str) -> Result<usize, String> {
+    store
+        .transact(|txn| {
+            if path.ends_with(".nt") {
+                txn.load_ntriples_path(path).map(|stats| stats.triples)
+            } else {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| PersistError::Io { context: "read turtle file", source: e })?;
+                txn.load_turtle(&text)
+            }
+        })
+        .map(|(triples, _)| triples)
+        .map_err(|e| e.to_string())
 }

@@ -27,24 +27,9 @@ use rdf_analytics::analytics::{Action, AnalyticsSession, Script};
 use rdf_analytics::facets::{markers, PathStep};
 use rdf_analytics::model::{Term, Value};
 use rdf_analytics::sparql::Engine;
-use rdf_analytics::store::{LoadOptions, PersistConfig, PersistentStore, Store, StoreStats};
+use rdf_analytics::store::{PersistConfig, PersistError, SharedStore, Store, StoreStats};
 use rdf_analytics::viz::{BarChart, BarDatum};
 use std::io::{BufRead, IsTerminal, Write};
-
-/// The REPL's store: in-memory, or bound to a durable directory.
-enum Backing {
-    Plain(Box<Store>),
-    Durable(Box<PersistentStore>),
-}
-
-impl Backing {
-    fn store(&self) -> &Store {
-        match self {
-            Backing::Plain(s) => s,
-            Backing::Durable(p) => p,
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,61 +55,35 @@ fn main() {
         i += 1;
     }
 
-    let backing = match open_dir {
+    let shared = match &open_dir {
         Some(dir) => {
-            let mut pstore =
-                PersistentStore::open(&dir, PersistConfig::from_env()).unwrap_or_else(|e| {
-                    eprintln!("cannot open {dir}: {e}");
-                    std::process::exit(2);
-                });
-            let r = pstore.recovery();
+            let shared = SharedStore::open(dir, PersistConfig::from_env()).unwrap_or_else(|e| {
+                eprintln!("cannot open {dir}: {e}");
+                std::process::exit(2);
+            });
+            let r = shared.recovery().expect("an opened store is durable");
             eprintln!(
                 "recovered {dir}: generation {}, {} checkpoint triples + {} WAL records",
                 r.generation, r.checkpoint_triples, r.wal_records_replayed
             );
-            // seed only an empty store; a populated one keeps its state
-            if pstore.is_empty() {
-                if let Err(e) = seed_durable(&mut pstore, positional.first()) {
-                    eprintln!("cannot load: {e}");
-                    std::process::exit(2);
-                }
-            } else if let Some(path) = positional.first() {
-                eprintln!("ignoring {path}: store already holds {} triples", pstore.len());
-            }
-            Backing::Durable(Box::new(pstore))
+            shared
         }
-        None => {
-            let mut store = Store::new();
-            match positional.first().map(String::as_str) {
-                Some("invoices") => {
-                    rdf_analytics::datagen::InvoicesGenerator::new(300, 7)
-                        .generate_into(&mut store);
-                }
-                Some(path) if std::path::Path::new(path).exists() => {
-                    // streamed bulk ingest; malformed input is a diagnosed
-                    // exit, not a panic
-                    let loaded = if path.ends_with(".nt") {
-                        store.load_ntriples_path(path, LoadOptions::default())
-                    } else {
-                        store.load_turtle_path(path)
-                    };
-                    match loaded {
-                        Ok(stats) => eprintln!("loaded {} triples from {path}", stats.triples),
-                        Err(e) => {
-                            eprintln!("cannot load {path}: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                _ => {
-                    rdf_analytics::datagen::ProductsGenerator::new(200, 7)
-                        .generate_into(&mut store);
-                }
-            }
-            Backing::Plain(Box::new(store))
-        }
+        None => SharedStore::new(Store::new()),
     };
-    let store = backing.store();
+    // seed only an empty store; a recovered one keeps its state
+    let held = shared.snapshot().len();
+    if held == 0 {
+        if let Err(e) = seed(&shared, positional.first()) {
+            eprintln!("cannot load {e}");
+            std::process::exit(1);
+        }
+    } else if let Some(path) = positional.first() {
+        eprintln!("ignoring {path}: store already holds {held} triples");
+    }
+    // the session reads the snapshot it started on; `checkpoint` folds the
+    // handle's published store, which the next start maps back
+    let snapshot = shared.snapshot();
+    let store: &Store = &snapshot;
     eprintln!(
         "KG ready: {} triples ({} entailed). Type 'help' for commands.",
         store.len(),
@@ -149,7 +108,7 @@ fn main() {
         if line.is_empty() {
             continue;
         }
-        match dispatch(line, &backing, &mut session) {
+        match dispatch(line, &shared, store, &mut session) {
             Ok(Continue::Yes) => {}
             Ok(Continue::No) => break,
             Err(msg) => eprintln!("error: {msg}"),
@@ -157,34 +116,34 @@ fn main() {
     }
 }
 
-/// Seed an empty durable store from a file (or the demo KG), logging the
-/// load through the WAL so it survives a crash before the first checkpoint.
-fn seed_durable(
-    pstore: &mut PersistentStore,
-    path: Option<&String>,
-) -> Result<(), String> {
-    match path.map(String::as_str) {
+/// Seed an empty store from a file (or the demo KG) in one transaction; a
+/// durable store logs the load, so it survives a crash before the first
+/// checkpoint. N-Triples files are streamed in blocks.
+fn seed(shared: &SharedStore, path: Option<&String>) -> Result<(), String> {
+    let loaded = shared.transact(|txn| match path.map(String::as_str) {
         Some("invoices") => {
             let g = rdf_analytics::datagen::InvoicesGenerator::new(300, 7).generate();
-            pstore.load_graph(&g).map_err(|e| e.to_string())?;
+            txn.load_graph(&g).map(|_| None)
         }
         Some(path) if std::path::Path::new(path).exists() => {
             let n = if path.ends_with(".nt") {
-                pstore
-                    .load_ntriples_path(path)
-                    .map_err(|e| format!("{path}: {e}"))?
-                    .triples
+                txn.load_ntriples_path(path)?.triples
             } else {
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                pstore.load_turtle(&text).map_err(|e| e.to_string())?
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| PersistError::Io { context: "read turtle file", source: e })?;
+                txn.load_turtle(&text)?
             };
-            eprintln!("loaded {n} triples from {path}");
+            Ok(Some((n, path)))
         }
         _ => {
             let g = rdf_analytics::datagen::ProductsGenerator::new(200, 7).generate();
-            pstore.load_graph(&g).map_err(|e| e.to_string())?;
+            txn.load_graph(&g).map(|_| None)
         }
+    });
+    match loaded {
+        Ok((Some((n, path)), _)) => eprintln!("loaded {n} triples from {path}"),
+        Ok((None, _)) => {}
+        Err(e) => return Err(format!("{}: {e}", path.map_or("the demo KG", String::as_str))),
     }
     Ok(())
 }
@@ -196,10 +155,10 @@ enum Continue {
 
 fn dispatch(
     line: &str,
-    backing: &Backing,
+    shared: &SharedStore,
+    store: &Store,
     session: &mut AnalyticsSession<'_>,
 ) -> Result<Continue, String> {
-    let store = backing.store();
     let mut words = line.split_whitespace();
     let verb = words.next().unwrap_or("");
     let rest: Vec<&str> = words.collect();
@@ -208,34 +167,22 @@ fn dispatch(
             println!("{HELP}");
         }
         "quit" | "exit" => return Ok(Continue::No),
-        "checkpoint" => match backing {
-            Backing::Durable(p) => {
-                // the session keeps reading the store it started on, so the
-                // folded copy is dropped; the next start maps the segments
-                let (generation, _folded) = p
-                    .journal()
-                    .checkpoint_with(|| p.store())
-                    .map_err(|e| e.to_string())?;
+        "checkpoint" => match shared.checkpoint().map_err(|e| e.to_string())? {
+            Some(generation) => {
+                let dir = shared.journal().expect("a checkpointed store is durable").dir();
                 println!(
                     "checkpointed to generation {generation} in {} ({} triples, WAL reset)",
-                    p.dir().display(),
-                    p.len()
+                    dir.display(),
+                    shared.snapshot().len()
                 );
             }
-            Backing::Plain(_) => {
-                return Err("store is in-memory only — start with --open DIR".into())
-            }
+            None => return Err("store is in-memory only — start with --open DIR".into()),
         },
-        "export" => match backing {
-            Backing::Durable(p) => {
-                let path = rest.first().ok_or("usage: export <file.nt>")?;
-                p.export_ntriples(path).map_err(|e| e.to_string())?;
-                println!("exported {} triples to {path}", p.len());
-            }
-            Backing::Plain(_) => {
-                return Err("store is in-memory only — start with --open DIR".into())
-            }
-        },
+        "export" => {
+            let path = rest.first().ok_or("usage: export <file.nt>")?;
+            shared.export_ntriples(path).map_err(|e| e.to_string())?;
+            println!("exported {} triples to {path}", shared.snapshot().len());
+        }
         "stats" => {
             let stats = StoreStats::gather(store);
             print!("{}", stats.report(store));
@@ -460,5 +407,5 @@ commands:
   record                     print this session's state as a replayable script
   query [--explain] <sparql> run raw SPARQL (one line); --explain appends the executed plan
   checkpoint                 compact the WAL into segment files (--open mode)
-  export <file.nt>           N-Triples fallback dump (--open mode)
+  export <file.nt>           N-Triples dump of the explicit triples
   quit";

@@ -21,23 +21,24 @@
 //! # Snapshot-isolated reads
 //!
 //! Every read request (`/v1/query`, `/v1/facets`, `/void`, `/healthz`)
-//! starts by taking a [`Snapshot`] — an atomic `Arc` clone of the current
-//! published store, after which **no lock is held** for the rest of the
-//! request. A reader can never block behind an update, never observe a
+//! starts by taking a [`Snapshot`](rdfa_store::Snapshot) — an atomic `Arc`
+//! clone of the current published store, after which **no lock is held**
+//! for the rest of the request. A reader can never block behind an update, never observe a
 //! half-applied batch, and never be poisoned by a panicking writer.
 //!
-//! Updates run inside a [`SnapshotStore`] write transaction: the handler
-//! mutates a private copy-on-write working store (writers are serialized
-//! by a mutex readers never touch) and publishes the whole batch with one
-//! pointer swap on success. A failed or panicking update publishes
-//! nothing — concurrent readers keep the previous generation throughout.
+//! Updates run through [`SharedStore::transact`], the store's one commit
+//! path: the handler mutates a private copy-on-write working store
+//! (writers are serialized by a mutex readers never touch) and the whole
+//! batch is published with one pointer swap on success. A failed or
+//! panicking update publishes nothing — concurrent readers keep the
+//! previous generation throughout.
 //!
-//! On the durable path the WAL append and the publish happen under one
-//! [`Journal`] lock hold ([`Journal::log_mutations_then`]), and shutdown /
-//! [`Server::checkpoint`] capture their store view under that same lock
-//! ([`Journal::checkpoint_with`]) — so an acknowledged batch is always in
-//! the checkpoint or in the WAL, never compacted away *and* forgotten.
-//! Checkpoints read a snapshot: they no longer pause queries at all.
+//! On a durable store the transaction logs the batch's effective changes
+//! as one WAL record and publishes it under one journal lock hold, and
+//! shutdown / [`Server::checkpoint`] capture their store view under that
+//! same lock — so an acknowledged batch is always in the checkpoint or in
+//! the WAL, never compacted away *and* forgotten. Checkpoints read a
+//! snapshot: they do not pause queries at all.
 //!
 //! # Admission control
 //!
@@ -78,9 +79,7 @@ use rdfa_facets::{
 use rdfa_model::json::{json_string, push_json_string};
 use rdfa_model::Term;
 use rdfa_sparql::{execute_update_limited, CancelFlag, Engine, EvalLimits, QueryResults};
-use rdfa_store::{
-    Journal, Mutation, PersistError, PersistentStore, Snapshot, SnapshotStore, Store, StoreStats,
-};
+use rdfa_store::{Mutation, PersistError, SharedStore, Store, StoreStats};
 use rdfa_views::ViewManager;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -158,68 +157,6 @@ impl Default for ServerConfig {
             view_budget_bytes: rdfa_views::ViewConfig::default().memory_budget_bytes,
             view_min_observations: rdfa_views::ViewConfig::default().min_observations,
         }
-    }
-}
-
-/// The store behind the endpoint: a lock-free-for-readers [`SnapshotStore`],
-/// plus a [`Journal`] when the endpoint is durable (mutations WAL-logged
-/// under the same lock hold that publishes them).
-pub struct SharedStore {
-    store: SnapshotStore,
-    journal: Option<Journal>,
-}
-
-impl SharedStore {
-    /// An in-memory store with no durability.
-    pub fn plain(store: Store) -> SharedStore {
-        SharedStore { store: SnapshotStore::new(store), journal: None }
-    }
-
-    /// A durable store, split into its snapshot half (published state) and
-    /// its journal half (WAL + checkpoints), so readers never queue behind
-    /// an fsync.
-    pub fn durable(store: PersistentStore) -> SharedStore {
-        let (store, journal, _recovery) = store.into_parts();
-        SharedStore { store: SnapshotStore::new(store), journal: Some(journal) }
-    }
-
-    /// The current published snapshot — an atomic `Arc` clone; no lock is
-    /// held after this returns.
-    pub fn snapshot(&self) -> Snapshot {
-        self.store.snapshot()
-    }
-
-    /// The snapshot store itself (for write transactions in tests/tools).
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
-    }
-
-    /// The journal, when durable.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
-    /// Checkpoint the durable store (`Ok(None)` for a plain one). The store
-    /// view is captured under the journal lock, so no acknowledged batch
-    /// can be both compacted away and lost; readers proceed throughout.
-    ///
-    /// The checkpoint also *folds*: the equivalent store rebuilt on the
-    /// freshly persisted mmap segments (empty overlay, frozen term
-    /// dictionary) is swapped in for the published view, so the next write
-    /// transaction clones an overlay, not the whole store. The swap is
-    /// best-effort — if an update published in between, the current
-    /// overlay simply survives until the next checkpoint.
-    pub fn checkpoint(&self) -> Result<Option<u64>, PersistError> {
-        let Some(j) = &self.journal else {
-            return Ok(None);
-        };
-        let mut view = None;
-        let (generation, folded) =
-            j.checkpoint_with(|| view.insert(self.store.snapshot()).clone())?;
-        if let Some(view) = view {
-            let _ = self.store.try_replace_equivalent(&view.into_arc(), folded);
-        }
-        Ok(Some(generation))
     }
 }
 
@@ -304,31 +241,20 @@ pub struct Server {
 
 impl Server {
     /// Bind `127.0.0.1:port` (0 = ephemeral) and serve with default config.
-    pub fn start(store: Store, port: u16) -> std::io::Result<Server> {
+    pub fn start(store: impl Into<SharedStore>, port: u16) -> std::io::Result<Server> {
         Server::start_with(store, port, ServerConfig::default())
     }
 
-    /// Bind and serve with an explicit [`ServerConfig`].
-    pub fn start_with(store: Store, port: u16, config: ServerConfig) -> std::io::Result<Server> {
-        Server::serve(Arc::new(SharedStore::plain(store)), port, config)
-    }
-
-    /// Serve a durable store: `/v1/update` is WAL-logged before it is
-    /// acknowledged, `/healthz` reports generation and WAL lag, and
-    /// shutdown checkpoints after draining in-flight requests.
-    pub fn start_durable(
-        store: PersistentStore,
+    /// Bind and serve with an explicit [`ServerConfig`]. A durable store
+    /// ([`SharedStore::open`]) logs every `/v1/update` before it is
+    /// acknowledged, `/healthz` reports its generation and WAL lag, and
+    /// shutdown checkpoints it after draining in-flight requests.
+    pub fn start_with(
+        store: impl Into<SharedStore>,
         port: u16,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        Server::serve(Arc::new(SharedStore::durable(store)), port, config)
-    }
-
-    fn serve(
-        shared: Arc<SharedStore>,
-        port: u16,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
+        let shared = Arc::new(store.into());
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -1418,57 +1344,52 @@ fn facets_json(
     out
 }
 
-/// Apply an update as one atomic write transaction: mutate a private
-/// working store, then publish the whole batch with a single pointer swap.
-/// Readers never see a half-applied update, and a failed update (parse
-/// error, resource limit, WAL failure, or panic) publishes nothing — the
-/// transaction rolls back on drop.
-///
-/// On the durable path the WAL append and the publish happen under one
-/// journal lock hold: a batch is acknowledged only after it is both logged
-/// and visible, and a concurrent checkpoint can never compact away a
-/// record for a batch that is not in its store view.
+/// Why an update was not acknowledged.
+enum UpdateFailure {
+    /// Parse error or resource limit: the client's request.
+    Query(rdfa_sparql::SparqlError),
+    /// The WAL append failed: nothing was published.
+    Durability(PersistError),
+}
+
+impl From<PersistError> for UpdateFailure {
+    fn from(e: PersistError) -> Self {
+        UpdateFailure::Durability(e)
+    }
+}
+
+/// Apply an update as one [`SharedStore::transact`] transaction: mutate a
+/// private working store, then log and publish the whole batch. Readers
+/// never see a half-applied update, and a failed update (parse error,
+/// resource limit, WAL failure, or panic) publishes nothing.
 fn serve_update(
     wire: &mut Wire<'_>,
     ctx: &Ctx,
     body: &str,
 ) -> std::io::Result<()> {
-    let shared = &*ctx.shared;
     let views = ctx.views.as_deref();
-    let mut txn = shared.store.begin_write();
-    // The writer mutex serializes updates, so a snapshot taken after
-    // `begin_write` is exactly the transaction's base state — the "before"
-    // store the view maintainer subtracts delta contributions from.
-    let before = views.map(|_| shared.snapshot());
-    // the WHERE clauses run under the query limits: the writer mutex is held
-    // throughout, so an unbounded one would block every writer
-    let (stats, changes) = match execute_update_limited(txn.store_mut(), body, &ctx.config.limits)
-    {
+    let applied = ctx.shared.transact(|txn| {
+        // The writer mutex serializes updates, so a snapshot taken inside
+        // the transaction is exactly its base state — the "before" store
+        // the view maintainer subtracts delta contributions from; the
+        // snapshot `transact` returns is the one it published.
+        let before = views.map(|_| ctx.shared.snapshot());
+        // the WHERE clauses run under the query limits: the writer mutex is
+        // held throughout, so an unbounded one would block every writer
+        execute_update_limited(txn.store_mut(), body, &ctx.config.limits)
+            .map(|(stats, changes)| (stats, changes, before))
+            .map_err(UpdateFailure::Query)
+    });
+    let ((stats, changes, before), after) = match applied {
         Ok(applied) => applied,
-        Err(e) => return write_query_error(wire, &e), // txn rolls back on drop
-    };
-    let after = match &shared.journal {
-        // capture the published snapshot atomically with the publish (before
-        // the writer guard releases), so the maintainer's before/after pair
-        // brackets exactly this batch even under concurrent updates
-        None => txn.commit_with(|| shared.snapshot()),
-        // log the batch's concrete triple changes as ONE atomic WAL record
-        // and publish under the same journal lock hold
-        Some(journal) => {
-            let publish = move || txn.commit_with(|| shared.snapshot());
-            match journal.log_mutations_then(&changes, publish) {
-                Ok(after) => after,
-                // the WAL append failed before publish: the batch rolled
-                // back in memory too, so the store and the log still agree
-                Err(e) => {
-                    return write_response(
-                        wire,
-                        "500 Internal Server Error",
-                        "application/json",
-                        &json_error(500, &format!("durability failure: {e}")),
-                    )
-                }
-            }
+        Err(UpdateFailure::Query(e)) => return write_query_error(wire, &e),
+        Err(UpdateFailure::Durability(e)) => {
+            return write_response(
+                wire,
+                "500 Internal Server Error",
+                "application/json",
+                &json_error(500, &format!("durability failure: {e}")),
+            )
         }
     };
     maintain_views(views, before.as_deref(), &after, &changes);
@@ -2338,13 +2259,13 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("rdfa-server-limited-update-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut pstore = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        pstore.load_turtle(&cycle_ttl(400)).unwrap();
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+        store.transact(|txn| txn.load_turtle(&cycle_ttl(400))).unwrap();
         let config = ServerConfig {
             limits: EvalLimits::default().with_max_path_visits(100),
             ..ServerConfig::default()
         };
-        let server = Server::start_durable(pstore, 0, config).unwrap();
+        let server = Server::start_with(store, 0, config).unwrap();
         let before = get(server.addr(), "/healthz", "*/*");
         let resp = post(server.addr(), "/v1/update", CLOSURE_DELETE);
         assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
@@ -2473,14 +2394,13 @@ mod tests {
             .join(format!("rdfa-server-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut pstore = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-            pstore
-                .load_turtle(
-                    r#"@prefix ex: <http://example.org/> . ex:l1 a ex:Laptop ."#,
-                )
+            let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+            store
+                .transact(|txn| {
+                    txn.load_turtle(r#"@prefix ex: <http://example.org/> . ex:l1 a ex:Laptop ."#)
+                })
                 .unwrap();
-            let server =
-                Server::start_durable(pstore, 0, ServerConfig::default()).unwrap();
+            let server = Server::start_with(store, 0, ServerConfig::default()).unwrap();
             let resp = post(
                 server.addr(),
                 "/v1/update",
@@ -2497,11 +2417,12 @@ mod tests {
         }
         // a new process generation reopens the directory and sees both
         // laptops — from the shutdown checkpoint, with an empty WAL
-        let pstore = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(pstore.recovery().generation, 1);
-        assert_eq!(pstore.recovery().checkpoint_triples, 2);
-        assert_eq!(pstore.recovery().wal_records_replayed, 0);
-        let server = Server::start_durable(pstore, 0, ServerConfig::default()).unwrap();
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+        let recovery = store.recovery().unwrap();
+        assert_eq!(recovery.generation, 1);
+        assert_eq!(recovery.checkpoint_triples, 2);
+        assert_eq!(recovery.wal_records_replayed, 0);
+        let server = Server::start_with(store, 0, ServerConfig::default()).unwrap();
         let q = percent_encode(
             "PREFIX ex: <http://example.org/> SELECT (COUNT(?x) AS ?n) WHERE { ?x a ex:Laptop . }",
         );

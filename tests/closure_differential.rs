@@ -16,7 +16,7 @@
 use rdf_analytics::model::{vocab, Term};
 use rdf_analytics::sparql::{execute_update, execute_update_recording};
 use rdf_analytics::store::{
-    FsyncPolicy, IdTriple, Journal, Mutation, PersistConfig, PersistentStore, Store,
+    FsyncPolicy, IdTriple, Mutation, PersistConfig, PersistError, SharedStore, Store,
 };
 use rdfa_prng::StdRng;
 
@@ -90,24 +90,26 @@ fn mem_store(ttl: &str) -> Store {
 }
 
 /// The same data behind mmap segments: loaded durably, checkpointed with a
-/// fold, reopened. The journal is returned only to keep the directory's
+/// fold, reopened. The handle is returned only to keep the directory's
 /// files open for as long as the store reads them.
-fn seg_store(ttl: &str, tag: &str) -> (Store, Journal, std::path::PathBuf) {
+fn seg_store(ttl: &str, tag: &str) -> (Store, SharedStore, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("rdfa-closure-diff-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = || PersistConfig {
         fsync: FsyncPolicy::Never,
         ..PersistConfig::default()
     };
-    let mut p = PersistentStore::open(&dir, config()).unwrap();
-    p.load_turtle(ttl).unwrap();
+    let p = SharedStore::open(&dir, config()).unwrap();
+    p.transact(|txn| txn.load_turtle(ttl)).unwrap();
     p.checkpoint().unwrap();
     drop(p);
-    let (store, journal, _) = PersistentStore::open(&dir, config()).unwrap().into_parts();
+    let handle = SharedStore::open(&dir, config()).unwrap();
+    // an owned copy to update in memory: it shares the mapped segments
+    let store = Store::clone(&handle.snapshot());
     let stats = store.segment_stats();
     assert!(stats.segments >= 2, "explicit and inferred layers must both be segment-backed");
     assert!(!store.is_dirty(), "a folded checkpoint persists the closure");
-    (store, journal, dir)
+    (store, handle, dir)
 }
 
 /// Explicit triples whose predicate is not one of the four schema predicates.
@@ -296,27 +298,30 @@ fn maintained_closure_survives_checkpoint_and_replay() {
         fsync: FsyncPolicy::Never,
         ..PersistConfig::default()
     };
-    let mut p = PersistentStore::open(&dir, config()).unwrap();
-    p.load_turtle(&ttl).unwrap();
+    let mut p = SharedStore::open(&dir, config()).unwrap();
+    p.transact(|txn| txn.load_turtle(&ttl)).unwrap();
     p.checkpoint().unwrap();
     for round in 0..3 {
         for _ in 0..8 {
-            let update = data_step(&mut rng, p.store());
-            let (_, changes) = execute_update_recording(p.store_mut_unlogged(), &update).unwrap();
-            p.log_mutations(&changes).unwrap();
+            let update = data_step(&mut rng, &p.snapshot());
+            // the transaction logs what the update changed in its store
+            p.transact(|txn| {
+                Ok::<_, PersistError>(execute_update_recording(txn.store_mut(), &update).unwrap())
+            })
+            .unwrap();
         }
-        assert_equals_rebuild(p.store(), &format!("round {round} live"));
-        let want: Vec<IdTriple> = p.store().matching(None, None, None).collect();
+        assert_equals_rebuild(&p.snapshot(), &format!("round {round} live"));
+        let want: Vec<IdTriple> = p.snapshot().matching(None, None, None).collect();
         if round % 2 == 0 {
             p.checkpoint().unwrap();
         }
         drop(p);
-        p = PersistentStore::open(&dir, config()).unwrap();
-        assert_eq!(p.recovery().wal_records_replayed == 0, round % 2 == 0);
-        assert!(!p.store().is_dirty());
-        let got: Vec<IdTriple> = p.store().matching(None, None, None).collect();
+        p = SharedStore::open(&dir, config()).unwrap();
+        assert_eq!(p.recovery().unwrap().wal_records_replayed == 0, round % 2 == 0);
+        assert!(!p.snapshot().is_dirty());
+        let got: Vec<IdTriple> = p.snapshot().matching(None, None, None).collect();
         assert_eq!(got, want, "round {round}: reopened store differs");
-        assert_equals_rebuild(p.store(), &format!("round {round} reopened"));
+        assert_equals_rebuild(&p.snapshot(), &format!("round {round} reopened"));
     }
     drop(p);
     let _ = std::fs::remove_dir_all(dir);

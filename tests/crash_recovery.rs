@@ -3,17 +3,26 @@
 //! reopen to a consistent prefix of the committed operations — no panic,
 //! no partial record visible, no acknowledged write lost.
 //!
-//! The scripted workload exercises both write paths: five single-triple
-//! inserts, a checkpoint (segments + manifest + WAL rotation + CURRENT
-//! flip), then five more inserts. An operation counts as *acknowledged* only when
-//! the API returned `Ok`; recovery may additionally surface at most one
+//! The scripted workload runs through the store's one commit path,
+//! [`SharedStore::transact`] and [`SharedStore::checkpoint`], and writes
+//! every record kind the server writes: five single-triple insert
+//! transactions, a checkpoint (segments + manifest + WAL rotation +
+//! CURRENT flip), a four-triple batch (one `OP_BATCH` record), a
+//! three-triple load (one `OP_LOAD` record), an insert, a second
+//! checkpoint, and a last insert. Each crash point is armed three ways:
+//! from the start (the first record or checkpoint it meets), and after a
+//! clean restart just before the batch and just before the load, so each
+//! one is also hit mid-batch and mid-load (or in the checkpoint that
+//! folds them). An operation counts as *acknowledged* only when the API
+//! returned `Ok`; recovery may additionally surface at most one
 //! unacknowledged operation (a record fully written before the crash label
-//! fired), and never anything else.
+//! fired), whole, and never anything else.
 
 use rdf_analytics::model::{Term, Triple};
 use rdf_analytics::store::{
-    CrashInjector, FsyncPolicy, PersistConfig, PersistError, PersistentStore, CRASH_POINTS,
+    CrashInjector, FsyncPolicy, PersistConfig, PersistError, SharedStore, Store, CRASH_POINTS,
 };
+use std::ops::Range;
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -34,7 +43,7 @@ fn triple(i: usize) -> Triple {
     )
 }
 
-fn has_triple(store: &PersistentStore, i: usize) -> bool {
+fn has_triple(store: &Store, i: usize) -> bool {
     let t = triple(i);
     match (store.lookup(&t.subject), store.lookup(&t.predicate), store.lookup(&t.object)) {
         (Some(s), Some(p), Some(o)) => {
@@ -44,57 +53,123 @@ fn has_triple(store: &PersistentStore, i: usize) -> bool {
     }
 }
 
-/// Run the scripted workload until the injected crash stops it; return the
-/// number of *acknowledged* operations (insert i is op i, each distinct).
-fn run_until_crash(dir: &PathBuf, config: PersistConfig) -> (usize, bool) {
-    let mut store = PersistentStore::open(dir, config).expect("initial open never crashes");
-    let mut acked = 0usize;
-    let mut crashed = false;
-    for i in 0..10 {
-        match store.insert(&triple(i)) {
-            Ok(added) => {
-                assert!(added, "scripted triples are distinct");
-                acked += 1;
+/// Insert one triple in a transaction of its own.
+fn insert(store: &SharedStore, i: usize) -> Result<bool, PersistError> {
+    store.transact(|txn| Ok(txn.store_mut().insert(&triple(i)))).map(|(added, _)| added)
+}
+
+/// One step of the scripted workload; data steps write triples `range`.
+#[derive(Debug, Clone)]
+enum Op {
+    /// One single-triple transaction.
+    Insert(usize),
+    /// One transaction inserting every triple of the range: an `OP_BATCH`.
+    Batch(Range<usize>),
+    /// One N-Triples load of the range: an `OP_LOAD`.
+    Load(Range<usize>),
+    Checkpoint,
+}
+
+impl Op {
+    fn triples(&self) -> Range<usize> {
+        match self {
+            Op::Insert(i) => *i..*i + 1,
+            Op::Batch(r) | Op::Load(r) => r.clone(),
+            Op::Checkpoint => 0..0,
+        }
+    }
+
+    fn apply(&self, store: &SharedStore) -> Result<(), PersistError> {
+        match self {
+            Op::Insert(i) => {
+                assert!(insert(store, *i)?, "scripted triples are distinct");
             }
+            Op::Batch(range) => {
+                store.transact(|txn| {
+                    for i in range.clone() {
+                        let added = txn.store_mut().insert(&triple(i));
+                        assert!(added, "scripted triples are distinct");
+                    }
+                    Ok::<_, PersistError>(())
+                })?;
+            }
+            Op::Load(range) => {
+                let text: String = range.clone().map(|i| format!("{}\n", triple(i))).collect();
+                store.transact(|txn| txn.load_ntriples(&text))?;
+            }
+            Op::Checkpoint => {
+                store.checkpoint()?;
+            }
+        }
+        Ok(())
+    }
+}
+
+fn script() -> Vec<Op> {
+    let mut ops: Vec<Op> = (0..5).map(Op::Insert).collect();
+    ops.extend([
+        Op::Checkpoint,
+        Op::Batch(5..9),
+        Op::Load(9..12),
+        Op::Insert(12),
+        Op::Checkpoint,
+        Op::Insert(13),
+    ]);
+    ops
+}
+
+/// Where a case arms its crash point: from the first operation, or after
+/// a clean restart just before the batch or the load.
+const BATCH_STEP: usize = 6;
+const LOAD_STEP: usize = 7;
+
+/// Run the script from `start` on a store opened with `config` until the
+/// injected crash stops it. Returns the triples acknowledged so far (the
+/// script writes triples in order, so that is a prefix length), the size
+/// of the operation the crash interrupted, and whether it crashed.
+fn run_until_crash(
+    dir: &PathBuf,
+    config: PersistConfig,
+    start: usize,
+) -> (usize, usize, bool) {
+    let ops = script();
+    let mut acked = ops[..start].iter().map(|op| op.triples().len()).sum::<usize>();
+    let store = SharedStore::open(dir, config).expect("initial open never crashes");
+    for op in &ops[start..] {
+        match op.apply(&store) {
+            Ok(()) => acked += op.triples().len(),
             Err(e) => {
                 assert!(
                     matches!(e, PersistError::InjectedCrash { .. }),
-                    "only the injector may fail this workload: {e}"
+                    "only the injector may fail this workload ({op:?}): {e}"
                 );
-                crashed = true;
-                break;
-            }
-        }
-        if i == 4 {
-            match store.checkpoint() {
-                Ok(_) => {}
-                Err(e) => {
-                    assert!(
-                        matches!(e, PersistError::InjectedCrash { .. }),
-                        "only the injector may fail the checkpoint: {e}"
-                    );
-                    crashed = true;
-                    break;
-                }
+                // nothing the failed operation did is visible, and the
+                // handle is poisoned, exactly like a dead process
+                assert_eq!(store.snapshot().len(), acked, "a failed write published ({op:?})");
+                assert!(store.journal().unwrap().is_dead(), "crash must poison the handle");
+                assert!(matches!(insert(&store, 99), Err(PersistError::Dead)));
+                return (acked, op.triples().len(), true);
             }
         }
     }
-    if crashed {
-        // the handle is poisoned, exactly like a dead process
-        assert!(store.is_dead(), "crash must poison the handle");
-        assert!(matches!(store.insert(&triple(99)), Err(PersistError::Dead)));
-    }
-    (acked, crashed)
+    (acked, 0, false)
 }
 
 /// After reopening, the store must hold the acknowledged prefix — and at
-/// most one record beyond it (fully written but unacknowledged).
-fn assert_consistent_prefix(store: &PersistentStore, acked: usize, label: &str, policy: &str) {
+/// most the one operation beyond it (fully written but unacknowledged),
+/// whole: a batch or a load recovers all or nothing.
+fn assert_consistent_prefix(
+    store: &Store,
+    acked: usize,
+    interrupted: usize,
+    label: &str,
+    policy: &str,
+) {
     let n = store.len();
     assert!(
-        n == acked || n == acked + 1,
-        "[{label} / {policy}] recovered {n} triples, acknowledged {acked}: \
-         not a consistent prefix"
+        n == acked || n == acked + interrupted,
+        "[{label} / {policy}] recovered {n} triples, acknowledged {acked} \
+         (the interrupted operation writes {interrupted}): not a consistent prefix"
     );
     for i in 0..n {
         assert!(
@@ -116,34 +191,46 @@ fn every_crash_point_recovers_under_every_fsync_policy() {
         ("every-2", FsyncPolicy::EveryN(2)),
         ("never", FsyncPolicy::Never),
     ];
+    let starts = [("first", 0), ("batch", BATCH_STEP), ("load", LOAD_STEP)];
+    let mut cases = 0;
     for &label in CRASH_POINTS {
         for (pname, policy) in policies {
-            let tag = format!("{label}-{pname}");
-            let dir = tmpdir(&tag);
-            let config = PersistConfig {
-                fsync: policy,
-                crash: CrashInjector::at(label, 1),
-                ..PersistConfig::default()
-            };
-            let (acked, crashed) = run_until_crash(&dir, config);
-            assert!(
-                crashed,
-                "[{label} / {pname}] the workload never reached this crash point"
-            );
-            // recovery: must succeed, must not panic, must see a prefix
-            let mut store = PersistentStore::open(&dir, PersistConfig::default())
-                .unwrap_or_else(|e| panic!("[{tag}] recovery failed: {e}"));
-            assert_consistent_prefix(&store, acked, label, &tag);
-            // and the recovered store is fully usable again: a checkpoint
-            // supersedes the half-written generation the crash left behind
-            let next = store.len();
-            store
-                .insert(&triple(next))
-                .expect("recovered store accepts writes");
-            store.checkpoint().expect("recovered store checkpoints");
-            let _ = std::fs::remove_dir_all(&dir);
+            for (sname, start) in starts {
+                let tag = format!("{label}-{pname}-{sname}");
+                let dir = tmpdir(&tag);
+                // the script up to `start` runs cleanly, then the store
+                // restarts with the crash point armed
+                if start > 0 {
+                    let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+                    for op in &script()[..start] {
+                        op.apply(&store).unwrap_or_else(|e| panic!("[{tag}] {op:?}: {e}"));
+                    }
+                }
+                let config = PersistConfig {
+                    fsync: policy,
+                    crash: CrashInjector::at(label, 1),
+                    ..PersistConfig::default()
+                };
+                let (acked, interrupted, crashed) = run_until_crash(&dir, config, start);
+                assert!(
+                    crashed,
+                    "[{tag}] the workload never reached this crash point"
+                );
+                // recovery: must succeed, must not panic, must see a prefix
+                let store = SharedStore::open(&dir, PersistConfig::default())
+                    .unwrap_or_else(|e| panic!("[{tag}] recovery failed: {e}"));
+                assert_consistent_prefix(&store.snapshot(), acked, interrupted, label, &tag);
+                // and the recovered store is fully usable again: a checkpoint
+                // supersedes the half-written generation the crash left behind
+                let next = store.snapshot().len();
+                insert(&store, next).expect("recovered store accepts writes");
+                store.checkpoint().expect("recovered store checkpoints");
+                cases += 1;
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
+    assert_eq!(cases, CRASH_POINTS.len() * 3 * 3);
 }
 
 #[test]
@@ -151,21 +238,23 @@ fn repeated_crashes_still_converge() {
     // crash → recover → crash at a later point → recover: each recovery
     // lands on a consistent prefix and the store keeps making progress
     let dir = tmpdir("repeat");
-    let (acked1, crashed) = run_until_crash(
+    let (acked1, interrupted, crashed) = run_until_crash(
         &dir,
         PersistConfig {
             fsync: FsyncPolicy::Always,
             crash: CrashInjector::at("wal.append.torn-body", 2),
             ..PersistConfig::default()
         },
+        0,
     );
     assert!(crashed);
     {
-        let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_consistent_prefix(&store, acked1, "wal.append.torn-body:2", "always");
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+        let snap = store.snapshot();
+        assert_consistent_prefix(&snap, acked1, interrupted, "wal.append.torn-body:2", "always");
     }
     // second life: crash during the checkpoint this time
-    let mut store = PersistentStore::open(
+    let store = SharedStore::open(
         &dir,
         PersistConfig {
             fsync: FsyncPolicy::Always,
@@ -174,15 +263,15 @@ fn repeated_crashes_still_converge() {
         },
     )
     .unwrap();
-    let base = store.len();
-    store.insert(&triple(100)).unwrap();
+    let base = store.snapshot().len();
+    insert(&store, 100).unwrap();
     assert!(matches!(
         store.checkpoint(),
         Err(PersistError::InjectedCrash { point: "checkpoint.current" })
     ));
     drop(store);
-    let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-    assert_eq!(store.len(), base + 1, "insert before the failed checkpoint survives");
+    let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+    assert_eq!(store.snapshot().len(), base + 1, "insert before the failed checkpoint survives");
 }
 
 /// One flipped byte in a checkpointed generation never yields a wrong
@@ -199,7 +288,7 @@ fn flipped_checkpoint_byte_is_detected() {
     const SEG_TRAILER: usize = 68;
     let dir = tmpdir("checkpoint-corruption");
     {
-        let mut store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
         let mut ttl = String::from(
             "@prefix ex: <http://crash.test/> .\n\
              @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
@@ -208,12 +297,12 @@ fn flipped_checkpoint_byte_is_detected() {
         for i in 0..30 {
             ttl.push_str(&format!("ex:s{i} a ex:Laptop ; ex:p {i} .\n"));
         }
-        store.load_turtle(&ttl).unwrap();
+        store.transact(|txn| txn.load_turtle(&ttl)).unwrap();
         store.checkpoint().unwrap();
     }
-    let full_scan = |store: &PersistentStore| store.matching(None, None, None).collect::<Vec<_>>();
+    let full_scan = |store: &Store| store.matching(None, None, None).collect::<Vec<_>>();
     let (len, expected) = {
-        let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap().snapshot();
         (store.len(), full_scan(&store))
     };
     assert!(expected.len() > len, "the closure segment must hold triples");
@@ -240,7 +329,7 @@ fn flipped_checkpoint_byte_is_detected() {
             bytes[pos] ^= 0x20;
             std::fs::write(&path, &bytes).unwrap();
             let at = format!("{name} byte {pos}");
-            match PersistentStore::open(&dir, PersistConfig::default()) {
+            match SharedStore::open(&dir, PersistConfig::default()).map(|s| s.snapshot()) {
                 Err(
                     PersistError::Checksum { .. }
                     | PersistError::BadMagic { .. }
@@ -270,7 +359,7 @@ fn flipped_checkpoint_byte_is_detected() {
     // metadata flips are refused at open; the two block flips are caught
     // by the scan
     assert_eq!((refused, caught), (2 * 3 + 2 * 8, 2));
-    let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+    let store = SharedStore::open(&dir, PersistConfig::default()).unwrap().snapshot();
     assert_eq!(store.len(), len);
     assert_eq!(full_scan(&store), expected);
     let _ = std::fs::remove_dir_all(&dir);
@@ -280,9 +369,9 @@ fn flipped_checkpoint_byte_is_detected() {
 fn flipped_wal_byte_truncates_to_committed_prefix() {
     let dir = tmpdir("wal-corruption");
     {
-        let mut store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
         for i in 0..12 {
-            store.insert(&triple(i)).unwrap();
+            insert(&store, i).unwrap();
         }
     }
     let wal = dir.join("wal.0.log");
@@ -291,23 +380,23 @@ fn flipped_wal_byte_truncates_to_committed_prefix() {
     let target = bytes.len() * 2 / 3;
     corrupted[target] ^= 0x01;
     std::fs::write(&wal, &corrupted).unwrap();
-    let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-    let report = store.recovery();
+    let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+    let report = store.recovery().unwrap();
     let truncation = report.wal_truncation.clone().expect("corruption must be reported");
     assert!(truncation.offset < bytes.len() as u64);
     let n = report.wal_records_replayed as usize;
     assert!(n < 12, "corrupted record must not replay");
-    assert_consistent_prefix(&store, n, "flipped-wal-byte", "always");
+    assert_consistent_prefix(&store.snapshot(), n, 1, "flipped-wal-byte", "always");
     // the log was physically truncated: a fresh append goes to a clean
     // boundary and survives the next reopen
     drop(store);
-    let mut store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-    let n = store.len();
-    store.insert(&triple(n)).unwrap();
+    let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+    let n = store.snapshot().len();
+    insert(&store, n).unwrap();
     drop(store);
-    let store = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-    assert_eq!(store.len(), n + 1);
-    assert!(store.recovery().wal_truncation.is_none());
+    let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+    assert_eq!(store.snapshot().len(), n + 1);
+    assert!(store.recovery().unwrap().wal_truncation.is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -324,9 +413,9 @@ fn seeded_crash_sampling_soak() {
                 crash: CrashInjector::sampled(seed, 0.04),
                 ..PersistConfig::default()
             };
-            let mut store = PersistentStore::open(&dir, config).unwrap();
+            let store = SharedStore::open(&dir, config).unwrap();
             for i in 0..40 {
-                match store.insert(&triple(i)) {
+                match insert(&store, i) {
                     Ok(_) => acked += 1,
                     Err(_) => break,
                 }
@@ -335,9 +424,9 @@ fn seeded_crash_sampling_soak() {
                 }
             }
         }
-        let store = PersistentStore::open(&dir, PersistConfig::default())
+        let store = SharedStore::open(&dir, PersistConfig::default())
             .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
-        assert_consistent_prefix(&store, acked, "sampled", &format!("seed-{seed}"));
+        assert_consistent_prefix(&store.snapshot(), acked, 1, "sampled", &format!("seed-{seed}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

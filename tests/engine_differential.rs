@@ -14,7 +14,7 @@ use rdf_analytics::sparql::{
     execute_update_recording, CancelFlag, Engine, EvalLimits, EvalOptions, LimitKind,
     QueryResults, SparqlError,
 };
-use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistentStore, Store};
+use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistError, SharedStore, Store};
 use rdfa_prng::StdRng;
 
 fn store() -> Store {
@@ -35,15 +35,19 @@ fn mmap_store(tag: &str, graph: &Graph) -> (std::path::PathBuf, Store) {
         fsync: FsyncPolicy::Never,
         ..PersistConfig::default()
     };
-    let mut p = PersistentStore::open(&dir, config()).unwrap();
-    for t in graph.iter() {
-        p.insert(t).unwrap();
-    }
-    p.materialize_inference();
+    let p = SharedStore::open(&dir, config()).unwrap();
+    p.transact(|txn| {
+        let store = txn.store_mut();
+        for t in graph.iter() {
+            store.insert(t);
+        }
+        store.materialize_inference();
+        Ok::<_, PersistError>(())
+    })
+    .unwrap();
     p.checkpoint().unwrap();
     drop(p);
-    let p = PersistentStore::open(&dir, config()).unwrap();
-    let (store, _journal, _recovery) = p.into_parts();
+    let store = Store::clone(&SharedStore::open(&dir, config()).unwrap().snapshot());
     (dir, store)
 }
 

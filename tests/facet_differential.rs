@@ -373,7 +373,7 @@ fn markers_match_reference() {
 /// assignment), identical markers, identical facet-algebra results.
 #[test]
 fn markers_byte_identical_over_mmap_segments() {
-    use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistentStore};
+    use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistError, SharedStore};
     for case in 0u64..6 {
         let mut rng = StdRng::seed_from_u64(3000 + case);
         let ttl = random_ttl(&mut rng);
@@ -387,13 +387,17 @@ fn markers_byte_identical_over_mmap_segments() {
             fsync: FsyncPolicy::Never,
             ..PersistConfig::default()
         };
-        let mut p = PersistentStore::open(&dir, config()).unwrap();
-        p.load_turtle(&ttl).unwrap();
-        p.materialize_inference();
+        let p = SharedStore::open(&dir, config()).unwrap();
+        p.transact(|txn| {
+            txn.load_turtle(&ttl)?;
+            txn.store_mut().materialize_inference();
+            Ok::<_, PersistError>(())
+        })
+        .unwrap();
         p.checkpoint().unwrap();
         drop(p);
-        let (seg, _journal, _recovery) =
-            PersistentStore::open(&dir, config()).unwrap().into_parts();
+        let handle = SharedStore::open(&dir, config()).unwrap();
+        let seg = handle.snapshot();
         assert!(
             seg.segment_stats().segments > 0,
             "case {case}: the reopened store must be segment-backed"
@@ -439,19 +443,24 @@ fn markers_byte_identical_over_mmap_segments() {
 fn markers_match_reference_on_both_sides_of_the_crossover() {
     use rdf_analytics::datagen::{ProductsGenerator, EX};
     use rdf_analytics::facets::State;
-    use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistentStore};
+    use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistError, SharedStore};
     let graph = ProductsGenerator { n_companies: 200, ..ProductsGenerator::new(4000, 5) }.generate();
     let mut mem = Store::new();
     mem.load_graph(&graph);
     let dir = std::env::temp_dir().join(format!("rdfa-facet-crossover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = || PersistConfig { fsync: FsyncPolicy::Never, ..PersistConfig::default() };
-    let mut p = PersistentStore::open(&dir, config()).unwrap();
-    p.load_graph(&graph).unwrap();
-    p.materialize_inference();
+    let p = SharedStore::open(&dir, config()).unwrap();
+    p.transact(|txn| {
+        txn.load_graph(&graph)?;
+        txn.store_mut().materialize_inference();
+        Ok::<_, PersistError>(())
+    })
+    .unwrap();
     p.checkpoint().unwrap();
     drop(p);
-    let (seg, _journal, _recovery) = PersistentStore::open(&dir, config()).unwrap().into_parts();
+    let handle = SharedStore::open(&dir, config()).unwrap();
+    let seg = handle.snapshot();
     assert!(seg.segment_stats().segments > 0, "the reopened store must be segment-backed");
 
     for (store, backing) in [(&mem, "memory"), (&seg, "mmap")] {

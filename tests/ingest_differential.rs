@@ -13,7 +13,7 @@
 
 use rdf_analytics::model::ntriples;
 use rdf_analytics::store::{
-    FsyncPolicy, LoadOptions, PersistConfig, PersistentStore, Store, TermId,
+    FsyncPolicy, LoadOptions, PersistConfig, SharedStore, Store, TermId,
 };
 use rdfa_oracle::ingest as seed;
 use rdfa_prng::StdRng;
@@ -243,21 +243,22 @@ fn durable_bulk_load_and_wal_recovery_match_sequential_replay() {
     let dir = tmpdir("durable");
     let config = PersistConfig { fsync: FsyncPolicy::Always, ..PersistConfig::default() };
     {
-        let mut pstore = PersistentStore::open(&dir, config.clone()).unwrap();
+        let pstore = SharedStore::open(&dir, config.clone()).unwrap();
         for (i, doc) in docs.iter().enumerate() {
-            let stats = pstore.load_ntriples(doc).expect("durable bulk load");
+            let (stats, _) =
+                pstore.transact(|txn| txn.load_ntriples(doc)).expect("durable bulk load");
             assert!(stats.triples > 0, "doc {i} should hold triples");
         }
         // live handle: same explicit contents as the reference (generation
         // accounting differs only by the per-load materialize bumps)
         let a: Vec<_> = reference.iter_explicit().collect();
-        let b: Vec<_> = pstore.iter_explicit().collect();
+        let b: Vec<_> = pstore.snapshot().iter_explicit().collect();
         assert_eq!(a, b, "live durable store contents");
     }
     // reopen: WAL replay runs the bulk pipeline, materializing once
-    let reopened = PersistentStore::open(&dir, config).unwrap();
-    assert_eq!(reopened.recovery().wal_records_replayed, 3);
-    assert_same_store(&reference, &reopened, "recovered store");
+    let reopened = SharedStore::open(&dir, config).unwrap();
+    assert_eq!(reopened.recovery().unwrap().wal_records_replayed, 3);
+    assert_same_store(&reference, &reopened.snapshot(), "recovered store");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -274,14 +275,14 @@ fn durable_path_load_survives_reopen() {
     let dir = tmpdir("path");
     let config = PersistConfig { fsync: FsyncPolicy::Always, ..PersistConfig::default() };
     {
-        let mut pstore = PersistentStore::open(&dir, config.clone()).unwrap();
-        let stats = pstore.load_ntriples_path(&path).unwrap();
+        let pstore = SharedStore::open(&dir, config.clone()).unwrap();
+        let (stats, _) = pstore.transact(|txn| txn.load_ntriples_path(&path)).unwrap();
         let a: Vec<_> = reference.iter_explicit().collect();
-        let b: Vec<_> = pstore.iter_explicit().collect();
+        let b: Vec<_> = pstore.snapshot().iter_explicit().collect();
         assert_eq!(a, b, "live path-loaded store contents");
         assert_eq!(stats.added, b.len(), "fresh store: every distinct triple is new");
     }
-    let reopened = PersistentStore::open(&dir, config).unwrap();
+    let reopened = SharedStore::open(&dir, config).unwrap().snapshot();
     let a: Vec<_> = reference.iter_explicit().collect();
     let b: Vec<_> = reopened.iter_explicit().collect();
     assert_eq!(a, b, "recovered path-loaded store contents");

@@ -4,7 +4,7 @@
 
 use rdf_analytics::model::{Term, Triple};
 use rdf_analytics::server::{percent_encode, Server, ServerConfig};
-use rdf_analytics::store::{PersistConfig, PersistentStore, Store};
+use rdf_analytics::store::{PersistConfig, PersistError, SharedStore, Store};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -167,13 +167,14 @@ fn writer_panic_leaves_server_readers_unaffected() {
     let shared = Arc::clone(server.shared());
 
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut txn = shared.store().begin_write();
-        txn.store_mut().insert(&Triple::new(
-            Term::iri("http://example.org/doomed"),
-            Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
-            Term::iri("http://example.org/Laptop"),
-        ));
-        panic!("writer dies mid-batch");
+        shared.transact(|txn| -> Result<(), PersistError> {
+            txn.store_mut().insert(&Triple::new(
+                Term::iri("http://example.org/doomed"),
+                Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
+                Term::iri("http://example.org/Laptop"),
+            ));
+            panic!("writer dies mid-batch");
+        })
     }));
     assert!(panicked.is_err());
 
@@ -206,14 +207,16 @@ fn durable_reads_updates_and_checkpoints_interleave_safely() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let mut pstore = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-        pstore
-            .load_turtle(
-                r#"@prefix ex: <http://example.org/> .
-                   ex:l1 a ex:Laptop . ex:l2 a ex:Laptop ."#,
-            )
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+        store
+            .transact(|txn| {
+                txn.load_turtle(
+                    r#"@prefix ex: <http://example.org/> .
+                       ex:l1 a ex:Laptop . ex:l2 a ex:Laptop ."#,
+                )
+            })
             .unwrap();
-        let server = Server::start_durable(pstore, 0, ServerConfig::default()).unwrap();
+        let server = Server::start_with(store, 0, ServerConfig::default()).unwrap();
         let addr = server.addr();
         let q = count_query();
         let done = Arc::new(AtomicBool::new(false));
@@ -254,8 +257,8 @@ fn durable_reads_updates_and_checkpoints_interleave_safely() {
         server.stop();
     }
     // restart: every acknowledged update survives checkpoints + WAL replay
-    let pstore = PersistentStore::open(&dir, PersistConfig::default()).unwrap();
-    assert_eq!(pstore.len(), 22);
+    let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+    assert_eq!(store.snapshot().len(), 22);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
