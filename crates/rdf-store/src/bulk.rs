@@ -109,8 +109,9 @@ impl From<turtle::TurtleError> for LoadError {
 
 /// A batch-local dictionary: borrowed term views in first-occurrence order,
 /// their hashes, and a hash → local-id bucket map. Nothing here owns term
-/// text — entries borrow the input until [`assign_ids`] hands each one to
-/// the store's interner as an owned [`Term`](rdfa_model::Term).
+/// text — entries borrow the input, and [`assign_ids`] probes the store's
+/// interner with them as they are; only a term new to the store becomes an
+/// owned [`Term`](rdfa_model::Term).
 #[derive(Default)]
 struct LocalDict<'a> {
     terms: Vec<TermRef<'a>>,
@@ -248,14 +249,15 @@ fn graph_batch(graph: &Graph) -> Batch<'_> {
 // ---- phase 2: global id assignment ---------------------------------------
 
 /// Translate a batch dictionary into a `local id → global TermId` table by
-/// probing the store's interner once per local entry. Local ids are in
+/// probing the store's interner once per local entry with its borrowed
+/// view, allocating only for terms the store lacks. Local ids are in
 /// first-occurrence order, so new terms get global ids in document order —
 /// the canonical order, identical to the per-triple path.
 fn assign_ids(dict: &LocalDict<'_>, interner: &mut Interner) -> Vec<TermId> {
     dict.terms
         .iter()
         .zip(&dict.hashes)
-        .map(|(t, &h)| interner.get_or_intern_owned_hashed(h, t.to_term()))
+        .map(|(t, &h)| interner.get_or_intern_ref(h, t))
         .collect()
 }
 
@@ -383,9 +385,6 @@ impl<'s> BulkLoader<'s> {
         if added > 0 {
             store.note_bulk_insert(added);
         }
-        // the terms just loaded join the Arc-shared dictionary base, so the
-        // next write transaction's copy starts from an empty tail
-        store.interner.freeze_by_move();
         if materialize {
             store.materialize_inference();
         }

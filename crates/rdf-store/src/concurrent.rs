@@ -18,14 +18,15 @@
 //!   published pointer always co-owns the base version, the first mutation
 //!   clones the [`Store`] — but a store is built to be cloned: each triple
 //!   index is a vector of `Arc`-shared chunks of at most 1024 triples (see
-//!   [`crate::index`]), the term dictionary is an `Arc`-shared frozen base
-//!   plus the tail of terms added since the last bulk load or checkpoint,
-//!   and a segment-backed layer is a list of `Arc<Segment>` plus its
-//!   overlay. The clone therefore copies pointers — a few thousand for half
-//!   a million triples — and each insert or remove then copies the one
-//!   chunk per permutation it lands in. A transaction costs O(|delta|)
-//!   chunk copies whatever the store's size, readers still never block,
-//!   and publishing is a single pointer swap. The superseded generation is
+//!   [`crate::index`]), the term dictionary is a list of `Arc`-shared
+//!   chunks with an empty tail (publishing freezes the tail into a new
+//!   chunk, see [`crate::interner`]), and a segment-backed layer is a list
+//!   of `Arc<Segment>` plus its overlay. The clone therefore copies
+//!   pointers — a few thousand for half a million triples — and each
+//!   insert or remove then copies the one chunk per permutation it lands
+//!   in. A transaction costs O(|delta|) chunk copies and term interns
+//!   whatever the store's size, readers still never block, and publishing
+//!   is a single pointer swap. The superseded generation is
 //!   freed the same way: dropping it releases the chunks no newer
 //!   generation shares.
 //! - **A failed or panicking transaction publishes nothing and logs
@@ -131,8 +132,10 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// Wrap a store for concurrent serving.
-    pub fn new(store: Store) -> Self {
+    /// Wrap a store for concurrent serving, publishing it as the first
+    /// generation (its dictionary tail frozen, as at every publish).
+    pub fn new(mut store: Store) -> Self {
+        store.interner.freeze();
         SnapshotStore { current: RwLock::new(Arc::new(store)), writer: Mutex::new(()) }
     }
 
@@ -215,6 +218,12 @@ impl WriteTxn<'_> {
     }
 
     fn publish(&mut self) -> Snapshot {
+        // the terms this transaction interned become a shared chunk, so the
+        // next transaction's clone copies chunk pointers, not terms (an
+        // untouched working copy is the published store, already frozen)
+        if let Some(store) = Arc::get_mut(&mut self.working) {
+            store.interner.freeze();
+        }
         let published = Arc::clone(&self.working);
         *self.owner.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&published);
         Snapshot(published)
@@ -301,8 +310,8 @@ impl SharedStore {
     /// recompute it. The view is captured under the journal lock.
     ///
     /// The checkpoint also *folds*: the equivalent store rebuilt on the
-    /// freshly persisted mmap segments (empty overlay, frozen term
-    /// dictionary) is swapped in for the published view, so the next write
+    /// freshly persisted mmap segments (empty overlay, the view's term
+    /// chunks) is swapped in for the published view, so the next write
     /// transaction clones an overlay, not the whole store. The swap is
     /// best-effort — if a transaction published in between, the current
     /// overlay simply survives until the next checkpoint.
@@ -848,10 +857,15 @@ mod tests {
             assert!(all >= 19, "permutation {perm}: only {all} chunks");
             assert!(all - same <= 3, "permutation {perm}: {} of {all} chunks copied", all - same);
         }
-        // the dictionary base is shared too: the transaction copied only the
-        // terms it interned
-        assert_eq!(next.interner.frozen_len(), held.interner.frozen_len());
+        // the dictionary is shared too: every chunk of the held generation
+        // is in the next one, which adds one chunk for the terms the
+        // transaction interned, and neither holds a tail
+        let (old_chunks, new_chunks): (Vec<_>, Vec<_>) =
+            (held.interner.chunks().collect(), next.interner.chunks().collect());
+        assert_eq!(new_chunks.len(), old_chunks.len() + 1);
+        assert!(old_chunks.iter().zip(&new_chunks).all(|(a, b)| Arc::ptr_eq(a, b)));
         assert_eq!(held.interner.frozen_len(), held.term_count());
+        assert_eq!(next.interner.frozen_len(), next.term_count());
         // and the held snapshot still reads its own generation
         assert_eq!(held.len(), 20_000);
         assert_eq!(next.len(), 20_001);

@@ -1,13 +1,18 @@
 //! Term interning: bijective mapping between [`Term`]s and dense u32 ids.
 //!
-//! The id map is keyed by a 64-bit FNV content hash instead of the term
-//! itself: buckets hold term *ids* and equality checks go against the term
-//! table, so the map never owns a second copy of any term. Interning an
-//! owned term therefore costs zero clones, and map growth rehashes plain
-//! `u64`s rather than re-walking string keys. The same hash (and bucket
-//! layout) is shared with the bulk-ingest worker dictionaries in
-//! [`crate::bulk`], which guarantees a lexed borrowed view and the owned
-//! term it becomes always agree.
+//! The id tables are keyed by a 64-bit content hash instead of the term
+//! itself: buckets hold term *ids* and equality checks go against the
+//! terms, so a table never owns a second copy of any term, and table
+//! growth rehashes plain `u64`s rather than re-walking string keys. The
+//! same hash (and bucket layout) keys the batch-local dictionary of bulk
+//! ingest in [`crate::bulk`], so a lexed borrowed view is probed as it is
+//! and becomes an owned term only when it is new.
+//!
+//! The dictionary is a frozen base of `Arc`-shared chunks plus a mutable
+//! tail. Publishing a store generation freezes the tail into a new chunk
+//! (`Interner::freeze`); a clone then shares every chunk, so a write
+//! transaction or a checkpoint pays for the terms it adds, not for the
+//! dictionary.
 
 use rdfa_model::ntriples::TermRef;
 use rdfa_model::Term;
@@ -15,6 +20,7 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
+use std::sync::{Arc, OnceLock};
 
 /// Raw parts of one verified-but-undecoded term chunk:
 /// `(first id, per-term end offsets, per-term content hashes, payload)`.
@@ -117,6 +123,15 @@ pub(crate) enum Slot {
     Many(Vec<u32>),
 }
 
+impl Slot {
+    fn ids(&self) -> &[u32] {
+        match self {
+            Slot::One(id) => std::slice::from_ref(id),
+            Slot::Many(ids) => ids,
+        }
+    }
+}
+
 /// A dense identifier for an interned term. Ids are assigned sequentially
 /// from 0 and never reused, so they index directly into the interner's
 /// term table.
@@ -131,21 +146,24 @@ impl TermId {
     }
 }
 
-/// One persisted dictionary chunk held undecoded: the raw encoded payload,
-/// per-term end offsets, and a `OnceLock` slot per term. A term is
-/// materialized (decoded + allocated) the first time something asks for it;
-/// a store that only ever touches 1% of its dictionary only pays for that
-/// 1% — the restart path's counterpart of segment blocks decoding on demand.
-pub(crate) struct LazyChunk {
+/// One frozen chunk of the dictionary: the terms with ids
+/// `from..from + slots.len()`, immutable once built and shared between
+/// store generations behind an `Arc`. A slot is filled either when the
+/// chunk is frozen (terms interned in this process) or on first access,
+/// decoded from the CRC-verified payload of a persisted chunk (the restart
+/// path): a store that only ever touches 1% of a reopened dictionary only
+/// pays for that 1%, as segment blocks decode on demand.
+pub(crate) struct TermChunk {
     from: usize,
+    slots: Vec<OnceLock<Term>>,
     /// End offset of term `k`'s encoding within `payload`; term `k` starts
-    /// at `offsets[k - 1]` (or 0). Validated monotone at open.
+    /// at `offsets[k - 1]` (or 0). Validated monotone at open. Both are
+    /// empty for a chunk frozen in this process, whose slots are all full.
     offsets: Vec<u32>,
     payload: Vec<u8>,
-    slots: Vec<std::sync::OnceLock<Term>>,
 }
 
-impl LazyChunk {
+impl TermChunk {
     fn term(&self, local: usize) -> &Term {
         self.slots[local].get_or_init(|| {
             let start = if local == 0 { 0 } else { self.offsets[local - 1] as usize };
@@ -163,75 +181,47 @@ impl LazyChunk {
     }
 }
 
-impl std::fmt::Debug for LazyChunk {
+impl std::fmt::Debug for TermChunk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LazyChunk")
+        f.debug_struct("TermChunk")
             .field("from", &self.from)
-            .field("count", &self.offsets.len())
+            .field("count", &self.slots.len())
             .field("bytes", &self.payload.len())
             .finish()
     }
 }
 
-/// Term storage of a frozen base: fully materialized (the in-process
-/// `freeze()` path) or undecoded chunk payloads (the restart path).
+/// Consecutive chunks covering ids `from..from + len`, with one id table
+/// over all of them.
 #[derive(Debug)]
-pub(crate) enum FrozenRepr {
-    Eager(Vec<Term>),
-    Lazy { chunks: Vec<LazyChunk>, len: usize },
-}
-
-impl Default for FrozenRepr {
-    fn default() -> Self {
-        FrozenRepr::Eager(Vec::new())
-    }
-}
-
-/// The frozen prefix of an interner: terms `0..len()` plus their hash
-/// buckets, shared between store generations behind one `Arc`. The
-/// segment-open path builds one from the persisted term chunks; every
-/// copy-on-write transaction clone then shares it instead of deep-copying
-/// the whole term table — the term-table half of structural sharing.
-#[derive(Debug, Default)]
-pub(crate) struct FrozenTerms {
-    repr: FrozenRepr,
+struct FrozenTerms {
+    from: usize,
+    len: usize,
+    chunks: Vec<Arc<TermChunk>>,
     ids: U64Map<Slot>,
-}
-
-impl FrozenTerms {
-    fn len(&self) -> usize {
-        match &self.repr {
-            FrozenRepr::Eager(terms) => terms.len(),
-            FrozenRepr::Lazy { len, .. } => *len,
-        }
-    }
-
-    fn term_at(&self, idx: usize) -> &Term {
-        match &self.repr {
-            FrozenRepr::Eager(terms) => &terms[idx],
-            FrozenRepr::Lazy { chunks, .. } => {
-                let ci = chunks.partition_point(|c| c.from <= idx) - 1;
-                chunks[ci].term(idx - chunks[ci].from)
-            }
-        }
-    }
 }
 
 /// Bijective term ↔ id table.
 ///
-/// `get_or_intern` is the only way ids are created, so
+/// Interning is the only way ids are created, so
 /// `term(get_or_intern(t)) == t` and interning is idempotent — both
 /// properties are property-tested.
 ///
-/// Internally split into a frozen, `Arc`-shared base (terms interned before
-/// the store was last opened from segments) and a mutable tail. Ids stay
-/// dense across the split: `0..base.len()` index the base, the rest the
-/// tail. Cloning shares the base and copies only the tail, so a write
-/// transaction over a segment-backed store pays for the terms *it* added,
-/// not the whole dictionary.
+/// Internally a frozen base of `Arc`-shared chunks plus a mutable tail of
+/// the terms interned since the last freeze. Ids stay dense across the
+/// split: the base covers `0..frozen`, the tail the rest. Publishing a
+/// store generation freezes its tail into a new chunk, so the next write
+/// transaction's clone copies chunk pointers and an empty tail, and pays
+/// only for the terms *it* adds, whatever the dictionary holds.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    base: std::sync::Arc<FrozenTerms>,
+    /// Id tables over runs of chunks, oldest first; each run is less than
+    /// half the length of the one before it (see `freeze`).
+    base: Vec<Arc<FrozenTerms>>,
+    /// The largest chunk of `base`, which `term_at` tries before walking
+    /// the runs: it usually holds nearly every term, and a term lookup is
+    /// on the path of every term an answer prints.
+    hot: Option<Arc<TermChunk>>,
     terms: Vec<Term>,
     ids: U64Map<Slot>,
 }
@@ -242,168 +232,133 @@ impl Interner {
         Interner::default()
     }
 
-    /// Build an interner whose entire current content is the frozen,
-    /// `Arc`-shared base — what [`freeze`](Interner::freeze) rebuilds when
-    /// the tail cannot be moved in. Terms must be in id order; ids are
-    /// assigned `0..terms.len()`. Hashing is one sequential pass.
-    pub(crate) fn from_frozen(terms: Vec<Term>) -> Interner {
-        // hash every term first, then fill the buckets: two tight passes
-        // run about twice as fast as one that interleaves them
-        let hashes: Vec<u64> = terms.iter().map(|t| hash64(&term_ref_of(t))).collect();
-        let mut ids: U64Map<Slot> =
-            U64Map::with_capacity_and_hasher(terms.len(), Default::default());
-        for (i, &h) in hashes.iter().enumerate() {
-            bucket_insert(&mut ids, h, i as u32);
-        }
-        let base = FrozenTerms { repr: FrozenRepr::Eager(terms), ids };
-        Interner { base: std::sync::Arc::new(base), terms: Vec::new(), ids: Default::default() }
-    }
-
     /// Build an interner over *undecoded* persisted chunks — the restart
-    /// path. The id map comes straight from the content hashes persisted
+    /// path. The id table comes straight from the content hashes persisted
     /// next to each chunk payload, so no term is decoded here; terms
     /// materialize lazily on first access. Chunks must be contiguous from
     /// id 0 and carry one offset and one hash per term.
     pub(crate) fn from_chunks(parts: Vec<TermChunkParts>) -> Interner {
         let total: usize = parts.iter().map(|(_, o, _, _)| o.len()).sum();
+        if total == 0 {
+            return Interner::new();
+        }
         let mut ids: U64Map<Slot> = U64Map::with_capacity_and_hasher(total, Default::default());
-        let mut chunks = Vec::with_capacity(parts.len());
-        let mut len = 0usize;
+        let mut chunks: Vec<Arc<TermChunk>> = Vec::with_capacity(parts.len());
         for (from, offsets, hashes, payload) in parts {
-            debug_assert_eq!(from, len, "chunks must be contiguous");
+            let covered = chunks.last().map_or(0, |c| c.from + c.slots.len());
+            debug_assert_eq!(from, covered, "chunks must be contiguous");
             debug_assert_eq!(offsets.len(), hashes.len());
             for (k, &h) in hashes.iter().enumerate() {
                 bucket_insert(&mut ids, h, (from + k) as u32);
             }
-            len = from + offsets.len();
-            let slots = (0..offsets.len()).map(|_| std::sync::OnceLock::new()).collect();
-            chunks.push(LazyChunk { from, offsets, payload, slots });
+            let slots = (0..offsets.len()).map(|_| OnceLock::new()).collect();
+            chunks.push(Arc::new(TermChunk { from, slots, offsets, payload }));
         }
-        let base = FrozenTerms { repr: FrozenRepr::Lazy { chunks, len }, ids };
-        Interner { base: std::sync::Arc::new(base), terms: Vec::new(), ids: Default::default() }
+        let hot = chunks.iter().max_by_key(|c| c.slots.len()).cloned();
+        let base = vec![Arc::new(FrozenTerms { from: 0, len: total, chunks, ids })];
+        Interner { base, hot, terms: Vec::new(), ids: Default::default() }
     }
 
-    /// Number of terms in the frozen, `Arc`-shared base (diagnostics).
-    #[cfg(test)]
+    /// Number of terms in the frozen, `Arc`-shared base.
     pub(crate) fn frozen_len(&self) -> usize {
-        self.base.len()
+        self.base.last().map_or(0, |f| f.from + f.len)
     }
 
-    /// Move the mutable tail into the frozen base, so subsequent clones of
-    /// this interner share the whole current dictionary behind one `Arc`.
-    /// The checkpoint fold calls this: after a checkpoint every term is on
-    /// disk, and the next write transaction should pay only for the terms
-    /// *it* adds. When the base cannot take the tail by move (see
-    /// [`freeze_by_move`](Interner::freeze_by_move)) the dictionary is
-    /// rebuilt, at O(dictionary) cost. No-op when the tail is empty.
+    /// Move the tail into a new frozen chunk, so clones of this interner
+    /// share the whole current dictionary. Publishing a store generation
+    /// calls this. No older chunk is touched: the new chunk is appended,
+    /// and its id table is merged into the one before it while it is at
+    /// least half that table's length, which copies `u64 → id` entries
+    /// (each entry O(log n) times over n terms), never a term, and keeps
+    /// the base at most ⌊log₂ n⌋ + 1 tables. No-op when the tail is empty.
     pub(crate) fn freeze(&mut self) {
-        if !self.freeze_by_move() {
-            let all: Vec<Term> = self.iter().map(|(_, t)| t.clone()).collect();
-            *self = Interner::from_frozen(all);
-        }
-    }
-
-    /// [`freeze`](Interner::freeze) restricted to the cases that copy no
-    /// term: the tail *becomes* the base when the base is empty (a store
-    /// loaded from scratch), or is appended to an eager base no other
-    /// interner shares. Returns `false`, leaving the tail where it is, when
-    /// the base is shared with another generation or holds undecoded chunks
-    /// — the bulk loader calls this after every load and must never pay for
-    /// the dictionary it loaded into.
-    pub(crate) fn freeze_by_move(&mut self) -> bool {
         if self.terms.is_empty() {
-            return true;
+            return;
         }
-        if self.base.len() == 0 {
-            self.base = std::sync::Arc::new(FrozenTerms {
-                repr: FrozenRepr::Eager(std::mem::take(&mut self.terms)),
-                ids: std::mem::take(&mut self.ids),
-            });
-            return true;
+        let from = self.frozen_len();
+        let chunk = Arc::new(TermChunk {
+            from,
+            slots: std::mem::take(&mut self.terms).into_iter().map(OnceLock::from).collect(),
+            offsets: Vec::new(),
+            payload: Vec::new(),
+        });
+        if self.hot.as_ref().is_none_or(|hot| hot.slots.len() < chunk.slots.len()) {
+            self.hot = Some(Arc::clone(&chunk));
         }
-        let Some(base) = std::sync::Arc::get_mut(&mut self.base) else {
-            return false;
+        let mut run = FrozenTerms {
+            from,
+            len: chunk.slots.len(),
+            chunks: vec![chunk],
+            ids: std::mem::take(&mut self.ids),
         };
-        let FrozenRepr::Eager(frozen) = &mut base.repr else {
-            return false;
-        };
-        frozen.append(&mut self.terms);
-        for (h, slot) in self.ids.drain() {
-            match slot {
-                Slot::One(id) => bucket_insert(&mut base.ids, h, id),
-                Slot::Many(ids) => ids.into_iter().for_each(|id| bucket_insert(&mut base.ids, h, id)),
+        while let Some(prev) = self.base.pop_if(|prev| 2 * run.len >= prev.len) {
+            // the smaller of the two id tables is copied into the larger
+            let (mut ids, other) = if run.len >= prev.len {
+                (std::mem::take(&mut run.ids), &prev.ids)
+            } else {
+                (prev.ids.clone(), &run.ids)
+            };
+            for (&h, slot) in other {
+                slot.ids().iter().for_each(|&id| bucket_insert(&mut ids, h, id));
             }
+            let mut chunks = prev.chunks.clone();
+            chunks.append(&mut run.chunks);
+            run = FrozenTerms { from: prev.from, len: prev.len + run.len, chunks, ids };
         }
-        true
+        self.base.push(Arc::new(run));
     }
 
     fn term_at(&self, idx: usize) -> &Term {
-        let nb = self.base.len();
-        if idx < nb {
-            self.base.term_at(idx)
-        } else {
-            &self.terms[idx - nb]
-        }
-    }
-
-    fn find(&self, h: u64, term: &Term) -> Option<TermId> {
-        let probe = |slot: &Slot| match slot {
-            Slot::One(i) => (self.term_at(*i as usize) == term).then_some(TermId(*i)),
-            Slot::Many(is) => is
-                .iter()
-                .find(|&&i| self.term_at(i as usize) == term)
-                .map(|&i| TermId(i)),
-        };
-        if let Some(slot) = self.base.ids.get(&h) {
-            if let Some(id) = probe(slot) {
-                return Some(id);
+        if let Some(hot) = &self.hot {
+            if idx.wrapping_sub(hot.from) < hot.slots.len() {
+                return hot.term(idx - hot.from);
             }
         }
-        self.ids.get(&h).and_then(probe)
+        for run in &self.base {
+            if idx < run.from + run.len {
+                let chunk = &run.chunks[run.chunks.partition_point(|c| c.from <= idx) - 1];
+                return chunk.term(idx - chunk.from);
+            }
+        }
+        &self.terms[idx - self.frozen_len()]
     }
 
-    fn insert_id(&mut self, h: u64, id: u32) {
-        bucket_insert(&mut self.ids, h, id);
+    fn find(&self, h: u64, t: &TermRef<'_>) -> Option<TermId> {
+        let probe = |slot: &Slot| {
+            let ids = slot.ids().iter();
+            ids.copied().find(|&i| self.term_at(i as usize) == t).map(TermId)
+        };
+        self.base
+            .iter()
+            .map(|f| &f.ids)
+            .chain([&self.ids])
+            .find_map(|ids| ids.get(&h).and_then(probe))
     }
 
     /// Intern a term, returning its id (existing or fresh).
     pub fn get_or_intern(&mut self, term: &Term) -> TermId {
-        let h = hash64(&term_ref_of(term));
-        if let Some(id) = self.find(h, term) {
+        let t = term_ref_of(term);
+        self.get_or_intern_ref(hash64(&t), &t)
+    }
+
+    /// Intern a borrowed term view whose content hash `h` is already in
+    /// hand (bulk ingest hashed it when the block was parsed). The owned
+    /// [`Term`] is built only when the term is new.
+    pub(crate) fn get_or_intern_ref(&mut self, h: u64, t: &TermRef<'_>) -> TermId {
+        debug_assert_eq!(h, hash64(t), "stale content hash");
+        if let Some(id) = self.find(h, t) {
             return id;
         }
         let id = TermId(self.len() as u32);
-        self.terms.push(term.clone());
-        self.insert_id(h, id.0);
-        id
-    }
-
-    /// Intern an owned term, returning its id. Equivalent to
-    /// [`get_or_intern`](Interner::get_or_intern) but allocates nothing when
-    /// the term is new — the bulk-ingest merge phase calls this for every
-    /// first occurrence.
-    pub fn get_or_intern_owned(&mut self, term: Term) -> TermId {
-        let h = hash64(&term_ref_of(&term));
-        self.get_or_intern_owned_hashed(h, term)
-    }
-
-    /// [`get_or_intern_owned`](Interner::get_or_intern_owned) with the
-    /// content hash already in hand — bulk ingest hashed every term when it
-    /// entered a worker dictionary and carries the hash through the merge.
-    pub(crate) fn get_or_intern_owned_hashed(&mut self, h: u64, term: Term) -> TermId {
-        debug_assert_eq!(h, hash64(&term_ref_of(&term)), "stale content hash");
-        if let Some(id) = self.find(h, &term) {
-            return id;
-        }
-        let id = TermId(self.len() as u32);
-        self.terms.push(term);
-        self.insert_id(h, id.0);
+        self.terms.push(t.to_term());
+        bucket_insert(&mut self.ids, h, id.0);
         id
     }
 
     /// Look up the id of a term without interning it.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.find(hash64(&term_ref_of(term)), term)
+        let t = term_ref_of(term);
+        self.find(hash64(&t), &t)
     }
 
     /// Resolve an id back to its term.
@@ -416,7 +371,7 @@ impl Interner {
 
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.base.len() + self.terms.len()
+        self.frozen_len() + self.terms.len()
     }
 
     /// True when no terms have been interned.
@@ -424,10 +379,10 @@ impl Interner {
         self.len() == 0
     }
 
-    /// Iterate over `(id, term)` pairs in id order. Over a lazy base this
-    /// materializes every term — callers that only need the tail (e.g. the
-    /// checkpoint's incremental chunk write) should use
-    /// [`iter_from`](Interner::iter_from).
+    /// Iterate over `(id, term)` pairs in id order. Over a reopened
+    /// dictionary this decodes every term — callers that only need the
+    /// newest terms (e.g. the checkpoint's incremental chunk write) should
+    /// use [`iter_from`](Interner::iter_from).
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
         self.iter_from(0)
     }
@@ -437,10 +392,23 @@ impl Interner {
     pub fn iter_from(&self, start: usize) -> impl Iterator<Item = (TermId, &Term)> {
         (start..self.len()).map(move |i| (TermId(i as u32), self.term_at(i)))
     }
+
+    /// The frozen chunks, oldest first.
+    #[cfg(test)]
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = &Arc<TermChunk>> {
+        self.base.iter().flat_map(|f| &f.chunks)
+    }
+
+    /// How many persisted terms have been decoded so far.
+    #[cfg(test)]
+    pub(crate) fn decoded(&self) -> usize {
+        let persisted = self.chunks().filter(|c| !c.payload.is_empty());
+        persisted.map(|c| c.slots.iter().filter(|s| s.get().is_some()).count()).sum()
+    }
 }
 
-/// Append `id` to the bucket for hash `h` — the shared id-map insert used
-/// by the tail, the eager-frozen build, and the persisted-hash build.
+/// Append `id` to the bucket for hash `h` — the one id-table insert, used
+/// by the tail, the freeze merge, and the persisted-hash build.
 fn bucket_insert(ids: &mut U64Map<Slot>, h: u64, id: u32) {
     match ids.entry(h) {
         Entry::Occupied(mut e) => match e.get_mut() {
@@ -521,70 +489,132 @@ mod tests {
         }
     }
 
-    /// Freezing by move keeps every id, copies no term, and declines exactly
-    /// when it would have to copy the base.
+    /// Freezing keeps every id and moves the tail's terms into the new
+    /// chunk without copying them; a fork freezes its own tail without
+    /// the original seeing any of it.
     #[test]
-    fn freeze_by_move_keeps_ids_and_declines_on_a_shared_base() {
+    fn freeze_keeps_ids_and_moves_terms() {
         let mut rng = StdRng::seed_from_u64(0xf2ee);
         let terms: Vec<Term> = (0..200).map(|_| arb_term(&mut rng)).collect();
         let mut i = Interner::new();
+        let text = |t: &Term| match t {
+            Term::Iri(s) | Term::Blank(s) => s.as_ptr(),
+            Term::Literal(l) => l.datatype.as_ptr(),
+        };
         let ids: Vec<TermId> = terms[..100].iter().map(|t| i.get_or_intern(t)).collect();
-        let first_ptr = i.term(ids[0]) as *const Term;
-        // empty base: the tail becomes the base, nothing is copied
-        assert!(i.freeze_by_move());
+        let first_text = text(i.term(ids[0]));
+        i.freeze();
         assert_eq!(i.frozen_len(), i.len());
-        assert_eq!(i.term(ids[0]) as *const Term, first_ptr, "terms must move, not clone");
-        // unshared eager base: the new tail is appended in place
+        assert_eq!(text(i.term(ids[0])), first_text, "terms must move, not clone");
         let more: Vec<TermId> = terms[100..150].iter().map(|t| i.get_or_intern(t)).collect();
-        assert!(i.freeze_by_move());
+        i.freeze();
         assert_eq!(i.frozen_len(), i.len());
         for (t, id) in terms[..150].iter().zip(ids.iter().chain(&more)) {
             assert_eq!(i.lookup(t), Some(*id));
             assert_eq!(i.term(*id), t);
             assert_eq!(i.get_or_intern(t), *id, "re-intern must not grow");
         }
-        // a clone shares the base: neither side may extend it in place
         let mut fork = i.clone();
-        for t in &terms[150..] {
-            fork.get_or_intern(t);
-        }
-        let frozen_before = fork.frozen_len();
-        assert!(fork.len() > frozen_before, "the fork must have a tail to freeze");
-        assert!(!fork.freeze_by_move());
-        assert_eq!(fork.frozen_len(), frozen_before);
-        assert_eq!(i.len(), frozen_before, "the original must not see the fork's terms");
-        // the full freeze rebuilds instead, with the same ids
-        let want: Vec<Term> = fork.iter().map(|(_, t)| t.clone()).collect();
+        let fork_ids: Vec<TermId> = terms[150..].iter().map(|t| fork.get_or_intern(t)).collect();
+        let frozen_before = i.frozen_len();
         fork.freeze();
         assert_eq!(fork.frozen_len(), fork.len());
-        assert!(fork.iter().map(|(_, t)| t).eq(want.iter()));
+        assert_eq!(i.len(), frozen_before, "the original must not see the fork's terms");
+        for (t, id) in terms[150..].iter().zip(&fork_ids) {
+            assert_eq!(fork.term(*id), t);
+            assert_eq!(fork.lookup(t), Some(*id));
+        }
+        assert!(i.iter().map(|(_, t)| t).eq(fork.iter().map(|(_, t)| t).take(i.len())));
     }
 
-    /// Property: an interner rebuilt with its whole content in the frozen
-    /// base is observationally identical to the all-tail original, and
-    /// extends past the base with dense ids.
+    /// Freezing appends one chunk and shares every older one: each chunk of
+    /// the base before the freeze is the same allocation after it, in the
+    /// frozen interner and in a clone taken before.
     #[test]
-    fn frozen_base_is_equivalent_and_extends() {
-        for case in 0u64..128 {
-            let mut rng = StdRng::seed_from_u64(0x5eed ^ case);
-            let terms: Vec<Term> =
-                (0..rng.gen_range(1..30)).map(|_| arb_term(&mut rng)).collect();
-            let mut plain = Interner::new();
-            let ids: Vec<_> = terms.iter().map(|t| plain.get_or_intern(t)).collect();
-            let table: Vec<Term> = plain.iter().map(|(_, t)| t.clone()).collect();
-            let mut frozen = Interner::from_frozen(table);
-            assert_eq!(frozen.len(), plain.len());
-            assert_eq!(frozen.frozen_len(), plain.len());
-            for (t, id) in terms.iter().zip(&ids) {
-                assert_eq!(frozen.lookup(t), Some(*id), "case {case}");
-                assert_eq!(frozen.term(*id), t);
-                assert_eq!(frozen.get_or_intern(t), *id, "re-intern must not grow");
+    fn freeze_shares_every_older_chunk() {
+        let mut rng = StdRng::seed_from_u64(0x5a4e);
+        let mut i = Interner::new();
+        // tails of uneven sizes, so some freezes merge id tables and some
+        // do not
+        for round in 0..24 {
+            for _ in 0..rng.gen_range(1..40) {
+                i.get_or_intern(&arb_term(&mut rng));
             }
-            let extra = arb_term(&mut rng);
-            let id = frozen.get_or_intern(&extra);
-            assert_eq!(frozen.term(id), &extra);
-            assert_eq!(frozen.lookup(&extra), Some(id));
-            assert!(frozen.len() >= plain.len());
+            let before: Vec<Arc<TermChunk>> = i.chunks().cloned().collect();
+            let held = i.clone();
+            let grew = i.len() > i.frozen_len();
+            i.freeze();
+            let after: Vec<&Arc<TermChunk>> = i.chunks().collect();
+            assert_eq!(after.len(), before.len() + usize::from(grew), "round {round}");
+            for (k, (old, new)) in before.iter().zip(&after).enumerate() {
+                assert!(Arc::ptr_eq(old, new), "round {round}: chunk {k} was copied");
+            }
+            assert!(held.chunks().zip(&before).all(|(h, b)| Arc::ptr_eq(h, b)));
+        }
+    }
+
+    /// Property: interleaved interns, lookups, clones and freezes agree
+    /// with a `HashMap` model. Ids are dense and stable, a fork's new terms
+    /// never reach the original, and the base never holds more id tables
+    /// than it has frozen tails or than ⌊log₂ frozen⌋ + 1.
+    #[test]
+    fn chunked_base_matches_a_map_model() {
+        struct Side {
+            interner: Interner,
+            model: HashMap<Term, u32>,
+            freezes: usize,
+        }
+        fn intern(side: &mut Side, t: &Term) {
+            let want = side.model.get(t).copied().unwrap_or(side.model.len() as u32);
+            assert_eq!(side.interner.get_or_intern(t), TermId(want));
+            side.model.insert(t.clone(), want);
+        }
+        fn freeze(side: &mut Side) {
+            side.freezes += usize::from(side.interner.len() > side.interner.frozen_len());
+            side.interner.freeze();
+            let frozen = side.interner.frozen_len();
+            let log_bound = (usize::BITS - frozen.leading_zeros()) as usize;
+            assert!(side.interner.base.len() <= side.freezes.min(log_bound), "{}", frozen);
+        }
+        fn check(side: &Side) {
+            assert_eq!(side.interner.len(), side.model.len());
+            for (t, &id) in &side.model {
+                assert_eq!(side.interner.term(TermId(id)), t);
+            }
+        }
+        for case in 0u64..48 {
+            let mut rng = StdRng::seed_from_u64(0xc4a2 ^ case);
+            let vocab: Vec<Term> = (0..rng.gen_range(1..160)).map(|_| arb_term(&mut rng)).collect();
+            let mut live = Side { interner: Interner::new(), model: HashMap::new(), freezes: 0 };
+            for _ in 0..300 {
+                match rng.gen_range(0..10) {
+                    0..=4 => intern(&mut live, &vocab[rng.gen_range(0..vocab.len())]),
+                    5 | 6 => {
+                        let t = &vocab[rng.gen_range(0..vocab.len())];
+                        assert_eq!(live.interner.lookup(t), live.model.get(t).map(|&i| TermId(i)));
+                    }
+                    7 => {
+                        let mut fork = Side {
+                            interner: live.interner.clone(),
+                            model: live.model.clone(),
+                            freezes: live.freezes,
+                        };
+                        for _ in 0..rng.gen_range(0..30) {
+                            intern(&mut fork, &vocab[rng.gen_range(0..vocab.len())]);
+                        }
+                        freeze(&mut fork);
+                        check(&live);
+                        for t in fork.model.keys().filter(|t| !live.model.contains_key(*t)) {
+                            assert_eq!(live.interner.lookup(t), None, "case {case}");
+                        }
+                        if rng.gen_bool(0.5) {
+                            live = fork;
+                        }
+                    }
+                    _ => freeze(&mut live),
+                }
+            }
+            check(&live);
         }
     }
 }

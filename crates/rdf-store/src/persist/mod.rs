@@ -303,8 +303,8 @@ impl Journal {
     ///
     /// Returns the new generation and the *folded* store: the same
     /// observable state rebuilt on the freshly persisted segment stack
-    /// (empty overlay, frozen term dictionary), sharing every base segment
-    /// `Arc` with the view. The handle swaps it in for the view so the
+    /// (empty overlay), sharing every base segment `Arc` and every term
+    /// chunk with the view. The handle swaps it in for the view so the
     /// overlay resets and write transactions stay O(overlay).
     pub(crate) fn checkpoint<S: std::ops::Deref<Target = Store>>(
         &self,
@@ -550,10 +550,8 @@ impl Journal {
         };
         manifest::write_manifest(&self.dir, next, &m, crash)?;
 
-        let mut interner = store.interner.clone();
-        interner.freeze();
         let folded = store.refold(
-            interner,
+            store.interner.clone(),
             Layer::from_segments(fold_segs),
             inf_seg.map(|s| Layer::from_segments(vec![s])),
         );
@@ -1049,6 +1047,38 @@ mod tests {
         drop(p);
         let p = open(&dir);
         assert_eq!(p.snapshot().len(), 301);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A transaction and a checkpoint over a reopened store pay for the
+    /// terms they add: neither decodes a term held in a persisted chunk.
+    #[test]
+    fn checkpoint_after_reopen_decodes_no_persisted_term() {
+        let dir = tmpdir("lazy-terms");
+        let p = open(&dir);
+        for i in 0..300 {
+            insert(&p, &triple(i)).unwrap();
+        }
+        p.checkpoint().unwrap();
+        drop(p);
+        let p = open(&dir);
+        let decoded = p.snapshot().interner.decoded();
+        let fresh = Triple::new(
+            Term::iri("http://e/fresh-s"),
+            Term::iri("http://e/fresh-p"),
+            Term::string("fresh"),
+        );
+        let has_fresh = |s: &Store| {
+            let [a, b, c] = [&fresh.subject, &fresh.predicate, &fresh.object].map(|t| s.lookup(t));
+            matches!((a, b, c), (Some(a), Some(b), Some(c)) if s.contains([a, b, c]))
+        };
+        assert!(insert(&p, &fresh).unwrap());
+        p.checkpoint().unwrap();
+        assert_eq!(last_stats(&p).terms_written, 3);
+        assert_eq!(p.snapshot().interner.decoded(), decoded, "a persisted term was decoded");
+        assert!(has_fresh(&p.snapshot()));
+        drop(p);
+        assert!(has_fresh(&open(&dir).snapshot()));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -396,7 +396,12 @@ impl Store {
     /// (`rdfs:subClassOf`, `rdfs:subPropertyOf`, `rdfs:domain`, `rdfs:range`)
     /// — those alter what every other triple entails. Either way the result
     /// is the same closure; [`Store::closure_stats`] says which way it went.
+    /// A store whose closure is current is left as it is: neither the
+    /// generation nor the stats move.
     pub fn refresh_inference(&mut self) {
+        if !self.dirty {
+            return;
+        }
         let replayed = self.net_delta().is_some_and(|net| {
             inference::apply_delta(&self.explicit, &mut self.inferred, self.wk, &net)
         });
@@ -908,6 +913,13 @@ mod tests {
         let g3 = store.generation();
         store.remove_ids([s, p, o]); // absent: no bump
         assert_eq!(store.generation(), g3);
+        store.refresh_inference();
+        let g4 = store.generation();
+        assert!(g4 > g3, "a refresh after a change must bump");
+        let stats = store.closure_stats();
+        store.refresh_inference(); // the closure is current: no bump
+        assert_eq!(store.generation(), g4);
+        assert_eq!(store.closure_stats(), stats);
     }
 
     #[test]

@@ -2279,6 +2279,33 @@ mod tests {
     }
 
     #[test]
+    fn an_update_that_changes_nothing_publishes_no_generation() {
+        use rdfa_store::PersistConfig;
+        let dir = std::env::temp_dir()
+            .join(format!("rdfa-server-noop-update-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SharedStore::open(&dir, PersistConfig::default()).unwrap();
+        let server = Server::start_with(store, 0, ServerConfig::default()).unwrap();
+        let insert = "PREFIX ex: <http://example.org/> INSERT DATA { ex:l1 a ex:Laptop . }";
+        assert!(post(server.addr(), "/v1/update", insert).contains("\"inserted\":1"));
+        let before = get(server.addr(), "/healthz", "*/*");
+        let resp = post(server.addr(), "/v1/update", insert);
+        assert!(resp.contains("\"inserted\":0"), "{resp}");
+        let resp = post(
+            server.addr(),
+            "/v1/update",
+            "PREFIX ex: <http://example.org/> DELETE DATA { ex:l9 a ex:Laptop . }",
+        );
+        assert!(resp.contains("\"deleted\":0"), "{resp}");
+        let after = get(server.addr(), "/healthz", "*/*");
+        for key in ["snapshot_generation", "wal_records", "triples"] {
+            assert_eq!(json_value(&before, key), json_value(&after, key), "{key}");
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn queue_overflow_returns_503_with_retry_after() {
         let config = ServerConfig {
             workers: 1,

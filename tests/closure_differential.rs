@@ -219,10 +219,13 @@ fn run_sequence(mut store: Store, seed: u64, backend: &str) {
         let after = store.closure_stats();
         let what = format!("{backend} seed {seed} step {step} ({update})");
         // what took effect decides the route, not what was asked for: a
-        // schema step that deletes an absent triple is an empty delta
+        // step that changes nothing (a schema step that deletes an absent
+        // triple, a DELETE WHERE that matches nothing) refreshes nothing
         let took_fallback = (after.incremental, after.full) == (before.incremental, before.full + 1);
         let took_fast_path = (after.incremental, after.full) == (before.incremental + 1, before.full);
-        if changes.iter().any(changes_schema) {
+        if changes.is_empty() {
+            assert_eq!(after, before, "{what}: an update that changes nothing must not refresh");
+        } else if changes.iter().any(changes_schema) {
             assert!(schema_bearing, "{what}: data step changed the schema");
             assert!(took_fallback, "{what}: a schema change must take the full pass");
         } else {
