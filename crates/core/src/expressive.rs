@@ -1,17 +1,25 @@
 //! The expressive power of the model (Chapter 7, §7.1): which HIFUN queries
 //! the interaction model can formulate.
 //!
-//! The model reaches every HIFUN query whose grouping and measuring
-//! expressions are **compositions of properties** (with an optional terminal
-//! derived attribute), possibly **paired**, whose restrictions are value
-//! selections or ranges (facet clicks / the ⧩ filter), and whose result
-//! restrictions are expressible by reloading the Answer Frame (§5.3.3).
-//! Queries using the remaining functional-algebra operators — Cartesian
-//! product projection, restrictions of the *operation* expression itself, or
-//! derived functions in the middle of a chain — are outside the click
-//! vocabulary.
+//! A faceted state's intention is a HIFUN root, so the model reaches every
+//! HIFUN query whose root is a conjunction of clicks:
+//! - classes;
+//! - values and multi-selects, tested by term identity (`path∈{t1, t2}`);
+//! - ranges (`path∈[min, max]`, the ⧩ filter), or a one-sided `≥`/`≤`;
+//! - over paths of forward and inverse (`^p`, §5.3.1) property steps.
+//!
+//! Its grouping and measuring expressions are **compositions of forward
+//! properties** (with an optional terminal derived attribute), possibly
+//! **paired**, whose restrictions are value selections or ranges, and whose
+//! result restrictions are expressible by reloading the Answer Frame
+//! (§5.3.3). Queries using the remaining functional-algebra operators —
+//! Cartesian product projection, restrictions of the *operation* expression
+//! itself, derived functions in the middle of a chain, value comparisons
+//! other than a range in the root, or inverse attributes under G/⨊ — are
+//! outside the click vocabulary.
 
-use rdfa_hifun::{HifunQuery, Step};
+use rdfa_hifun::{CondOp, HifunQuery, Restriction, Step, Test};
+use rdfa_model::Term;
 
 /// Why a query is not reachable through the interaction model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +32,12 @@ pub enum InexpressibleReason {
     /// A restriction's continuation path contains a derived step that is not
     /// terminal.
     DerivedMidRestriction,
+    /// A grouping or measuring path has an inverse step; the G/⨊ buttons
+    /// take forward paths.
+    InverseAttribute { component: String },
+    /// A root condition no facet click makes: a value comparison other than
+    /// a range, or a path that is empty or has a derived step.
+    UnclickableCondition,
 }
 
 /// The expressibility verdict.
@@ -50,6 +64,12 @@ pub fn check_expressibility(q: &HifunQuery) -> Expressibility {
         if has_mid_chain_derived(steps) {
             reasons.push(InexpressibleReason::DerivedMidChain { component: label.to_owned() });
         }
+        if steps.iter().any(|s| matches!(s, Step::Inv(_))) {
+            reasons.push(InexpressibleReason::InverseAttribute { component: label.to_owned() });
+        }
+    }
+    if !q.root.conditions.iter().all(clickable) {
+        reasons.push(InexpressibleReason::UnclickableCondition);
     }
     for rp in q.groupings.iter().chain(q.measuring.iter()) {
         for r in &rp.restrictions {
@@ -71,11 +91,22 @@ fn has_mid_chain_derived(steps: &[Step]) -> bool {
     for s in steps {
         match s {
             Step::Derived(_) => seen_derived = true,
-            Step::Prop(_) if seen_derived => return true,
-            Step::Prop(_) => {}
+            _ if seen_derived => return true,
+            _ => {}
         }
     }
     false
+}
+
+/// A root condition a facet click makes: a property path with a term set, a
+/// range, or what one of them means (`≥`, `≤`, `=` a URI).
+fn clickable(r: &Restriction) -> bool {
+    let test = match &r.test {
+        Test::OneOf(_) | Test::Range { .. } => true,
+        Test::Cmp(CondOp::Ge | CondOp::Le, _) | Test::Cmp(CondOp::Eq, Term::Iri(_)) => true,
+        Test::Cmp(..) => false,
+    };
+    test && !r.path.is_empty() && r.path.iter().all(|s| s.property().is_some())
 }
 
 #[cfg(test)]
@@ -109,6 +140,26 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn click_conditions_are_expressible_and_comparisons_are_not() {
+        let man = || vec![Step::Prop("http://e/man".into()), Step::Inv("http://e/man".into())];
+        let q = HifunQuery::new(AggOp::Count).with_conditions(vec![
+            Restriction::one_of(man(), vec![Term::iri("http://e/l1")]),
+            Restriction::range(man(), Some(Term::integer(1)), None),
+        ]);
+        assert_eq!(check_expressibility(&q), Expressibility::Expressible);
+        let q = q.with_conditions(vec![Restriction::via(man(), CondOp::Ne, Term::integer(2))]);
+        assert_eq!(
+            check_expressibility(&q),
+            Expressibility::NotExpressible(vec![InexpressibleReason::UnclickableCondition])
+        );
+        let q = HifunQuery::new(AggOp::Count).group_by(AttrPath { steps: man() });
+        assert!(matches!(
+            check_expressibility(&q),
+            Expressibility::NotExpressible(rs) if matches!(rs[0], InexpressibleReason::InverseAttribute { .. })
+        ));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use crate::session::{AnalyticsSession, GroupSpec, MeasureSpec};
 use crate::{AnalyticsError, AnswerFrame};
 use rdfa_facets::PathStep;
-use rdfa_hifun::{AggOp, CondOp, DerivedFn};
+use rdfa_hifun::{AggOp, CondOp, DerivedFn, Step};
 use rdfa_model::term::{local_name, unescape_literal_checked};
 use rdfa_model::{vocab::xsd, Date, Literal, Term, Value};
 use rdfa_store::{ExtSet, Store, TermId};
@@ -42,9 +42,9 @@ pub enum Action {
     /// `class <iri>` — click a class marker.
     SelectClass(Term),
     /// `value <prop> <term>` / `path p1/p2 = <term>` — click a value marker
-    /// (possibly at the end of an expanded path).
-    SelectPathValue { path: Vec<Step>, value: Term },
-    /// `values p1/p2 <term> <term> …` — tick several value checkboxes.
+    /// (possibly at the end of an expanded path); `values p1/p2 <term>
+    /// <term> …` — tick several value checkboxes. A path step written `^p`
+    /// is a [`Step::Inv`].
     SelectValues { path: Vec<Step>, values: Vec<Term> },
     /// `range p1/p2 <min|*> <max|*>` — the ⧩ filter.
     SelectRange { path: Vec<Step>, min: Option<Term>, max: Option<Term> },
@@ -62,14 +62,6 @@ pub enum Action {
     Back,
     /// `clear` — reset the analytics state (G/⨊ selections).
     ClearAnalytics,
-}
-
-/// One step of a facet path: a property, traversed inversely when written
-/// `^p`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Step {
-    pub prop: Term,
-    pub inverse: bool,
 }
 
 /// A parsed script: the action list.
@@ -119,9 +111,6 @@ impl Script {
             let store = session.store();
             match action {
                 Action::SelectClass(c) => session.select_class(lookup(store, c)?)?,
-                Action::SelectPathValue { path, value } => {
-                    session.select_path_value(&lookup_path(store, path)?, lookup(store, value)?)?
-                }
                 Action::SelectValues { path, values } => {
                     let values: ExtSet =
                         values.iter().map(|v| lookup(store, v)).collect::<Result<_, _>>()?;
@@ -189,15 +178,13 @@ impl fmt::Display for Action {
         let derived = |d: &Option<DerivedFn>| d.map(|d| format!(" {}", derived_word(d)));
         match self {
             Action::SelectClass(c) => write!(f, "class {c}"),
-            Action::SelectPathValue { path, value } if path.len() == 1 => {
-                write!(f, "value {} {}", steps(path), text(value))
-            }
-            Action::SelectPathValue { path, value } => {
-                write!(f, "path {} = {}", steps(path), text(value))
-            }
             Action::SelectValues { path, values } => {
                 let values: Vec<String> = values.iter().map(text).collect();
-                write!(f, "values {} {}", steps(path), values.join(" "))
+                match (path.len(), &values[..]) {
+                    (1, [value]) => write!(f, "value {} {value}", steps(path)),
+                    (_, [value]) => write!(f, "path {} = {value}", steps(path)),
+                    _ => write!(f, "values {} {}", steps(path), values.join(" ")),
+                }
             }
             Action::SelectRange { path, min, max } => {
                 let bound = |b: &Option<Term>| b.as_ref().map_or("*".to_owned(), text);
@@ -224,8 +211,8 @@ impl fmt::Display for Action {
 }
 
 fn steps(path: &[Step]) -> String {
-    let steps: Vec<String> =
-        path.iter().map(|s| format!("{}{}", if s.inverse { "^" } else { "" }, s.prop)).collect();
+    let step = |(iri, inverse): (&str, bool)| format!("{}<{iri}>", if inverse { "^" } else { "" });
+    let steps: Vec<String> = path.iter().filter_map(Step::property).map(step).collect();
     steps.join("/")
 }
 
@@ -317,14 +304,15 @@ impl<'s> Parser<'s> {
             "class" => Action::SelectClass(self.resource(args.next("a class")?)?),
             "value" => {
                 let path = self.path(args.next("a property")?)?;
-                Action::SelectPathValue { path, value: self.term(args.next("a term")?)? }
+                Action::SelectValues { path, values: vec![self.term(args.next("a term")?)?] }
             }
             "path" => {
                 let path = self.path(args.next("a property path")?)?;
                 if args.next("'= term'")? != "=" {
                     return Err("path needs '= term'".into());
                 }
-                Action::SelectPathValue { path, value: self.term(args.next("a term after '='")?)? }
+                let value = self.term(args.next("a term after '='")?)?;
+                Action::SelectValues { path, values: vec![value] }
             }
             "values" => {
                 let path = self.path(args.next("a property path")?)?;
@@ -416,12 +404,9 @@ impl<'s> Parser<'s> {
         parts.push(&word[start..]);
         parts
             .into_iter()
-            .map(|part| {
-                let (inverse, prop) = match part.strip_prefix('^') {
-                    Some(prop) => (true, prop),
-                    None => (false, part),
-                };
-                Ok(Step { prop: self.resource(prop)?, inverse })
+            .map(|part| match part.strip_prefix('^') {
+                Some(prop) => Ok(Step::Inv(self.iri(prop)?)),
+                None => Ok(Step::Prop(self.iri(part)?)),
             })
             .collect()
     }
@@ -430,7 +415,10 @@ impl<'s> Parser<'s> {
     fn props(&self, word: &str) -> Result<Vec<Term>, String> {
         self.path(word)?
             .into_iter()
-            .map(|s| if s.inverse { Err(format!("inverse step in '{word}'")) } else { Ok(s.prop) })
+            .map(|s| match s {
+                Step::Prop(iri) => Ok(Term::Iri(iri)),
+                _ => Err(format!("inverse step in '{word}'")),
+            })
             .collect()
     }
 
@@ -570,7 +558,11 @@ fn lookup(store: &Store, term: &Term) -> Result<TermId, AnalyticsError> {
 
 fn lookup_path(store: &Store, path: &[Step]) -> Result<Vec<PathStep>, AnalyticsError> {
     path.iter()
-        .map(|s| Ok(PathStep { prop: lookup(store, &s.prop)?, inverse: s.inverse }))
+        .map(|s| {
+            let step = s.property().ok_or_else(|| AnalyticsError::new("a derived step in a path"));
+            let (iri, inverse) = step?;
+            Ok(PathStep { prop: lookup(store, &Term::iri(iri))?, inverse })
+        })
         .collect()
 }
 

@@ -1,11 +1,11 @@
 //! The analytics session: faceted search + the G/⨊ buttons + evaluation.
 
 use crate::answer::AnswerFrame;
-use crate::script::{Action, Script, Step as ScriptStep};
+use crate::script::{Action, Script};
 use crate::AnalyticsError;
-use rdfa_facets::{Constraint, FacetedSession, PathStep};
+use rdfa_facets::{FacetedSession, PathStep};
 use rdfa_hifun::query::{ResultRestriction, RestrictedPath};
-use rdfa_hifun::{translate, AggOp, AttrPath, CondOp, DerivedFn, HifunQuery, Restriction, Step};
+use rdfa_hifun::{translate, AggOp, AttrPath, CondOp, DerivedFn, HifunQuery, Step, Test};
 use rdfa_model::{Term, Value};
 use rdfa_sparql::{Engine, EvalLimits};
 use rdfa_store::{ExtSet, Store, TermId};
@@ -136,8 +136,6 @@ impl<'s> AnalyticsSession<'s> {
     }
 
     /// Tick several value checkboxes of one facet (disjunctive selection).
-    /// Not representable in HIFUN root conditions, so analytics over such a
-    /// state automatically pin the extension via `VALUES`.
     pub fn select_values(
         &mut self,
         path: &[PathStep],
@@ -156,35 +154,32 @@ impl<'s> AnalyticsSession<'s> {
         Ok(self.facets.select_range(path, min, max)?)
     }
 
-    /// The current state as a script: the class clicks, the conditions in
-    /// click order, the groupings, the measure, the operations and the
-    /// HAVING restrictions. Applied to a fresh session started the same
-    /// way, it rebuilds this state; a session started with
-    /// [`start_from`](Self::start_from) prints no seed, so its script
-    /// replays onto a session started from the same results.
+    /// The current state as a script: the clicks in order, the groupings,
+    /// the measure, the operations and the HAVING restrictions. Applied to a
+    /// fresh session started the same way, it rebuilds this state. The
+    /// initial state's root (its `owl:NamedIndividual` class, or the seed of
+    /// a session started with [`start_from`](Self::start_from)) is no click,
+    /// so the script does not print it.
     pub fn script(&self) -> Script {
-        let store = self.store();
-        let term = |id: TermId| store.term(id).clone();
-        let steps = |path: &[PathStep]| {
-            path.iter().map(|s| ScriptStep { prop: term(s.prop), inverse: s.inverse }).collect()
-        };
-        let intent = self.facets.intent();
-        let mut actions: Vec<Action> =
-            intent.classes.iter().map(|&c| Action::SelectClass(term(c))).collect();
-        for cond in &intent.conditions {
-            let path = steps(&cond.path);
-            actions.push(match &cond.constraint {
-                Constraint::Value(v) => Action::SelectPathValue { path, value: term(*v) },
-                Constraint::OneOf(values) => {
-                    Action::SelectValues { path, values: values.iter().map(term).collect() }
+        let term = |id: TermId| self.store().term(id).clone();
+        let initial = self.facets.initial_intent().conditions.len();
+        let clicked = &self.facets.intent().conditions[initial..];
+        let mut actions: Vec<Action> = clicked
+            .iter()
+            .map(|cond| {
+                let path = cond.path.clone();
+                match (&cond.test, cond.as_class()) {
+                    (_, Some(class)) => Action::SelectClass(class.clone()),
+                    (Test::OneOf(values), _) => {
+                        Action::SelectValues { path, values: values.clone() }
+                    }
+                    (Test::Range { min, max }, _) => {
+                        Action::SelectRange { path, min: min.clone(), max: max.clone() }
+                    }
+                    (Test::Cmp(..), _) => unreachable!("a click adds no comparison to the root"),
                 }
-                Constraint::Range { min, max } => Action::SelectRange {
-                    path,
-                    min: min.as_ref().map(Value::to_term),
-                    max: max.as_ref().map(Value::to_term),
-                },
-            });
-        }
+            })
+            .collect();
         for g in &self.groupings {
             let path = g.path.iter().map(|&p| term(p)).collect();
             actions.push(Action::AddGrouping { path, derived: g.derived });
@@ -311,7 +306,10 @@ impl<'s> AnalyticsSession<'s> {
 
     // ---- intention ----------------------------------------------------------
 
-    /// Build the HIFUN query for the current state (the intention of §5.5).
+    /// Build the HIFUN query for the current state (the intention of §5.5):
+    /// the faceted state's root, which the G/⨊ buttons leave as it is, with
+    /// the groupings, the measure, the operations and the HAVING
+    /// restrictions.
     pub fn hifun_query(&self) -> Result<HifunQuery, AnalyticsError> {
         if self.ops.is_empty() {
             return Err(AnalyticsError::new(
@@ -322,10 +320,17 @@ impl<'s> AnalyticsSession<'s> {
             return Err(having_out_of_range(*idx, self.ops.len()));
         }
         let store = self.store();
-        let mut q = HifunQuery {
-            root: Default::default(),
-            groupings: Vec::new(),
-            measuring: None,
+        let component = |path: &[TermId], derived| spec_to_path(store, path, derived);
+        Ok(HifunQuery {
+            root: self.facets.intent().clone(),
+            groupings: self
+                .groupings
+                .iter()
+                .map(|g| component(&g.path, g.derived).map(RestrictedPath::new))
+                .collect::<Result<_, _>>()?,
+            measuring: (self.measure.as_ref())
+                .map(|m| component(&m.path, m.derived).map(RestrictedPath::new))
+                .transpose()?,
             ops: self.ops.clone(),
             result_restrictions: self
                 .havings
@@ -336,51 +341,7 @@ impl<'s> AnalyticsSession<'s> {
                     value: value.clone(),
                 })
                 .collect(),
-        };
-
-        // root: map the faceted intention when possible, else pin the
-        // extension with VALUES
-        let intent = self.facets.intent();
-        let classes: Option<Vec<&str>> =
-            intent.classes.iter().map(|&c| store.term(c).as_iri()).collect();
-        let conditions: Option<Vec<Vec<Restriction>>> = intent
-            .conditions
-            .iter()
-            .map(|cond| map_condition(store, &cond.path, &cond.constraint))
-            .collect();
-        if let (Some(classes), Some(conditions)) = (classes, conditions) {
-            q.root.conditions = conditions.concat();
-            // the first class roots the query, the others are rdf:type conditions
-            if let Some((first, others)) = classes.split_first() {
-                q.root.class = Some((*first).to_owned());
-                q.root.conditions.extend(others.iter().map(|c| {
-                    let rdf_type = Step::Prop(rdfa_model::vocab::rdf::TYPE.to_owned());
-                    Restriction::via(vec![rdf_type], CondOp::Eq, Term::iri(*c))
-                }));
-            }
-            // a session started from external results carries its seed set
-            if let Some(seed) = &intent.seed {
-                q.root.among =
-                    Some(seed.iter().map(|id| store.term(id).clone()).collect());
-            }
-        } else {
-            q.root.among = Some(
-                self.facets
-                    .extension()
-                    .iter()
-                    .map(|id| store.term(id).clone())
-                    .collect(),
-            );
-        }
-
-        for g in &self.groupings {
-            q.groupings
-                .push(RestrictedPath::new(spec_to_path(store, &g.path, g.derived)?));
-        }
-        if let Some(m) = &self.measure {
-            q.measuring = Some(RestrictedPath::new(spec_to_path(store, &m.path, m.derived)?));
-        }
-        Ok(q)
+        })
     }
 
     /// The SPARQL translation of the current analytic intention.
@@ -405,34 +366,16 @@ impl<'s> AnalyticsSession<'s> {
 
     fn headers(&self, q: &HifunQuery) -> Vec<String> {
         let store = self.store();
-        let mut headers: Vec<String> = self
-            .groupings
-            .iter()
-            .map(|g| {
-                let base = g
-                    .path
-                    .iter()
-                    .map(|&p| store.term(p).display_name())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                match g.derived {
-                    Some(f) => format!("{}({base})", f.sparql().to_lowercase()),
-                    None => base,
-                }
-            })
-            .collect();
-        for op in &q.ops {
-            let measure = match &self.measure {
-                Some(m) => m
-                    .path
-                    .iter()
-                    .map(|&p| store.term(p).display_name())
-                    .collect::<Vec<_>>()
-                    .join("/"),
-                None => "items".to_owned(),
-            };
-            headers.push(format!("{}({measure})", op.label()));
-        }
+        let name = |path: &[TermId]| {
+            path.iter().map(|&p| store.term(p).display_name()).collect::<Vec<_>>().join("/")
+        };
+        let group = |g: &GroupSpec| match g.derived {
+            Some(f) => format!("{}({})", f.sparql().to_lowercase(), name(&g.path)),
+            None => name(&g.path),
+        };
+        let mut headers: Vec<String> = self.groupings.iter().map(group).collect();
+        let measure = self.measure.as_ref().map_or("items".to_owned(), |m| name(&m.path));
+        headers.extend(q.ops.iter().map(|op| format!("{}({measure})", op.label())));
         headers
     }
 }
@@ -462,41 +405,6 @@ fn spec_to_path(
         steps.push(Step::Derived(f));
     }
     Ok(AttrPath { steps })
-}
-
-/// Map one faceted condition to HIFUN root restrictions; `None` when the
-/// condition uses features HIFUN roots cannot express (inverse steps,
-/// OneOf sets).
-fn map_condition(
-    store: &Store,
-    path: &[PathStep],
-    constraint: &Constraint,
-) -> Option<Vec<Restriction>> {
-    let mut steps = Vec::with_capacity(path.len());
-    for s in path {
-        if s.inverse {
-            return None;
-        }
-        steps.push(Step::Prop(store.term(s.prop).as_iri()?.to_owned()));
-    }
-    match constraint {
-        Constraint::Value(v) => Some(vec![Restriction::via(
-            steps,
-            CondOp::Eq,
-            store.term(*v).clone(),
-        )]),
-        Constraint::OneOf(_) => None,
-        Constraint::Range { min, max } => {
-            let mut out = Vec::new();
-            if let Some(m) = min {
-                out.push(Restriction::via(steps.clone(), CondOp::Ge, m.to_term()));
-            }
-            if let Some(m) = max {
-                out.push(Restriction::via(steps, CondOp::Le, m.to_term()));
-            }
-            Some(out)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -703,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_select_falls_back_to_values_pinning() {
+    fn multi_select_is_a_term_set_in_the_root() {
         let s = store();
         let mut a = AnalyticsSession::start(&s);
         a.select_class(id(&s, "Laptop")).unwrap();
@@ -711,12 +619,139 @@ mod tests {
         a.select_values(&[PathStep::fwd(id(&s, "manufacturer"))], &both).unwrap();
         a.add_grouping(GroupSpec::property(id(&s, "manufacturer")));
         a.set_ops(vec![AggOp::Count]);
-        // OneOf is not expressible as a HIFUN root condition → VALUES pinning
         let sparql = a.sparql().unwrap();
-        assert!(sparql.contains("VALUES ?x1"), "{sparql}");
+        assert!(sparql.contains("rdf-syntax-ns#type> <http://e/Laptop>"), "{sparql}");
+        assert!(sparql.contains("VALUES ?x2 { "), "{sparql}");
+        assert!(!sparql.contains("VALUES ?x1"), "{sparql}");
         let frame = a.run().unwrap();
         assert_eq!(frame.rows.len(), 2);
         assert!(row_value(&frame, "DELL", 1).unwrap().value_eq(&Value::Int(2)));
+        assert_agrees_with_direct(&s, &a);
+    }
+
+    /// Three laptops: one with two prices and two manufacturers, two whose
+    /// USB counts are equal in value but not the same term, and a shop
+    /// reaching one of them.
+    fn three_laptops() -> Store {
+        let mut s = Store::new();
+        s.load_turtle(&format!(
+            r#"@prefix ex: <{EX}> .
+               @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+               ex:l1 a ex:Laptop ; ex:price 100, 1000 ; ex:usb "2"^^xsd:integer ;
+                     ex:manufacturer ex:DELL, ex:ACER .
+               ex:l2 a ex:Laptop ; ex:price 500 ; ex:usb "2.0"^^xsd:decimal ;
+                     ex:manufacturer ex:DELL .
+               ex:l3 a ex:Laptop ; ex:price 2000 ; ex:usb 3 ; ex:manufacturer ex:HP .
+               ex:shop1 ex:ships ex:l1 . ex:shop2 ex:ships ex:l2, ex:l3 .
+            "#
+        ))
+        .unwrap();
+        s
+    }
+
+    /// After one click from the laptops, the item COUNT covers exactly the
+    /// extension, the root is not pinned, and direct evaluation agrees on it
+    /// and on the SUM of the prices.
+    fn count_covers_the_extension(click: impl Fn(&Store, &mut AnalyticsSession<'_>)) {
+        let s = three_laptops();
+        let mut a = AnalyticsSession::start(&s);
+        a.select_class(id(&s, "Laptop")).unwrap();
+        click(&s, &mut a);
+        a.set_ops(vec![AggOp::Count]);
+        let sparql = a.sparql().unwrap();
+        assert!(!sparql.contains("VALUES ?x1"), "{sparql}");
+        let frame = a.run().unwrap();
+        let count = Value::from_term(frame.rows[0][0].as_ref().unwrap());
+        let n = a.facets().extension().len();
+        assert!(count.value_eq(&Value::Int(n as i64)), "{count:?} items, {n} on screen\n{sparql}");
+        assert_agrees_with_direct(&s, &a);
+        a.set_measure(MeasureSpec::property(id(&s, "price")));
+        a.set_ops(vec![AggOp::Sum]);
+        assert_agrees_with_direct(&s, &a);
+    }
+
+    #[test]
+    fn range_click_on_a_multi_valued_price_counts_the_extension() {
+        count_covers_the_extension(|s, a| {
+            let price = [PathStep::fwd(id(s, "price"))];
+            a.select_range(&price, Some(Value::Int(200)), Some(Value::Int(900))).unwrap();
+            assert_eq!(a.facets().extension().len(), 1);
+        });
+    }
+
+    #[test]
+    fn literal_value_click_is_term_identity() {
+        count_covers_the_extension(|s, a| {
+            a.select_value(id(s, "usb"), s.lookup(&Term::integer(2)).unwrap()).unwrap();
+            assert_eq!(a.facets().extension().len(), 1);
+        });
+    }
+
+    #[test]
+    fn multi_select_counts_the_extension() {
+        count_covers_the_extension(|s, a| {
+            let values: ExtSet =
+                [Term::integer(2), Term::integer(3)].iter().map(|t| s.lookup(t).unwrap()).collect();
+            a.select_values(&[PathStep::fwd(id(s, "usb"))], &values).unwrap();
+            assert_eq!(a.facets().extension().len(), 2);
+        });
+    }
+
+    /// A laptop with both selected manufacturers, and both its prices in
+    /// the range, is one item: its prices are summed once.
+    #[test]
+    fn an_item_reached_by_two_routes_is_aggregated_once() {
+        count_covers_the_extension(|s, a| {
+            let both: ExtSet = [id(s, "DELL"), id(s, "ACER")].into_iter().collect();
+            a.select_values(&[PathStep::fwd(id(s, "manufacturer"))], &both).unwrap();
+            let price = [PathStep::fwd(id(s, "price"))];
+            a.select_range(&price, Some(Value::Int(50)), Some(Value::Int(5000))).unwrap();
+            assert_eq!(a.facets().extension().len(), 2);
+            a.set_measure(MeasureSpec::property(id(s, "price")));
+            a.set_ops(vec![AggOp::Sum]);
+            let sum = Value::from_term(a.run().unwrap().rows[0][0].as_ref().unwrap());
+            assert!(sum.value_eq(&Value::Int(1600)), "{sum:?}");
+            a.clear_measure();
+        });
+    }
+
+    #[test]
+    fn inverse_path_click_counts_the_extension() {
+        count_covers_the_extension(|s, a| {
+            a.select_path_value(&[PathStep::inv(id(s, "ships"))], id(s, "shop2")).unwrap();
+            assert_eq!(a.facets().extension().len(), 2);
+            let intent = a.facets().intent_sparql();
+            assert!(intent.contains("<http://e/shop2> <http://e/ships> ?x1 ."), "{intent}");
+        });
+    }
+
+    #[test]
+    fn named_individuals_stay_in_the_root() {
+        let mut s = Store::new();
+        s.load_turtle(&format!(
+            r#"@prefix ex: <{EX}> .
+               @prefix owl: <http://www.w3.org/2002/07/owl#> .
+               ex:l1 a owl:NamedIndividual, ex:Laptop ; ex:price 10 .
+               ex:l2 a ex:Laptop ; ex:price 20 .
+            "#
+        ))
+        .unwrap();
+        let mut a = AnalyticsSession::start(&s);
+        a.select_class(id(&s, "Laptop")).unwrap();
+        a.set_ops(vec![AggOp::Count]);
+        assert_eq!(a.facets().extension().len(), 1);
+        let count = Value::from_term(a.run().unwrap().rows[0][0].as_ref().unwrap());
+        assert!(count.value_eq(&Value::Int(1)), "{count:?}");
+        // the initial root is no click: the script starts at the Laptop
+        // click, and its replay pushes as many states as the session did
+        let script = a.script().to_string();
+        assert!(script.starts_with("class <http://e/Laptop>\n"), "{script}");
+        assert!(!script.contains("NamedIndividual"), "{script}");
+        let mut replay = AnalyticsSession::start(&s);
+        a.script().apply(&mut replay).unwrap();
+        assert_eq!(replay.sparql(), a.sparql());
+        assert_eq!(replay.facets().extension(), a.facets().extension());
+        assert_eq!(replay.facets().depth(), a.facets().depth());
     }
 
     #[test]
@@ -792,7 +827,7 @@ mod tests {
         let engine = rdfa_sparql::Engine::builder(&s).build();
         let intent = engine.run(&a.facets().intent_sparql()).unwrap();
         assert_eq!(intent.solutions().unwrap().len(), 3);
-        assert_eq!(a.facets().intent().describe(&s), "type=Laptop, type=Product");
+        assert_eq!(a.facets().intent().to_string(), "Laptop ∧ Product");
         // the analytic root denotes the extension, not all six products
         a.set_ops(vec![AggOp::Count]);
         let frame = a.run().unwrap();

@@ -53,7 +53,7 @@ pub use ops::{joins, joins_path, restrict_class, restrict_path, restrict_value};
 pub use rdfa_exec::CancelFlag;
 pub use rdfa_store::ExtSet;
 pub use session::FacetedSession;
-pub use state::{Condition, Constraint, Intent, PathStep, State};
+pub use state::{PathStep, State};
 
 /// Errors from session operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

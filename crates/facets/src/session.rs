@@ -3,9 +3,12 @@
 
 use crate::cache::FacetCache;
 use crate::markers::{expand_path, ClassMarker, FacetOptions, PropertyFacet};
-use crate::ops::{restrict_class, restrict_path, restrict_range, restrict_value};
-use crate::state::{Condition, Constraint, Intent, PathStep, State};
+use crate::ops::{
+    restrict_class, restrict_path, restrict_range, restrict_value, restrict_value_set,
+};
+use crate::state::{PathStep, State};
 use crate::FacetError;
+use rdfa_hifun::{translate, Restriction, Root, Step};
 use rdfa_model::Value;
 use rdfa_store::{ExtSet, Store, TermId};
 use std::sync::Arc;
@@ -38,9 +41,11 @@ impl<'s> FacetedSession<'s> {
     }
 
     /// Start by exploring an externally obtained result set (e.g. a keyword
-    /// query's answer — the second starting point of §5.4.1).
+    /// query's answer — the second starting point of §5.4.1): the root is
+    /// that seed.
     pub fn start_from(store: &'s Store, results: ExtSet) -> Self {
-        let intent = Intent { seed: Some(results.clone()), ..Intent::default() };
+        let seed = results.iter().map(|id| store.term(id).clone()).collect();
+        let intent = Root { among: Some(seed), ..Root::default() };
         FacetedSession {
             store,
             states: vec![State { ext: results, intent }],
@@ -76,9 +81,15 @@ impl<'s> FacetedSession<'s> {
         &self.state().ext
     }
 
-    /// The current intention.
-    pub fn intent(&self) -> &Intent {
+    /// The current intention: the HIFUN root the extension is the answer
+    /// of.
+    pub fn intent(&self) -> &Root {
         &self.state().intent
+    }
+
+    /// The initial state's intention, which every later one extends.
+    pub fn initial_intent(&self) -> &Root {
+        &self.states[0].intent
     }
 
     /// Number of states on the stack (including the initial one).
@@ -125,7 +136,9 @@ impl<'s> FacetedSession<'s> {
 
     // ---- transitions ------------------------------------------------------
 
-    fn push(&mut self, ext: ExtSet, intent: Intent) -> Result<(), FacetError> {
+    /// Push the state a click reaches: its extension, and the current root
+    /// with the click's class or condition added.
+    fn push(&mut self, ext: ExtSet, intent: Root) -> Result<(), FacetError> {
         if ext.is_empty() {
             return Err(FacetError::new(
                 "transition would produce an empty extension (never offered by the UI)",
@@ -135,28 +148,35 @@ impl<'s> FacetedSession<'s> {
         Ok(())
     }
 
+    /// A click path as HIFUN steps.
+    fn steps(&self, path: &[PathStep]) -> Result<Vec<Step>, FacetError> {
+        path.iter()
+            .map(|s| {
+                let term = self.store.term(s.prop);
+                let iri = term.as_iri().map(str::to_owned).ok_or_else(|| {
+                    FacetError::new(format!("{term} is not an IRI the intention can name"))
+                })?;
+                Ok(if s.inverse { Step::Inv(iri) } else { Step::Prop(iri) })
+            })
+            .collect()
+    }
+
     /// Click a class marker: restrict to (entailed) instances of `c`. Every
     /// class clicked stays in the intention, so a later click on a
     /// superclass keeps the narrower one.
     pub fn select_class(&mut self, c: TermId) -> Result<(), FacetError> {
+        let class = Restriction::class(self.store.term(c).clone());
         let ext = restrict_class(self.store, self.extension(), c);
         let mut intent = self.intent().clone();
-        if !intent.classes.contains(&c) {
-            intent.classes.push(c);
+        if !intent.conditions.contains(&class) {
+            intent.conditions.push(class);
         }
         self.push(ext, intent)
     }
 
     /// Click a value marker of a (single-step) property facet.
     pub fn select_value(&mut self, prop: TermId, value: TermId) -> Result<(), FacetError> {
-        let step = PathStep::fwd(prop);
-        let ext = restrict_value(self.store, self.extension(), step, value);
-        let mut intent = self.intent().clone();
-        intent.conditions.push(Condition {
-            path: vec![step],
-            constraint: Constraint::Value(value),
-        });
-        self.push(ext, intent)
+        self.select_path_value(&[PathStep::fwd(prop)], value)
     }
 
     /// Tick several value checkboxes of one facet (or expanded path) at
@@ -170,15 +190,16 @@ impl<'s> FacetedSession<'s> {
         if values.is_empty() {
             return Err(FacetError::new("empty value selection"));
         }
-        let ext = match path {
-            [step] => crate::ops::restrict_value_set(self.store, self.extension(), *step, values),
+        let terms = values.iter().map(|v| self.store.term(v).clone()).collect();
+        let mut intent = self.intent().clone();
+        intent.conditions.push(Restriction::one_of(self.steps(path)?, terms));
+        let ext = match (path, values.iter().next()) {
+            ([step], Some(value)) if values.len() == 1 => {
+                restrict_value(self.store, self.extension(), *step, value)
+            }
+            ([step], _) => restrict_value_set(self.store, self.extension(), *step, values),
             _ => restrict_path(self.store, self.extension(), path, values)?,
         };
-        let mut intent = self.intent().clone();
-        intent.conditions.push(Condition {
-            path: path.to_vec(),
-            constraint: Constraint::OneOf(values.clone()),
-        });
         self.push(ext, intent)
     }
 
@@ -188,21 +209,7 @@ impl<'s> FacetedSession<'s> {
         path: &[PathStep],
         value: TermId,
     ) -> Result<(), FacetError> {
-        if path.is_empty() {
-            return Err(FacetError::new("empty property path"));
-        }
-        let ext = if path.len() == 1 {
-            restrict_value(self.store, self.extension(), path[0], value)
-        } else {
-            let vset: ExtSet = [value].into_iter().collect();
-            restrict_path(self.store, self.extension(), path, &vset)?
-        };
-        let mut intent = self.intent().clone();
-        intent.conditions.push(Condition {
-            path: path.to_vec(),
-            constraint: Constraint::Value(value),
-        });
-        self.push(ext, intent)
+        self.select_values(path, &[value].into_iter().collect())
     }
 
     /// Apply a range filter on a path's terminal values (the `⧩` button,
@@ -216,12 +223,10 @@ impl<'s> FacetedSession<'s> {
         if path.is_empty() {
             return Err(FacetError::new("empty property path"));
         }
-        let ext = restrict_range(self.store, self.extension(), path, min.as_ref(), max.as_ref());
+        let bound = |b: &Option<Value>| b.as_ref().map(Value::to_term);
         let mut intent = self.intent().clone();
-        intent.conditions.push(Condition {
-            path: path.to_vec(),
-            constraint: Constraint::Range { min, max },
-        });
+        intent.conditions.push(Restriction::range(self.steps(path)?, bound(&min), bound(&max)));
+        let ext = restrict_range(self.store, self.extension(), path, min.as_ref(), max.as_ref());
         self.push(ext, intent)
     }
 
@@ -242,9 +247,10 @@ impl<'s> FacetedSession<'s> {
         self.states.truncate(1);
     }
 
-    /// The SPARQL expression of the current intention (§5.5).
+    /// The SPARQL expression of the current intention (§5.5): the root's
+    /// translation alone, whose `?x1` answers are the extension.
     pub fn intent_sparql(&self) -> String {
-        self.intent().to_sparql(self.store)
+        translate::root_to_sparql(self.intent())
     }
 }
 
@@ -336,7 +342,7 @@ mod tests {
         let got: BTreeSet<String> = sols
             .solutions()
             .unwrap()
-            .column("x")
+            .column("x1")
             .map(|t| t.display_name())
             .collect();
         let expect: BTreeSet<String> = session
@@ -372,9 +378,10 @@ mod tests {
         let man = [PathStep::fwd(id(&s, "manufacturer"))];
         session.select_values(&man, &both).unwrap();
         assert_eq!(session.extension().len(), 3);
-        // the OR intention evaluates back to the extension
+        // the OR intention is a term set on the path's final variable, and
+        // evaluates back to the extension
         let sparql = session.intent_sparql();
-        assert!(sparql.contains(" IN ("), "{sparql}");
+        assert!(sparql.contains("VALUES ?x2 { <http://e/DELL> <http://e/Lenovo> }"), "{sparql}");
         let got = rdfa_sparql::Engine::builder(&s).build()
             .run(&sparql)
             .unwrap()
@@ -431,6 +438,30 @@ mod tests {
         let session = FacetedSession::start_with(&s, opts);
         assert!(session.try_facets().is_err());
         assert!(session.try_class_markers().is_err());
+    }
+
+    /// A class that is not an IRI (here a blank node, as an entailed OWL
+    /// restriction is) is a class condition like any other.
+    #[test]
+    fn blank_node_class_click() {
+        let mut s = Store::new();
+        s.load_turtle(&format!(
+            r#"@prefix ex: <{EX}> .
+               ex:l1 a _:c, ex:Laptop . ex:l2 a ex:Laptop . ex:l3 a _:c .
+            "#
+        ))
+        .unwrap();
+        let mut session = FacetedSession::start(&s);
+        session.select_class(id(&s, "Laptop")).unwrap();
+        let blank = session.class_markers().iter().map(|m| m.class).find(|&c| s.term(c).is_blank());
+        session.select_class(blank.expect("the blank class is offered")).unwrap();
+        assert_eq!(session.extension().len(), 1);
+        let sparql = session.intent_sparql();
+        let got = rdfa_sparql::Engine::builder(&s).build().run(&sparql).unwrap();
+        let got: Vec<String> =
+            got.solutions().unwrap().column("x1").map(|t| t.display_name()).collect();
+        assert_eq!(got, ["l1"], "{sparql}");
+        assert!(session.intent().to_string().ends_with(" ∧ _:c"), "{}", session.intent());
     }
 
     #[test]

@@ -108,6 +108,14 @@ fn count_values(store: &Store, item: TermId, steps: &[Step]) -> usize {
                     }
                 }
             }
+            Step::Inv(iri) => {
+                let Some(p) = store.lookup_iri(iri) else { return 0 };
+                for &node in &frontier {
+                    for [s, _, _] in store.matching(None, Some(p), Some(node)) {
+                        next.push(s);
+                    }
+                }
+            }
             Step::Derived(_) => {
                 // derived steps are 1:1 over values
                 next = frontier.clone();

@@ -141,33 +141,37 @@ fn dedup_values(vals: &[Value]) -> Vec<Value> {
         .collect()
 }
 
-/// The root item set of the analysis context: the conjunction of the class,
-/// condition, and explicit-set constraints.
+/// The root item set of the analysis context: the conjunction of the
+/// explicit set and the conditions.
 fn root_items(store: &Store, root: &Root) -> BTreeSet<TermId> {
     let mut items: BTreeSet<TermId> = match &root.among {
         Some(terms) => terms.iter().filter_map(|t| store.lookup(t)).collect(),
         None => store.iter_explicit().map(|[s, _, _]| s).collect(),
     };
-    if let Some(c) = &root.class {
-        let insts: BTreeSet<TermId> = match store.lookup_iri(c) {
-            Some(cid) => store
-                .matching(None, Some(store.well_known().rdf_type), Some(cid))
-                .map(|[s, _, _]| s)
-                .collect(),
-            None => BTreeSet::new(),
-        };
-        items = items.intersection(&insts).copied().collect();
+    for holders in root.conditions.iter().filter_map(|cond| indexed(store, cond)) {
+        items = items.intersection(&holders).copied().collect();
     }
-    if !root.conditions.is_empty() {
-        items.retain(|&item| {
-            root.conditions.iter().all(|cond| {
-                follow(store, item, &cond.path)
-                    .iter()
-                    .any(|t| passes(t, cond.op, &cond.value))
-            })
-        });
-    }
+    items.retain(|&item| root.conditions.iter().all(|cond| meets(store, item, cond)));
     items
+}
+
+/// Some end of the restriction's path from `start` passes its test.
+fn meets(store: &Store, start: TermId, r: &Restriction) -> bool {
+    follow(store, start, &r.path).iter().any(|t| holds(t, &r.test))
+}
+
+/// The items a one-term set on one property step (a class, a value click)
+/// holds for, read off the index; `None` for any other condition.
+fn indexed(store: &Store, cond: &Restriction) -> Option<BTreeSet<TermId>> {
+    let (Test::OneOf(terms), [step]) = (&cond.test, &cond.path[..]) else { return None };
+    let ([term], Some((iri, inverse))) = (&terms[..], step.property()) else { return None };
+    // an unknown property or term leaves the condition to the item test
+    let (p, t) = (store.lookup_iri(iri)?, store.lookup(term)?);
+    Some(if inverse {
+        store.matching(Some(t), Some(p), None).map(|[_, _, o]| o).collect()
+    } else {
+        store.matching(None, Some(p), Some(t)).map(|[s, _, _]| s).collect()
+    })
 }
 
 /// Values of a grouping/measuring component for one item, with its
@@ -178,22 +182,18 @@ fn component_values(store: &Store, item: TermId, rp: &RestrictedPath) -> Vec<Ter
         .filter(|t| {
             rp.restrictions.iter().all(|r| {
                 if r.path.is_empty() {
-                    passes(t, r.op, &r.value)
+                    holds(t, &r.test)
                 } else {
                     // continuation restriction: some extension must pass
-                    match store.lookup(t) {
-                        Some(id) => follow(store, id, &r.path)
-                            .iter()
-                            .any(|u| passes(u, r.op, &r.value)),
-                        None => false,
-                    }
+                    store.lookup(t).is_some_and(|id| meets(store, id, r))
                 }
             })
         })
         .collect()
 }
 
-/// Enumerate endpoint values of a composition chain from an item. Each
+/// Enumerate endpoint values of a composition chain from an item (an
+/// inverse step follows its property backwards). Each
 /// distinct *route* contributes one value (bag semantics, matching SPARQL
 /// joins); derived steps transform values in place, dropping those where the
 /// function is undefined (SPARQL error semantics).
@@ -202,10 +202,15 @@ fn follow(store: &Store, start: TermId, steps: &[Step]) -> Vec<Term> {
     for step in steps {
         let mut next = Vec::new();
         match step {
-            Step::Prop(iri) => {
+            Step::Prop(iri) | Step::Inv(iri) => {
                 let Some(p) = store.lookup_iri(iri) else { return Vec::new() };
                 for t in &current {
-                    if let Some(id) = store.lookup(t) {
+                    let Some(id) = store.lookup(t) else { continue };
+                    if let Step::Inv(_) = step {
+                        for [s, _, _] in store.matching(None, Some(p), Some(id)) {
+                            next.push(store.term(s).clone());
+                        }
+                    } else {
                         for [_, _, o] in store.matching(Some(id), Some(p), None) {
                             next.push(store.term(o).clone());
                         }
@@ -242,6 +247,19 @@ pub fn apply_derived(f: DerivedFn, t: &Term) -> Option<Term> {
         DerivedFn::Day => date.map(|d| d.day as i64).or(dt.map(|d| d.date.day as i64)),
     }?;
     Some(Term::integer(n))
+}
+
+/// A restriction's test on one final term: a comparison by value, term
+/// identity for a term set, both bounds for a range.
+fn holds(t: &Term, test: &Test) -> bool {
+    match test {
+        Test::Cmp(op, value) => passes(t, *op, value),
+        Test::OneOf(terms) => terms.contains(t),
+        Test::Range { min, max } => {
+            min.iter().all(|m| passes(t, CondOp::Ge, m))
+                && max.iter().all(|m| passes(t, CondOp::Le, m))
+        }
+    }
 }
 
 fn passes(t: &Term, op: CondOp, value: &Term) -> bool {
@@ -476,6 +494,36 @@ mod tests {
             .measure(AttrPath::prop(p("inQuantity")));
         let sol = evaluate(&s, &q).unwrap();
         assert_eq!(sol.len(), 3); // (b1,p1), (b1,p2), (b2,p1)
+    }
+
+    /// Term identity, inverse steps and one value within both bounds.
+    #[test]
+    fn click_conditions() {
+        let mut s = Store::new();
+        s.load_turtle(&format!(
+            r#"@prefix ex: <{EX}> .
+               @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+               ex:l1 ex:price 100, 1000 ; ex:usb "2"^^xsd:integer .
+               ex:l2 ex:price 500 ; ex:usb "2.0"^^xsd:decimal .
+               ex:shop ex:ships ex:l2 .
+            "#
+        ))
+        .unwrap();
+        let count = |cond: Restriction| {
+            let q = HifunQuery::new(AggOp::Count).with_conditions(vec![cond]);
+            evaluate(&s, &q).unwrap().rows()[0][0].clone().unwrap()
+        };
+        let usb = || vec![Step::Prop(p("usb"))];
+        assert_eq!(count(Restriction::via(usb(), CondOp::Eq, Term::integer(2))), Term::integer(2));
+        assert_eq!(count(Restriction::one_of(usb(), vec![Term::integer(2)])), Term::integer(1));
+        let price = vec![Step::Prop(p("price"))];
+        let range = Restriction::range(price, Some(Term::integer(200)), Some(Term::integer(900)));
+        assert_eq!(count(range), Term::integer(1));
+        let shipped = vec![Step::Inv(p("ships"))];
+        assert_eq!(
+            count(Restriction::one_of(shipped, vec![Term::iri(p("shop"))])),
+            Term::integer(1)
+        );
     }
 
     #[test]

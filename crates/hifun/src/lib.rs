@@ -9,8 +9,10 @@
 //! This crate implements:
 //!
 //! - the query AST ([`query`]) with the functional algebra the paper uses —
-//!   composition (`∘`), pairing (`⊗`), restriction (`/`), and derived
-//!   attributes (`month ∘ date`);
+//!   composition (`∘`), pairing (`⊗`), restriction (`/`), derived
+//!   attributes (`month ∘ date`) and inverse attributes (`^p`) — and a root
+//!   that holds what a faceted click says, so a state's intention is a
+//!   [`Root`];
 //! - the [analysis context](context) and its applicability checks (§4.1.1);
 //! - the **translation to SPARQL** ([`translate`]) following Algorithms 1–4
 //!   of Chapter 4 verbatim (simple case, compositions, pairings,
@@ -54,8 +56,8 @@ pub mod translate;
 pub use context::{AnalysisContext, Applicability, RootSpec};
 pub use direct::evaluate;
 pub use parse::parse_hifun;
-pub use query::{AggOp, AttrPath, CondOp, DerivedFn, HifunQuery, Restriction, Step};
-pub use translate::to_sparql;
+pub use query::{AggOp, AttrPath, CondOp, DerivedFn, HifunQuery, Restriction, Root, Step, Test};
+pub use translate::{root_to_sparql, to_sparql};
 
 /// Errors from HIFUN evaluation or translation.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,6 +4,15 @@
 //! measuring function `ID`, the empty grouping `ε`, and result restrictions
 //! (`SUM/>1000`).
 //!
+//! A constrained root follows the triple after ` | `, as items joined by
+//! `∧`: a seed `{i1, i2}`, a class (a term alone, `rdf:type∈{C}`), or a
+//! condition on a path from the root. A condition is `path op value`,
+//! `path∈{t1, t2}` (term identity) or `path∈[min, max]` (`*` leaves a side
+//! open), and a path step written `^p` is followed inversely: `(manufacturer, price, AVG) | Laptop ∧
+//! USBPorts∈[2, 4] ∧ ^ships∈{store1}`. Terms are names, `<iri>`s, `_:b`
+//! blank nodes, bare integers, decimals and booleans, or N-Triples literals.
+//! This is what [`HifunQuery::notation`] prints with the same namespace.
+//!
 //! Attribute names are resolved against a namespace; derived-function names
 //! (`year`, `month`, `day`) are recognized positionally (they may only head
 //! a composition, matching the expressibility rule of Chapter 7).
@@ -16,12 +25,17 @@
 
 use crate::query::*;
 use crate::HifunError;
-use rdfa_model::Term;
+use rdfa_model::{ntriples, Term};
 
 /// Parse a HIFUN query written in the paper's notation. `ns` is prepended to
 /// every bare attribute or value name.
 pub fn parse_hifun(text: &str, ns: &str) -> Result<HifunQuery, HifunError> {
-    let inner = text
+    let (tuple, root) = match split_top(text, '|')[..] {
+        [tuple] => (tuple, None),
+        [tuple, root] => (tuple, Some(root)),
+        _ => return Err(HifunError::new("a HIFUN query has at most one root: (g, m, op) | root")),
+    };
+    let inner = tuple
         .trim()
         .strip_prefix('(')
         .and_then(|t| t.strip_suffix(')'))
@@ -77,18 +91,84 @@ pub fn parse_hifun(text: &str, ns: &str) -> Result<HifunQuery, HifunError> {
     q.groupings = groupings;
     q.measuring = measuring;
     q.result_restrictions = result_restrictions;
+    if let Some(root) = root {
+        q.root = parse_root(root, ns)?;
+    }
     Ok(q)
 }
 
-/// Split at a separator, respecting parenthesis nesting.
+/// The root after ` | `: items joined by `∧`.
+fn parse_root(text: &str, ns: &str) -> Result<Root, HifunError> {
+    let mut root = Root::default();
+    for item in split_top(text, '∧') {
+        let item = item.trim();
+        if item.is_empty() {
+            return Err(HifunError::new("empty item in the root"));
+        }
+        if let Some(seed) = item.strip_prefix('{').and_then(|t| t.strip_suffix('}')) {
+            if root.among.replace(parse_terms(seed, ns)?).is_some() {
+                return Err(HifunError::new("a root has at most one seed {…}"));
+            }
+            continue;
+        }
+        match split_condition(item) {
+            (class, None) => {
+                root.conditions.push(Restriction::class(parse_value(class.trim(), ns)?))
+            }
+            (path, Some((op, value))) => root.conditions.push(Restriction {
+                path: parse_path(path.trim(), ns)?.steps,
+                test: parse_test(op, value, ns)?,
+            }),
+        }
+    }
+    Ok(root)
+}
+
+/// The test after a path: `op value`, `∈{t1, t2}` or `∈[min, max]`.
+fn parse_test(op: &str, text: &str, ns: &str) -> Result<Test, HifunError> {
+    let text = text.trim();
+    if op != "∈" {
+        return Ok(Test::Cmp(cond_op(op)?, parse_value(text, ns)?));
+    }
+    if let Some(terms) = text.strip_prefix('{').and_then(|t| t.strip_suffix('}')) {
+        return Ok(Test::OneOf(parse_terms(terms, ns)?));
+    }
+    let bounds = text.strip_prefix('[').and_then(|t| t.strip_suffix(']'));
+    match bounds.map(|b| split_top(b, ',')).as_deref() {
+        Some([min, max]) => {
+            let bound = |b: &str| match b.trim() {
+                "*" => Ok(None),
+                b => parse_value(b, ns).map(Some),
+            };
+            Ok(Test::Range { min: bound(min)?, max: bound(max)? })
+        }
+        _ => Err(HifunError::new(format!("expected {{t1, …}} or [min, max] after ∈: '{text}'"))),
+    }
+}
+
+fn parse_terms(text: &str, ns: &str) -> Result<Vec<Term>, HifunError> {
+    split_top(text, ',').into_iter().map(|t| parse_value(t.trim(), ns)).collect()
+}
+
+/// Split at a separator outside brackets, `"…"` literals and `<iri>`s.
 fn split_top(text: &str, sep: char) -> Vec<&str> {
     let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in text.char_indices() {
+    let (mut depth, mut start) = (0usize, 0usize);
+    let (mut quoted, mut escaped, mut in_iri) = (false, false, false);
+    let mut chars = text.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        if quoted {
+            quoted = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+            continue;
+        }
         match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
+            '"' => quoted = true,
+            '<' if matches!(chars.peek(), Some((_, n)) if n.is_ascii_alphabetic()) => in_iri = true,
+            '>' => in_iri = false,
+            _ if in_iri => {}
+            '(' | '{' | '[' => depth += 1,
+            ')' | '}' | ']' => depth = depth.saturating_sub(1),
             c if c == sep && depth == 0 => {
                 parts.push(&text[start..i]);
                 start = i + c.len_utf8();
@@ -101,26 +181,27 @@ fn split_top(text: &str, sep: char) -> Vec<&str> {
 }
 
 /// One grouping/measuring component: a composition chain with an optional
-/// trailing condition (`origin∘manufacturer=USA`, `inQuantity>=2`).
+/// trailing test (`origin∘manufacturer=USA`, `inQuantity>=2`, `price∈[1, 5]`).
 fn parse_component(text: &str, ns: &str) -> Result<RestrictedPath, HifunError> {
     // find a top-level comparator
     let (path_text, cond) = split_condition(text);
-    let path = parse_path(path_text.trim(), ns)?;
-    let mut rp = RestrictedPath::new(path);
-    if let Some((op_text, value_text)) = cond {
-        let op = cond_op(op_text)?;
-        let value = parse_value(value_text.trim(), ns);
-        rp = rp.restricted(Restriction::cmp(op, value));
+    let mut rp = RestrictedPath::new(parse_path(path_text.trim(), ns)?);
+    if let Some((op, value)) = cond {
+        rp = rp.restricted(Restriction { path: Vec::new(), test: parse_test(op, value, ns)? });
     }
     Ok(rp)
 }
 
+/// The text before the first comparator or `∈` outside `<…>`, and the
+/// operator with the text after it.
 fn split_condition(text: &str) -> (&str, Option<(&str, &str)>) {
-    // scan outside <…> IRI brackets for the first comparator
     let bytes = text.as_bytes();
     let mut in_iri = false;
     let mut i = 0;
     while i < bytes.len() {
+        if !in_iri && bytes[i..].starts_with("∈".as_bytes()) {
+            return (&text[..i], Some(("∈", &text[i + "∈".len()..])));
+        }
         match bytes[i] {
             b'<' if !in_iri => {
                 // '<' opens an IRI when followed by a scheme-ish char,
@@ -171,28 +252,45 @@ fn parse_condition(text: &str, ns: &str) -> Result<(CondOp, Term), HifunError> {
     }
     let (op_text, value_text) =
         cond.ok_or_else(|| HifunError::new(format!("expected comparator in '{text}'")))?;
-    Ok((cond_op(op_text)?, parse_value(value_text.trim(), ns)))
+    Ok((cond_op(op_text)?, parse_value(value_text.trim(), ns)?))
 }
 
-fn parse_value(text: &str, ns: &str) -> Term {
+/// A term: a bare integer, decimal or boolean, an N-Triples literal, a
+/// `_:b` blank node, an `<iri>`, or a name resolved against `ns`.
+pub(crate) fn parse_value(text: &str, ns: &str) -> Result<Term, HifunError> {
+    if text.is_empty() {
+        return Err(HifunError::new("a value is missing"));
+    }
     if let Ok(v) = text.parse::<i64>() {
-        return Term::integer(v);
+        return Ok(Term::integer(v));
     }
     if let Ok(v) = text.parse::<f64>() {
-        return Term::decimal(v);
+        return Ok(Term::decimal(v));
     }
     if text == "true" || text == "false" {
-        return Term::boolean(text == "true");
+        return Ok(Term::boolean(text == "true"));
     }
-    if let Some(iri) = text.strip_prefix('<').and_then(|t| t.strip_suffix('>')) {
-        return Term::iri(iri);
+    if text.starts_with('"') {
+        return ntriples::parse_term(text)
+            .ok_or_else(|| HifunError::new(format!("malformed literal {text}")));
     }
-    Term::iri(format!("{ns}{text}"))
+    if let Some(label) = text.strip_prefix("_:") {
+        return Ok(Term::blank(label));
+    }
+    Ok(Term::iri(iri(text, ns)))
+}
+
+/// An `<iri>`, or a name resolved against `ns`.
+fn iri(name: &str, ns: &str) -> String {
+    match name.strip_prefix('<').and_then(|t| t.strip_suffix('>')) {
+        Some(full) => full.to_owned(),
+        None => format!("{ns}{name}"),
+    }
 }
 
 /// Parse `f_k∘…∘f_1` — HIFUN composition is right-to-left, so the chain is
 /// reversed into application order. `year|month|day` at the head become
-/// derived steps.
+/// derived steps, and `^p` an inverse step.
 fn parse_path(text: &str, ns: &str) -> Result<AttrPath, HifunError> {
     let names: Vec<&str> = text.split('∘').map(str::trim).collect();
     if names.iter().any(|n| n.is_empty()) {
@@ -215,15 +313,10 @@ fn parse_path(text: &str, ns: &str) -> Result<AttrPath, HifunError> {
                 }
                 steps.push(Step::Derived(f));
             }
-            None => {
-                let iri = if let Some(full) = name.strip_prefix('<').and_then(|t| t.strip_suffix('>'))
-                {
-                    full.to_owned()
-                } else {
-                    format!("{ns}{name}")
-                };
-                steps.push(Step::Prop(iri));
-            }
+            None => steps.push(match name.strip_prefix('^') {
+                Some(name) => Step::Inv(iri(name, ns)),
+                None => Step::Prop(iri(name, ns)),
+            }),
         }
     }
     Ok(AttrPath { steps })
@@ -274,9 +367,12 @@ mod tests {
     fn restrictions_and_having() {
         let q = parse_hifun("(takesPlaceAt=branch1, inQuantity>=2, SUM/>1000)", NS).unwrap();
         assert_eq!(q.groupings[0].restrictions.len(), 1);
-        assert_eq!(q.groupings[0].restrictions[0].value, Term::iri(format!("{NS}branch1")));
+        assert_eq!(
+            q.groupings[0].restrictions[0].test,
+            Test::Cmp(CondOp::Eq, Term::iri(format!("{NS}branch1")))
+        );
         let m = q.measuring.as_ref().unwrap();
-        assert_eq!(m.restrictions[0].op, CondOp::Ge);
+        assert_eq!(m.restrictions[0].test, Test::Cmp(CondOp::Ge, Term::integer(2)));
         assert_eq!(q.result_restrictions.len(), 1);
         assert_eq!(q.result_restrictions[0].value, Term::integer(1000));
     }
@@ -315,6 +411,52 @@ mod tests {
         let q = parse_hifun("(takesPlaceAt, inQuantity, SUM)", NS).unwrap();
         let answer = crate::direct::evaluate(&store, &q).unwrap();
         assert_eq!(answer.len(), 2);
+    }
+
+    #[test]
+    fn root_prints_and_reads_back() {
+        let owl = rdfa_model::vocab::owl::NAMED_INDIVIDUAL;
+        let text = format!(
+            "(ε, ID, COUNT) | {{l1, l2}} ∧ Laptop ∧ <{owl}> ∧ ^ships∈{{shop1}} ∧ \
+             usb∈{{2, 2.0}} ∧ label∈{{\"a, b∧c\"@en}} ∧ price∈[100, *] ∧ \
+             origin∘manufacturer=USA ∧ month∘releaseDate>=3 ∧ <http://x/price>∈[*, 5]"
+        );
+        let q = parse_hifun(&text, NS).unwrap();
+        assert_eq!(q.notation(NS), text);
+        let n = |l: &str| format!("{NS}{l}");
+        assert_eq!(q.root.among, Some(vec![Term::iri(n("l1")), Term::iri(n("l2"))]));
+        assert_eq!(
+            q.root.conditions[..5],
+            [
+                Restriction::class(Term::iri(n("Laptop"))),
+                Restriction::class(Term::iri(owl)),
+                Restriction::one_of(vec![Step::Inv(n("ships"))], vec![Term::iri(n("shop1"))]),
+                Restriction::one_of(
+                    vec![Step::Prop(n("usb"))],
+                    vec![Term::integer(2), Term::decimal(2.0)]
+                ),
+                Restriction::one_of(
+                    vec![Step::Prop(n("label"))],
+                    vec![Term::Literal(rdfa_model::Literal::lang_string("a, b∧c", "en"))]
+                ),
+            ]
+        );
+        assert_eq!(
+            q.root.conditions[5],
+            Restriction::range(vec![Step::Prop(n("price"))], Some(Term::integer(100)), None)
+        );
+        // the label form names every IRI by its local name, so two prices
+        // and the OWL class do not read back
+        let label = q.to_string();
+        assert!(label.contains("∧ NamedIndividual ∧"), "{label}");
+        assert!(label.ends_with("∧ price∈[*, 5]"), "{label}");
+        assert_ne!(parse_hifun(&label, NS).unwrap(), q);
+        // an unconstrained root prints nothing, and bad roots are refused
+        assert_eq!(parse_hifun("(ε, ID, COUNT)", NS).unwrap().to_string(), "(ε, ID, COUNT)");
+        let bad_roots = ["| A ∧ ", "| usb∈2", "| usb∈[1]", "| usb∈{}", "| {a} ∧ {b}", "| a | b"];
+        for bad in bad_roots {
+            assert!(parse_hifun(&format!("(ε, ID, COUNT) {bad}"), NS).is_err(), "{bad}");
+        }
     }
 
     #[test]

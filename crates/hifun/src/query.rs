@@ -1,7 +1,7 @@
 //! The HIFUN query AST: attribute paths, the functional algebra, and the
 //! general query form `q = (gE/rg, mE/rm, opE/ro)` (§4.2.5).
 
-use rdfa_model::Term;
+use rdfa_model::{vocab, Term};
 use std::fmt;
 
 /// Aggregate (reduction) operations on measure values.
@@ -69,8 +69,23 @@ impl DerivedFn {
 pub enum Step {
     /// A direct attribute: follow the property from the current node.
     Prop(String),
+    /// An inverse attribute `p⁻¹` (§5.3.1), written `^p`: follow the
+    /// property backwards, from object to subject.
+    Inv(String),
     /// A derived attribute: apply the function to the current value.
     Derived(DerivedFn),
+}
+
+impl Step {
+    /// The property of a property step and whether it is followed
+    /// inversely; `None` for a derived step.
+    pub fn property(&self) -> Option<(&str, bool)> {
+        match self {
+            Step::Prop(iri) => Some((iri, false)),
+            Step::Inv(iri) => Some((iri, true)),
+            Step::Derived(_) => None,
+        }
+    }
 }
 
 /// A composition chain of steps — the `fk ∘ … ∘ f2 ∘ f1` of Algorithm 2,
@@ -117,16 +132,57 @@ impl AttrPath {
     /// Short display name: local names of the steps joined by `∘` in HIFUN
     /// (right-to-left) order.
     pub fn display_name(&self) -> String {
-        let names: Vec<String> = self
-            .steps
-            .iter()
-            .rev()
-            .map(|s| match s {
-                Step::Prop(iri) => rdfa_model::term::local_name(iri).to_owned(),
-                Step::Derived(d) => d.sparql().to_lowercase(),
-            })
-            .collect();
-        names.join("∘")
+        path_name(&self.steps, None)
+    }
+}
+
+/// Steps in HIFUN notation: right to left, joined by `∘`, an inverse step
+/// written `^p`, each IRI named by [`name`].
+fn path_name(steps: &[Step], ns: Option<&str>) -> String {
+    let names: Vec<String> = steps
+        .iter()
+        .rev()
+        .map(|s| match s {
+            Step::Prop(iri) => name(iri, ns),
+            Step::Inv(iri) => format!("^{}", name(iri, ns)),
+            Step::Derived(d) => d.sparql().to_lowercase(),
+        })
+        .collect();
+    names.join("∘")
+}
+
+/// An IRI in the notation. Against a namespace `ns`, an IRI under `ns` is
+/// the rest of it and any other is `<iri>`, so that
+/// [`parse_hifun`](crate::parse_hifun) with that `ns` reads it back; without
+/// one it is its local name, a label. Either way it is `<iri>` when the name
+/// would not read back as a name.
+fn name(iri: &str, ns: Option<&str>) -> String {
+    let local = match ns {
+        Some(ns) => iri.strip_prefix(ns).unwrap_or_default(),
+        None => rdfa_model::term::local_name(iri),
+    };
+    let reserved = ["year", "month", "day", "id", "eps", "ε"].contains(&&*local.to_lowercase());
+    let plain = !local.is_empty()
+        && !reserved
+        && local.chars().all(|c| c.is_alphanumeric() || "_-.".contains(c))
+        && matches!(crate::parse::parse_value(local, ""), Ok(Term::Iri(_)));
+    if plain {
+        local.to_owned()
+    } else {
+        format!("<{iri}>")
+    }
+}
+
+/// A term in the notation: an IRI by [`name`], a literal in its shorthand
+/// (`2`, `4.5`, `true`) when that reads back as the same term, in N-Triples
+/// syntax otherwise.
+fn term_name(t: &Term, ns: Option<&str>) -> String {
+    match t {
+        Term::Iri(iri) => name(iri, ns),
+        Term::Literal(l) if crate::parse::parse_value(&l.lexical, "").ok().as_ref() == Some(t) => {
+            l.lexical.clone()
+        }
+        t => t.to_string(),
     }
 }
 
@@ -168,33 +224,99 @@ impl CondOp {
     }
 }
 
+/// What a restriction asks of the final value of its path.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Test {
+    /// `op value`, a comparison by value (§4.2.2). A URI with `=` becomes a
+    /// triple pattern, anything else a FILTER.
+    Cmp(CondOp, Term),
+    /// `∈{t1, t2}`: the final term is one of these terms. This is term
+    /// identity, so `"2"^^xsd:integer` does not match `"2.0"^^xsd:decimal`.
+    /// A value click or a multi-select. One term is a constant in the
+    /// pattern, several a `VALUES` on the final variable.
+    OneOf(Vec<Term>),
+    /// `∈[min, max]`: one final value within both bounds, inclusive; `*`
+    /// (`None`) leaves a side open. The ⧩ filter of §5.1.
+    Range { min: Option<Term>, max: Option<Term> },
+}
+
 /// A restriction `…/r` on a grouping or measuring expression (§4.2.2 and the
-/// general case of Algorithm 4): an optional continuation path followed by a
-/// condition on its final value. A URI value with `Eq` becomes a triple
-/// pattern; a literal becomes a FILTER.
+/// general case of Algorithm 4), or a condition of the root: an optional
+/// continuation path followed by a test of its final value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Restriction {
     /// Extra composition steps beyond the restricted expression's value
     /// (empty for a plain `g/v` restriction).
     pub path: Vec<Step>,
-    pub op: CondOp,
-    pub value: Term,
+    pub test: Test,
 }
 
 impl Restriction {
     /// Plain equality restriction to a value.
     pub fn eq(value: Term) -> Self {
-        Restriction { path: Vec::new(), op: CondOp::Eq, value }
+        Restriction::cmp(CondOp::Eq, value)
     }
 
     /// Comparison restriction on the value itself.
     pub fn cmp(op: CondOp, value: Term) -> Self {
-        Restriction { path: Vec::new(), op, value }
+        Restriction::via(Vec::new(), op, value)
     }
 
     /// Restriction through a continuation path (general case, Algorithm 4).
     pub fn via(path: Vec<Step>, op: CondOp, value: Term) -> Self {
-        Restriction { path, op, value }
+        Restriction { path, test: Test::Cmp(op, value) }
+    }
+
+    /// The path's final term is one of `terms`.
+    pub fn one_of(path: Vec<Step>, terms: Vec<Term>) -> Self {
+        Restriction { path, test: Test::OneOf(terms) }
+    }
+
+    /// One final value of the path lies in `[min, max]`.
+    pub fn range(path: Vec<Step>, min: Option<Term>, max: Option<Term>) -> Self {
+        Restriction { path, test: Test::Range { min, max } }
+    }
+
+    /// Membership in a class, `rdf:type∈{class}`: a class click. The
+    /// notation writes it as the class alone.
+    pub fn class(class: Term) -> Self {
+        Restriction::one_of(vec![Step::Prop(vocab::rdf::TYPE.to_owned())], vec![class])
+    }
+
+    /// The class of a [`class`](Self::class) membership.
+    pub fn as_class(&self) -> Option<&Term> {
+        match (&self.path[..], &self.test) {
+            ([Step::Prop(p)], Test::OneOf(terms)) if p == vocab::rdf::TYPE && terms.len() == 1 => {
+                terms.first()
+            }
+            _ => None,
+        }
+    }
+
+    /// `path op value`, `path∈{t1, t2}`, `path∈[min, max]`, or a class.
+    fn text(&self, ns: Option<&str>) -> String {
+        if let Some(class) = self.as_class() {
+            return term_name(class, ns);
+        }
+        let path = path_name(&self.path, ns);
+        let term = |t: &Term| term_name(t, ns);
+        match &self.test {
+            Test::Cmp(op, value) => format!("{path}{}{}", op.sparql(), term(value)),
+            Test::OneOf(terms) => {
+                let terms: Vec<String> = terms.iter().map(term).collect();
+                format!("{path}∈{{{}}}", terms.join(", "))
+            }
+            Test::Range { min, max } => {
+                let bound = |b: &Option<Term>| b.as_ref().map_or("*".to_owned(), term);
+                format!("{path}∈[{}, {}]", bound(min), bound(max))
+            }
+        }
+    }
+}
+
+impl fmt::Display for Restriction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text(None))
     }
 }
 
@@ -230,23 +352,44 @@ pub struct ResultRestriction {
 /// How the root set of the analysis context is constrained. The parts
 /// combine conjunctively; all empty = every item with the queried attributes
 /// (implicit join).
+///
+/// A faceted state's intention is the root it denotes (§5.5): every click
+/// adds a condition, and the extension on screen is the answer of the root
+/// alone ([`root_to_sparql`](crate::translate::root_to_sparql)).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Root {
-    /// Instances of a class (adds `?x1 rdf:type <C>`).
-    pub class: Option<String>,
-    /// Path conditions from the root (the faceted-search extension `E`).
+    /// Path conditions from the root (the faceted-search extension `E`), in
+    /// click order; a class click is a [`Restriction::class`].
     pub conditions: Vec<Restriction>,
-    /// An explicit item set (translated to a `VALUES ?x1 { … }` clause) —
-    /// how the interaction model pins the current state's extension
-    /// (Table 5.1 stores it in a temporary class; a VALUES clause is the
-    /// equivalent that needs no store mutation).
+    /// An explicit item set, translated to a `VALUES ?x1 { … }` clause: the
+    /// seed of a session started from external results, such as a keyword
+    /// search's hits (§5.4.1).
     pub among: Option<Vec<Term>>,
 }
 
 impl Root {
     /// True when the root is completely unconstrained.
     pub fn is_unconstrained(&self) -> bool {
-        self.class.is_none() && self.conditions.is_empty() && self.among.is_none()
+        self.conditions.is_empty() && self.among.is_none()
+    }
+
+    /// The seed `{i1, i2}` and the conditions, joined by ` ∧ `; nothing for
+    /// an unconstrained root.
+    fn text(&self, ns: Option<&str>) -> String {
+        let mut items: Vec<String> = Vec::new();
+        if let Some(among) = &self.among {
+            let among: Vec<String> = among.iter().map(|t| term_name(t, ns)).collect();
+            items.push(format!("{{{}}}", among.join(", ")));
+        }
+        items.extend(self.conditions.iter().map(|c| c.text(ns)));
+        items.join(" ∧ ")
+    }
+}
+
+impl fmt::Display for Root {
+    /// The root with every IRI by its local name, a label.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text(None))
     }
 }
 
@@ -280,21 +423,16 @@ impl HifunQuery {
         }
     }
 
-    /// Set the root to a class.
+    /// Root the query at a class's instances.
     pub fn over_class(mut self, class_iri: impl Into<String>) -> Self {
-        self.root.class = Some(class_iri.into());
+        self.root.conditions.push(Restriction::class(Term::Iri(class_iri.into())));
         self
     }
 
-    /// Add root conditions (the faceted extension `E`).
+    /// Add root conditions (the faceted extension `E`) after those already
+    /// there.
     pub fn with_conditions(mut self, conds: Vec<Restriction>) -> Self {
-        self.root.conditions = conds;
-        self
-    }
-
-    /// Pin the root to an explicit item set (the current faceted extension).
-    pub fn among(mut self, items: Vec<Term>) -> Self {
-        self.root.among = Some(items);
+        self.root.conditions.extend(conds);
         self
     }
 
@@ -335,42 +473,46 @@ impl HifunQuery {
     }
 }
 
-impl fmt::Display for HifunQuery {
-    /// HIFUN notation, e.g. `(takesPlaceAt ⊗ (brand∘delivers), inQuantity, SUM)`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl HifunQuery {
+    /// The query in HIFUN notation with its IRIs named against `ns`: an IRI
+    /// under `ns` by the rest of it, any other as `<iri>`. A query whose
+    /// components and result carry no restrictions (printed `/E`, `/F`)
+    /// reads back as itself with [`parse_hifun`](crate::parse_hifun)`(text,
+    /// ns)`.
+    pub fn notation(&self, ns: &str) -> String {
+        self.text(Some(ns))
+    }
+
+    /// `(g, m, op)`, followed by ` | ` and the root when it is constrained.
+    fn text(&self, ns: Option<&str>) -> String {
+        let component = |rp: &RestrictedPath| {
+            let mut s = path_name(&rp.path.steps, ns);
+            if !rp.restrictions.is_empty() {
+                s.push_str("/E");
+            }
+            s
+        };
         let g = if self.groupings.is_empty() {
             "ε".to_owned()
         } else {
-            self.groupings
-                .iter()
-                .map(|rp| {
-                    let mut s = rp.path.display_name();
-                    if !rp.restrictions.is_empty() {
-                        s.push_str("/E");
-                    }
-                    s
-                })
-                .collect::<Vec<_>>()
-                .join(" ⊗ ")
+            self.groupings.iter().map(component).collect::<Vec<_>>().join(" ⊗ ")
         };
-        let m = match &self.measuring {
-            None => "ID".to_owned(),
-            Some(rp) => {
-                let mut s = rp.path.display_name();
-                if !rp.restrictions.is_empty() {
-                    s.push_str("/E");
-                }
-                s
-            }
-        };
-        let ops = self
-            .ops
-            .iter()
-            .map(|o| o.sparql().to_owned())
-            .collect::<Vec<_>>()
-            .join(",");
+        let m = self.measuring.as_ref().map_or("ID".to_owned(), component);
+        let ops: Vec<&str> = self.ops.iter().map(|o| o.sparql()).collect();
         let suffix = if self.result_restrictions.is_empty() { "" } else { "/F" };
-        write!(f, "({g}, {m}, {ops}{suffix})")
+        let mut text = format!("({g}, {m}, {}{suffix})", ops.join(","));
+        if !self.root.is_unconstrained() {
+            text = format!("{text} | {}", self.root.text(ns));
+        }
+        text
+    }
+}
+
+impl fmt::Display for HifunQuery {
+    /// HIFUN notation with every IRI by its local name, e.g.
+    /// `(takesPlaceAt ⊗ (brand∘delivers), inQuantity, SUM)`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text(None))
     }
 }
 

@@ -13,111 +13,174 @@
 //!   `SELECT`/`GROUP BY` (§4.2.4);
 //! - pairing joins components on the shared root variable `?x1` (§4.2.4);
 //! - restriction paths of the general case (Algorithm 4) extend the pattern
-//!   chain before constraining its final term.
+//!   chain before constraining its final term;
+//! - an inverse step `^p` is the pattern `?next <p> ?current`, a term-set
+//!   test is a constant in the pattern (one term) or a `VALUES` on the final
+//!   variable, and a range puts both bounds on the one final variable;
+//! - a root whose term sets or ranges may reach an item by several routes is
+//!   a `SELECT DISTINCT ?x1` sub-select, so each item is aggregated once.
+//!
+//! A faceted state's intention is a [`Root`]; [`root_to_sparql`] translates
+//! it alone, and its answer is the state's extension.
 
 use crate::query::*;
-use rdfa_model::{vocab, Term};
+use rdfa_model::Term;
+
+/// The root variable; fresh variables continue from `?x2`.
+const ROOT: &str = "?x1";
 
 /// Accumulates the strings of the query under construction, mirroring the
 /// `triplePatterns`, `retVars`, `op(m)` and `restr(Q_ans)` registers of
 /// Algorithm 1.
+#[derive(Default)]
 struct Translator {
-    values_clause: Option<String>,
     triple_patterns: Vec<String>,
     filters: Vec<String>,
     select_items: Vec<String>,
     group_by: Vec<String>,
     having: Vec<String>,
-    var_counter: usize,
+    fresh_vars: usize,
 }
 
 impl Translator {
-    fn new() -> Self {
-        Translator {
-            values_clause: None,
-            triple_patterns: Vec::new(),
-            filters: Vec::new(),
-            select_items: Vec::new(),
-            group_by: Vec::new(),
-            having: Vec::new(),
-            // ?x1 is the root; fresh variables start at ?x2
-            var_counter: 1,
-        }
+    fn new_var(&mut self) -> String {
+        self.fresh_vars += 1;
+        format!("?x{}", self.fresh_vars + 1)
     }
 
-    fn new_var(&mut self) -> String {
-        self.var_counter += 1;
-        format!("?x{}", self.var_counter)
+    /// The pattern of one property step from `from` to `to`.
+    fn push_step(&mut self, from: &str, (iri, inverse): (&str, bool), to: &str) {
+        self.triple_patterns.push(if inverse {
+            format!("{to} <{iri}> {from} .")
+        } else {
+            format!("{from} <{iri}> {to} .")
+        });
     }
 
     /// Emit the triple-pattern chain for a composition (Algorithm 2 /
-    /// Algorithm 3 with derived attributes). Returns the *return expression*:
-    /// either a plain variable or a built-in call over one.
-    fn emit_path(&mut self, start: &str, steps: &[Step]) -> String {
+    /// Algorithm 3 with derived attributes). Returns the chain's last
+    /// variable and its *return expression*: that variable, or a built-in
+    /// call over it.
+    fn emit_chain(&mut self, start: &str, steps: &[Step]) -> (String, String) {
         let mut current = start.to_owned();
         let mut expr = current.clone();
         for step in steps {
-            match step {
-                Step::Prop(iri) => {
-                    let next = self.new_var();
-                    self.triple_patterns.push(format!("{current} <{iri}> {next} ."));
-                    current = next.clone();
-                    expr = next;
-                }
-                Step::Derived(f) => {
-                    // derived attribute: no triple pattern, wrap the return var
-                    expr = format!("{}({})", f.sparql(), expr);
-                }
+            if let Some(prop) = step.property() {
+                let next = self.new_var();
+                self.push_step(&current, prop, &next);
+                current = next.clone();
+                expr = next;
+            } else if let Step::Derived(f) = step {
+                // derived attribute: no triple pattern, wrap the return var
+                expr = format!("{}({})", f.sparql(), expr);
             }
         }
-        expr
+        (current, expr)
+    }
+
+    /// The root: the seed as `VALUES`, then each condition. With
+    /// `semi_join`, a root with a term set or a range that can reach one
+    /// item by several routes (several terms, several steps, several values
+    /// of the attribute) becomes the sub-select `{ SELECT DISTINCT ?x1 … }`,
+    /// so that the aggregates see each item once, as direct evaluation does.
+    /// A comparison keeps the plain join of Algorithm 4.
+    fn emit_root(&mut self, root: &Root, semi_join: bool) {
+        if let Some(items) = &root.among {
+            let list: Vec<String> = items.iter().map(render_term).collect();
+            self.triple_patterns.push(format!("VALUES {ROOT} {{ {} }}", list.join(" ")));
+        }
+        for cond in &root.conditions {
+            // one URI or one identity term ends the chain as a constant
+            let constant = match &cond.test {
+                Test::Cmp(CondOp::Eq, t @ Term::Iri(_)) => Some(t),
+                Test::OneOf(terms) if terms.len() == 1 => terms.first(),
+                _ => None,
+            };
+            let last = cond.path.split_last().and_then(|(l, prefix)| Some((l.property()?, prefix)));
+            if let (Some(c), Some((last, prefix))) = (constant, last) {
+                let (from, _) = self.emit_chain(ROOT, prefix);
+                self.push_step(&from, last, &render_term(c));
+            } else {
+                let (_, end) = self.emit_chain(ROOT, &cond.path);
+                self.emit_test(&end, &cond.test);
+            }
+        }
+        let once = |c: &Restriction| match &c.test {
+            Test::Cmp(..) => true,
+            Test::OneOf(terms) => terms.len() == 1 && c.path.len() == 1,
+            Test::Range { .. } => false,
+        };
+        if semi_join && !root.conditions.iter().all(once) {
+            let mut inner = std::mem::take(&mut self.triple_patterns);
+            if !self.filters.is_empty() {
+                inner.push(format!("FILTER({})", std::mem::take(&mut self.filters).join(" && ")));
+            }
+            self.triple_patterns
+                .push(format!("{{ SELECT DISTINCT {ROOT} WHERE {{ {} }} }}", inner.join(" ")));
+        }
+    }
+
+    /// Bind `?x1` with a wildcard pattern when nothing else does (no root
+    /// patterns, no groupings, identity measuring).
+    fn bind_root(&mut self) {
+        if self.triple_patterns.is_empty() {
+            self.triple_patterns.push(format!("{ROOT} ?p0 ?o0 ."));
+        }
     }
 
     /// Emit a restriction on a value expression whose underlying variable is
     /// `var` (the `right(g)` of the algorithms). URI + equality restrictions
-    /// become triple patterns continuing the chain; literal restrictions
-    /// become FILTERs.
+    /// become triple patterns continuing the chain; the other tests follow
+    /// [`emit_test`](Self::emit_test).
     fn emit_restriction(&mut self, var: &str, r: &Restriction) {
         // continuation path first (general case, Algorithm 4)
-        let end = if r.path.is_empty() {
-            var.to_owned()
-        } else {
-            self.emit_path(var, &r.path)
+        let (_, end) = self.emit_chain(var, &r.path);
+        if let Test::Cmp(CondOp::Eq, Term::Iri(iri)) = &r.test {
+            // rewrite: assert the chain's final pattern with the URI object
+            if let Some(last) = self.triple_patterns.iter().rposition(|tp| {
+                tp.split_whitespace().nth(2) == Some(end.as_str())
+            }) {
+                let parts: Vec<&str> = self.triple_patterns[last].split_whitespace().collect();
+                self.triple_patterns
+                    .push(format!("{} {} <{}> .", parts[0], parts[1], iri));
+                return;
+            }
+        }
+        self.emit_test(&end, &r.test);
+    }
+
+    /// A test of the expression `end`: a comparison or a range is a FILTER,
+    /// a term set a `VALUES` on `end` (bound to a fresh variable first when
+    /// it is a built-in call).
+    fn emit_test(&mut self, end: &str, test: &Test) {
+        let mut compare = |op: CondOp, value: &Term| {
+            self.filters.push(format!("{end} {} {}", op.sparql(), render_term(value)));
         };
-        match (&r.value, r.op) {
-            (Term::Iri(iri), CondOp::Eq) => {
-                // rewrite: replace the chain's last object with the URI —
-                // equivalently, assert the final pattern with the URI object
-                if let Some(last) = self.triple_patterns.iter().rposition(|tp| {
-                    tp.split_whitespace().nth(2) == Some(end.as_str())
-                }) {
-                    let parts: Vec<&str> = self.triple_patterns[last].split_whitespace().collect();
-                    self.triple_patterns
-                        .push(format!("{} {} <{}> .", parts[0], parts[1], iri));
+        match test {
+            Test::Cmp(op, value) => compare(*op, value),
+            Test::Range { min, max } => {
+                min.iter().for_each(|v| compare(CondOp::Ge, v));
+                max.iter().for_each(|v| compare(CondOp::Le, v));
+            }
+            Test::OneOf(terms) => {
+                let var = if end.starts_with('?') {
+                    end.to_owned()
                 } else {
-                    self.filters.push(format!("{end} = <{iri}>"));
-                }
-            }
-            (Term::Iri(iri), op) => {
-                self.filters.push(format!("{end} {} <{}>", op.sparql(), iri));
-            }
-            (value, op) => {
-                self.filters
-                    .push(format!("{end} {} {}", op.sparql(), render_literal(value)));
+                    let var = self.new_var();
+                    self.triple_patterns.push(format!("BIND({end} AS {var})"));
+                    var
+                };
+                let list: Vec<String> = terms.iter().map(render_term).collect();
+                self.triple_patterns.push(format!("VALUES {var} {{ {} }}", list.join(" ")));
             }
         }
     }
 
-    fn render(&self, distinct_count_root: bool) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("SELECT ");
         out.push_str(&self.select_items.join(" "));
         out.push_str("\nWHERE {\n");
-        if let Some(v) = &self.values_clause {
-            out.push_str("  ");
-            out.push_str(v);
-            out.push('\n');
-        }
         for tp in &self.triple_patterns {
             out.push_str("  ");
             out.push_str(tp);
@@ -135,12 +198,11 @@ impl Translator {
         if !self.having.is_empty() {
             out.push_str(&format!("HAVING ({})\n", self.having.join(" && ")));
         }
-        let _ = distinct_count_root;
         out
     }
 }
 
-fn render_literal(t: &Term) -> String {
+fn render_term(t: &Term) -> String {
     match t {
         Term::Literal(l) => l.to_string(),
         Term::Iri(iri) => format!("<{iri}>"),
@@ -148,62 +210,26 @@ fn render_literal(t: &Term) -> String {
     }
 }
 
+/// The root alone, as the query whose answer is its item set: a faceted
+/// state's intention, whose answer is the state's extension.
+pub fn root_to_sparql(root: &Root) -> String {
+    let mut tr = Translator::default();
+    tr.emit_root(root, false);
+    tr.bind_root();
+    tr.select_items.push(format!("DISTINCT {ROOT}"));
+    tr.render()
+}
+
 /// Translate a HIFUN query to a SPARQL SELECT query (the full algorithm of
 /// §4.2.5).
 pub fn to_sparql(q: &HifunQuery) -> String {
-    let mut tr = Translator::new();
-    let root = "?x1";
+    let mut tr = Translator::default();
+    tr.emit_root(&q.root, true);
 
-    // root constraint
-    if let Some(items) = &q.root.among {
-        let list = items
-            .iter()
-            .map(render_literal)
-            .collect::<Vec<_>>()
-            .join(" ");
-        tr.values_clause = Some(format!("VALUES {root} {{ {list} }}"));
-    }
-    if let Some(c) = &q.root.class {
-        tr.triple_patterns
-            .push(format!("{root} <{}> <{c}> .", vocab::rdf::TYPE));
-    }
-    {
-        let conds = &q.root.conditions;
-        {
-            for cond in conds {
-                // each condition is a path from the root ending in a value
-                if let (Term::Iri(iri), CondOp::Eq, false) = (&cond.value, cond.op, cond.path.is_empty())
-                {
-                    // emit chain with final object fixed to the URI
-                    let (last, prefix) = cond.path.split_last().expect("non-empty path");
-                    let mut current = root.to_owned();
-                    for step in prefix {
-                        if let Step::Prop(p) = step {
-                            let next = tr.new_var();
-                            tr.triple_patterns.push(format!("{current} <{p}> {next} ."));
-                            current = next;
-                        }
-                    }
-                    if let Step::Prop(p) = last {
-                        tr.triple_patterns.push(format!("{current} <{p}> <{iri}> ."));
-                    }
-                } else {
-                    let end = tr.emit_path(root, &cond.path);
-                    tr.filters.push(format!(
-                        "{end} {} {}",
-                        cond.op.sparql(),
-                        render_literal(&cond.value)
-                    ));
-                }
-            }
-        }
-    }
-
-    // grouping components (pairing over compositions, Algorithm 2)
+    // grouping components (pairing over compositions, Algorithm 2); the
+    // restrictions constrain the variable under the expression
     for rp in &q.groupings {
-        let expr = tr.emit_path(root, &rp.path.steps);
-        // locate the variable underlying the expression for restrictions
-        let var = underlying_var(&expr);
+        let (var, expr) = tr.emit_chain(ROOT, &rp.path.steps);
         for r in &rp.restrictions {
             tr.emit_restriction(&var, r);
         }
@@ -218,10 +244,9 @@ pub fn to_sparql(q: &HifunQuery) -> String {
 
     // measuring expression
     let measure_expr = match &q.measuring {
-        None => root.to_owned(), // identity function: measure the items
+        None => ROOT.to_owned(), // identity function: measure the items
         Some(rp) => {
-            let expr = tr.emit_path(root, &rp.path.steps);
-            let var = underlying_var(&expr);
+            let (var, expr) = tr.emit_chain(ROOT, &rp.path.steps);
             for r in &rp.restrictions {
                 tr.emit_restriction(&var, r);
             }
@@ -229,62 +254,34 @@ pub fn to_sparql(q: &HifunQuery) -> String {
         }
     };
 
-    // if nothing binds ?x1 yet (no root patterns, no groupings, identity
-    // measuring), bind it with a wildcard pattern
-    if tr.triple_patterns.is_empty() && tr.values_clause.is_none() {
-        tr.triple_patterns.push(format!("{root} ?p0 ?o0 ."));
-    }
+    tr.bind_root();
 
-    // aggregate operations (SELECT clause)
+    // aggregate operations (SELECT clause); ID measuring counts items, not
+    // join duplicates
+    let inner =
+        if q.measuring.is_none() { format!("DISTINCT {measure_expr}") } else { measure_expr };
     for (i, op) in q.ops.iter().enumerate() {
-        let inner = if q.measuring.is_none() {
-            // ID measuring: count items, not join duplicates
-            format!("DISTINCT {measure_expr}")
-        } else {
-            measure_expr.clone()
-        };
-        tr.select_items
-            .push(format!("({}({inner}) AS ?agg{})", op.sparql(), i + 1));
+        tr.select_items.push(format!("({}({inner}) AS ?agg{})", op.sparql(), i + 1));
     }
 
     // result restrictions → HAVING
     for rr in &q.result_restrictions {
         let op = q.ops[rr.op_index];
-        let inner = if q.measuring.is_none() {
-            format!("DISTINCT {measure_expr}")
-        } else {
-            measure_expr.clone()
-        };
         tr.having.push(format!(
             "{}({inner}) {} {}",
             op.sparql(),
             rr.op.sparql(),
-            render_literal(&rr.value)
+            render_term(&rr.value)
         ));
     }
 
-    tr.render(q.measuring.is_none())
-}
-
-/// The variable a return expression is built over (`MONTH(?x2)` → `?x2`).
-fn underlying_var(expr: &str) -> String {
-    match expr.find('?') {
-        Some(i) => {
-            let rest = &expr[i..];
-            let end = rest
-                .char_indices()
-                .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '?'))
-                .map(|(j, _)| j)
-                .unwrap_or(rest.len());
-            rest[..end].to_owned()
-        }
-        None => expr.to_owned(),
-    }
+    tr.render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfa_model::vocab;
 
     const EX: &str = "http://example.org/";
 
@@ -457,6 +454,94 @@ mod tests {
             assert!(s.starts_with("SELECT"), "{s}");
             assert!(rdfa_sparql::parse_query(&s).is_ok(), "generated SPARQL must parse:\n{s}");
         }
+    }
+
+    /// A faceted root: a class, an inverse step, a literal value click, a
+    /// multi-select and a two-bound range.
+    #[test]
+    fn click_root_alone() {
+        let root = Root {
+            conditions: vec![
+                Restriction::class(Term::iri(p("Laptop"))),
+                Restriction::one_of(vec![Step::Inv(p("ships"))], vec![Term::iri(p("shop1"))]),
+                Restriction::one_of(vec![Step::Prop(p("usb"))], vec![Term::integer(2)]),
+                Restriction::one_of(
+                    vec![Step::Prop(p("manufacturer"))],
+                    vec![Term::iri(p("DELL")), Term::iri(p("ACER"))],
+                ),
+                Restriction::range(
+                    vec![Step::Prop(p("price"))],
+                    Some(Term::integer(100)),
+                    Some(Term::integer(900)),
+                ),
+            ],
+            among: None,
+        };
+        let int = |v: i64| Term::integer(v).to_string();
+        let expected = format!(
+            "SELECT DISTINCT ?x1\nWHERE {{\n  \
+             ?x1 <{}> <{EX}Laptop> .\n  \
+             <{EX}shop1> <{EX}ships> ?x1 .\n  \
+             ?x1 <{EX}usb> {} .\n  \
+             ?x1 <{EX}manufacturer> ?x2 .\n  \
+             VALUES ?x2 {{ <{EX}DELL> <{EX}ACER> }}\n  \
+             ?x1 <{EX}price> ?x3 .\n  \
+             FILTER(?x3 >= {} && ?x3 <= {})\n}}\n",
+            vocab::rdf::TYPE,
+            int(2),
+            int(100),
+            int(900),
+        );
+        assert_eq!(root_to_sparql(&root), expected);
+        rdfa_sparql::parse_query(&expected).unwrap();
+        // an unconstrained root is every subject
+        assert!(root_to_sparql(&Root::default()).contains("?x1 ?p0 ?o0 ."));
+    }
+
+    /// In an analytic query, a root with a multi-select or a range is a
+    /// `DISTINCT` sub-select: an item with two of the selected values, or
+    /// two prices in the range, is aggregated once.
+    #[test]
+    fn multi_route_root_is_a_distinct_sub_select() {
+        let manufacturers = Restriction::one_of(
+            vec![Step::Prop(p("manufacturer"))],
+            vec![Term::iri(p("DELL")), Term::iri(p("ACER"))],
+        );
+        let q = HifunQuery::new(AggOp::Sum)
+            .over_class(p("Laptop"))
+            .with_conditions(vec![manufacturers])
+            .measure(AttrPath::prop(p("price")));
+        let s = to_sparql(&q);
+        let expected = format!(
+            "SELECT (SUM(?x3) AS ?agg1)\nWHERE {{\n  \
+             {{ SELECT DISTINCT ?x1 WHERE {{ ?x1 <{}> <{EX}Laptop> . \
+             ?x1 <{EX}manufacturer> ?x2 . VALUES ?x2 {{ <{EX}DELL> <{EX}ACER> }} }} }}\n  \
+             ?x1 <{EX}price> ?x3 .\n}}\n",
+            vocab::rdf::TYPE,
+        );
+        assert_eq!(s, expected);
+        rdfa_sparql::parse_query(&s).unwrap();
+        let range = Restriction::range(vec![Step::Prop(p("price"))], Some(Term::integer(1)), None);
+        let s = to_sparql(&HifunQuery::new(AggOp::Count).with_conditions(vec![range]));
+        assert!(s.contains(" . FILTER(?x2 >= "), "{s}");
+        rdfa_sparql::parse_query(&s).unwrap();
+        // a class and one value on one step reach an item once: no sub-select
+        let one = Restriction::one_of(vec![Step::Prop(p("usb"))], vec![Term::integer(2)]);
+        let q = HifunQuery::new(AggOp::Count).over_class(p("Laptop")).with_conditions(vec![one]);
+        let s = to_sparql(&q);
+        assert!(!s.contains("SELECT DISTINCT"), "{s}");
+    }
+
+    /// A term set on a derived value binds the value first.
+    #[test]
+    fn term_set_on_a_derived_value() {
+        let q = HifunQuery::new(AggOp::Count).with_conditions(vec![Restriction::one_of(
+            vec![Step::Prop(p("hasDate")), Step::Derived(DerivedFn::Month)],
+            vec![Term::integer(1), Term::integer(2)],
+        )]);
+        let s = to_sparql(&q);
+        assert!(s.contains(" . BIND(MONTH(?x2) AS ?x3) VALUES ?x3 { "), "{s}");
+        rdfa_sparql::parse_query(&s).unwrap();
     }
 
     /// Every generated query must be parseable by our SPARQL engine.

@@ -202,6 +202,14 @@ pub fn lex_line(line: &str) -> Result<Option<[TermRef<'_>; 3]>, LexError> {
     Ok(Some([subject, predicate, object]))
 }
 
+/// One term in N-Triples syntax, making up the whole of `text` but for
+/// surrounding whitespace.
+pub fn parse_term(text: &str) -> Option<Term> {
+    let mut rest = text;
+    let term = take_term_ref(&mut rest).ok()?;
+    rest.trim().is_empty().then(|| term.to_term())
+}
+
 fn take_term_ref<'a>(rest: &mut &'a str) -> Result<TermRef<'a>, LexError> {
     *rest = rest.trim_start();
     let s = *rest;

@@ -29,7 +29,7 @@
 //! reference; `tests/ingest_differential.rs` proves the pipeline produces a
 //! store identical to it (term ids, generation counter, all three indexes).
 
-use crate::index::{IdTriple, TripleIndex};
+use crate::index::{key, IdTriple, TripleIndex};
 use crate::interner::{hash64, term_ref_of, Interner, Slot, TermId, U64Map};
 use crate::store::Store;
 use rdfa_model::ntriples::{self, NtriplesError, TermRef};
@@ -371,7 +371,7 @@ impl<'s> BulkLoader<'s> {
     /// always materialize; WAL replay defers it to the end of recovery).
     pub(crate) fn finish(self, materialize: bool) -> LoadStats {
         let BulkLoader { store, mut staged, triples_seen, terms_before, .. } = self;
-        staged.sort_unstable();
+        staged.sort_unstable_by_key(|&t| key(t));
         staged.dedup();
         if let Some(log) = &mut store.log {
             // a recording transaction logs what the merge below adds

@@ -15,6 +15,23 @@ use std::sync::Arc;
 /// A triple of interned term ids in subject/predicate/object order.
 pub type IdTriple = [TermId; 3];
 
+/// A triple as one 96-bit integer that orders like the triple does. Searches
+/// and sorts compare these instead of the arrays: one wide compare the
+/// compiler turns into a conditional move, where the lexicographic array
+/// compare is up to three data-dependent branches — and a binary search's
+/// probes are exactly the branches a predictor cannot learn. Segments
+/// delta-encode sorted runs in it.
+#[inline]
+pub(crate) fn key([a, b, c]: IdTriple) -> u128 {
+    (u128::from(a.0) << 64) | (u128::from(b.0) << 32) | u128::from(c.0)
+}
+
+/// The triple a [`key`] packs.
+#[inline]
+pub(crate) fn unkey(k: u128) -> IdTriple {
+    [TermId((k >> 64) as u32), TermId((k >> 32) as u32), TermId(k as u32)]
+}
+
 /// Most triples one chunk holds — the same block size the on-disk segments
 /// decode to. A full chunk splits in half on the next insert into it.
 pub(crate) const CHUNK_MAX: usize = 1024;
@@ -29,16 +46,6 @@ const COPY_SLACK: usize = 16;
 
 const MIN: TermId = TermId(0);
 const MAX: TermId = TermId(u32::MAX);
-
-/// A triple as one integer that orders like the triple does. The searches
-/// below compare these instead of the arrays: one wide compare the compiler
-/// turns into a conditional move, where the lexicographic array compare is
-/// up to three data-dependent branches per probe — and a binary search's
-/// probes are exactly the branches a predictor cannot learn.
-#[inline]
-fn key([a, b, c]: IdTriple) -> u128 {
-    (u128::from(a.0) << 64) | (u128::from(b.0) << 32) | u128::from(c.0)
-}
 
 /// Index of the first element of the ascending `run` that is `>= t`.
 #[inline]
@@ -367,7 +374,7 @@ impl TripleIndex {
     pub(crate) fn from_sorted_spo(spo: Vec<IdTriple>) -> Self {
         let permuted = |perm: fn(IdTriple) -> IdTriple| {
             let mut run: Vec<IdTriple> = spo.iter().map(|&t| perm(t)).collect();
-            run.sort_unstable();
+            run.sort_unstable_by_key(|&t| key(t));
             run
         };
         let pos = permuted(|[s, p, o]| [p, o, s]);

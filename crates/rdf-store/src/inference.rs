@@ -24,7 +24,7 @@
 //! (the subsumption closures and lifted domains/ranges, read lazily from the
 //! explicit layer and memoized), which is what keeps them equal.
 
-use crate::index::{IdTriple, TripleIndex};
+use crate::index::{key, IdTriple, TripleIndex};
 use crate::interner::TermId;
 use crate::layer::Layer;
 use crate::store::WellKnown;
@@ -230,7 +230,7 @@ pub(crate) fn compute_closure(explicit: &Layer, wk: WellKnown) -> TripleIndex {
     for t in explicit.iter() {
         schema.consequences(t, |c| entailed.push(c));
     }
-    entailed.sort_unstable();
+    entailed.sort_unstable_by_key(|&t| key(t));
     entailed.dedup();
     entailed.retain(|&c| !explicit.contains(c));
     TripleIndex::from_sorted_spo(entailed)

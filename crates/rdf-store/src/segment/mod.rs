@@ -75,7 +75,7 @@
 
 mod mmap;
 
-use crate::index::{IdTriple, Perm};
+use crate::index::{key, unkey, IdTriple, Perm};
 use crate::interner::TermId;
 use crate::persist::crash::CrashInjector;
 use crate::persist::crc::crc32;
@@ -107,20 +107,6 @@ pub(crate) const RESTART_INTERVAL: usize = 32;
 
 // restart offsets are u16: the longest possible block must stay addressable
 const _: () = assert!(BLOCK_TRIPLES * MAX_VARINT_LEN <= u16::MAX as usize);
-
-#[inline]
-fn pack(t: IdTriple) -> u128 {
-    ((t[0].0 as u128) << 64) | ((t[1].0 as u128) << 32) | (t[2].0 as u128)
-}
-
-#[inline]
-fn unpack(k: u128) -> IdTriple {
-    [
-        TermId((k >> 64) as u32),
-        TermId((k >> 32) as u32),
-        TermId(k as u32),
-    ]
-}
 
 #[inline]
 fn put_uvarint(buf: &mut Vec<u8>, mut v: u128) {
@@ -173,7 +159,7 @@ fn encode_block(buf: &mut Vec<u8>, block: &[IdTriple], interval: usize) {
     let mut offsets = Vec::with_capacity(block.len() / interval);
     let mut prev = 0u128;
     for (i, &t) in block.iter().enumerate() {
-        let k = pack(t);
+        let k = key(t);
         if i % interval == 0 {
             if i > 0 {
                 offsets.push((buf.len() - base) as u16);
@@ -746,8 +732,8 @@ impl SegScan<'_> {
             self.to_restart -= 1;
             match (self.head, read_uvarint(self.bytes, &mut self.pos)) {
                 (Some(prev), Some(delta)) => {
-                    let key = pack(prev) + delta;
-                    (key >> 96 == 0).then(|| unpack(key))
+                    let k = key(prev) + delta;
+                    (k >> 96 == 0).then(|| unkey(k))
                 }
                 _ => None,
             }
@@ -835,10 +821,10 @@ mod tests {
     fn boundary_keys(run: &[IdTriple], interval: usize) -> Vec<IdTriple> {
         let mut keys = vec![[TermId(0); 3], MAX3];
         let mut around = |t: IdTriple| {
-            let k = pack(t);
+            let k = key(t);
             keys.push(t);
-            keys.extend(k.checked_sub(1).map(unpack));
-            keys.extend(Some(k + 1).filter(|k| k >> 96 == 0).map(unpack));
+            keys.extend(k.checked_sub(1).map(unkey));
+            keys.extend(Some(k + 1).filter(|k| k >> 96 == 0).map(unkey));
         };
         for at in (0..run.len()).step_by(interval) {
             for &t in &run[at.saturating_sub(1)..(at + 2).min(run.len())] {
@@ -950,7 +936,7 @@ mod tests {
                 want.extend_from_slice(&id.0.to_le_bytes());
             }
             for w in block.windows(2) {
-                put_uvarint(&mut want, pack(w[1]) - pack(w[0]));
+                put_uvarint(&mut want, key(w[1]) - key(w[0]));
             }
         }
         assert_eq!(data[HEADER_LEN..HEADER_LEN + want.len()], want[..]);

@@ -67,7 +67,7 @@ fn main() {
 
     // the intention of the state, expressed in SPARQL (§5.5)
     println!("\nintention of the current state (§5.5):\n{}", session.intent_sparql());
-    println!("breadcrumb: {}", session.intent().describe(&store));
+    println!("breadcrumb: {}", session.intent());
 
     // back undoes the last click
     session.back();

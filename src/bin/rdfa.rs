@@ -247,12 +247,14 @@ fn dispatch(
                     println!("grouping attributes: {}", session.groupings().len())
                 }
                 Some(Action::SetMeasure { .. } | Action::SetOps(_) | Action::AddHaving { .. }) => {}
-                _ => show_focus(store, session),
+                _ => show_focus(session),
             }
         }
         "run" => {
+            // the query in the notation `hifun` reads back
             let frame = session.run().map_err(|e| e.message)?;
-            println!("{}", frame.hifun);
+            let q = session.hifun_query().map_err(|e| e.message)?;
+            println!("{}", q.notation(&dominant_namespace(store)));
             print!("{}", frame.to_table());
             if frame.headers.len() >= 2 && frame.rows.len() > 1 {
                 if let Ok(chart) = chart_of(&frame) {
@@ -265,7 +267,7 @@ fn dispatch(
         "reset" => {
             session.facets_mut().reset();
             session.clear_analytics();
-            show_focus(store, session);
+            show_focus(session);
         }
         "explain" => {
             // execute once so the plan carries observed cardinalities
@@ -282,7 +284,7 @@ fn dispatch(
             let text = line.trim_start_matches("hifun").trim();
             let ns = dominant_namespace(store);
             let q = rdf_analytics::hifun::parse_hifun(text, &ns).map_err(|e| e.message)?;
-            println!("{} — translating to SPARQL:", q);
+            println!("{} — translating to SPARQL:", q.notation(&ns));
             let sparql = rdf_analytics::hifun::to_sparql(&q);
             println!("{sparql}");
             let sols = Engine::builder(store)
@@ -335,13 +337,10 @@ fn dispatch(
     Ok(Continue::Yes)
 }
 
-fn show_focus(store: &Store, session: &AnalyticsSession<'_>) {
-    let ext = session.facets().extension();
-    println!(
-        "focus: {} resources — {}",
-        ext.len(),
-        session.facets().intent().describe(store)
-    );
+fn show_focus(session: &AnalyticsSession<'_>) {
+    let root = session.facets().intent();
+    let shown = if root.is_unconstrained() { "all resources".to_owned() } else { root.to_string() };
+    println!("focus: {} resources — {shown}", session.facets().extension().len());
 }
 
 /// The most common IRI namespace in the KG (everything up to and including

@@ -7,14 +7,18 @@
 //! 3. **Count correctness** — a value marker's count equals the size of the
 //!    extension the click produces; counts over a facet's values cover the
 //!    extension.
-//! 4. **Intention faithfulness** — evaluating a state's intention (SPARQL)
-//!    returns exactly its extension.
+//! 4. **Intention faithfulness** — a state's intention is a HIFUN root; its
+//!    translation alone returns exactly the extension, and an item COUNT
+//!    over it is the extension's size. Whenever operations are selected,
+//!    the analytic query is one the clicks can express (§7.1).
 //! 5. **Back inverts** — `back()` restores the previous state exactly.
 
-use rdf_analytics::analytics::{AnalyticsSession, GroupSpec, MeasureSpec, Script};
+use rdf_analytics::analytics::{
+    check_expressibility, AnalyticsSession, Expressibility, GroupSpec, MeasureSpec, Script,
+};
 use rdf_analytics::datagen::{ProductsGenerator, EX};
 use rdf_analytics::facets::{ClassMarker, FacetedSession, PathStep};
-use rdf_analytics::hifun::{AggOp, CondOp, DerivedFn};
+use rdf_analytics::hifun::{self, AggOp, CondOp, DerivedFn, HifunQuery};
 use rdf_analytics::model::{Term, Value};
 use rdf_analytics::sparql::Engine;
 use rdf_analytics::store::{ExtSet, Store, TermId};
@@ -116,12 +120,18 @@ fn random_walk(store: &Store, rng: &mut StdRng, n: usize) -> Vec<Click> {
         GroupSpec::property(date).with_derived(DerivedFn::Year),
         GroupSpec::property(date).with_derived(DerivedFn::Month),
     ];
-    // invariant 4: the intention evaluates back to the extension
+    // invariant 4: the root's translation evaluates back to the extension,
+    // and an item COUNT over the root is the extension's size
+    let engine = Engine::builder(store).build();
     let intention_holds = |session: &AnalyticsSession<'_>| {
-        let sols = Engine::builder(store).build().run(&session.facets().intent_sparql()).unwrap();
+        let sols = engine.run(&session.facets().intent_sparql()).unwrap();
         let got: ExtSet =
-            sols.solutions().unwrap().column("x").filter_map(|t| store.lookup(t)).collect();
-        &got == session.facets().extension()
+            sols.solutions().unwrap().column("x1").filter_map(|t| store.lookup(t)).collect();
+        let mut count = HifunQuery::new(AggOp::Count);
+        count.root = session.facets().intent().clone();
+        let counted = engine.run(&hifun::to_sparql(&count)).unwrap().into_solutions().unwrap();
+        let n = Value::from_term(counted.rows()[0][0].as_ref().unwrap());
+        &got == session.facets().extension() && n.value_eq(&Value::Int(got.len() as i64))
     };
     let mut session = AnalyticsSession::start(store);
     session.select_class(ex("Laptop")).unwrap();
@@ -244,6 +254,9 @@ fn random_walk(store: &Store, rng: &mut StdRng, n: usize) -> Vec<Click> {
             assert_eq!(after.len(), count, "{click:?}: marker count must match the click result");
         }
         assert!(intention_holds(&session), "{click:?}: intention must reproduce the extension");
+        if let Ok(q) = session.hifun_query() {
+            assert_eq!(check_expressibility(&q), Expressibility::Expressible, "{click:?}: {q}");
+        }
     }
 
     // the state's script is its text form: it reads back as itself and

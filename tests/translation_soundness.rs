@@ -4,7 +4,8 @@
 //!
 //! Property test: random functional datasets × random queries drawn from
 //! the whole query space the interaction model reaches (groupings,
-//! compositions, derived attributes, restrictions, HAVING, every aggregate).
+//! compositions, derived attributes, restrictions, HAVING, every aggregate,
+//! and roots with classes, inverse steps, term sets and two-bound ranges).
 
 use rdf_analytics::hifun::{
     self, query::RestrictedPath, AggOp, AttrPath, CondOp, DerivedFn, HifunQuery, Restriction, Step,
@@ -62,7 +63,8 @@ fn build_store(d: &Dataset) -> Store {
     store
 }
 
-/// The query space: grouping choice × measuring choice × op × restrictions.
+/// The query space: grouping choice × measuring choice × op × restrictions
+/// × root conditions.
 #[derive(Debug, Clone)]
 struct QuerySpec {
     grouping: u8,      // 0 none, 1 cat, 2 cat/region, 3 month(date), 4 pair(cat, month)
@@ -71,6 +73,15 @@ struct QuerySpec {
     m_restr: Option<i64>,
     root_cat: Option<usize>,
     having: Option<i64>,
+    /// root class `Item`
+    root_class: bool,
+    /// items sharing a category with item `k` (`^cat∘cat∈{item_k}`)
+    root_sibling: Option<usize>,
+    /// `num∈{a, b}`, the second term written as a decimal when `true`: a
+    /// term set tests identity, so that one matches nothing
+    root_nums: Option<(i64, i64, bool)>,
+    /// `num∈[lo, hi]`, or `month∘date∈[lo, hi]` when `true`
+    root_range: Option<(i64, i64, bool)>,
 }
 
 fn rand_query(rng: &mut StdRng) -> QuerySpec {
@@ -82,6 +93,17 @@ fn rand_query(rng: &mut StdRng) -> QuerySpec {
         m_restr: rng.gen_bool(0.5).then(|| rng.gen_range(0i64..40)),
         root_cat: rng.gen_bool(0.5).then(|| rng.gen_range(0usize..3)),
         having: rng.gen_bool(0.5).then(|| rng.gen_range(0i64..100)),
+        root_class: rng.gen_bool(0.5),
+        root_sibling: rng.gen_bool(0.3).then(|| rng.gen_range(0usize..25)),
+        root_nums: rng
+            .gen_bool(0.3)
+            .then(|| (rng.gen_range(0i64..50), rng.gen_range(0i64..50), rng.gen_bool(0.5))),
+        root_range: rng.gen_bool(0.4).then(|| {
+            let (a, b) = (rng.gen_range(0i64..50), rng.gen_range(0i64..50));
+            let month = rng.gen_bool(0.5);
+            let (a, b) = if month { (a % 12 + 1, b % 12 + 1) } else { (a, b) };
+            (a.min(b), a.max(b), month)
+        }),
     }
 }
 
@@ -113,6 +135,26 @@ fn build_query(spec: &QuerySpec) -> HifunQuery {
             CondOp::Eq,
             Term::iri(format!("{EX}cat{cat}")),
         )]);
+    }
+    if spec.root_class {
+        q = q.over_class(p("Item"));
+    }
+    let conditions = &mut q.root.conditions;
+    if let Some(k) = spec.root_sibling {
+        let path = vec![Step::Prop(p("cat")), Step::Inv(p("cat"))];
+        conditions.push(Restriction::one_of(path, vec![Term::iri(p(&format!("item{k}")))]));
+    }
+    if let Some((a, b, decimal)) = spec.root_nums {
+        let b = if decimal { Term::decimal(b as f64) } else { Term::integer(b) };
+        conditions.push(Restriction::one_of(vec![Step::Prop(p("num"))], vec![Term::integer(a), b]));
+    }
+    if let Some((lo, hi, month)) = spec.root_range {
+        let path = if month {
+            vec![Step::Prop(p("date")), Step::Derived(DerivedFn::Month)]
+        } else {
+            vec![Step::Prop(p("num"))]
+        };
+        conditions.push(Restriction::range(path, Some(Term::integer(lo)), Some(Term::integer(hi))));
     }
     if let Some(h) = spec.having {
         q = q.having(0, CondOp::Ge, Term::integer(h));
@@ -146,11 +188,52 @@ fn canonical(rows: &[Vec<Option<Term>>]) -> Vec<Vec<String>> {
 
 #[test]
 fn direct_eval_equals_translated_sparql() {
-    for case in 0u64..64 {
+    for case in 0u64..128 {
         let mut rng = StdRng::seed_from_u64(case);
         let d = rand_dataset(&mut rng);
         let spec = rand_query(&mut rng);
         let store = build_store(&d);
+        let q = build_query(&spec);
+        let direct = hifun::direct::evaluate(&store, &q).unwrap();
+        let sparql = hifun::translate::to_sparql(&q);
+        let translated = Engine::builder(&store).build()
+            .run(&sparql)
+            .unwrap_or_else(|e| panic!("{e}\n{sparql}"))
+            .into_solutions()
+            .unwrap();
+        assert_eq!(
+            canonical(direct.rows()),
+            canonical(translated.rows()),
+            "case {case}: query {q} translated to:\n{sparql}"
+        );
+        // the root prints in the notation and reads back as itself
+        let mut root_only = HifunQuery::new(AggOp::Count);
+        root_only.root = q.root.clone();
+        let printed = root_only.notation(EX);
+        assert_eq!(hifun::parse_hifun(&printed, EX).unwrap(), root_only, "case {case}: {printed}");
+    }
+}
+
+/// Off the functionality assumption, an item that meets a root term set or
+/// range by two of its values is still one item: with a second `num` on
+/// some items, the translation agrees with direct evaluation.
+#[test]
+fn multi_valued_root_conditions_admit_each_item_once() {
+    for case in 0u64..64 {
+        let mut rng = StdRng::seed_from_u64(1000 + case);
+        let d = rand_dataset(&mut rng);
+        let mut spec = rand_query(&mut rng);
+        if spec.root_nums.is_none() && spec.root_range.is_none() {
+            spec.root_range = Some((0, 49, false));
+        }
+        let mut store = build_store(&d);
+        let mut second = format!("@prefix ex: <{EX}> .\n");
+        for (i, item) in d.items.iter().enumerate() {
+            if item.3 && rng.gen_bool(0.5) {
+                second.push_str(&format!("ex:item{i} ex:num {} .\n", rng.gen_range(0i64..50)));
+            }
+        }
+        store.load_turtle(&second).unwrap();
         let q = build_query(&spec);
         let direct = hifun::direct::evaluate(&store, &q).unwrap();
         let sparql = hifun::translate::to_sparql(&q);
@@ -179,6 +262,10 @@ fn regression_empty_grouping_with_unmatched_root_condition() {
         m_restr: None,
         root_cat: Some(1),
         having: None,
+        root_class: false,
+        root_sibling: None,
+        root_nums: None,
+        root_range: None,
     };
     let store = build_store(&d);
     let q = build_query(&spec);
