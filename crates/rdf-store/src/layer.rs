@@ -222,6 +222,29 @@ impl Iterator for PermIter<'_> {
     }
 }
 
+/// One layer's matches of a pattern ([`Layer::matching`]): the triple a
+/// point lookup found, or a scan of one permutation with each element put
+/// back in `[s, p, o]` order. A concrete iterator, so a caller's loop over
+/// a long run pays no dynamic dispatch per triple. Inline for the same
+/// reason [`PermIter`] is: a box would cost an allocation per probe.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum LayerMatches<'a> {
+    Hit(Option<IdTriple>),
+    Scan(Perm, PermIter<'a>),
+}
+
+impl Iterator for LayerMatches<'_> {
+    type Item = IdTriple;
+
+    #[inline]
+    fn next(&mut self) -> Option<IdTriple> {
+        match self {
+            LayerMatches::Hit(t) => t.take(),
+            LayerMatches::Scan(perm, it) => it.next().map(|t| perm.to_spo(t)),
+        }
+    }
+}
+
 /// A triple layer: the in-memory index, or mmap segments + overlay.
 #[derive(Debug, Clone)]
 pub(crate) enum Layer {
@@ -356,33 +379,23 @@ impl Layer {
     /// All triples matching the pattern (`None` = wildcard), yielded in
     /// `[s, p, o]` field order and in exactly the same sequence as
     /// [`TripleIndex::matching`] over the same triple set.
-    pub(crate) fn matching<'a>(
-        &'a self,
+    pub(crate) fn matching(
+        &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        match (s, p, o) {
+    ) -> LayerMatches<'_> {
+        let (perm, first, second) = match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
-                let hit = self.contains([s, p, o]);
-                Box::new(hit.then_some([s, p, o]).into_iter())
+                return LayerMatches::Hit(self.contains([s, p, o]).then_some([s, p, o]));
             }
-            (Some(s), Some(p), None) => Box::new(self.range_perm(Perm::Spo, s, Some(p))),
-            (Some(s), None, None) => Box::new(self.range_perm(Perm::Spo, s, None)),
-            (Some(s), None, Some(o)) => Box::new(
-                self.range_perm(Perm::Osp, o, Some(s)).map(|t| Perm::Osp.to_spo(t)),
-            ),
-            (None, Some(p), Some(o)) => Box::new(
-                self.range_perm(Perm::Pos, p, Some(o)).map(|t| Perm::Pos.to_spo(t)),
-            ),
-            (None, Some(p), None) => Box::new(
-                self.range_perm(Perm::Pos, p, None).map(|t| Perm::Pos.to_spo(t)),
-            ),
-            (None, None, Some(o)) => Box::new(
-                self.range_perm(Perm::Osp, o, None).map(|t| Perm::Osp.to_spo(t)),
-            ),
-            (None, None, None) => Box::new(self.iter()),
-        }
+            (Some(s), p, None) => (Perm::Spo, s, p),
+            (Some(s), None, Some(o)) => (Perm::Osp, o, Some(s)),
+            (None, Some(p), o) => (Perm::Pos, p, o),
+            (None, None, Some(o)) => (Perm::Osp, o, None),
+            (None, None, None) => return LayerMatches::Scan(Perm::Spo, self.iter()),
+        };
+        LayerMatches::Scan(perm, self.range_perm(perm, first, second))
     }
 
     // ---- sorted posting runs (same contracts as TripleIndex's) ------------

@@ -264,6 +264,22 @@ impl Batch {
         self.prov.extend_from_slice(&other.prov);
     }
 
+    /// A copy of the rows in `range`.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Batch {
+        Batch {
+            cols: self.cols.iter().map(|c| c[range.clone()].to_vec()).collect(),
+            prov: self.prov[range].to_vec(),
+        }
+    }
+
+    /// Drop every row, keeping the columns' capacity.
+    pub fn clear(&mut self) {
+        for col in &mut self.cols {
+            col.clear();
+        }
+        self.prov.clear();
+    }
+
     /// Copy one row out as a dense vector.
     pub fn row(&self, row: usize) -> Vec<EId> {
         self.cols.iter().map(|c| c[row]).collect()
