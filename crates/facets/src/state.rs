@@ -34,16 +34,16 @@ pub struct State {
 
 impl State {
     /// The artificial initial state `s0`: every named individual, or every
-    /// subject when no `owl:NamedIndividual` typing exists (§5.3.2).
+    /// subject of the entailed graph when no `owl:NamedIndividual` typing
+    /// exists (§5.3.2) — the answer of the unconstrained root, whose
+    /// translation ranges over the closure.
     pub fn initial(store: &Store) -> Self {
         let named = store
             .lookup_iri(rdfa_model::vocab::owl::NAMED_INDIVIDUAL)
             .map(|ni| store.instances_set(ni))
             .unwrap_or_default();
         if named.is_empty() {
-            // SPO iteration is ascending by subject, so adjacent dedup suffices
-            let ext = ExtSet::from_sorted_iter(store.iter_explicit().map(|[s, _, _]| s));
-            State { ext, intent: Root::default() }
+            State { ext: store.subjects_set(), intent: Root::default() }
         } else {
             let class = Restriction::class(Term::iri(rdfa_model::vocab::owl::NAMED_INDIVIDUAL));
             State { ext: named, intent: Root { conditions: vec![class], ..Root::default() } }
@@ -76,6 +76,26 @@ mod tests {
         let st = State::initial(&s);
         assert_eq!(st.ext.len(), 3);
         assert!(st.intent.is_unconstrained());
+    }
+
+    /// An object typed only by an `rdfs:range` axiom is the subject of an
+    /// inferred triple: s0 holds it, as the unconstrained root's answer
+    /// does.
+    #[test]
+    fn initial_state_covers_subjects_of_inferred_triples() {
+        let mut s = Store::new();
+        s.load_turtle(&format!(
+            r#"@prefix ex: <{EX}> .
+               @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+               ex:a ex:p ex:b .
+               ex:p rdfs:range ex:C .
+            "#
+        ))
+        .unwrap();
+        let st = State::initial(&s);
+        let mut names: Vec<String> = st.resources(&s).map(|t| t.display_name()).collect();
+        names.sort();
+        assert_eq!(names, ["a", "b", "p"]);
     }
 
     #[test]

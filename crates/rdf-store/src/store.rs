@@ -548,6 +548,14 @@ impl Store {
         ExtSet::from_sorted_iter(self.subjects_for_po(self.wk.rdf_type, class))
     }
 
+    /// Every subject of an entailed triple, each once: the explicit and
+    /// inferred layers' SPO runs, merged by subject.
+    pub fn subjects_set(&self) -> ExtSet {
+        let subject = |[s, _, _]: IdTriple| s;
+        let explicit = self.explicit.iter().map(subject);
+        ExtSet::from_sorted_iter(merge_sorted(explicit, self.inferred.iter().map(subject)))
+    }
+
     /// True when `seeks` per-element seeks into the entailed `(?, p, o)` run
     /// (`o = None`: all of `p`'s edges) beat one scan of it: the run is more
     /// than `SEEK_FACTOR` (32)× longer than `seeks`. The run's length is
