@@ -17,8 +17,10 @@
 //!    chaos (mid-stream disconnects + slow readers via `FaultModel`).
 //!    Reports p50/p99/p999 latency and shed rate for both runs.
 //!
-//! Writes `BENCH_7.json` so CI can archive the artifact. Set
-//! `LOAD_BENCH_SMOKE=1` to run a scaled-down version (CI smoke job).
+//! Writes `BENCH_7.json` next to Cargo.toml so CI can archive the artifact.
+//! Set `LOAD_BENCH_SMOKE=1` to run a scaled-down version (CI smoke job); a
+//! smoke run writes under the cargo target directory instead,
+//! `target/tmp/BENCH_7.json`.
 //!
 //! Run with `cargo bench --bench load_bench`.
 
@@ -297,7 +299,9 @@ fn main() {
         baseline.to_json(),
         chaos.to_json(),
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_7.json");
+    // a smoke run's numbers stay out of the tracked BENCH_7.json
+    let out_dir = if smoke { env!("CARGO_TARGET_TMPDIR") } else { env!("CARGO_MANIFEST_DIR") };
+    let out = std::path::Path::new(out_dir).join("BENCH_7.json");
     std::fs::write(&out, &json).expect("write BENCH_7.json");
     println!("{json}");
     println!("wrote {}", out.display());
