@@ -5,11 +5,11 @@
 //! kernel over `rdf:type` — and one unit of work per maximal property (the
 //! facet's value counts + subproperty subtree). [`class_markers_opts`] and
 //! [`property_facets_opts`] build the trees in a plain loop and sort the
-//! results by display name. [`FacetOptions`] carries a deadline and a
-//! cancellation token, enforced by one [`LimitGuard`] probed before the
-//! class counts, before every maximal class, and before every property unit
-//! (and every subproperty inside it); expiry or cancellation surfaces as a
-//! [`FacetError`].
+//! results by display name ([`Store::sort_by_display`]). [`FacetOptions`]
+//! carries a deadline and a cancellation token, enforced by one
+//! [`LimitGuard`] probed before the class counts, before every maximal
+//! class, and before every property unit (and every subproperty inside it);
+//! expiry or cancellation surfaces as a [`FacetError`].
 
 use crate::ops::{joins_path, joins_with_counts};
 use crate::state::PathStep;
@@ -44,15 +44,6 @@ impl FacetOptions {
             ..EvalLimits::unlimited()
         })
     }
-}
-
-/// Sort markers by the display name of the term `id` picks out of each —
-/// the order of every marker list in the left frame. Each name is borrowed
-/// from the store once per element ([`rdfa_model::Term::display_str`]), not
-/// built twice per comparison. The sort is stable, so equal names keep
-/// their incoming order.
-fn sort_by_display_name<T>(store: &Store, items: &mut [T], id: impl Fn(&T) -> TermId) {
-    items.sort_by_cached_key(|x| store.term(id(x)).display_str());
 }
 
 /// A class-based transition marker: a class, its instance count restricted
@@ -118,7 +109,7 @@ fn markers_from_counts(
                 children.push(m);
             }
         }
-        sort_by_display_name(store, &mut children, |m| m.class);
+        store.sort_by_display(&mut children, |m| m.class);
         seen.remove(&class);
         if count == 0 {
             return None;
@@ -130,7 +121,7 @@ fn markers_from_counts(
         guard.probe()?;
         out.extend(build(store, counts, root, &mut BTreeSet::new()));
     }
-    sort_by_display_name(store, &mut out, |m| m.class);
+    store.sort_by_display(&mut out, |m| m.class);
     Ok(out)
 }
 
@@ -174,7 +165,7 @@ pub fn property_facets_opts(
     for root in store.maximal_properties() {
         out.extend(build_property_facet(store, &dense, root, &mut BTreeSet::new(), &guard)?);
     }
-    sort_by_display_name(store, &mut out, |f| f.property);
+    store.sort_by_display(&mut out, |f| f.property);
     Ok(out)
 }
 
@@ -191,7 +182,7 @@ fn build_property_facet(
     }
     let step = PathStep::fwd(property);
     let mut values = joins_with_counts(store, ext, step);
-    sort_by_display_name(store, &mut values, |v| v.0);
+    store.sort_by_display(&mut values, |v| v.0);
     let mut children: Vec<PropertyFacet> = Vec::new();
     for sub in store.direct_subproperties(property).iter() {
         if let Some(f) = build_property_facet(store, ext, sub, seen, guard)? {
@@ -248,10 +239,10 @@ pub fn grouped_values(store: &Store, ext: &ExtSet, property: TermId) -> GroupedV
         }
     }
     for (_, _, members) in &mut groups {
-        sort_by_display_name(store, members, |v| v.0);
+        store.sort_by_display(members, |v| v.0);
     }
-    sort_by_display_name(store, &mut groups, |g| g.0);
-    sort_by_display_name(store, &mut ungrouped, |v| v.0);
+    store.sort_by_display(&mut groups, |g| g.0);
+    store.sort_by_display(&mut ungrouped, |v| v.0);
     GroupedValues { groups, ungrouped }
 }
 
@@ -271,11 +262,11 @@ pub fn inverse_property_facets(store: &Store, ext: &ExtSet) -> Vec<PropertyFacet
             if values.is_empty() {
                 return None;
             }
-            sort_by_display_name(store, &mut values, |v| v.0);
+            store.sort_by_display(&mut values, |v| v.0);
             Some(PropertyFacet { property: p, values, children: Vec::new() })
         })
         .collect();
-    sort_by_display_name(store, &mut out, |f| f.property);
+    store.sort_by_display(&mut out, |f| f.property);
     out
 }
 
@@ -289,7 +280,7 @@ pub fn expand_path(
     if path.len() == 1 {
         // single-step facet: one pass suffices
         let mut out = joins_with_counts(store, ext, path[0]);
-        sort_by_display_name(store, &mut out, |v| v.0);
+        store.sort_by_display(&mut out, |v| v.0);
         return out;
     }
     let terminals = joins_path(store, ext, path);
@@ -304,7 +295,7 @@ pub fn expand_path(
         })
         .filter(|&(_, n)| n > 0)
         .collect();
-    sort_by_display_name(store, &mut out, |v| v.0);
+    store.sort_by_display(&mut out, |v| v.0);
     out
 }
 

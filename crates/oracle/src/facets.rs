@@ -237,3 +237,38 @@ fn build_property_facet(
     }
     Some(PropertyFacet { property, values, children })
 }
+
+/// Seed inverse facets: for every property, the subjects linking into
+/// `ext` with their counts, by display name, and the facets by their
+/// property's display name.
+pub fn inverse_property_facets(store: &Store, ext: &BTreeSet<TermId>) -> Vec<PropertyFacet> {
+    let mut out: Vec<PropertyFacet> = store
+        .properties()
+        .iter()
+        .filter_map(|p| {
+            let mut values: Vec<(TermId, usize)> =
+                joins_with_counts(store, ext, PathStep::inv(p)).into_iter().collect();
+            values.sort_by_key(|v| store.term(v.0).display_name());
+            let facet = PropertyFacet { property: p, values, children: Vec::new() };
+            (!facet.values.is_empty()).then_some(facet)
+        })
+        .collect();
+    out.sort_by_key(|f| store.term(f.property).display_name());
+    out
+}
+
+/// Seed path-expansion markers: each terminal value of a non-empty path
+/// with the number of extension elements that reach it, by display name.
+pub fn expand_path(
+    store: &Store,
+    ext: &BTreeSet<TermId>,
+    path: &[PathStep],
+) -> Vec<(TermId, usize)> {
+    let mut out: Vec<(TermId, usize)> = joins_path(store, ext, path)
+        .into_iter()
+        .map(|v| (v, restrict_path(store, ext, path, &BTreeSet::from([v])).len()))
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    out.sort_by_key(|v| store.term(v.0).display_name());
+    out
+}

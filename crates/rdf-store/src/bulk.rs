@@ -388,6 +388,9 @@ impl<'s> BulkLoader<'s> {
         if materialize {
             store.materialize_inference();
         }
+        // the loaded terms become a frozen chunk, as at a publish, so a
+        // facet panel over them sorts by the chunk's display order
+        store.interner.freeze();
         LoadStats { triples: triples_seen, added, terms_added: store.term_count() - terms_before }
     }
 }

@@ -161,9 +161,60 @@ pub(crate) struct TermChunk {
     /// empty for a chunk frozen in this process, whose slots are all full.
     offsets: Vec<u32>,
     payload: Vec<u8>,
+    /// The chunk's display order: `display_rank[k]` is term `k`'s position
+    /// among the chunk's terms ordered by `(display_str, id)`. Built by the
+    /// first display sort that needs it, never on freeze or open, so a
+    /// reopened chunk decodes its terms only once a panel sorts them.
+    display_rank: OnceLock<Vec<u32>>,
 }
 
 impl TermChunk {
+    fn new(from: usize, slots: Vec<OnceLock<Term>>, offsets: Vec<u32>, payload: Vec<u8>) -> Self {
+        TermChunk { from, slots, offsets, payload, display_rank: OnceLock::new() }
+    }
+
+    /// Whether global id `idx` lies in this chunk.
+    fn covers(&self, idx: usize) -> bool {
+        idx.wrapping_sub(self.from) < self.slots.len()
+    }
+
+    /// `base + k` for each `k` in `0..ids.len()`, ordered by the display
+    /// order of the global ids `ids[k]`, which must all lie in this chunk,
+    /// ascending. A group that is a large share of the chunk is placed by
+    /// rank in one pass over the chunk's rank space; a small one is sorted
+    /// by rank.
+    fn display_order(&self, ids: &[usize], base: usize) -> Vec<usize> {
+        let n = ids.len();
+        if n < 2 {
+            return (base..base + n).collect();
+        }
+        let rank = self.display_rank();
+        let rank_of = |k: usize| rank[ids[k] - self.from] as usize;
+        if n * (n.ilog2() as usize + 1) < rank.len() || ids.windows(2).any(|w| w[0] == w[1]) {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_unstable_by_key(|&k| rank_of(k));
+            return order.into_iter().map(|k| base + k).collect();
+        }
+        let mut slot = vec![u32::MAX; rank.len()];
+        for k in 0..n {
+            slot[rank_of(k)] = k as u32;
+        }
+        slot.into_iter().filter(|&k| k != u32::MAX).map(|k| base + k as usize).collect()
+    }
+
+    fn display_rank(&self) -> &[u32] {
+        self.display_rank.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.slots.len() as u32).collect();
+            // stable: equal display strings stay in id order
+            order.sort_by_cached_key(|&k| self.term(k as usize).display_str());
+            let mut rank = vec![0u32; order.len()];
+            for (r, &k) in order.iter().enumerate() {
+                rank[k as usize] = r as u32;
+            }
+            rank
+        })
+    }
+
     fn term(&self, local: usize) -> &Term {
         self.slots[local].get_or_init(|| {
             let start = if local == 0 { 0 } else { self.offsets[local - 1] as usize };
@@ -252,7 +303,7 @@ impl Interner {
                 bucket_insert(&mut ids, h, (from + k) as u32);
             }
             let slots = (0..offsets.len()).map(|_| OnceLock::new()).collect();
-            chunks.push(Arc::new(TermChunk { from, slots, offsets, payload }));
+            chunks.push(Arc::new(TermChunk::new(from, slots, offsets, payload)));
         }
         let hot = chunks.iter().max_by_key(|c| c.slots.len()).cloned();
         let base = vec![Arc::new(FrozenTerms { from: 0, len: total, chunks, ids })];
@@ -276,12 +327,8 @@ impl Interner {
             return;
         }
         let from = self.frozen_len();
-        let chunk = Arc::new(TermChunk {
-            from,
-            slots: std::mem::take(&mut self.terms).into_iter().map(OnceLock::from).collect(),
-            offsets: Vec::new(),
-            payload: Vec::new(),
-        });
+        let slots = std::mem::take(&mut self.terms).into_iter().map(OnceLock::from).collect();
+        let chunk = Arc::new(TermChunk::new(from, slots, Vec::new(), Vec::new()));
         if self.hot.as_ref().is_none_or(|hot| hot.slots.len() < chunk.slots.len()) {
             self.hot = Some(Arc::clone(&chunk));
         }
@@ -308,19 +355,82 @@ impl Interner {
         self.base.push(Arc::new(run));
     }
 
+    /// The frozen chunk holding id `idx`; `None` for an id in the tail.
+    #[inline]
+    fn chunk_of(&self, idx: usize) -> Option<&TermChunk> {
+        if let Some(hot) = self.hot.as_deref().filter(|hot| hot.covers(idx)) {
+            return Some(hot);
+        }
+        let run = self.base.iter().find(|run| idx < run.from + run.len)?;
+        Some(&run.chunks[run.chunks.partition_point(|c| c.from <= idx) - 1])
+    }
+
+    #[inline]
     fn term_at(&self, idx: usize) -> &Term {
-        if let Some(hot) = &self.hot {
-            if idx.wrapping_sub(hot.from) < hot.slots.len() {
-                return hot.term(idx - hot.from);
-            }
+        match self.chunk_of(idx) {
+            Some(chunk) => chunk.term(idx - chunk.from),
+            None => &self.terms[idx - self.frozen_len()],
         }
-        for run in &self.base {
-            if idx < run.from + run.len {
-                let chunk = &run.chunks[run.chunks.partition_point(|c| c.from <= idx) - 1];
-                return chunk.term(idx - chunk.from);
-            }
+    }
+
+    /// Sort `items` by the display name of the term `id` picks out of
+    /// each, ties by id: the order of every marker list in the facet
+    /// panel.
+    ///
+    /// The items are first put in id order, which groups them by frozen
+    /// chunk. Each chunk's group is ordered by the chunk's display order
+    /// (integers only), the tail's group by string, and the groups are then
+    /// merged by `(display_str, id)`, which compares strings only where
+    /// groups interleave.
+    pub(crate) fn sort_by_display<T>(&self, items: &mut [T], id: impl Fn(&T) -> TermId) {
+        if items.len() < 2 {
+            return;
         }
-        &self.terms[idx - self.frozen_len()]
+        items.sort_unstable_by_key(&id);
+        let ids: Vec<usize> = items.iter().map(|x| id(x).idx()).collect();
+        // each group: positions into `items`, in display order
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut start = 0;
+        while start < ids.len() {
+            let group = match self.chunk_of(ids[start]) {
+                Some(chunk) => {
+                    let len = ids[start..].partition_point(|&i| chunk.covers(i));
+                    chunk.display_order(&ids[start..start + len], start)
+                }
+                None => {
+                    // stable over id order: ties by id
+                    let mut group: Vec<usize> = (start..ids.len()).collect();
+                    group.sort_by_cached_key(|&k| self.term_at(ids[k]).display_str());
+                    group
+                }
+            };
+            start += group.len();
+            groups.push(group);
+        }
+        // merge smallest first; a smaller group is placed into a larger one
+        // by binary search, so strings are compared O(small · log large)
+        // times
+        groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
+        let Some(mut order) = groups.pop() else {
+            return;
+        };
+        let key = |k: usize| (self.term_at(ids[k]).display_str(), ids[k]);
+        while let Some(group) = groups.pop() {
+            let (small, large) =
+                if order.len() <= group.len() { (order, group) } else { (group, order) };
+            let mut merged = Vec::with_capacity(small.len() + large.len());
+            let mut at = 0;
+            for k in small {
+                let kk = key(k);
+                let skip = large[at..].partition_point(|&j| key(j) < kk);
+                merged.extend_from_slice(&large[at..at + skip]);
+                merged.push(k);
+                at += skip;
+            }
+            merged.extend_from_slice(&large[at..]);
+            order = merged;
+        }
+        permute(items, &order);
     }
 
     fn find(&self, h: u64, t: &TermRef<'_>) -> Option<TermId> {
@@ -404,6 +514,25 @@ impl Interner {
     pub(crate) fn decoded(&self) -> usize {
         let persisted = self.chunks().filter(|c| !c.payload.is_empty());
         persisted.map(|c| c.slots.iter().filter(|s| s.get().is_some()).count()).sum()
+    }
+}
+
+/// Reorder `items` so that position `k` holds the element that was at
+/// `order[k]`; `order` must be a permutation of `0..items.len()`. Each
+/// cycle of the permutation is walked once, swapping along it.
+fn permute<T>(items: &mut [T], order: &[usize]) {
+    let mut placed = vec![false; items.len()];
+    for start in 0..items.len() {
+        let mut k = start;
+        while !placed[k] {
+            placed[k] = true;
+            let src = order[k];
+            if src == start {
+                break;
+            }
+            items.swap(k, src);
+            k = src;
+        }
     }
 }
 
@@ -550,6 +679,47 @@ mod tests {
                 assert!(Arc::ptr_eq(old, new), "round {round}: chunk {k} was copied");
             }
             assert!(held.chunks().zip(&before).all(|(h, b)| Arc::ptr_eq(h, b)));
+        }
+    }
+
+    /// Property: the display sort orders items by `(display_str, id)`
+    /// exactly as a string sort does, over a dictionary of several chunks
+    /// plus a tail, for small and large shares of a chunk, items in any
+    /// order, and repeated ids.
+    #[test]
+    fn sort_by_display_matches_a_string_sort() {
+        for case in 0u64..64 {
+            let mut rng = StdRng::seed_from_u64(0xd15b ^ case);
+            let mut i = Interner::new();
+            for _ in 0..rng.gen_range(0..5) {
+                for _ in 0..rng.gen_range(1..120) {
+                    i.get_or_intern(&arb_term(&mut rng));
+                }
+                i.freeze();
+            }
+            for _ in 0..rng.gen_range(0..20) {
+                i.get_or_intern(&arb_term(&mut rng));
+            }
+            if i.is_empty() {
+                continue;
+            }
+            let share = rng.gen_range(1..=100);
+            let mut items: Vec<(TermId, usize)> = (0..i.len())
+                .filter(|_| rng.gen_range(0..100) < share)
+                .map(|k| (TermId(k as u32), k))
+                .collect();
+            if rng.gen_bool(0.3) {
+                let dup = items.first().copied();
+                items.extend(dup);
+            }
+            for k in (1..items.len()).rev() {
+                items.swap(k, rng.gen_range(0..=k));
+            }
+            let mut want = items.clone();
+            want.sort_by_cached_key(|x| (i.term(x.0).display_str(), x.0));
+            i.sort_by_display(&mut items, |x| x.0);
+            let ids = |v: &[(TermId, usize)]| v.iter().map(|x| x.0).collect::<Vec<_>>();
+            assert_eq!(ids(&items), ids(&want), "case {case}");
         }
     }
 

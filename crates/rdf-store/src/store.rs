@@ -39,17 +39,32 @@ pub enum CountKey {
 /// against a pattern's run) all decide through [`Store::prefer_seek`].
 const SEEK_FACTOR: usize = 32;
 
-/// Sort id occurrences and run-length encode them into `(id, count)` pairs,
-/// ascending. Each occurrence is one distinct edge, so counts are exact.
-fn sort_and_count(mut occurrences: Vec<TermId>) -> Vec<(TermId, usize)> {
-    occurrences.sort_unstable();
-    let mut out: Vec<(TermId, usize)> = Vec::new();
-    for id in occurrences {
-        match out.last_mut() {
-            Some((last, n)) if *last == id => *n += 1,
-            _ => out.push((id, 1)),
-        }
+/// Count one more occurrence of `id` in `counts`, a list of `(id, count)`
+/// pairs that ids arrive at in ascending order. Each occurrence is one
+/// distinct edge, so counts are exact.
+#[inline]
+fn bump(counts: &mut Vec<(TermId, usize)>, id: TermId) {
+    match counts.last_mut() {
+        Some((last, n)) if *last == id => *n += 1,
+        _ => counts.push((id, 1)),
     }
+}
+
+/// Merge two ascending count lists, summing the counts of a key in both.
+fn sum_counts(a: Vec<(TermId, usize)>, b: Vec<(TermId, usize)>) -> Vec<(TermId, usize)> {
+    if b.is_empty() {
+        return a;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.into_iter().peekable();
+    for (x, m) in a {
+        while let Some(lower) = b.next_if(|&(y, _)| y < x) {
+            out.push(lower);
+        }
+        let n = b.next_if(|&(y, _)| y == x).map_or(0, |(_, n)| n);
+        out.push((x, m + n));
+    }
+    out.extend(b);
     out
 }
 
@@ -295,6 +310,14 @@ impl Store {
         self.interner.term(id)
     }
 
+    /// Sort `items` by the display name ([`Term::display_str`]) of the
+    /// term `id` picks out of each, ties by id: the order of every marker
+    /// list in the facet panel. Within each frozen dictionary chunk this is
+    /// an integer sort on the chunk's display order, built on first use.
+    pub fn sort_by_display<T>(&self, items: &mut [T], id: impl Fn(&T) -> TermId) {
+        self.interner.sort_by_display(items, id);
+    }
+
     /// Number of interned terms.
     pub fn term_count(&self) -> usize {
         self.interner.len()
@@ -537,7 +560,8 @@ impl Store {
     }
 
     /// All entailed `(object, subject)` pairs of predicate `p`, ascending by
-    /// `(object, subject)` — the full posting run behind facet counting.
+    /// `(object, subject)` — the full posting run the facet operators scan
+    /// ([`Store::edge_counts`] reads each layer's run on its own instead).
     pub fn predicate_pairs(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
         merge_sorted(self.explicit.pairs_for_p(p), self.inferred.pairs_for_p(p))
     }
@@ -584,67 +608,66 @@ impl Store {
     /// Strategy is adaptive ([`Store::prefer_seek`]): when the extension is
     /// small relative to the predicate's posting run, it seeks per extension
     /// element; otherwise it scans the run once, testing membership against
-    /// the (densified) set.
+    /// the (densified) set. Each layer is read on its own — the explicit and
+    /// inferred layers are disjoint, so no edge is counted twice — and the
+    /// two layers' counts are combined at the end: by summing two ascending
+    /// count lists where the scan groups by object, by one sort where the
+    /// occurrences need sorting anyway.
     pub fn edge_counts(
         &self,
         p: TermId,
         key: CountKey,
         within: Option<&ExtSet>,
     ) -> Vec<(TermId, usize)> {
-        match (key, within) {
+        let layers = [&self.explicit, &self.inferred];
+        let seek = within.filter(|ext| self.prefer_seek(ext.len(), p, None));
+        let keep = |other: TermId| within.is_none_or(|ext| ext.contains(other));
+        let mut occurrences: Vec<TermId> = Vec::new();
+        match (key, seek) {
+            (CountKey::Object, None) => {
+                // the POS run groups by object, so each layer's counts
+                // stream out already ascending — one pass, no hashing
+                let [explicit, inferred] = layers.map(|layer| {
+                    let mut counts = Vec::new();
+                    for (o, s) in layer.pairs_for_p(p) {
+                        if keep(s) {
+                            bump(&mut counts, o);
+                        }
+                    }
+                    counts
+                });
+                return sum_counts(explicit, inferred);
+            }
             (CountKey::Object, Some(ext)) => {
-                if self.prefer_seek(ext.len(), p, None) {
-                    // seek: objects of each extension element, then aggregate
-                    let mut occurrences: Vec<TermId> = Vec::new();
-                    for e in ext.iter() {
-                        occurrences.extend(self.objects_for_sp(e, p));
+                for e in ext.iter() {
+                    for layer in layers {
+                        occurrences.extend(layer.objects_for_sp(e, p));
                     }
-                    sort_and_count(occurrences)
-                } else {
-                    // scan: the POS run groups by object, so counts stream out
-                    // already ascending — one pass, no hashing
-                    let mut out: Vec<(TermId, usize)> = Vec::new();
-                    for (o, s) in self.predicate_pairs(p) {
-                        if !ext.contains(s) {
-                            continue;
-                        }
-                        match out.last_mut() {
-                            Some((last, n)) if *last == o => *n += 1,
-                            _ => out.push((o, 1)),
+                }
+            }
+            (CountKey::Subject, None) => {
+                for layer in layers {
+                    for (o, s) in layer.pairs_for_p(p) {
+                        if keep(o) {
+                            occurrences.push(s);
                         }
                     }
-                    out
                 }
             }
             (CountKey::Subject, Some(ext)) => {
-                let occurrences: Vec<TermId> = if self.prefer_seek(ext.len(), p, None) {
-                    let mut subs = Vec::new();
-                    for e in ext.iter() {
-                        subs.extend(self.subjects_for_po(p, e));
-                    }
-                    subs
-                } else {
-                    self.predicate_pairs(p)
-                        .filter(|&(o, _)| ext.contains(o))
-                        .map(|(_, s)| s)
-                        .collect()
-                };
-                sort_and_count(occurrences)
-            }
-            (CountKey::Object, None) => {
-                let mut out: Vec<(TermId, usize)> = Vec::new();
-                for (o, _) in self.predicate_pairs(p) {
-                    match out.last_mut() {
-                        Some((last, n)) if *last == o => *n += 1,
-                        _ => out.push((o, 1)),
+                for e in ext.iter() {
+                    for layer in layers {
+                        occurrences.extend(layer.subjects_for_po(p, e));
                     }
                 }
-                out
-            }
-            (CountKey::Subject, None) => {
-                sort_and_count(self.predicate_pairs(p).map(|(_, s)| s).collect())
             }
         }
+        occurrences.sort_unstable();
+        let mut counts = Vec::new();
+        for id in occurrences {
+            bump(&mut counts, id);
+        }
+        counts
     }
 
     // ---- schema helpers (used by the faceted-search model, §5.3) ----------
@@ -987,23 +1010,36 @@ mod tests {
     }
 
     /// Property: seek and scan strategies agree — forced by extensions on
-    /// both sides of the [`SEEK_FACTOR`] threshold.
+    /// both sides of the [`SEEK_FACTOR`] threshold — with `p`'s edges in
+    /// both layers: asserted ones, and ones entailed through `q ⊑ p`, so a
+    /// key with edges in both has its two layers' counts summed.
     #[test]
     fn edge_counts_strategies_agree() {
         use rdfa_prng::StdRng;
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = Store::new();
         let p = store.intern_iri("http://e/p");
+        let q = store.intern_iri("http://e/q");
+        let sub_property = store.well_known().rdfs_subpropertyof;
+        store.insert_ids([q, sub_property, p]);
         let mut nodes = Vec::new();
         for i in 0..200 {
             nodes.push(store.intern_iri(&format!("http://e/n{i}")));
         }
-        for _ in 0..600 {
+        for k in 0..600 {
             let s = nodes[rng.gen_range(0..nodes.len())];
             let o = nodes[rng.gen_range(0..nodes.len())];
-            store.insert_ids([s, p, o]);
+            store.insert_ids([s, if k % 3 == 0 { q } else { p }, o]);
         }
         store.materialize_inference();
+        let both_layers = |key: usize| {
+            let explicit: BTreeSet<TermId> =
+                store.matching_explicit(None, Some(p), None).map(|t| t[key]).collect();
+            let inferred =
+                store.matching(None, Some(p), None).filter(|&t| !store.explicit.contains(t));
+            inferred.filter(|t| explicit.contains(&t[key])).count()
+        };
+        assert!(both_layers(0) > 0 && both_layers(2) > 0, "keys with edges in both layers");
         // brute-force oracle over `matching`
         let oracle = |key: CountKey, ext: Option<&ExtSet>| -> Vec<(TermId, usize)> {
             let mut m: std::collections::BTreeMap<TermId, usize> = Default::default();

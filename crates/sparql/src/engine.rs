@@ -868,6 +868,31 @@ mod tests {
         assert!(post.contains("rows="), "{post}");
     }
 
+    /// A morsel that leaves a join chain for its sink is counted: a
+    /// grouped chain over 2,500 rows folds at least three morsels of at
+    /// most 1,024 rows.
+    #[test]
+    fn a_grouped_chain_counts_its_morsels() {
+        let mut ttl = String::from("@prefix ex: <http://example.org/> .\n");
+        for i in 0..2500 {
+            ttl.push_str(&format!("ex:l{i} a ex:Laptop ; ex:price {} .\n", i % 7));
+        }
+        let mut s = Store::new();
+        s.load_turtle(&ttl).unwrap();
+        let prepared = Engine::builder(&s)
+            .build()
+            .prepare(
+                r#"PREFIX ex: <http://example.org/>
+                   SELECT ?p (COUNT(*) AS ?n)
+                   WHERE { ?x a ex:Laptop ; ex:price ?p . } GROUP BY ?p"#,
+            )
+            .unwrap();
+        prepared.execute().unwrap();
+        let stats = prepared.last_stats().unwrap();
+        assert_eq!(stats.rows_out, 7);
+        assert!(stats.morsels >= 3, "{} morsels", stats.morsels);
+    }
+
     #[test]
     fn path_query_runs_on_the_plan_and_explains_the_path_step() {
         let s = store();

@@ -228,8 +228,8 @@ pub struct ExecStats {
     /// Always `false`: execution is sequential. Kept for old readers.
     #[doc(hidden)]
     pub parallel_groupby: bool,
-    /// Always 0: execution is sequential. Kept for old readers.
-    #[doc(hidden)]
+    /// Morsels (batches of at most 1,024 rows) that reached a sink: the
+    /// query's output batch or a grouped `SELECT`'s fold.
     pub morsels: usize,
     /// Terms interned into the execution arena (computed terms).
     pub arena_terms: usize,
@@ -399,7 +399,7 @@ pub(crate) fn execute_plan(
         rows_out,
         threads_used: 1,
         parallel_groupby: false,
-        morsels: 0,
+        morsels: ex.morsels,
         arena_terms: ex.arena.len(),
         elapsed: t0.elapsed(),
     };
@@ -449,6 +449,8 @@ struct Executor<'s> {
     sub: RefCell<Option<Box<Executor<'s>>>>,
     /// The scan sides built so far.
     sides: Sides,
+    /// Non-empty morsels handed to a sink: the output batch or a fold.
+    morsels: usize,
 }
 
 impl<'s> Executor<'s> {
@@ -470,6 +472,7 @@ impl<'s> Executor<'s> {
             op_scanned: vec![0; n_ops],
             sub: RefCell::new(None),
             sides: Sides::default(),
+            morsels: 0,
         }
     }
 
@@ -486,6 +489,7 @@ impl<'s> Executor<'s> {
             for (a, b) in self.op_scanned.iter_mut().zip(&sub.op_scanned) {
                 *a += b;
             }
+            self.morsels += sub.morsels;
         }
     }
 

@@ -217,6 +217,7 @@ impl<'s> Executor<'s> {
         morsel: &mut Batch,
     ) -> Result<(), SparqlError> {
         let Some((step, rest)) = steps.split_first_mut() else {
+            self.morsels += usize::from(!morsel.is_empty());
             return match sink {
                 Sink::Append(out) => {
                     out.append(morsel);

@@ -79,7 +79,7 @@ use rdfa_facets::{
 use rdfa_model::json::{json_string, push_json_string};
 use rdfa_model::Term;
 use rdfa_sparql::{execute_update_limited, CancelFlag, Engine, EvalLimits, QueryResults};
-use rdfa_store::{Mutation, PersistError, SharedStore, Store, StoreStats};
+use rdfa_store::{ExtSet, Mutation, PersistError, SharedStore, Store, StoreStats};
 use rdfa_views::ViewManager;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -179,6 +179,31 @@ struct Ctx {
     /// The materialized-view manager when [`ServerConfig::auto_views`] is
     /// on: plugged into every query engine, maintained by `/v1/update`.
     views: Option<Arc<ViewManager>>,
+    /// The initial state's extension (s0) at the newest snapshot
+    /// generation a classless panel has read. It depends on the snapshot
+    /// alone, so it is computed once per generation.
+    initial: Mutex<Option<(u64, Arc<ExtSet>)>>,
+}
+
+impl Ctx {
+    /// s0's extension at `snap`'s generation, computed on the first
+    /// classless panel of that generation.
+    fn initial_extension(&self, snap: &rdfa_store::Snapshot) -> Arc<ExtSet> {
+        let generation = snap.generation();
+        // the slot is replaced whole, so a poisoned lock still guards a
+        // valid value
+        let mut slot = self.initial.lock().unwrap_or_else(|e| e.into_inner());
+        match &*slot {
+            Some((g, ext)) if *g == generation => Arc::clone(ext),
+            held => {
+                let ext = Arc::new(FacetState::initial(snap).ext);
+                if held.as_ref().is_none_or(|(g, _)| *g < generation) {
+                    *slot = Some((generation, Arc::clone(&ext)));
+                }
+                ext
+            }
+        }
+    }
 }
 
 /// A jittered `Retry-After` header (1–3 s) so that a fleet of clients shed
@@ -282,6 +307,7 @@ impl Server {
             draining: Arc::new(AtomicBool::new(false)),
             retry_seed: AtomicU64::new(0x243F_6A88_85A3_08D3),
             views,
+            initial: Mutex::new(None),
         });
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(queue_capacity.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -1143,7 +1169,7 @@ fn serve_facets(
                 );
             }
             match snap.lookup_iri(&iri) {
-                Some(c) => snap.instances_set(c),
+                Some(c) => Arc::new(snap.instances_set(c)),
                 None => {
                     return write_response(
                         wire,
@@ -1154,7 +1180,7 @@ fn serve_facets(
                 }
             }
         }
-        None => FacetState::initial(&snap).ext,
+        None => ctx.initial_extension(&snap),
     };
     if ext.is_empty() {
         return write_response(
@@ -1726,6 +1752,40 @@ mod tests {
         let resp = get(server.addr(), &format!("/v1/facets?class={class}"), "*/*");
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         assert_eq!(body_of(&resp), expected);
+    }
+
+    /// s0 depends on the snapshot alone: two classless panels at one
+    /// generation compute it once, and a panel after an update that adds a
+    /// subject counts that subject.
+    #[test]
+    fn classless_panels_compute_s0_once_per_generation() {
+        let server = Server::start(demo_store(), 0).unwrap();
+        let held = || {
+            let slot = server.ctx.initial.lock().unwrap();
+            slot.as_ref().map(|(g, ext)| (*g, Arc::clone(ext))).expect("s0 computed")
+        };
+        let extension = |resp: &str| -> usize {
+            let body = body_of(resp);
+            let from = body.find("\"extension\":").expect("extension field") + 12;
+            body[from..].split(',').next().unwrap().parse().unwrap()
+        };
+        let first = get(server.addr(), "/v1/facets", "*/*");
+        assert!(first.starts_with("HTTP/1.1 200"), "{first}");
+        let (generation, s0) = held();
+        let second = get(server.addr(), "/v1/facets", "*/*");
+        assert_eq!(body_of(&first), body_of(&second));
+        let (again, s0_again) = held();
+        assert_eq!(again, generation);
+        assert!(Arc::ptr_eq(&s0, &s0_again), "the second panel recomputed s0");
+        let resp = post(
+            server.addr(),
+            "/v1/update",
+            "PREFIX ex: <http://example.org/> INSERT DATA { ex:l3 a ex:Laptop . }",
+        );
+        assert!(resp.contains("\"inserted\":1"), "{resp}");
+        let third = get(server.addr(), "/v1/facets", "*/*");
+        assert_eq!(extension(&third), extension(&first) + 1);
+        assert!(held().0 > generation);
     }
 
     /// A chunked `/v1/query` body, framed in 512-byte chunks and put back

@@ -544,3 +544,142 @@ fn cache_recomputes_after_insert_and_delete_data() {
     execute_update(&mut store, "PREFIX ex: <http://e/> DELETE DATA { ex:zz a ex:C . }").unwrap();
     assert!(store.generation() >= g2, "generation is monotone");
 }
+
+// ---------------------------------------------------------------------------
+// 6. a dictionary of several chunks: display sorts merge across chunks
+// ---------------------------------------------------------------------------
+
+/// Turtle documents, one per publish, whose terms interleave by display
+/// name across the dictionary chunks the publishes freeze: a local name in
+/// two namespaces (`ex:x`, `f:x`, and `"x"`), `"2"` as an integer, a string
+/// and an IRI's local name, blank nodes, and a property and a class whose
+/// local names collide. `ex:p1 ⊑ ex:p0` puts `p0` edges in both layers.
+fn chunked_batches(rng: &mut StdRng) -> Vec<String> {
+    const NEW_VALUES: [&[&str]; 5] = [
+        &["ex:x", "2", "_:b0", "ex:a"],
+        &["f:x", "\"2\"", "ex:b"],
+        &["\"x\"", "_:b1", "f:a"],
+        &["<http://e/2>", "\"x\"@en"],
+        &["_:b0", "\"a\""],
+    ];
+    const NEW_CLASSES: [&[&str]; 5] = [&["ex:C0", "ex:C1"], &["f:C0"], &[], &["ex:C2"], &[]];
+    const NEW_PROPS: [&[&str]; 5] = [&["ex:p0", "ex:p1"], &["ex:p2"], &["f:p0"], &[], &[]];
+    let head = "@prefix ex: <http://e/> .\n@prefix f: <http://f#> .\n\
+                @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n";
+    let (mut values, mut classes, mut props) = (Vec::new(), Vec::new(), Vec::new());
+    let mut entities: Vec<String> = Vec::new();
+    let mut docs = Vec::new();
+    for b in 0..5 {
+        values.extend_from_slice(NEW_VALUES[b]);
+        classes.extend_from_slice(NEW_CLASSES[b]);
+        props.extend_from_slice(NEW_PROPS[b]);
+        let mut ttl = String::from(head);
+        if b == 0 {
+            ttl.push_str("ex:C1 rdfs:subClassOf ex:C0 .\nex:p1 rdfs:subPropertyOf ex:p0 .\n");
+        }
+        for i in 0..8 {
+            let e = format!("ex:e{b}_{i}");
+            ttl.push_str(&format!("{e} a {} .\n", classes[rng.gen_range(0..classes.len())]));
+            for _ in 0..rng.gen_range(1..4) {
+                let p = props[rng.gen_range(0..props.len())];
+                let v = if !entities.is_empty() && rng.gen_bool(0.2) {
+                    entities[rng.gen_range(0..entities.len())].clone()
+                } else {
+                    values[rng.gen_range(0..values.len())].to_owned()
+                };
+                ttl.push_str(&format!("{e} {p} {v} .\n"));
+            }
+            entities.push(e);
+        }
+        // the same value under `p0` and under its subproperty `p1`, from
+        // different subjects: an explicit and an inferred `p0` edge
+        ttl.push_str(&format!("ex:e{b}_0 ex:p0 ex:x .\nex:e{b}_1 ex:p1 ex:x .\n"));
+        docs.push(ttl);
+    }
+    docs
+}
+
+/// Every marker kernel over a store whose dictionary is several chunks
+/// (one per publish in memory; one per checkpoint once reopened from
+/// segments) matches the seed kernels byte for byte, on the initial state
+/// and on random extensions.
+#[test]
+fn markers_match_reference_over_a_chunked_dictionary() {
+    use rdf_analytics::facets::State;
+    use rdf_analytics::store::{FsyncPolicy, PersistConfig, PersistError, SharedStore};
+    let publish = |shared: &SharedStore, ttl: &str| {
+        shared
+            .transact(|txn| {
+                txn.load_turtle(ttl)?;
+                Ok::<_, PersistError>(())
+            })
+            .unwrap();
+    };
+    for case in 0u64..4 {
+        let mut rng = StdRng::seed_from_u64(6000 + case);
+        let docs = chunked_batches(&mut rng);
+        let mem = SharedStore::new(Store::new());
+        for ttl in &docs {
+            publish(&mem, ttl);
+        }
+        let dir = std::env::temp_dir()
+            .join(format!("rdfa-facet-chunks-{}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || PersistConfig { fsync: FsyncPolicy::Never, ..PersistConfig::default() };
+        let durable = SharedStore::open(&dir, config()).unwrap();
+        for (b, ttl) in docs.iter().enumerate() {
+            publish(&durable, ttl);
+            if b == 1 || b == 3 {
+                durable.checkpoint().unwrap();
+            }
+        }
+        durable.checkpoint().unwrap();
+        drop(durable);
+        let reopened = SharedStore::open(&dir, config()).unwrap();
+        let seg = reopened.snapshot();
+        assert!(seg.segment_stats().segments > 0, "case {case}: segment-backed");
+
+        for (store, backing) in [(&mem.snapshot(), "memory"), (&seg, "mmap")] {
+            let p0 = store.lookup_iri("http://e/p0").unwrap();
+            let x = store.lookup_iri("http://e/x").unwrap();
+            let explicit = store.matching_explicit(None, Some(p0), Some(x)).count();
+            assert!(
+                explicit > 0 && store.matching(None, Some(p0), Some(x)).count() > explicit,
+                "{backing}: ex:x needs p0 edges in both layers"
+            );
+            let (random, _) = random_ext(&mut rng, store);
+            for (name, ext) in [("s0", State::initial(store).ext), ("random", random)] {
+                let oracle = ext.btree();
+                let at = format!("case {case} {backing} {name}");
+                assert_eq!(
+                    markers::class_markers(store, &ext),
+                    reference::class_markers(store, &oracle),
+                    "{at}: class markers"
+                );
+                assert_eq!(
+                    markers::property_facets(store, &ext),
+                    reference::property_facets(store, &oracle),
+                    "{at}: property facets"
+                );
+                assert_eq!(
+                    markers::inverse_property_facets(store, &ext),
+                    reference::inverse_property_facets(store, &oracle),
+                    "{at}: inverse property facets"
+                );
+                for path in [
+                    vec![PathStep::fwd(p0)],
+                    vec![PathStep::fwd(p0), PathStep::inv(p0)],
+                    vec![PathStep::inv(p0), PathStep::fwd(p0)],
+                ] {
+                    assert_eq!(
+                        markers::expand_path(store, &ext, &path),
+                        reference::expand_path(store, &oracle, &path),
+                        "{at}: expand_path {path:?}"
+                    );
+                }
+            }
+        }
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
