@@ -3,9 +3,9 @@
 //!
 //! The operators work on sorted [`ExtSet`] extensions and evaluate as
 //! **merge-joins over sorted posting runs** (the store's POS/SPO
-//! permutations, fused across the explicit and inferred layers), instead of
-//! probing the index once per extension element. Each operator picks between
-//! two physical plans:
+//! permutations, each layer's run read on its own: [`Store::layer_runs`]),
+//! instead of probing the index once per extension element. Each operator
+//! picks between two physical plans:
 //!
 //! - *seek*: per extension element, range-scan just that element's `p`-edges
 //!   (wins when the extension is far smaller than the predicate's run);
@@ -29,14 +29,60 @@ fn densified(store: &Store, ext: &ExtSet) -> ExtSet {
     dense
 }
 
+/// The far ends of `e`'s edges along `step`: the objects of its `p`-edges,
+/// or for an inverse step the subjects of the `p`-edges into it — one seek
+/// per layer, in no particular order.
+fn neighbours(store: &Store, e: TermId, step: PathStep) -> impl Iterator<Item = TermId> + '_ {
+    let (s, o) = if step.inverse { (None, Some(e)) } else { (Some(e), None) };
+    store.matching(s, Some(step.prop), o).map(move |[s, _, o]| if step.inverse { s } else { o })
+}
+
+/// The `out` side of every `p`-edge `(s, o)` that `keep` accepts, from one
+/// scan of each layer's POS run. Objects come out of a run ascending, so
+/// each layer's are collected into a set and the sets unioned; subjects do
+/// not, so every layer's are pushed into one vector and sorted once.
+fn scan_edges(
+    store: &Store,
+    p: TermId,
+    out: CountKey,
+    keep: impl Fn(TermId, TermId) -> bool,
+) -> ExtSet {
+    let runs = store.layer_runs(None, Some(p), None);
+    match out {
+        CountKey::Object => runs
+            .map(|run| {
+                let mut objects: Vec<TermId> = Vec::new();
+                for [s, _, o] in run {
+                    if objects.last() != Some(&o) && keep(s, o) {
+                        objects.push(o);
+                    }
+                }
+                ExtSet::from_sorted_vec(objects)
+            })
+            .reduce(|set, more| set.union(&more))
+            .unwrap_or_default(),
+        CountKey::Subject => {
+            let mut subjects = Vec::new();
+            for run in runs {
+                for [s, _, o] in run {
+                    if keep(s, o) {
+                        subjects.push(s);
+                    }
+                }
+            }
+            subjects.into_iter().collect()
+        }
+    }
+}
+
 /// `Restrict(E, p : v)` — elements of `E` with a `p`-edge to `v`
 /// (direction-aware: an inverse step follows `p` backwards). A galloping
 /// intersection of the extension with the edge's posting run.
 pub fn restrict_value(store: &Store, ext: &ExtSet, step: PathStep, v: TermId) -> ExtSet {
     let run = if step.inverse {
-        ExtSet::from_sorted_iter(store.objects_for_sp(v, step.prop))
+        store.id_set(Some(v), Some(step.prop), None, CountKey::Object)
     } else {
-        ExtSet::from_sorted_iter(store.subjects_for_po(step.prop, v))
+        store.id_set(None, Some(step.prop), Some(v), CountKey::Subject)
     };
     run.intersect(ext)
 }
@@ -48,33 +94,23 @@ pub fn restrict_value_set(
     step: PathStep,
     vset: &ExtSet,
 ) -> ExtSet {
+    let vdense = densified(store, vset);
     if store.prefer_seek(ext.len(), step.prop, None) {
         // seek each element's own edges; output stays in extension order
-        let vdense = densified(store, vset);
-        ExtSet::from_sorted_iter(ext.iter().filter(|&e| {
-            if step.inverse {
-                store.subjects_for_po(step.prop, e).any(|s| vdense.contains(s))
-            } else {
-                store.objects_for_sp(e, step.prop).any(|o| vdense.contains(o))
-            }
-        }))
+        ExtSet::from_sorted_iter(
+            ext.iter().filter(|&e| neighbours(store, e, step).any(|v| vdense.contains(v))),
+        )
     } else {
         let edense = densified(store, ext);
-        let vdense = densified(store, vset);
         if step.inverse {
-            // pairs (o, s): edge s→o with s ∈ vset keeps o — ascending by o
-            ExtSet::from_sorted_iter(
-                store
-                    .predicate_pairs(step.prop)
-                    .filter(|&(o, s)| vdense.contains(s) && edense.contains(o))
-                    .map(|(o, _)| o),
-            )
+            // edge s→o with s ∈ vset keeps o
+            scan_edges(store, step.prop, CountKey::Object, |s, o| {
+                vdense.contains(s) && edense.contains(o)
+            })
         } else {
-            store
-                .predicate_pairs(step.prop)
-                .filter(|&(o, s)| vdense.contains(o) && edense.contains(s))
-                .map(|(_, s)| s)
-                .collect()
+            scan_edges(store, step.prop, CountKey::Subject, |s, o| {
+                vdense.contains(o) && edense.contains(s)
+            })
         }
     }
 }
@@ -88,31 +124,13 @@ pub fn restrict_class(store: &Store, ext: &ExtSet, c: TermId) -> ExtSet {
 /// `Joins(E, p)` — values linked to elements of `E` by `p` (§5.3.1).
 pub fn joins(store: &Store, ext: &ExtSet, step: PathStep) -> ExtSet {
     if store.prefer_seek(ext.len(), step.prop, None) {
-        let mut out: Vec<TermId> = Vec::new();
-        for e in ext.iter() {
-            if step.inverse {
-                out.extend(store.subjects_for_po(step.prop, e));
-            } else {
-                out.extend(store.objects_for_sp(e, step.prop));
-            }
-        }
-        out.into_iter().collect()
+        ext.iter().flat_map(|e| neighbours(store, e, step)).collect()
     } else {
         let edense = densified(store, ext);
         if step.inverse {
-            store
-                .predicate_pairs(step.prop)
-                .filter(|&(o, _)| edense.contains(o))
-                .map(|(_, s)| s)
-                .collect()
+            scan_edges(store, step.prop, CountKey::Subject, |_, o| edense.contains(o))
         } else {
-            // ascending by object already: dedup happens in from_sorted_iter
-            ExtSet::from_sorted_iter(
-                store
-                    .predicate_pairs(step.prop)
-                    .filter(|&(_, s)| edense.contains(s))
-                    .map(|(o, _)| o),
-            )
+            scan_edges(store, step.prop, CountKey::Object, |s, _| edense.contains(s))
         }
     }
 }

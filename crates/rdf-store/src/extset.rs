@@ -307,9 +307,9 @@ fn gallop_intersect(small: &[TermId], large: &[TermId]) -> Vec<TermId> {
     out
 }
 
-/// Merge two ascending iterators into one ascending, deduplicated stream.
-/// Used to fuse the explicit and inferred posting runs of a [`crate::Store`].
-pub fn merge_sorted<T, I, J>(a: I, b: J) -> MergeSorted<T, I::IntoIter, J::IntoIter>
+/// Merge two ascending iterators into one ascending, deduplicated stream:
+/// the sorted arm of [`ExtSet::union`].
+fn merge_sorted<T, I, J>(a: I, b: J) -> MergeSorted<T, I::IntoIter, J::IntoIter>
 where
     T: Ord + Copy,
     I: IntoIterator<Item = T>,
@@ -323,7 +323,7 @@ where
 }
 
 /// See [`merge_sorted`].
-pub struct MergeSorted<T: Ord + Copy, A: Iterator<Item = T>, B: Iterator<Item = T>> {
+struct MergeSorted<T: Ord + Copy, A: Iterator<Item = T>, B: Iterator<Item = T>> {
     a: A,
     b: B,
     na: Option<T>,

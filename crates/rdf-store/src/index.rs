@@ -413,24 +413,6 @@ impl TripleIndex {
         }
     }
 
-    // ---- sorted posting runs (merge-join building blocks) -----------------
-
-    /// The `(object, subject)` pairs of predicate `p`, ascending by
-    /// `(object, subject)` — a contiguous scan of the POS permutation.
-    pub fn pairs_for_p(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        range3(&self.pos, p, None).map(|[_, o, s]| (o, s))
-    }
-
-    /// Subjects with a `p`-edge to `o`, ascending.
-    pub fn subjects_for_po(&self, p: TermId, o: TermId) -> impl Iterator<Item = TermId> + '_ {
-        range3(&self.pos, p, Some(o)).map(|[_, _, s]| s)
-    }
-
-    /// Objects of `s`'s `p`-edges, ascending.
-    pub fn objects_for_sp(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        range3(&self.spo, s, Some(p)).map(|[_, _, o]| o)
-    }
-
     fn run(&self, perm: Perm) -> &Run {
         match perm {
             Perm::Spo => &self.spo,
@@ -643,20 +625,20 @@ mod tests {
             let all: Vec<IdTriple> = idx.iter_perm(perm).collect();
             assert!(all.iter().eq(oracle.perm(perm).iter()), "{what}: full {perm:?}");
         }
-        // posting runs
+        // the posting runs facet operators read: (?, a, ?), (?, a, b), (a, b, ?)
         for _ in 0..6 {
             let (a, b) = (TermId(rng.gen_range(0..space)), TermId(rng.gen_range(0..space)));
-            let pairs: Vec<_> = idx.pairs_for_p(a).collect();
+            let pairs: Vec<_> = idx.matching(None, Some(a), None).map(|[s, _, o]| (o, s)).collect();
             let want: Vec<_> = oracle.pos.iter().filter(|e| e[0] == a).map(|e| (e[1], e[2])).collect();
-            assert_eq!(pairs, want, "{what}: pairs_for_p");
-            let subs: Vec<_> = idx.subjects_for_po(a, b).collect();
+            assert_eq!(pairs, want, "{what}: (?, p, ?) run");
+            let subs: Vec<_> = idx.matching(None, Some(a), Some(b)).map(|[s, _, _]| s).collect();
             let want: Vec<_> =
                 oracle.pos.iter().filter(|e| e[0] == a && e[1] == b).map(|e| e[2]).collect();
-            assert_eq!(subs, want, "{what}: subjects_for_po");
-            let objs: Vec<_> = idx.objects_for_sp(a, b).collect();
+            assert_eq!(subs, want, "{what}: (?, p, o) run");
+            let objs: Vec<_> = idx.matching(Some(a), Some(b), None).map(|[_, _, o]| o).collect();
             let want: Vec<_> =
                 oracle.spo.iter().filter(|e| e[0] == a && e[1] == b).map(|e| e[2]).collect();
-            assert_eq!(objs, want, "{what}: objects_for_sp");
+            assert_eq!(objs, want, "{what}: (s, p, ?) run");
         }
     }
 

@@ -81,10 +81,11 @@ impl<'a> Schema<'a> {
         let mut seen: HashSet<TermId> = HashSet::new();
         let mut stack = vec![x];
         while let Some(n) = stack.pop() {
-            let next: Box<dyn Iterator<Item = TermId>> = match dir {
-                Dir::Up => Box::new(self.explicit.objects_for_sp(n, pred)),
-                Dir::Down => Box::new(self.explicit.subjects_for_po(pred, n)),
+            let (at, s, o) = match dir {
+                Dir::Up => (2, Some(n), None),
+                Dir::Down => (0, None, Some(n)),
             };
+            let next = self.explicit.matching(s, Some(pred), o).map(|t| t[at]);
             stack.extend(next.filter(|&m| seen.insert(m)));
         }
         seen.remove(&x);
@@ -110,7 +111,8 @@ impl<'a> Schema<'a> {
         let mut classes: BTreeSet<TermId> = BTreeSet::new();
         let supers = self.super_properties(p);
         for &q in std::iter::once(&p).chain(supers.iter()) {
-            let declared: Vec<TermId> = self.explicit.objects_for_sp(q, via).collect();
+            let declared: Vec<TermId> =
+                self.explicit.matching(Some(q), Some(via), None).map(|[_, _, c]| c).collect();
             for c in declared {
                 classes.insert(c);
                 classes.extend(self.super_classes(c).iter().copied());
@@ -129,7 +131,8 @@ impl<'a> Schema<'a> {
         let mut props: BTreeSet<TermId> = BTreeSet::new();
         let subs = self.reach(self.wk.rdfs_subclassof, Dir::Down, c);
         for &d in std::iter::once(&c).chain(subs.iter()) {
-            let declaring: Vec<TermId> = self.explicit.subjects_for_po(via, d).collect();
+            let declaring: Vec<TermId> =
+                self.explicit.matching(None, Some(via), Some(d)).map(|[q, _, _]| q).collect();
             for q in declaring {
                 props.insert(q);
                 props.extend(self.reach(self.wk.rdfs_subpropertyof, Dir::Down, q).iter().copied());
@@ -204,12 +207,9 @@ impl<'a> Schema<'a> {
         let by_domain = self.typed_by(self.wk.rdfs_domain, y);
         let by_range = self.typed_by(self.wk.rdfs_range, y);
         let explicit = self.explicit;
-        by_domain
-            .iter()
-            .any(|&p| self.is_data_predicate(p) && explicit.objects_for_sp(x, p).next().is_some())
-            || by_range
-                .iter()
-                .any(|&p| self.is_data_predicate(p) && explicit.subjects_for_po(p, x).next().is_some())
+        let has_edge = |p: TermId, s, o| explicit.matching(s, Some(p), o).next().is_some();
+        by_domain.iter().any(|&p| self.is_data_predicate(p) && has_edge(p, Some(x), None))
+            || by_range.iter().any(|&p| self.is_data_predicate(p) && has_edge(p, None, Some(x)))
     }
 }
 
@@ -221,7 +221,8 @@ pub(crate) fn compute_closure(explicit: &Layer, wk: WellKnown) -> TripleIndex {
 
     // the transitive subsumption triples themselves
     for pred in [wk.rdfs_subclassof, wk.rdfs_subpropertyof] {
-        let nodes: BTreeSet<TermId> = explicit.pairs_for_p(pred).map(|(_, s)| s).collect();
+        let nodes: BTreeSet<TermId> =
+            explicit.matching(None, Some(pred), None).map(|[s, _, _]| s).collect();
         for x in nodes {
             entailed.extend(schema.reach(pred, Dir::Up, x).iter().map(|&y| [x, pred, y]));
         }

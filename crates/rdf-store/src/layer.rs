@@ -398,22 +398,6 @@ impl Layer {
         LayerMatches::Scan(perm, self.range_perm(perm, first, second))
     }
 
-    // ---- sorted posting runs (same contracts as TripleIndex's) ------------
-
-    /// `(object, subject)` pairs of predicate `p`, ascending.
-    pub(crate) fn pairs_for_p(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        self.range_perm(Perm::Pos, p, None).map(|[_, o, s]| (o, s))
-    }
-
-    /// Subjects with a `p`-edge to `o`, ascending.
-    pub(crate) fn subjects_for_po(&self, p: TermId, o: TermId) -> impl Iterator<Item = TermId> + '_ {
-        self.range_perm(Perm::Pos, p, Some(o)).map(|[_, _, s]| s)
-    }
-
-    /// Objects of `s`'s `p`-edges, ascending.
-    pub(crate) fn objects_for_sp(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        self.range_perm(Perm::Spo, s, Some(p)).map(|[_, _, o]| o)
-    }
 }
 
 #[cfg(test)]
@@ -562,29 +546,25 @@ mod tests {
             let preds = distinct(&mut oracle.iter().map(|[_, p, _]| p));
             assert_eq!(layer.pos_keys(None), preds, "case {case} predicates");
             for pv in 0..10u32 {
-                let objs = distinct(&mut oracle.pairs_for_p(TermId(pv)).map(|(o, _)| o));
+                let run = oracle.matching(None, Some(TermId(pv)), None);
+                let objs = distinct(&mut run.map(|[_, _, o]| o));
                 assert_eq!(layer.pos_keys(Some(TermId(pv))), objs, "case {case} objects of {pv}");
             }
-            // posting runs
+            // every posting run a facet operator reads, exhaustively:
+            // (?, p, ?), (?, p, o) and (s, p, ?)
+            let same = |s: Option<TermId>, p: TermId, o: Option<TermId>| {
+                layer.matching(s, Some(p), o).eq(oracle.matching(s, Some(p), o))
+            };
             for pv in 0..10u32 {
                 let p = TermId(pv);
-                assert!(layer.pairs_for_p(p).eq(oracle.pairs_for_p(p)), "case {case} pairs {pv}");
+                assert!(same(None, p, None), "case {case} pairs {pv}");
                 for ov in 0..so {
-                    let o = TermId(ov);
-                    assert!(
-                        layer.subjects_for_po(p, o).eq(oracle.subjects_for_po(p, o)),
-                        "case {case} spo {pv} {ov}"
-                    );
+                    assert!(same(None, p, Some(TermId(ov))), "case {case} spo {pv} {ov}");
                 }
             }
             for sv in 0..so {
                 for pv in 0..10u32 {
-                    assert!(
-                        layer
-                            .objects_for_sp(TermId(sv), TermId(pv))
-                            .eq(oracle.objects_for_sp(TermId(sv), TermId(pv))),
-                        "case {case} osp {sv} {pv}"
-                    );
+                    assert!(same(Some(TermId(sv)), TermId(pv), None), "case {case} osp {sv} {pv}");
                 }
             }
             for path in paths {

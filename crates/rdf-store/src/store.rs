@@ -1,7 +1,7 @@
 //! The [`Store`]: interner + explicit and inferred triple layers + schema
 //! helper queries used by the faceted-search model.
 
-use crate::extset::{merge_sorted, ExtSet};
+use crate::extset::ExtSet;
 use crate::index::IdTriple;
 use crate::inference;
 use crate::interner::{Interner, TermId};
@@ -23,12 +23,13 @@ impl Pattern {
     }
 }
 
-/// Which side of a `p`-edge [`Store::edge_counts`] keys its counts on.
+/// Which side of an edge [`Store::edge_counts`] keys its counts on, and
+/// [`Store::id_set`] collects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CountKey {
-    /// Count edges per subject.
+    /// The subject: count edges per subject.
     Subject,
-    /// Count edges per object.
+    /// The object: count edges per object.
     Object,
 }
 
@@ -481,15 +482,62 @@ impl Store {
 
     // ---- queries ---------------------------------------------------------
 
+    /// The store's layers, explicit first: the one list every read walks.
+    fn layers(&self) -> [&Layer; 2] {
+        [&self.explicit, &self.inferred]
+    }
+
+    /// The entailed matches of a pattern as one run per layer, explicit
+    /// first, each ascending in the order of the permutation serving the
+    /// pattern. Consumers combine the runs: sum counts, union per-layer
+    /// sets, or push every layer's ids and sort once.
+    ///
+    /// In a clean store the layers are disjoint, so `matching(None, None,
+    /// None)` yields [`Store::len_entailed`] distinct triples
+    /// (`tests/closure_differential.rs` checks it after every update). A
+    /// dirty store may hold a newly asserted triple that is still inferred
+    /// too: [`Store::matching`], [`Store::run_len`] and [`Store::edge_counts`]
+    /// count it twice until [`Store::refresh_inference`], [`Store::id_set`] once.
+    pub fn layer_runs(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> impl Iterator<Item = impl Iterator<Item = IdTriple> + '_> + '_ {
+        self.layers().into_iter().map(move |layer| layer.matching(s, p, o))
+    }
+
     /// Triples matching a pattern in the **entailed** graph (explicit ∪
-    /// inferred). This is what the interaction model queries (§5.2.1).
+    /// inferred), layer after layer ([`Store::layer_runs`]). This is what
+    /// the interaction model queries (§5.2.1).
     pub fn matching(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> impl Iterator<Item = IdTriple> + '_ {
-        self.explicit.matching(s, p, o).chain(self.inferred.matching(s, p, o))
+        self.layer_runs(s, p, o).flatten()
+    }
+
+    /// The distinct ids on the `key` side of the entailed triples matching a
+    /// pattern whose runs yield that side ascending: the subject of `(?, p,
+    /// o)` or `(?, ?, ?)`, the object of `(s, p, ?)`. Layers with an empty
+    /// run ([`Store::run_len`]) are skipped; one live run is read straight
+    /// into the set, several are merged by [`ExtSet::union`].
+    pub fn id_set(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+        key: CountKey,
+    ) -> ExtSet {
+        let at = if key == CountKey::Subject { 0 } else { 2 };
+        self.layers()
+            .into_iter()
+            .filter(|layer| layer.run_len(s, p, o) > 0)
+            .map(|layer| ExtSet::from_sorted_iter(layer.matching(s, p, o).map(|t| t[at])))
+            .reduce(|set, more| set.union(&more))
+            .unwrap_or_default()
     }
 
     /// Number of entailed triples matching a pattern — exactly
@@ -498,7 +546,7 @@ impl Store {
     /// segment, plus the overlay's tombstones. Nothing is iterated, so a
     /// planner or a seek-vs-scan choice can ask for any run's length.
     pub fn run_len(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        self.explicit.run_len(s, p, o) + self.inferred.run_len(s, p, o)
+        self.layers().into_iter().map(|layer| layer.run_len(s, p, o)).sum()
     }
 
     /// Triples matching a pattern among asserted triples only.
@@ -536,48 +584,15 @@ impl Store {
         self.explicit.iter()
     }
 
-    // ---- sorted posting runs (merge-join building blocks, §5.4) -----------
-    //
-    // Each accessor fuses the explicit and inferred permutation ranges into
-    // one ascending stream (the two layers are disjoint by construction, but
-    // the merge dedups defensively), so facet operators can merge-join
-    // against a sorted extension instead of probing per element.
-
-    /// Subjects with an entailed `p`-edge to `o`, ascending.
-    pub fn subjects_for_po(&self, p: TermId, o: TermId) -> impl Iterator<Item = TermId> + '_ {
-        merge_sorted(
-            self.explicit.subjects_for_po(p, o),
-            self.inferred.subjects_for_po(p, o),
-        )
-    }
-
-    /// Objects of `s`'s entailed `p`-edges, ascending.
-    pub fn objects_for_sp(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        merge_sorted(
-            self.explicit.objects_for_sp(s, p),
-            self.inferred.objects_for_sp(s, p),
-        )
-    }
-
-    /// All entailed `(object, subject)` pairs of predicate `p`, ascending by
-    /// `(object, subject)` — the full posting run the facet operators scan
-    /// ([`Store::edge_counts`] reads each layer's run on its own instead).
-    pub fn predicate_pairs(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        merge_sorted(self.explicit.pairs_for_p(p), self.inferred.pairs_for_p(p))
-    }
-
-    /// Entailed instances of a class, `inst(c)` of §5.3.1: the class's
-    /// sorted `rdf:type` run.
+    /// Entailed instances of a class, `inst(c)` of §5.3.1: the subjects of
+    /// the class's `rdf:type` runs.
     pub fn instances_set(&self, class: TermId) -> ExtSet {
-        ExtSet::from_sorted_iter(self.subjects_for_po(self.wk.rdf_type, class))
+        self.id_set(None, Some(self.wk.rdf_type), Some(class), CountKey::Subject)
     }
 
-    /// Every subject of an entailed triple, each once: the explicit and
-    /// inferred layers' SPO runs, merged by subject.
+    /// Every subject of an entailed triple, each once.
     pub fn subjects_set(&self) -> ExtSet {
-        let subject = |[s, _, _]: IdTriple| s;
-        let explicit = self.explicit.iter().map(subject);
-        ExtSet::from_sorted_iter(merge_sorted(explicit, self.inferred.iter().map(subject)))
+        self.id_set(None, None, None, CountKey::Subject)
     }
 
     /// True when `seeks` per-element seeks into the entailed `(?, p, o)` run
@@ -619,7 +634,6 @@ impl Store {
         key: CountKey,
         within: Option<&ExtSet>,
     ) -> Vec<(TermId, usize)> {
-        let layers = [&self.explicit, &self.inferred];
         let seek = within.filter(|ext| self.prefer_seek(ext.len(), p, None));
         let keep = |other: TermId| within.is_none_or(|ext| ext.contains(other));
         let mut occurrences: Vec<TermId> = Vec::new();
@@ -627,27 +641,25 @@ impl Store {
             (CountKey::Object, None) => {
                 // the POS run groups by object, so each layer's counts
                 // stream out already ascending — one pass, no hashing
-                let [explicit, inferred] = layers.map(|layer| {
+                let per_layer = self.layer_runs(None, Some(p), None).map(|run| {
                     let mut counts = Vec::new();
-                    for (o, s) in layer.pairs_for_p(p) {
+                    for [s, _, o] in run {
                         if keep(s) {
                             bump(&mut counts, o);
                         }
                     }
                     counts
                 });
-                return sum_counts(explicit, inferred);
+                return per_layer.reduce(sum_counts).unwrap_or_default();
             }
             (CountKey::Object, Some(ext)) => {
                 for e in ext.iter() {
-                    for layer in layers {
-                        occurrences.extend(layer.objects_for_sp(e, p));
-                    }
+                    occurrences.extend(self.matching(Some(e), Some(p), None).map(|[_, _, o]| o));
                 }
             }
             (CountKey::Subject, None) => {
-                for layer in layers {
-                    for (o, s) in layer.pairs_for_p(p) {
+                for run in self.layer_runs(None, Some(p), None) {
+                    for [s, _, o] in run {
                         if keep(o) {
                             occurrences.push(s);
                         }
@@ -656,9 +668,7 @@ impl Store {
             }
             (CountKey::Subject, Some(ext)) => {
                 for e in ext.iter() {
-                    for layer in layers {
-                        occurrences.extend(layer.subjects_for_po(p, e));
-                    }
+                    occurrences.extend(self.matching(None, Some(p), Some(e)).map(|[s, _, _]| s));
                 }
             }
         }
@@ -674,7 +684,7 @@ impl Store {
 
     /// Classes the resource is an entailed instance of.
     pub fn classes_of(&self, resource: TermId) -> ExtSet {
-        ExtSet::from_sorted_iter(self.objects_for_sp(resource, self.wk.rdf_type))
+        self.id_set(Some(resource), Some(self.wk.rdf_type), None, CountKey::Object)
     }
 
     /// All class ids: declared via `rdf:type rdfs:Class`, used as a type, or
@@ -683,11 +693,9 @@ impl Store {
     /// instances, so the cost is per class, not per typed resource.
     pub fn classes(&self) -> ExtSet {
         let wk = self.wk;
-        let mut out: Vec<TermId> = [&self.explicit, &self.inferred]
-            .into_iter()
-            .flat_map(|layer| layer.pos_keys(Some(wk.rdf_type)))
-            .collect();
-        out.extend(self.subjects_for_po(wk.rdf_type, wk.rdfs_class));
+        let mut out: Vec<TermId> =
+            self.layers().into_iter().flat_map(|layer| layer.pos_keys(Some(wk.rdf_type))).collect();
+        out.extend(self.matching(None, Some(wk.rdf_type), Some(wk.rdfs_class)).map(|[s, _, _]| s));
         out.extend(
             self.matching(None, Some(wk.rdfs_subclassof), None)
                 .flat_map(|[s, _, o]| [s, o]),
@@ -710,7 +718,10 @@ impl Store {
         ];
         let mut out = self.explicit.pos_keys(None);
         out.retain(|p| !schema.contains(p));
-        out.extend(self.subjects_for_po(self.wk.rdf_type, self.wk.rdf_property));
+        out.extend(
+            self.matching(None, Some(self.wk.rdf_type), Some(self.wk.rdf_property))
+                .map(|[s, _, _]| s),
+        );
         out.extend(
             self.matching(None, Some(self.wk.rdfs_subpropertyof), None)
                 .flat_map(|[s, _, o]| [s, o]),
@@ -825,6 +836,10 @@ mod tests {
             ))
             .unwrap();
         store
+    }
+
+    fn iri_id(store: &mut Store, local: &str) -> TermId {
+        store.intern_iri(&format!("{EX}{local}"))
     }
 
     fn iri(store: &Store, local: &str) -> TermId {
@@ -953,28 +968,93 @@ mod tests {
         assert_eq!(store.closure_stats(), stats);
     }
 
+    /// [`Store::id_set`], through `instances_set`, `classes_of` and
+    /// `subjects_set`, against a `BTreeSet` model: a class whose instances
+    /// are split across both layers and interleave in id order, one with
+    /// explicit instances only and one with inferred instances only — in
+    /// memory and reopened from segments.
     #[test]
     fn posting_runs_are_sorted_and_entailed() {
-        let store = products_store();
-        let laptop1 = iri(&store, "laptop1");
-        let dell = iri(&store, "DELL");
-        let producer = iri(&store, "producer");
-        // producer edges exist only in the inferred layer
-        let subs: Vec<TermId> = store.subjects_for_po(producer, dell).collect();
-        assert_eq!(subs, vec![laptop1]);
-        let objs: Vec<TermId> = store.objects_for_sp(laptop1, producer).collect();
-        assert_eq!(objs, vec![dell]);
-        let pairs: Vec<(TermId, TermId)> = store.predicate_pairs(producer).collect();
-        assert_eq!(pairs, vec![(dell, laptop1)]);
-        // runs are ascending
-        let t = store.well_known().rdf_type;
-        let run: Vec<(TermId, TermId)> = store.predicate_pairs(t).collect();
-        assert!(run.windows(2).all(|w| w[0] < w[1]), "{run:?}");
-        // instances_set agrees with the entailed type triples
-        let product = iri(&store, "Product");
-        let typed: BTreeSet<TermId> =
-            store.matching(None, Some(t), Some(product)).map(|[s, _, _]| s).collect();
-        assert_eq!(store.instances_set(product).to_sorted_vec(), Vec::from_iter(typed));
+        use crate::persist::{recover, FsyncPolicy, PersistConfig};
+        use std::collections::BTreeMap;
+        let mut mem = Store::new();
+        let wk = mem.well_known();
+        let t = wk.rdf_type;
+        let [both, sub, explicit_only, inferred_only, sub2] =
+            ["Both", "Sub", "Explicit", "Inferred", "Sub2"].map(|c| iri_id(&mut mem, c));
+        mem.insert_ids([sub, wk.rdfs_subclassof, both]);
+        mem.insert_ids([sub2, wk.rdfs_subclassof, inferred_only]);
+        let mut instances: BTreeMap<TermId, BTreeSet<TermId>> = BTreeMap::new();
+        let mut classes: BTreeMap<TermId, BTreeSet<TermId>> = BTreeMap::new();
+        let mut subjects: BTreeSet<TermId> = [sub, sub2].into();
+        for i in 0..40 {
+            let e = iri_id(&mut mem, &format!("e{i}"));
+            subjects.insert(e);
+            // even ids are asserted `Both`, odd ones are `Sub` and so `Both`
+            // by inference only
+            let mut typed = vec![if i % 2 == 0 { both } else { sub }];
+            if i % 3 == 0 {
+                typed.push(explicit_only);
+            }
+            if i % 5 == 0 {
+                typed.push(sub2);
+            }
+            for &c in &typed {
+                mem.insert_ids([e, t, c]);
+            }
+            for c in typed {
+                let entailed = match c {
+                    c if c == sub => vec![sub, both],
+                    c if c == sub2 => vec![sub2, inferred_only],
+                    c => vec![c],
+                };
+                for c in entailed {
+                    instances.entry(c).or_default().insert(e);
+                    classes.entry(e).or_default().insert(c);
+                }
+            }
+        }
+        mem.materialize_inference();
+
+        let check = |store: &Store, what: &str| {
+            let explicit = |c| store.matching_explicit(None, Some(t), Some(c)).count();
+            let entailed = |c| store.run_len(None, Some(t), Some(c));
+            assert_eq!(explicit(explicit_only), entailed(explicit_only), "{what}: explicit only");
+            assert_eq!(explicit(inferred_only), 0, "{what}: inferred only");
+            assert!(entailed(inferred_only) > 0, "{what}: inferred only");
+            assert!(0 < explicit(both) && explicit(both) < entailed(both), "{what}: both layers");
+            for (&c, want) in &instances {
+                let got = store.instances_set(c).to_sorted_vec();
+                assert_eq!(got, Vec::from_iter(want.iter().copied()), "{what}: instances of {c:?}");
+            }
+            for (&e, want) in &classes {
+                let got = store.classes_of(e).to_sorted_vec();
+                assert_eq!(got, Vec::from_iter(want.iter().copied()), "{what}: classes of {e:?}");
+            }
+            let got = store.subjects_set().to_sorted_vec();
+            assert_eq!(got, Vec::from_iter(subjects.iter().copied()), "{what}: subjects");
+        };
+        check(&mem, "memory");
+
+        // a dirty store may hold an asserted triple that is still inferred
+        // too: the run counts it twice, the set once
+        let mut dirty = mem.clone();
+        let odd = *instances[&sub].first().unwrap();
+        let before = dirty.run_len(None, Some(t), Some(both));
+        assert!(dirty.insert_ids([odd, t, both]));
+        assert_eq!(dirty.run_len(None, Some(t), Some(both)), before + 1);
+        check(&dirty, "dirty");
+
+        let dir = std::env::temp_dir().join(format!("rdfa-idset-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || PersistConfig { fsync: FsyncPolicy::Never, ..PersistConfig::default() };
+        let (_, journal, _) = recover(&dir, config()).unwrap();
+        journal.checkpoint(|| &mem).unwrap();
+        drop(journal);
+        let (seg, _journal, _recovery) = recover(&dir, config()).unwrap();
+        assert!(seg.segment_stats().segments >= 2 && !seg.is_dirty(), "both layers on segments");
+        check(&seg, "segments");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use rdfa_model::{Graph, Term, Triple, Value};
 use rdfa_sparql::views::{aggregate_value_list, AggCall, AggInput, AggShape, ShapeColumn};
-use rdfa_store::{Store, TermId};
+use rdfa_store::{CountKey, Store, TermId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The value-canonical form of a term: how the engines key groups and
@@ -238,7 +238,7 @@ impl ViewTable {
                     match pv {
                         None => self.groups.entry(gkey).or_default().add(None),
                         Some(pv) => {
-                            for v in store.objects_for_sp(x, pv) {
+                            for v in &store.id_set(Some(x), Some(pv), None, CountKey::Object) {
                                 let value = canon(store.term(v));
                                 self.groups
                                     .entry(gkey.clone())
@@ -266,8 +266,7 @@ impl ViewTable {
                 let Some(Some((p0, o0))) = self.shape_first_restriction(ids) else {
                     return;
                 };
-                let subjects: Vec<TermId> = store.subjects_for_po(p0, o0).collect();
-                for x in subjects {
+                for x in &store.id_set(None, Some(p0), Some(o0), CountKey::Subject) {
                     if !ids.restrictions_hold(store, x) {
                         continue;
                     }
@@ -297,7 +296,8 @@ impl ViewTable {
             Some(None) => return Vec::new(),
             Some(Some(pg)) => {
                 let gs: Vec<Option<Term>> = store
-                    .objects_for_sp(x, *pg)
+                    .id_set(Some(x), Some(*pg), None, CountKey::Object)
+                    .iter()
                     .map(|g| Some(canon(store.term(g))))
                     .collect();
                 if gs.is_empty() {
@@ -310,8 +310,11 @@ impl ViewTable {
             None => group_keys.into_iter().map(|g| (g, None)).collect(),
             Some(None) => Vec::new(),
             Some(Some(pv)) => {
-                let vs: Vec<Term> =
-                    store.objects_for_sp(x, *pv).map(|v| canon(store.term(v))).collect();
+                let vs: Vec<Term> = store
+                    .id_set(Some(x), Some(*pv), None, CountKey::Object)
+                    .iter()
+                    .map(|v| canon(store.term(v)))
+                    .collect();
                 let mut rows = Vec::with_capacity(group_keys.len() * vs.len());
                 for g in &group_keys {
                     for v in &vs {

@@ -3,7 +3,8 @@
 //! WHERE` sequence, the store kept current by `refresh_inference` (what
 //! `execute_update` ends in) must equal a clone whose closure was rebuilt
 //! from scratch by `materialize_inference` — same entailed triples in the
-//! same order, same `len()`, same `len_entailed()`.
+//! same order, same `len()`, same `len_entailed()` — and its explicit and
+//! inferred layers disjoint, which every per-layer read relies on.
 //!
 //! The schema is built to hit every rule and every awkward case: subclass
 //! chains, a subclass cycle, sub-properties whose domains and ranges are
@@ -172,7 +173,20 @@ fn schema_step(rng: &mut StdRng, k: usize) -> String {
     }
 }
 
+/// The invariant every per-layer read relies on (`Store::layer_runs`): in a
+/// clean store no triple is both explicit and inferred, so the layers'
+/// runs together hold each entailed triple once.
+fn assert_layers_disjoint(store: &Store, what: &str) {
+    let mut all: Vec<IdTriple> = store.matching(None, None, None).collect();
+    let n = all.len();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(n, all.len(), "{what}: a triple is in both layers");
+    assert_eq!(n, store.len_entailed(), "{what}: len_entailed");
+}
+
 fn assert_equals_rebuild(store: &Store, what: &str) {
+    assert_layers_disjoint(store, what);
     let mut rebuilt = store.clone();
     rebuilt.materialize_inference();
     assert_eq!(store.len(), rebuilt.len(), "{what}: len");
@@ -281,6 +295,8 @@ fn backends_stay_identical_under_the_same_updates() {
             "step {step} ({update}): backends diverged"
         );
         assert_eq!(mem.len_entailed(), seg.len_entailed());
+        assert_layers_disjoint(&mem, &format!("mem step {step} ({update})"));
+        assert_layers_disjoint(&seg, &format!("seg step {step} ({update})"));
     }
     assert_eq!(mem.closure_stats().full, 0);
     assert_eq!(seg.closure_stats().full, 0);
